@@ -1,8 +1,18 @@
-"""45x48 bivariate reflectance table: binning, running-mean accumulation,
-merging, linear completion and continuous lookup.
+"""45x48 bivariate reflectance table over the Rusinkiewicz half/difference
+angles (theta_h, theta_d): binning, merging, linear completion and
+continuous lookup.
 
-Cells filled by `complete` carry count 0 and are flagged synthetic: they are
-for rendering only, not measurements.
+A `BrdfTable` is three parallel arrays sorted by flat cell index
+`h_bin * N_D + d_bin`, one row per cell present:
+
+- `flat` (k,) int: the flat cell index;
+- `means` (k, 3) float: mean rgb of the cell's samples;
+- `counts` (k,) int: number of samples behind the mean. Count 0 marks a
+  synthetic cell filled by `complete`: it is for rendering only, not a
+  measurement.
+
+The same type holds a sparse per-vertex table (tens of cells) and a complete
+table (all N_CELLS cells), whose `means` reshape to the dense (45, 48, 3) grid.
 """
 
 from __future__ import annotations
@@ -34,92 +44,85 @@ def bin_arrays(theta_h: np.ndarray, theta_d: np.ndarray):
     return h, d
 
 
-def cell_center(h_bin: int, d_bin: int) -> tuple[float, float]:
+def cell_center(h_bin, d_bin):
+    """(theta_h, theta_d) at the center of a cell; accepts scalars or arrays."""
     return (h_bin + 0.5) * H_WIDTH, (d_bin + 0.5) * D_WIDTH
 
 
+def cell_indices(flat) -> np.ndarray:
+    """(k, 2) (h_bin, d_bin) pairs of flat cell indices."""
+    return np.stack(np.divmod(np.asarray(flat), N_D), axis=1)
+
+
 class BrdfTable:
-    """Sparse 45x48 grid of (running-mean rgb, sample count) cells."""
+    """Cells of the 45x48 grid as parallel arrays sorted by flat index (see
+    the module docstring). `BrdfTable()` is the empty table; every other
+    table is built by `from_cells`."""
 
     def __init__(self):
-        # (h, d) -> [r, g, b, count]; count 0 marks a synthetic cell
-        self._cells: dict[tuple[int, int], list] = {}
-        self._dense = None  # lookup cache, built on demand when complete
+        self.flat = np.zeros(0, dtype=np.int64)
+        self.means = np.zeros((0, 3))
+        self.counts = np.zeros(0, dtype=np.int64)
 
     @classmethod
     def from_cells(cls, indices, means, counts) -> "BrdfTable":
-        """Build from parallel arrays: indices (k,2) int, means (k,3), counts (k,)."""
-        t = cls()
-        for (h, d), m, c in zip(np.asarray(indices), np.asarray(means, dtype=float),
-                                np.asarray(counts)):
-            t._cells[(int(h), int(d))] = [float(m[0]), float(m[1]), float(m[2]), int(c)]
-        return t
+        """Build from parallel arrays: indices (k,2) (h_bin, d_bin) ints,
+        means (k,3), counts (k,), in any cell order. Raises ValueError on a
+        cell outside the grid or given twice, a non-finite or negative mean,
+        or a negative count."""
+        idx = np.asarray(indices, dtype=np.int64).reshape(-1, 2)
+        means = np.asarray(means, dtype=float).reshape(-1, 3)
+        counts = np.asarray(counts, dtype=np.int64).reshape(-1)
+        if not len(idx) == len(means) == len(counts):
+            raise ValueError("indices, means and counts differ in length")
+        h, d = idx[:, 0], idx[:, 1]
+        if np.any((h < 0) | (h >= N_H) | (d < 0) | (d >= N_D)):
+            raise ValueError("cell index out of range")
+        if not np.all(np.isfinite(means)) or np.any(means < 0):
+            raise ValueError("cell means must be finite and nonnegative")
+        if np.any(counts < 0):
+            raise ValueError("cell counts must be nonnegative")
+        flat = h * N_D + d
+        order = np.argsort(flat, kind="stable")
+        flat = flat[order]
+        if np.any(flat[1:] == flat[:-1]):
+            raise ValueError("cell given more than once")
+        table = cls()
+        table.flat, table.means, table.counts = flat, means[order], counts[order]
+        return table
 
     def __len__(self) -> int:
-        return len(self._cells)
-
-    def __contains__(self, index) -> bool:
-        return tuple(index) in self._cells
-
-    def cells(self):
-        """Iterate ((h_bin, d_bin), mean (3,), count)."""
-        for idx, cell in self._cells.items():
-            yield idx, np.array(cell[:3]), cell[3]
-
-    def get(self, index):
-        cell = self._cells.get(tuple(index))
-        if cell is None:
-            return None
-        return np.array(cell[:3]), cell[3]
-
-    def insert(self, index, sample) -> None:
-        """Streaming mean update of one cell with an rgb sample."""
-        sample = np.asarray(sample, dtype=float)
-        if sample.shape != (3,) or np.any(sample < 0) or not np.all(np.isfinite(sample)):
-            raise ValueError("sample must be a finite nonnegative 3-vector")
-        idx = (int(index[0]), int(index[1]))
-        if not (0 <= idx[0] < N_H and 0 <= idx[1] < N_D):
-            raise ValueError(f"cell index out of range: {idx}")
-        cell = self._cells.get(idx)
-        if cell is None or cell[3] == 0:
-            self._cells[idx] = [sample[0], sample[1], sample[2], 1]
-        else:
-            cell[3] += 1
-            inv = 1.0 / cell[3]
-            cell[0] += (sample[0] - cell[0]) * inv
-            cell[1] += (sample[1] - cell[1]) * inv
-            cell[2] += (sample[2] - cell[2]) * inv
-        self._dense = None
+        return len(self.flat)
 
     @property
     def measured_count(self) -> int:
-        return sum(1 for c in self._cells.values() if c[3] > 0)
+        return int(np.count_nonzero(self.counts))
 
-    @property
-    def is_complete(self) -> bool:
-        return len(self._cells) == N_CELLS
+
+def concat_cells(tables):
+    """(flat, means, counts) of the cells of all `tables`, table after table."""
+    tables = [BrdfTable(), *tables]  # np.concatenate needs one array
+    return (np.concatenate([t.flat for t in tables]),
+            np.concatenate([t.means for t in tables]),
+            np.concatenate([t.counts for t in tables]))
 
 
 def merge(tables: list[BrdfTable]) -> BrdfTable:
     """Count-weighted union of measured cells; synthetic cells contribute nothing."""
     if not tables:
         raise ValueError("merge needs at least one table")
-    out = BrdfTable()
-    for t in tables:
-        for idx, mean, count in t.cells():
-            if count == 0:
-                continue
-            cell = out._cells.get(idx)
-            if cell is None:
-                out._cells[idx] = [mean[0], mean[1], mean[2], count]
-            else:
-                total = cell[3] + count
-                w = count / total
-                cell[0] += (mean[0] - cell[0]) * w
-                cell[1] += (mean[1] - cell[1]) * w
-                cell[2] += (mean[2] - cell[2]) * w
-                cell[3] = total
-    return out
+    flat, means, counts = concat_cells(tables)
+    measured = counts > 0
+    flat, means, counts = flat[measured], means[measured], counts[measured]
+    cells, inverse = np.unique(flat, return_inverse=True)
+    total = np.bincount(inverse, weights=counts, minlength=len(cells))
+    sums = np.stack([np.bincount(inverse, weights=counts * means[:, c],
+                                 minlength=len(cells)) for c in range(3)], axis=1)
+    return BrdfTable.from_cells(cell_indices(cells), sums / total[:, None],
+                                total.astype(np.int64))
+
+
+_ALL_CELLS = cell_indices(np.arange(N_CELLS))
 
 
 def complete(table: BrdfTable) -> BrdfTable:
@@ -128,13 +131,14 @@ def complete(table: BrdfTable) -> BrdfTable:
     lines with no data at all. Filled cells get count 0."""
     if table.measured_count < 2:
         raise ValueError("completion needs at least 2 measured cells")
-    values = np.zeros((N_H, N_D, 3))
-    present = np.zeros((N_H, N_D), dtype=bool)
-    counts = np.zeros((N_H, N_D), dtype=int)
-    for (h, d), mean, count in table.cells():
-        values[h, d] = mean
-        present[h, d] = True
-        counts[h, d] = count
+    values = np.zeros((N_CELLS, 3))
+    present = np.zeros(N_CELLS, dtype=bool)
+    counts = np.zeros(N_CELLS, dtype=np.int64)
+    values[table.flat] = table.means
+    present[table.flat] = True
+    counts[table.flat] = table.counts
+    values = values.reshape(N_H, N_D, 3)
+    present = present.reshape(N_H, N_D)
 
     filled = values.copy()
     line_has_data = present.any(axis=0)
@@ -152,25 +156,14 @@ def complete(table: BrdfTable) -> BrdfTable:
             empty = ~line_has_data
             filled[h, empty, c] = np.interp(ds[empty], data_lines.astype(float),
                                             filled[h, data_lines, c])
-
-    out = BrdfTable()
-    for h in range(N_H):
-        for d in range(N_D):
-            v = filled[h, d]
-            out._cells[(h, d)] = [v[0], v[1], v[2], int(counts[h, d])]
-    return out
+    return BrdfTable.from_cells(_ALL_CELLS, filled.reshape(N_CELLS, 3), counts)
 
 
 def dense_values(table: BrdfTable) -> np.ndarray:
     """(45, 48, 3) array of cell values; requires all cells present."""
-    if not table.is_complete:
+    if len(table) != N_CELLS:
         raise ValueError("table is not complete")
-    if table._dense is None:
-        arr = np.zeros((N_H, N_D, 3))
-        for (h, d), mean, _ in table.cells():
-            arr[h, d] = mean
-        table._dense = arr
-    return table._dense
+    return table.means.reshape(N_H, N_D, 3)
 
 
 def lookup(table: BrdfTable, angles: HalfDiffAngles) -> np.ndarray:
@@ -198,8 +191,8 @@ def lookup_arrays(table: BrdfTable, theta_h: np.ndarray, theta_d: np.ndarray):
 def to_text(table: BrdfTable) -> str:
     """One line per present cell: `h_bin d_bin count r g b`."""
     lines = [SERIAL_HEADER]
-    for (h, d) in sorted(table._cells):
-        r, g, b, c = table._cells[(h, d)]
+    for (h, d), (r, g, b), c in zip(cell_indices(table.flat).tolist(),
+                                    table.means.tolist(), table.counts.tolist()):
         lines.append(f"{h} {d} {c} {r:.17g} {g:.17g} {b:.17g}")
     return "\n".join(lines) + "\n"
 
@@ -208,9 +201,12 @@ def from_text(text: str) -> BrdfTable:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != SERIAL_HEADER:
         raise ValueError(f"bad table header, expected '{SERIAL_HEADER}'")
-    t = BrdfTable()
+    indices, means, counts = [], [], []
     for ln in lines[1:]:
         parts = ln.split()
-        h, d, c = int(parts[0]), int(parts[1]), int(parts[2])
-        t._cells[(h, d)] = [float(parts[3]), float(parts[4]), float(parts[5]), c]
-    return t
+        if len(parts) != 6:
+            raise ValueError(f"bad table line {ln!r}, expected 'h d count r g b'")
+        indices.append((int(parts[0]), int(parts[1])))
+        counts.append(int(parts[2]))
+        means.append([float(x) for x in parts[3:]])
+    return BrdfTable.from_cells(indices, means, counts)

@@ -168,11 +168,10 @@ def cmd_render(cfg: PipelineConfig) -> int:
     camera = PinholeCamera(cfg.fx, cfg.fy, cfg.cx, cfg.cy, cfg.width, cfg.height)
     scan = _scan_config(cfg)
     t0 = float(ir_frame_times(scan)[0])
-    tables = [t if t is not None else None for t in completed]
-    usable = [t for t in tables if t is not None]
+    usable = [t for t in completed if t is not None]
     if usable:
-        # render with a Lambertian fallback for groups lacking a table
-        render_tables = [t if t is not None else usable[0] for t in tables]
+        # a group lacking a table renders with the first usable one
+        render_tables = [t if t is not None else usable[0] for t in completed]
         frame = render_eval.rerender_ir_frame(
             scene, labels, render_tables, trajectory, t0, 0, make_default_rig(),
             camera, exposure=2.0)
@@ -231,8 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="path to key = value config file")
     parser.add_argument("--out", help="output directory (overrides config)")
     parser.add_argument("--seed", type=int, help="rng seed (overrides config)")
-    parser.add_argument("--threads", type=int, default=0,
-                        help="thread budget hint (numpy-managed)")
     return parser
 
 

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import dataclass, fields
+
+from .geometry import PinholeCamera
+from .scenes import BUILTIN_SCENES
 
 
 class ConfigError(ValueError):
@@ -40,8 +44,21 @@ class PipelineConfig:
     rng_seed: int = 0
 
     def validate(self):
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite")
+        if self.scene not in BUILTIN_SCENES:
+            raise ConfigError(f"unknown scene {self.scene!r}, "
+                              f"have {sorted(BUILTIN_SCENES)}")
         if self.n_vertices < 1 or self.n_ir_frames < 1 or self.n_trajectory_poses < 2:
             raise ConfigError("scene/trajectory sizes out of range")
+        if self.rgb_frame_stride < 1 or self.sample_budget < 1:
+            raise ConfigError("rgb_frame_stride and sample_budget must be >= 1")
+        try:
+            PinholeCamera(self.fx, self.fy, self.cx, self.cy, self.width,
+                          self.height)
+        except ValueError as exc:
+            raise ConfigError(f"camera intrinsics: {exc}") from exc
         if self.segmentation_mode not in ("two", "multi"):
             raise ConfigError("segmentation_mode must be 'two' or 'multi'")
         if self.saturation_level <= 0 or self.diffusion_radius_m <= 0:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import brdf_table
-from .brdf_table import N_D, BrdfTable
+from .brdf_table import N_CELLS, N_D, BrdfTable
 from .geometry import (LedRig, PinholeCamera, Pose, TimedPose,
                        half_diff_angle_arrays, half_diff_angles,
                        interpolate_trajectory)
@@ -176,25 +176,28 @@ def accumulate_vertex_tables(ir: IrObservations, scene, trajectory, rig: LedRig,
         color_arr[v] = c
     samples = color_arr[vids] * fs[:, None]
 
-    key = vids.astype(np.int64) * (N_D * brdf_table.N_H) + hb * N_D + db
+    key = vids.astype(np.int64) * N_CELLS + hb * N_D + db
     uniq, inverse = np.unique(key, return_inverse=True)
     sums = np.zeros((len(uniq), 3))
     np.add.at(sums, inverse, samples)
     cnt = np.bincount(inverse, minlength=len(uniq))
-    means = sums / cnt[:, None]
+    u_vid, u_cell = np.divmod(uniq, N_CELLS)
+    records = vertex_records(u_vid, brdf_table.cell_indices(u_cell),
+                             sums / cnt[:, None], cnt, color_arr)
+    return records, counts
 
-    u_vid = (uniq // (N_D * brdf_table.N_H)).astype(int)
-    u_cell = uniq % (N_D * brdf_table.N_H)
-    u_h = (u_cell // N_D).astype(int)
-    u_d = (u_cell % N_D).astype(int)
 
+def vertex_records(cell_vid, cells, means, counts, colors) -> list:
+    """One record per vertex from parallel per-cell rows in any order: vertex
+    id (m,), (h_bin, d_bin) (m,2), mean rgb (m,3) and count (m,). `colors[v]`
+    is the unit color of vertex v. Records come in vertex id order."""
+    order = np.argsort(cell_vid, kind="stable")
+    bounds = np.nonzero(np.diff(cell_vid[order]))[0] + 1
     records = []
-    bounds = np.nonzero(np.diff(u_vid))[0] + 1
-    for rows in np.split(np.arange(len(uniq)), bounds):
+    for rows in np.split(order, bounds):
         if len(rows) == 0:
             continue
-        v = int(u_vid[rows[0]])
-        table = BrdfTable.from_cells(
-            np.stack([u_h[rows], u_d[rows]], axis=1), means[rows], cnt[rows])
-        records.append(VertexReflectanceRecord(v, color_arr[v], table))
-    return records, counts
+        v = int(cell_vid[rows[0]])
+        table = BrdfTable.from_cells(cells[rows], means[rows], counts[rows])
+        records.append(VertexReflectanceRecord(v, colors[v], table))
+    return records

@@ -6,8 +6,8 @@ import os
 
 import numpy as np
 
-from .brdf_table import N_D, N_H, BrdfTable
-from .estimation import VertexReflectanceRecord
+from .brdf_table import cell_indices, concat_cells
+from .estimation import vertex_records
 from .geometry import Pose, Quaternion, TimedPose
 from .simulator import GroundTruthMaterial, IrObservations, RgbObservations
 
@@ -117,46 +117,29 @@ def read_colors(path) -> dict:
 
 
 def write_records(path, records) -> None:
-    """Compact npz with all per-vertex tables."""
-    vids, colors = [], []
-    row_vid, row_h, row_d, row_count, row_mean = [], [], [], [], []
-    for rec in records:
-        vids.append(rec.vertex_id)
-        colors.append(rec.normalized_color)
-        for (h, d), mean, count in rec.table.cells():
-            row_vid.append(rec.vertex_id)
-            row_h.append(h)
-            row_d.append(d)
-            row_count.append(count)
-            row_mean.append(mean)
+    """Compact npz with all per-vertex tables, one row per table cell."""
+    tables = [rec.table for rec in records]
+    vids = np.array([rec.vertex_id for rec in records], dtype=int)
+    flat, means, counts = concat_cells(tables)
+    cells = cell_indices(flat)
     np.savez_compressed(
         path,
-        vertex_id=np.array(vids, dtype=int),
-        color=np.array(colors).reshape(-1, 3),
-        cell_vid=np.array(row_vid, dtype=int),
-        cell_h=np.array(row_h, dtype=int),
-        cell_d=np.array(row_d, dtype=int),
-        cell_count=np.array(row_count, dtype=int),
-        cell_mean=np.array(row_mean).reshape(-1, 3),
+        vertex_id=vids,
+        color=np.array([rec.normalized_color for rec in records]).reshape(-1, 3),
+        cell_vid=np.repeat(vids, [len(t) for t in tables]),
+        cell_h=cells[:, 0],
+        cell_d=cells[:, 1],
+        cell_count=counts,
+        cell_mean=means,
     )
 
 
 def read_records(path):
-    data = np.load(_require(path))
-    colors = {int(v): c for v, c in zip(data["vertex_id"], data["color"])}
-    cv = data["cell_vid"]
-    order = np.argsort(cv, kind="stable")
-    bounds = np.nonzero(np.diff(cv[order]))[0] + 1
-    records = []
-    for rows in np.split(order, bounds):
-        if len(rows) == 0:
-            continue
-        v = int(cv[rows[0]])
-        idx = np.stack([data["cell_h"][rows], data["cell_d"][rows]], axis=1)
-        table = BrdfTable.from_cells(idx, data["cell_mean"][rows],
-                                     data["cell_count"][rows])
-        records.append(VertexReflectanceRecord(v, colors[v], table))
-    return records
+    with np.load(_require(path)) as data:
+        colors = {int(v): c for v, c in zip(data["vertex_id"], data["color"])}
+        cells = np.stack([data["cell_h"], data["cell_d"]], axis=1)
+        return vertex_records(data["cell_vid"], cells, data["cell_mean"],
+                              data["cell_count"], colors)
 
 
 def write_labels(path, labels: np.ndarray, groups=None) -> None:

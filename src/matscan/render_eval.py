@@ -7,8 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import brdf_table
-from .brdf_table import BrdfTable, cell_center, lookup_arrays
+from .brdf_table import BrdfTable, cell_center, cell_indices, lookup_arrays
 from .geometry import (LedRig, PinholeCamera, half_diff_angle_arrays,
                        interpolate_trajectory, project_points)
 from .simulator import IrObservations, eval_ground_truth_brdf, vignette
@@ -181,20 +180,8 @@ def evaluate(groups_obj, gt_labels: np.ndarray, estimated_tables: list,
             correct += int(np.sum(gt_labels[ids] == matched[gi]))
         purity = correct / classified_total
 
-    rmses = []
-    for gi, table in enumerate(estimated_tables):
-        if gi not in matched:
-            rmses.append(float("nan"))
-            continue
-        mat = truth_materials[matched[gi]]
-        errs = []
-        for (h, d), mean, count in table.cells():
-            if count == 0:
-                continue  # synthetic cells are not measurements
-            th, td = cell_center(h, d)
-            truth = mat.color * eval_ground_truth_brdf(mat, th, td)
-            errs.append(np.sum((mean - truth) ** 2))
-        rmses.append(float(np.sqrt(np.mean(errs))) if errs else float("nan"))
+    rmses = [table_rmse(table, truth_materials[matched[gi]]) if gi in matched
+             else float("nan") for gi, table in enumerate(estimated_tables)]
 
     return EvalReport(
         group_counts=[len(g) for g in groups],
@@ -206,20 +193,16 @@ def evaluate(groups_obj, gt_labels: np.ndarray, estimated_tables: list,
     )
 
 
-def table_rmse(table: BrdfTable, material, color=None) -> float:
-    """RMSE of a table's measured cells against the analytic ground truth."""
-    if color is None:
-        color = material.color
-    errs = []
-    for (h, d), mean, count in table.cells():
-        if count == 0:
-            continue
-        th, td = cell_center(h, d)
-        truth = np.asarray(color) * eval_ground_truth_brdf(material, th, td)
-        errs.append(np.sum((mean - truth) ** 2))
-    if not errs:
+def table_rmse(table: BrdfTable, material) -> float:
+    """RMSE of a table's measured cells against the analytic ground truth;
+    synthetic cells are not measurements. NaN without measured cells."""
+    measured = table.counts > 0
+    if not measured.any():
         return float("nan")
-    return float(np.sqrt(np.mean(errs)))
+    th, td = cell_center(*cell_indices(table.flat[measured]).T)
+    truth = material.color * eval_ground_truth_brdf(material, th, td)[:, None]
+    err2 = np.sum((table.means[measured] - truth) ** 2, axis=1)
+    return float(np.sqrt(np.mean(err2)))
 
 
 def write_ppm(path, image: np.ndarray, gamma: float = 1.0 / 2.2) -> None:

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.spatial import cKDTree
 
-from .brdf_table import N_CELLS, N_D
+from .brdf_table import N_CELLS, N_D, concat_cells
 
 COV_REG_EPS = 1e-6
 MIN_CLUSTER_SIZE = 10
@@ -72,24 +72,18 @@ def build_global_table(records, sample_budget: int, rng_seed: int) -> GlobalCell
     n = len(records)
     take = min(sample_budget, n)
     chosen = np.sort(rng.choice(n, size=take, replace=False))
-    vid_parts, cell_parts, val_parts = [], [], []
-    for i in chosen:
-        rec = records[i]
-        for (h, d), mean, count in rec.table.cells():
-            if count > 0:
-                vid_parts.append(rec.vertex_id)
-                cell_parts.append(h * N_D + d)
-                val_parts.append(mean)
-    cells = {}
-    if vid_parts:
-        vids = np.array(vid_parts)
-        flat = np.array(cell_parts)
-        vals = np.array(val_parts)
-        order = np.argsort(flat, kind="stable")
-        bounds = np.nonzero(np.diff(flat[order]))[0] + 1
-        for rows in np.split(order, bounds):
-            cells[int(flat[rows[0]])] = (vids[rows], vals[rows])
     sampled = np.array([records[i].vertex_id for i in chosen])
+    tables = [records[i].table for i in chosen]
+    flat, vals, counts = concat_cells(tables)
+    vids = np.repeat(sampled, [len(t) for t in tables])
+    measured = counts > 0
+    flat, vals, vids = flat[measured], vals[measured], vids[measured]
+    # stable: each cell keeps its samples in chosen-record order, which the
+    # meanshift mode merge depends on
+    order = np.argsort(flat, kind="stable")
+    bounds = np.nonzero(np.diff(flat[order]))[0] + 1
+    cells = {int(flat[rows[0]]): (vids[rows], vals[rows])
+             for rows in np.split(order, bounds) if len(rows)}
     return GlobalCellTable(cells, sampled)
 
 

@@ -6,13 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matscan import brdf_table
-from matscan.brdf_table import (D_WIDTH, H_WIDTH, N_CELLS, N_D, N_H, BrdfTable,
-                                bin_angles, bin_arrays, cell_center, complete,
-                                dense_values, from_text, lookup, lookup_arrays,
-                                merge, to_text)
+from matscan.brdf_table import (D_WIDTH, H_WIDTH, N_CELLS, N_D, N_H,
+                                SERIAL_HEADER, BrdfTable, bin_angles, bin_arrays,
+                                cell_center, complete, dense_values, from_text,
+                                lookup, lookup_arrays, merge, to_text)
 from matscan.geometry import HalfDiffAngles
-
-rgb = st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0), st.floats(0.0, 2.0))
 
 
 class TestBinning:
@@ -40,30 +38,54 @@ class TestBinning:
             assert (hs[i], ds[i]) == bin_angles(HalfDiffAngles(th[i], td[i]))
 
 
-class TestAccumulation:
-    def test_insert_keeps_running_mean_and_count(self):
-        t = BrdfTable()
-        samples = [np.array([1.0, 2.0, 3.0]), np.array([3.0, 2.0, 1.0]),
-                   np.array([2.0, 2.0, 2.0])]
-        for s in samples:
-            t.insert((4, 7), s)
-        mean, count = t.get((4, 7))
-        assert count == 3
-        np.testing.assert_allclose(mean, np.mean(samples, axis=0), atol=1e-12)
+def table_of(cells: dict) -> BrdfTable:
+    """Table from {(h, d): (mean, count)}."""
+    return BrdfTable.from_cells(list(cells), [m for m, _ in cells.values()],
+                                [c for _, c in cells.values()])
 
-    @given(st.lists(rgb, min_size=1, max_size=20), st.integers(0, 2**32 - 1))
-    @settings(max_examples=40)
-    def test_insert_order_independent(self, samples, seed):
-        a = BrdfTable()
-        b = BrdfTable()
-        shuffled = list(samples)
-        np.random.default_rng(seed).shuffle(shuffled)
-        for s in samples:
-            a.insert((0, 0), np.array(s))
-        for s in shuffled:
-            b.insert((0, 0), np.array(s))
-        np.testing.assert_allclose(a.get((0, 0))[0], b.get((0, 0))[0], atol=1e-9)
-        assert a.get((0, 0))[1] == b.get((0, 0))[1]
+
+def cell(table: BrdfTable, h: int, d: int):
+    """(mean, count) of one cell, or None when absent."""
+    row = np.searchsorted(table.flat, h * N_D + d)
+    if row == len(table) or table.flat[row] != h * N_D + d:
+        return None
+    return table.means[row], int(table.counts[row])
+
+
+class TestAccumulation:
+    """Tables as `from_cells` builds them from accumulated cells."""
+
+    def test_from_cells_sorts_by_flat_index(self):
+        t = BrdfTable.from_cells([(4, 7), (0, 3), (4, 0)],
+                                 [[1.0, 2.0, 3.0], [0.5, 0.5, 0.5], [0.0, 1.0, 0.0]],
+                                 [3, 1, 0])
+        np.testing.assert_array_equal(t.flat, [3, 4 * N_D, 4 * N_D + 7])
+        np.testing.assert_array_equal(t.counts, [1, 0, 3])
+        np.testing.assert_array_equal(
+            t.means, [[0.5, 0.5, 0.5], [0.0, 1.0, 0.0], [1.0, 2.0, 3.0]])
+
+    def test_empty_table(self):
+        t = BrdfTable()
+        assert len(t) == 0 and t.measured_count == 0
+        assert len(BrdfTable.from_cells([], [], [])) == 0
+
+    @pytest.mark.parametrize("indices, means, counts", [
+        ([(N_H, 0)], [[1, 1, 1]], [1]),
+        ([(0, N_D)], [[1, 1, 1]], [1]),
+        ([(-1, 0)], [[1, 1, 1]], [1]),
+        ([(0, -1)], [[1, 1, 1]], [1]),
+        ([(2, 3), (2, 3)], [[1, 1, 1], [2, 2, 2]], [1, 1]),
+        ([(0, 0)], [[np.nan, 1, 1]], [1]),
+        ([(0, 0)], [[1, np.inf, 1]], [1]),
+        ([(0, 0)], [[1, 1, -0.5]], [1]),
+        ([(0, 0)], [[1, 1, 1]], [-1]),
+        ([(0, 0), (1, 1)], [[1, 1, 1]], [1, 1]),
+    ], ids=["h-high", "d-high", "h-negative", "d-negative", "duplicate",
+            "nan-mean", "inf-mean", "negative-mean", "negative-count",
+            "length-mismatch"])
+    def test_from_cells_rejects_bad_input(self, indices, means, counts):
+        with pytest.raises(ValueError):
+            BrdfTable.from_cells(indices, means, counts)
 
     def test_measured_count_ignores_synthetic(self):
         t = BrdfTable.from_cells([(0, 0), (1, 1)], [[1, 1, 1], [2, 2, 2]], [5, 0])
@@ -71,12 +93,28 @@ class TestAccumulation:
         assert t.measured_count == 1
 
 
+# one raw rgb sample: (table it goes to, h_bin, d_bin, rgb)
+raw_sample = st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 2),
+                       st.lists(st.floats(0.0, 2.0, allow_subnormal=False),
+                                min_size=3, max_size=3))
+
+
+def tables_and_pool(samples):
+    """Per-table cell means of the raw samples, and the pooled samples per cell."""
+    per_table, pooled = {}, {}
+    for k, h, d, s in samples:
+        per_table.setdefault(k, {}).setdefault((h, d), []).append(s)
+        pooled.setdefault((h, d), []).append(s)
+    tables = [table_of({c: (np.mean(v, axis=0), len(v)) for c, v in cells.items()})
+              for cells in per_table.values()]
+    return tables, pooled
+
+
 class TestMerge:
     def test_count_weighted_mean(self):
         a = BrdfTable.from_cells([(3, 3)], [[1.0, 0.0, 0.0]], [1])
         b = BrdfTable.from_cells([(3, 3)], [[4.0, 0.0, 0.0]], [3])
-        m = merge([a, b])
-        mean, count = m.get((3, 3))
+        mean, count = cell(merge([a, b]), 3, 3)
         assert count == 4
         assert mean[0] == pytest.approx((1.0 + 3 * 4.0) / 4)
 
@@ -84,83 +122,90 @@ class TestMerge:
         a = BrdfTable.from_cells([(0, 0)], [[1, 1, 1]], [2])
         b = BrdfTable.from_cells([(1, 0)], [[2, 2, 2]], [2])
         m = merge([a, b])
-        assert (0, 0) in m and (1, 0) in m
+        np.testing.assert_array_equal(m.flat, [0, N_D])
 
     def test_synthetic_cells_not_merged(self):
         a = BrdfTable.from_cells([(0, 0)], [[1, 1, 1]], [0])
         b = BrdfTable.from_cells([(0, 0)], [[5, 5, 5]], [2])
-        m = merge([a, b])
-        mean, count = m.get((0, 0))
+        mean, count = cell(merge([a, b]), 0, 0)
         assert count == 2
         assert mean[0] == pytest.approx(5.0)
 
-    def test_merge_equals_pooled_accumulation(self):
-        rng = np.random.default_rng(2)
-        pooled = BrdfTable()
-        parts = [BrdfTable() for _ in range(4)]
-        for i in range(200):
-            s = rng.uniform(0, 1, 3)
-            cell = (int(rng.integers(0, 3)), int(rng.integers(0, 3)))
-            pooled.insert(cell, s)
-            parts[i % 4].insert(cell, s)
-        m = merge(parts)
-        for (h, d), mean, count in pooled.cells():
-            mm, mc = m.get((h, d))
-            assert mc == count
-            np.testing.assert_allclose(mm, mean, atol=1e-9)
+    @given(st.lists(raw_sample, min_size=1, max_size=60))
+    @settings(max_examples=60)
+    def test_merge_equals_pooled_accumulation(self, samples):
+        tables, pooled = tables_and_pool(samples)
+        m = merge(tables)
+        assert len(m) == len(pooled)
+        for (h, d), values in pooled.items():
+            mean, count = cell(m, h, d)
+            assert count == len(values)
+            np.testing.assert_allclose(mean, np.mean(values, axis=0),
+                                       rtol=1e-12, atol=0)
+
+    @given(st.lists(raw_sample, min_size=1, max_size=60), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40)
+    def test_merge_order_independent(self, samples, seed):
+        tables, _ = tables_and_pool(samples)
+        shuffled = list(tables)
+        np.random.default_rng(seed).shuffle(shuffled)
+        a, b = merge(tables), merge(shuffled)
+        np.testing.assert_array_equal(a.flat, b.flat)
+        np.testing.assert_array_equal(a.counts, b.counts)
+        np.testing.assert_allclose(a.means, b.means, rtol=1e-12, atol=0)
 
 
 class TestCompletion:
     def test_constant_rows_fill_exactly(self):
-        t = BrdfTable()
         val = np.array([0.4, 0.5, 0.6])
-        for h in (2, 30):
-            for d in (1, 40):
-                t.insert((h, d), val)
-        c = complete(t)
-        assert c.is_complete
+        measured = [(2, 1), (2, 40), (30, 1), (30, 40)]
+        c = complete(table_of({hd: (val, 1) for hd in measured}))
+        assert len(c) == N_CELLS
+        np.testing.assert_array_equal(c.flat, np.arange(N_CELLS))
+        np.testing.assert_allclose(c.means, np.tile(val, (N_CELLS, 1)), atol=1e-12)
         for h in range(N_H):
             for d in range(N_D):
-                mean, count = c.get((h, d))
-                np.testing.assert_allclose(mean, val, atol=1e-12)
-                if (h, d) not in [(2, 1), (2, 40), (30, 1), (30, 40)]:
-                    assert count == 0  # synthetic
+                assert cell(c, h, d)[1] == (1 if (h, d) in measured else 0)
 
     def test_interpolates_along_h(self):
-        t = BrdfTable()
-        t.insert((0, 0), np.array([0.0, 0.0, 0.0]))
-        t.insert((4, 0), np.array([4.0, 4.0, 4.0]))
-        c = complete(t)
-        mean, count = c.get((2, 0))
+        t = table_of({(0, 0): ([0.0, 0.0, 0.0], 1), (4, 0): ([4.0, 4.0, 4.0], 1)})
+        mean, count = cell(complete(t), 2, 0)
         assert count == 0
         np.testing.assert_allclose(mean, [2.0, 2.0, 2.0], atol=1e-12)
 
+    def test_interpolates_along_d_for_empty_lines(self):
+        t = table_of({(0, 0): ([0.0, 0.0, 0.0], 1), (0, 4): ([4.0, 8.0, 4.0], 1)})
+        c = complete(t)
+        for h in (0, 20, N_H - 1):
+            mean, count = cell(c, h, 1)
+            assert count == 0
+            np.testing.assert_allclose(mean, [1.0, 2.0, 1.0], atol=1e-12)
+
     def test_needs_at_least_two_measured_cells(self):
-        t = BrdfTable()
-        t.insert((0, 0), np.array([1.0, 1.0, 1.0]))
+        t = table_of({(0, 0): ([1.0, 1.0, 1.0], 1), (3, 3): ([1.0, 1.0, 1.0], 0)})
         with pytest.raises(ValueError):
             complete(t)
 
     def test_preserves_measured_cells(self):
         rng = np.random.default_rng(3)
-        t = BrdfTable()
-        cells = {(int(rng.integers(0, N_H)), int(rng.integers(0, N_D)))
-                 for _ in range(40)}
-        for cell in cells:
-            t.insert(cell, rng.uniform(0, 1, 3))
-        c = complete(t)
-        for cell in cells:
-            np.testing.assert_allclose(c.get(cell)[0], t.get(cell)[0], atol=1e-12)
-            assert c.get(cell)[1] == t.get(cell)[1]
+        cells = {(int(rng.integers(0, N_H)), int(rng.integers(0, N_D))):
+                 (rng.uniform(0, 1, 3), int(rng.integers(1, 5))) for _ in range(40)}
+        c = complete(table_of(cells))
+        for (h, d), (mean, count) in cells.items():
+            np.testing.assert_allclose(cell(c, h, d)[0], mean, atol=1e-12)
+            assert cell(c, h, d)[1] == count
+
+
+def full_table(rng):
+    """Every cell measured once with a random mean."""
+    return BrdfTable.from_cells(brdf_table.cell_indices(np.arange(N_CELLS)),
+                                rng.uniform(0, 1, (N_CELLS, 3)), np.ones(N_CELLS))
 
 
 class TestLookup:
     def test_constant_table_lookup_constant(self):
-        t = BrdfTable()
         val = np.array([0.3, 0.6, 0.9])
-        t.insert((0, 0), val)
-        t.insert((N_H - 1, N_D - 1), val)
-        c = complete(t)
+        c = complete(table_of({(0, 0): (val, 1), (N_H - 1, N_D - 1): (val, 1)}))
         rng = np.random.default_rng(4)
         th = rng.uniform(0, 90, 200)
         td = rng.uniform(0, 90, 200)
@@ -169,45 +214,55 @@ class TestLookup:
 
     def test_lookup_at_center_returns_cell_value(self):
         rng = np.random.default_rng(5)
-        t = BrdfTable()
-        for h in range(N_H):
-            for d in range(N_D):
-                t.insert((h, d), rng.uniform(0, 1, 3))
+        t = full_table(rng)
         for _ in range(50):
             h = int(rng.integers(0, N_H))
             d = int(rng.integers(0, N_D))
             th, td = cell_center(h, d)
             np.testing.assert_allclose(lookup(t, HalfDiffAngles(th, td)),
-                                       t.get((h, d))[0], atol=1e-12)
+                                       cell(t, h, d)[0], atol=1e-12)
 
     def test_lookup_requires_complete_table(self):
-        t = BrdfTable()
-        t.insert((0, 0), np.array([1.0, 1.0, 1.0]))
+        t = table_of({(0, 0): ([1.0, 1.0, 1.0], 1)})
         with pytest.raises(ValueError):
             lookup(t, HalfDiffAngles(1.0, 1.0))
 
     def test_dense_values_shape(self):
-        t = BrdfTable()
-        t.insert((0, 0), np.array([1.0, 1.0, 1.0]))
-        t.insert((44, 47), np.array([1.0, 1.0, 1.0]))
-        assert dense_values(complete(t)).shape == (N_H, N_D, 3)
+        t = full_table(np.random.default_rng(6))
+        dense = dense_values(t)
+        assert dense.shape == (N_H, N_D, 3)
+        np.testing.assert_array_equal(dense[7, 11], cell(t, 7, 11)[0])
 
 
 class TestSerialization:
+    def test_golden_text(self):
+        t = BrdfTable.from_cells(
+            [(2, 5), (0, 1), (44, 47)],
+            [[0.1, 0.2, 1 / 3], [1.0, 0.0, 2.5], [1e-20, 123456.789, 0.7]],
+            [3, 1, 0])
+        assert to_text(t) == (
+            "brdftable v1 45 48\n"
+            "0 1 1 1 0 2.5\n"
+            "2 5 3 0.10000000000000001 0.20000000000000001 0.33333333333333331\n"
+            "44 47 0 9.9999999999999995e-21 123456.789 0.69999999999999996\n")
+        assert to_text(BrdfTable()) == "brdftable v1 45 48\n"
+
     def test_text_round_trip(self):
         rng = np.random.default_rng(6)
-        t = BrdfTable()
-        for _ in range(30):
-            cell = (int(rng.integers(0, N_H)), int(rng.integers(0, N_D)))
-            for _ in range(int(rng.integers(1, 4))):
-                t.insert(cell, rng.uniform(0, 2, 3))
+        t = table_of({(int(rng.integers(0, N_H)), int(rng.integers(0, N_D))):
+                      (rng.uniform(0, 2, 3), int(rng.integers(0, 4)))
+                      for _ in range(30)})
         back = from_text(to_text(t))
-        assert len(back) == len(t)
-        for (h, d), mean, count in t.cells():
-            bmean, bcount = back.get((h, d))
-            assert bcount == count
-            np.testing.assert_allclose(bmean, mean, rtol=1e-15)
+        np.testing.assert_array_equal(back.flat, t.flat)
+        np.testing.assert_array_equal(back.counts, t.counts)
+        np.testing.assert_array_equal(back.means, t.means)
 
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError):
             from_text("bogus header\n")
+
+    @pytest.mark.parametrize("line", ["0 1 1 0.5 0.5", "45 0 1 0.5 0.5 0.5",
+                                      "0 1 1 0.5 nan 0.5", "0 1 -2 0.5 0.5 0.5"])
+    def test_bad_cell_line_rejected(self, line):
+        with pytest.raises(ValueError):
+            from_text(f"{SERIAL_HEADER}\n{line}\n")

@@ -108,6 +108,29 @@ class TestCli:
             os.path.join(cfg.out_dir, "ir_observations.txt"))
         assert not np.array_equal(first.intensity, second.intensity)
 
+    @pytest.mark.parametrize("line", [
+        "scene = nope",
+        "saturation_level = nan",
+        "normal_jitter_deg = inf",
+        "duration_s = -inf",
+        "rgb_frame_stride = 0",
+        "sample_budget = -3",
+        "fx = 0",
+        "cx = 700",
+        "height = 0",
+    ])
+    def test_bad_config_exits_2_without_traceback(self, tmp_path, capsys, line):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"n_vertices = 50\nout_dir = {tmp_path / 'out'}\n{line}\n")
+        assert cli.main(["simulate", "--config", str(path)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert not os.path.exists(tmp_path / "out")
+
+    def test_threads_flag_removed(self):
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(["simulate", "--threads", "2"])
+
     def test_out_override(self, tmp_path):
         cfg, path = small_config(tmp_path)
         other = str(tmp_path / "elsewhere")

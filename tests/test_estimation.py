@@ -145,11 +145,12 @@ class TestAccumulation:
         assert len(records) > 0
         for rec in records[:50]:
             color = colors[rec.vertex_id]
-            for (h, d), mean, count in rec.table.cells():
-                assert count > 0
-                # noiseless: every sample is the unit color scaled by f
-                direction = mean / np.linalg.norm(mean)
-                np.testing.assert_allclose(direction, color, atol=1e-9)
+            assert np.all(rec.table.counts > 0)
+            # noiseless: every sample is the unit color scaled by f
+            means = rec.table.means
+            direction = means / np.linalg.norm(means, axis=1, keepdims=True)
+            np.testing.assert_allclose(direction, np.tile(color, (len(means), 1)),
+                                       atol=1e-9)
 
     def test_rejection_counts_cover_all_rows(self, noisy_two_sphere):
         counts = noisy_two_sphere["rejection_counts"]

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from matscan import io, scenes
-from matscan.brdf_table import BrdfTable
+from matscan import io, scenes, segmentation
+from matscan.brdf_table import N_CELLS, BrdfTable, cell_indices
 from matscan.estimation import VertexReflectanceRecord
 from matscan.io import MissingInputError
 
@@ -90,10 +90,9 @@ class TestRecordsIO:
         rng = np.random.default_rng(0)
         records = []
         for v in (2, 7, 11):
-            t = BrdfTable()
-            for _ in range(5):
-                t.insert((int(rng.integers(0, 45)), int(rng.integers(0, 48))),
-                         rng.uniform(0, 1, 3))
+            flat = rng.choice(N_CELLS, size=5, replace=False)
+            t = BrdfTable.from_cells(cell_indices(flat), rng.uniform(0, 1, (5, 3)),
+                                     rng.integers(0, 4, 5))
             c = rng.uniform(0, 1, 3)
             records.append(VertexReflectanceRecord(v, c / np.linalg.norm(c), t))
         path = tmp_path / "records.npz"
@@ -101,13 +100,28 @@ class TestRecordsIO:
         back = io.read_records(path)
         assert [r.vertex_id for r in back] == [2, 7, 11]
         for a, b in zip(records, back):
-            np.testing.assert_allclose(a.normalized_color, b.normalized_color,
-                                       rtol=1e-15)
-            assert len(a.table) == len(b.table)
-            for (h, d), mean, count in a.table.cells():
-                bm, bc = b.table.get((h, d))
-                assert bc == count
-                np.testing.assert_allclose(bm, mean, rtol=1e-15)
+            np.testing.assert_array_equal(a.normalized_color, b.normalized_color)
+            np.testing.assert_array_equal(a.table.flat, b.table.flat)
+            np.testing.assert_array_equal(a.table.counts, b.table.counts)
+            np.testing.assert_array_equal(a.table.means, b.table.means)
+
+    def test_no_records(self, tmp_path):
+        path = tmp_path / "records.npz"
+        io.write_records(path, [])
+        assert io.read_records(path) == []
+
+    def test_global_table_from_disk_equals_in_memory(self, tmp_path,
+                                                     noisy_two_sphere):
+        run = noisy_two_sphere
+        path = tmp_path / "records.npz"
+        io.write_records(path, run["records"])
+        table = segmentation.build_global_table(io.read_records(path), 100000, 11)
+        expected = run["table"]
+        np.testing.assert_array_equal(table.sampled_ids, expected.sampled_ids)
+        assert list(table.cells) == list(expected.cells)
+        for flat, (vids, vals) in expected.cells.items():
+            np.testing.assert_array_equal(table.cells[flat][0], vids)
+            np.testing.assert_array_equal(table.cells[flat][1], vals)
 
 
 class TestLabelsIO:

@@ -4,19 +4,27 @@ import numpy as np
 import pytest
 
 from matscan import brdf_table, estimation, render_eval, segmentation
-from matscan.brdf_table import BrdfTable, complete
+from matscan.brdf_table import (N_CELLS, N_D, BrdfTable, cell_center,
+                                cell_indices, complete)
 from matscan.render_eval import (evaluate, greedy_match, read_ppm,
                                  render_material_sphere, rerender_intensities,
                                  rerender_ir_frame, scalar_reflectance,
                                  table_rmse, write_ppm)
 from matscan.segmentation import MaterialGroups
+from matscan.simulator import GroundTruthMaterial, eval_ground_truth_brdf
 
 
 def constant_table(value):
-    t = BrdfTable()
-    t.insert((0, 0), np.asarray(value, dtype=float))
-    t.insert((44, 47), np.asarray(value, dtype=float))
-    return complete(t)
+    return complete(BrdfTable.from_cells([(0, 0), (44, 47)], [value, value], [1, 1]))
+
+
+def analytic_table(mat, flat):
+    """Table whose cells hold the material's ground truth at the cell centers."""
+    cells = cell_indices(flat)
+    th, td = cell_center(*cells.T)
+    return BrdfTable.from_cells(
+        cells, mat.color * eval_ground_truth_brdf(mat, th, td)[:, None],
+        np.ones(len(cells)))
 
 
 class TestScalarReflectance:
@@ -82,22 +90,44 @@ class TestEvaluate:
 
 class TestTableRmse:
     def test_exact_table_zero_rmse(self):
-        from matscan.simulator import GroundTruthMaterial, eval_ground_truth_brdf
-        from matscan.brdf_table import cell_center
         mat = GroundTruthMaterial(np.array([0.4, 0.4, 0.4]), 0.0, 1.0,
                                   np.array([1.0, 2.0, 2.0]))
-        t = BrdfTable()
-        for h in range(0, 45, 5):
-            for d in range(0, 48, 6):
-                th, td = cell_center(h, d)
-                t.insert((h, d), mat.color * eval_ground_truth_brdf(mat, th, td))
-        assert table_rmse(t, mat) == pytest.approx(0.0, abs=1e-12)
+        flat = (np.arange(0, 45, 5)[:, None] * N_D + np.arange(0, 48, 6)).ravel()
+        assert table_rmse(analytic_table(mat, flat), mat) == \
+            pytest.approx(0.0, abs=1e-12)
+
+    def test_matches_per_cell_loop(self):
+        mat = GroundTruthMaterial(np.array([0.3, 0.5, 0.2]), 0.4, 30.0,
+                                  np.array([0.6, 0.8, 0.0]))
+        rng = np.random.default_rng(1)
+        t = BrdfTable.from_cells(cell_indices(rng.choice(N_CELLS, 60, replace=False)),
+                                 rng.uniform(0, 1, (60, 3)), rng.integers(0, 3, 60))
+        errs = []
+        for flat, mean, count in zip(t.flat, t.means, t.counts):
+            if count > 0:
+                truth = mat.color * eval_ground_truth_brdf(
+                    mat, *cell_center(*divmod(int(flat), N_D)))
+                errs.append(np.sum((mean - truth) ** 2))
+        assert table_rmse(t, mat) == pytest.approx(np.sqrt(np.mean(errs)),
+                                                   rel=1e-12)
 
     def test_empty_table_nan(self):
-        from matscan.simulator import GroundTruthMaterial
         mat = GroundTruthMaterial(np.array([0.4, 0.4, 0.4]), 0.0, 1.0,
                                   np.array([1.0, 1.0, 1.0]))
         assert np.isnan(table_rmse(BrdfTable(), mat))
+        synthetic = BrdfTable.from_cells([(1, 1)], [[0.5, 0.5, 0.5]], [0])
+        assert np.isnan(table_rmse(synthetic, mat))
+
+    def test_evaluate_reports_table_rmse(self):
+        mats = [GroundTruthMaterial(np.array([0.4, 0.4, 0.4]), 0.2, 10.0,
+                                    np.array([1.0, 0.0, 0.0])),
+                GroundTruthMaterial(np.array([0.2, 0.2, 0.2]), 0.0, 1.0,
+                                    np.array([0.0, 1.0, 0.0]))]
+        t = constant_table([0.5, 0.1, 0.1])
+        groups = MaterialGroups([{0, 1}, {2}], set())
+        rep = evaluate(groups, np.array([1, 1, 0]), [t, BrdfTable()], mats)
+        assert rep.brdf_rmse_per_material[0] == table_rmse(t, mats[1])
+        assert np.isnan(rep.brdf_rmse_per_material[1])
 
 
 class TestSphereRender:
@@ -127,15 +157,7 @@ class TestRerender:
         tables = []
         for mat in scene.materials:
             # exact analytic table for this material
-            t = BrdfTable()
-            from matscan.brdf_table import cell_center
-            from matscan.simulator import eval_ground_truth_brdf
-            for h in range(45):
-                for d in range(48):
-                    th, td = cell_center(h, d)
-                    t.insert((h, d),
-                             mat.color * eval_ground_truth_brdf(mat, th, td))
-            tables.append(t)
+            tables.append(analytic_table(mat, np.arange(N_CELLS)))
         model = rerender_intensities(run["ir"], scene, labels, tables,
                                      run["trajectory"], cfg.rig, cfg.camera)
         sel = (model > 0) & (run["ir"].intensity > 0)
