@@ -24,6 +24,8 @@ EXIT_CONFIG = 2
 EXIT_MISSING_INPUT = 3
 EXIT_NUMERIC = 4
 
+CAMERA_FIELDS = ("fx", "fy", "cx", "cy", "width", "height")
+
 
 def _scan_config(cfg: PipelineConfig) -> ScanConfig:
     camera = PinholeCamera(cfg.fx, cfg.fy, cfg.cx, cfg.cy, cfg.width, cfg.height)
@@ -73,6 +75,18 @@ def _paths(out_dir):
     }
 
 
+def _scanned_camera(cfg: PipelineConfig) -> PinholeCamera:
+    """The camera of `cfg`, which must be the one `simulate` scanned with, as
+    recorded in the config.txt it wrote."""
+    path = _paths(cfg.out_dir)["config"]
+    scanned = io.read_config(path)
+    changed = [f for f in CAMERA_FIELDS if getattr(cfg, f) != getattr(scanned, f)]
+    if changed:
+        raise ConfigError(f"camera ({', '.join(changed)}) differs from the "
+                          f"scan's {path}")
+    return PinholeCamera(cfg.fx, cfg.fy, cfg.cx, cfg.cy, cfg.width, cfg.height)
+
+
 def cmd_simulate(cfg: PipelineConfig) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
     paths = _paths(cfg.out_dir)
@@ -95,12 +109,12 @@ def cmd_simulate(cfg: PipelineConfig) -> int:
 
 def cmd_estimate(cfg: PipelineConfig) -> int:
     paths = _paths(cfg.out_dir)
+    camera = _scanned_camera(cfg)
     materials = io.read_materials(paths["materials"])
     scene = io.read_scene(paths["scene"], materials)
     trajectory = io.read_trajectory(paths["trajectory"])
     ir = io.read_ir_observations(paths["ir"])
     rgb = io.read_rgb_observations(paths["rgb"])
-    camera = PinholeCamera(cfg.fx, cfg.fy, cfg.cx, cfg.cy, cfg.width, cfg.height)
     colors = estimation.estimate_colors(rgb, cfg.saturation_level)
     records, counts = estimation.accumulate_vertex_tables(
         ir, scene, trajectory, make_default_rig(), colors, camera,
@@ -146,6 +160,7 @@ def _merged_tables(records, labels):
 
 def cmd_render(cfg: PipelineConfig) -> int:
     paths = _paths(cfg.out_dir)
+    camera = _scanned_camera(cfg)
     records = io.read_records(paths["records"])
     labels = io.read_labels(paths["labels"])
     materials = io.read_materials(paths["materials"])
@@ -165,7 +180,6 @@ def cmd_render(cfg: PipelineConfig) -> int:
         img = render_eval.render_material_sphere(full, light)
         render_eval.write_ppm(os.path.join(cfg.out_dir, f"sphere_{g}.ppm"), img)
 
-    camera = PinholeCamera(cfg.fx, cfg.fy, cfg.cx, cfg.cy, cfg.width, cfg.height)
     scan = _scan_config(cfg)
     t0 = float(ir_frame_times(scan)[0])
     usable = [t for t in completed if t is not None]

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import os
+import zipfile
 
 import numpy as np
 
 from .brdf_table import cell_indices, concat_cells
+from .config import load_config
 from .estimation import vertex_records
 from .geometry import Pose, Quaternion, TimedPose
 from .simulator import GroundTruthMaterial, IrObservations, RgbObservations
@@ -14,6 +16,11 @@ from .simulator import GroundTruthMaterial, IrObservations, RgbObservations
 
 class MissingInputError(FileNotFoundError):
     pass
+
+
+class CorruptInputError(MissingInputError):
+    """An input artifact exists but its content cannot be used; the CLI
+    treats it like a missing input."""
 
 
 def _require(path):
@@ -135,11 +142,18 @@ def write_records(path, records) -> None:
 
 
 def read_records(path):
-    with np.load(_require(path)) as data:
-        colors = {int(v): c for v, c in zip(data["vertex_id"], data["color"])}
-        cells = np.stack([data["cell_h"], data["cell_d"]], axis=1)
-        return vertex_records(data["cell_vid"], cells, data["cell_mean"],
-                              data["cell_count"], colors)
+    try:
+        with np.load(_require(path)) as data:
+            colors = {int(v): c for v, c in zip(data["vertex_id"], data["color"])}
+            cells = np.stack([data["cell_h"], data["cell_d"]], axis=1)
+            return vertex_records(data["cell_vid"], cells, data["cell_mean"],
+                                  data["cell_count"], colors)
+    except (ValueError, KeyError, IndexError, EOFError, zipfile.BadZipFile) as exc:
+        raise CorruptInputError(f"corrupt input file {path}: {exc}") from exc
+
+
+def read_config(path):
+    return load_config(_require(path))
 
 
 def write_labels(path, labels: np.ndarray, groups=None) -> None:

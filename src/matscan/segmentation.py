@@ -99,7 +99,13 @@ def meanshift(samples, bandwidth: float, max_iter: int = 100):
     """Flat-kernel meanshift. Every sample is iterated to its mode (mean of
     samples within the bandwidth) until the shift drops below 1e-4*bandwidth;
     modes within bandwidth/2 are merged and samples assigned to the nearest
-    merged mode. Returns cluster index arrays, largest first."""
+    merged mode. Returns cluster index arrays, largest first.
+
+    Samples whose iterates have become bitwise equal, and are all still
+    moving or all stopped, follow the same path from then on, so they are
+    iterated once: `owner` maps each sample to its row of distinct iterates.
+    Merging and assignment also run over those rows. The clusters are the
+    same as when every sample is iterated on its own."""
     pts = np.asarray(samples, dtype=float).reshape(-1, 3)
     n = len(pts)
     if n == 0:
@@ -107,6 +113,7 @@ def meanshift(samples, bandwidth: float, max_iter: int = 100):
     if bandwidth <= 0:
         raise ValueError("bandwidth must be positive")
     modes = pts.copy()
+    owner = np.arange(n)
     tol = 1e-4 * bandwidth
     bw2 = bandwidth * bandwidth
     active = np.ones(n, dtype=bool)
@@ -126,15 +133,25 @@ def meanshift(samples, bandwidth: float, max_iter: int = 100):
             shift2 = ((new - m) ** 2).sum(-1)
             modes[sel] = new
             active[sel] = shift2 >= tol * tol
+        # a stopped row and a moving row can sit on the same mode, so the
+        # active flag is part of the key; each group keeps its first row, so
+        # rows stay in the order of their first sample
+        key = np.column_stack([modes.view(np.int64), active])
+        _, first, inverse = np.unique(key, axis=0, return_index=True,
+                                      return_inverse=True)
+        keep = np.sort(first)
+        owner = np.searchsorted(keep, first[inverse.ravel()])[owner]
+        modes, active = modes[keep], active[keep]
 
+    # rows are in order of their first sample, so this keeps the centers of
+    # a walk over all samples: a repeated mode never adds one
     centers = []
-    for i in range(n):
-        m = modes[i]
+    for m in modes:
         if not any(np.linalg.norm(m - c) < bandwidth / 2 for c in centers):
             centers.append(m.copy())
     centers = np.array(centers)
     d2c = ((modes[:, None, :] - centers[None, :, :]) ** 2).sum(-1)
-    assign = np.argmin(d2c, axis=1)
+    assign = np.argmin(d2c, axis=1)[owner]
     clusters = [np.nonzero(assign == k)[0] for k in range(len(centers))]
     clusters = [c for c in clusters if len(c) > 0]
     clusters.sort(key=lambda c: (-len(c), int(c[0])))
@@ -234,28 +251,6 @@ def _top_two(clusters):
     return ordered[0], ordered[1]
 
 
-def propagation_score(vids, vals, mat1_mask, mat2_mask, n1: int, n2: int,
-                      min_fit: int = MIN_FIT_SAMPLES, require_half2: bool = True):
-    """Score for propagating two groups into a cell: zero unless the cell
-    contains at least half of each group; otherwise the separability of
-    Gaussians refitted to the in-cell members of each group.
-
-    With require_half2=False the half-coverage rule is enforced only for the
-    first group (used by the multi-material rounds, where the second group is
-    a reference cluster rather than a co-grown material)."""
-    in1 = mat1_mask[vids]
-    in2 = mat2_mask[vids]
-    c1 = int(in1.sum())
-    c2 = int(in2.sum())
-    if 2 * c1 < n1 or c1 < min_fit or c2 < min_fit:
-        return 0.0, None, None
-    if require_half2 and 2 * c2 < n2:
-        return 0.0, None, None
-    g1 = fit_gaussian(vals[in1], vids[in1])
-    g2 = fit_gaussian(vals[in2], vids[in2])
-    return separability_score(g1, g2), g1, g2
-
-
 def _mask_size(table: GlobalCellTable) -> int:
     m = int(table.sampled_ids.max()) + 1 if len(table.sampled_ids) else 1
     for vids, _ in table.cells.values():
@@ -264,35 +259,66 @@ def _mask_size(table: GlobalCellTable) -> int:
     return m
 
 
-def _candidate_cells(table: GlobalCellTable, min_cell_samples: int):
-    return [flat for flat in sorted(table.cells)
-            if len(table.cells[flat][0]) >= min_cell_samples]
+class _Candidates:
+    """The cells propagation may consume: those with at least
+    `min_cell_samples` samples, in flat order. Their vertex ids are
+    concatenated so that the in-group count of every cell is one gather and
+    one `np.add.reduceat` over the cell offsets."""
+
+    def __init__(self, table: GlobalCellTable, min_cell_samples: int):
+        # an empty cell never reaches MIN_FIT_SAMPLES, so it is left out
+        self.flats = np.array([f for f in sorted(table.cells)
+                               if len(table.cells[f][0]) >= max(min_cell_samples, 1)],
+                              dtype=int)
+        vids = [table.cells[f][0] for f in self.flats]
+        sizes = np.array([len(v) for v in vids], dtype=int)
+        self.vids = np.concatenate(vids) if vids else np.zeros(0, dtype=int)
+        self.starts = np.cumsum(sizes) - sizes
+
+    def counts(self, mask) -> np.ndarray:
+        """Per candidate cell, how many of its vertices `mask` holds."""
+        return np.add.reduceat(mask[self.vids], self.starts, dtype=np.intp)
 
 
-def _propagate_two(table, candidates, consumed, mat1_mask, mat2_mask,
+def _propagate_two(table, cand: _Candidates, consumed, mat1_mask, mat2_mask,
                    assignable=None, require_half2=True):
     """Grow two groups cell by cell: repeatedly pick the unconsumed cell with
     the highest propagation score and gate its still-unassigned vertices by
-    the 3-sigma rule. Masks are updated in place; returns cells consumed."""
+    the 3-sigma rule. A cell scores only when it holds at least half of the
+    first group and MIN_FIT_SAMPLES of each (and, with require_half2, half of
+    the second); its score is the separability of Gaussians refitted to the
+    in-cell members of each group. Masks and `consumed` (one flag per
+    candidate) are updated in place; returns cells consumed."""
     grown = 0
+    fits = {}  # candidate -> (c1, c2, score, g1, g2) of its last fit
     for _ in range(N_CELLS):
         n1 = int(mat1_mask.sum())
         n2 = int(mat2_mask.sum())
         if n1 == 0 or n2 == 0:
             break
-        best = (0.0, None, None, None)
-        for flat in candidates:
-            if flat in consumed:
-                continue
-            cv, cs = table.cells[flat]
-            score, g1, g2 = propagation_score(cv, cs, mat1_mask, mat2_mask,
-                                              n1, n2, require_half2=require_half2)
-            if score > best[0]:
-                best = (score, flat, g1, g2)
-        if best[1] is None:
+        c1 = cand.counts(mat1_mask)
+        c2 = cand.counts(mat2_mask)
+        ok = (~consumed & (2 * c1 >= n1) & (c1 >= MIN_FIT_SAMPLES)
+              & (c2 >= MIN_FIT_SAMPLES))
+        if require_half2:
+            ok &= 2 * c2 >= n2
+        best, best_score = None, 0.0
+        for k in np.nonzero(ok)[0].tolist():
+            # the masks only grow, so equal counts mean equal in-cell members
+            # and an unchanged fit
+            if fits.get(k, (-1, -1))[:2] != (c1[k], c2[k]):
+                cv, cs = table.cells[cand.flats[k]]
+                in1 = mat1_mask[cv]
+                in2 = mat2_mask[cv]
+                g1 = fit_gaussian(cs[in1], cv[in1])
+                g2 = fit_gaussian(cs[in2], cv[in2])
+                fits[k] = (c1[k], c2[k], separability_score(g1, g2), g1, g2)
+            if fits[k][2] > best_score:
+                best, best_score = k, fits[k][2]
+        if best is None:
             break
-        _, flat, g1, g2 = best
-        cv, cs = table.cells[flat]
+        g1, g2 = fits[best][3:]
+        cv, cs = table.cells[cand.flats[best]]
         fresh = ~(mat1_mask[cv] | mat2_mask[cv])
         if assignable is not None:
             fresh &= assignable[cv]
@@ -300,7 +326,7 @@ def _propagate_two(table, candidates, consumed, mat1_mask, mat2_mask,
             codes = assign_3sigma_many(cs[fresh], g1, g2)
             mat1_mask[cv[fresh][codes == 1]] = True
             mat2_mask[cv[fresh][codes == 2]] = True
-        consumed.add(flat)
+        consumed[best] = True
         grown += 1
     return grown
 
@@ -343,10 +369,9 @@ def two_material_segmentation(table: GlobalCellTable,
     mat1_mask[vids[codes == 1]] = True
     mat2_mask[vids[codes == 2]] = True
 
-    consumed = {best_cell}
-    candidates = _candidate_cells(table, min_cell_samples)
+    cand = _Candidates(table, min_cell_samples)
     diagnostics["cells_consumed"] = _propagate_two(
-        table, candidates, consumed, mat1_mask, mat2_mask)
+        table, cand, cand.flats == best_cell, mat1_mask, mat2_mask)
 
     mat1 = set(int(v) for v in np.nonzero(mat1_mask)[0])
     mat2 = set(int(v) for v in np.nonzero(mat2_mask)[0])
@@ -356,36 +381,28 @@ def two_material_segmentation(table: GlobalCellTable,
     return MaterialGroups(groups, unclassified), diagnostics
 
 
-def _absorb_single(table, candidates, consumed, new_mask, blocked,
+def _absorb_single(table, cand: _Candidates, consumed, new_mask, blocked,
                    min_fit: int = MIN_FIT_SAMPLES):
     """Grow a group through cells that have no reference population to fit a
     second Gaussian (cells dominated by one material). Any unconsumed cell
     holding at least half of the group gates its remaining unblocked vertices
     against the group's own in-cell Gaussian; samples beyond the 3-sigma
-    distance stay out, so ambiguous vertices remain unclassified."""
+    distance stay out, so ambiguous vertices remain unclassified. The cell
+    holding the most group members goes first."""
     while True:
-        n1 = int(new_mask.sum())
-        best = (0, None)
-        for flat in candidates:
-            if flat in consumed:
-                continue
-            cv, cs = table.cells[flat]
-            c1 = int(new_mask[cv].sum())
-            if c1 < min_fit or 2 * c1 < n1:
-                continue
-            if c1 > best[0]:
-                best = (c1, flat)
-        if best[1] is None:
+        c1 = cand.counts(new_mask)
+        c1[consumed | (c1 < min_fit) | (2 * c1 < int(new_mask.sum()))] = 0
+        if not c1.any():
             return
-        flat = best[1]
-        cv, cs = table.cells[flat]
+        k = int(np.argmax(c1))
+        cv, cs = table.cells[cand.flats[k]]
         in1 = new_mask[cv]
         g1 = fit_gaussian(cs[in1], cv[in1])
         fresh = ~in1 & ~blocked[cv]
         if fresh.any():
             md = mahalanobis_many(cs[fresh], g1.mean, g1.covariance)
             new_mask[cv[fresh][md < SIGMA_GATE]] = True
-        consumed.add(flat)
+        consumed[k] = True
 
 
 def multi_material_segmentation(table: GlobalCellTable,
@@ -408,7 +425,7 @@ def multi_material_segmentation(table: GlobalCellTable,
     groups: list[set] = []
     tried = set()
     diagnostics = {"rounds": 0, "seeds": []}
-    candidates = _candidate_cells(table, min_cell_samples)
+    cand = _Candidates(table, min_cell_samples)
 
     while True:
         # most separable not-yet-claimed cluster across all cells; as in the
@@ -450,11 +467,10 @@ def multi_material_segmentation(table: GlobalCellTable,
         if new_mask.sum() < min_cluster_size:
             continue
 
-        consumed = {seed_flat}
-        _propagate_two(table, candidates, consumed, new_mask, ref_mask,
+        consumed = cand.flats == seed_flat
+        _propagate_two(table, cand, consumed, new_mask, ref_mask,
                        assignable=~classified, require_half2=False)
-        _absorb_single(table, candidates, consumed, new_mask,
-                       classified | ref_mask)
+        _absorb_single(table, cand, consumed, new_mask, classified | ref_mask)
 
         new_ids = set(int(v) for v in np.nonzero(new_mask & ~classified)[0])
         if len(new_ids) < min_cluster_size:

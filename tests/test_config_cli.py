@@ -127,6 +127,32 @@ class TestCli:
         assert err.startswith("config error:") and "Traceback" not in err
         assert not os.path.exists(tmp_path / "out")
 
+    def test_corrupt_records_exit_3_naming_the_file(self, tmp_path, capsys):
+        cfg, path = small_config(tmp_path)
+        for stage in ("simulate", "estimate", "segment"):
+            assert cli.main([stage, "--config", path]) == cli.EXIT_OK
+        records = os.path.join(cfg.out_dir, "records.npz")
+        arrays = dict(np.load(records))
+        arrays["cell_h"][0] = 99
+        np.savez_compressed(records, **arrays)
+        capsys.readouterr()
+        for stage in ("segment", "render", "evaluate"):
+            assert cli.main([stage, "--config", path]) == cli.EXIT_MISSING_INPUT
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and records in err, err
+            assert "Traceback" not in err
+
+    def test_camera_changed_after_simulate_exits_2(self, tmp_path, capsys):
+        cfg, path = small_config(tmp_path)
+        assert cli.main(["simulate", "--config", path]) == cli.EXIT_OK
+        with open(path, "a") as fh:
+            fh.write("fx = 300\n")
+        for stage in ("estimate", "render"):
+            assert cli.main([stage, "--config", path]) == cli.EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith("config error: camera (fx) differs"), err
+        assert not os.path.exists(os.path.join(cfg.out_dir, "records.npz"))
+
     def test_threads_flag_removed(self):
         with pytest.raises(SystemExit):
             cli.build_parser().parse_args(["simulate", "--threads", "2"])

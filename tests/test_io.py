@@ -6,7 +6,7 @@ import pytest
 from matscan import io, scenes, segmentation
 from matscan.brdf_table import N_CELLS, BrdfTable, cell_indices
 from matscan.estimation import VertexReflectanceRecord
-from matscan.io import MissingInputError
+from matscan.io import CorruptInputError, MissingInputError
 
 
 class TestSceneIO:
@@ -109,6 +109,35 @@ class TestRecordsIO:
         path = tmp_path / "records.npz"
         io.write_records(path, [])
         assert io.read_records(path) == []
+
+    def _written(self, tmp_path):
+        t = BrdfTable.from_cells(cell_indices(np.array([3, 9])),
+                                 np.full((2, 3), 0.5), np.array([1, 2]))
+        path = tmp_path / "records.npz"
+        io.write_records(path, [VertexReflectanceRecord(4, np.ones(3) / 3 ** 0.5,
+                                                        t)])
+        return path, dict(np.load(path))
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda a: a["cell_h"].__setitem__(0, 99),   # cell out of range
+        lambda a: a["cell_count"].__setitem__(0, -1),
+        lambda a: a["cell_mean"].__setitem__(0, np.nan),
+        lambda a: a.pop("cell_d"),
+        lambda a: a.__setitem__("cell_vid", np.array([5, 5])),  # no such vertex
+    ])
+    def test_bad_content_is_corrupt_input(self, tmp_path, corrupt):
+        path, arrays = self._written(tmp_path)
+        corrupt(arrays)
+        np.savez_compressed(path, **arrays)
+        with pytest.raises(CorruptInputError, match="records.npz"):
+            io.read_records(path)
+
+    @pytest.mark.parametrize("content", [b"", b"not an npz archive"])
+    def test_unreadable_file_is_corrupt_input(self, tmp_path, content):
+        path = tmp_path / "records.npz"
+        path.write_bytes(content)
+        with pytest.raises(CorruptInputError, match="records.npz"):
+            io.read_records(path)
 
     def test_global_table_from_disk_equals_in_memory(self, tmp_path,
                                                      noisy_two_sphere):

@@ -2,18 +2,149 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from matscan import segmentation
-from matscan.brdf_table import N_D
-from matscan.segmentation import (Assignment, GlobalCellTable, assign_3sigma,
-                                  build_global_table, default_bandwidth,
-                                  diffuse_labels, fit_gaussian, initial_clusters,
-                                  mahalanobis, mahalanobis_many, meanshift,
-                                  multi_material_segmentation, separability_score,
-                                  two_material_segmentation)
+from matscan.brdf_table import N_CELLS, N_D
+from matscan.segmentation import (MIN_FIT_SAMPLES, SIGMA_GATE, Assignment,
+                                  GlobalCellTable, assign_3sigma,
+                                  assign_3sigma_many, build_global_table,
+                                  default_bandwidth, diffuse_labels, fit_gaussian,
+                                  initial_clusters, mahalanobis, mahalanobis_many,
+                                  meanshift, multi_material_segmentation,
+                                  separability_score, two_material_segmentation)
+
+
+def reference_meanshift(samples, bandwidth: float, max_iter: int = 100):
+    """Per-sample flat-kernel meanshift: every sample is iterated on its own
+    row, and modes are merged in a walk over all samples. The oracle for
+    `meanshift`, which iterates samples sharing a mode once."""
+    pts = np.asarray(samples, dtype=float).reshape(-1, 3)
+    n = len(pts)
+    if n == 0:
+        return []
+    if bandwidth <= 0:
+        raise ValueError("bandwidth must be positive")
+    modes = pts.copy()
+    tol = 1e-4 * bandwidth
+    bw2 = bandwidth * bandwidth
+    active = np.ones(n, dtype=bool)
+    chunk = max(1, int(4_000_000 // max(n, 1)))
+    pts_sq = np.einsum("ij,ij->i", pts, pts)
+    for _ in range(max_iter):
+        idx = np.nonzero(active)[0]
+        if len(idx) == 0:
+            break
+        for lo in range(0, len(idx), chunk):
+            sel = idx[lo:lo + chunk]
+            m = modes[sel]
+            d2 = (np.einsum("ij,ij->i", m, m)[:, None] + pts_sq[None, :]
+                  - 2.0 * (m @ pts.T))
+            within = d2 <= bw2
+            new = (within @ pts) / within.sum(1)[:, None]
+            shift2 = ((new - m) ** 2).sum(-1)
+            modes[sel] = new
+            active[sel] = shift2 >= tol * tol
+
+    centers = []
+    for i in range(n):
+        m = modes[i]
+        if not any(np.linalg.norm(m - c) < bandwidth / 2 for c in centers):
+            centers.append(m.copy())
+    centers = np.array(centers)
+    d2c = ((modes[:, None, :] - centers[None, :, :]) ** 2).sum(-1)
+    assign = np.argmin(d2c, axis=1)
+    clusters = [np.nonzero(assign == k)[0] for k in range(len(centers))]
+    clusters = [c for c in clusters if len(c) > 0]
+    clusters.sort(key=lambda c: (-len(c), int(c[0])))
+    return clusters
+
+
+def reference_propagate_two(table, cand, consumed, mat1_mask, mat2_mask,
+                            assignable=None, require_half2=True):
+    """`_propagate_two` that counts and refits every unconsumed candidate
+    cell at every step, one cell at a time."""
+    grown = 0
+    for _ in range(N_CELLS):
+        n1 = int(mat1_mask.sum())
+        n2 = int(mat2_mask.sum())
+        if n1 == 0 or n2 == 0:
+            break
+        best = (0.0, None, None, None)
+        for k, flat in enumerate(cand.flats):
+            if consumed[k]:
+                continue
+            cv, cs = table.cells[flat]
+            in1, in2 = mat1_mask[cv], mat2_mask[cv]
+            c1, c2 = int(in1.sum()), int(in2.sum())
+            if 2 * c1 < n1 or c1 < MIN_FIT_SAMPLES or c2 < MIN_FIT_SAMPLES:
+                continue
+            if require_half2 and 2 * c2 < n2:
+                continue
+            g1 = fit_gaussian(cs[in1], cv[in1])
+            g2 = fit_gaussian(cs[in2], cv[in2])
+            score = separability_score(g1, g2)
+            if score > best[0]:
+                best = (score, k, g1, g2)
+        if best[1] is None:
+            break
+        _, k, g1, g2 = best
+        cv, cs = table.cells[cand.flats[k]]
+        fresh = ~(mat1_mask[cv] | mat2_mask[cv])
+        if assignable is not None:
+            fresh &= assignable[cv]
+        if fresh.any():
+            codes = assign_3sigma_many(cs[fresh], g1, g2)
+            mat1_mask[cv[fresh][codes == 1]] = True
+            mat2_mask[cv[fresh][codes == 2]] = True
+        consumed[k] = True
+        grown += 1
+    return grown
+
+
+def reference_absorb_single(table, cand, consumed, new_mask, blocked,
+                            min_fit=MIN_FIT_SAMPLES):
+    """`_absorb_single` that counts every unconsumed candidate cell at every
+    step, one cell at a time."""
+    while True:
+        n1 = int(new_mask.sum())
+        best = (0, None)
+        for k, flat in enumerate(cand.flats):
+            if consumed[k]:
+                continue
+            c1 = int(new_mask[table.cells[flat][0]].sum())
+            if c1 < min_fit or 2 * c1 < n1:
+                continue
+            if c1 > best[0]:
+                best = (c1, k)
+        if best[1] is None:
+            return
+        k = best[1]
+        cv, cs = table.cells[cand.flats[k]]
+        in1 = new_mask[cv]
+        g1 = fit_gaussian(cs[in1], cv[in1])
+        fresh = ~in1 & ~blocked[cv]
+        if fresh.any():
+            md = mahalanobis_many(cs[fresh], g1.mean, g1.covariance)
+            new_mask[cv[fresh][md < SIGMA_GATE]] = True
+        consumed[k] = True
+
+
+def reference_groups(segment, table):
+    """`segment(table)` run on the reference twins."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(segmentation, "meanshift", reference_meanshift)
+        mp.setattr(segmentation, "_propagate_two", reference_propagate_two)
+        mp.setattr(segmentation, "_absorb_single", reference_absorb_single)
+        return segment(table)
+
+
+def assert_same_clusters(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        np.testing.assert_array_equal(a, b)
 
 
 def two_blobs(rng, n=200, spread=0.01, gap=1.0):
@@ -63,6 +194,56 @@ class TestMeanshift:
     def test_bandwidth_validation(self):
         with pytest.raises(ValueError):
             meanshift(np.zeros((5, 3)), 0.0)
+
+    @pytest.mark.parametrize("pts, bw", [
+        ([[0.2, 0.3, 0.4]], 0.1),
+        ([[0.0, 0, 0], [0.5, 0, 0]], 0.5),        # bandwidth == their distance
+        ([[0.0, 0, 0], [0.5, 0, 0]], 0.49),
+        ([[0.0, 0, 0], [0.0, 0, 0]], 0.1),         # exact duplicates
+        ([[0.0, 0, 0], [0.25, 0, 0], [0.5, 0, 0]], 0.25),
+        ([[0.0, 0, 0], [0.3, 0, 0], [1.0, 0, 0]], 0.3),
+        ([[0.1, 0.1, 0.1]] * 3, 1.0),
+    ])
+    def test_small_inputs_match_reference(self, pts, bw):
+        assert_same_clusters(meanshift(pts, bw), reference_meanshift(pts, bw))
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 80), st.integers(1, 4),
+           st.sampled_from([0.0, 0.01, 0.1]), st.booleans(), st.booleans(),
+           st.floats(0.01, 1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_sample_reference(self, seed, n, k, spread, duplicate,
+                                          pairwise_bw, bw):
+        """Blobs, optionally resampled with repeats (exact duplicates), with
+        either a free bandwidth or one equal to a pairwise sample distance."""
+        rng = np.random.default_rng(seed)
+        centers = rng.uniform(0, 1, (k, 3))
+        pts = centers[rng.integers(0, k, n)] + rng.normal(0, spread, (n, 3))
+        if duplicate:
+            pts = pts[rng.integers(0, n, n)]
+        if pairwise_bw and n >= 2:
+            i, j = rng.choice(n, 2, replace=False)
+            bw = float(np.linalg.norm(pts[i] - pts[j])) or bw
+        assert_same_clusters(meanshift(pts, bw), reference_meanshift(pts, bw))
+
+    def test_stopped_and_moving_samples_on_one_mode(self):
+        # samples 0 and 1 share every neighbour, so both move to the same
+        # mode x, ~5e-5 right of sample 0: sample 0 stops there, sample 1
+        # (0.05 away) keeps moving. The points at -1 drop out of x's window,
+        # so sample 1 runs on to the positive points and a cluster apart
+        xs = [0.0, -0.05] + [-1.0] * 10 + [0.94] * 10 + [0.65115]
+        pts = np.zeros((len(xs), 3))
+        pts[:, 0] = xs
+        clusters = meanshift(pts, 1.0)
+        assert_same_clusters(clusters, reference_meanshift(pts, 1.0))
+        assert [0] in [c.tolist() for c in clusters]
+
+    def test_scan_cells_match_reference(self, noisy_two_sphere):
+        for vids, vals in noisy_two_sphere["table"].cells.values():
+            if len(vids) < 2:
+                continue
+            bw = default_bandwidth(vals)
+            assert_same_clusters(meanshift(vals, bw),
+                                 reference_meanshift(vals, bw))
 
     def test_largest_cluster_first(self):
         rng = np.random.default_rng(4)
@@ -259,6 +440,34 @@ class TestMultiMaterial:
             assert not (g & seen)
             seen |= g
         assert len(groups.classified) + len(groups.unclassified) == len(gt)
+
+
+class TestPropagationOracle:
+    """Meanshift and propagation give the groups of their reference twins."""
+
+    @pytest.mark.parametrize("segment", [two_material_segmentation,
+                                         multi_material_segmentation])
+    def test_scan_groups_match_reference(self, noisy_two_sphere, segment):
+        table = noisy_two_sphere["table"]
+        groups, diag = segment(table)
+        ref_groups, ref_diag = reference_groups(segment, table)
+        assert groups.groups and groups.groups == ref_groups.groups
+        assert groups.unclassified == ref_groups.unclassified
+        assert diag == ref_diag
+
+    @given(st.integers(0, 2**16))
+    @example(14)  # a refit after only the second group grew picks another cell
+    @example(45)
+    @settings(max_examples=10, deadline=None)
+    def test_synthetic_groups_match_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        colors = list(rng.uniform(0, 1, (2 + seed % 2, 3)))
+        table, _ = synthetic_table(rng, colors, verts_per_mat=60,
+                                   noise=rng.uniform(0.01, 0.2),
+                                   coverage=rng.uniform(0.3, 0.9))
+        for segment in (two_material_segmentation, multi_material_segmentation):
+            groups, _ = segment(table)
+            assert groups.groups == reference_groups(segment, table)[0].groups
 
 
 class TestInitialClusters:
