@@ -1,7 +1,9 @@
 """Command-line orchestration of the five pipeline stages.
 
 Subcommands: simulate | estimate | segment | render | evaluate | pipeline.
-Exit codes: 0 success, 2 config error, 3 missing input, 4 numeric failure.
+Exit codes: 0 success, 2 config error, 3 missing, corrupt or empty input
+(a `records.npz` with no records: every observation was rejected or its
+vertex has no color), 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -87,6 +89,16 @@ def _scanned_camera(cfg: PipelineConfig) -> PinholeCamera:
     return PinholeCamera(cfg.fx, cfg.fy, cfg.cx, cfg.cy, cfg.width, cfg.height)
 
 
+def _read_records(path: str) -> list:
+    """The records `estimate` wrote, of which segment, render and evaluate
+    need at least one."""
+    records = io.read_records(path)
+    if not records:
+        raise MissingInputError(f"no reflectance records in {path}: every "
+                                "observation was rejected or has no color")
+    return records
+
+
 def cmd_simulate(cfg: PipelineConfig) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
     paths = _paths(cfg.out_dir)
@@ -128,7 +140,7 @@ def cmd_estimate(cfg: PipelineConfig) -> int:
 
 def cmd_segment(cfg: PipelineConfig) -> int:
     paths = _paths(cfg.out_dir)
-    records = io.read_records(paths["records"])
+    records = _read_records(paths["records"])
     materials = io.read_materials(paths["materials"])
     scene = io.read_scene(paths["scene"], materials)
     table = segmentation.build_global_table(records, cfg.sample_budget, cfg.rng_seed)
@@ -161,7 +173,7 @@ def _merged_tables(records, labels):
 def cmd_render(cfg: PipelineConfig) -> int:
     paths = _paths(cfg.out_dir)
     camera = _scanned_camera(cfg)
-    records = io.read_records(paths["records"])
+    records = _read_records(paths["records"])
     labels = io.read_labels(paths["labels"])
     materials = io.read_materials(paths["materials"])
     scene = io.read_scene(paths["scene"], materials)
@@ -197,7 +209,7 @@ def cmd_render(cfg: PipelineConfig) -> int:
 
 def cmd_evaluate(cfg: PipelineConfig) -> int:
     paths = _paths(cfg.out_dir)
-    records = io.read_records(paths["records"])
+    records = _read_records(paths["records"])
     labels = io.read_labels(paths["labels"])
     materials = io.read_materials(paths["materials"])
     scene = io.read_scene(paths["scene"], materials)

@@ -30,6 +30,11 @@ class Rejection(enum.Enum):
     VIGNETTE_FLOOR = "vignette-floor"
 
 
+# per-row codes of `invert_observation_arrays`: a rejection's position in
+# Rejection, or ACCEPTED
+ACCEPTED = len(Rejection)
+
+
 @dataclass
 class VertexReflectanceRecord:
     vertex_id: int
@@ -107,7 +112,7 @@ def invert_observation_arrays(ir: IrObservations, scene, trajectory, rig: LedRig
     th = np.zeros(n)
     td = np.zeros(n)
     f = np.zeros(n)
-    reason = np.full(n, "", dtype=object)
+    reason = np.full(n, ACCEPTED, dtype=np.int8)
 
     order = np.argsort(ir.frame_time, kind="stable")
     sorted_times = ir.frame_time[order]
@@ -131,13 +136,11 @@ def invert_observation_arrays(ir: IrObservations, scene, trajectory, rig: LedRig
         vig = vignette((ir.pixel[rows, 0], ir.pixel[rows, 1]), camera)
         inten = ir.intensity[rows]
 
-        rej = np.full(len(rows), "", dtype=object)
-        rej[(rej == "") & (inten >= saturation_level)] = Rejection.SATURATED.value
-        rej[(rej == "") & (inten <= 0.0)] = Rejection.SHADOWED.value
-        rej[(rej == "") & (ndotl < COS_GRAZING)] = Rejection.GRAZING_IN.value
-        rej[(rej == "") & (ndotv < COS_GRAZING)] = Rejection.GRAZING_OUT.value
-        rej[(rej == "") & (vig < VIGNETTE_FLOOR)] = Rejection.VIGNETTE_FLOOR.value
-        ok = rej == ""
+        # a row's code is that of the first test it fails, in Rejection order
+        rej = np.select([inten >= saturation_level, inten <= 0.0,
+                         ndotl < COS_GRAZING, ndotv < COS_GRAZING,
+                         vig < VIGNETTE_FLOOR], list(range(ACCEPTED)), ACCEPTED)
+        ok = rej == ACCEPTED
         if ok.any():
             a, b = half_diff_angle_arrays(nrm[ok], l[ok], wo[ok])
             th[rows[ok]] = a
@@ -146,9 +149,10 @@ def invert_observation_arrays(ir: IrObservations, scene, trajectory, rig: LedRig
                                        * rig.brightness[leds[ok]] / d[ok]**2)
         reason[rows] = rej
 
-    accepted = reason == ""
-    counts = {r.value: int(np.sum(reason == r.value)) for r in Rejection}
-    counts["accepted"] = int(accepted.sum())
+    accepted = reason == ACCEPTED
+    tally = np.bincount(reason, minlength=ACCEPTED + 1)
+    counts = {r.value: int(tally[code]) for code, r in enumerate(Rejection)}
+    counts["accepted"] = int(tally[ACCEPTED])
     return accepted, th, td, f, counts
 
 

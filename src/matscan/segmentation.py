@@ -16,7 +16,8 @@ import enum
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.spatial import cKDTree
 
 from .brdf_table import N_CELLS, N_D, concat_cells
@@ -27,6 +28,9 @@ MIN_CELL_SAMPLES = 20
 MIN_FIT_SAMPLES = 10
 DISCARD_FRACTION = 0.05
 SIGMA_GATE = 3.0
+# float64 entries of the meanshift distance buffer: 256 KiB, an L2-sized block
+_BLOCK = 1 << 15
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 @dataclass
@@ -95,17 +99,69 @@ def default_bandwidth(samples) -> float:
     return 0.5 * float(np.sqrt(np.var(samples, axis=0).sum()))
 
 
+def _exact_neighbours(modes, pts, pts_sq, bw2):
+    """The neighbour mask of each mode, from the full distance expression
+    in chunks of 4e6 entries: the tie path of `_neighbours`."""
+    within = np.empty((len(modes), len(pts)), dtype=bool)
+    chunk = max(1, 4_000_000 // len(pts))
+    for lo in range(0, len(modes), chunk):
+        m = modes[lo:lo + chunk]
+        d2 = (np.einsum("ij,ij->i", m, m)[:, None] + pts_sq[None, :]
+              - 2.0 * (m @ pts.T))
+        within[lo:lo + chunk] = d2 <= bw2
+    return within
+
+
+def _neighbours(modes, pts, pts_sq, bw2):
+    """(r, n) mask of the samples within the bandwidth of each mode.
+
+    Squared distances are built in place, a block of rows at a time, in one
+    buffer of `_BLOCK` floats that stays in L2. Each of this expression and
+    the full one of `_exact_neighbours` is off the true squared distance by
+    at most ~10u(|m|^2 + |p|^2) (u = 2^-53, first order), whatever order
+    BLAS sums in. So when no blocked value lies within the band
+    delta = 64u(max|m|^2 + max|p|^2) of bw2, both give the mask of exact
+    arithmetic. Otherwise the step falls back to `_exact_neighbours`, so a
+    near-tie is decided as by the full expression."""
+    n = len(pts)
+    m_sq = np.einsum("ij,ij->i", modes, modes)
+    band = 64 * _UNIT_ROUNDOFF * (m_sq.max() + pts_sq.max())
+    rows = max(1, _BLOCK // n)
+    buf = np.empty(rows * n)
+    wide = np.empty(rows * n, dtype=bool)
+    pts_t = np.ascontiguousarray(pts.T)
+    within = np.empty((len(modes), n), dtype=bool)
+    for lo in range(0, len(modes), rows):
+        hi = min(lo + rows, len(modes))
+        d2 = buf[:(hi - lo) * n].reshape(hi - lo, n)
+        # scaling by -2 is exact, so this is -2 (m @ p) bit for bit
+        np.matmul(-2.0 * modes[lo:hi], pts_t, out=d2)
+        d2 += m_sq[lo:hi, None]
+        d2 += pts_sq
+        # no value in (bw2 - band, bw2 + band] <=> both masks hold as many
+        np.less_equal(d2, bw2 - band, out=within[lo:hi])
+        near = np.less_equal(d2, bw2 + band, out=wide[:d2.size].reshape(d2.shape))
+        if np.count_nonzero(near) != np.count_nonzero(within[lo:hi]):
+            return _exact_neighbours(modes, pts, pts_sq, bw2)
+    return within
+
+
 def meanshift(samples, bandwidth: float, max_iter: int = 100):
     """Flat-kernel meanshift. Every sample is iterated to its mode (mean of
     samples within the bandwidth) until the shift drops below 1e-4*bandwidth;
     modes within bandwidth/2 are merged and samples assigned to the nearest
     merged mode. Returns cluster index arrays, largest first.
 
-    Samples whose iterates have become bitwise equal, and are all still
-    moving or all stopped, follow the same path from then on, so they are
-    iterated once: `owner` maps each sample to its row of distinct iterates.
-    Merging and assignment also run over those rows. The clusters are the
-    same as when every sample is iterated on its own."""
+    Each step finds the neighbour mask of every moving mode with
+    `_neighbours`: squared distances built in place in L2-sized row blocks,
+    with a rounding band around bw^2 inside which the step is recomputed
+    with the full distance expression, so the masks are those of exact
+    arithmetic or of the full expression. Each distinct neighbour set is
+    summed once. Samples that share a neighbour set and are all still moving
+    or all stopped follow the same path from then on, so they are iterated
+    once: `owner` maps each sample to its row of distinct iterates. Merging
+    and assignment also run over those rows. The clusters are the same as
+    when every sample is iterated on its own."""
     pts = np.asarray(samples, dtype=float).reshape(-1, 3)
     n = len(pts)
     if n == 0:
@@ -117,30 +173,32 @@ def meanshift(samples, bandwidth: float, max_iter: int = 100):
     tol = 1e-4 * bandwidth
     bw2 = bandwidth * bandwidth
     active = np.ones(n, dtype=bool)
-    chunk = max(1, int(4_000_000 // max(n, 1)))
     pts_sq = np.einsum("ij,ij->i", pts, pts)
     for _ in range(max_iter):
         idx = np.nonzero(active)[0]
         if len(idx) == 0:
             break
-        for lo in range(0, len(idx), chunk):
-            sel = idx[lo:lo + chunk]
-            m = modes[sel]
-            d2 = (np.einsum("ij,ij->i", m, m)[:, None] + pts_sq[None, :]
-                  - 2.0 * (m @ pts.T))
-            within = d2 <= bw2
-            new = (within @ pts) / within.sum(1)[:, None]
-            shift2 = ((new - m) ** 2).sum(-1)
-            modes[sel] = new
-            active[sel] = shift2 >= tol * tol
-        # a stopped row and a moving row can sit on the same mode, so the
-        # active flag is part of the key; each group keeps its first row, so
-        # rows stay in the order of their first sample
-        key = np.column_stack([modes.view(np.int64), active])
-        _, first, inverse = np.unique(key, axis=0, return_index=True,
-                                      return_inverse=True)
-        keep = np.sort(first)
-        owner = np.searchsorted(keep, first[inverse.ravel()])[owner]
+        within = _neighbours(modes[idx], pts, pts_sq, bw2)
+        packed = np.packbits(within, axis=1)
+        sets = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+        _, first, set_id = np.unique(sets, return_index=True,
+                                     return_inverse=True)
+        members = within[first]
+        means = (members @ pts) / np.count_nonzero(members, axis=1)[:, None]
+        new = means[set_id]
+        shift2 = ((new - modes[idx]) ** 2).sum(-1)
+        modes[idx] = new
+        active[idx] = shift2 >= tol * tol
+        # moving rows with one neighbour set now share a mode, but one may
+        # have stopped there and another not, so the active flag is part of
+        # the key. Each group keeps its first row, so rows stay in the order
+        # of their first sample; rows that did not move are kept as they are
+        _, head, group = np.unique(set_id * 2 + active[idx],
+                                   return_index=True, return_inverse=True)
+        row = np.arange(len(modes))
+        keep = np.setdiff1d(row, np.delete(idx, head), assume_unique=True)
+        row[idx] = idx[head][group]
+        owner = np.searchsorted(keep, row)[owner]
         modes, active = modes[keep], active[keep]
 
     # rows are in order of their first sample, so this keeps the centers of
@@ -175,10 +233,20 @@ def fit_gaussian(samples, members=None) -> GaussianCluster:
 
 
 def mahalanobis(x, mean, covariance) -> float:
-    """sqrt((x-mu)^T S^-1 (x-mu)); covariance must be SPD."""
+    """sqrt((x-mu)^T S^-1 (x-mu)); covariance must be SPD, else
+    np.linalg.LinAlgError.
+
+    The LAPACK Cholesky routines that `scipy.linalg.cho_factor`/`cho_solve`
+    wrap, called directly: the same bits without their argument checks,
+    which cost more than the 3x3 solve."""
     diff = np.asarray(x, dtype=float) - np.asarray(mean, dtype=float)
-    factor = cho_factor(np.asarray(covariance, dtype=float), lower=True)
-    return float(np.sqrt(diff @ cho_solve(factor, diff)))
+    chol, info = dpotrf(np.asarray(covariance, dtype=float), lower=1, clean=0)
+    if info == 0:
+        solved, info = dpotrs(chol, diff, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"covariance is not positive definite (LAPACK info {info})")
+    return float(np.sqrt(diff @ solved))
 
 
 def mahalanobis_many(xs, mean, covariance) -> np.ndarray:

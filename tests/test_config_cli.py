@@ -142,6 +142,23 @@ class TestCli:
             assert err.count("\n") == 1 and records in err, err
             assert "Traceback" not in err
 
+    def test_all_saturated_scan_exits_3_without_traceback(self, tmp_path, capsys):
+        # every observation saturates, so estimate writes no records
+        cfg, path = small_config(tmp_path, n_vertices=200, scene="two-sphere",
+                                 saturation_level=1e-9)
+        for stage in ("simulate", "estimate"):
+            assert cli.main([stage, "--config", path]) == cli.EXIT_OK
+        assert "0 vertex records" in capsys.readouterr().out
+        # labels of an earlier run must not let render or evaluate go on
+        io.write_labels(os.path.join(cfg.out_dir, "labels.txt"),
+                        np.zeros(200, dtype=int))
+        records = os.path.join(cfg.out_dir, "records.npz")
+        for stage in ("segment", "render", "evaluate", "pipeline"):
+            assert cli.main([stage, "--config", path]) == cli.EXIT_MISSING_INPUT
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1, err
+            assert err.startswith("error: no reflectance records") and records in err
+
     def test_camera_changed_after_simulate_exits_2(self, tmp_path, capsys):
         cfg, path = small_config(tmp_path)
         assert cli.main(["simulate", "--config", path]) == cli.EXIT_OK

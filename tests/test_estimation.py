@@ -128,6 +128,51 @@ class TestInversion:
                 assert td[r] == pytest.approx(out[0].theta_d, abs=1e-9)
                 assert f[r] == pytest.approx(out[1], rel=1e-12)
 
+    def test_array_rejection_reasons_match_scalar(self, noisy_two_sphere):
+        """Every row gets the reason of the scalar inversion. A saturation
+        level at the intensity median and far off-axis pixels on some rows
+        make every reason occur."""
+        from matscan.geometry import interpolate_trajectory
+        from matscan.simulator import IrObservations
+        run = noisy_two_sphere
+        ir, scene, cfg = run["ir"], run["scene"], run["config"]
+        cam, rig = cfg.camera, cfg.rig
+        sat = float(np.median(ir.intensity))
+        pixel = ir.pixel.copy()
+        pixel[::50] = (cam.cx + 5 * cam.fx, cam.cy)
+        ir = IrObservations(ir.vertex_id, ir.frame_time, ir.led_index,
+                            ir.intensity, pixel)
+        rng = np.random.default_rng(2)
+        by_reason = {}
+        for r in rng.permutation(len(ir))[:4000]:
+            pose = interpolate_trajectory(run["trajectory"],
+                                          float(ir.frame_time[r]))
+            vid, led = int(ir.vertex_id[r]), int(ir.led_index[r])
+            out = invert_image_formation(
+                float(ir.intensity[r]), (pixel[r, 0], pixel[r, 1]),
+                scene.positions[vid], scene.normals[vid], pose,
+                pose.transform(rig.positions[led]), float(rig.brightness[led]),
+                cam, sat)
+            reason = out.value if isinstance(out, Rejection) else "accepted"
+            by_reason.setdefault(reason, []).append(r)
+        assert set(by_reason) == {r.value for r in Rejection} | {"accepted"}
+        for reason, rows in by_reason.items():
+            for r in rows[:15]:
+                one = IrObservations(ir.vertex_id[r:r + 1], ir.frame_time[r:r + 1],
+                                     ir.led_index[r:r + 1], ir.intensity[r:r + 1],
+                                     pixel[r:r + 1])
+                accepted, _, _, _, counts = invert_observation_arrays(
+                    one, scene, run["trajectory"], rig, cam, sat)
+                assert counts[reason] == 1 and sum(counts.values()) == 1
+                assert accepted[0] == (reason == "accepted")
+        rows = np.concatenate([np.array(v) for v in by_reason.values()])
+        subset = IrObservations(ir.vertex_id[rows], ir.frame_time[rows],
+                                ir.led_index[rows], ir.intensity[rows],
+                                pixel[rows])
+        counts = invert_observation_arrays(subset, scene, run["trajectory"],
+                                           rig, cam, sat)[4]
+        assert counts == {k: len(v) for k, v in by_reason.items()}
+
 
 class TestAccumulation:
     def test_records_only_for_colored_vertices(self, noisy_two_sphere):

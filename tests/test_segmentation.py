@@ -253,6 +253,84 @@ class TestMeanshift:
         assert len(clusters[0]) >= len(clusters[-1])
 
 
+class _Fallback(Exception):
+    pass
+
+
+def _no_fallback(*args):
+    raise _Fallback
+
+
+class TestBlockedNeighbours:
+    """`_neighbours` builds masks in L2-sized blocks and falls back to the
+    full distance expression when a value is in the rounding band of bw^2."""
+
+    def test_constructed_tie_takes_fallback(self, monkeypatch):
+        # coordinates on a 0.25 grid make every squared distance exact, so
+        # the bandwidth 0.25 ties with the distance of neighbouring points
+        rng = np.random.default_rng(20)
+        pts = rng.integers(0, 8, (150, 3)) * 0.25
+        calls = []
+        exact = segmentation._exact_neighbours
+        monkeypatch.setattr(segmentation, "_exact_neighbours",
+                            lambda *a: calls.append(1) or exact(*a))
+        assert_same_clusters(meanshift(pts, 0.25), reference_meanshift(pts, 0.25))
+        assert calls
+
+    def test_scan_cells_on_blocked_path_alone(self, noisy_two_sphere,
+                                              monkeypatch):
+        monkeypatch.setattr(segmentation, "_exact_neighbours", _no_fallback)
+        sizes = []
+        for vids, vals in noisy_two_sphere["table"].cells.values():
+            if len(vids) < 2:
+                continue
+            bw = default_bandwidth(vals)
+            assert_same_clusters(meanshift(vals, bw),
+                                 reference_meanshift(vals, bw))
+            sizes.append(len(vids))
+        # cells large enough to take several blocks per step
+        assert max(sizes) > 2 * segmentation._BLOCK ** 0.5
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.integers(1, 300),
+           st.sampled_from([1e-3, 1.0, 1e3]), st.floats(0.0, 1.0),
+           st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_blocked_mask_equals_full_mask_outside_band(
+            self, seed, n_modes, n_pts, scale, q, pairwise):
+        """Several blocks per call when n_modes * n_pts > `_BLOCK`; with
+        `pairwise` the bandwidth is a sample distance, which mostly ties."""
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(0, scale, (n_pts, 3))
+        # the samples themselves, as at the first step, then other points
+        modes = np.vstack([pts, rng.normal(0, scale, (n_modes, 3))])[:n_modes]
+        diff2 = ((modes[:, None, :] - pts[None, :, :]) ** 2).sum(-1)
+        bw2 = float(diff2.flat[rng.integers(diff2.size)] if pairwise
+                    else np.quantile(diff2, q)) or scale
+        pts_sq = np.einsum("ij,ij->i", pts, pts)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(segmentation, "_exact_neighbours", _no_fallback)
+            try:
+                within = segmentation._neighbours(modes, pts, pts_sq, bw2)
+            except _Fallback:
+                # only a value near bw2 may send the step to the fallback
+                band = 64 * 2.0**-53 * (np.einsum("ij,ij->i", modes, modes).max()
+                                        + pts_sq.max())
+                assert np.abs(diff2 - bw2).min() <= 2 * band
+                return
+        np.testing.assert_array_equal(
+            within, segmentation._exact_neighbours(modes, pts, pts_sq, bw2))
+        np.testing.assert_array_equal(within, diff2 <= bw2)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("duplicate", [False, True])
+    @pytest.mark.parametrize("bw", [0.05, 2.0])
+    def test_tiny_and_duplicate_inputs_match_reference(self, n, duplicate, bw):
+        pts = np.random.default_rng(n).uniform(0, 1, (n, 3))
+        if duplicate:
+            pts = pts[[0] * n]
+        assert_same_clusters(meanshift(pts, bw), reference_meanshift(pts, bw))
+
+
 class TestGaussian:
     def test_fit_recovers_moments(self):
         rng = np.random.default_rng(5)
@@ -275,6 +353,23 @@ class TestGaussian:
         expected = scipy_md(x, g.mean, np.linalg.inv(g.covariance))
         assert mahalanobis(x, g.mean, g.covariance) == pytest.approx(
             expected, rel=1e-9)
+
+    def test_mahalanobis_bitwise_equals_cho_solve(self):
+        from scipy.linalg import cho_factor, cho_solve
+        rng = np.random.default_rng(21)
+        for _ in range(500):
+            a = rng.normal(size=(3, 3)) * rng.uniform(1e-3, 10)
+            cov = a @ a.T + rng.uniform(1e-9, 1) * np.eye(3)
+            x, mean = rng.normal(size=3), rng.normal(size=3)
+            diff = x - mean
+            expected = float(np.sqrt(diff @ cho_solve(cho_factor(cov, lower=True),
+                                                      diff)))
+            assert mahalanobis(x, mean, cov) == expected
+
+    @pytest.mark.parametrize("cov", [np.diag([1.0, -1.0, 1.0]), np.zeros((3, 3))])
+    def test_mahalanobis_rejects_non_spd(self, cov):
+        with pytest.raises(np.linalg.LinAlgError):
+            mahalanobis(np.ones(3), np.zeros(3), cov)
 
     def test_many_matches_scalar(self):
         rng = np.random.default_rng(7)
