@@ -1,9 +1,16 @@
 """Command-line orchestration of the five pipeline stages.
 
 Subcommands: simulate | estimate | segment | render | evaluate | pipeline.
+`simulate` writes the IR and RGB observations as uncompressed npz
+(`ir_observations.npz`, `rgb_observations.npz`) and the scene, materials,
+trajectory and config as text; `estimate` writes `records.npz` and
+`colors.txt`, `segment` `labels.txt`, `render` `material_*.brdf` and PPM
+images, `evaluate` `report.txt`.
 Exit codes: 0 success, 2 config error, 3 missing, corrupt or empty input
-(a `records.npz` with no records: every observation was rejected or its
-vertex has no color), 4 numeric failure.
+(an artifact `io` cannot read; observations of a vertex the scene lacks,
+an LED the rig lacks or a time outside the trajectory; a `records.npz` with
+no records: every observation was rejected or its vertex has no color),
+4 numeric failure.
 """
 
 from __future__ import annotations
@@ -68,8 +75,8 @@ def _paths(out_dir):
         "scene": os.path.join(out_dir, "scene.txt"),
         "materials": os.path.join(out_dir, "materials.txt"),
         "trajectory": os.path.join(out_dir, "trajectory.txt"),
-        "ir": os.path.join(out_dir, "ir_observations.txt"),
-        "rgb": os.path.join(out_dir, "rgb_observations.txt"),
+        "ir": os.path.join(out_dir, "ir_observations.npz"),
+        "rgb": os.path.join(out_dir, "rgb_observations.npz"),
         "colors": os.path.join(out_dir, "colors.txt"),
         "records": os.path.join(out_dir, "records.npz"),
         "labels": os.path.join(out_dir, "labels.txt"),
@@ -97,6 +104,12 @@ def _read_records(path: str) -> list:
         raise MissingInputError(f"no reflectance records in {path}: every "
                                 "observation was rejected or has no color")
     return records
+
+
+def _check_range(path, name, values, lo, hi) -> None:
+    if len(values) and (values.min() < lo or values.max() > hi):
+        raise io.CorruptInputError(f"corrupt input file {path}: {name} outside "
+                                   f"[{lo}, {hi}]")
 
 
 def cmd_simulate(cfg: PipelineConfig) -> int:
@@ -127,10 +140,15 @@ def cmd_estimate(cfg: PipelineConfig) -> int:
     trajectory = io.read_trajectory(paths["trajectory"])
     ir = io.read_ir_observations(paths["ir"])
     rgb = io.read_rgb_observations(paths["rgb"])
+    rig = make_default_rig()
+    _check_range(paths["ir"], "vertex_id", ir.vertex_id, 0, len(scene) - 1)
+    _check_range(paths["ir"], "led_index", ir.led_index, 0, len(rig) - 1)
+    _check_range(paths["ir"], "frame_time", ir.frame_time,
+                 trajectory[0].timestamp, trajectory[-1].timestamp)
+    _check_range(paths["rgb"], "vertex_id", rgb.vertex_id, 0, len(scene) - 1)
     colors = estimation.estimate_colors(rgb, cfg.saturation_level)
     records, counts = estimation.accumulate_vertex_tables(
-        ir, scene, trajectory, make_default_rig(), colors, camera,
-        cfg.saturation_level)
+        ir, scene, trajectory, rig, colors, camera, cfg.saturation_level)
     io.write_colors(paths["colors"], colors)
     io.write_records(paths["records"], records)
     print("estimate: " + " ".join(f"{k}={v}" for k, v in sorted(counts.items())))

@@ -1,9 +1,14 @@
-"""Plain-text and npz artifact I/O for the pipeline stages."""
+"""Artifact I/O for the pipeline stages: the IR and RGB observations as
+uncompressed npz (one array per dataclass field, under its name and with its
+dtype), the per-vertex records as compressed npz, everything else as text."""
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import os
 import zipfile
+import zlib
 
 import numpy as np
 
@@ -23,10 +28,20 @@ class CorruptInputError(MissingInputError):
     treats it like a missing input."""
 
 
-def _require(path):
-    if not os.path.exists(path):
-        raise MissingInputError(f"missing input file: {path}")
-    return path
+def _reader(read):
+    """`read(path, ...)` that raises MissingInputError for a missing file and
+    re-raises what bad content makes it raise as CorruptInputError naming
+    the file: the failure contract of every `read_*`."""
+    @functools.wraps(read)
+    def checked(path, *args):
+        if not os.path.exists(path):
+            raise MissingInputError(f"missing input file: {path}")
+        try:
+            return read(path, *args)
+        except (ValueError, KeyError, IndexError, EOFError, zipfile.BadZipFile,
+                zlib.error) as exc:
+            raise CorruptInputError(f"corrupt input file {path}: {exc}") from exc
+    return checked
 
 
 def write_scene(path, scene) -> None:
@@ -39,9 +54,10 @@ def write_scene(path, scene) -> None:
                      f"{n[0]:.17g} {n[1]:.17g} {n[2]:.17g} {scene.material_ids[i]}\n")
 
 
+@_reader
 def read_scene(path, materials):
     from .scenes import Scene
-    data = np.loadtxt(_require(path), comments="#").reshape(-1, 8)
+    data = np.loadtxt(path, comments="#").reshape(-1, 8)
     return Scene(data[:, 1:4], data[:, 4:7], data[:, 7].astype(int), materials)
 
 
@@ -56,8 +72,9 @@ def write_materials(path, materials) -> None:
                      f"{c[0]:.17g} {c[1]:.17g} {c[2]:.17g}\n")
 
 
+@_reader
 def read_materials(path):
-    data = np.loadtxt(_require(path), comments="#").reshape(-1, 9)
+    data = np.loadtxt(path, comments="#").reshape(-1, 9)
     return [GroundTruthMaterial(diffuse_albedo=row[1:4], specular_strength=row[4],
                                 lobe_exponent=row[5], color=row[6:9])
             for row in data]
@@ -73,40 +90,55 @@ def write_trajectory(path, trajectory) -> None:
                      f"{q.z:.17g} {t[0]:.17g} {t[1]:.17g} {t[2]:.17g}\n")
 
 
+@_reader
 def read_trajectory(path):
-    data = np.loadtxt(_require(path), comments="#").reshape(-1, 8)
+    data = np.loadtxt(path, comments="#").reshape(-1, 8)
+    if len(data) < 2:
+        raise ValueError("a trajectory needs at least two poses")
     return [TimedPose(Pose(Quaternion(*row[1:5]), row[5:8]), float(row[0]))
             for row in data]
 
 
+# observation fields with more than one value per row, and integer fields
+_WIDTH = {"pixel": (2,), "rgb": (3,)}
+_INTEGER = ("vertex_id", "led_index")
+
+
+def _read_fields(path, cls):
+    """A `cls` of the npz arrays under its field names, checked for one row
+    count, the widths in `_WIDTH`, integer ids and finite values."""
+    with open(path, "rb") as fh:
+        data = np.load(fh)
+        arrays = {f.name: data[f.name] for f in dataclasses.fields(cls)}
+    rows = arrays["vertex_id"].shape[:1] or (-1,)  # 0-d fits no shape
+    for name, a in arrays.items():
+        shape, ints = rows + _WIDTH.get(name, ()), name in _INTEGER
+        if (a.shape != shape or a.dtype.kind not in ("iu" if ints else "iuf")
+                or not np.isfinite(a).all()):
+            raise ValueError(f"{name} of shape {a.shape} and dtype {a.dtype} is "
+                             f"not {shape} finite {'integers' if ints else 'reals'}")
+    return cls(**arrays)
+
+
 def write_ir_observations(path, ir: IrObservations) -> None:
-    """One record per line: vertex_id frame_time led_index intensity px py."""
-    with open(path, "w") as fh:
-        fh.write("# vertex_id frame_time led_index intensity px py\n")
-        for i in range(len(ir)):
-            fh.write(f"{ir.vertex_id[i]} {ir.frame_time[i]:.17g} "
-                     f"{ir.led_index[i]} {ir.intensity[i]:.17g} "
-                     f"{ir.pixel[i, 0]:.17g} {ir.pixel[i, 1]:.17g}\n")
+    # np.savez appends ".npz" to a str path that lacks it, not to a file
+    with open(path, "wb") as fh:
+        np.savez(fh, **vars(ir))
 
 
+@_reader
 def read_ir_observations(path) -> IrObservations:
-    data = np.loadtxt(_require(path), comments="#").reshape(-1, 6)
-    return IrObservations(data[:, 0].astype(int), data[:, 1],
-                          data[:, 2].astype(int), data[:, 3], data[:, 4:6])
+    return _read_fields(path, IrObservations)
 
 
 def write_rgb_observations(path, rgb: RgbObservations) -> None:
-    with open(path, "w") as fh:
-        fh.write("# vertex_id r g b omega_out_deg\n")
-        for i in range(len(rgb)):
-            v = rgb.rgb[i]
-            fh.write(f"{rgb.vertex_id[i]} {v[0]:.17g} {v[1]:.17g} {v[2]:.17g} "
-                     f"{rgb.omega_out_angle[i]:.17g}\n")
+    with open(path, "wb") as fh:
+        np.savez(fh, **vars(rgb))
 
 
+@_reader
 def read_rgb_observations(path) -> RgbObservations:
-    data = np.loadtxt(_require(path), comments="#").reshape(-1, 5)
-    return RgbObservations(data[:, 0].astype(int), data[:, 1:4], data[:, 4])
+    return _read_fields(path, RgbObservations)
 
 
 def write_colors(path, colors: dict) -> None:
@@ -118,8 +150,9 @@ def write_colors(path, colors: dict) -> None:
             fh.write(f"{v} {c[0]:.17g} {c[1]:.17g} {c[2]:.17g}\n")
 
 
+@_reader
 def read_colors(path) -> dict:
-    data = np.loadtxt(_require(path), comments="#").reshape(-1, 4)
+    data = np.loadtxt(path, comments="#").reshape(-1, 4)
     return {int(row[0]): row[1:4] for row in data}
 
 
@@ -141,19 +174,18 @@ def write_records(path, records) -> None:
     )
 
 
+@_reader
 def read_records(path):
-    try:
-        with np.load(_require(path)) as data:
-            colors = {int(v): c for v, c in zip(data["vertex_id"], data["color"])}
-            cells = np.stack([data["cell_h"], data["cell_d"]], axis=1)
-            return vertex_records(data["cell_vid"], cells, data["cell_mean"],
-                                  data["cell_count"], colors)
-    except (ValueError, KeyError, IndexError, EOFError, zipfile.BadZipFile) as exc:
-        raise CorruptInputError(f"corrupt input file {path}: {exc}") from exc
+    with np.load(path) as data:
+        colors = {int(v): c for v, c in zip(data["vertex_id"], data["color"])}
+        cells = np.stack([data["cell_h"], data["cell_d"]], axis=1)
+        return vertex_records(data["cell_vid"], cells, data["cell_mean"],
+                              data["cell_count"], colors)
 
 
+@_reader
 def read_config(path):
-    return load_config(_require(path))
+    return load_config(path)
 
 
 def write_labels(path, labels: np.ndarray, groups=None) -> None:
@@ -170,8 +202,11 @@ def write_labels(path, labels: np.ndarray, groups=None) -> None:
         fh.write(f"# unclassified {int(np.sum(labs < 0))}\n")
 
 
+@_reader
 def read_labels(path) -> np.ndarray:
-    data = np.loadtxt(_require(path), comments="#").reshape(-1, 2)
+    data = np.loadtxt(path, comments="#").reshape(-1, 2)
+    if np.any(data[:, 0] < 0):
+        raise ValueError("negative vertex id")
     labels = np.full(int(data[:, 0].max()) + 1 if len(data) else 0, -1, dtype=int)
     labels[data[:, 0].astype(int)] = data[:, 1].astype(int)
     return labels

@@ -146,6 +146,34 @@ def _neighbours(modes, pts, pts_sq, bw2):
     return within
 
 
+def _merge_modes(modes, bandwidth):
+    """The centers of a walk over `modes` that makes each mode a center
+    unless `np.linalg.norm(mode - c) < bandwidth / 2` for a center `c` found
+    before it.
+
+    Each new center takes one row of squared distances to the later modes.
+    That sum of squares and the norm's `dot` round differently, each within
+    a few u of the same exact sum, so a squared distance decides only
+    outside the band 64u(bandwidth/2)^2 around (bandwidth/2)^2; inside it
+    the walk's own expression decides."""
+    half = bandwidth / 2
+    h2 = half * half
+    band = 64 * _UNIT_ROUNDOFF * h2
+    merged = np.zeros(len(modes), dtype=bool)
+    heads = []
+    for i in range(len(modes)):
+        if merged[i]:
+            continue
+        heads.append(i)
+        c = modes[i]
+        d2 = ((modes[i + 1:] - c) ** 2).sum(-1)
+        close = d2 < h2 - band
+        for j in np.nonzero((d2 < h2 + band) & ~close)[0]:
+            close[j] = np.linalg.norm(modes[i + 1 + j] - c) < half
+        merged[i + 1:] |= close
+    return modes[heads]
+
+
 def meanshift(samples, bandwidth: float, max_iter: int = 100):
     """Flat-kernel meanshift. Every sample is iterated to its mode (mean of
     samples within the bandwidth) until the shift drops below 1e-4*bandwidth;
@@ -203,11 +231,7 @@ def meanshift(samples, bandwidth: float, max_iter: int = 100):
 
     # rows are in order of their first sample, so this keeps the centers of
     # a walk over all samples: a repeated mode never adds one
-    centers = []
-    for m in modes:
-        if not any(np.linalg.norm(m - c) < bandwidth / 2 for c in centers):
-            centers.append(m.copy())
-    centers = np.array(centers)
+    centers = _merge_modes(modes, bandwidth)
     d2c = ((modes[:, None, :] - centers[None, :, :]) ** 2).sum(-1)
     assign = np.argmin(d2c, axis=1)[owner]
     clusters = [np.nonzero(assign == k)[0] for k in range(len(centers))]

@@ -1,13 +1,15 @@
 """Configuration parsing and the staged command-line pipeline."""
 
 import os
+import shutil
 
 import numpy as np
 import pytest
 
-from matscan import cli, io
+from matscan import cli, estimation, io
 from matscan.config import (ConfigError, PipelineConfig, load_config,
                             parse_config, serialize_config)
+from matscan.simulator import simulate_scan
 
 
 class TestConfigParse:
@@ -79,7 +81,7 @@ class TestCli:
         assert cli.main(["pipeline", "--config", path]) == cli.EXIT_OK
         out = cfg.out_dir
         for name in ("scene.txt", "materials.txt", "trajectory.txt",
-                     "ir_observations.txt", "rgb_observations.txt",
+                     "ir_observations.npz", "rgb_observations.npz",
                      "colors.txt", "records.npz", "labels.txt", "report.txt"):
             assert os.path.exists(os.path.join(out, name)), name
         report = open(os.path.join(out, "report.txt")).read()
@@ -101,11 +103,11 @@ class TestCli:
         cfg, path = small_config(tmp_path)
         assert cli.main(["simulate", "--config", path]) == cli.EXIT_OK
         first = io.read_ir_observations(
-            os.path.join(cfg.out_dir, "ir_observations.txt"))
+            os.path.join(cfg.out_dir, "ir_observations.npz"))
         assert cli.main(["simulate", "--config", path, "--seed", "99"]) == \
             cli.EXIT_OK
         second = io.read_ir_observations(
-            os.path.join(cfg.out_dir, "ir_observations.txt"))
+            os.path.join(cfg.out_dir, "ir_observations.npz"))
         assert not np.array_equal(first.intensity, second.intensity)
 
     @pytest.mark.parametrize("line", [
@@ -170,6 +172,34 @@ class TestCli:
             assert err.startswith("config error: camera (fx) differs"), err
         assert not os.path.exists(os.path.join(cfg.out_dir, "records.npz"))
 
+    def test_estimate_from_disk_equals_in_memory(self, tmp_path):
+        cfg, path = small_config(tmp_path)
+        for stage in ("simulate", "estimate"):
+            assert cli.main([stage, "--config", path]) == cli.EXIT_OK
+        paths = cli._paths(cfg.out_dir)
+        scan = cli._scan_config(cfg)
+        ir, rgb = simulate_scan(cli._make_scene(cfg), scan)
+        for obs, back in ((ir, io.read_ir_observations(paths["ir"])),
+                          (rgb, io.read_rgb_observations(paths["rgb"]))):
+            for name, a in vars(obs).items():
+                assert getattr(back, name).dtype == a.dtype, name
+                np.testing.assert_array_equal(getattr(back, name), a)
+        # the text scene re-normalizes its normals (ulps), so the in-memory
+        # observations are inverted against the scene estimate read
+        scene = io.read_scene(paths["scene"], io.read_materials(paths["materials"]))
+        colors = estimation.estimate_colors(rgb, cfg.saturation_level)
+        expected, _ = estimation.accumulate_vertex_tables(
+            ir, scene, io.read_trajectory(paths["trajectory"]), scan.rig, colors,
+            scan.camera, cfg.saturation_level)
+        records = io.read_records(paths["records"])
+        assert len(records) == len(expected) > 0
+        for a, b in zip(records, expected):
+            assert a.vertex_id == b.vertex_id
+            np.testing.assert_array_equal(a.normalized_color, b.normalized_color)
+            np.testing.assert_array_equal(a.table.flat, b.table.flat)
+            np.testing.assert_array_equal(a.table.means, b.table.means)
+            np.testing.assert_array_equal(a.table.counts, b.table.counts)
+
     def test_threads_flag_removed(self):
         with pytest.raises(SystemExit):
             cli.build_parser().parse_args(["simulate", "--threads", "2"])
@@ -180,3 +210,74 @@ class TestCli:
         assert cli.main(["simulate", "--config", path, "--out", other]) == \
             cli.EXIT_OK
         assert os.path.exists(os.path.join(other, "scene.txt"))
+
+
+@pytest.fixture(scope="module")
+def simulated(tmp_path_factory):
+    """The out dir of one `simulate` run, copied by each corruption case."""
+    cfg, path = small_config(tmp_path_factory.mktemp("sim"), n_vertices=200)
+    assert cli.main(["simulate", "--config", path]) == cli.EXIT_OK
+    return cfg.out_dir
+
+
+def _resave(key, change):
+    """Rewrites the npz with `change` applied to its array `key`, or to the
+    dict of all its arrays when `key` is None."""
+    def corrupt(path):
+        arrays = dict(np.load(path))
+        if key is None:
+            change(arrays)
+        else:
+            arrays[key] = change(arrays[key])
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+    return corrupt
+
+
+def _truncate(path):
+    with open(path, "rb") as fh:
+        data = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(data[:len(data) // 2])
+
+
+class TestCorruptObservationsExit3:
+    @pytest.mark.parametrize("name, corrupt", [
+        ("ir_observations.npz", _truncate),                          # bad zip
+        ("ir_observations.npz", _resave(None, lambda a: a.pop("pixel"))),
+        ("rgb_observations.npz", _resave("rgb", lambda v: v[1:])),   # rows
+        ("ir_observations.npz", _resave("pixel", lambda v: v[:, :1])),
+        ("rgb_observations.npz", _resave("rgb", lambda v: v[:, :2])),
+        ("ir_observations.npz", _resave("vertex_id", lambda v: v + 0.25)),
+        ("ir_observations.npz", _resave("led_index",
+                                        lambda v: v.astype(float))),
+        ("ir_observations.npz", _resave("vertex_id",
+                                        lambda v: np.where(v == v[0], 99999, v))),
+        ("ir_observations.npz", _resave("vertex_id",
+                                        lambda v: np.where(v == v[0], -1, v))),
+        ("rgb_observations.npz", _resave("vertex_id",
+                                         lambda v: np.where(v == v[0], 200, v))),
+        ("ir_observations.npz", _resave("led_index", lambda v: v + 100)),
+        ("ir_observations.npz", _resave("frame_time", lambda v: v + 1e3)),
+        ("ir_observations.npz", _resave("intensity", lambda v: v * np.nan)),
+        ("scene.txt", _truncate),
+        ("materials.txt", _truncate),
+        ("trajectory.txt", _truncate),
+    ])
+    def test_estimate_exits_3_naming_the_file(self, tmp_path, capsys, simulated,
+                                              name, corrupt):
+        cfg, path = small_config(tmp_path, n_vertices=200)
+        shutil.copytree(simulated, cfg.out_dir)
+        target = os.path.join(cfg.out_dir, name)
+        corrupt(target)
+        capsys.readouterr()
+        assert cli.main(["estimate", "--config", path]) == cli.EXIT_MISSING_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: corrupt input file {target}"), err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not os.path.exists(os.path.join(cfg.out_dir, "records.npz"))
+
+    def test_uncorrupted_copy_estimates(self, tmp_path, simulated):
+        cfg, path = small_config(tmp_path, n_vertices=200)
+        shutil.copytree(simulated, cfg.out_dir)
+        assert cli.main(["estimate", "--config", path]) == cli.EXIT_OK

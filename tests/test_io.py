@@ -1,5 +1,7 @@
 """Round trips for every pipeline artifact format."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from matscan import io, scenes, segmentation
 from matscan.brdf_table import N_CELLS, BrdfTable, cell_indices
 from matscan.estimation import VertexReflectanceRecord
 from matscan.io import CorruptInputError, MissingInputError
+from matscan.simulator import IrObservations
 
 
 class TestSceneIO:
@@ -53,26 +56,119 @@ class TestTrajectoryIO:
                                        rtol=1e-15)
 
 
-class TestObservationIO:
-    def test_ir_round_trip(self, tmp_path, noiseless_two_sphere):
-        ir = noiseless_two_sphere["ir"]
-        path = tmp_path / "ir.txt"
-        io.write_ir_observations(path, ir)
-        back = io.read_ir_observations(path)
-        np.testing.assert_array_equal(back.vertex_id, ir.vertex_id)
-        np.testing.assert_array_equal(back.led_index, ir.led_index)
-        np.testing.assert_allclose(back.intensity, ir.intensity, rtol=1e-15)
-        np.testing.assert_allclose(back.pixel, ir.pixel, rtol=1e-15)
+def _observation_files(tmp_path, run):
+    paths = {"ir": tmp_path / "ir.npz", "rgb": tmp_path / "rgb.npz"}
+    io.write_ir_observations(paths["ir"], run["ir"])
+    io.write_rgb_observations(paths["rgb"], run["rgb"])
+    return paths
 
-    def test_rgb_round_trip(self, tmp_path, noiseless_two_sphere):
-        rgb = noiseless_two_sphere["rgb"]
-        path = tmp_path / "rgb.txt"
-        io.write_rgb_observations(path, rgb)
-        back = io.read_rgb_observations(path)
-        np.testing.assert_array_equal(back.vertex_id, rgb.vertex_id)
-        np.testing.assert_allclose(back.rgb, rgb.rgb, rtol=1e-15)
-        np.testing.assert_allclose(back.omega_out_angle, rgb.omega_out_angle,
-                                   rtol=1e-15)
+
+class TestObservationIO:
+    @pytest.mark.parametrize("kind", ["ir", "rgb"])
+    def test_round_trip_is_exact(self, tmp_path, noisy_two_sphere, kind):
+        obs = noisy_two_sphere[kind]
+        write, read = {"ir": (io.write_ir_observations, io.read_ir_observations),
+                       "rgb": (io.write_rgb_observations,
+                               io.read_rgb_observations)}[kind]
+        path = tmp_path / f"{kind}.npz"
+        write(path, obs)
+        back = read(path)
+        assert type(back) is type(obs) and len(back) == len(obs) > 0
+        for name, a in vars(obs).items():
+            b = getattr(back, name)
+            assert b.dtype == a.dtype and b.shape == a.shape, name
+            np.testing.assert_array_equal(b, a)
+
+    def test_empty_round_trip(self, tmp_path):
+        ir = IrObservations(np.zeros(0, int), np.zeros(0), np.zeros(0, int),
+                            np.zeros(0), np.zeros((0, 2)))
+        io.write_ir_observations(tmp_path / "ir.npz", ir)
+        back = io.read_ir_observations(tmp_path / "ir.npz")
+        assert len(back) == 0 and back.pixel.shape == (0, 2)
+
+    @pytest.mark.parametrize("as_str", [False, True])
+    def test_written_at_exactly_the_given_path(self, tmp_path,
+                                                noiseless_two_sphere, as_str):
+        # np.savez would append ".npz" to a str path without the suffix
+        path = tmp_path / "ir.txt"
+        io.write_ir_observations(str(path) if as_str else path,
+                                 noiseless_two_sphere["ir"])
+        assert sorted(os.listdir(tmp_path)) == ["ir.txt"]
+        np.testing.assert_array_equal(io.read_ir_observations(path).intensity,
+                                      noiseless_two_sphere["ir"].intensity)
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(MissingInputError) as info:
+            io.read_rgb_observations(tmp_path / "rgb.npz")
+        assert not isinstance(info.value, CorruptInputError)
+
+    @pytest.mark.parametrize("kind, corrupt", [
+        ("ir", lambda a: a.pop("led_index")),
+        ("rgb", lambda a: a.pop("omega_out_angle")),
+        ("ir", lambda a: a.__setitem__("intensity", a["intensity"][1:])),
+        ("rgb", lambda a: a.__setitem__("vertex_id", a["vertex_id"][:-1])),
+        ("ir", lambda a: a.__setitem__("pixel", a["pixel"][:, :1])),
+        ("ir", lambda a: a.__setitem__("pixel", a["pixel"].ravel())),
+        ("rgb", lambda a: a.__setitem__("rgb", a["rgb"][:, :2])),
+        ("ir", lambda a: a.__setitem__("vertex_id", a["vertex_id"] + 0.5)),
+        ("ir", lambda a: a.__setitem__("led_index",
+                                       a["led_index"].astype(float))),
+        ("rgb", lambda a: a.__setitem__("vertex_id",
+                                        a["vertex_id"].astype(str))),
+        ("ir", lambda a: a.__setitem__("intensity", a["intensity"].astype(str))),
+        ("ir", lambda a: a.__setitem__("vertex_id", np.int64(3))),
+        ("ir", lambda a: a["intensity"].__setitem__(0, np.nan)),
+        ("rgb", lambda a: a["rgb"].__setitem__((0, 1), np.inf)),
+    ])
+    def test_bad_content_is_corrupt_input(self, tmp_path, noisy_two_sphere,
+                                          kind, corrupt):
+        path = _observation_files(tmp_path, noisy_two_sphere)[kind]
+        arrays = dict(np.load(path))
+        corrupt(arrays)
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        read = {"ir": io.read_ir_observations, "rgb": io.read_rgb_observations}
+        with pytest.raises(CorruptInputError, match=path.name):
+            read[kind](path)
+
+    @pytest.mark.parametrize("cut", [None, 0, 100, 0.5])
+    def test_unreadable_file_is_corrupt_input(self, tmp_path, noisy_two_sphere,
+                                              cut):
+        path = _observation_files(tmp_path, noisy_two_sphere)["ir"]
+        data = path.read_bytes()
+        path.write_bytes(b"not an npz archive" if cut is None
+                         else data[:int(cut * len(data)) if cut < 1 else cut])
+        with pytest.raises(CorruptInputError, match="ir.npz"):
+            io.read_ir_observations(path)
+
+
+class TestTextReadersFailureContract:
+    @pytest.mark.parametrize("name, read, text", [
+        ("scene.txt", lambda p: io.read_scene(p, []),
+         "0 1 2 3 0 0 1 0\n1 1 2\n"),
+        ("scene.txt", lambda p: io.read_scene(p, []), "0 1 2 3 0 0 1 zero\n"),
+        ("materials.txt", io.read_materials, "0 0.5 0.5 0.5 1 10 1 0\n"),
+        ("materials.txt", io.read_materials, "0 1.5 0.5 0.5 1 10 1 0 0\n"),
+        ("trajectory.txt", io.read_trajectory, "0 1 0 0 0 0 0\n"),
+        ("trajectory.txt", io.read_trajectory, "0 1 0 0 0 0 0 0\n"),
+        ("colors.txt", io.read_colors, "3 0.6 0.8\n"),
+        ("labels.txt", io.read_labels, "0 1\n1\n"),
+        ("labels.txt", io.read_labels, "nan 1\n"),
+        ("labels.txt", io.read_labels, "0 0\n1 1\n-1 0\n"),
+    ])
+    def test_bad_content_is_corrupt_input(self, tmp_path, name, read, text):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(CorruptInputError, match=name):
+            read(path)
+
+    @pytest.mark.parametrize("read", [
+        lambda p: io.read_scene(p, []), io.read_materials, io.read_trajectory,
+        io.read_colors, io.read_labels, io.read_records, io.read_config,
+        io.read_ir_observations, io.read_rgb_observations])
+    def test_missing_file_is_missing_input(self, tmp_path, read):
+        with pytest.raises(MissingInputError, match="missing input file"):
+            read(tmp_path / "absent")
 
 
 class TestColorsIO:

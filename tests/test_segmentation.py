@@ -331,6 +331,65 @@ class TestBlockedNeighbours:
         assert_same_clusters(meanshift(pts, bw), reference_meanshift(pts, bw))
 
 
+def reference_merge_walk(modes, bandwidth):
+    """The mode-merge walk of `reference_meanshift` on its own."""
+    centers = []
+    for m in modes:
+        if not any(np.linalg.norm(m - c) < bandwidth / 2 for c in centers):
+            centers.append(m.copy())
+    return np.array(centers)
+
+
+def _near_ties(rng, n, bandwidth):
+    """Modes at bandwidth/2 +- a few ulps from the first, in random
+    directions: each squared distance to it lies in the rounding band."""
+    d = rng.normal(0, 1, (n, 3))
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    ulps = 1 + rng.integers(-4, 5, (n, 1)) * 2.0**-52
+    modes = rng.normal(0, bandwidth, 3) + d * (bandwidth / 2) * ulps
+    modes[0] -= d[0] * (bandwidth / 2) * ulps[0]
+    return modes
+
+
+class TestMergeModes:
+    """`_merge_modes` decides by one row of squared distances per center,
+    and by the walk's scalar norm within a rounding band of (bandwidth/2)^2."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 120), st.integers(1, 5),
+           st.sampled_from([1e-3, 0.37, 1.0, 1e3]), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_scalar_walk(self, seed, n, k, bw, ties):
+        rng = np.random.default_rng(seed)
+        if ties:
+            modes = _near_ties(rng, n, bw)
+        else:
+            blobs = rng.uniform(0, 3 * bw, (k, 3))
+            modes = blobs[rng.integers(0, k, n)] + rng.normal(0, bw / 4, (n, 3))
+        np.testing.assert_array_equal(segmentation._merge_modes(modes, bw),
+                                      reference_merge_walk(modes, bw))
+
+    def test_norm_decides_only_near_ties(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        ties = _near_ties(rng, 400, 0.37)
+        blobs = rng.uniform(0, 3, (4, 3))[rng.integers(0, 4, 400)]
+        blobs += rng.normal(0, 0.05, (400, 3))
+        expected = [reference_merge_walk(m, 0.37) for m in (ties, blobs)]
+        # squared distances alone would decide some of the ties otherwise
+        half = 0.37 / 2
+        d2 = ((ties[1:] - ties[0]) ** 2).sum(-1)
+        norm = np.array([np.linalg.norm(m - ties[0]) for m in ties[1:]])
+        assert np.any((d2 < half * half) != (norm < half))
+        calls = []
+        scalar_norm = np.linalg.norm
+        monkeypatch.setattr(np.linalg, "norm",
+                            lambda x: calls.append(1) or scalar_norm(x))
+        for modes, want in zip((ties, blobs), expected):
+            calls.clear()
+            np.testing.assert_array_equal(
+                segmentation._merge_modes(modes, 0.37), want)
+            assert (len(calls) > 0) == (modes is ties)
+
+
 class TestGaussian:
     def test_fit_recovers_moments(self):
         rng = np.random.default_rng(5)
