@@ -54,6 +54,16 @@ def cell_indices(flat) -> np.ndarray:
     return np.stack(np.divmod(np.asarray(flat), N_D), axis=1)
 
 
+def group_rows(keys) -> list:
+    """Row indices of each distinct key, groups in ascending key order and
+    rows ascending within a group (a stable sort)."""
+    keys = np.asarray(keys)
+    if len(keys) == 0:
+        return []
+    order = np.argsort(keys, kind="stable")
+    return np.split(order, np.nonzero(np.diff(keys[order]))[0] + 1)
+
+
 class BrdfTable:
     """Cells of the 45x48 grid as parallel arrays sorted by flat index (see
     the module docstring). `BrdfTable()` is the empty table; every other

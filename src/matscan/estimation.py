@@ -10,11 +10,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import brdf_table
-from .brdf_table import N_CELLS, N_D, BrdfTable
-from .geometry import (LedRig, PinholeCamera, Pose, TimedPose,
-                       half_diff_angle_arrays, half_diff_angles,
-                       interpolate_trajectory)
-from .simulator import IrObservations, RgbObservations, vignette
+from .brdf_table import N_CELLS, N_D, BrdfTable, group_rows
+from .geometry import LedRig, PinholeCamera, half_diff_angle_arrays
+from .simulator import (IrObservations, RgbObservations, frame_geometry, frames,
+                        shading, vignette)
 
 GRAZING_DEG = 60.0
 COS_GRAZING = np.cos(np.deg2rad(GRAZING_DEG))
@@ -59,47 +58,13 @@ def estimate_vertex_color(rgb_samples, omega_out_deg, saturation_level: float):
 
 def estimate_colors(rgb_obs: RgbObservations, saturation_level: float) -> dict:
     """Vertex id -> unit color for every vertex with enough usable samples."""
-    order = np.argsort(rgb_obs.vertex_id, kind="stable")
-    vids = rgb_obs.vertex_id[order]
-    rgb = rgb_obs.rgb[order]
-    ang = rgb_obs.omega_out_angle[order]
     colors = {}
-    bounds = np.nonzero(np.diff(vids))[0] + 1
-    for chunk_v, chunk_rgb, chunk_ang in zip(
-            np.split(vids, bounds), np.split(rgb, bounds), np.split(ang, bounds)):
-        c = estimate_vertex_color(chunk_rgb, chunk_ang, saturation_level)
+    for rows in group_rows(rgb_obs.vertex_id):
+        c = estimate_vertex_color(rgb_obs.rgb[rows], rgb_obs.omega_out_angle[rows],
+                                  saturation_level)
         if c is not None:
-            colors[int(chunk_v[0])] = c
+            colors[int(rgb_obs.vertex_id[rows[0]])] = c
     return colors
-
-
-def invert_image_formation(intensity: float, pixel, vertex_pos, vertex_normal,
-                           camera_pose: Pose, led_position, led_brightness: float,
-                           camera: PinholeCamera, saturation_level: float):
-    """Invert one observation to (HalfDiffAngles, scalar reflectance) or a
-    Rejection. `led_position` is in world coordinates."""
-    if intensity >= saturation_level:
-        return Rejection.SATURATED
-    if intensity <= 0.0:
-        return Rejection.SHADOWED
-    p = np.asarray(vertex_pos, dtype=float)
-    n = np.asarray(vertex_normal, dtype=float)
-    to_led = np.asarray(led_position, dtype=float) - p
-    d = np.linalg.norm(to_led)
-    l = to_led / d
-    ndotl = float(n @ l)
-    if ndotl < COS_GRAZING:
-        return Rejection.GRAZING_IN
-    to_cam = camera_pose.translation - p
-    wo = to_cam / np.linalg.norm(to_cam)
-    if float(n @ wo) < COS_GRAZING:
-        return Rejection.GRAZING_OUT
-    vig = float(vignette(pixel, camera))
-    if vig < VIGNETTE_FLOOR:
-        return Rejection.VIGNETTE_FLOOR
-    angles = half_diff_angles(n, l, wo)
-    f = intensity / (vig * ndotl * led_brightness / d**2)
-    return angles, f
 
 
 def invert_observation_arrays(ir: IrObservations, scene, trajectory, rig: LedRig,
@@ -114,25 +79,12 @@ def invert_observation_arrays(ir: IrObservations, scene, trajectory, rig: LedRig
     f = np.zeros(n)
     reason = np.full(n, ACCEPTED, dtype=np.int8)
 
-    order = np.argsort(ir.frame_time, kind="stable")
-    sorted_times = ir.frame_time[order]
-    bounds = np.nonzero(np.diff(sorted_times))[0] + 1
-    for rows in np.split(order, bounds):
-        if len(rows) == 0:
-            continue
-        pose = interpolate_trajectory(trajectory, float(ir.frame_time[rows[0]]))
+    for pose, rows in frames(ir, trajectory):
         vids = ir.vertex_id[rows]
-        pos = scene.positions[vids]
         nrm = scene.normals[vids]
         leds = ir.led_index[rows]
-        led_world = pose.transform(rig.positions[leds])
-        to_led = led_world - pos
-        d = np.linalg.norm(to_led, axis=1)
-        l = to_led / d[:, None]
-        ndotl = np.einsum("ij,ij->i", nrm, l)
-        to_cam = pose.translation - pos
-        wo = to_cam / np.linalg.norm(to_cam, axis=1, keepdims=True)
-        ndotv = np.einsum("ij,ij->i", nrm, wo)
+        d, l, ndotl, wo, ndotv = frame_geometry(
+            pose, pose.transform(rig.positions[leds]), scene.positions[vids], nrm)
         vig = vignette((ir.pixel[rows, 0], ir.pixel[rows, 1]), camera)
         inten = ir.intensity[rows]
 
@@ -145,8 +97,8 @@ def invert_observation_arrays(ir: IrObservations, scene, trajectory, rig: LedRig
             a, b = half_diff_angle_arrays(nrm[ok], l[ok], wo[ok])
             th[rows[ok]] = a
             td[rows[ok]] = b
-            f[rows[ok]] = inten[ok] / (vig[ok] * ndotl[ok]
-                                       * rig.brightness[leds[ok]] / d[ok]**2)
+            f[rows[ok]] = inten[ok] / shading(vig[ok], 1.0, ndotl[ok],
+                                              rig.brightness[leds[ok]], d[ok])
         reason[rows] = rej
 
     accepted = reason == ACCEPTED
@@ -195,12 +147,8 @@ def vertex_records(cell_vid, cells, means, counts, colors) -> list:
     """One record per vertex from parallel per-cell rows in any order: vertex
     id (m,), (h_bin, d_bin) (m,2), mean rgb (m,3) and count (m,). `colors[v]`
     is the unit color of vertex v. Records come in vertex id order."""
-    order = np.argsort(cell_vid, kind="stable")
-    bounds = np.nonzero(np.diff(cell_vid[order]))[0] + 1
     records = []
-    for rows in np.split(order, bounds):
-        if len(rows) == 0:
-            continue
+    for rows in group_rows(cell_vid):
         v = int(cell_vid[rows[0]])
         table = BrdfTable.from_cells(cells[rows], means[rows], counts[rows])
         records.append(VertexReflectanceRecord(v, colors[v], table))

@@ -10,7 +10,8 @@ import numpy as np
 from .brdf_table import BrdfTable, cell_center, cell_indices, lookup_arrays
 from .geometry import (LedRig, PinholeCamera, half_diff_angle_arrays,
                        interpolate_trajectory, project_points)
-from .simulator import IrObservations, eval_ground_truth_brdf, vignette
+from .simulator import (IrObservations, eval_ground_truth_brdf, frame_geometry,
+                        frames, shading, vignette)
 
 LAMBERTIAN_FALLBACK = 0.3  # scalar reflectance for unclassified vertices
 
@@ -45,42 +46,39 @@ def render_material_sphere(table: BrdfTable, light_direction, resolution: int = 
     return img
 
 
+def _rerender_frame(pose, vids, leds, pixel, scene, labels, material_tables,
+                    rig: LedRig, camera: PinholeCamera) -> np.ndarray:
+    """Model intensity of the rows of one frame: vertex ids, LED indices and
+    pixels (n,2) seen from `pose`; 0 where unlit or back-facing."""
+    nrm = scene.normals[vids]
+    d, l, ndotl, wo, ndotv = frame_geometry(
+        pose, pose.transform(rig.positions[leds]), scene.positions[vids], nrm)
+    front = (ndotl > 1e-6) & (ndotv > 1e-6)
+    out = np.zeros(len(vids))
+    if not front.any():
+        return out
+    th, td = half_diff_angle_arrays(nrm[front], l[front], wo[front])
+    f = np.full(int(front.sum()), LAMBERTIAN_FALLBACK)
+    lab = labels[vids[front]]
+    for gi, table in enumerate(material_tables):
+        sel = lab == gi
+        if sel.any():
+            f[sel] = scalar_reflectance(lookup_arrays(table, th[sel], td[sel]))
+    vig = vignette((pixel[front, 0], pixel[front, 1]), camera)
+    out[front] = shading(vig, f, ndotl[front], rig.brightness[leds[front]], d[front])
+    return out
+
+
 def rerender_intensities(ir: IrObservations, scene, labels: np.ndarray,
                          material_tables: list, trajectory, rig: LedRig,
                          camera: PinholeCamera) -> np.ndarray:
     """Model intensity for every observation row, using the estimated
     per-material completed tables (Lambertian fallback for label -1)."""
     out = np.zeros(len(ir))
-    order = np.argsort(ir.frame_time, kind="stable")
-    bounds = np.nonzero(np.diff(ir.frame_time[order]))[0] + 1
-    for rows in np.split(order, bounds):
-        if len(rows) == 0:
-            continue
-        pose = interpolate_trajectory(trajectory, float(ir.frame_time[rows[0]]))
-        vids = ir.vertex_id[rows]
-        pos = scene.positions[vids]
-        nrm = scene.normals[vids]
-        leds = ir.led_index[rows]
-        led_world = pose.transform(rig.positions[leds])
-        to_led = led_world - pos
-        d = np.linalg.norm(to_led, axis=1)
-        l = to_led / d[:, None]
-        ndotl = np.einsum("ij,ij->i", nrm, l)
-        to_cam = pose.translation - pos
-        wo = to_cam / np.linalg.norm(to_cam, axis=1, keepdims=True)
-        front = (ndotl > 1e-6) & (np.einsum("ij,ij->i", nrm, wo) > 1e-6)
-        if not front.any():
-            continue
-        th, td = half_diff_angle_arrays(nrm[front], l[front], wo[front])
-        f = np.full(int(front.sum()), LAMBERTIAN_FALLBACK)
-        lab = labels[vids[front]]
-        for gi, table in enumerate(material_tables):
-            sel = lab == gi
-            if sel.any():
-                f[sel] = scalar_reflectance(lookup_arrays(table, th[sel], td[sel]))
-        vig = vignette((ir.pixel[rows, 0][front], ir.pixel[rows, 1][front]), camera)
-        vals = vig * f * ndotl[front] * rig.brightness[leds[front]] / d[front]**2
-        out[rows[front]] = vals
+    for pose, rows in frames(ir, trajectory):
+        out[rows] = _rerender_frame(pose, ir.vertex_id[rows], ir.led_index[rows],
+                                    ir.pixel[rows], scene, labels, material_tables,
+                                    rig, camera)
     return out
 
 
@@ -93,26 +91,15 @@ def rerender_ir_frame(scene, labels, material_tables, trajectory, frame_time: fl
     pose = interpolate_trajectory(trajectory, frame_time)
     pixels, valid = project_points(camera, pose, scene.positions)
     idx = np.nonzero(valid)[0]
-    img = np.zeros((camera.height, camera.width, 3))
-    if len(idx) == 0:
-        return img
-    ir = IrObservations(
-        vertex_id=idx,
-        frame_time=np.full(len(idx), frame_time),
-        led_index=np.full(len(idx), led_index),
-        intensity=np.zeros(len(idx)),
-        pixel=pixels[idx],
-    )
-    vals = rerender_intensities(ir, scene, labels, material_tables, trajectory,
-                                rig, camera) * exposure
-    px = np.clip(pixels[idx, 0].astype(int), 0, camera.width - 1)
-    py = np.clip(pixels[idx, 1].astype(int), 0, camera.height - 1)
     gray = np.zeros((camera.height, camera.width))
-    np.maximum.at(gray, (py, px), vals)
-    img[:, :, 0] = gray
-    img[:, :, 1] = img[:, :, 0]
-    img[:, :, 2] = img[:, :, 0]
-    return np.clip(img, 0.0, 1.0)
+    if len(idx):
+        vals = _rerender_frame(pose, idx, np.full(len(idx), led_index), pixels[idx],
+                               scene, labels, material_tables, rig,
+                               camera) * exposure
+        px = np.clip(pixels[idx, 0].astype(int), 0, camera.width - 1)
+        py = np.clip(pixels[idx, 1].astype(int), 0, camera.height - 1)
+        np.maximum.at(gray, (py, px), vals)
+    return np.repeat(np.clip(gray, 0.0, 1.0)[:, :, None], 3, axis=2)
 
 
 @dataclass

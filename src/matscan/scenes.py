@@ -6,19 +6,12 @@ trajectory, so visibility reduces to front-facing + in-frustum tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Pose, TimedPose, look_at
+from .geometry import TimedPose, look_at
 from .simulator import GroundTruthMaterial
-
-
-@dataclass(frozen=True)
-class SceneVertex:
-    position: np.ndarray
-    normal: np.ndarray
-    material_id: int
 
 
 @dataclass
@@ -39,10 +32,6 @@ class Scene:
 
     def __len__(self) -> int:
         return len(self.material_ids)
-
-    def vertex(self, i: int) -> SceneVertex:
-        return SceneVertex(self.positions[i], self.normals[i],
-                           int(self.material_ids[i]))
 
 
 def _unit_rows(v):

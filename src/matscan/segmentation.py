@@ -20,7 +20,7 @@ from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.spatial import cKDTree
 
-from .brdf_table import N_CELLS, N_D, concat_cells
+from .brdf_table import N_CELLS, N_D, concat_cells, group_rows
 
 COV_REG_EPS = 1e-6
 MIN_CLUSTER_SIZE = 10
@@ -84,10 +84,8 @@ def build_global_table(records, sample_budget: int, rng_seed: int) -> GlobalCell
     flat, vals, vids = flat[measured], vals[measured], vids[measured]
     # stable: each cell keeps its samples in chosen-record order, which the
     # meanshift mode merge depends on
-    order = np.argsort(flat, kind="stable")
-    bounds = np.nonzero(np.diff(flat[order]))[0] + 1
     cells = {int(flat[rows[0]]): (vids[rows], vals[rows])
-             for rows in np.split(order, bounds) if len(rows)}
+             for rows in group_rows(flat)}
     return GlobalCellTable(cells, sampled)
 
 

@@ -4,6 +4,11 @@ Per-vertex point-light shading: I = vig(x) * vis * f(theta_h, theta_d)
 * (n.l) * L / d^2, with a cos^4 vignette, an LED rig cycled one LED per
 frame, and configurable corruption (normal/pose jitter, multiplicative
 intensity noise, outliers, dropout, saturation clipping).
+
+`shading` is the one place the model is written, and `frame_geometry` the
+one place its per-row geometry is: the simulator, the inversion in
+`estimation` and the re-render in `render_eval` all call both, frame by
+frame as `frames` groups the observations.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .brdf_table import group_rows
 from .geometry import (LedRig, PinholeCamera, Pose, Quaternion, TimedPose,
                        half_diff_angle_arrays, interpolate_trajectory,
                        project_points)
@@ -56,35 +62,32 @@ def vignette(pixel, camera: PinholeCamera):
     return cos2 * cos2
 
 
-def render_ir_intensity(vertex_pos, vertex_normal, material: GroundTruthMaterial,
-                        led_position, led_brightness: float, camera_pose: Pose,
-                        vignette_value: float, visible: bool = True) -> float:
-    """Scalar reference implementation of the image formation model.
-    `led_position` is in world coordinates."""
-    if not visible:
-        return 0.0
-    p = np.asarray(vertex_pos, dtype=float)
-    n = np.asarray(vertex_normal, dtype=float)
-    to_led = np.asarray(led_position, dtype=float) - p
-    d = np.linalg.norm(to_led)
-    if d < 1e-9:
-        return 0.0
-    l = to_led / d
-    ndotl = float(n @ l)
-    to_cam = camera_pose.translation - p
-    dc = np.linalg.norm(to_cam)
-    if ndotl <= 0 or dc < 1e-9 or float(n @ to_cam) <= 0:
-        return 0.0
-    wo = to_cam / dc
-    s = l + wo
-    sn = np.linalg.norm(s)
-    if sn < 1e-9:
-        return 0.0
-    h = s / sn
-    th = np.rad2deg(np.arccos(np.clip(n @ h, -1.0, 1.0)))
-    td = np.rad2deg(np.arccos(np.clip(h @ l, -1.0, 1.0)))
-    f = float(eval_ground_truth_brdf(material, th, td))
-    return vignette_value * f * ndotl * led_brightness / d**2
+def frame_geometry(pose: Pose, led_world, positions, normals):
+    """Per-row geometry of vertices seen from `pose` and lit from
+    `led_world` ((3,) or (n, 3), world coordinates): LED distance d, unit
+    light direction l, n.l, unit view direction wo and n.wo."""
+    to_led = led_world - positions
+    d = np.linalg.norm(to_led, axis=1)
+    l = to_led / d[:, None]
+    ndotl = np.einsum("ij,ij->i", normals, l)
+    to_cam = pose.translation - positions
+    wo = to_cam / np.linalg.norm(to_cam, axis=1, keepdims=True)
+    ndotv = np.einsum("ij,ij->i", normals, wo)
+    return d, l, ndotl, wo, ndotv
+
+
+def shading(vig, f, ndotl, brightness, d):
+    """The image formation model, vig * f * (n.l) * L / d^2. The inversion
+    divides by it with f = 1."""
+    return vig * f * ndotl * brightness / d**2
+
+
+def frames(ir, trajectory):
+    """(camera pose, row indices) of each distinct frame time of `ir`, in
+    time order."""
+    for rows in group_rows(ir.frame_time):
+        t = float(ir.frame_time[rows[0]])
+        yield interpolate_trajectory(trajectory, t), rows
 
 
 @dataclass(frozen=True)
@@ -210,31 +213,27 @@ def simulate_scan(scene, config: ScanConfig):
         true_pose = interpolate_trajectory(config.trajectory, t)
         pose = _jitter_pose(rng, true_pose, noise)
         pixels, in_view = project_points(cam, pose, scene.positions)
-        to_cam = pose.translation - scene.positions
-        dist_cam = np.linalg.norm(to_cam, axis=1)
-        wo = to_cam / dist_cam[:, None]
         normals = _jitter_directions(rng, scene.normals, noise.normal_jitter_deg)
-        front = np.einsum("ij,ij->i", normals, wo) > 1e-6
-        vis = in_view & front & (dist_cam > 1e-6)
-        idx = np.nonzero(vis)[0]
+        view = np.nonzero(in_view)[0]
+        led_world = pose.transform(config.rig.positions[led])
+        d, l, ndotl, wo, ndotv = frame_geometry(
+            pose, led_world, scene.positions[view], normals[view])
+        front = ndotv > 1e-6
+        idx = view[front]
         if len(idx) == 0:
             continue
+        d, l, ndotl, wo, ndotv = (a[front] for a in (d, l, ndotl, wo, ndotv))
 
-        led_world = pose.transform(config.rig.positions[led])
-        to_led = led_world - scene.positions[idx]
-        d = np.linalg.norm(to_led, axis=1)
-        l = to_led / d[:, None]
-        ndotl = np.einsum("ij,ij->i", normals[idx], l)
         lit = ndotl > 1e-6
-        th, td = half_diff_angle_arrays(normals[idx], l, wo[idx])
+        th, td = half_diff_angle_arrays(normals[idx], l, wo)
         f = np.zeros(len(idx))
         for m, mat in f_by_mat.items():
             sel = mat_ids[idx] == m
             if sel.any():
                 f[sel] = eval_ground_truth_brdf(mat, th[sel], td[sel])
         vig = vignette((pixels[idx, 0], pixels[idx, 1]), cam)
-        inten = np.where(lit, vig * f * ndotl
-                         * config.rig.brightness[led] / d**2, 0.0)
+        inten = np.where(lit, shading(vig, f, ndotl, config.rig.brightness[led], d),
+                         0.0)
 
         if noise.intensity_multiplicative_sigma > 0:
             inten = inten * np.exp(rng.normal(
@@ -252,12 +251,11 @@ def simulate_scan(scene, config: ScanConfig):
                          pixels[idx[keep]]))
 
         if fi % config.rgb_frame_stride == 0:
-            shading = np.einsum("ij,ij->i", normals[idx], wo[idx])
             rgbs = np.zeros((len(idx), 3))
             for m, mat in f_by_mat.items():
                 sel = mat_ids[idx] == m
                 if sel.any():
-                    rgbs[sel] = mat.color[None, :] * shading[sel, None]
+                    rgbs[sel] = mat.color[None, :] * ndotv[sel, None]
             if noise.intensity_multiplicative_sigma > 0:
                 rgbs = rgbs * np.exp(rng.normal(
                     0.0, noise.intensity_multiplicative_sigma, (len(idx), 1)))
@@ -268,7 +266,7 @@ def simulate_scan(scene, config: ScanConfig):
             rgbs = np.minimum(rgbs, config.saturation_level)
             # view angle from the true (unjittered) geometry, as an estimator
             # downstream would compute it
-            true_wo_cos = np.einsum("ij,ij->i", scene.normals[idx], wo[idx])
+            true_wo_cos = np.einsum("ij,ij->i", scene.normals[idx], wo)
             ang = np.rad2deg(np.arccos(np.clip(true_wo_cos, -1.0, 1.0)))
             keep_rgb = np.ones(len(idx), dtype=bool)
             if noise.dropout_fraction > 0:

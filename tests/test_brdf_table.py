@@ -9,7 +9,7 @@ from matscan import brdf_table
 from matscan.brdf_table import (D_WIDTH, H_WIDTH, N_CELLS, N_D, N_H,
                                 SERIAL_HEADER, BrdfTable, bin_angles, bin_arrays,
                                 cell_center, complete, dense_values, from_text,
-                                lookup, lookup_arrays, merge, to_text)
+                                group_rows, lookup, lookup_arrays, merge, to_text)
 from matscan.geometry import HalfDiffAngles
 
 
@@ -50,6 +50,23 @@ def cell(table: BrdfTable, h: int, d: int):
     if row == len(table) or table.flat[row] != h * N_D + d:
         return None
     return table.means[row], int(table.counts[row])
+
+
+class TestGroupRows:
+    # few distinct values, so most draws repeat keys; min_size 0 gives the
+    # empty input
+    @given(st.lists(st.integers(-3, 3), min_size=0, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_partition_in_key_order_stable(self, raw):
+        keys = np.array(raw, dtype=np.int64)
+        groups = group_rows(keys)
+        rows = np.concatenate([np.zeros(0, dtype=int), *groups])
+        assert sorted(rows.tolist()) == list(range(len(keys)))
+        firsts = [keys[g[0]] for g in groups]
+        assert firsts == sorted(set(raw))
+        for g in groups:
+            assert len(g) and np.all(keys[g] == keys[g[0]])
+            assert np.all(np.diff(g) > 0)
 
 
 class TestAccumulation:

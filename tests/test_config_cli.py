@@ -161,6 +161,23 @@ class TestCli:
             assert err.count("\n") == 1, err
             assert err.startswith("error: no reflectance records") and records in err
 
+    def test_empty_scan_exits_3_without_traceback(self, tmp_path, capsys):
+        # every observation drops out: simulate and estimate still succeed
+        # on the empty scan, and the stages that need records stop cleanly
+        cfg, path = small_config(tmp_path, dropout_fraction=1.0)
+        assert cli.main(["simulate", "--config", path]) == cli.EXIT_OK
+        captured = capsys.readouterr()
+        assert "warning: no IR observations generated" in captured.err
+        assert "simulate: 0 IR and 0 RGB observations" in captured.out
+        assert cli.main(["estimate", "--config", path]) == cli.EXIT_OK
+        assert "0 vertex records" in capsys.readouterr().out
+        assert io.read_records(os.path.join(cfg.out_dir, "records.npz")) == []
+        for stage in ("segment", "render", "evaluate"):
+            assert cli.main([stage, "--config", path]) == cli.EXIT_MISSING_INPUT
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1, err
+            assert err.startswith("error:") and "Traceback" not in err
+
     def test_camera_changed_after_simulate_exits_2(self, tmp_path, capsys):
         cfg, path = small_config(tmp_path)
         assert cli.main(["simulate", "--config", path]) == cli.EXIT_OK

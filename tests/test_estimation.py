@@ -5,11 +5,12 @@ import pytest
 
 from matscan import estimation
 from matscan.estimation import (GRAZING_DEG, MIN_COLOR_SAMPLES, Rejection,
-                                estimate_vertex_color, invert_image_formation,
+                                estimate_vertex_color,
                                 invert_observation_arrays)
 from matscan.geometry import Pose, Quaternion, look_at
-from matscan.simulator import (GroundTruthMaterial, render_ir_intensity,
-                               default_camera, vignette)
+from matscan.simulator import GroundTruthMaterial, default_camera, vignette
+
+from oracles import invert_image_formation, render_ir_intensity
 
 
 class TestVertexColor:

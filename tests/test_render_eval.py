@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from matscan import brdf_table, estimation, render_eval, segmentation
+from matscan import brdf_table, estimation, render_eval, scenes, segmentation
 from matscan.brdf_table import (N_CELLS, N_D, BrdfTable, cell_center,
                                 cell_indices, complete)
 from matscan.render_eval import (evaluate, greedy_match, read_ppm,
@@ -11,7 +11,11 @@ from matscan.render_eval import (evaluate, greedy_match, read_ppm,
                                  rerender_ir_frame, scalar_reflectance,
                                  table_rmse, write_ppm)
 from matscan.segmentation import MaterialGroups
-from matscan.simulator import GroundTruthMaterial, eval_ground_truth_brdf
+from matscan.simulator import (GroundTruthMaterial, NoiseConfig,
+                               eval_ground_truth_brdf, ir_frame_times,
+                               simulate_scan)
+
+from conftest import make_scan_config
 
 
 def constant_table(value):
@@ -184,6 +188,31 @@ class TestRerender:
         assert img.shape == (cfg.camera.height, cfg.camera.width, 3)
         assert img.max() <= 1.0 and img.min() >= 0.0
         assert img.sum() > 0
+
+    def test_frame_is_splat_of_simulated_intensities(self):
+        # noiseless lambertian scan, exact tables: the re-rendered frame is
+        # the max-splat of the simulated intensities of that frame
+        materials = scenes.lambertian_materials(["red_glossy", "blue_matte"])
+        scene = scenes.two_sphere_scene(800, 5, materials)
+        traj = scenes.arc_trajectory(50, 10.0)
+        cfg = make_scan_config(traj, NoiseConfig(rng_seed=5), 80)
+        ir, _ = simulate_scan(scene, cfg)
+        t0 = float(ir_frame_times(cfg)[0])
+        rows = ir.frame_time == t0
+        assert np.all(ir.led_index[rows] == 0)
+        tables = [analytic_table(m, np.arange(N_CELLS)) for m in materials]
+        exposure = 2.0
+        img = rerender_ir_frame(scene, scene.material_ids, tables, traj, t0, 0,
+                                cfg.rig, cfg.camera, exposure=exposure)
+        cam = cfg.camera
+        px = np.clip(ir.pixel[rows, 0].astype(int), 0, cam.width - 1)
+        py = np.clip(ir.pixel[rows, 1].astype(int), 0, cam.height - 1)
+        expected = np.zeros((cam.height, cam.width))
+        np.maximum.at(expected, (py, px), ir.intensity[rows] * exposure)
+        expected = np.clip(expected, 0.0, 1.0)
+        assert ((expected > 0) & (expected < 1)).sum() > 300
+        for c in range(3):
+            np.testing.assert_allclose(img[:, :, c], expected, rtol=0, atol=1e-12)
 
 
 class TestPpm:

@@ -7,10 +7,11 @@ from matscan import scenes
 from matscan.geometry import look_at
 from matscan.simulator import (GroundTruthMaterial, NoiseConfig, ScanConfig,
                                default_camera, eval_ground_truth_brdf,
-                               ir_frame_times, make_default_rig,
-                               render_ir_intensity, simulate_scan, vignette)
+                               ir_frame_times, make_default_rig, simulate_scan,
+                               vignette)
 
 from conftest import make_scan_config
+from oracles import render_ir_intensity
 
 
 class TestMaterialModel:
