@@ -64,42 +64,49 @@ def group_rows(keys) -> list:
     return np.split(order, np.nonzero(np.diff(keys[order]))[0] + 1)
 
 
+def sorted_cells(vid, h, d, means, counts):
+    """(vid, flat, means, counts) of parallel cell rows vid, h_bin, d_bin,
+    means (m,3), counts, sorted stably by (vid, flat cell). Raises ValueError
+    on rows of unequal length, a cell outside the grid or twice in one vid,
+    a non-finite or negative mean, or a negative count."""
+    vid, h, d, counts = (np.asarray(a, dtype=np.int64).reshape(-1)
+                         for a in (vid, h, d, counts))
+    means = np.asarray(means, dtype=float).reshape(-1, 3)
+    if not len(vid) == len(h) == len(d) == len(means) == len(counts):
+        raise ValueError("cell rows differ in length")
+    if np.any((h < 0) | (h >= N_H) | (d < 0) | (d >= N_D)):
+        raise ValueError("cell index out of range")
+    if not np.all(np.isfinite(means)) or np.any(means < 0):
+        raise ValueError("cell means must be finite and nonnegative")
+    if np.any(counts < 0):
+        raise ValueError("cell counts must be nonnegative")
+    flat = h * N_D + d
+    order = np.lexsort((flat, vid))
+    vid, flat = vid[order], flat[order]
+    if np.any((vid[1:] == vid[:-1]) & (flat[1:] == flat[:-1])):
+        raise ValueError("cell given more than once")
+    return vid, flat, means[order], counts[order]
+
+
 class BrdfTable:
     """Cells of the 45x48 grid as parallel arrays sorted by flat index (see
-    the module docstring). `BrdfTable()` is the empty table; every other
-    table is built by `from_cells`."""
+    the module docstring), given checked and sorted; `BrdfTable()` is the
+    empty table, and `from_cells` checks and sorts cells in any order."""
 
-    def __init__(self):
-        self.flat = np.zeros(0, dtype=np.int64)
-        self.means = np.zeros((0, 3))
-        self.counts = np.zeros(0, dtype=np.int64)
+    def __init__(self, flat=(), means=(), counts=()):
+        self.flat = np.asarray(flat, dtype=np.int64)
+        self.means = np.asarray(means, dtype=float).reshape(-1, 3)
+        self.counts = np.asarray(counts, dtype=np.int64)
 
     @classmethod
     def from_cells(cls, indices, means, counts) -> "BrdfTable":
         """Build from parallel arrays: indices (k,2) (h_bin, d_bin) ints,
-        means (k,3), counts (k,), in any cell order. Raises ValueError on a
-        cell outside the grid or given twice, a non-finite or negative mean,
-        or a negative count."""
+        means (k,3), counts (k,), in any cell order. Raises ValueError as
+        `sorted_cells` does."""
         idx = np.asarray(indices, dtype=np.int64).reshape(-1, 2)
-        means = np.asarray(means, dtype=float).reshape(-1, 3)
-        counts = np.asarray(counts, dtype=np.int64).reshape(-1)
-        if not len(idx) == len(means) == len(counts):
-            raise ValueError("indices, means and counts differ in length")
-        h, d = idx[:, 0], idx[:, 1]
-        if np.any((h < 0) | (h >= N_H) | (d < 0) | (d >= N_D)):
-            raise ValueError("cell index out of range")
-        if not np.all(np.isfinite(means)) or np.any(means < 0):
-            raise ValueError("cell means must be finite and nonnegative")
-        if np.any(counts < 0):
-            raise ValueError("cell counts must be nonnegative")
-        flat = h * N_D + d
-        order = np.argsort(flat, kind="stable")
-        flat = flat[order]
-        if np.any(flat[1:] == flat[:-1]):
-            raise ValueError("cell given more than once")
-        table = cls()
-        table.flat, table.means, table.counts = flat, means[order], counts[order]
-        return table
+        _, flat, means, counts = sorted_cells(np.zeros(len(idx)), idx[:, 0],
+                                              idx[:, 1], means, counts)
+        return cls(flat, means, counts)
 
     def __len__(self) -> int:
         return len(self.flat)
@@ -109,19 +116,13 @@ class BrdfTable:
         return int(np.count_nonzero(self.counts))
 
 
-def concat_cells(tables):
-    """(flat, means, counts) of the cells of all `tables`, table after table."""
-    tables = [BrdfTable(), *tables]  # np.concatenate needs one array
-    return (np.concatenate([t.flat for t in tables]),
-            np.concatenate([t.means for t in tables]),
-            np.concatenate([t.counts for t in tables]))
-
-
 def merge(tables: list[BrdfTable]) -> BrdfTable:
     """Count-weighted union of measured cells; synthetic cells contribute nothing."""
     if not tables:
         raise ValueError("merge needs at least one table")
-    flat, means, counts = concat_cells(tables)
+    flat = np.concatenate([t.flat for t in tables])
+    means = np.concatenate([t.means for t in tables])
+    counts = np.concatenate([t.counts for t in tables])
     measured = counts > 0
     flat, means, counts = flat[measured], means[measured], counts[measured]
     cells, inverse = np.unique(flat, return_inverse=True)

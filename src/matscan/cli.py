@@ -7,10 +7,10 @@ trajectory and config as text; `estimate` writes `records.npz` and
 `colors.txt`, `segment` `labels.txt`, `render` `material_*.brdf` and PPM
 images, `evaluate` `report.txt`.
 Exit codes: 0 success, 2 config error, 3 missing, corrupt or empty input
-(an artifact `io` cannot read; observations of a vertex the scene lacks,
-an LED the rig lacks or a time outside the trajectory; a `records.npz` with
-no records: every observation was rejected or its vertex has no color),
-4 numeric failure.
+(an artifact `io` cannot read; observations or records of a vertex the
+scene lacks, an LED the rig lacks or a time outside the trajectory; labels
+not one per scene vertex; a `records.npz` with no records: every
+observation was rejected or its vertex has no color), 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -96,14 +96,24 @@ def _scanned_camera(cfg: PipelineConfig) -> PinholeCamera:
     return PinholeCamera(cfg.fx, cfg.fy, cfg.cx, cfg.cy, cfg.width, cfg.height)
 
 
-def _read_records(path: str) -> list:
+def _read_records(path: str, scene) -> estimation.VertexRecords:
     """The records `estimate` wrote, of which segment, render and evaluate
-    need at least one."""
+    need at least one, each of a vertex of `scene`."""
     records = io.read_records(path)
     if not records:
         raise MissingInputError(f"no reflectance records in {path}: every "
                                 "observation was rejected or has no color")
+    _check_range(path, "vertex_id", records.vertex_id, 0, len(scene) - 1)
     return records
+
+
+def _read_labels(path: str, scene) -> np.ndarray:
+    """The labels `segment` wrote, one per vertex of `scene`."""
+    labels = io.read_labels(path)
+    if len(labels) != len(scene):
+        raise io.CorruptInputError(f"corrupt input file {path}: {len(labels)} "
+                                   f"labels for {len(scene)} scene vertices")
+    return labels
 
 
 def _check_range(path, name, values, lo, hi) -> None:
@@ -158,9 +168,8 @@ def cmd_estimate(cfg: PipelineConfig) -> int:
 
 def cmd_segment(cfg: PipelineConfig) -> int:
     paths = _paths(cfg.out_dir)
-    records = _read_records(paths["records"])
-    materials = io.read_materials(paths["materials"])
-    scene = io.read_scene(paths["scene"], materials)
+    scene = io.read_scene(paths["scene"], io.read_materials(paths["materials"]))
+    records = _read_records(paths["records"], scene)
     table = segmentation.build_global_table(records, cfg.sample_budget, cfg.rng_seed)
     if cfg.segmentation_mode == "two":
         groups, diag = segmentation.two_material_segmentation(table)
@@ -176,25 +185,21 @@ def cmd_segment(cfg: PipelineConfig) -> int:
 
 
 def _merged_tables(records, labels):
-    by_group = {}
+    """Per group 0..k-1 of `labels`, the merged tables of its records, or
+    None for a group without records."""
+    tables = [[] for _ in range(labels.max() + 1)]
     for rec in records:
-        lab = int(labels[rec.vertex_id]) if rec.vertex_id < len(labels) else -1
-        if lab >= 0:
-            by_group.setdefault(lab, []).append(rec.table)
-    n_groups = max(by_group) + 1 if by_group else 0
-    merged = []
-    for g in range(n_groups):
-        merged.append(brdf_table.merge(by_group[g]) if g in by_group else None)
-    return merged
+        if labels[rec.vertex_id] >= 0:
+            tables[labels[rec.vertex_id]].append(rec.table)
+    return [brdf_table.merge(t) if t else None for t in tables]
 
 
 def cmd_render(cfg: PipelineConfig) -> int:
     paths = _paths(cfg.out_dir)
     camera = _scanned_camera(cfg)
-    records = _read_records(paths["records"])
-    labels = io.read_labels(paths["labels"])
-    materials = io.read_materials(paths["materials"])
-    scene = io.read_scene(paths["scene"], materials)
+    scene = io.read_scene(paths["scene"], io.read_materials(paths["materials"]))
+    records = _read_records(paths["records"], scene)
+    labels = _read_labels(paths["labels"], scene)
     trajectory = io.read_trajectory(paths["trajectory"])
     merged = _merged_tables(records, labels)
     completed = []
@@ -227,16 +232,13 @@ def cmd_render(cfg: PipelineConfig) -> int:
 
 def cmd_evaluate(cfg: PipelineConfig) -> int:
     paths = _paths(cfg.out_dir)
-    records = _read_records(paths["records"])
-    labels = io.read_labels(paths["labels"])
-    materials = io.read_materials(paths["materials"])
-    scene = io.read_scene(paths["scene"], materials)
-    sampled = set(rec.vertex_id for rec in records)
-    groups_list = []
-    for g in sorted(set(int(x) for x in labels if x >= 0)):
-        groups_list.append(set(int(v) for v in np.nonzero(labels == g)[0]) & sampled)
+    scene = io.read_scene(paths["scene"], io.read_materials(paths["materials"]))
+    records = _read_records(paths["records"], scene)
+    labels = _read_labels(paths["labels"], scene)
+    vids = records.vertex_id
     groups = segmentation.MaterialGroups(
-        groups_list, sampled - set().union(*groups_list) if groups_list else sampled)
+        [set(vids[labels[vids] == g].tolist()) for g in range(labels.max() + 1)],
+        set(vids[labels[vids] < 0].tolist()))
     merged = _merged_tables(records, labels)
     merged = [t if t is not None else brdf_table.BrdfTable() for t in merged]
     report = render_eval.evaluate(groups, scene.material_ids, merged,

@@ -1,6 +1,6 @@
 """Inverse pipeline: per-vertex normalized color, inversion of the image
-formation model to scalar reflectance samples, and per-vertex table
-accumulation."""
+formation model to scalar reflectance samples, and their accumulation into
+per-vertex tables held as one column set (`VertexRecords`)."""
 
 from __future__ import annotations
 
@@ -39,6 +39,31 @@ class VertexReflectanceRecord:
     vertex_id: int
     normalized_color: np.ndarray  # (3,) unit
     table: BrdfTable
+
+
+@dataclass(eq=False)
+class VertexRecords:
+    """Reflectance records as columns: per vertex, ascending `vertex_id` and
+    unit `color` (n,3); per table cell, sorted by (vertex, flat cell), its
+    `cell_vid`, `flat`, `means` (m,3) and `counts`. Every vertex has a cell.
+    Iterating yields a `VertexReflectanceRecord` per vertex whose table is a
+    view of its cell rows."""
+    vertex_id: np.ndarray
+    color: np.ndarray
+    cell_vid: np.ndarray
+    flat: np.ndarray
+    means: np.ndarray
+    counts: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.vertex_id)
+
+    def __iter__(self):
+        lo = np.searchsorted(self.cell_vid, self.vertex_id, "left").tolist()
+        hi = np.searchsorted(self.cell_vid, self.vertex_id, "right").tolist()
+        for v, color, a, b in zip(self.vertex_id.tolist(), self.color, lo, hi):
+            yield VertexReflectanceRecord(v, color, BrdfTable(
+                self.flat[a:b], self.means[a:b], self.counts[a:b]))
 
 
 def estimate_vertex_color(rgb_samples, omega_out_deg, saturation_level: float):
@@ -111,10 +136,10 @@ def invert_observation_arrays(ir: IrObservations, scene, trajectory, rig: LedRig
 def accumulate_vertex_tables(ir: IrObservations, scene, trajectory, rig: LedRig,
                              colors: dict, camera: PinholeCamera,
                              saturation_level: float):
-    """Build one reflectance record (unit color + sparse table) per vertex
+    """The reflectance records (unit color + sparse table) of every vertex
     that has a color estimate and at least one accepted inversion.
 
-    Returns (records list, summary dict of acceptance/rejection counts)."""
+    Returns (VertexRecords, summary dict of acceptance/rejection counts)."""
     accepted, th, td, f, counts = invert_observation_arrays(
         ir, scene, trajectory, rig, camera, saturation_level)
 
@@ -132,24 +157,13 @@ def accumulate_vertex_tables(ir: IrObservations, scene, trajectory, rig: LedRig,
         color_arr[v] = c
     samples = color_arr[vids] * fs[:, None]
 
+    # sorted by (vertex, flat cell): the row order of VertexRecords
     key = vids.astype(np.int64) * N_CELLS + hb * N_D + db
     uniq, inverse = np.unique(key, return_inverse=True)
     sums = np.zeros((len(uniq), 3))
     np.add.at(sums, inverse, samples)
     cnt = np.bincount(inverse, minlength=len(uniq))
-    u_vid, u_cell = np.divmod(uniq, N_CELLS)
-    records = vertex_records(u_vid, brdf_table.cell_indices(u_cell),
-                             sums / cnt[:, None], cnt, color_arr)
-    return records, counts
-
-
-def vertex_records(cell_vid, cells, means, counts, colors) -> list:
-    """One record per vertex from parallel per-cell rows in any order: vertex
-    id (m,), (h_bin, d_bin) (m,2), mean rgb (m,3) and count (m,). `colors[v]`
-    is the unit color of vertex v. Records come in vertex id order."""
-    records = []
-    for rows in group_rows(cell_vid):
-        v = int(cell_vid[rows[0]])
-        table = BrdfTable.from_cells(cells[rows], means[rows], counts[rows])
-        records.append(VertexReflectanceRecord(v, colors[v], table))
-    return records
+    cell_vid, flat = np.divmod(uniq, N_CELLS)
+    vertex_id = np.unique(cell_vid)
+    return VertexRecords(vertex_id, color_arr[vertex_id], cell_vid, flat,
+                         sums / cnt[:, None], cnt), counts

@@ -1,6 +1,6 @@
-"""Artifact I/O for the pipeline stages: the IR and RGB observations as
-uncompressed npz (one array per dataclass field, under its name and with its
-dtype), the per-vertex records as compressed npz, everything else as text."""
+"""Artifact I/O for the pipeline stages: the IR and RGB observations and the
+reflectance record columns as uncompressed npz (one array per field, under
+its name and with its dtype), everything else as text."""
 
 from __future__ import annotations
 
@@ -12,9 +12,9 @@ import zlib
 
 import numpy as np
 
-from .brdf_table import cell_indices, concat_cells
+from .brdf_table import cell_indices, sorted_cells
 from .config import load_config
-from .estimation import vertex_records
+from .estimation import VertexRecords
 from .geometry import Pose, Quaternion, TimedPose
 from .simulator import GroundTruthMaterial, IrObservations, RgbObservations
 
@@ -156,31 +156,32 @@ def read_colors(path) -> dict:
     return {int(row[0]): row[1:4] for row in data}
 
 
-def write_records(path, records) -> None:
-    """Compact npz with all per-vertex tables, one row per table cell."""
-    tables = [rec.table for rec in records]
-    vids = np.array([rec.vertex_id for rec in records], dtype=int)
-    flat, means, counts = concat_cells(tables)
-    cells = cell_indices(flat)
-    np.savez_compressed(
-        path,
-        vertex_id=vids,
-        color=np.array([rec.normalized_color for rec in records]).reshape(-1, 3),
-        cell_vid=np.repeat(vids, [len(t) for t in tables]),
-        cell_h=cells[:, 0],
-        cell_d=cells[:, 1],
-        cell_count=counts,
-        cell_mean=means,
-    )
+def write_records(path, records: VertexRecords) -> None:
+    """Uncompressed npz of the record columns, one row per vertex and one
+    per table cell."""
+    cells = cell_indices(records.flat)
+    with open(path, "wb") as fh:
+        np.savez(fh, vertex_id=records.vertex_id, color=records.color,
+                 cell_vid=records.cell_vid, cell_h=cells[:, 0],
+                 cell_d=cells[:, 1], cell_count=records.counts,
+                 cell_mean=records.means)
 
 
 @_reader
-def read_records(path):
+def read_records(path) -> VertexRecords:
+    """The records `write_records` wrote, cell rows checked and sorted by
+    `sorted_cells`, every vertex with a color and a cell row."""
     with np.load(path) as data:
-        colors = {int(v): c for v, c in zip(data["vertex_id"], data["color"])}
-        cells = np.stack([data["cell_h"], data["cell_d"]], axis=1)
-        return vertex_records(data["cell_vid"], cells, data["cell_mean"],
-                              data["cell_count"], colors)
+        vertex_id = np.asarray(data["vertex_id"], dtype=np.int64)
+        color = np.asarray(data["color"], dtype=float)
+        cell_vid, flat, means, counts = sorted_cells(
+            data["cell_vid"], data["cell_h"], data["cell_d"], data["cell_mean"],
+            data["cell_count"])
+    if not np.array_equal(np.unique(cell_vid), vertex_id):
+        raise ValueError("vertex_id is not the ascending distinct cell_vid")
+    if color.shape != (len(vertex_id), 3):
+        raise ValueError(f"color of shape {color.shape} for {len(vertex_id)} vertices")
+    return VertexRecords(vertex_id, color, cell_vid, flat, means, counts)
 
 
 @_reader
@@ -204,9 +205,15 @@ def write_labels(path, labels: np.ndarray, groups=None) -> None:
 
 @_reader
 def read_labels(path) -> np.ndarray:
+    """Label per vertex id. The ids must be 0..n-1, each once; the labels -1
+    (unclassified) or a group 0..k-1, every group used."""
     data = np.loadtxt(path, comments="#").reshape(-1, 2)
-    if np.any(data[:, 0] < 0):
-        raise ValueError("negative vertex id")
-    labels = np.full(int(data[:, 0].max()) + 1 if len(data) else 0, -1, dtype=int)
-    labels[data[:, 0].astype(int)] = data[:, 1].astype(int)
+    ids, labs = data[:, 0], data[:, 1]
+    if not np.array_equal(np.sort(ids), np.arange(len(ids))):
+        raise ValueError("vertex ids are not 0..n-1, each once")
+    groups = np.unique(labs[labs != -1])
+    if not np.array_equal(groups, np.arange(len(groups))):
+        raise ValueError("labels are not -1 or the groups 0..k-1, each used")
+    labels = np.empty(len(ids), dtype=int)
+    labels[ids.astype(int)] = labs.astype(int)
     return labels

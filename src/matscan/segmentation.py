@@ -20,7 +20,7 @@ from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.spatial import cKDTree
 
-from .brdf_table import N_CELLS, N_D, concat_cells, group_rows
+from .brdf_table import N_CELLS, N_D, group_rows
 
 COV_REG_EPS = 1e-6
 MIN_CLUSTER_SIZE = 10
@@ -66,8 +66,8 @@ class GlobalCellTable:
 
 
 def build_global_table(records, sample_budget: int, rng_seed: int) -> GlobalCellTable:
-    """Subsample up to `sample_budget` vertices (seeded, without replacement)
-    and scatter their non-empty cell means into the table."""
+    """Subsample up to `sample_budget` vertices of the records (seeded,
+    without replacement) and scatter their measured cell means into the table."""
     if not records:
         raise ValueError("no reflectance records")
     if sample_budget < 1:
@@ -75,15 +75,12 @@ def build_global_table(records, sample_budget: int, rng_seed: int) -> GlobalCell
     rng = np.random.default_rng(rng_seed)
     n = len(records)
     take = min(sample_budget, n)
-    chosen = np.sort(rng.choice(n, size=take, replace=False))
-    sampled = np.array([records[i].vertex_id for i in chosen])
-    tables = [records[i].table for i in chosen]
-    flat, vals, counts = concat_cells(tables)
-    vids = np.repeat(sampled, [len(t) for t in tables])
-    measured = counts > 0
-    flat, vals, vids = flat[measured], vals[measured], vids[measured]
-    # stable: each cell keeps its samples in chosen-record order, which the
-    # meanshift mode merge depends on
+    sampled = records.vertex_id[np.sort(rng.choice(n, size=take, replace=False))]
+    picked = np.isin(records.cell_vid, sampled) & (records.counts > 0)
+    flat, vals = records.flat[picked], records.means[picked]
+    vids = records.cell_vid[picked]
+    # stable: rows come in vertex order, so each cell keeps its samples in
+    # chosen-vertex order, which the meanshift mode merge depends on
     cells = {int(flat[rows[0]]): (vids[rows], vals[rows])
              for rows in group_rows(flat)}
     return GlobalCellTable(cells, sampled)

@@ -1,11 +1,20 @@
-"""Scalar twins of the vectorized image formation model: one observation at
-a time, written out in full. Tests check `simulator.simulate_scan` and
-`estimation.invert_observation_arrays` against them."""
+"""Reference twins of vectorized pipeline code, written out in full:
+
+- the image formation model, one observation at a time, which tests check
+  `simulator.simulate_scan` and `estimation.invert_observation_arrays`
+  against;
+- the per-vertex record path, one `BrdfTable.from_cells` per vertex and a
+  global cell table over a list of records, which tests check
+  `estimation.VertexRecords` and `segmentation.build_global_table` against.
+"""
 
 import numpy as np
 
-from matscan.estimation import COS_GRAZING, VIGNETTE_FLOOR, Rejection
+from matscan.brdf_table import BrdfTable, group_rows
+from matscan.estimation import (COS_GRAZING, VIGNETTE_FLOOR, Rejection,
+                                VertexReflectanceRecord)
 from matscan.geometry import PinholeCamera, Pose, half_diff_angles
+from matscan.segmentation import GlobalCellTable
 from matscan.simulator import (GroundTruthMaterial, eval_ground_truth_brdf,
                                vignette)
 
@@ -68,3 +77,36 @@ def invert_image_formation(intensity: float, pixel, vertex_pos, vertex_normal,
     angles = half_diff_angles(n, l, wo)
     f = intensity / (vig * ndotl * led_brightness / d**2)
     return angles, f
+
+
+def vertex_records(cell_vid, cells, means, counts, colors) -> list:
+    """One record per vertex from parallel per-cell rows in any order: vertex
+    id (m,), (h_bin, d_bin) (m,2), mean rgb (m,3) and count (m,). `colors[v]`
+    is the unit color of vertex v. Records come in vertex id order."""
+    records = []
+    for rows in group_rows(cell_vid):
+        v = int(cell_vid[rows[0]])
+        table = BrdfTable.from_cells(cells[rows], means[rows], counts[rows])
+        records.append(VertexReflectanceRecord(v, colors[v], table))
+    return records
+
+
+def build_global_table(records: list, sample_budget: int,
+                       rng_seed: int) -> GlobalCellTable:
+    """Subsample up to `sample_budget` of a list of per-vertex records
+    (seeded, without replacement) and scatter their measured cell means into
+    the table, table after table."""
+    rng = np.random.default_rng(rng_seed)
+    n = len(records)
+    chosen = np.sort(rng.choice(n, size=min(sample_budget, n), replace=False))
+    sampled = np.array([records[i].vertex_id for i in chosen])
+    tables = [BrdfTable(), *(records[i].table for i in chosen)]
+    flat = np.concatenate([t.flat for t in tables])
+    vals = np.concatenate([t.means for t in tables])
+    counts = np.concatenate([t.counts for t in tables])
+    vids = np.repeat(sampled, [len(t) for t in tables[1:]])
+    measured = counts > 0
+    flat, vals, vids = flat[measured], vals[measured], vids[measured]
+    cells = {int(flat[rows[0]]): (vids[rows], vals[rows])
+             for rows in group_rows(flat)}
+    return GlobalCellTable(cells, sampled)

@@ -171,7 +171,7 @@ class TestCli:
         assert "simulate: 0 IR and 0 RGB observations" in captured.out
         assert cli.main(["estimate", "--config", path]) == cli.EXIT_OK
         assert "0 vertex records" in capsys.readouterr().out
-        assert io.read_records(os.path.join(cfg.out_dir, "records.npz")) == []
+        assert list(io.read_records(os.path.join(cfg.out_dir, "records.npz"))) == []
         for stage in ("segment", "render", "evaluate"):
             assert cli.main([stage, "--config", path]) == cli.EXIT_MISSING_INPUT
             err = capsys.readouterr().err
@@ -188,6 +188,41 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith("config error: camera (fx) differs"), err
         assert not os.path.exists(os.path.join(cfg.out_dir, "records.npz"))
+
+    def _corrupt_exit_3(self, capsys, path, stages, target, why):
+        for stage in stages:
+            assert cli.main([stage, "--config", path]) == cli.EXIT_MISSING_INPUT
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: corrupt input file {target}: {why}"), err
+            assert err.count("\n") == 1
+
+    def test_artifacts_of_a_larger_scene_exit_3(self, tmp_path, capsys):
+        cfg, path = small_config(tmp_path)
+        assert cli.main(["pipeline", "--config", path]) == cli.EXIT_OK
+        # simulate again with fewer vertices: records and labels are stale
+        small_config(tmp_path, n_vertices=300)
+        assert cli.main(["simulate", "--config", path]) == cli.EXIT_OK
+        capsys.readouterr()
+        paths = cli._paths(cfg.out_dir)
+        self._corrupt_exit_3(capsys, path, ("segment", "render", "evaluate"),
+                             paths["records"], "vertex_id outside [0, 299]")
+        assert cli.main(["estimate", "--config", path]) == cli.EXIT_OK
+        capsys.readouterr()
+        self._corrupt_exit_3(capsys, path, ("render", "evaluate"),
+                             paths["labels"], "400 labels for 300 scene vertices")
+        for stage in ("segment", "render", "evaluate"):
+            assert cli.main([stage, "--config", path]) == cli.EXIT_OK
+
+    def test_label_gap_exits_3(self, tmp_path, capsys):
+        cfg, path = small_config(tmp_path)
+        assert cli.main(["pipeline", "--config", path]) == cli.EXIT_OK
+        target = cli._paths(cfg.out_dir)["labels"]
+        labels = io.read_labels(target)
+        assert labels.max() == 1
+        io.write_labels(target, np.where(labels == 1, 2, labels))
+        capsys.readouterr()
+        self._corrupt_exit_3(capsys, path, ("render", "evaluate"), target,
+                             "labels are not -1 or the groups 0..k-1")
 
     def test_estimate_from_disk_equals_in_memory(self, tmp_path):
         cfg, path = small_config(tmp_path)

@@ -1,11 +1,18 @@
-"""Color estimation, image-formation inversion and per-vertex accumulation."""
+"""Color estimation, image-formation inversion, per-vertex accumulation and
+the columnar records."""
+
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from matscan import estimation
+import oracles
+from matscan import brdf_table, cli, estimation, segmentation
+from matscan.brdf_table import N_CELLS, cell_indices, sorted_cells
 from matscan.estimation import (GRAZING_DEG, MIN_COLOR_SAMPLES, Rejection,
-                                estimate_vertex_color,
+                                VertexRecords, estimate_vertex_color,
                                 invert_observation_arrays)
 from matscan.geometry import Pose, Quaternion, look_at
 from matscan.simulator import GroundTruthMaterial, default_camera, vignette
@@ -189,7 +196,7 @@ class TestAccumulation:
             ir, scene, run["trajectory"], cfg.rig, colors, cfg.camera,
             cfg.saturation_level)
         assert len(records) > 0
-        for rec in records[:50]:
+        for rec in itertools.islice(records, 50):
             color = colors[rec.vertex_id]
             assert np.all(rec.table.counts > 0)
             # noiseless: every sample is the unit color scaled by f
@@ -202,3 +209,62 @@ class TestAccumulation:
         counts = noisy_two_sphere["rejection_counts"]
         total = sum(v for v in counts.values())
         assert total == len(noisy_two_sphere["ir"])
+
+
+def _assert_tables_equal(a, b):
+    for name in ("flat", "means", "counts"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype, name
+        np.testing.assert_array_equal(x, y)
+
+
+class TestVertexRecords:
+    """The columns against the per-vertex path they replace (`oracles`)."""
+
+    @given(st.integers(0, 2**16), st.integers(1, 12), st.integers(1, 14))
+    @example(3, 12, 5)  # a budget below the vertex count
+    @settings(max_examples=40, deadline=None)
+    def test_columns_equal_per_vertex_oracle(self, seed, n, budget):
+        rng = np.random.default_rng(seed)
+        vids = np.sort(rng.choice(40, size=n, replace=False))
+        pool = rng.choice(N_CELLS, size=6, replace=False)  # cells shared
+        rows = []
+        for i, v in enumerate(vids):  # the first vertex has one cell
+            k = 1 if i == 0 else rng.integers(1, len(pool) + 1)
+            rows += [(v, c) for c in rng.choice(pool, size=k, replace=False)]
+        rows = np.array(rows)[rng.permutation(len(rows))]
+        cells = cell_indices(rows[:, 1])
+        means = rng.uniform(0, 1, (len(rows), 3))
+        counts = rng.integers(0, 3, len(rows))  # count 0: a synthetic cell
+        colors = rng.uniform(0, 1, (40, 3))
+        colors /= np.linalg.norm(colors, axis=1, keepdims=True)
+
+        records = VertexRecords(vids, colors[vids], *sorted_cells(
+            rows[:, 0], cells[:, 0], cells[:, 1], means, counts))
+        expected = oracles.vertex_records(rows[:, 0], cells, means, counts,
+                                          colors)
+        assert len(records) == len(expected) == n
+        for rec, exp in zip(records, expected):
+            assert rec.vertex_id == exp.vertex_id
+            np.testing.assert_array_equal(rec.normalized_color,
+                                          exp.normalized_color)
+            _assert_tables_equal(rec.table, exp.table)
+
+        table = segmentation.build_global_table(records, budget, seed)
+        oracle = oracles.build_global_table(expected, budget, seed)
+        np.testing.assert_array_equal(table.sampled_ids, oracle.sampled_ids)
+        assert list(table.cells) == list(oracle.cells)
+        for flat, (cell_vids, vals) in oracle.cells.items():
+            np.testing.assert_array_equal(table.cells[flat][0], cell_vids)
+            np.testing.assert_array_equal(table.cells[flat][1], vals)
+
+        labels = rng.integers(-1, 3, 40)
+        merged = cli._merged_tables(records, labels)
+        by_label = [[r.table for r in expected if labels[r.vertex_id] == g]
+                    for g in range(len(merged))]
+        assert len(merged) == labels.max() + 1
+        for got, tables in zip(merged, by_label):
+            if not tables:
+                assert got is None
+            else:
+                _assert_tables_equal(got, brdf_table.merge(tables))

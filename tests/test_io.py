@@ -7,7 +7,7 @@ import pytest
 
 from matscan import io, scenes, segmentation
 from matscan.brdf_table import N_CELLS, BrdfTable, cell_indices
-from matscan.estimation import VertexReflectanceRecord
+from matscan.estimation import VertexReflectanceRecord, VertexRecords
 from matscan.io import CorruptInputError, MissingInputError
 from matscan.simulator import IrObservations
 
@@ -181,8 +181,20 @@ class TestColorsIO:
         np.testing.assert_allclose(back[3], colors[3], rtol=1e-15)
 
 
+def _columns(records: list) -> VertexRecords:
+    """The columns of per-vertex records given in vertex id order."""
+    tables = [BrdfTable(), *(rec.table for rec in records)]
+    vids = np.array([rec.vertex_id for rec in records], dtype=np.int64)
+    return VertexRecords(
+        vids, np.array([rec.normalized_color for rec in records]).reshape(-1, 3),
+        np.repeat(vids, [len(t) for t in tables[1:]]),
+        np.concatenate([t.flat for t in tables]),
+        np.concatenate([t.means for t in tables]),
+        np.concatenate([t.counts for t in tables]))
+
+
 class TestRecordsIO:
-    def test_round_trip(self, tmp_path):
+    def _records(self):
         rng = np.random.default_rng(0)
         records = []
         for v in (2, 7, 11):
@@ -191,8 +203,12 @@ class TestRecordsIO:
                                      rng.integers(0, 4, 5))
             c = rng.uniform(0, 1, 3)
             records.append(VertexReflectanceRecord(v, c / np.linalg.norm(c), t))
+        return records
+
+    def test_round_trip(self, tmp_path):
+        records = self._records()
         path = tmp_path / "records.npz"
-        io.write_records(path, records)
+        io.write_records(path, _columns(records))
         back = io.read_records(path)
         assert [r.vertex_id for r in back] == [2, 7, 11]
         for a, b in zip(records, back):
@@ -201,17 +217,31 @@ class TestRecordsIO:
             np.testing.assert_array_equal(a.table.counts, b.table.counts)
             np.testing.assert_array_equal(a.table.means, b.table.means)
 
+    def test_rows_out_of_order_read_back_sorted(self, tmp_path):
+        path = tmp_path / "records.npz"
+        io.write_records(path, _columns(self._records()))
+        expected = io.read_records(path)
+        arrays = dict(np.load(path))
+        shuffle = np.random.default_rng(1).permutation(len(arrays["cell_vid"]))
+        for key in ("cell_vid", "cell_h", "cell_d", "cell_count", "cell_mean"):
+            arrays[key] = arrays[key][shuffle]
+        np.savez(path, **arrays)
+        back = io.read_records(path)
+        for name in ("vertex_id", "color", "cell_vid", "flat", "means", "counts"):
+            np.testing.assert_array_equal(getattr(back, name),
+                                          getattr(expected, name))
+
     def test_no_records(self, tmp_path):
         path = tmp_path / "records.npz"
-        io.write_records(path, [])
-        assert io.read_records(path) == []
+        io.write_records(path, _columns([]))
+        assert list(io.read_records(path)) == []
 
     def _written(self, tmp_path):
         t = BrdfTable.from_cells(cell_indices(np.array([3, 9])),
                                  np.full((2, 3), 0.5), np.array([1, 2]))
         path = tmp_path / "records.npz"
-        io.write_records(path, [VertexReflectanceRecord(4, np.ones(3) / 3 ** 0.5,
-                                                        t)])
+        io.write_records(path, _columns([
+            VertexReflectanceRecord(4, np.ones(3) / 3 ** 0.5, t)]))
         return path, dict(np.load(path))
 
     @pytest.mark.parametrize("corrupt", [
@@ -220,6 +250,12 @@ class TestRecordsIO:
         lambda a: a["cell_mean"].__setitem__(0, np.nan),
         lambda a: a.pop("cell_d"),
         lambda a: a.__setitem__("cell_vid", np.array([5, 5])),  # no such vertex
+        lambda a: a["cell_d"].__setitem__(1, a["cell_d"][0]),  # a repeated row
+        lambda a: a.update(vertex_id=np.array([4, 6]),  # 6 has no cell rows
+                           color=np.ones((2, 3)) / 3 ** 0.5),
+        lambda a: a.update(vertex_id=np.array([4, 4]),
+                           color=np.ones((2, 3)) / 3 ** 0.5),
+        lambda a: a.__setitem__("color", np.ones((2, 3)) / 3 ** 0.5),
     ])
     def test_bad_content_is_corrupt_input(self, tmp_path, corrupt):
         path, arrays = self._written(tmp_path)
@@ -263,3 +299,21 @@ class TestLabelsIO:
         text = path.read_text()
         assert "# group 0 count 1" in text
         assert "# unclassified 1" in text
+
+    @pytest.mark.parametrize("text", [
+        "0 0\n1 -2\n",         # a label below -1
+        "0 0\n1 1\n1 0\n",     # a vertex id given twice
+        "0 0\n2 1\n",          # no label for vertex 1
+        "0 0\n1 2\n2 -1\n",    # groups 0 and 2 without 1
+        "0 1\n1 -1\n",         # group 1 without 0
+    ])
+    def test_bad_labels_are_corrupt_input(self, tmp_path, text):
+        path = tmp_path / "labels.txt"
+        path.write_text(text)
+        with pytest.raises(CorruptInputError, match="labels.txt"):
+            io.read_labels(path)
+
+    def test_unclassified_only(self, tmp_path):
+        path = tmp_path / "labels.txt"
+        io.write_labels(path, np.array([-1, -1]))
+        np.testing.assert_array_equal(io.read_labels(path), [-1, -1])
