@@ -7,18 +7,16 @@ grown cell by cell, ranked by a separability score of refitted Gaussians and
 gated by a 3-sigma Mahalanobis rule. Vertices that never pass the gate stay
 unclassified. The multi-material variant repeats the process one material
 per round, seeding from the most separable cluster, with no material count
-supplied by the user.
+supplied by the user. Labels then diffuse to the other vertices within a
+radius. Every threshold is a module constant.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dpotrf, dpotrs
-from scipy.spatial import cKDTree
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .brdf_table import N_CELLS, N_D, group_rows
 
@@ -26,6 +24,7 @@ COV_REG_EPS = 1e-6
 MIN_CLUSTER_SIZE = 10
 MIN_CELL_SAMPLES = 20
 MIN_FIT_SAMPLES = 10
+MAX_ITER = 100  # meanshift steps
 DISCARD_FRACTION = 0.05
 SIGMA_GATE = 3.0
 # float64 entries of the meanshift distance buffer: 256 KiB, an L2-sized block
@@ -47,10 +46,7 @@ class MaterialGroups:
 
     @property
     def classified(self) -> set:
-        out = set()
-        for g in self.groups:
-            out |= g
-        return out
+        return set().union(*self.groups)
 
 
 class GlobalCellTable:
@@ -169,11 +165,12 @@ def _merge_modes(modes, bandwidth):
     return modes[heads]
 
 
-def meanshift(samples, bandwidth: float, max_iter: int = 100):
+def meanshift(samples, bandwidth: float):
     """Flat-kernel meanshift. Every sample is iterated to its mode (mean of
-    samples within the bandwidth) until the shift drops below 1e-4*bandwidth;
-    modes within bandwidth/2 are merged and samples assigned to the nearest
-    merged mode. Returns cluster index arrays, largest first.
+    samples within the bandwidth) until the shift drops below 1e-4*bandwidth
+    or MAX_ITER steps have run; modes within bandwidth/2 are merged and
+    samples assigned to the nearest merged mode. Returns cluster index
+    arrays, largest first.
 
     Each step finds the neighbour mask of every moving mode with
     `_neighbours`: squared distances built in place in L2-sized row blocks,
@@ -197,7 +194,7 @@ def meanshift(samples, bandwidth: float, max_iter: int = 100):
     bw2 = bandwidth * bandwidth
     active = np.ones(n, dtype=bool)
     pts_sq = np.einsum("ij,ij->i", pts, pts)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         idx = np.nonzero(active)[0]
         if len(idx) == 0:
             break
@@ -251,27 +248,31 @@ def fit_gaussian(samples, members=None) -> GaussianCluster:
     return GaussianCluster(mean, cov, np.asarray(members, dtype=int))
 
 
-def mahalanobis(x, mean, covariance) -> float:
-    """sqrt((x-mu)^T S^-1 (x-mu)); covariance must be SPD, else
-    np.linalg.LinAlgError.
-
-    The LAPACK Cholesky routines that `scipy.linalg.cho_factor`/`cho_solve`
-    wrap, called directly: the same bits without their argument checks,
-    which cost more than the 3x3 solve."""
-    diff = np.asarray(x, dtype=float) - np.asarray(mean, dtype=float)
+def _cholesky(covariance) -> np.ndarray:
+    """Lower Cholesky factor by LAPACK `dpotrf` (upper triangle left as
+    given), called directly: the bits of the scipy and numpy wrappers without
+    their argument checks. np.linalg.LinAlgError unless SPD."""
     chol, info = dpotrf(np.asarray(covariance, dtype=float), lower=1, clean=0)
-    if info == 0:
-        solved, info = dpotrs(chol, diff, lower=1)
     if info != 0:
         raise np.linalg.LinAlgError(
             f"covariance is not positive definite (LAPACK info {info})")
+    return chol
+
+
+def mahalanobis(x, mean, covariance) -> float:
+    """sqrt((x-mu)^T S^-1 (x-mu)); covariance must be SPD, else
+    np.linalg.LinAlgError. Solved as `scipy.linalg.cho_solve` does."""
+    diff = np.asarray(x, dtype=float) - np.asarray(mean, dtype=float)
+    solved, _ = dpotrs(_cholesky(covariance), diff, lower=1)
     return float(np.sqrt(diff @ solved))
 
 
 def mahalanobis_many(xs, mean, covariance) -> np.ndarray:
+    """`mahalanobis` per row of xs as |L^-1 (x-mu)|: L^T solved transposed as
+    an upper triangle, the LAPACK call `scipy.linalg.solve_triangular` makes
+    for a C-ordered lower L, so its bits."""
     diff = np.asarray(xs, dtype=float).reshape(-1, 3) - np.asarray(mean, dtype=float)
-    chol = np.linalg.cholesky(np.asarray(covariance, dtype=float))
-    y = solve_triangular(chol, diff.T, lower=True)
+    y, _ = dtrtrs(_cholesky(covariance).T, diff.T, lower=0, trans=1)
     return np.sqrt((y * y).sum(axis=0))
 
 
@@ -281,25 +282,9 @@ def separability_score(g1: GaussianCluster, g2: GaussianCluster) -> float:
             + mahalanobis(g1.mean, g2.mean, g2.covariance))
 
 
-class Assignment(enum.Enum):
-    GROUP1 = 1
-    GROUP2 = 2
-    AMBIGUOUS = 0
-
-
-def assign_3sigma(sample, g1: GaussianCluster, g2: GaussianCluster) -> Assignment:
-    """3-sigma gate: a sample joins a group only when it is inside one
-    Gaussian's 3-sigma ellipsoid and outside the other's (strict)."""
-    md1 = mahalanobis(sample, g1.mean, g1.covariance)
-    md2 = mahalanobis(sample, g2.mean, g2.covariance)
-    if md1 < SIGMA_GATE and md2 > SIGMA_GATE:
-        return Assignment.GROUP1
-    if md1 > SIGMA_GATE and md2 < SIGMA_GATE:
-        return Assignment.GROUP2
-    return Assignment.AMBIGUOUS
-
-
 def assign_3sigma_many(samples, g1: GaussianCluster, g2: GaussianCluster):
+    """3-sigma gate per sample: 1 (2) when it is inside g1's (g2's) 3-sigma
+    ellipsoid and outside the other's (strict), else 0, ambiguous."""
     md1 = mahalanobis_many(samples, g1.mean, g1.covariance)
     md2 = mahalanobis_many(samples, g2.mean, g2.covariance)
     out = np.zeros(len(md1), dtype=int)
@@ -308,15 +293,13 @@ def assign_3sigma_many(samples, g1: GaussianCluster, g2: GaussianCluster):
     return out
 
 
-def initial_clusters(table: GlobalCellTable,
-                     min_cluster_size: int = MIN_CLUSTER_SIZE,
-                     min_cell_samples: int = MIN_CELL_SAMPLES) -> dict:
-    """Cell -> surviving Gaussian clusters. Cells with too few samples are
-    skipped; clusters below 5% of the cell or below the minimum size are
-    discarded."""
+def initial_clusters(table: GlobalCellTable) -> dict:
+    """Cell -> surviving Gaussian clusters, largest first. Cells with fewer
+    than MIN_CELL_SAMPLES samples are skipped; clusters below 5% of the cell
+    or below MIN_CLUSTER_SIZE are discarded."""
     out = {}
     for flat, (vids, vals) in table.cells.items():
-        if len(vids) < min_cell_samples:
+        if len(vids) < MIN_CELL_SAMPLES:
             continue
         bw = default_bandwidth(vals)
         floor = 1e-6 * float(np.linalg.norm(vals, axis=1).mean())
@@ -324,18 +307,13 @@ def initial_clusters(table: GlobalCellTable,
         clusters = meanshift(vals, bw)
         keep = []
         for c in clusters:
-            if len(c) < min_cluster_size or len(c) < DISCARD_FRACTION * len(vids):
+            if len(c) < MIN_CLUSTER_SIZE or len(c) < DISCARD_FRACTION * len(vids):
                 continue
             g = fit_gaussian(vals[c], vids[c])
             keep.append(g)
         if keep:
             out[flat] = keep
     return out
-
-
-def _top_two(clusters):
-    ordered = sorted(clusters, key=lambda g: -len(g.members))
-    return ordered[0], ordered[1]
 
 
 def _mask_size(table: GlobalCellTable) -> int:
@@ -348,14 +326,13 @@ def _mask_size(table: GlobalCellTable) -> int:
 
 class _Candidates:
     """The cells propagation may consume: those with at least
-    `min_cell_samples` samples, in flat order. Their vertex ids are
+    MIN_CELL_SAMPLES samples, in flat order. Their vertex ids are
     concatenated so that the in-group count of every cell is one gather and
     one `np.add.reduceat` over the cell offsets."""
 
-    def __init__(self, table: GlobalCellTable, min_cell_samples: int):
-        # an empty cell never reaches MIN_FIT_SAMPLES, so it is left out
+    def __init__(self, table: GlobalCellTable):
         self.flats = np.array([f for f in sorted(table.cells)
-                               if len(table.cells[f][0]) >= max(min_cell_samples, 1)],
+                               if len(table.cells[f][0]) >= MIN_CELL_SAMPLES],
                               dtype=int)
         vids = [table.cells[f][0] for f in self.flats]
         sizes = np.array([len(v) for v in vids], dtype=int)
@@ -418,26 +395,24 @@ def _propagate_two(table, cand: _Candidates, consumed, mat1_mask, mat2_mask,
     return grown
 
 
-def two_material_segmentation(table: GlobalCellTable,
-                              min_cluster_size: int = MIN_CLUSTER_SIZE,
-                              min_cell_samples: int = MIN_CELL_SAMPLES):
+def two_material_segmentation(table: GlobalCellTable):
     """Seed two material groups in the most separable cell and grow them cell
     by cell. Returns (MaterialGroups, diagnostics dict)."""
-    clusters = initial_clusters(table, min_cluster_size, min_cell_samples)
+    clusters = initial_clusters(table)
     diagnostics = {"seed_cell": None, "cells_consumed": 0,
                    "initial_cells": len(clusters)}
 
     # a seed cluster must be a population-significant chunk of the scan, not
     # just of its own cell, so that a tiny tight contaminant cluster cannot
     # win the seed by its arbitrarily small covariance
-    seed_floor = max(min_cluster_size,
+    seed_floor = max(MIN_CLUSTER_SIZE,
                      int(DISCARD_FRACTION * len(table.sampled_ids)))
     best_cell, best_score, best_pair = None, 0.0, None
     for flat in sorted(clusters):
         cl = clusters[flat]
         if len(cl) < 2:
             continue
-        g1, g2 = _top_two(cl)
+        g1, g2 = cl[:2]
         if len(g1.members) < seed_floor or len(g2.members) < seed_floor:
             continue
         score = separability_score(g1, g2)
@@ -456,7 +431,7 @@ def two_material_segmentation(table: GlobalCellTable,
     mat1_mask[vids[codes == 1]] = True
     mat2_mask[vids[codes == 2]] = True
 
-    cand = _Candidates(table, min_cell_samples)
+    cand = _Candidates(table)
     diagnostics["cells_consumed"] = _propagate_two(
         table, cand, cand.flats == best_cell, mat1_mask, mat2_mask)
 
@@ -468,8 +443,7 @@ def two_material_segmentation(table: GlobalCellTable,
     return MaterialGroups(groups, unclassified), diagnostics
 
 
-def _absorb_single(table, cand: _Candidates, consumed, new_mask, blocked,
-                   min_fit: int = MIN_FIT_SAMPLES):
+def _absorb_single(table, cand: _Candidates, consumed, new_mask, blocked):
     """Grow a group through cells that have no reference population to fit a
     second Gaussian (cells dominated by one material). Any unconsumed cell
     holding at least half of the group gates its remaining unblocked vertices
@@ -478,7 +452,7 @@ def _absorb_single(table, cand: _Candidates, consumed, new_mask, blocked,
     holding the most group members goes first."""
     while True:
         c1 = cand.counts(new_mask)
-        c1[consumed | (c1 < min_fit) | (2 * c1 < int(new_mask.sum()))] = 0
+        c1[consumed | (c1 < MIN_FIT_SAMPLES) | (2 * c1 < int(new_mask.sum()))] = 0
         if not c1.any():
             return
         k = int(np.argmax(c1))
@@ -492,9 +466,7 @@ def _absorb_single(table, cand: _Candidates, consumed, new_mask, blocked,
         consumed[k] = True
 
 
-def multi_material_segmentation(table: GlobalCellTable,
-                                min_cluster_size: int = MIN_CLUSTER_SIZE,
-                                min_cell_samples: int = MIN_CELL_SAMPLES):
+def multi_material_segmentation(table: GlobalCellTable):
     """Segment one material per round without a user-supplied material count.
 
     Each round seeds from the globally most separable unclaimed cluster (its
@@ -506,20 +478,20 @@ def multi_material_segmentation(table: GlobalCellTable,
     sampled = set(int(v) for v in table.sampled_ids)
     if len(table) == 0:
         return MaterialGroups([], sampled), {"rounds": 0}
-    clusters = initial_clusters(table, min_cluster_size, min_cell_samples)
+    clusters = initial_clusters(table)
     size = _mask_size(table)
     classified = np.zeros(size, dtype=bool)
     groups: list[set] = []
     tried = set()
     diagnostics = {"rounds": 0, "seeds": []}
-    cand = _Candidates(table, min_cell_samples)
+    cand = _Candidates(table)
 
     while True:
         # most separable not-yet-claimed cluster across all cells; as in the
         # two-material seed, a cluster must hold a population-significant
         # share of the still-unclassified vertices to start a round
         n_open = int((~classified[table.sampled_ids]).sum())
-        seed_floor = max(min_cluster_size, int(DISCARD_FRACTION * n_open))
+        seed_floor = max(MIN_CLUSTER_SIZE, int(DISCARD_FRACTION * n_open))
         best = (0.0, None, None)  # score, cell, cluster idx
         for flat in sorted(clusters):
             cl = clusters[flat]
@@ -551,7 +523,7 @@ def multi_material_segmentation(table: GlobalCellTable,
         fresh = ~classified[vids]
         new_mask[vids[fresh & (codes == 1)]] = True
         ref_mask[vids[codes == 2]] = True
-        if new_mask.sum() < min_cluster_size:
+        if new_mask.sum() < MIN_CLUSTER_SIZE:
             continue
 
         consumed = cand.flats == seed_flat
@@ -560,7 +532,7 @@ def multi_material_segmentation(table: GlobalCellTable,
         _absorb_single(table, cand, consumed, new_mask, classified | ref_mask)
 
         new_ids = set(int(v) for v in np.nonzero(new_mask & ~classified)[0])
-        if len(new_ids) < min_cluster_size:
+        if len(new_ids) < MIN_CLUSTER_SIZE:
             continue
         groups.append(new_ids)
         classified[list(new_ids)] = True
@@ -576,33 +548,30 @@ def diffuse_labels(groups: MaterialGroups, positions: np.ndarray,
                    sampled_ids, radius: float = 0.01) -> np.ndarray:
     """Label every vertex: sampled classified vertices keep their group,
     other vertices take the label of the nearest classified sampled vertex
-    within `radius` (ties broken toward the lower vertex id), else -1."""
+    within `radius` (ties broken toward the lower vertex id), else -1; all
+    targets at once, as arrays."""
     if radius <= 0:
         raise ValueError("radius must be positive")
     positions = np.asarray(positions, dtype=float).reshape(-1, 3)
-    n = len(positions)
-    labels = np.full(n, -1, dtype=int)
+    labels = np.full(len(positions), -1, dtype=int)
     for gi, g in enumerate(groups.groups):
         labels[np.fromiter(g, dtype=int, count=len(g))] = gi
     classified_ids = np.nonzero(labels >= 0)[0]
-    if len(classified_ids) == 0:
+    target = labels < 0
+    target[np.asarray(sampled_ids, dtype=int)] = False
+    targets = np.nonzero(target)[0]
+    if len(classified_ids) == 0 or len(targets) == 0:
         return labels
-    sampled_set = set(int(v) for v in sampled_ids)
-    targets = np.array([i for i in range(n)
-                        if labels[i] < 0 and i not in sampled_set], dtype=int)
-    if len(targets) == 0:
-        return labels
-    tree = cKDTree(positions[classified_ids])
+    # imported only when a vertex needs it: loading scipy.spatial adds import
+    # time and ~10 MB to every process, and with a sample budget of at least
+    # the vertex count no vertex does
+    from scipy.spatial import cKDTree
     k = min(2, len(classified_ids))
-    dist, idx = tree.query(positions[targets], k=k)
-    if k == 1:
-        dist = dist[:, None]
-        idx = idx[:, None]
-    for row, t in enumerate(targets):
-        if dist[row, 0] > radius:
-            continue
-        pick = classified_ids[idx[row, 0]]
-        if k > 1 and abs(dist[row, 1] - dist[row, 0]) < 1e-12:
-            pick = min(pick, classified_ids[idx[row, 1]])
-        labels[t] = labels[pick]
+    dist, idx = cKDTree(positions[classified_ids]).query(positions[targets], k=k)
+    dist, pick = dist.reshape(-1, k), classified_ids[idx.reshape(-1, k)]
+    # with k = 1 every row ties with itself and keeps its one neighbour
+    tie = np.abs(dist[:, -1] - dist[:, 0]) < 1e-12
+    pick = np.where(tie, pick.min(axis=1), pick[:, 0])
+    near = dist[:, 0] <= radius
+    labels[targets[near]] = labels[pick[near]]
     return labels

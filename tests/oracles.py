@@ -5,10 +5,16 @@
   against;
 - the per-vertex record path, one `BrdfTable.from_cells` per vertex and a
   global cell table over a list of records, which tests check
-  `estimation.VertexRecords` and `segmentation.build_global_table` against.
+  `estimation.VertexRecords` and `segmentation.build_global_table` against;
+- batched Mahalanobis distances through numpy's Cholesky factor and scipy's
+  triangular solve, and label diffusion one target vertex at a time, which
+  tests check `segmentation.mahalanobis_many` and
+  `segmentation.diffuse_labels` against.
 """
 
 import numpy as np
+from scipy.linalg import solve_triangular
+from scipy.spatial import cKDTree
 
 from matscan.brdf_table import BrdfTable, group_rows
 from matscan.estimation import (COS_GRAZING, VIGNETTE_FLOOR, Rejection,
@@ -110,3 +116,45 @@ def build_global_table(records: list, sample_budget: int,
     cells = {int(flat[rows[0]]): (vids[rows], vals[rows])
              for rows in group_rows(flat)}
     return GlobalCellTable(cells, sampled)
+
+
+def mahalanobis_many(xs, mean, covariance) -> np.ndarray:
+    """Mahalanobis distance of each row of xs: |L^-1 (x-mu)| for the factor L
+    of `np.linalg.cholesky`, solved by `scipy.linalg.solve_triangular`."""
+    diff = np.asarray(xs, dtype=float).reshape(-1, 3) - np.asarray(mean, dtype=float)
+    chol = np.linalg.cholesky(np.asarray(covariance, dtype=float))
+    y = solve_triangular(chol, diff.T, lower=True)
+    return np.sqrt((y * y).sum(axis=0))
+
+
+def diffuse_labels(groups, positions, sampled_ids, radius: float) -> np.ndarray:
+    """Label diffusion one target vertex at a time: each vertex neither
+    sampled nor classified takes the label of its nearest classified vertex
+    within `radius`, the lower vertex id of two at one distance."""
+    positions = np.asarray(positions, dtype=float).reshape(-1, 3)
+    n = len(positions)
+    labels = np.full(n, -1, dtype=int)
+    for gi, g in enumerate(groups.groups):
+        labels[np.fromiter(g, dtype=int, count=len(g))] = gi
+    classified_ids = np.nonzero(labels >= 0)[0]
+    if len(classified_ids) == 0:
+        return labels
+    sampled_set = set(int(v) for v in sampled_ids)
+    targets = np.array([i for i in range(n)
+                        if labels[i] < 0 and i not in sampled_set], dtype=int)
+    if len(targets) == 0:
+        return labels
+    tree = cKDTree(positions[classified_ids])
+    k = min(2, len(classified_ids))
+    dist, idx = tree.query(positions[targets], k=k)
+    if k == 1:
+        dist = dist[:, None]
+        idx = idx[:, None]
+    for row, t in enumerate(targets):
+        if dist[row, 0] > radius:
+            continue
+        pick = classified_ids[idx[row, 0]]
+        if k > 1 and abs(dist[row, 1] - dist[row, 0]) < 1e-12:
+            pick = min(pick, classified_ids[idx[row, 1]])
+        labels[t] = labels[pick]
+    return labels

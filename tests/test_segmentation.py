@@ -1,20 +1,27 @@
-"""Meanshift, Gaussian statistics, the 3-sigma gate and group propagation."""
+"""Meanshift, Gaussian statistics, the 3-sigma gate, group propagation and
+label diffusion."""
+
+import os
+import subprocess
+import sys
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
+import matscan
 from matscan import segmentation
 from matscan.brdf_table import N_CELLS, N_D
-from matscan.segmentation import (MIN_FIT_SAMPLES, SIGMA_GATE, Assignment,
-                                  GlobalCellTable, assign_3sigma,
-                                  assign_3sigma_many, build_global_table,
-                                  default_bandwidth, diffuse_labels, fit_gaussian,
-                                  initial_clusters, mahalanobis, mahalanobis_many,
-                                  meanshift, multi_material_segmentation,
-                                  separability_score, two_material_segmentation)
+from matscan.segmentation import (MIN_FIT_SAMPLES, SIGMA_GATE, GlobalCellTable,
+                                  MaterialGroups, assign_3sigma_many,
+                                  build_global_table, default_bandwidth,
+                                  diffuse_labels, fit_gaussian, initial_clusters,
+                                  mahalanobis, mahalanobis_many, meanshift,
+                                  multi_material_segmentation, separability_score,
+                                  two_material_segmentation)
 
 
 def reference_meanshift(samples, bandwidth: float, max_iter: int = 100):
@@ -430,6 +437,27 @@ class TestGaussian:
         with pytest.raises(np.linalg.LinAlgError):
             mahalanobis(np.ones(3), np.zeros(3), cov)
 
+    def test_many_bitwise_equals_numpy_cholesky_and_solve_triangular(self):
+        """Random SPD covariances over many scales and conditionings, and
+        fitted ones, with 1-40 rows each."""
+        rng = np.random.default_rng(22)
+        for i in range(5000):
+            m = int(rng.integers(1, 41))
+            if i % 5 == 0:
+                cov = fit_gaussian(rng.normal(0, rng.uniform(1e-4, 1), (20, 3))
+                                   * rng.uniform(0.1, 10, 3)).covariance
+            else:
+                a = rng.normal(size=(3, 3)) * rng.uniform(1e-3, 10)
+                cov = a @ a.T + rng.uniform(1e-9, 1) * np.eye(3)
+            xs, mean = rng.normal(size=(m, 3)), rng.normal(size=3)
+            np.testing.assert_array_equal(mahalanobis_many(xs, mean, cov),
+                                          oracles.mahalanobis_many(xs, mean, cov))
+
+    @pytest.mark.parametrize("cov", [np.diag([1.0, -1.0, 1.0]), np.zeros((3, 3))])
+    def test_many_rejects_non_spd(self, cov):
+        with pytest.raises(np.linalg.LinAlgError):
+            mahalanobis_many(np.ones((4, 3)), np.zeros(3), cov)
+
     def test_many_matches_scalar(self):
         rng = np.random.default_rng(7)
         s = rng.normal(size=(300, 3))
@@ -487,20 +515,20 @@ class TestAssign:
 
     def test_clear_membership(self):
         g1, g2 = self._gaussians()
-        assert assign_3sigma(np.zeros(3), g1, g2) is Assignment.GROUP1
-        assert assign_3sigma(np.array([1.0, 0, 0]), g1, g2) is Assignment.GROUP2
+        assert assign_3sigma_many([np.zeros(3)], g1, g2).tolist() == [1]
+        assert assign_3sigma_many([np.array([1.0, 0, 0])], g1, g2).tolist() == [2]
 
     def test_far_from_both_is_ambiguous(self):
         g1, g2 = self._gaussians()
-        assert assign_3sigma(np.array([10.0, 10.0, 10.0]), g1, g2) is \
-            Assignment.AMBIGUOUS
+        assert assign_3sigma_many([np.array([10.0, 10.0, 10.0])], g1,
+                                  g2).tolist() == [0]
 
     def test_inside_both_is_ambiguous(self):
         from matscan.segmentation import GaussianCluster
         g1 = GaussianCluster(np.zeros(3), np.eye(3), np.zeros(0, int))
         g2 = GaussianCluster(np.array([0.5, 0, 0]), np.eye(3), np.zeros(0, int))
-        assert assign_3sigma(np.array([0.25, 0, 0]), g1, g2) is \
-            Assignment.AMBIGUOUS
+        assert assign_3sigma_many([np.array([0.25, 0, 0])], g1,
+                                  g2).tolist() == [0]
 
 
 def synthetic_table(rng, material_colors, verts_per_mat=120, cells=12,
@@ -682,3 +710,35 @@ class TestDiffuseLabels:
         from matscan.segmentation import MaterialGroups
         with pytest.raises(ValueError):
             diffuse_labels(MaterialGroups([], set()), np.zeros((1, 3)), [], 0.0)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 60), st.integers(0, 3),
+           st.floats(0.0, 1.0), st.sampled_from([0.004, 0.01, 0.05]),
+           st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_target_loop(self, seed, n, n_groups, sampled_share,
+                                     radius, one_classified):
+        """Positions on a coarse grid, so many are exact duplicates and the
+        two nearest classified vertices often tie; any mix of sampled and
+        unsampled vertices, with no, one or many classified."""
+        rng = np.random.default_rng(seed)
+        pos = rng.integers(0, 6, (n, 3)) * 0.005
+        sampled = np.nonzero(rng.random(n) < sampled_share)[0]
+        if one_classified and len(sampled):
+            labels = np.full(len(sampled), -1)
+            labels[rng.integers(len(sampled))] = 0
+        else:
+            labels = rng.integers(-1, n_groups, len(sampled))
+        groups = MaterialGroups(
+            [set(sampled[labels == g].tolist()) for g in range(labels.max(initial=-1) + 1)],
+            set(sampled[labels < 0].tolist()))
+        np.testing.assert_array_equal(
+            diffuse_labels(groups, pos, sampled, radius),
+            oracles.diffuse_labels(groups, pos, sampled, radius))
+
+
+def test_cli_import_leaves_out_scipy_spatial():
+    """scipy.spatial loads only when a vertex needs diffusing, not with the
+    program."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(matscan.__file__)))
+    code = "import sys, matscan.cli; sys.exit('scipy.spatial' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
