@@ -64,13 +64,24 @@ def group_rows(keys) -> list:
     return np.split(order, np.nonzero(np.diff(keys[order]))[0] + 1)
 
 
+def integer_rows(a, name: str) -> np.ndarray:
+    """`a` flat as int64; ValueError unless its dtype is an integer one, so
+    that a float id is rejected rather than truncated. An empty list, which
+    numpy makes float, holds no value to truncate and passes."""
+    a = np.asarray(a).reshape(-1)
+    if a.dtype.kind not in "iu" and a.size:
+        raise ValueError(f"{name} of dtype {a.dtype} is not integer")
+    return a.astype(np.int64)
+
+
 def sorted_cells(vid, h, d, means, counts):
     """(vid, flat, means, counts) of parallel cell rows vid, h_bin, d_bin,
     means (m,3), counts, sorted stably by (vid, flat cell). Raises ValueError
-    on rows of unequal length, a cell outside the grid or twice in one vid,
-    a non-finite or negative mean, or a negative count."""
-    vid, h, d, counts = (np.asarray(a, dtype=np.int64).reshape(-1)
-                         for a in (vid, h, d, counts))
+    on non-integer vid, h_bin, d_bin or counts, rows of unequal length, a
+    cell outside the grid or twice in one vid, a non-finite or negative mean,
+    or a negative count."""
+    vid, h, d, counts = (integer_rows(a, name) for a, name in (
+        (vid, "vertex id"), (h, "h_bin"), (d, "d_bin"), (counts, "count")))
     means = np.asarray(means, dtype=float).reshape(-1, 3)
     if not len(vid) == len(h) == len(d) == len(means) == len(counts):
         raise ValueError("cell rows differ in length")
@@ -103,9 +114,9 @@ class BrdfTable:
         """Build from parallel arrays: indices (k,2) (h_bin, d_bin) ints,
         means (k,3), counts (k,), in any cell order. Raises ValueError as
         `sorted_cells` does."""
-        idx = np.asarray(indices, dtype=np.int64).reshape(-1, 2)
-        _, flat, means, counts = sorted_cells(np.zeros(len(idx)), idx[:, 0],
-                                              idx[:, 1], means, counts)
+        idx = np.asarray(indices).reshape(-1, 2)
+        _, flat, means, counts = sorted_cells(np.zeros(len(idx), dtype=np.int64),
+                                              idx[:, 0], idx[:, 1], means, counts)
         return cls(flat, means, counts)
 
     def __len__(self) -> int:
@@ -177,13 +188,8 @@ def dense_values(table: BrdfTable) -> np.ndarray:
     return table.means.reshape(N_H, N_D, 3)
 
 
-def lookup(table: BrdfTable, angles: HalfDiffAngles) -> np.ndarray:
-    """Bilinear interpolation at cell centers, clamped at the table edges."""
-    return lookup_arrays(table, np.array([angles.theta_h]),
-                         np.array([angles.theta_d]))[0]
-
-
 def lookup_arrays(table: BrdfTable, theta_h: np.ndarray, theta_d: np.ndarray):
+    """Bilinear interpolation at cell centers, clamped at the table edges."""
     arr = dense_values(table)
     gh = np.clip(np.asarray(theta_h, dtype=float) / H_WIDTH - 0.5, 0.0, N_H - 1.0)
     gd = np.clip(np.asarray(theta_d, dtype=float) / D_WIDTH - 0.5, 0.0, N_D - 1.0)

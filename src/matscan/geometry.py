@@ -86,9 +86,6 @@ class Quaternion:
     def conjugate(self) -> "Quaternion":
         return Quaternion(self.w, -self.x, -self.y, -self.z)
 
-    def dot(self, other: "Quaternion") -> float:
-        return float(self.as_array() @ other.as_array())
-
     def __mul__(self, other: "Quaternion") -> "Quaternion":
         w1, x1, y1, z1 = self.w, self.x, self.y, self.z
         w2, x2, y2, z2 = other.w, other.x, other.y, other.z
@@ -101,11 +98,6 @@ class Quaternion:
 
     def rotate(self, v: np.ndarray) -> np.ndarray:
         return self.to_matrix() @ np.asarray(v, dtype=float)
-
-    def angle_to(self, other: "Quaternion") -> float:
-        """Rotation angle in degrees between the two attitudes."""
-        d = min(1.0, abs(self.dot(other)))
-        return np.rad2deg(2.0 * np.arccos(d))
 
 
 def slerp(q0: Quaternion, q1: Quaternion, u: float) -> Quaternion:
@@ -158,11 +150,6 @@ class Pose:
         rinv = self.rotation.conjugate()
         return Pose(rinv, -rinv.rotate(self.translation))
 
-    def compose(self, other: "Pose") -> "Pose":
-        """self ∘ other: apply `other` first, then `self`."""
-        return Pose(self.rotation * other.rotation,
-                    self.rotation.rotate(other.translation) + self.translation)
-
 
 @dataclass(frozen=True)
 class TimedPose:
@@ -210,19 +197,6 @@ class PinholeCamera:
             raise ValueError("principal point must lie inside the image")
 
 
-def project(camera: PinholeCamera, pose: Pose, point: np.ndarray):
-    """Project a world point; returns (px, py) or None if behind the camera
-    or outside the image. `pose` is camera-to-world."""
-    pc = pose.inverse().transform(point)
-    if pc[2] <= 1e-6:
-        return None
-    px = camera.fx * pc[0] / pc[2] + camera.cx
-    py = camera.fy * pc[1] / pc[2] + camera.cy
-    if not (0.0 <= px < camera.width and 0.0 <= py < camera.height):
-        return None
-    return (float(px), float(py))
-
-
 def project_points(camera: PinholeCamera, pose: Pose, points: np.ndarray):
     """Vectorized projection. Returns (pixels (n,2), valid mask)."""
     pc = pose.inverse().transform(points)
@@ -233,14 +207,6 @@ def project_points(camera: PinholeCamera, pose: Pose, points: np.ndarray):
     py = camera.fy * pc[:, 1] / zsafe + camera.cy
     valid = in_front & (px >= 0) & (px < camera.width) & (py >= 0) & (py < camera.height)
     return np.stack([px, py], axis=1), valid
-
-
-def unproject(camera: PinholeCamera, pixel, depth: float) -> np.ndarray:
-    """Camera-frame point at a given z-depth for a pixel."""
-    px, py = pixel
-    return np.array([(px - camera.cx) / camera.fx * depth,
-                     (py - camera.cy) / camera.fy * depth,
-                     depth])
 
 
 def look_at(position, target, up=(0.0, 1.0, 0.0)) -> Pose:

@@ -12,10 +12,10 @@ import zlib
 
 import numpy as np
 
-from .brdf_table import cell_indices, sorted_cells
+from .brdf_table import cell_indices, integer_rows, sorted_cells
 from .config import load_config
 from .estimation import VertexRecords
-from .geometry import Pose, Quaternion, TimedPose
+from .geometry import UNIT_TOL, Pose, Quaternion, TimedPose
 from .simulator import GroundTruthMaterial, IrObservations, RgbObservations
 
 
@@ -56,8 +56,12 @@ def write_scene(path, scene) -> None:
 
 @_reader
 def read_scene(path, materials):
+    """The scene `write_scene` wrote, normals as written: each must be unit
+    to within `geometry.UNIT_TOL`."""
     from .scenes import Scene
     data = np.loadtxt(path, comments="#").reshape(-1, 8)
+    if not np.all(np.abs(np.linalg.norm(data[:, 4:7], axis=1) - 1.0) <= UNIT_TOL):
+        raise ValueError("a normal is not of unit length")
     return Scene(data[:, 1:4], data[:, 4:7], data[:, 7].astype(int), materials)
 
 
@@ -172,7 +176,7 @@ def read_records(path) -> VertexRecords:
     """The records `write_records` wrote, cell rows checked and sorted by
     `sorted_cells`, every vertex with a color and a cell row."""
     with np.load(path) as data:
-        vertex_id = np.asarray(data["vertex_id"], dtype=np.int64)
+        vertex_id = integer_rows(data["vertex_id"], "vertex_id")
         color = np.asarray(data["color"], dtype=float)
         cell_vid, flat, means, counts = sorted_cells(
             data["cell_vid"], data["cell_h"], data["cell_d"], data["cell_mean"],
@@ -189,18 +193,18 @@ def read_config(path):
     return load_config(path)
 
 
-def write_labels(path, labels: np.ndarray, groups=None) -> None:
-    """`vertex_id label` per line (-1 unclassified), with per-group counts in
-    a trailing comment summary."""
+def write_labels(path, labels: np.ndarray) -> None:
+    """`vertex_id label` per line (-1 unclassified), with the count of each
+    group present and of the unclassified in a trailing comment summary."""
+    counts = np.bincount(np.asarray(labels, dtype=np.int64) + 1, minlength=1)
     with open(path, "w") as fh:
         fh.write("# vertex_id label\n")
         for i, lab in enumerate(labels):
             fh.write(f"{i} {int(lab)}\n")
-        labs = np.asarray(labels)
         fh.write("# summary\n")
-        for g in sorted(set(int(x) for x in labs if x >= 0)):
-            fh.write(f"# group {g} count {int(np.sum(labs == g))}\n")
-        fh.write(f"# unclassified {int(np.sum(labs < 0))}\n")
+        for g in np.nonzero(counts[1:])[0]:
+            fh.write(f"# group {g} count {counts[g + 1]}\n")
+        fh.write(f"# unclassified {counts[0]}\n")
 
 
 @_reader

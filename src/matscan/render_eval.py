@@ -200,15 +200,3 @@ def write_ppm(path, image: np.ndarray, gamma: float = 1.0 / 2.2) -> None:
     with open(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode())
         fh.write(data.tobytes())
-
-
-def read_ppm(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        magic = fh.readline().strip()
-        if magic != b"P6":
-            raise ValueError("not a P6 PPM file")
-        dims = fh.readline().split()
-        w, h = int(dims[0]), int(dims[1])
-        fh.readline()  # maxval
-        data = np.frombuffer(fh.read(w * h * 3), dtype=np.uint8)
-    return data.reshape(h, w, 3).astype(float) / 255.0

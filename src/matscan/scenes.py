@@ -16,7 +16,8 @@ from .simulator import GroundTruthMaterial
 
 @dataclass
 class Scene:
-    """Columnar vertex storage; vertex id is the row index."""
+    """Columnar vertex storage; vertex id is the row index. Normals are
+    stored as given: the generators below make them unit."""
 
     positions: np.ndarray  # (n, 3)
     normals: np.ndarray  # (n, 3) unit
@@ -27,8 +28,6 @@ class Scene:
         self.positions = np.asarray(self.positions, dtype=float).reshape(-1, 3)
         self.normals = np.asarray(self.normals, dtype=float).reshape(-1, 3)
         self.material_ids = np.asarray(self.material_ids, dtype=int).reshape(-1)
-        norms = np.linalg.norm(self.normals, axis=1, keepdims=True)
-        self.normals = self.normals / norms
 
     def __len__(self) -> int:
         return len(self.material_ids)
@@ -116,7 +115,7 @@ def two_sphere_scene(n_vertices: int, seed: int, materials=None) -> Scene:
     facing = np.array([0.0, 0.0, -1.0])
     p0, nrm0, m0 = _sphere_patch(rng, (-0.22, 0.0, 0.10), 0.15, facing, 50.0, n0, 0)
     p1, nrm1, m1 = _sphere_patch(rng, (0.22, 0.0, 0.10), 0.15, facing, 50.0, n1, 1)
-    return Scene(np.vstack([p0, p1]), np.vstack([nrm0, nrm1]),
+    return Scene(np.vstack([p0, p1]), _unit_rows(np.vstack([nrm0, nrm1])),
                  np.concatenate([m0, m1]), list(materials))
 
 
@@ -137,7 +136,8 @@ def four_material_room_scene(n_vertices: int, seed: int, materials=None) -> Scen
     ball = _sphere_patch(rng, (-0.17, -0.02, 0.22), 0.12, (0.0, 0.0, -1.0),
                          50.0, last, 3)
     parts = [wall, floor, board, ball]
-    return Scene(np.vstack([p[0] for p in parts]), np.vstack([p[1] for p in parts]),
+    return Scene(np.vstack([p[0] for p in parts]),
+                 _unit_rows(np.vstack([p[1] for p in parts])),
                  np.concatenate([p[2] for p in parts]), list(materials))
 
 
@@ -155,7 +155,8 @@ def corner_board_scene(n_vertices: int, seed: int, materials=None) -> Scene:
     ball = _sphere_patch(rng, (-0.12, -0.05, 0.20), 0.13, (0.0, 0.0, -1.0),
                          50.0, last, 2)
     parts = [wall, board, ball]
-    return Scene(np.vstack([p[0] for p in parts]), np.vstack([p[1] for p in parts]),
+    return Scene(np.vstack([p[0] for p in parts]),
+                 _unit_rows(np.vstack([p[1] for p in parts])),
                  np.concatenate([p[2] for p in parts]), list(materials))
 
 

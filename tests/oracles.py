@@ -10,16 +10,21 @@
   triangular solve, and label diffusion one target vertex at a time, which
   tests check `segmentation.mahalanobis_many` and
   `segmentation.diffuse_labels` against.
+
+It also holds the scalar and inverse helpers only tests use: one-angle
+table lookup, single-point projection and unprojection, pose composition,
+the angle between two attitudes and a PPM reader.
 """
 
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.spatial import cKDTree
 
-from matscan.brdf_table import BrdfTable, group_rows
+from matscan.brdf_table import BrdfTable, group_rows, lookup_arrays
 from matscan.estimation import (COS_GRAZING, VIGNETTE_FLOOR, Rejection,
                                 VertexReflectanceRecord)
-from matscan.geometry import PinholeCamera, Pose, half_diff_angles
+from matscan.geometry import (HalfDiffAngles, PinholeCamera, Pose, Quaternion,
+                              half_diff_angles)
 from matscan.segmentation import GlobalCellTable
 from matscan.simulator import (GroundTruthMaterial, eval_ground_truth_brdf,
                                vignette)
@@ -158,3 +163,54 @@ def diffuse_labels(groups, positions, sampled_ids, radius: float) -> np.ndarray:
             pick = min(pick, classified_ids[idx[row, 1]])
         labels[t] = labels[pick]
     return labels
+
+
+def lookup(table: BrdfTable, angles: HalfDiffAngles) -> np.ndarray:
+    """Bilinear interpolation at cell centers, clamped at the table edges."""
+    return lookup_arrays(table, np.array([angles.theta_h]),
+                         np.array([angles.theta_d]))[0]
+
+
+def project(camera: PinholeCamera, pose: Pose, point: np.ndarray):
+    """Project a world point; returns (px, py) or None if behind the camera
+    or outside the image. `pose` is camera-to-world."""
+    pc = pose.inverse().transform(point)
+    if pc[2] <= 1e-6:
+        return None
+    px = camera.fx * pc[0] / pc[2] + camera.cx
+    py = camera.fy * pc[1] / pc[2] + camera.cy
+    if not (0.0 <= px < camera.width and 0.0 <= py < camera.height):
+        return None
+    return (float(px), float(py))
+
+
+def unproject(camera: PinholeCamera, pixel, depth: float) -> np.ndarray:
+    """Camera-frame point at a given z-depth for a pixel."""
+    px, py = pixel
+    return np.array([(px - camera.cx) / camera.fx * depth,
+                     (py - camera.cy) / camera.fy * depth,
+                     depth])
+
+
+def compose(a: Pose, b: Pose) -> Pose:
+    """a ∘ b: apply `b` first, then `a`."""
+    return Pose(a.rotation * b.rotation,
+                a.rotation.rotate(b.translation) + a.translation)
+
+
+def angle_to(a: Quaternion, b: Quaternion) -> float:
+    """Rotation angle in degrees between the two attitudes."""
+    d = min(1.0, abs(float(a.as_array() @ b.as_array())))
+    return np.rad2deg(2.0 * np.arccos(d))
+
+
+def read_ppm(path) -> np.ndarray:
+    with open(path, "rb") as fh:
+        magic = fh.readline().strip()
+        if magic != b"P6":
+            raise ValueError("not a P6 PPM file")
+        dims = fh.readline().split()
+        w, h = int(dims[0]), int(dims[1])
+        fh.readline()  # maxval
+        data = np.frombuffer(fh.read(w * h * 3), dtype=np.uint8)
+    return data.reshape(h, w, 3).astype(float) / 255.0

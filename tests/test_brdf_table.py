@@ -9,8 +9,9 @@ from matscan import brdf_table
 from matscan.brdf_table import (D_WIDTH, H_WIDTH, N_CELLS, N_D, N_H,
                                 SERIAL_HEADER, BrdfTable, bin_angles, bin_arrays,
                                 cell_center, complete, dense_values, from_text,
-                                group_rows, lookup, lookup_arrays, merge, to_text)
+                                group_rows, lookup_arrays, merge, to_text)
 from matscan.geometry import HalfDiffAngles
+from oracles import lookup
 
 
 class TestBinning:
@@ -97,9 +98,11 @@ class TestAccumulation:
         ([(0, 0)], [[1, 1, -0.5]], [1]),
         ([(0, 0)], [[1, 1, 1]], [-1]),
         ([(0, 0), (1, 1)], [[1, 1, 1]], [1, 1]),
+        ([(0.6, 0)], [[1, 1, 1]], [1]),
+        ([(0, 0)], [[1, 1, 1]], [1.0]),
     ], ids=["h-high", "d-high", "h-negative", "d-negative", "duplicate",
             "nan-mean", "inf-mean", "negative-mean", "negative-count",
-            "length-mismatch"])
+            "length-mismatch", "float-index", "float-count"])
     def test_from_cells_rejects_bad_input(self, indices, means, counts):
         with pytest.raises(ValueError):
             BrdfTable.from_cells(indices, means, counts)
@@ -216,7 +219,8 @@ class TestCompletion:
 def full_table(rng):
     """Every cell measured once with a random mean."""
     return BrdfTable.from_cells(brdf_table.cell_indices(np.arange(N_CELLS)),
-                                rng.uniform(0, 1, (N_CELLS, 3)), np.ones(N_CELLS))
+                                rng.uniform(0, 1, (N_CELLS, 3)),
+                                np.ones(N_CELLS, dtype=int))
 
 
 class TestLookup:

@@ -230,15 +230,13 @@ class TestCli:
             assert cli.main([stage, "--config", path]) == cli.EXIT_OK
         paths = cli._paths(cfg.out_dir)
         scan = cli._scan_config(cfg)
-        ir, rgb = simulate_scan(cli._make_scene(cfg), scan)
+        scene = cli._make_scene(cfg)
+        ir, rgb = simulate_scan(scene, scan)
         for obs, back in ((ir, io.read_ir_observations(paths["ir"])),
                           (rgb, io.read_rgb_observations(paths["rgb"]))):
             for name, a in vars(obs).items():
                 assert getattr(back, name).dtype == a.dtype, name
                 np.testing.assert_array_equal(getattr(back, name), a)
-        # the text scene re-normalizes its normals (ulps), so the in-memory
-        # observations are inverted against the scene estimate read
-        scene = io.read_scene(paths["scene"], io.read_materials(paths["materials"]))
         colors = estimation.estimate_colors(rgb, cfg.saturation_level)
         expected, _ = estimation.accumulate_vertex_tables(
             ir, scene, io.read_trajectory(paths["trajectory"]), scan.rig, colors,

@@ -10,6 +10,7 @@ from matscan.brdf_table import N_CELLS, BrdfTable, cell_indices
 from matscan.estimation import VertexReflectanceRecord, VertexRecords
 from matscan.io import CorruptInputError, MissingInputError
 from matscan.simulator import IrObservations
+from oracles import angle_to
 
 
 class TestSceneIO:
@@ -18,9 +19,16 @@ class TestSceneIO:
         path = tmp_path / "scene.txt"
         io.write_scene(path, scene)
         back = io.read_scene(path, scene.materials)
-        np.testing.assert_allclose(back.positions, scene.positions, rtol=1e-15)
-        np.testing.assert_allclose(back.normals, scene.normals, rtol=1e-15)
+        np.testing.assert_array_equal(back.positions, scene.positions)
+        np.testing.assert_array_equal(back.normals, scene.normals)
         np.testing.assert_array_equal(back.material_ids, scene.material_ids)
+
+    @pytest.mark.parametrize("normal", ["0 0 0.5", "0 0 0", "0 nan 1"])
+    def test_non_unit_normal_is_corrupt_input(self, tmp_path, normal):
+        path = tmp_path / "scene.txt"
+        path.write_text(f"0 0 0 1 0 0 1 0\n1 0 0 1 {normal} 0\n")
+        with pytest.raises(CorruptInputError, match="scene.txt"):
+            io.read_scene(path, [])
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(MissingInputError):
@@ -51,7 +59,7 @@ class TestTrajectoryIO:
         assert len(back) == len(traj)
         for a, b in zip(traj, back):
             assert a.timestamp == b.timestamp
-            assert a.pose.rotation.angle_to(b.pose.rotation) < 1e-5
+            assert angle_to(a.pose.rotation, b.pose.rotation) < 1e-5
             np.testing.assert_allclose(a.pose.translation, b.pose.translation,
                                        rtol=1e-15)
 
@@ -256,6 +264,8 @@ class TestRecordsIO:
         lambda a: a.update(vertex_id=np.array([4, 4]),
                            color=np.ones((2, 3)) / 3 ** 0.5),
         lambda a: a.__setitem__("color", np.ones((2, 3)) / 3 ** 0.5),
+        lambda a: a.__setitem__("cell_h", a["cell_h"] + 0.6),  # not truncated
+        lambda a: a.__setitem__("vertex_id", a["vertex_id"] + 0.0),
     ])
     def test_bad_content_is_corrupt_input(self, tmp_path, corrupt):
         path, arrays = self._written(tmp_path)

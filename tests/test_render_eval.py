@@ -6,16 +6,16 @@ import pytest
 from matscan import brdf_table, estimation, render_eval, scenes, segmentation
 from matscan.brdf_table import (N_CELLS, N_D, BrdfTable, cell_center,
                                 cell_indices, complete)
-from matscan.render_eval import (evaluate, greedy_match, read_ppm,
-                                 render_material_sphere, rerender_intensities,
-                                 rerender_ir_frame, scalar_reflectance,
-                                 table_rmse, write_ppm)
+from matscan.render_eval import (evaluate, greedy_match, render_material_sphere,
+                                 rerender_intensities, rerender_ir_frame,
+                                 scalar_reflectance, table_rmse, write_ppm)
 from matscan.segmentation import MaterialGroups
 from matscan.simulator import (GroundTruthMaterial, NoiseConfig,
                                eval_ground_truth_brdf, ir_frame_times,
                                simulate_scan)
 
 from conftest import make_scan_config
+from oracles import read_ppm
 
 
 def constant_table(value):
@@ -28,7 +28,7 @@ def analytic_table(mat, flat):
     th, td = cell_center(*cells.T)
     return BrdfTable.from_cells(
         cells, mat.color * eval_ground_truth_brdf(mat, th, td)[:, None],
-        np.ones(len(cells)))
+        np.ones(len(cells), dtype=int))
 
 
 class TestScalarReflectance:
