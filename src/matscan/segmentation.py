@@ -269,8 +269,8 @@ def mahalanobis(x, mean, covariance) -> float:
 
 def mahalanobis_many(xs, mean, covariance) -> np.ndarray:
     """`mahalanobis` per row of xs as |L^-1 (x-mu)|: L^T solved transposed as
-    an upper triangle, the LAPACK call `scipy.linalg.solve_triangular` makes
-    for a C-ordered lower L, so its bits."""
+    an upper triangle, the LAPACK call scipy's triangular solver makes for a
+    C-ordered lower L, so its bits."""
     diff = np.asarray(xs, dtype=float).reshape(-1, 3) - np.asarray(mean, dtype=float)
     y, _ = dtrtrs(_cholesky(covariance).T, diff.T, lower=0, trans=1)
     return np.sqrt((y * y).sum(axis=0))
