@@ -25,7 +25,7 @@ from . import brdf_table, estimation, io, render_eval, scenes, segmentation
 from .config import ConfigError, PipelineConfig, load_config, serialize_config
 from .geometry import PinholeCamera
 from .io import MissingInputError
-from .simulator import (NoiseConfig, ScanConfig, ir_frame_times, make_default_rig,
+from .simulator import (NoiseConfig, ScanConfig, frame_times, make_default_rig,
                         simulate_scan)
 
 EXIT_OK = 0
@@ -215,8 +215,7 @@ def cmd_render(cfg: PipelineConfig) -> int:
         img = render_eval.render_material_sphere(full, light)
         render_eval.write_ppm(os.path.join(cfg.out_dir, f"sphere_{g}.ppm"), img)
 
-    scan = _scan_config(cfg)
-    t0 = float(ir_frame_times(scan)[0])
+    t0 = float(frame_times(trajectory, cfg.n_ir_frames)[0])
     usable = [t for t in completed if t is not None]
     if usable:
         # a group lacking a table renders with the first usable one

@@ -1,6 +1,10 @@
 """Inverse pipeline: per-vertex normalized color, inversion of the image
 formation model to scalar reflectance samples, and their accumulation into
-per-vertex tables held as one column set (`VertexRecords`)."""
+per-vertex tables held as one column set (`VertexRecords`).
+
+Colors are one grouped median over every vertex at once. The inversion runs
+on chunks of whole frames, as `simulator.frames` groups the observation
+rows, with each row's camera and LED position taken from its frame."""
 
 from __future__ import annotations
 
@@ -10,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import brdf_table
-from .brdf_table import N_CELLS, N_D, BrdfTable, group_rows
+from .brdf_table import N_CELLS, N_D, BrdfTable
 from .geometry import LedRig, PinholeCamera, half_diff_angle_arrays
 from .simulator import (IrObservations, RgbObservations, frame_geometry, frames,
                         shading, vignette)
@@ -66,35 +70,46 @@ class VertexRecords:
                 self.flat[a:b], self.means[a:b], self.counts[a:b]))
 
 
-def estimate_vertex_color(rgb_samples, omega_out_deg, saturation_level: float):
-    """Per-channel median of unsaturated, non-grazing samples, normalized to
-    unit Euclidean norm. Returns None with fewer than 3 usable samples."""
-    rgb = np.asarray(rgb_samples, dtype=float).reshape(-1, 3)
-    ang = np.asarray(omega_out_deg, dtype=float).reshape(-1)
-    keep = (ang <= GRAZING_DEG) & np.all(rgb < saturation_level, axis=1)
-    if keep.sum() < MIN_COLOR_SAMPLES:
-        return None
-    med = np.median(rgb[keep], axis=0)
-    norm = np.linalg.norm(med)
-    if norm < 1e-12:
-        return None
-    return med / norm
-
-
 def estimate_colors(rgb_obs: RgbObservations, saturation_level: float) -> dict:
-    """Vertex id -> unit color for every vertex with enough usable samples."""
-    colors = {}
-    for rows in group_rows(rgb_obs.vertex_id):
-        c = estimate_vertex_color(rgb_obs.rgb[rows], rgb_obs.omega_out_angle[rows],
-                                  saturation_level)
-        if c is not None:
-            colors[int(rgb_obs.vertex_id[rows[0]])] = c
-    return colors
+    """Vertex id -> unit color for every vertex with at least
+    `MIN_COLOR_SAMPLES` usable samples (unsaturated, not grazing): their
+    per-channel median, normalized to unit Euclidean norm."""
+    keep = ((rgb_obs.omega_out_angle <= GRAZING_DEG)
+            & np.all(rgb_obs.rgb < saturation_level, axis=1))
+    vids = rgb_obs.vertex_id[keep].astype(np.int64)
+    rgb = rgb_obs.rgb[keep]
+    n = len(vids)
+    by_vertex = []  # per channel, the values sorted by (vertex, value)
+    for c in range(3):
+        # ranks of the channel's values (ties in any order): sorting
+        # vid * n + rank sorts rows by vertex, then by value
+        order = np.argsort(rgb[:, c])
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = np.arange(n)
+        key = np.sort(vids * n + rank)
+        by_vertex.append(rgb[order[key % n], c])
+    uniq, start, count = np.unique(key // n, return_index=True,
+                                   return_counts=True)
+    enough = count >= MIN_COLOR_SAMPLES
+    uniq, start, count = uniq[enough], start[enough], count[enough]
+    hi = start + count // 2
+    lo = np.where(count % 2 == 1, hi, hi - 1)
+    # per channel, the middle value of an odd run, or the mean of the middle two
+    med = np.stack([np.where(lo == hi, v[hi], (v[lo] + v[hi]) / 2)
+                    for v in by_vertex], axis=1)
+    # the BLAS dot product `np.linalg.norm` of one vector computes, on rows
+    # as aligned as a fresh (3,) array: some dot kernels sum in an order that
+    # depends on the alignment of their input
+    med = np.pad(med, ((0, 0), (0, 1)))[:, :3]
+    norm = np.sqrt(np.matmul(med[:, None, :], med[:, :, None])[:, 0, 0])
+    ok = norm >= 1e-12
+    return dict(zip(uniq[ok].tolist(), med[ok] / norm[ok, None]))
 
 
 def invert_observation_arrays(ir: IrObservations, scene, trajectory, rig: LedRig,
                               camera: PinholeCamera, saturation_level: float):
-    """Vectorized inversion of a whole observation set.
+    """Vectorized inversion of a whole observation set, in chunks of whole
+    frames (`simulator.frames`).
 
     Returns (accepted mask, theta_h, theta_d, f, rejection counts dict).
     Angle/f entries are only meaningful where accepted."""
@@ -104,12 +119,12 @@ def invert_observation_arrays(ir: IrObservations, scene, trajectory, rig: LedRig
     f = np.zeros(n)
     reason = np.full(n, ACCEPTED, dtype=np.int8)
 
-    for pose, rows in frames(ir, trajectory):
+    for rows, cam, led_world in frames(ir, trajectory, rig):
         vids = ir.vertex_id[rows]
         nrm = scene.normals[vids]
         leds = ir.led_index[rows]
-        d, l, ndotl, wo, ndotv = frame_geometry(
-            pose, pose.transform(rig.positions[leds]), scene.positions[vids], nrm)
+        d, l, ndotl, wo, ndotv = frame_geometry(cam, led_world,
+                                                scene.positions[vids], nrm)
         vig = vignette((ir.pixel[rows, 0], ir.pixel[rows, 1]), camera)
         inten = ir.intensity[rows]
 
@@ -153,15 +168,15 @@ def accumulate_vertex_tables(ir: IrObservations, scene, trajectory, rig: LedRig,
     fs = f[accepted][has_color]
 
     color_arr = np.zeros((len(scene), 3))
-    for v, c in colors.items():
-        color_arr[v] = c
+    color_arr[list(colors)] = np.reshape(list(colors.values()), (-1, 3))
     samples = color_arr[vids] * fs[:, None]
 
     # sorted by (vertex, flat cell): the row order of VertexRecords
     key = vids.astype(np.int64) * N_CELLS + hb * N_D + db
     uniq, inverse = np.unique(key, return_inverse=True)
-    sums = np.zeros((len(uniq), 3))
-    np.add.at(sums, inverse, samples)
+    # per cell, its samples summed in row order
+    sums = np.stack([np.bincount(inverse, weights=samples[:, c],
+                                 minlength=len(uniq)) for c in range(3)], axis=1)
     cnt = np.bincount(inverse, minlength=len(uniq))
     cell_vid, flat = np.divmod(uniq, N_CELLS)
     vertex_id = np.unique(cell_vid)

@@ -197,16 +197,28 @@ class PinholeCamera:
             raise ValueError("principal point must lie inside the image")
 
 
-def project_points(camera: PinholeCamera, pose: Pose, points: np.ndarray):
-    """Vectorized projection. Returns (pixels (n,2), valid mask)."""
-    pc = pose.inverse().transform(points)
-    z = pc[:, 2]
+def pose_arrays(poses):
+    """Rotation matrices (k,3,3) and translations (k,3) of k poses."""
+    return (np.stack([p.rotation.to_matrix() for p in poses]),
+            np.stack([p.translation for p in poses]))
+
+
+def project_points(camera: PinholeCamera, pose, points: np.ndarray):
+    """Vectorized projection of world points (n,3) seen from `pose`, or from
+    each pose of a list of k. Returns (pixels (n,2), valid mask (n,)), or
+    (k,n,2) and (k,n) for a list."""
+    rot, trans = pose_arrays([p.inverse() for p in
+                              ([pose] if isinstance(pose, Pose) else pose)])
+    # the rows `Pose.transform` gives, one pose at a time
+    pc = np.matmul(points, rot.swapaxes(1, 2)) + trans[:, None]
+    z = pc[..., 2]
     in_front = z > 1e-6
     zsafe = np.where(in_front, z, 1.0)
-    px = camera.fx * pc[:, 0] / zsafe + camera.cx
-    py = camera.fy * pc[:, 1] / zsafe + camera.cy
+    px = camera.fx * pc[..., 0] / zsafe + camera.cx
+    py = camera.fy * pc[..., 1] / zsafe + camera.cy
     valid = in_front & (px >= 0) & (px < camera.width) & (py >= 0) & (py < camera.height)
-    return np.stack([px, py], axis=1), valid
+    pixels = np.stack([px, py], axis=-1)
+    return (pixels[0], valid[0]) if isinstance(pose, Pose) else (pixels, valid)
 
 
 def look_at(position, target, up=(0.0, 1.0, 0.0)) -> Pose:
@@ -274,11 +286,19 @@ def half_diff_angles(normal, omega_in, omega_out) -> HalfDiffAngles:
     return HalfDiffAngles(float(np.clip(th, 0.0, 90.0)), float(np.clip(td, 0.0, 90.0)))
 
 
+def norm_rows(v):
+    """Euclidean norms over the last axis of (..., 3) vectors, elementwise:
+    the squares summed in the order `np.linalg.norm(v, axis=-1)` sums them,
+    without its per-row reduction loop."""
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    return np.sqrt(x * x + y * y + z * z)
+
+
 def half_diff_angle_arrays(normals, omega_in, omega_out):
     """Vectorized half/diff angles in degrees for (n,3) unit direction arrays.
     Caller guarantees front-facing, non-opposite directions."""
     s = omega_in + omega_out
-    h = s / np.linalg.norm(s, axis=1, keepdims=True)
+    h = s / norm_rows(s)[:, None]
     ch = np.clip(np.einsum("ij,ij->i", normals, h), -1.0, 1.0)
     cd = np.clip(np.einsum("ij,ij->i", h, omega_in), -1.0, 1.0)
     return np.rad2deg(np.arccos(ch)), np.rad2deg(np.arccos(cd))

@@ -46,13 +46,14 @@ def render_material_sphere(table: BrdfTable, light_direction, resolution: int = 
     return img
 
 
-def _rerender_frame(pose, vids, leds, pixel, scene, labels, material_tables,
-                    rig: LedRig, camera: PinholeCamera) -> np.ndarray:
-    """Model intensity of the rows of one frame: vertex ids, LED indices and
-    pixels (n,2) seen from `pose`; 0 where unlit or back-facing."""
+def _rerender_rows(cam, led_world, brightness, vids, pixel, scene, labels,
+                   material_tables, camera: PinholeCamera) -> np.ndarray:
+    """Model intensity of observation rows: camera and LED world positions
+    (3,) or (n,3), LED brightness, vertex ids and pixels (n,2); 0 where unlit
+    or back-facing."""
     nrm = scene.normals[vids]
-    d, l, ndotl, wo, ndotv = frame_geometry(
-        pose, pose.transform(rig.positions[leds]), scene.positions[vids], nrm)
+    d, l, ndotl, wo, ndotv = frame_geometry(cam, led_world, scene.positions[vids],
+                                            nrm)
     front = (ndotl > 1e-6) & (ndotv > 1e-6)
     out = np.zeros(len(vids))
     if not front.any():
@@ -65,7 +66,7 @@ def _rerender_frame(pose, vids, leds, pixel, scene, labels, material_tables,
         if sel.any():
             f[sel] = scalar_reflectance(lookup_arrays(table, th[sel], td[sel]))
     vig = vignette((pixel[front, 0], pixel[front, 1]), camera)
-    out[front] = shading(vig, f, ndotl[front], rig.brightness[leds[front]], d[front])
+    out[front] = shading(vig, f, ndotl[front], brightness[front], d[front])
     return out
 
 
@@ -75,10 +76,10 @@ def rerender_intensities(ir: IrObservations, scene, labels: np.ndarray,
     """Model intensity for every observation row, using the estimated
     per-material completed tables (Lambertian fallback for label -1)."""
     out = np.zeros(len(ir))
-    for pose, rows in frames(ir, trajectory):
-        out[rows] = _rerender_frame(pose, ir.vertex_id[rows], ir.led_index[rows],
-                                    ir.pixel[rows], scene, labels, material_tables,
-                                    rig, camera)
+    for rows, cam, led_world in frames(ir, trajectory, rig):
+        out[rows] = _rerender_rows(cam, led_world, rig.brightness[ir.led_index[rows]],
+                                   ir.vertex_id[rows], ir.pixel[rows], scene,
+                                   labels, material_tables, camera)
     return out
 
 
@@ -93,9 +94,12 @@ def rerender_ir_frame(scene, labels, material_tables, trajectory, frame_time: fl
     idx = np.nonzero(valid)[0]
     gray = np.zeros((camera.height, camera.width))
     if len(idx):
-        vals = _rerender_frame(pose, idx, np.full(len(idx), led_index), pixels[idx],
-                               scene, labels, material_tables, rig,
-                               camera) * exposure
+        # the LED's row of the whole rig's, as `simulator.frames` computes it
+        led_world = pose.transform(rig.positions)[led_index]
+        vals = _rerender_rows(pose.translation, led_world,
+                              np.full(len(idx), rig.brightness[led_index]), idx,
+                              pixels[idx], scene, labels, material_tables,
+                              camera) * exposure
         px = np.clip(pixels[idx, 0].astype(int), 0, camera.width - 1)
         py = np.clip(pixels[idx, 1].astype(int), 0, camera.height - 1)
         np.maximum.at(gray, (py, px), vals)

@@ -6,9 +6,12 @@ frame, and configurable corruption (normal/pose jitter, multiplicative
 intensity noise, outliers, dropout, saturation clipping).
 
 `shading` is the one place the model is written, and `frame_geometry` the
-one place its per-row geometry is: the simulator, the inversion in
-`estimation` and the re-render in `render_eval` all call both, frame by
-frame as `frames` groups the observations.
+one place its geometry is: the simulator, the inversion in `estimation` and
+the re-render in `render_eval` all call both. None of them loops over
+frames: they take whole frames in chunks of up to `_CHUNK_ROWS` rows
+(frames x vertices in `simulate_scan`, observation rows as `frames` groups
+them elsewhere) and broadcast each frame's camera and LED position over its
+rows.
 """
 
 from __future__ import annotations
@@ -17,10 +20,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .brdf_table import group_rows
 from .geometry import (LedRig, PinholeCamera, Pose, Quaternion, TimedPose,
                        half_diff_angle_arrays, interpolate_trajectory,
-                       project_points)
+                       norm_rows, pose_arrays, project_points)
+
+# rows processed at once: whole frames, up to this many frames x vertices in
+# `simulate_scan` and observation rows in `frames`, or one larger frame
+# alone. A (rows, 3) float64 temporary is then 96 KiB: small enough that the
+# chunk temporaries do not raise the process's peak memory.
+_CHUNK_ROWS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -62,17 +70,18 @@ def vignette(pixel, camera: PinholeCamera):
     return cos2 * cos2
 
 
-def frame_geometry(pose: Pose, led_world, positions, normals):
-    """Per-row geometry of vertices seen from `pose` and lit from
-    `led_world` ((3,) or (n, 3), world coordinates): LED distance d, unit
-    light direction l, n.l, unit view direction wo and n.wo."""
+def frame_geometry(camera_position, led_world, positions, normals):
+    """Geometry of vertices (`positions`, `normals`) seen from
+    `camera_position` and lit from `led_world`, world coordinates that
+    broadcast against each other as (..., 3): LED distance d, unit light
+    direction l, n.l, unit view direction wo and n.wo."""
     to_led = led_world - positions
-    d = np.linalg.norm(to_led, axis=1)
-    l = to_led / d[:, None]
-    ndotl = np.einsum("ij,ij->i", normals, l)
-    to_cam = pose.translation - positions
-    wo = to_cam / np.linalg.norm(to_cam, axis=1, keepdims=True)
-    ndotv = np.einsum("ij,ij->i", normals, wo)
+    d = norm_rows(to_led)
+    l = to_led / d[..., None]
+    ndotl = np.einsum("...j,...j->...", normals, l)
+    to_cam = camera_position - positions
+    wo = to_cam / norm_rows(to_cam)[..., None]
+    ndotv = np.einsum("...j,...j->...", normals, wo)
     return d, l, ndotl, wo, ndotv
 
 
@@ -82,12 +91,41 @@ def shading(vig, f, ndotl, brightness, d):
     return vig * f * ndotl * brightness / d**2
 
 
-def frames(ir, trajectory):
-    """(camera pose, row indices) of each distinct frame time of `ir`, in
-    time order."""
-    for rows in group_rows(ir.frame_time):
-        t = float(ir.frame_time[rows[0]])
-        yield interpolate_trajectory(trajectory, t), rows
+def _chunks(sizes):
+    """(first, stop) indices of runs of consecutive frames, `sizes` rows
+    each, that hold at most `_CHUNK_ROWS` rows, or one frame that has more."""
+    first, rows = 0, 0
+    for i, size in enumerate(sizes):
+        if rows + size > _CHUNK_ROWS and i > first:
+            yield first, i
+            first, rows = i, 0
+        rows += size
+    if len(sizes) > first:
+        yield first, len(sizes)
+
+
+def frames(ir, trajectory, rig: LedRig):
+    """Chunks of whole frames (distinct frame times) of `ir`, in time order:
+    the chunk's row indices, ascending within each frame, and per row its
+    frame's camera position and the world position of its LED (n,3). Both
+    are computed once per frame, so a row's values do not depend on the
+    other rows of its frame."""
+    order = np.argsort(ir.frame_time, kind="stable")
+    times = ir.frame_time[order]
+    bounds = np.append(np.flatnonzero(np.diff(times, prepend=np.nan) != 0),
+                       len(times))
+    sizes = np.diff(bounds)
+    for first, stop in _chunks(sizes):
+        rot, cam = pose_arrays([interpolate_trajectory(trajectory, float(times[i]))
+                                for i in bounds[first:stop]])
+        # every LED of every frame (k, L, 3), by the matrix product that
+        # `Pose.transform` of an (n,3) array uses, whatever the rows per frame
+        led_world = np.matmul(rig.positions, rot.swapaxes(1, 2)) + cam[:, None]
+        rows = order[bounds[first]:bounds[stop]]
+        counts = sizes[first:stop]
+        led = np.repeat(np.arange(stop - first) * len(rig), counts) + ir.led_index[rows]
+        yield (rows, np.repeat(cam, counts, axis=0),
+               led_world.reshape(-1, 3).take(led, axis=0))
 
 
 @dataclass(frozen=True)
@@ -153,28 +191,29 @@ class RgbObservations:
         return len(self.vertex_id)
 
 
+def frame_times(trajectory: list[TimedPose], n_frames: int) -> np.ndarray:
+    """`n_frames` IR frame timestamps, strictly inside the trajectory's time
+    span so the pose interpolation path is always exercised."""
+    t0 = trajectory[0].timestamp
+    t1 = trajectory[-1].timestamp
+    return t0 + (np.arange(n_frames) + 0.5) / n_frames * (t1 - t0)
+
+
 def ir_frame_times(config: ScanConfig) -> np.ndarray:
-    """IR frame timestamps, strictly inside the trajectory's time span so the
-    pose interpolation path is always exercised."""
-    t0 = config.trajectory[0].timestamp
-    t1 = config.trajectory[-1].timestamp
-    n = config.n_ir_frames
-    return t0 + (np.arange(n) + 0.5) / n * (t1 - t0)
+    """The IR frame timestamps of a scan."""
+    return frame_times(config.trajectory, config.n_ir_frames)
 
 
-def _jitter_directions(rng, dirs: np.ndarray, sigma_deg: float) -> np.ndarray:
-    """Rotate each unit row by an angle ~ N(0, sigma) about a random tangent axis."""
-    if sigma_deg == 0.0:
-        return dirs
-    n = len(dirs)
-    raw = rng.normal(size=(n, 3))
-    tang = raw - np.einsum("ij,ij->i", raw, dirs)[:, None] * dirs
-    norms = np.linalg.norm(tang, axis=1, keepdims=True)
+def _jitter_directions(dirs, raw, ang_deg):
+    """Rotate each unit row of `dirs` (..., 3) by `ang_deg` about the tangent
+    axis that `raw`, a standard normal draw of the same shape, projects to."""
+    tang = raw - np.einsum("...j,...j->...", raw, dirs)[..., None] * dirs
+    norms = norm_rows(tang)[..., None]
     norms[norms < 1e-12] = 1.0
     tang /= norms
-    ang = np.deg2rad(rng.normal(0.0, sigma_deg, n))[:, None]
+    ang = np.deg2rad(ang_deg)[..., None]
     out = dirs * np.cos(ang) + tang * np.sin(ang)
-    return out / np.linalg.norm(out, axis=1, keepdims=True)
+    return out / norm_rows(out)[..., None]
 
 
 def _jitter_pose(rng, pose: Pose, noise: NoiseConfig) -> Pose:
@@ -190,106 +229,141 @@ def _jitter_pose(rng, pose: Pose, noise: NoiseConfig) -> Pose:
     return Pose(rot, t)
 
 
+def _corruption_draws(rng, n: int, noise: NoiseConfig, saturation_level: float,
+                      rgb: bool):
+    """One frame's draws for its `n` visible samples, IR or RGB: gain noise,
+    outlier mask and values, dropout keep mask (None when switched off)."""
+    gain = outlier = values = keep = None
+    if noise.intensity_multiplicative_sigma > 0:
+        gain = rng.normal(0.0, noise.intensity_multiplicative_sigma,
+                          (n, 1) if rgb else n)
+    if noise.outlier_fraction > 0:
+        outlier = rng.random(n) < noise.outlier_fraction
+        values = rng.uniform(0.0, saturation_level,
+                             (int(outlier.sum()), 3) if rgb else n)
+    if noise.dropout_fraction > 0:
+        keep = rng.random(n) >= noise.dropout_fraction
+    return gain, outlier, values, keep
+
+
+def _corrupt(values, draws, saturation_level: float):
+    """`values` (n,) IR or (n,3) RGB under the concatenated draws of
+    `_corruption_draws`, clipped at saturation; and the dropout keep mask."""
+    gain, outlier, drawn, keep = (None if parts[0] is None else np.concatenate(parts)
+                                  for parts in zip(*draws))
+    if gain is not None:
+        values = values * np.exp(gain)
+    if outlier is not None:
+        if values.ndim == 1:
+            values = np.where(outlier, drawn, values)
+        else:
+            values[outlier] = drawn
+    if keep is None:
+        keep = np.ones(len(values), dtype=bool)
+    return np.minimum(values, saturation_level), keep
+
+
+def _join_columns(parts: list) -> list:
+    """Each column of `parts`, a list of equal-length tuples of arrays,
+    concatenated. `parts` is emptied and each column's pieces are freed once
+    joined, so the peak is the pieces plus one joined column, not plus all."""
+    columns = [list(col) for col in zip(*parts)]
+    parts.clear()
+    return [np.concatenate(columns.pop(0)) for _ in range(len(columns))]
+
+
 def simulate_scan(scene, config: ScanConfig):
     """Produce (IrObservations, RgbObservations) for a scene under the scan
     configuration. LEDs are cycled one per IR frame; RGB samples are taken
-    every `rgb_frame_stride`-th frame. Deterministic given the noise seed."""
+    every `rgb_frame_stride`-th frame. Deterministic given the noise seed.
+
+    Frames run in chunks of up to `_CHUNK_ROWS` frames x vertices. Each
+    frame draws from its own generator, in the order one frame at a time
+    would: its pose and normal jitter first, then, after the chunk's
+    projection, visibility and shading, its IR noise, outliers and dropout
+    and its RGB ones, sized by its count of visible vertices."""
     if len(scene) == 0:
         raise ValueError("empty scene")
     noise = config.noise
-    cam = config.camera
+    rig = config.rig
+    sat = config.saturation_level
+    n = len(scene)
     times = ir_frame_times(config)
-    n_led = len(config.rig)
-    root = np.random.SeedSequence(noise.rng_seed)
-    frame_seeds = root.spawn(len(times))
+    frame_seeds = np.random.SeedSequence(noise.rng_seed).spawn(len(times))
+    colors = np.array([m.color for m in scene.materials]).reshape(-1, 3)
 
     ir_parts = []
     rgb_parts = []
-    f_by_mat = {i: m for i, m in enumerate(scene.materials)}
-    mat_ids = scene.material_ids
-    for fi, (t, seed) in enumerate(zip(times, frame_seeds)):
-        rng = np.random.default_rng(seed)
-        led = fi % n_led
-        true_pose = interpolate_trajectory(config.trajectory, t)
-        pose = _jitter_pose(rng, true_pose, noise)
-        pixels, in_view = project_points(cam, pose, scene.positions)
-        normals = _jitter_directions(rng, scene.normals, noise.normal_jitter_deg)
-        view = np.nonzero(in_view)[0]
-        led_world = pose.transform(config.rig.positions[led])
+    for first, stop in _chunks(np.full(len(times), n)):
+        fis = np.arange(first, stop)
+        rngs = [np.random.default_rng(frame_seeds[fi]) for fi in fis]
+        poses, raw, ang = [], [], []
+        for rng, t in zip(rngs, times[first:stop]):
+            poses.append(_jitter_pose(
+                rng, interpolate_trajectory(config.trajectory, t), noise))
+            if noise.normal_jitter_deg > 0:
+                raw.append(rng.normal(size=(n, 3)))
+                ang.append(rng.normal(0.0, noise.normal_jitter_deg, n))
+        normals = scene.normals
+        if raw:
+            normals = _jitter_directions(normals, np.stack(raw), np.stack(ang))
+        pixels, in_view = project_points(config.camera, poses, scene.positions)
+        rot, cam = pose_arrays(poses)
+        leds = fis % len(rig)
+        # each frame's LED by the matrix-vector product that `Pose.transform`
+        # of one point uses; the matrix product of `frames` may round the
+        # last bit differently
+        led_world = np.matmul(rot, rig.positions[leds, :, None])[..., 0] + cam
         d, l, ndotl, wo, ndotv = frame_geometry(
-            pose, led_world, scene.positions[view], normals[view])
-        front = ndotv > 1e-6
-        idx = view[front]
-        if len(idx) == 0:
-            continue
-        d, l, ndotl, wo, ndotv = (a[front] for a in (d, l, ndotl, wo, ndotv))
+            cam[:, None], led_world[:, None], scene.positions, normals)
+        # visible rows, frame by frame, vertex ids ascending within a frame
+        vis = np.flatnonzero(in_view & (ndotv > 1e-6))
+        fr, idx = np.divmod(vis, n)
+        d, l, ndotl, wo, ndotv, pix, nrm = (
+            a.reshape(-1, *a.shape[2:]).take(vis, axis=0) for a in
+            (d, l, ndotl, wo, ndotv, pixels,
+             np.broadcast_to(normals, (len(fis), n, 3))))
 
-        lit = ndotl > 1e-6
-        th, td = half_diff_angle_arrays(normals[idx], l, wo)
+        th, td = half_diff_angle_arrays(nrm, l, wo)
+        mat_ids = scene.material_ids[idx]
         f = np.zeros(len(idx))
-        for m, mat in f_by_mat.items():
-            sel = mat_ids[idx] == m
+        for m, mat in enumerate(scene.materials):
+            sel = mat_ids == m
             if sel.any():
                 f[sel] = eval_ground_truth_brdf(mat, th[sel], td[sel])
-        vig = vignette((pixels[idx, 0], pixels[idx, 1]), cam)
-        inten = np.where(lit, shading(vig, f, ndotl, config.rig.brightness[led], d),
-                         0.0)
+        vig = vignette((pix[:, 0], pix[:, 1]), config.camera)
+        inten = np.where(ndotl > 1e-6,
+                         shading(vig, f, ndotl, rig.brightness[leds][fr], d), 0.0)
 
-        if noise.intensity_multiplicative_sigma > 0:
-            inten = inten * np.exp(rng.normal(
-                0.0, noise.intensity_multiplicative_sigma, len(idx)))
-        if noise.outlier_fraction > 0:
-            out_mask = rng.random(len(idx)) < noise.outlier_fraction
-            inten = np.where(out_mask,
-                             rng.uniform(0.0, config.saturation_level, len(idx)),
-                             inten)
-        keep = np.ones(len(idx), dtype=bool)
-        if noise.dropout_fraction > 0:
-            keep = rng.random(len(idx)) >= noise.dropout_fraction
-        inten = np.minimum(inten, config.saturation_level)
-        ir_parts.append((idx[keep], np.full(keep.sum(), t), led, inten[keep],
-                         pixels[idx[keep]]))
+        visible = np.bincount(fr, minlength=len(fis)).tolist()
+        is_rgb = fis % config.rgb_frame_stride == 0
+        ir_draws, rgb_draws = [], []
+        for rng, count, rgb_frame in zip(rngs, visible, is_rgb):
+            ir_draws.append(_corruption_draws(rng, count, noise, sat, False))
+            if rgb_frame:
+                rgb_draws.append(_corruption_draws(rng, count, noise, sat, True))
 
-        if fi % config.rgb_frame_stride == 0:
-            rgbs = np.zeros((len(idx), 3))
-            for m, mat in f_by_mat.items():
-                sel = mat_ids[idx] == m
-                if sel.any():
-                    rgbs[sel] = mat.color[None, :] * ndotv[sel, None]
-            if noise.intensity_multiplicative_sigma > 0:
-                rgbs = rgbs * np.exp(rng.normal(
-                    0.0, noise.intensity_multiplicative_sigma, (len(idx), 1)))
-            if noise.outlier_fraction > 0:
-                out_mask = rng.random(len(idx)) < noise.outlier_fraction
-                rgbs[out_mask] = rng.uniform(0.0, config.saturation_level,
-                                             (int(out_mask.sum()), 3))
-            rgbs = np.minimum(rgbs, config.saturation_level)
+        inten, keep = _corrupt(inten, ir_draws, sat)
+        ir_parts.append((idx[keep], first + fr[keep], inten[keep], pix[keep]))
+
+        if rgb_draws:
+            r = is_rgb[fr]
+            rgbs, keep = _corrupt(colors[mat_ids[r]] * ndotv[r, None], rgb_draws,
+                                  sat)
             # view angle from the true (unjittered) geometry, as an estimator
             # downstream would compute it
-            true_wo_cos = np.einsum("ij,ij->i", scene.normals[idx], wo)
+            true_wo_cos = np.einsum("ij,ij->i", scene.normals[idx[r]], wo[r])
             ang = np.rad2deg(np.arccos(np.clip(true_wo_cos, -1.0, 1.0)))
-            keep_rgb = np.ones(len(idx), dtype=bool)
-            if noise.dropout_fraction > 0:
-                keep_rgb = rng.random(len(idx)) >= noise.dropout_fraction
-            rgb_parts.append((idx[keep_rgb], rgbs[keep_rgb], ang[keep_rgb]))
+            rgb_parts.append((idx[r][keep], rgbs[keep], ang[keep]))
 
     if ir_parts:
-        ir = IrObservations(
-            vertex_id=np.concatenate([p[0] for p in ir_parts]),
-            frame_time=np.concatenate([p[1] for p in ir_parts]),
-            led_index=np.concatenate([np.full(len(p[0]), p[2]) for p in ir_parts]),
-            intensity=np.concatenate([p[3] for p in ir_parts]),
-            pixel=np.vstack([p[4] for p in ir_parts]),
-        )
+        vid, frame, inten, pix = _join_columns(ir_parts)
+        ir = IrObservations(vid, times[frame], frame % len(rig), inten, pix)
     else:
         ir = IrObservations(np.zeros(0, int), np.zeros(0), np.zeros(0, int),
                             np.zeros(0), np.zeros((0, 2)))
     if rgb_parts:
-        rgb = RgbObservations(
-            vertex_id=np.concatenate([p[0] for p in rgb_parts]),
-            rgb=np.vstack([p[1] for p in rgb_parts]),
-            omega_out_angle=np.concatenate([p[2] for p in rgb_parts]),
-        )
+        rgb = RgbObservations(*_join_columns(rgb_parts))
     else:
         rgb = RgbObservations(np.zeros(0, int), np.zeros((0, 3)), np.zeros(0))
     return ir, rgb

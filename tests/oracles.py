@@ -3,6 +3,10 @@
 - the image formation model, one observation at a time, which tests check
   `simulator.simulate_scan` and `estimation.invert_observation_arrays`
   against;
+- the scan and its inversion one frame at a time, and color estimation one
+  vertex at a time, which tests check the chunked `simulate_scan` and
+  `invert_observation_arrays` and the grouped `estimate_colors` against bit
+  for bit;
 - the per-vertex record path, one `BrdfTable.from_cells` per vertex and a
   global cell table over a list of records, which tests check
   `estimation.VertexRecords` and `segmentation.build_global_table` against;
@@ -21,12 +25,15 @@ from scipy.linalg import solve_triangular
 from scipy.spatial import cKDTree
 
 from matscan.brdf_table import BrdfTable, group_rows, lookup_arrays
-from matscan.estimation import (COS_GRAZING, VIGNETTE_FLOOR, Rejection,
+from matscan.estimation import (ACCEPTED, COS_GRAZING, GRAZING_DEG,
+                                MIN_COLOR_SAMPLES, VIGNETTE_FLOOR, Rejection,
                                 VertexReflectanceRecord)
 from matscan.geometry import (HalfDiffAngles, PinholeCamera, Pose, Quaternion,
-                              half_diff_angles)
+                              half_diff_angles, interpolate_trajectory)
 from matscan.segmentation import GlobalCellTable
-from matscan.simulator import (GroundTruthMaterial, eval_ground_truth_brdf,
+from matscan.simulator import (GroundTruthMaterial, IrObservations,
+                               RgbObservations, _jitter_pose,
+                               eval_ground_truth_brdf, ir_frame_times, shading,
                                vignette)
 
 
@@ -88,6 +95,201 @@ def invert_image_formation(intensity: float, pixel, vertex_pos, vertex_normal,
     angles = half_diff_angles(n, l, wo)
     f = intensity / (vig * ndotl * led_brightness / d**2)
     return angles, f
+
+
+def _frame_geometry(pose: Pose, led_world, positions, normals):
+    """Per-row geometry of (n,3) vertices seen from `pose` and lit from
+    `led_world` ((3,) or (n,3)): d, l, n.l, wo, n.wo."""
+    to_led = led_world - positions
+    d = np.linalg.norm(to_led, axis=1)
+    l = to_led / d[:, None]
+    ndotl = np.einsum("ij,ij->i", normals, l)
+    to_cam = pose.translation - positions
+    wo = to_cam / np.linalg.norm(to_cam, axis=1, keepdims=True)
+    ndotv = np.einsum("ij,ij->i", normals, wo)
+    return d, l, ndotl, wo, ndotv
+
+
+def _half_diff_angle_arrays(normals, omega_in, omega_out):
+    s = omega_in + omega_out
+    h = s / np.linalg.norm(s, axis=1, keepdims=True)
+    ch = np.clip(np.einsum("ij,ij->i", normals, h), -1.0, 1.0)
+    cd = np.clip(np.einsum("ij,ij->i", h, omega_in), -1.0, 1.0)
+    return np.rad2deg(np.arccos(ch)), np.rad2deg(np.arccos(cd))
+
+
+def _project_points(camera: PinholeCamera, pose: Pose, points):
+    pc = pose.inverse().transform(points)
+    z = pc[:, 2]
+    in_front = z > 1e-6
+    zsafe = np.where(in_front, z, 1.0)
+    px = camera.fx * pc[:, 0] / zsafe + camera.cx
+    py = camera.fy * pc[:, 1] / zsafe + camera.cy
+    valid = in_front & (px >= 0) & (px < camera.width) & (py >= 0) & (py < camera.height)
+    return np.stack([px, py], axis=1), valid
+
+
+def _jitter_directions(rng, dirs, sigma_deg: float):
+    if sigma_deg == 0.0:
+        return dirs
+    n = len(dirs)
+    raw = rng.normal(size=(n, 3))
+    tang = raw - np.einsum("ij,ij->i", raw, dirs)[:, None] * dirs
+    norms = np.linalg.norm(tang, axis=1, keepdims=True)
+    norms[norms < 1e-12] = 1.0
+    tang /= norms
+    ang = np.deg2rad(rng.normal(0.0, sigma_deg, n))[:, None]
+    out = dirs * np.cos(ang) + tang * np.sin(ang)
+    return out / np.linalg.norm(out, axis=1, keepdims=True)
+
+
+def simulate_scan(scene, config):
+    """The scan one frame at a time, each frame with its own generator."""
+    noise = config.noise
+    cam = config.camera
+    times = ir_frame_times(config)
+    n_led = len(config.rig)
+    frame_seeds = np.random.SeedSequence(noise.rng_seed).spawn(len(times))
+    ir_parts, rgb_parts = [], []
+    mat_ids = scene.material_ids
+    for fi, (t, seed) in enumerate(zip(times, frame_seeds)):
+        rng = np.random.default_rng(seed)
+        led = fi % n_led
+        pose = _jitter_pose(rng, interpolate_trajectory(config.trajectory, t),
+                            noise)
+        pixels, in_view = _project_points(cam, pose, scene.positions)
+        normals = _jitter_directions(rng, scene.normals, noise.normal_jitter_deg)
+        view = np.nonzero(in_view)[0]
+        led_world = pose.transform(config.rig.positions[led])
+        d, l, ndotl, wo, ndotv = _frame_geometry(
+            pose, led_world, scene.positions[view], normals[view])
+        front = ndotv > 1e-6
+        idx = view[front]
+        if len(idx) == 0:
+            continue
+        d, l, ndotl, wo, ndotv = (a[front] for a in (d, l, ndotl, wo, ndotv))
+        th, td = _half_diff_angle_arrays(normals[idx], l, wo)
+        f = np.zeros(len(idx))
+        for m, mat in enumerate(scene.materials):
+            sel = mat_ids[idx] == m
+            if sel.any():
+                f[sel] = eval_ground_truth_brdf(mat, th[sel], td[sel])
+        vig = vignette((pixels[idx, 0], pixels[idx, 1]), cam)
+        inten = np.where(ndotl > 1e-6,
+                         shading(vig, f, ndotl, config.rig.brightness[led], d), 0.0)
+        if noise.intensity_multiplicative_sigma > 0:
+            inten = inten * np.exp(rng.normal(
+                0.0, noise.intensity_multiplicative_sigma, len(idx)))
+        if noise.outlier_fraction > 0:
+            out_mask = rng.random(len(idx)) < noise.outlier_fraction
+            inten = np.where(out_mask,
+                             rng.uniform(0.0, config.saturation_level, len(idx)),
+                             inten)
+        keep = np.ones(len(idx), dtype=bool)
+        if noise.dropout_fraction > 0:
+            keep = rng.random(len(idx)) >= noise.dropout_fraction
+        inten = np.minimum(inten, config.saturation_level)
+        ir_parts.append((idx[keep], np.full(keep.sum(), t), led, inten[keep],
+                         pixels[idx[keep]]))
+
+        if fi % config.rgb_frame_stride == 0:
+            rgbs = np.zeros((len(idx), 3))
+            for m, mat in enumerate(scene.materials):
+                sel = mat_ids[idx] == m
+                if sel.any():
+                    rgbs[sel] = mat.color[None, :] * ndotv[sel, None]
+            if noise.intensity_multiplicative_sigma > 0:
+                rgbs = rgbs * np.exp(rng.normal(
+                    0.0, noise.intensity_multiplicative_sigma, (len(idx), 1)))
+            if noise.outlier_fraction > 0:
+                out_mask = rng.random(len(idx)) < noise.outlier_fraction
+                rgbs[out_mask] = rng.uniform(0.0, config.saturation_level,
+                                             (int(out_mask.sum()), 3))
+            rgbs = np.minimum(rgbs, config.saturation_level)
+            true_wo_cos = np.einsum("ij,ij->i", scene.normals[idx], wo)
+            ang = np.rad2deg(np.arccos(np.clip(true_wo_cos, -1.0, 1.0)))
+            keep_rgb = np.ones(len(idx), dtype=bool)
+            if noise.dropout_fraction > 0:
+                keep_rgb = rng.random(len(idx)) >= noise.dropout_fraction
+            rgb_parts.append((idx[keep_rgb], rgbs[keep_rgb], ang[keep_rgb]))
+
+    if ir_parts:
+        ir = IrObservations(
+            vertex_id=np.concatenate([p[0] for p in ir_parts]),
+            frame_time=np.concatenate([p[1] for p in ir_parts]),
+            led_index=np.concatenate([np.full(len(p[0]), p[2]) for p in ir_parts]),
+            intensity=np.concatenate([p[3] for p in ir_parts]),
+            pixel=np.vstack([p[4] for p in ir_parts]))
+    else:
+        ir = IrObservations(np.zeros(0, int), np.zeros(0), np.zeros(0, int),
+                            np.zeros(0), np.zeros((0, 2)))
+    if rgb_parts:
+        rgb = RgbObservations(
+            vertex_id=np.concatenate([p[0] for p in rgb_parts]),
+            rgb=np.vstack([p[1] for p in rgb_parts]),
+            omega_out_angle=np.concatenate([p[2] for p in rgb_parts]))
+    else:
+        rgb = RgbObservations(np.zeros(0, int), np.zeros((0, 3)), np.zeros(0))
+    return ir, rgb
+
+
+def invert_observation_arrays(ir, scene, trajectory, rig, camera,
+                              saturation_level: float):
+    """The inversion one frame at a time; returns what
+    `estimation.invert_observation_arrays` returns."""
+    n = len(ir)
+    th, td, f = np.zeros(n), np.zeros(n), np.zeros(n)
+    reason = np.full(n, ACCEPTED, dtype=np.int8)
+    for rows in group_rows(ir.frame_time):
+        pose = interpolate_trajectory(trajectory, float(ir.frame_time[rows[0]]))
+        vids = ir.vertex_id[rows]
+        nrm = scene.normals[vids]
+        leds = ir.led_index[rows]
+        d, l, ndotl, wo, ndotv = _frame_geometry(
+            pose, pose.transform(rig.positions[leds]), scene.positions[vids], nrm)
+        vig = vignette((ir.pixel[rows, 0], ir.pixel[rows, 1]), camera)
+        inten = ir.intensity[rows]
+        rej = np.select([inten >= saturation_level, inten <= 0.0,
+                         ndotl < COS_GRAZING, ndotv < COS_GRAZING,
+                         vig < VIGNETTE_FLOOR], list(range(ACCEPTED)), ACCEPTED)
+        ok = rej == ACCEPTED
+        if ok.any():
+            a, b = _half_diff_angle_arrays(nrm[ok], l[ok], wo[ok])
+            th[rows[ok]] = a
+            td[rows[ok]] = b
+            f[rows[ok]] = inten[ok] / shading(vig[ok], 1.0, ndotl[ok],
+                                              rig.brightness[leds[ok]], d[ok])
+        reason[rows] = rej
+    tally = np.bincount(reason, minlength=ACCEPTED + 1)
+    counts = {r.value: int(tally[code]) for code, r in enumerate(Rejection)}
+    counts["accepted"] = int(tally[ACCEPTED])
+    return reason == ACCEPTED, th, td, f, counts
+
+
+def estimate_vertex_color(rgb_samples, omega_out_deg, saturation_level: float):
+    """Per-channel median of unsaturated, non-grazing samples, normalized to
+    unit Euclidean norm. Returns None with fewer than 3 usable samples."""
+    rgb = np.asarray(rgb_samples, dtype=float).reshape(-1, 3)
+    ang = np.asarray(omega_out_deg, dtype=float).reshape(-1)
+    keep = (ang <= GRAZING_DEG) & np.all(rgb < saturation_level, axis=1)
+    if keep.sum() < MIN_COLOR_SAMPLES:
+        return None
+    med = np.median(rgb[keep], axis=0)
+    norm = np.linalg.norm(med)
+    if norm < 1e-12:
+        return None
+    return med / norm
+
+
+def estimate_colors(rgb_obs, saturation_level: float) -> dict:
+    """Vertex id -> unit color, one vertex at a time."""
+    colors = {}
+    for rows in group_rows(rgb_obs.vertex_id):
+        c = estimate_vertex_color(rgb_obs.rgb[rows], rgb_obs.omega_out_angle[rows],
+                                  saturation_level)
+        if c is not None:
+            colors[int(rgb_obs.vertex_id[rows[0]])] = c
+    return colors
 
 
 def vertex_records(cell_vid, cells, means, counts, colors) -> list:

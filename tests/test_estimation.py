@@ -12,12 +12,19 @@ import oracles
 from matscan import brdf_table, cli, estimation, segmentation
 from matscan.brdf_table import N_CELLS, cell_indices, sorted_cells
 from matscan.estimation import (GRAZING_DEG, MIN_COLOR_SAMPLES, Rejection,
-                                VertexRecords, estimate_vertex_color,
-                                invert_observation_arrays)
+                                VertexRecords, invert_observation_arrays)
 from matscan.geometry import Pose, Quaternion, look_at
-from matscan.simulator import GroundTruthMaterial, default_camera, vignette
+from matscan.simulator import (GroundTruthMaterial, RgbObservations,
+                               default_camera, vignette)
 
 from oracles import invert_image_formation, render_ir_intensity
+
+
+def estimate_vertex_color(samples, ang, saturation_level):
+    """The color `estimate_colors` gives one vertex's samples, or None."""
+    obs = RgbObservations(np.zeros(len(samples), dtype=int),
+                          np.asarray(samples, dtype=float), np.asarray(ang))
+    return estimation.estimate_colors(obs, saturation_level).get(0)
 
 
 class TestVertexColor:

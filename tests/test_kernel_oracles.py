@@ -1,0 +1,135 @@
+"""The chunked scan and inversion kernels and the grouped color estimate
+against their one-frame-at-a-time and one-vertex-at-a-time oracles: equal
+bit for bit, with equal dtypes, for every chunk size."""
+
+import numpy as np
+import pytest
+
+import oracles
+from matscan import estimation, scenes, simulator
+from matscan.geometry import TimedPose, look_at
+from matscan.simulator import (IrObservations, NoiseConfig, RgbObservations,
+                               ScanConfig, default_camera, make_default_rig)
+
+IR_FIELDS = ("vertex_id", "frame_time", "led_index", "intensity", "pixel")
+RGB_FIELDS = ("vertex_id", "rgb", "omega_out_angle")
+DEMO = dict(normal_jitter_deg=2.0, intensity_multiplicative_sigma=0.03,
+            outlier_fraction=0.01)
+POSE = dict(DEMO, pose_translation_jitter_m=0.01, pose_rotation_jitter_deg=1.0)
+N_VERTICES = 240
+N_FRAMES = 42  # at 1000 rows, chunks of 4 frames and a last one of 2
+
+
+@pytest.fixture(params=[1, 1000, simulator._CHUNK_ROWS],
+                ids=["frame-per-chunk", "partial-last-chunk", "module-chunk"])
+def chunk_rows(request, monkeypatch):
+    monkeypatch.setattr(simulator, "_CHUNK_ROWS", request.param)
+    return request.param
+
+
+def assert_fields_equal(got, expected, names):
+    for name in names:
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype, name
+        assert a.shape == b.shape, name
+        assert np.array_equal(a, b), name
+
+
+def assert_colors_equal(got: dict, expected: dict):
+    assert list(got) == list(expected)
+    for v, c in expected.items():
+        assert got[v].dtype == c.dtype
+        assert np.array_equal(got[v], c), v
+
+
+def scan_config(noise: dict, stride=3, trajectory=None, seed=3) -> ScanConfig:
+    return ScanConfig(camera=default_camera(), rig=make_default_rig(),
+                      trajectory=trajectory or scenes.arc_trajectory(12, 4.0),
+                      noise=NoiseConfig(rng_seed=seed, **noise),
+                      n_ir_frames=N_FRAMES, rgb_frame_stride=stride)
+
+
+def check_against_oracles(scene, cfg):
+    """Scan, inversion and colors of `scene` under `cfg` equal the oracles';
+    returns the scan."""
+    ir, rgb = simulator.simulate_scan(scene, cfg)
+    ir_ref, rgb_ref = oracles.simulate_scan(scene, cfg)
+    assert_fields_equal(ir, ir_ref, IR_FIELDS)
+    assert_fields_equal(rgb, rgb_ref, RGB_FIELDS)
+
+    args = (ir, scene, cfg.trajectory, cfg.rig, cfg.camera, cfg.saturation_level)
+    got = estimation.invert_observation_arrays(*args)
+    expected = oracles.invert_observation_arrays(*args)
+    for a, b in zip(got[:4], expected[:4]):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+    assert got[4] == expected[4]
+
+    assert_colors_equal(estimation.estimate_colors(rgb, cfg.saturation_level),
+                        oracles.estimate_colors(rgb, cfg.saturation_level))
+    return ir, rgb
+
+
+@pytest.mark.parametrize("noise", [{}, DEMO, POSE], ids=["noiseless", "demo", "pose"])
+@pytest.mark.parametrize("scene_name", sorted(scenes.BUILTIN_SCENES))
+def test_scenes_and_noise(scene_name, noise, chunk_rows):
+    scene = scenes.make_scene(scene_name, N_VERTICES, 4)
+    ir, rgb = check_against_oracles(scene, scan_config(noise))
+    assert len(ir) > 0 and len(rgb) > 0
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.5, 1.0])
+def test_dropout(dropout, chunk_rows):
+    scene = scenes.make_scene("two-sphere", N_VERTICES, 6)
+    ir, rgb = check_against_oracles(
+        scene, scan_config(dict(DEMO, dropout_fraction=dropout)))
+    assert (len(ir) == 0) == (dropout == 1.0)
+    assert (len(rgb) == 0) == (dropout == 1.0)
+
+
+@pytest.mark.parametrize("stride", [1, 4])
+def test_rgb_frame_stride(stride, chunk_rows):
+    scene = scenes.make_scene("corner-board", N_VERTICES, 8)
+    check_against_oracles(scene, scan_config(DEMO, stride=stride))
+
+
+def test_frames_that_see_no_vertex(chunk_rows):
+    """The last poses look away from the scene, so the frames after them see
+    no vertex and produce no rows."""
+    arc = scenes.arc_trajectory(12, 4.0)
+    trajectory = arc[:6] + [
+        TimedPose(look_at(tp.pose.translation, 2.0 * tp.pose.translation),
+                  tp.timestamp) for tp in arc[6:]]
+    scene = scenes.make_scene("two-sphere", N_VERTICES, 9)
+    ir, _ = check_against_oracles(scene, scan_config(POSE, trajectory=trajectory))
+    assert 0 < len(np.unique(ir.frame_time)) < N_FRAMES
+
+
+def test_a_row_inverts_alone_as_within_its_frame():
+    """Each frame's LED positions come from one table of the whole rig, so a
+    row's inversion does not depend on the other rows of its frame."""
+    scene = scenes.make_scene("two-sphere", N_VERTICES, 2)
+    cfg = scan_config(DEMO)
+    ir, _ = simulator.simulate_scan(scene, cfg)
+    args = (scene, cfg.trajectory, cfg.rig, cfg.camera, cfg.saturation_level)
+    full = estimation.invert_observation_arrays(ir, *args)
+    for r in np.random.default_rng(0).choice(len(ir), 40, replace=False):
+        one = IrObservations(*(getattr(ir, k)[r:r + 1] for k in IR_FIELDS))
+        alone = estimation.invert_observation_arrays(one, *args)
+        for a, b in zip(alone[:4], full[:4]):
+            assert np.array_equal(a, b[r:r + 1])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_colors_of_ties_saturation_and_grazing(seed):
+    """Vertices with 0..9 samples (odd and even counts, below and above the
+    minimum), tied values, saturated channels and grazing angles."""
+    rng = np.random.default_rng(seed)
+    vids = np.repeat(rng.permutation(30), rng.integers(0, 10, 30))
+    vids = rng.permutation(vids)
+    rgb = np.round(rng.uniform(0.0, 1.2, (len(vids), 3)), 1)  # ties
+    rgb[rng.random(len(vids)) < 0.1] = 0.0  # a zero color now and then
+    ang = rng.uniform(0.0, 80.0, len(vids))
+    obs = RgbObservations(vids, rgb, ang)
+    assert_colors_equal(estimation.estimate_colors(obs, 1.0),
+                        oracles.estimate_colors(obs, 1.0))
