@@ -57,11 +57,15 @@ def write_scene(path, scene) -> None:
 @_reader
 def read_scene(path, materials):
     """The scene `write_scene` wrote, normals as written: each must be unit
-    to within `geometry.UNIT_TOL`."""
+    to within `geometry.UNIT_TOL`, and each material id an integer that
+    indexes `materials`."""
     from .scenes import Scene
     data = np.loadtxt(path, comments="#").reshape(-1, 8)
     if not np.all(np.abs(np.linalg.norm(data[:, 4:7], axis=1) - 1.0) <= UNIT_TOL):
         raise ValueError("a normal is not of unit length")
+    ids = data[:, 7]
+    if not np.all((ids == np.floor(ids)) & (ids >= 0) & (ids < len(materials))):
+        raise ValueError(f"a material id is not an integer in [0, {len(materials)})")
     return Scene(data[:, 1:4], data[:, 4:7], data[:, 7].astype(int), materials)
 
 

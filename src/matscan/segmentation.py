@@ -1,14 +1,18 @@
 """Material segmentation by propagation over the global cell table.
 
 A global 45x48 table collects, per cell, the per-vertex mean rgb samples of
-all (subsampled) vertices. Cells are clustered independently by flat-kernel
-meanshift; the most separable cell seeds two material groups which are then
-grown cell by cell, ranked by a separability score of refitted Gaussians and
-gated by a 3-sigma Mahalanobis rule. Vertices that never pass the gate stay
-unclassified. The multi-material variant repeats the process one material
-per round, seeding from the most separable cluster, with no material count
-supplied by the user. Labels then diffuse to the other vertices within a
-radius. Every threshold is a module constant.
+all (subsampled) vertices. Segmentation reads one column set of it: the
+cells with at least MIN_CELL_SAMPLES samples, in flat order, their vertex
+ids and samples concatenated, so that every cell's count of group members
+is one gather and one `np.add.reduceat`. Cells are clustered independently
+by flat-kernel meanshift; the most separable cell seeds two material groups
+which are then grown cell by cell, ranked by a separability score of
+refitted Gaussians and gated by a 3-sigma Mahalanobis rule. Vertices that
+never pass the gate stay unclassified. The multi-material variant repeats
+the process one material per round, seeding from the most separable
+cluster, with no material count supplied by the user. Labels then diffuse
+to the other vertices within a radius. Every threshold is a module
+constant.
 """
 
 from __future__ import annotations
@@ -50,15 +54,37 @@ class MaterialGroups:
 
 
 class GlobalCellTable:
-    """Per-cell arrays of (vertex id, per-vertex mean rgb sample)."""
+    """Per-cell arrays of (vertex id, per-vertex mean rgb sample), and the
+    column set segmentation reads: the cells with at least MIN_CELL_SAMPLES
+    samples in ascending flat order (`flats`), their vertex ids and samples
+    concatenated (`vids`, `samples`) with cell k at rows
+    `offsets[k]:offsets[k + 1]`, and `mask_size`, the length of a vertex
+    mask that holds every sampled and candidate vertex id."""
 
     def __init__(self, cells: dict, sampled_ids: np.ndarray):
         # flat cell index -> (vertex_ids (m,), samples (m,3))
         self.cells = cells
         self.sampled_ids = np.asarray(sampled_ids, dtype=int)
+        self.flats = np.array([f for f in sorted(cells)
+                               if len(cells[f][0]) >= MIN_CELL_SAMPLES], dtype=int)
+        parts = [cells[f] for f in self.flats.tolist()]
+        self.vids = np.concatenate([np.zeros(0, dtype=int)] + [v for v, _ in parts])
+        self.samples = np.concatenate([np.zeros((0, 3))] + [s for _, s in parts])
+        self.offsets = np.cumsum([0] + [len(v) for v, _ in parts])
+        self.mask_size = int(max(self.sampled_ids.max(initial=0),
+                                 self.vids.max(initial=0))) + 1
 
     def __len__(self) -> int:
         return len(self.cells)
+
+    def cell(self, k: int):
+        """(vertex ids, samples) of candidate cell k."""
+        lo, hi = self.offsets[k], self.offsets[k + 1]
+        return self.vids[lo:hi], self.samples[lo:hi]
+
+    def counts(self, mask) -> np.ndarray:
+        """Per candidate cell, how many of its vertices `mask` holds."""
+        return np.add.reduceat(mask[self.vids], self.offsets[:-1], dtype=np.intp)
 
 
 def build_global_table(records, sample_budget: int, rng_seed: int) -> GlobalCellTable:
@@ -294,13 +320,12 @@ def assign_3sigma_many(samples, g1: GaussianCluster, g2: GaussianCluster):
 
 
 def initial_clusters(table: GlobalCellTable) -> dict:
-    """Cell -> surviving Gaussian clusters, largest first. Cells with fewer
-    than MIN_CELL_SAMPLES samples are skipped; clusters below 5% of the cell
-    or below MIN_CLUSTER_SIZE are discarded."""
+    """Candidate cell index k (into `table.flats`) -> surviving Gaussian
+    clusters, largest first; clusters below 5% of the cell or below
+    MIN_CLUSTER_SIZE are discarded."""
     out = {}
-    for flat, (vids, vals) in table.cells.items():
-        if len(vids) < MIN_CELL_SAMPLES:
-            continue
+    for k in range(len(table.flats)):
+        vids, vals = table.cell(k)
         bw = default_bandwidth(vals)
         floor = 1e-6 * float(np.linalg.norm(vals, axis=1).mean())
         bw = max(bw, floor, 1e-12)
@@ -312,47 +337,37 @@ def initial_clusters(table: GlobalCellTable) -> dict:
             g = fit_gaussian(vals[c], vids[c])
             keep.append(g)
         if keep:
-            out[flat] = keep
+            out[k] = keep
     return out
 
 
-def _mask_size(table: GlobalCellTable) -> int:
-    m = int(table.sampled_ids.max()) + 1 if len(table.sampled_ids) else 1
-    for vids, _ in table.cells.values():
-        if len(vids):
-            m = max(m, int(vids.max()) + 1)
-    return m
+def _ids(mask) -> set:
+    return set(np.flatnonzero(mask).tolist())
 
 
-class _Candidates:
-    """The cells propagation may consume: those with at least
-    MIN_CELL_SAMPLES samples, in flat order. Their vertex ids are
-    concatenated so that the in-group count of every cell is one gather and
-    one `np.add.reduceat` over the cell offsets."""
-
-    def __init__(self, table: GlobalCellTable):
-        self.flats = np.array([f for f in sorted(table.cells)
-                               if len(table.cells[f][0]) >= MIN_CELL_SAMPLES],
-                              dtype=int)
-        vids = [table.cells[f][0] for f in self.flats]
-        sizes = np.array([len(v) for v in vids], dtype=int)
-        self.vids = np.concatenate(vids) if vids else np.zeros(0, dtype=int)
-        self.starts = np.cumsum(sizes) - sizes
-
-    def counts(self, mask) -> np.ndarray:
-        """Per candidate cell, how many of its vertices `mask` holds."""
-        return np.add.reduceat(mask[self.vids], self.starts, dtype=np.intp)
+def _seed(table: GlobalCellTable, k: int, g1, g2, assignable):
+    """Masks of the two groups seeded in candidate cell k: the samples the
+    3-sigma gate of (g1, g2) gives to each, the first group's only where
+    `assignable`."""
+    vids, vals = table.cell(k)
+    codes = assign_3sigma_many(vals, g1, g2)
+    mat1_mask = np.zeros(table.mask_size, dtype=bool)
+    mat2_mask = np.zeros(table.mask_size, dtype=bool)
+    mat1_mask[vids[(codes == 1) & assignable[vids]]] = True
+    mat2_mask[vids[codes == 2]] = True
+    return mat1_mask, mat2_mask
 
 
-def _propagate_two(table, cand: _Candidates, consumed, mat1_mask, mat2_mask,
-                   assignable=None, require_half2=True):
+def _propagate_two(table, consumed, mat1_mask, mat2_mask, assignable,
+                   require_half2):
     """Grow two groups cell by cell: repeatedly pick the unconsumed cell with
-    the highest propagation score and gate its still-unassigned vertices by
-    the 3-sigma rule. A cell scores only when it holds at least half of the
-    first group and MIN_FIT_SAMPLES of each (and, with require_half2, half of
-    the second); its score is the separability of Gaussians refitted to the
-    in-cell members of each group. Masks and `consumed` (one flag per
-    candidate) are updated in place; returns cells consumed."""
+    the highest propagation score and gate its still-unassigned, assignable
+    vertices by the 3-sigma rule. A cell scores only when it holds at least
+    half of the first group and MIN_FIT_SAMPLES of each (and, with
+    require_half2, half of the second); its score is the separability of
+    Gaussians refitted to the in-cell members of each group. Masks and
+    `consumed` (one flag per candidate cell) are updated in place; returns
+    cells consumed."""
     grown = 0
     fits = {}  # candidate -> (c1, c2, score, g1, g2) of its last fit
     for _ in range(N_CELLS):
@@ -360,8 +375,8 @@ def _propagate_two(table, cand: _Candidates, consumed, mat1_mask, mat2_mask,
         n2 = int(mat2_mask.sum())
         if n1 == 0 or n2 == 0:
             break
-        c1 = cand.counts(mat1_mask)
-        c2 = cand.counts(mat2_mask)
+        c1 = table.counts(mat1_mask)
+        c2 = table.counts(mat2_mask)
         ok = (~consumed & (2 * c1 >= n1) & (c1 >= MIN_FIT_SAMPLES)
               & (c2 >= MIN_FIT_SAMPLES))
         if require_half2:
@@ -371,7 +386,7 @@ def _propagate_two(table, cand: _Candidates, consumed, mat1_mask, mat2_mask,
             # the masks only grow, so equal counts mean equal in-cell members
             # and an unchanged fit
             if fits.get(k, (-1, -1))[:2] != (c1[k], c2[k]):
-                cv, cs = table.cells[cand.flats[k]]
+                cv, cs = table.cell(k)
                 in1 = mat1_mask[cv]
                 in2 = mat2_mask[cv]
                 g1 = fit_gaussian(cs[in1], cv[in1])
@@ -382,10 +397,8 @@ def _propagate_two(table, cand: _Candidates, consumed, mat1_mask, mat2_mask,
         if best is None:
             break
         g1, g2 = fits[best][3:]
-        cv, cs = table.cells[cand.flats[best]]
-        fresh = ~(mat1_mask[cv] | mat2_mask[cv])
-        if assignable is not None:
-            fresh &= assignable[cv]
+        cv, cs = table.cell(best)
+        fresh = ~(mat1_mask[cv] | mat2_mask[cv]) & assignable[cv]
         if fresh.any():
             codes = assign_3sigma_many(cs[fresh], g1, g2)
             mat1_mask[cv[fresh][codes == 1]] = True
@@ -408,8 +421,8 @@ def two_material_segmentation(table: GlobalCellTable):
     seed_floor = max(MIN_CLUSTER_SIZE,
                      int(DISCARD_FRACTION * len(table.sampled_ids)))
     best_cell, best_score, best_pair = None, 0.0, None
-    for flat in sorted(clusters):
-        cl = clusters[flat]
+    for k in sorted(clusters):
+        cl = clusters[k]
         if len(cl) < 2:
             continue
         g1, g2 = cl[:2]
@@ -417,33 +430,25 @@ def two_material_segmentation(table: GlobalCellTable):
             continue
         score = separability_score(g1, g2)
         if score > best_score:
-            best_cell, best_score, best_pair = flat, score, (g1, g2)
+            best_cell, best_score, best_pair = k, score, (g1, g2)
+    sampled = set(table.sampled_ids.tolist())
     if best_cell is None:
         diagnostics["reason"] = "no separable initial cell"
-        return MaterialGroups([], set(int(v) for v in table.sampled_ids)), diagnostics
-    diagnostics["seed_cell"] = (best_cell // N_D, best_cell % N_D)
+        return MaterialGroups([], sampled), diagnostics
+    diagnostics["seed_cell"] = divmod(int(table.flats[best_cell]), N_D)
 
-    size = _mask_size(table)
-    mat1_mask = np.zeros(size, dtype=bool)
-    mat2_mask = np.zeros(size, dtype=bool)
-    vids, vals = table.cells[best_cell]
-    codes = assign_3sigma_many(vals, *best_pair)
-    mat1_mask[vids[codes == 1]] = True
-    mat2_mask[vids[codes == 2]] = True
-
-    cand = _Candidates(table)
+    everything = np.ones(table.mask_size, dtype=bool)
+    mat1_mask, mat2_mask = _seed(table, best_cell, *best_pair, everything)
     diagnostics["cells_consumed"] = _propagate_two(
-        table, cand, cand.flats == best_cell, mat1_mask, mat2_mask)
+        table, np.arange(len(table.flats)) == best_cell, mat1_mask, mat2_mask,
+        assignable=everything, require_half2=True)
 
-    mat1 = set(int(v) for v in np.nonzero(mat1_mask)[0])
-    mat2 = set(int(v) for v in np.nonzero(mat2_mask)[0])
-    sampled = set(int(v) for v in table.sampled_ids)
+    mat1, mat2 = _ids(mat1_mask), _ids(mat2_mask)
     groups = [g for g in (mat1, mat2) if g]
-    unclassified = sampled - mat1 - mat2
-    return MaterialGroups(groups, unclassified), diagnostics
+    return MaterialGroups(groups, sampled - mat1 - mat2), diagnostics
 
 
-def _absorb_single(table, cand: _Candidates, consumed, new_mask, blocked):
+def _absorb_single(table, consumed, new_mask, blocked):
     """Grow a group through cells that have no reference population to fit a
     second Gaussian (cells dominated by one material). Any unconsumed cell
     holding at least half of the group gates its remaining unblocked vertices
@@ -451,12 +456,12 @@ def _absorb_single(table, cand: _Candidates, consumed, new_mask, blocked):
     distance stay out, so ambiguous vertices remain unclassified. The cell
     holding the most group members goes first."""
     while True:
-        c1 = cand.counts(new_mask)
+        c1 = table.counts(new_mask)
         c1[consumed | (c1 < MIN_FIT_SAMPLES) | (2 * c1 < int(new_mask.sum()))] = 0
         if not c1.any():
             return
         k = int(np.argmax(c1))
-        cv, cs = table.cells[cand.flats[k]]
+        cv, cs = table.cell(k)
         in1 = new_mask[cv]
         g1 = fit_gaussian(cs[in1], cv[in1])
         fresh = ~in1 & ~blocked[cv]
@@ -469,79 +474,67 @@ def _absorb_single(table, cand: _Candidates, consumed, new_mask, blocked):
 def multi_material_segmentation(table: GlobalCellTable):
     """Segment one material per round without a user-supplied material count.
 
-    Each round seeds from the globally most separable unclaimed cluster (its
-    separability is the score against its nearest same-cell competitor), then
-    runs the same two-group propagation as the two-material case with the
-    competitor cluster as the reference group. Only the seeded group is
-    committed; the reference side is rediscovered in its own round. Rounds
-    continue until no seed classifies anything new."""
-    sampled = set(int(v) for v in table.sampled_ids)
+    Each round seeds from the globally most separable untried cluster that
+    still holds enough unclassified vertices (its separability is the score
+    against its nearest same-cell competitor), then runs the same two-group
+    propagation as the two-material case with the competitor cluster as the
+    reference group. Only the seeded group is committed; the reference side
+    is rediscovered in its own round. Rounds continue until no untried
+    cluster qualifies as a seed."""
+    sampled = set(table.sampled_ids.tolist())
     if len(table) == 0:
         return MaterialGroups([], sampled), {"rounds": 0}
     clusters = initial_clusters(table)
-    size = _mask_size(table)
-    classified = np.zeros(size, dtype=bool)
+    # every cluster of a cell with two or more, in (cell, cluster) order,
+    # with its nearest competitor (the first of least separability) and that
+    # separability, which no round changes
+    seeds = []
+    for k in sorted(clusters):
+        cl = clusters[k]
+        for ci, g in enumerate(cl):
+            others = cl[:ci] + cl[ci + 1:]
+            if others:
+                scores = [separability_score(g, o) for o in others]
+                j = min(range(len(others)), key=scores.__getitem__)
+                seeds.append((scores[j], k, g, others[j]))
+    classified = np.zeros(table.mask_size, dtype=bool)
     groups: list[set] = []
-    tried = set()
     diagnostics = {"rounds": 0, "seeds": []}
-    cand = _Candidates(table)
 
     while True:
-        # most separable not-yet-claimed cluster across all cells; as in the
-        # two-material seed, a cluster must hold a population-significant
-        # share of the still-unclassified vertices to start a round
+        # as in the two-material seed, a cluster must hold a
+        # population-significant share of the still-unclassified vertices
+        # to start a round
         n_open = int((~classified[table.sampled_ids]).sum())
         seed_floor = max(MIN_CLUSTER_SIZE, int(DISCARD_FRACTION * n_open))
-        best = (0.0, None, None)  # score, cell, cluster idx
-        for flat in sorted(clusters):
-            cl = clusters[flat]
-            if len(cl) < 2:
-                continue
-            for ci, g in enumerate(cl):
-                if (flat, ci) in tried:
-                    continue
-                un = ~classified[g.members]
-                if un.sum() < seed_floor or 2 * un.sum() < len(g.members):
-                    continue
-                near = min(separability_score(g, other)
-                           for cj, other in enumerate(cl) if cj != ci)
-                if near > best[0]:
-                    best = (near, flat, ci)
-        if best[1] is None:
+        best, best_score = None, 0.0
+        for i, (score, _, g, _) in enumerate(seeds):
+            un = int((~classified[g.members]).sum())
+            if un >= seed_floor and 2 * un >= len(g.members) and score > best_score:
+                best, best_score = i, score
+        if best is None:
             break
-        _, seed_flat, seed_ci = best
-        tried.add((seed_flat, seed_ci))
-        seed_cluster = clusters[seed_flat][seed_ci]
-        competitor = min(
-            (g for cj, g in enumerate(clusters[seed_flat]) if cj != seed_ci),
-            key=lambda g: separability_score(seed_cluster, g))
+        _, k, seed_cluster, competitor = seeds.pop(best)
 
-        new_mask = np.zeros(size, dtype=bool)
-        ref_mask = np.zeros(size, dtype=bool)
-        vids, vals = table.cells[seed_flat]
-        codes = assign_3sigma_many(vals, seed_cluster, competitor)
-        fresh = ~classified[vids]
-        new_mask[vids[fresh & (codes == 1)]] = True
-        ref_mask[vids[codes == 2]] = True
+        new_mask, ref_mask = _seed(table, k, seed_cluster, competitor, ~classified)
         if new_mask.sum() < MIN_CLUSTER_SIZE:
             continue
 
-        consumed = cand.flats == seed_flat
-        _propagate_two(table, cand, consumed, new_mask, ref_mask,
+        consumed = np.arange(len(table.flats)) == k
+        _propagate_two(table, consumed, new_mask, ref_mask,
                        assignable=~classified, require_half2=False)
-        _absorb_single(table, cand, consumed, new_mask, classified | ref_mask)
+        _absorb_single(table, consumed, new_mask, classified | ref_mask)
 
-        new_ids = set(int(v) for v in np.nonzero(new_mask & ~classified)[0])
-        if len(new_ids) < MIN_CLUSTER_SIZE:
+        new_mask &= ~classified
+        if new_mask.sum() < MIN_CLUSTER_SIZE:
             continue
-        groups.append(new_ids)
-        classified[list(new_ids)] = True
+        groups.append(_ids(new_mask))
+        classified |= new_mask
         diagnostics["rounds"] += 1
-        diagnostics["seeds"].append((seed_flat // N_D, seed_flat % N_D))
+        diagnostics["seeds"].append(divmod(int(table.flats[k]), N_D))
 
-    unclassified = sampled - set(int(v) for v in np.nonzero(classified)[0])
     groups.sort(key=len, reverse=True)
-    return MaterialGroups(groups, unclassified), diagnostics
+    return MaterialGroups(groups, sampled - _ids(classified)), diagnostics
 
 
 def diffuse_labels(groups: MaterialGroups, positions: np.ndarray,

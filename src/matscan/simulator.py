@@ -229,38 +229,24 @@ def _jitter_pose(rng, pose: Pose, noise: NoiseConfig) -> Pose:
     return Pose(rot, t)
 
 
-def _corruption_draws(rng, n: int, noise: NoiseConfig, saturation_level: float,
-                      rgb: bool):
-    """One frame's draws for its `n` visible samples, IR or RGB: gain noise,
-    outlier mask and values, dropout keep mask (None when switched off)."""
-    gain = outlier = values = keep = None
+def _corrupt(rng, values, noise: NoiseConfig, saturation_level: float):
+    """One frame's visible samples, `values` (n,) IR or (n,3) RGB, corrupted
+    in place by its draws (gain noise, outlier mask and values, dropout) and
+    clipped at saturation; returns the dropout keep mask."""
+    n = len(values)
+    rgb = values.ndim == 2
     if noise.intensity_multiplicative_sigma > 0:
-        gain = rng.normal(0.0, noise.intensity_multiplicative_sigma,
-                          (n, 1) if rgb else n)
+        values *= np.exp(rng.normal(0.0, noise.intensity_multiplicative_sigma,
+                                    (n, 1) if rgb else n))
     if noise.outlier_fraction > 0:
         outlier = rng.random(n) < noise.outlier_fraction
-        values = rng.uniform(0.0, saturation_level,
-                             (int(outlier.sum()), 3) if rgb else n)
+        drawn = rng.uniform(0.0, saturation_level,
+                            (int(outlier.sum()), 3) if rgb else n)
+        values[outlier] = drawn if rgb else drawn[outlier]
+    np.minimum(values, saturation_level, out=values)
     if noise.dropout_fraction > 0:
-        keep = rng.random(n) >= noise.dropout_fraction
-    return gain, outlier, values, keep
-
-
-def _corrupt(values, draws, saturation_level: float):
-    """`values` (n,) IR or (n,3) RGB under the concatenated draws of
-    `_corruption_draws`, clipped at saturation; and the dropout keep mask."""
-    gain, outlier, drawn, keep = (None if parts[0] is None else np.concatenate(parts)
-                                  for parts in zip(*draws))
-    if gain is not None:
-        values = values * np.exp(gain)
-    if outlier is not None:
-        if values.ndim == 1:
-            values = np.where(outlier, drawn, values)
-        else:
-            values[outlier] = drawn
-    if keep is None:
-        keep = np.ones(len(values), dtype=bool)
-    return np.minimum(values, saturation_level), keep
+        return rng.random(n) >= noise.dropout_fraction
+    return np.ones(n, dtype=bool)
 
 
 def _join_columns(parts: list) -> list:
@@ -335,21 +321,24 @@ def simulate_scan(scene, config: ScanConfig):
         inten = np.where(ndotl > 1e-6,
                          shading(vig, f, ndotl, rig.brightness[leds][fr], d), 0.0)
 
-        visible = np.bincount(fr, minlength=len(fis)).tolist()
+        visible = np.bincount(fr, minlength=len(fis))
         is_rgb = fis % config.rgb_frame_stride == 0
-        ir_draws, rgb_draws = [], []
-        for rng, count, rgb_frame in zip(rngs, visible, is_rgb):
-            ir_draws.append(_corruption_draws(rng, count, noise, sat, False))
+        r = is_rgb[fr]
+        rgbs = colors[mat_ids[r]] * ndotv[r, None]
+        # each frame's rows are contiguous, in `inten` and in `rgbs`
+        rgb_frames = iter(np.split(rgbs, np.cumsum(visible[is_rgb])[:-1]))
+        ir_keep, rgb_keep = [], []
+        for rng, frame, rgb_frame in zip(
+                rngs, np.split(inten, np.cumsum(visible)[:-1]), is_rgb):
+            ir_keep.append(_corrupt(rng, frame, noise, sat))
             if rgb_frame:
-                rgb_draws.append(_corruption_draws(rng, count, noise, sat, True))
+                rgb_keep.append(_corrupt(rng, next(rgb_frames), noise, sat))
 
-        inten, keep = _corrupt(inten, ir_draws, sat)
+        keep = np.concatenate(ir_keep)
         ir_parts.append((idx[keep], first + fr[keep], inten[keep], pix[keep]))
 
-        if rgb_draws:
-            r = is_rgb[fr]
-            rgbs, keep = _corrupt(colors[mat_ids[r]] * ndotv[r, None], rgb_draws,
-                                  sat)
+        if rgb_keep:
+            keep = np.concatenate(rgb_keep)
             # view angle from the true (unjittered) geometry, as an estimator
             # downstream would compute it
             true_wo_cos = np.einsum("ij,ij->i", scene.normals[idx[r]], wo[r])

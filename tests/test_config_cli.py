@@ -268,6 +268,20 @@ class TestCli:
         self._corrupt_exit_3(capsys, path, ("render", "evaluate"), target,
                              "labels are not -1 or the groups 0..k-1")
 
+    def test_bad_material_id_in_scene_exits_3(self, tmp_path, capsys):
+        cfg, path = small_config(tmp_path)
+        assert cli.main(["pipeline", "--config", path]) == cli.EXIT_OK
+        target = cli._paths(cfg.out_dir)["scene"]
+        with open(target) as fh:
+            header, first, *rest = fh.readlines()
+        for bad in ("9", "0.5"):
+            with open(target, "w") as fh:
+                fh.writelines([header, first.rsplit(" ", 1)[0] + f" {bad}\n", *rest])
+            capsys.readouterr()
+            self._corrupt_exit_3(capsys, path,
+                                 ("estimate", "segment", "render", "evaluate"),
+                                 target, "a material id is not an integer in [0, 2)")
+
     def test_estimate_from_disk_equals_in_memory(self, tmp_path):
         cfg, path = small_config(tmp_path)
         for stage in ("simulate", "estimate"):

@@ -30,6 +30,16 @@ class TestSceneIO:
         with pytest.raises(CorruptInputError, match="scene.txt"):
             io.read_scene(path, [])
 
+    @pytest.mark.parametrize("material_id", ["9", "2", "-1", "0.5", "nan"])
+    def test_bad_material_id_is_corrupt_input(self, tmp_path, material_id):
+        path = tmp_path / "scene.txt"
+        path.write_text(f"0 0 0 1 0 0 1 0\n1 0 0 1 0 0 1 {material_id}\n")
+        materials = scenes.default_materials(["red_glossy", "blue_matte"])
+        with pytest.raises(CorruptInputError,
+                           match=r"scene.txt: a material id is not an integer "
+                                 r"in \[0, 2\)"):
+            io.read_scene(path, materials)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(MissingInputError):
             io.read_scene(tmp_path / "nope.txt", [])

@@ -15,8 +15,9 @@ from scipy.stats import chi2
 import matscan
 from matscan import segmentation
 from matscan.brdf_table import N_CELLS, N_D
-from matscan.segmentation import (MIN_FIT_SAMPLES, SIGMA_GATE, GlobalCellTable,
-                                  MaterialGroups, assign_3sigma_many,
+from matscan.segmentation import (MIN_CELL_SAMPLES, MIN_FIT_SAMPLES, SIGMA_GATE,
+                                  GlobalCellTable, MaterialGroups,
+                                  assign_3sigma_many,
                                   build_global_table, default_bandwidth,
                                   diffuse_labels, fit_gaussian, initial_clusters,
                                   mahalanobis, mahalanobis_many, meanshift,
@@ -69,10 +70,10 @@ def reference_meanshift(samples, bandwidth: float, max_iter: int = 100):
     return clusters
 
 
-def reference_propagate_two(table, cand, consumed, mat1_mask, mat2_mask,
-                            assignable=None, require_half2=True):
+def reference_propagate_two(table, consumed, mat1_mask, mat2_mask, assignable,
+                            require_half2):
     """`_propagate_two` that counts and refits every unconsumed candidate
-    cell at every step, one cell at a time."""
+    cell at every step, one cell at a time, from the table's dict of cells."""
     grown = 0
     for _ in range(N_CELLS):
         n1 = int(mat1_mask.sum())
@@ -80,7 +81,7 @@ def reference_propagate_two(table, cand, consumed, mat1_mask, mat2_mask,
         if n1 == 0 or n2 == 0:
             break
         best = (0.0, None, None, None)
-        for k, flat in enumerate(cand.flats):
+        for k, flat in enumerate(table.flats):
             if consumed[k]:
                 continue
             cv, cs = table.cells[flat]
@@ -98,10 +99,8 @@ def reference_propagate_two(table, cand, consumed, mat1_mask, mat2_mask,
         if best[1] is None:
             break
         _, k, g1, g2 = best
-        cv, cs = table.cells[cand.flats[k]]
-        fresh = ~(mat1_mask[cv] | mat2_mask[cv])
-        if assignable is not None:
-            fresh &= assignable[cv]
+        cv, cs = table.cells[table.flats[k]]
+        fresh = ~(mat1_mask[cv] | mat2_mask[cv]) & assignable[cv]
         if fresh.any():
             codes = assign_3sigma_many(cs[fresh], g1, g2)
             mat1_mask[cv[fresh][codes == 1]] = True
@@ -111,14 +110,14 @@ def reference_propagate_two(table, cand, consumed, mat1_mask, mat2_mask,
     return grown
 
 
-def reference_absorb_single(table, cand, consumed, new_mask, blocked,
+def reference_absorb_single(table, consumed, new_mask, blocked,
                             min_fit=MIN_FIT_SAMPLES):
     """`_absorb_single` that counts every unconsumed candidate cell at every
-    step, one cell at a time."""
+    step, one cell at a time, from the table's dict of cells."""
     while True:
         n1 = int(new_mask.sum())
         best = (0, None)
-        for k, flat in enumerate(cand.flats):
+        for k, flat in enumerate(table.flats):
             if consumed[k]:
                 continue
             c1 = int(new_mask[table.cells[flat][0]].sum())
@@ -129,7 +128,7 @@ def reference_absorb_single(table, cand, consumed, new_mask, blocked,
         if best[1] is None:
             return
         k = best[1]
-        cv, cs = table.cells[cand.flats[k]]
+        cv, cs = table.cells[table.flats[k]]
         in1 = new_mask[cv]
         g1 = fit_gaussian(cs[in1], cv[in1])
         fresh = ~in1 & ~blocked[cv]
@@ -600,12 +599,13 @@ class TestMultiMaterial:
         # inject vertices whose samples sit far from both material colors
         n = len(gt)
         extra = np.arange(n, n + 5)
-        for flat, (vids, vals) in list(table.cells.items()):
+        cells = {}
+        for flat, (vids, vals) in table.cells.items():
             out_vals = np.tile([5.0, 5.0, 5.0], (5, 1)) + rng.normal(0, 0.01, (5, 3))
-            table.cells[flat] = (np.concatenate([vids, extra]),
-                                 np.vstack([vals, out_vals]))
-        table.sampled_ids = np.arange(n + 5)
-        groups, _ = multi_material_segmentation(table)
+            cells[flat] = (np.concatenate([vids, extra]),
+                           np.vstack([vals, out_vals]))
+        groups, _ = multi_material_segmentation(
+            GlobalCellTable(cells, np.arange(n + 5)))
         classified = groups.classified
         # the 5 outliers form a sub-minimum cluster: never assigned
         assert not (set(extra.tolist()) & classified)
@@ -668,6 +668,35 @@ class TestInitialClusters:
         clusters = initial_clusters(table)
         assert len(clusters[0]) == 1
         assert len(clusters[0][0].members) == 100
+
+
+class TestGlobalCellTable:
+    def test_columns_hold_the_large_cells_in_flat_order(self, noisy_two_sphere):
+        table = noisy_two_sphere["table"]
+        large = [f for f, (vids, _) in table.cells.items()
+                 if len(vids) >= MIN_CELL_SAMPLES]
+        assert 0 < len(large) < len(table)
+        np.testing.assert_array_equal(table.flats, sorted(large))
+        for k, flat in enumerate(table.flats):
+            for got, expected in zip(table.cell(k), table.cells[flat]):
+                np.testing.assert_array_equal(got, expected)
+
+    def test_shuffled_cells_give_same_columns_and_groups(self, noisy_two_sphere):
+        table = noisy_two_sphere["table"]
+        flats = list(table.cells)
+        np.random.default_rng(23).shuffle(flats)
+        shuffled = GlobalCellTable({f: table.cells[f] for f in flats},
+                                   table.sampled_ids)
+        assert list(shuffled.cells) != list(table.cells)
+        for name in ("flats", "vids", "samples", "offsets", "mask_size"):
+            np.testing.assert_array_equal(getattr(shuffled, name),
+                                          getattr(table, name))
+        for segment in (two_material_segmentation, multi_material_segmentation):
+            groups, diag = segment(shuffled)
+            expected, expected_diag = segment(table)
+            assert groups.groups == expected.groups
+            assert groups.unclassified == expected.unclassified
+            assert diag == expected_diag
 
 
 class TestBuildGlobalTable:
