@@ -281,12 +281,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config) if args.config else PipelineConfig().validate()
+        cfg = load_config(args.config) if args.config else PipelineConfig()
         if args.out:
             cfg.out_dir = args.out
         if args.seed is not None:
             cfg.rng_seed = args.seed
-        return COMMANDS[args.command](cfg)
+        return COMMANDS[args.command](cfg.validate())
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -54,6 +54,8 @@ class PipelineConfig:
             raise ConfigError("scene/trajectory sizes out of range")
         if self.rgb_frame_stride < 1 or self.sample_budget < 1:
             raise ConfigError("rgb_frame_stride and sample_budget must be >= 1")
+        if self.rng_seed < 0:
+            raise ConfigError("rng_seed must be >= 0")
         try:
             PinholeCamera(self.fx, self.fy, self.cx, self.cy, self.width,
                           self.height)
@@ -61,8 +63,14 @@ class PipelineConfig:
             raise ConfigError(f"camera intrinsics: {exc}") from exc
         if self.segmentation_mode not in ("two", "multi"):
             raise ConfigError("segmentation_mode must be 'two' or 'multi'")
-        if self.saturation_level <= 0 or self.diffusion_radius_m <= 0:
-            raise ConfigError("saturation_level and diffusion_radius_m must be > 0")
+        if self.lambertian_materials not in (0, 1):
+            raise ConfigError("lambertian_materials must be 0 or 1")
+        if not self.out_dir:
+            raise ConfigError("out_dir must not be empty")
+        for name in ("duration_s", "trajectory_radius_m", "saturation_level",
+                     "diffusion_radius_m"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be > 0")
         for name in ("normal_jitter_deg", "pose_translation_jitter_m",
                      "pose_rotation_jitter_deg", "intensity_multiplicative_sigma"):
             if getattr(self, name) < 0:

@@ -54,13 +54,25 @@ def write_scene(path, scene) -> None:
                      f"{n[0]:.17g} {n[1]:.17g} {n[2]:.17g} {scene.material_ids[i]}\n")
 
 
+def _id_rows(path, width, name):
+    """The rows of a text table whose first column, `name`, numbers them:
+    it must read 0..n-1 in order."""
+    data = np.loadtxt(path, comments="#").reshape(-1, width)
+    if not np.array_equal(data[:, 0], np.arange(len(data))):
+        raise ValueError(f"{name} is not 0..n-1 in order")
+    return data
+
+
 @_reader
 def read_scene(path, materials):
-    """The scene `write_scene` wrote, normals as written: each must be unit
-    to within `geometry.UNIT_TOL`, and each material id an integer that
-    indexes `materials`."""
+    """The scene `write_scene` wrote, normals as written: vertex ids 0..n-1
+    in order, finite positions, each normal unit to within
+    `geometry.UNIT_TOL`, and each material id an integer that indexes
+    `materials`."""
     from .scenes import Scene
-    data = np.loadtxt(path, comments="#").reshape(-1, 8)
+    data = _id_rows(path, 8, "vertex_id")
+    if not np.isfinite(data[:, 1:4]).all():
+        raise ValueError("a position is not finite")
     if not np.all(np.abs(np.linalg.norm(data[:, 4:7], axis=1) - 1.0) <= UNIT_TOL):
         raise ValueError("a normal is not of unit length")
     ids = data[:, 7]
@@ -82,7 +94,11 @@ def write_materials(path, materials) -> None:
 
 @_reader
 def read_materials(path):
-    data = np.loadtxt(path, comments="#").reshape(-1, 9)
+    """The materials `write_materials` wrote: material ids 0..n-1 in order,
+    every value finite."""
+    data = _id_rows(path, 9, "material_id")
+    if not np.isfinite(data).all():
+        raise ValueError("a value is not finite")
     return [GroundTruthMaterial(diffuse_albedo=row[1:4], specular_strength=row[4],
                                 lobe_exponent=row[5], color=row[6:9])
             for row in data]

@@ -17,10 +17,10 @@ constant.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .brdf_table import N_CELLS, N_D, group_rows
 
@@ -274,11 +274,20 @@ def fit_gaussian(samples, members=None) -> GaussianCluster:
     return GaussianCluster(mean, cov, np.asarray(members, dtype=int))
 
 
+@functools.cache
+def _lapack():
+    """scipy's LAPACK wrappers, imported on the first factorisation: loading
+    scipy.linalg takes ~0.3 s, which only `segment` should pay."""
+    from scipy.linalg import lapack
+    return lapack
+
+
 def _cholesky(covariance) -> np.ndarray:
     """Lower Cholesky factor by LAPACK `dpotrf` (upper triangle left as
     given), called directly: the bits of the scipy and numpy wrappers without
     their argument checks. np.linalg.LinAlgError unless SPD."""
-    chol, info = dpotrf(np.asarray(covariance, dtype=float), lower=1, clean=0)
+    chol, info = _lapack().dpotrf(np.asarray(covariance, dtype=float), lower=1,
+                                  clean=0)
     if info != 0:
         raise np.linalg.LinAlgError(
             f"covariance is not positive definite (LAPACK info {info})")
@@ -287,18 +296,19 @@ def _cholesky(covariance) -> np.ndarray:
 
 def mahalanobis(x, mean, covariance) -> float:
     """sqrt((x-mu)^T S^-1 (x-mu)); covariance must be SPD, else
-    np.linalg.LinAlgError. Solved as `scipy.linalg.cho_solve` does."""
+    np.linalg.LinAlgError. Solved by LAPACK `dpotrs` on the `_cholesky`
+    factor, as `scipy.linalg.cho_solve` does."""
     diff = np.asarray(x, dtype=float) - np.asarray(mean, dtype=float)
-    solved, _ = dpotrs(_cholesky(covariance), diff, lower=1)
+    solved, _ = _lapack().dpotrs(_cholesky(covariance), diff, lower=1)
     return float(np.sqrt(diff @ solved))
 
 
 def mahalanobis_many(xs, mean, covariance) -> np.ndarray:
     """`mahalanobis` per row of xs as |L^-1 (x-mu)|: L^T solved transposed as
-    an upper triangle, the LAPACK call scipy's triangular solver makes for a
-    C-ordered lower L, so its bits."""
+    an upper triangle by LAPACK `dtrtrs`, the call scipy's triangular solver
+    makes for a C-ordered lower L, so its bits."""
     diff = np.asarray(xs, dtype=float).reshape(-1, 3) - np.asarray(mean, dtype=float)
-    y, _ = dtrtrs(_cholesky(covariance).T, diff.T, lower=0, trans=1)
+    y, _ = _lapack().dtrtrs(_cholesky(covariance).T, diff.T, lower=0, trans=1)
     return np.sqrt((y * y).sum(axis=0))
 
 

@@ -1,15 +1,24 @@
 """Configuration parsing and the staged command-line pipeline."""
 
+import contextlib
 import dataclasses
+import io as textio
+import json
+import math
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from matscan import cli, estimation, io
 from matscan.config import (ConfigError, PipelineConfig, load_config,
                             parse_config, serialize_config)
+from matscan.scenes import BUILTIN_SCENES
 from matscan.simulator import simulate_scan
 
 
@@ -51,6 +60,141 @@ class TestConfigParse:
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(str(tmp_path / "none.cfg"))
+
+
+FINITE = dict(allow_nan=False, allow_infinity=False)
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+POSITIVE = st.floats(min_value=math.ulp(0.0), **FINITE)
+NON_NEGATIVE = st.floats(min_value=0.0, **FINITE)
+NOT_POSITIVE = st.floats(max_value=0.0) | NON_FINITE
+NEGATIVE = st.floats(max_value=-math.ulp(0.0)) | NON_FINITE
+WORD = st.text("abcdefghijklmnopqrstuvwxyz-", max_size=12)
+SIZE = st.integers(1, 10**9)
+CAMERA_CENTER = {"cx": "width", "cy": "height"}
+
+# every field but cx and cy -> strategy of its in-range values
+IN_RANGE = {
+    "scene": st.sampled_from(sorted(BUILTIN_SCENES)),
+    "n_vertices": SIZE,
+    "n_trajectory_poses": st.integers(2, 10**9),
+    "duration_s": POSITIVE,
+    "trajectory_radius_m": POSITIVE,
+    "trajectory_sweep_deg": st.floats(**FINITE),
+    "n_ir_frames": SIZE,
+    "rgb_frame_stride": SIZE,
+    "fx": POSITIVE,
+    "fy": POSITIVE,
+    "width": st.integers(1, 10**5),
+    "height": st.integers(1, 10**5),
+    "saturation_level": POSITIVE,
+    "normal_jitter_deg": NON_NEGATIVE,
+    "pose_translation_jitter_m": NON_NEGATIVE,
+    "pose_rotation_jitter_deg": NON_NEGATIVE,
+    "intensity_multiplicative_sigma": NON_NEGATIVE,
+    "outlier_fraction": st.floats(0.0, 1.0),
+    "dropout_fraction": st.floats(0.0, 1.0),
+    "sample_budget": SIZE,
+    "diffusion_radius_m": POSITIVE,
+    "segmentation_mode": st.sampled_from(["two", "multi"]),
+    "lambertian_materials": st.sampled_from([0, 1]),
+    "out_dir": st.text(min_size=1),
+    "rng_seed": st.integers(0, 2**64),
+}
+
+
+@st.composite
+def in_range_configs(draw):
+    """Configs with every field finite and in range, the principal point
+    strictly inside the image."""
+    values = {name: draw(strategy) for name, strategy in IN_RANGE.items()}
+    for center, size in CAMERA_CENTER.items():
+        values[center] = draw(st.floats(math.ulp(0.0), values[size],
+                                        exclude_max=True))
+    return PipelineConfig(**values)
+
+
+def out_of_range(cfg):
+    """Field -> strategy of the values that alone put `cfg` out of range,
+    non-finite ones included for every float field."""
+    def outside(lo, hi):
+        return (st.floats(max_value=math.nextafter(lo, -math.inf))
+                | st.floats(min_value=math.nextafter(hi, math.inf))
+                | NON_FINITE)
+    bad = {
+        "scene": WORD.filter(lambda s: s not in BUILTIN_SCENES),
+        "n_trajectory_poses": st.integers(max_value=1),
+        "trajectory_sweep_deg": NON_FINITE,
+        "segmentation_mode": WORD.filter(lambda s: s not in ("two", "multi")),
+        "lambertian_materials": st.integers().filter(lambda v: v not in (0, 1)),
+        "out_dir": st.just(""),
+        "rng_seed": st.integers(max_value=-1),
+        "outlier_fraction": outside(0.0, 1.0),
+        "dropout_fraction": outside(0.0, 1.0),
+    }
+    for name in ("n_vertices", "n_ir_frames", "rgb_frame_stride", "sample_budget"):
+        bad[name] = st.integers(max_value=0)
+    for name in ("duration_s", "trajectory_radius_m", "fx", "fy",
+                 "saturation_level", "diffusion_radius_m"):
+        bad[name] = NOT_POSITIVE
+    for name in ("normal_jitter_deg", "pose_translation_jitter_m",
+                 "pose_rotation_jitter_deg", "intensity_multiplicative_sigma"):
+        bad[name] = NEGATIVE
+    for center, size in CAMERA_CENTER.items():
+        edge = float(getattr(cfg, size))
+        bad[center] = (NOT_POSITIVE | st.just(edge)
+                       | st.floats(min_value=edge, allow_nan=False))
+        bad[size] = st.integers(max_value=math.floor(getattr(cfg, center)))
+    return bad
+
+
+def draw_out_of_range(data, cfg):
+    """(field, value) that puts `cfg` out of range in that field alone."""
+    bad = out_of_range(cfg)
+    name = data.draw(st.sampled_from(sorted(bad)), label="field")
+    return name, data.draw(bad[name], label="value")
+
+
+class TestConfigRanges:
+    def test_strategies_cover_every_field(self):
+        names = {f.name for f in dataclasses.fields(PipelineConfig)}
+        assert set(IN_RANGE) | set(CAMERA_CENTER) == names
+        assert set(out_of_range(PipelineConfig())) == names
+
+    @settings(max_examples=200, deadline=None)
+    @given(in_range_configs())
+    def test_finite_in_range_config_validates(self, cfg):
+        assert cfg.validate() is cfg
+
+    @settings(max_examples=300, deadline=None)
+    @given(in_range_configs(), st.data())
+    def test_field_out_of_range_raises_config_error(self, cfg, data):
+        name, value = draw_out_of_range(data, cfg)
+        setattr(cfg, name, value)
+        with pytest.raises(ConfigError):
+            cfg.validate()
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_field_out_of_range_exits_2_without_traceback(self, tmp_path, data):
+        # a small base run, in case a bad value got through to simulate
+        cfg = PipelineConfig(n_vertices=50, n_ir_frames=5,
+                             out_dir=str(tmp_path / "out"))
+        name, value = draw_out_of_range(data, cfg)
+        text = str(value)
+        if isinstance(getattr(cfg, name), int):
+            # an integer field cannot hold a non-finite value; its text can
+            text = data.draw(st.just(text) | st.sampled_from(["nan", "inf"]))
+        path = tmp_path / "bad.cfg"
+        # the last line of a key wins
+        path.write_text(serialize_config(cfg) + f"{name} = {text}\n")
+        err = textio.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = cli.main(["simulate", "--config", str(path)])
+        assert rc == cli.EXIT_CONFIG, (name, text)
+        assert err.getvalue().startswith("config error:")
+        assert "Traceback" not in err.getvalue()
+        assert not os.path.exists(cfg.out_dir)
 
 
 def small_config(tmp_path, **overrides):
@@ -121,6 +265,12 @@ class TestCli:
         "fx = 0",
         "cx = 700",
         "height = 0",
+        "duration_s = 0",
+        "duration_s = -1",
+        "trajectory_radius_m = 0",
+        "trajectory_radius_m = -0.5",
+        "rng_seed = -1",
+        "lambertian_materials = 2",
     ])
     def test_bad_config_exits_2_without_traceback(self, tmp_path, capsys, line):
         path = tmp_path / "bad.cfg"
@@ -129,6 +279,13 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
         assert not os.path.exists(tmp_path / "out")
+
+    def test_negative_seed_override_exits_2(self, tmp_path, capsys):
+        cfg, path = small_config(tmp_path)
+        assert cli.main(["simulate", "--config", path, "--seed", "-1"]) == \
+            cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: rng_seed must be >= 0\n"
+        assert not os.path.exists(cfg.out_dir)
 
     def test_corrupt_records_exit_3_naming_the_file(self, tmp_path, capsys):
         cfg, path = small_config(tmp_path)
@@ -282,6 +439,33 @@ class TestCli:
                                  ("estimate", "segment", "render", "evaluate"),
                                  target, "a material id is not an integer in [0, 2)")
 
+    @pytest.mark.parametrize("name, edit, why", [
+        ("scene", lambda rows: [_set_field(rows[0], 1, "nan")] + rows[1:],
+         "a position is not finite"),
+        ("scene", lambda rows: [_set_field(rows[0], 1, "inf")] + rows[1:],
+         "a position is not finite"),
+        ("scene", lambda rows: [_set_field(rows[0], 0, "7"),
+                                _set_field(rows[1], 0, "3")] + rows[2:],
+         "vertex_id is not 0..n-1 in order"),
+        ("materials", lambda rows: rows[::-1], "material_id is not 0..n-1 in order"),
+        ("materials", lambda rows: [_set_field(rows[0], 5, "inf")] + rows[1:],
+         "a value is not finite"),
+    ])
+    def test_bad_scene_or_materials_row_exits_3(self, tmp_path, capsys, simulated,
+                                                name, edit, why):
+        cfg, path = small_config(tmp_path, n_vertices=200)
+        shutil.copytree(simulated, cfg.out_dir)
+        target = cli._paths(cfg.out_dir)[name]
+        with open(target) as fh:
+            header, *rows = fh.readlines()
+        with open(target, "w") as fh:
+            fh.writelines([header, *edit(rows)])
+        capsys.readouterr()
+        # every stage that reads the scene rejects it before its other inputs
+        self._corrupt_exit_3(capsys, path,
+                             ("estimate", "segment", "render", "evaluate"),
+                             target, why)
+
     def test_estimate_from_disk_equals_in_memory(self, tmp_path):
         cfg, path = small_config(tmp_path)
         for stage in ("simulate", "estimate"):
@@ -320,6 +504,41 @@ class TestCli:
         assert os.path.exists(os.path.join(other, "scene.txt"))
 
 
+# run in a fresh process: the scipy modules loaded by importing the CLI, by
+# the four stages that should not need scipy, and by segment after them
+SCIPY_FOOTPRINT = """
+import json, sys
+from matscan import cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+loaded = {"import": scipy_modules()}
+for stage in ("simulate", "estimate", "render", "evaluate"):
+    assert cli.main([stage, "--config", sys.argv[1]]) == 0, stage
+loaded["stages"] = scipy_modules()
+assert cli.main(["segment", "--config", sys.argv[1]]) == 0
+loaded["segment"] = scipy_modules()
+print(json.dumps(loaded))
+"""
+
+
+def test_only_segment_loads_scipy(tmp_path):
+    """scipy loads neither with the program nor in simulate, estimate, render
+    or evaluate; segment loads scipy.linalg when it fits its Gaussians."""
+    cfg, path = small_config(tmp_path, n_vertices=300)
+    # render and evaluate read the labels of a segment run
+    assert cli.main(["pipeline", "--config", path]) == cli.EXIT_OK
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-c", SCIPY_FOOTPRINT, path], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded["import"] == []
+    assert loaded["stages"] == []
+    assert "scipy.linalg" in loaded["segment"]
+
+
 @pytest.fixture(scope="module")
 def simulated(tmp_path_factory):
     """The out dir of one `simulate` run, copied by each corruption case."""
@@ -340,6 +559,13 @@ def _resave(key, change):
         with open(path, "wb") as fh:
             np.savez(fh, **arrays)
     return corrupt
+
+
+def _set_field(row, i, value):
+    """`row` of a text artifact with its field i replaced by `value`."""
+    fields = row.split()
+    fields[i] = value
+    return " ".join(fields) + "\n"
 
 
 def _truncate(path):

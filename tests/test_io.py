@@ -40,6 +40,23 @@ class TestSceneIO:
                                  r"in \[0, 2\)"):
             io.read_scene(path, materials)
 
+    @pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
+    def test_non_finite_position_is_corrupt_input(self, tmp_path, x):
+        path = tmp_path / "scene.txt"
+        path.write_text(f"0 0 0 1 0 0 1 0\n1 {x} 0 1 0 0 1 0\n")
+        with pytest.raises(CorruptInputError,
+                           match="scene.txt: a position is not finite"):
+            io.read_scene(path, [])
+
+    @pytest.mark.parametrize("ids", [("7", "3"), ("1", "0"), ("0", "0"),
+                                     ("0", "1.5"), ("0", "nan")])
+    def test_vertex_ids_not_in_order_are_corrupt_input(self, tmp_path, ids):
+        path = tmp_path / "scene.txt"
+        path.write_text(f"{ids[0]} 0 0 1 0 0 1 0\n{ids[1]} 0 0 1 0 0 1 0\n")
+        with pytest.raises(CorruptInputError,
+                           match=r"scene.txt: vertex_id is not 0\.\.n-1 in order"):
+            io.read_scene(path, [])
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(MissingInputError):
             io.read_scene(tmp_path / "nope.txt", [])
@@ -58,6 +75,27 @@ class TestMaterialsIO:
             np.testing.assert_allclose(a.color, b.color, rtol=1e-12)
             assert a.specular_strength == b.specular_strength
             assert a.lobe_exponent == b.lobe_exponent
+
+    def test_swapped_rows_are_corrupt_input(self, tmp_path):
+        path = tmp_path / "materials.txt"
+        io.write_materials(path, scenes.default_materials(["red_glossy",
+                                                           "blue_matte"]))
+        header, first, second = path.read_text().splitlines(keepends=True)
+        path.write_text(header + second + first)
+        with pytest.raises(CorruptInputError,
+                           match=r"materials.txt: material_id is not 0\.\.n-1 "
+                                 r"in order"):
+            io.read_materials(path)
+
+    @pytest.mark.parametrize("column", range(1, 9))
+    def test_non_finite_value_is_corrupt_input(self, tmp_path, column):
+        row = ["0", "0.5", "0.5", "0.5", "1", "10", "1", "0", "0"]
+        row[column] = "nan" if column % 2 else "inf"
+        path = tmp_path / "materials.txt"
+        path.write_text(" ".join(row) + "\n")
+        with pytest.raises(CorruptInputError,
+                           match="materials.txt: a value is not finite"):
+            io.read_materials(path)
 
 
 class TestTrajectoryIO:

@@ -1,10 +1,6 @@
 """Meanshift, Gaussian statistics, the 3-sigma gate, group propagation and
 label diffusion."""
 
-import os
-import subprocess
-import sys
-
 import numpy as np
 import oracles
 import pytest
@@ -12,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
-import matscan
 from matscan import segmentation
 from matscan.brdf_table import N_CELLS, N_D
 from matscan.segmentation import (MIN_CELL_SAMPLES, MIN_FIT_SAMPLES, SIGMA_GATE,
@@ -763,11 +758,3 @@ class TestDiffuseLabels:
         np.testing.assert_array_equal(
             diffuse_labels(groups, pos, sampled, radius),
             oracles.diffuse_labels(groups, pos, sampled, radius))
-
-
-def test_cli_import_leaves_out_scipy_spatial():
-    """scipy.spatial loads only when a vertex needs diffusing, not with the
-    program."""
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(matscan.__file__)))
-    code = "import sys, matscan.cli; sys.exit('scipy.spatial' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
