@@ -38,9 +38,14 @@ CAMERA_FIELDS = ("fx", "fy", "cx", "cy", "width", "height")
 
 def _scan_config(cfg: PipelineConfig) -> ScanConfig:
     camera = PinholeCamera(cfg.fx, cfg.fy, cfg.cx, cfg.cy, cfg.width, cfg.height)
-    trajectory = scenes.arc_trajectory(
-        cfg.n_trajectory_poses, cfg.duration_s, radius=cfg.trajectory_radius_m,
-        sweep_deg=cfg.trajectory_sweep_deg)
+    try:
+        trajectory = scenes.arc_trajectory(
+            cfg.n_trajectory_poses, cfg.duration_s,
+            radius=cfg.trajectory_radius_m, sweep_deg=cfg.trajectory_sweep_deg)
+    except ValueError as exc:
+        # a radius too small for the arc to leave its look-at target
+        raise ConfigError(f"trajectory_radius_m = {cfg.trajectory_radius_m} "
+                          f"gives no camera pose: {exc}") from exc
     noise = NoiseConfig(
         normal_jitter_deg=cfg.normal_jitter_deg,
         pose_translation_jitter_m=cfg.pose_translation_jitter_m,
@@ -123,11 +128,11 @@ def _check_range(path, name, values, lo, hi) -> None:
 
 
 def cmd_simulate(cfg: PipelineConfig) -> int:
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    paths = _paths(cfg.out_dir)
     scene = _make_scene(cfg)
     scan = _scan_config(cfg)
     ir, rgb = simulate_scan(scene, scan)
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    paths = _paths(cfg.out_dir)
     io.write_scene(paths["scene"], scene)
     io.write_materials(paths["materials"], scene.materials)
     io.write_trajectory(paths["trajectory"], scan.trajectory)

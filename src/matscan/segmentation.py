@@ -5,7 +5,10 @@ all (subsampled) vertices. Segmentation reads one column set of it: the
 cells with at least MIN_CELL_SAMPLES samples, in flat order, their vertex
 ids and samples concatenated, so that every cell's count of group members
 is one gather and one `np.add.reduceat`. Cells are clustered independently
-by flat-kernel meanshift; the most separable cell seeds two material groups
+by flat-kernel meanshift, whose neighbour masks are those of exact arithmetic
+(or, near a tie, of the full distance expression); in a large step, modes
+within a leader mode's certified margin take the leader's mask instead of
+building their own. The most separable cell seeds two material groups
 which are then grown cell by cell, ranked by a separability score of
 refitted Gaussians and gated by a 3-sigma Mahalanobis rule. Vertices that
 never pass the gate stay unclassified. The multi-material variant repeats
@@ -34,6 +37,8 @@ SIGMA_GATE = 3.0
 # float64 entries of the meanshift distance buffer: 256 KiB, an L2-sized block
 _BLOCK = 1 << 15
 _UNIT_ROUNDOFF = 2.0 ** -53
+# leader rows per round of a meanshift step that shares neighbour rows
+_LEADERS = 8
 
 
 @dataclass
@@ -118,7 +123,7 @@ def default_bandwidth(samples) -> float:
 
 def _exact_neighbours(modes, pts, pts_sq, bw2):
     """The neighbour mask of each mode, from the full distance expression
-    in chunks of 4e6 entries: the tie path of `_neighbours`."""
+    in chunks of 4e6 entries: the tie path of `_FlatKernel.mask`."""
     within = np.empty((len(modes), len(pts)), dtype=bool)
     chunk = max(1, 4_000_000 // len(pts))
     for lo in range(0, len(modes), chunk):
@@ -129,38 +134,140 @@ def _exact_neighbours(modes, pts, pts_sq, bw2):
     return within
 
 
-def _neighbours(modes, pts, pts_sq, bw2):
-    """(r, n) mask of the samples within the bandwidth of each mode.
+class _FlatKernel:
+    """The samples of one meanshift call, its squared bandwidth, and what
+    every step's neighbour search reuses: the samples' squared norms, their
+    transposed copy and the distance buffers."""
 
-    Squared distances are built in place, a block of rows at a time, in one
-    buffer of `_BLOCK` floats that stays in L2. Each of this expression and
-    the full one of `_exact_neighbours` is off the true squared distance by
-    at most ~10u(|m|^2 + |p|^2) (u = 2^-53, first order), whatever order
-    BLAS sums in. So when no blocked value lies within the band
-    delta = 64u(max|m|^2 + max|p|^2) of bw2, both give the mask of exact
-    arithmetic. Otherwise the step falls back to `_exact_neighbours`, so a
-    near-tie is decided as by the full expression."""
-    n = len(pts)
-    m_sq = np.einsum("ij,ij->i", modes, modes)
-    band = 64 * _UNIT_ROUNDOFF * (m_sq.max() + pts_sq.max())
-    rows = max(1, _BLOCK // n)
-    buf = np.empty(rows * n)
-    wide = np.empty(rows * n, dtype=bool)
-    pts_t = np.ascontiguousarray(pts.T)
-    within = np.empty((len(modes), n), dtype=bool)
-    for lo in range(0, len(modes), rows):
-        hi = min(lo + rows, len(modes))
-        d2 = buf[:(hi - lo) * n].reshape(hi - lo, n)
-        # scaling by -2 is exact, so this is -2 (m @ p) bit for bit
-        np.matmul(-2.0 * modes[lo:hi], pts_t, out=d2)
-        d2 += m_sq[lo:hi, None]
-        d2 += pts_sq
-        # no value in (bw2 - band, bw2 + band] <=> both masks hold as many
-        np.less_equal(d2, bw2 - band, out=within[lo:hi])
-        near = np.less_equal(d2, bw2 + band, out=wide[:d2.size].reshape(d2.shape))
-        if np.count_nonzero(near) != np.count_nonzero(within[lo:hi]):
-            return _exact_neighbours(modes, pts, pts_sq, bw2)
-    return within
+    def __init__(self, pts, bw2):
+        n = len(pts)
+        self.pts, self.bw2 = pts, bw2
+        self.pts_sq = np.einsum("ij,ij->i", pts, pts)
+        self.pts_sq_max = self.pts_sq.max()
+        self.pts_t = np.ascontiguousarray(pts.T)
+        # a step never has more modes than samples
+        self.block = min(n, max(1, _BLOCK // n))
+        self.buf = np.empty(self.block * n)
+        self.wide = np.empty(self.block * n, dtype=bool)
+
+    def band(self, m_sq):
+        """64u(max|m|^2 + max|p|^2): above the rounding error of either
+        squared distance expression, whatever order BLAS sums in."""
+        return 64 * _UNIT_ROUNDOFF * (m_sq.max(initial=0.0) + self.pts_sq_max)
+
+    def mask(self, modes, out, gap=None) -> bool:
+        """Write to `out` the (r, n) mask of the samples within the
+        bandwidth of each mode, unless a squared distance lies in the band
+        around bw^2: then return False.
+
+        Squared distances are built in place, a block of rows at a time, in
+        one buffer of at most `_BLOCK` floats that stays in L2. Each of this
+        expression and the full one of `_exact_neighbours` is off the true
+        squared distance by at most ~10u(|m|^2 + |p|^2) (u = 2^-53, first
+        order). So when no value lies within the band of bw^2, both give the
+        mask of exact arithmetic. With `gap`, also write per row the smallest
+        |d^2 - bw^2| over the samples."""
+        n = len(self.pts)
+        m_sq = np.einsum("ij,ij->i", modes, modes)
+        band = self.band(m_sq)
+        for lo in range(0, len(modes), self.block):
+            hi = min(lo + self.block, len(modes))
+            d2 = self.buf[:(hi - lo) * n].reshape(hi - lo, n)
+            # scaling by -2 is exact, so this is -2 (m @ p) bit for bit
+            np.matmul(-2.0 * modes[lo:hi], self.pts_t, out=d2)
+            d2 += m_sq[lo:hi, None]
+            d2 += self.pts_sq
+            within = out[lo:hi]
+            # no value in (bw2 - band, bw2 + band] <=> both masks hold as many
+            np.less_equal(d2, self.bw2 - band, out=within)
+            wide = self.wide[:d2.size].reshape(d2.shape)
+            np.less_equal(d2, self.bw2 + band, out=wide)
+            if np.count_nonzero(wide) != np.count_nonzero(within):
+                return False
+            if gap is not None:
+                d2 -= self.bw2
+                np.abs(d2, out=d2)
+                np.min(d2, axis=1, out=gap[lo:hi])
+        return True
+
+    def rows(self, modes):
+        """(rows, row_of): neighbour masks and, per mode, the row holding
+        its mask, which is that of exact arithmetic; or, when a value lies
+        in the rounding band, each mode's own mask from the full distance
+        expression. Steps with more than one buffer of entries try
+        `_shared_rows` first."""
+        if len(modes) * len(self.pts) > _BLOCK:
+            shared = self._shared_rows(modes)
+            if shared is not None:
+                return shared
+        within = np.empty((len(modes), len(self.pts)), dtype=bool)
+        if not self.mask(modes, within):
+            within = _exact_neighbours(modes, self.pts, self.pts_sq, self.bw2)
+        return within, np.arange(len(modes))
+
+    def _shared_rows(self, modes):
+        """Build rows for a few leader modes, let each leader's row stand
+        for the modes it covers, and build rows only for the rest; None as
+        soon as a built row has a value in the rounding band.
+
+        The blocked values d^2 of a leader row are each within `band` of the
+        true squared distance, so every sample's true one is at least
+        g - band from bw^2, g = min |d^2 - bw^2|. Its distance is then, in
+        exact arithmetic, at least
+
+            margin = sqrt(bw^2 + g - band) - sqrt(bw^2 + band)
+
+        beyond sqrt(bw^2 + band) or within sqrt(bw^2 - band) (the outer gap
+        is the smaller, since sqrt is concave). By the triangle inequality, a
+        mode whose true distance to the leader is below the margin has every
+        sample on the leader's side of the bandwidth and more than `band` in
+        squared distance from its edge: its mask is the leader's, and also
+        what either distance expression would give it. The subtraction, the
+        square roots and the leader distance (a sum of squared differences,
+        within 6u relative) are rounded toward a smaller margin and a larger
+        distance.
+        Leaders are spread over the modes no leader covers yet; rounds stop
+        when a round covers fewer modes besides its leaders than it has
+        leaders."""
+        n = len(self.pts)
+        band = self.band(np.einsum("ij,ij->i", modes, modes))
+        # a bandwidth this close to the rounding of the distances leaves no
+        # margin worth certifying
+        if self.bw2 <= 4 * band:
+            return None
+        outer = np.sqrt(self.bw2 + band) * (1 + 8 * _UNIT_ROUNDOFF)
+        row_of = np.empty(len(modes), dtype=np.intp)
+        built, start = [], 0
+        free = np.arange(len(modes))
+        while len(free) * n > _BLOCK:
+            lead = free[::max(1, len(free) // _LEADERS)][:_LEADERS]
+            within = np.empty((len(lead), n), dtype=bool)
+            gap = np.empty(len(lead))
+            if not self.mask(modes[lead], within, gap):
+                return None
+            margin = np.sqrt(self.bw2 + gap * (1 - 2 * _UNIT_ROUNDOFF) - band)
+            margin = margin * (1 - 8 * _UNIT_ROUNDOFF) - outer
+            reach2 = np.square(np.maximum(margin, 0.0))
+            m, c = modes[free], modes[lead]
+            dist2 = np.square(m[:, None, 0] - c[None, :, 0])
+            dist2 += np.square(m[:, None, 1] - c[None, :, 1])
+            dist2 += np.square(m[:, None, 2] - c[None, :, 2])
+            covered = dist2 * (1 + 16 * _UNIT_ROUNDOFF) < reach2
+            hit = covered.any(1)
+            row_of[free[hit]] = start + covered[hit].argmax(1)
+            # a leader with no margin still owns its row
+            row_of[lead] = start + np.arange(len(lead))
+            hit[np.searchsorted(free, lead)] = True
+            built.append(within)
+            start += len(lead)
+            free = free[~hit]
+            if np.count_nonzero(hit) < 2 * len(lead):
+                break
+        within = np.empty((len(free), n), dtype=bool)
+        if not self.mask(modes[free], within):
+            return None
+        row_of[free] = start + np.arange(len(free))
+        return np.concatenate(built + [within]), row_of
 
 
 def _merge_modes(modes, bandwidth):
@@ -199,15 +306,20 @@ def meanshift(samples, bandwidth: float):
     arrays, largest first.
 
     Each step finds the neighbour mask of every moving mode with
-    `_neighbours`: squared distances built in place in L2-sized row blocks,
-    with a rounding band around bw^2 inside which the step is recomputed
-    with the full distance expression, so the masks are those of exact
-    arithmetic or of the full expression. Each distinct neighbour set is
-    summed once. Samples that share a neighbour set and are all still moving
-    or all stopped follow the same path from then on, so they are iterated
-    once: `owner` maps each sample to its row of distinct iterates. Merging
-    and assignment also run over those rows. The clusters are the same as
-    when every sample is iterated on its own."""
+    `_FlatKernel.rows`: squared distances built in place in L2-sized row
+    blocks, with a rounding band around bw^2 inside which the step is
+    recomputed with the full distance expression, so the masks are those of
+    exact arithmetic or of the full expression. When the moving modes times
+    the samples exceed one `_BLOCK` buffer, rows are built only for a few
+    leader modes per round and for the modes no leader covers: a mode
+    closer to a leader than the leader's certified margin (how far every
+    sample is from the bandwidth's edge, less the rounding band) has the
+    leader's mask. Each distinct neighbour set is summed once. Samples that
+    share a neighbour set and are all still moving or all stopped follow the
+    same path from then on, so they are iterated once: `owner` maps each
+    sample to its row of distinct iterates. Merging and assignment also run
+    over those rows. The clusters are the same as when every sample is
+    iterated on its own."""
     pts = np.asarray(samples, dtype=float).reshape(-1, 3)
     n = len(pts)
     if n == 0:
@@ -217,19 +329,19 @@ def meanshift(samples, bandwidth: float):
     modes = pts.copy()
     owner = np.arange(n)
     tol = 1e-4 * bandwidth
-    bw2 = bandwidth * bandwidth
+    kernel = _FlatKernel(pts, bandwidth * bandwidth)
     active = np.ones(n, dtype=bool)
-    pts_sq = np.einsum("ij,ij->i", pts, pts)
     for _ in range(MAX_ITER):
         idx = np.nonzero(active)[0]
         if len(idx) == 0:
             break
-        within = _neighbours(modes[idx], pts, pts_sq, bw2)
-        packed = np.packbits(within, axis=1)
+        rows, row_of = kernel.rows(modes[idx])
+        packed = np.packbits(rows, axis=1)
         sets = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-        _, first, set_id = np.unique(sets, return_index=True,
-                                     return_inverse=True)
-        members = within[first]
+        _, first, row_set = np.unique(sets, return_index=True,
+                                      return_inverse=True)
+        members = rows[first]
+        set_id = row_set[row_of]
         means = (members @ pts) / np.count_nonzero(members, axis=1)[:, None]
         new = means[set_id]
         shift2 = ((new - modes[idx]) ** 2).sum(-1)
@@ -241,8 +353,11 @@ def meanshift(samples, bandwidth: float):
         # of their first sample; rows that did not move are kept as they are
         _, head, group = np.unique(set_id * 2 + active[idx],
                                    return_index=True, return_inverse=True)
+        gone = np.zeros(len(modes), dtype=bool)
+        gone[idx] = True
+        gone[idx[head]] = False
+        keep = np.flatnonzero(~gone)
         row = np.arange(len(modes))
-        keep = np.setdiff1d(row, np.delete(idx, head), assume_unique=True)
         row[idx] = idx[head][group]
         owner = np.searchsorted(keep, row)[owner]
         modes, active = modes[keep], active[keep]

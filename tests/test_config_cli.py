@@ -280,6 +280,20 @@ class TestCli:
         assert err.startswith("config error:") and "Traceback" not in err
         assert not os.path.exists(tmp_path / "out")
 
+    @pytest.mark.parametrize("command", ["simulate", "pipeline"])
+    @pytest.mark.parametrize("radius", [1e-12, 1e-10])
+    def test_degenerate_trajectory_exits_2_without_traceback(
+            self, tmp_path, capsys, command, radius):
+        # positive, so it validates, but the arc's poses collapse onto their
+        # look-at target: no viewing direction (1e-12), or one parallel to
+        # the up vector (1e-10)
+        cfg, path = small_config(tmp_path, trajectory_radius_m=radius)
+        assert cli.main([command, "--config", path]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: trajectory_radius_m = ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not os.path.exists(cfg.out_dir)
+
     def test_negative_seed_override_exits_2(self, tmp_path, capsys):
         cfg, path = small_config(tmp_path)
         assert cli.main(["simulate", "--config", path, "--seed", "-1"]) == \

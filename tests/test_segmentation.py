@@ -262,9 +262,37 @@ def _no_fallback(*args):
     raise _Fallback
 
 
+def _band(modes, pts):
+    """The rounding band of squared distances between modes and samples."""
+    return 64 * 2.0**-53 * (np.einsum("ij,ij->i", modes, modes).max()
+                            + np.einsum("ij,ij->i", pts, pts).max())
+
+
+class _RowCount:
+    """Counts, over meanshift steps, the moving modes and the neighbour rows
+    built for them."""
+
+    def __init__(self, monkeypatch):
+        self.modes = self.built = 0
+        kernel = segmentation._FlatKernel
+        rows, mask = kernel.rows, kernel.mask
+
+        def counted_rows(kernel_self, modes):
+            self.modes += len(modes)
+            return rows(kernel_self, modes)
+
+        def counted_mask(kernel_self, modes, *args):
+            self.built += len(modes)
+            return mask(kernel_self, modes, *args)
+
+        monkeypatch.setattr(kernel, "rows", counted_rows)
+        monkeypatch.setattr(kernel, "mask", counted_mask)
+
+
 class TestBlockedNeighbours:
-    """`_neighbours` builds masks in L2-sized blocks and falls back to the
-    full distance expression when a value is in the rounding band of bw^2."""
+    """`_FlatKernel.mask` builds masks in L2-sized blocks, and a step falls
+    back to the full distance expression when a value is in the rounding
+    band of bw^2."""
 
     def test_constructed_tie_takes_fallback(self, monkeypatch):
         # coordinates on a 0.25 grid make every squared distance exact, so
@@ -281,6 +309,7 @@ class TestBlockedNeighbours:
     def test_scan_cells_on_blocked_path_alone(self, noisy_two_sphere,
                                               monkeypatch):
         monkeypatch.setattr(segmentation, "_exact_neighbours", _no_fallback)
+        count = _RowCount(monkeypatch)
         sizes = []
         for vids, vals in noisy_two_sphere["table"].cells.values():
             if len(vids) < 2:
@@ -289,8 +318,10 @@ class TestBlockedNeighbours:
             assert_same_clusters(meanshift(vals, bw),
                                  reference_meanshift(vals, bw))
             sizes.append(len(vids))
-        # cells large enough to take several blocks per step
+        # cells large enough to take several blocks per step, whose steps
+        # build rows for fewer modes than move
         assert max(sizes) > 2 * segmentation._BLOCK ** 0.5
+        assert 0 < count.built < count.modes
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.integers(1, 300),
            st.sampled_from([1e-3, 1.0, 1e3]), st.floats(0.0, 1.0),
@@ -308,16 +339,11 @@ class TestBlockedNeighbours:
         bw2 = float(diff2.flat[rng.integers(diff2.size)] if pairwise
                     else np.quantile(diff2, q)) or scale
         pts_sq = np.einsum("ij,ij->i", pts, pts)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(segmentation, "_exact_neighbours", _no_fallback)
-            try:
-                within = segmentation._neighbours(modes, pts, pts_sq, bw2)
-            except _Fallback:
-                # only a value near bw2 may send the step to the fallback
-                band = 64 * 2.0**-53 * (np.einsum("ij,ij->i", modes, modes).max()
-                                        + pts_sq.max())
-                assert np.abs(diff2 - bw2).min() <= 2 * band
-                return
+        within = np.empty((n_modes, n_pts), dtype=bool)
+        if not segmentation._FlatKernel(pts, bw2).mask(modes, within):
+            # only a value near bw2 may send the step to the fallback
+            assert np.abs(diff2 - bw2).min() <= 2 * _band(modes, pts)
+            return
         np.testing.assert_array_equal(
             within, segmentation._exact_neighbours(modes, pts, pts_sq, bw2))
         np.testing.assert_array_equal(within, diff2 <= bw2)
@@ -330,6 +356,96 @@ class TestBlockedNeighbours:
         if duplicate:
             pts = pts[[0] * n]
         assert_same_clusters(meanshift(pts, bw), reference_meanshift(pts, bw))
+
+
+class TestSharedRows:
+    """Steps with more than one buffer of entries build rows for leader modes
+    and for the modes no leader's certified margin covers; the others take
+    their leader's neighbour set."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(182, 400), st.integers(1, 4),
+           st.sampled_from([1e-3, 1.0, 1e3]), st.sampled_from([0.0, 0.01, 0.1]),
+           st.booleans(), st.booleans(), st.floats(0.05, 1.0))
+    @settings(max_examples=40, deadline=None)
+    def test_shared_sets_equal_full_mask(self, seed, n, k, scale, spread,
+                                         duplicate, pairwise_bw, bw):
+        """Blobs at three scales, optionally resampled with repeats (exact
+        duplicates), with a free bandwidth or one equal to a pairwise sample
+        distance; the modes are the samples, as at the first step, and then
+        the modes after one step."""
+        rng = np.random.default_rng(seed)
+        centers = rng.uniform(0, 1, (k, 3))
+        pts = centers[rng.integers(0, k, n)] + rng.normal(0, spread, (n, 3))
+        if duplicate:
+            pts = pts[rng.integers(0, n, n)]
+        pts = scale * (pts + 1.0)
+        bw *= scale
+        if pairwise_bw:
+            i, j = rng.choice(n, 2, replace=False)
+            bw = float(np.linalg.norm(pts[i] - pts[j])) or bw
+        bw2 = bw * bw
+        kernel = segmentation._FlatKernel(pts, bw2)
+        modes = pts
+        for _ in range(2):
+            full = segmentation._exact_neighbours(modes, pts, kernel.pts_sq, bw2)
+            shared = kernel._shared_rows(modes)
+            if shared is None:
+                # only a value near bw2 may send the step to the fallback
+                diff2 = ((modes[:, None, :] - pts[None, :, :]) ** 2).sum(-1)
+                assert np.abs(diff2 - bw2).min() <= 2 * _band(modes, pts)
+                break
+            rows, row_of = shared
+            np.testing.assert_array_equal(rows[row_of], full)
+            modes = (full @ pts) / full.sum(1)[:, None]
+        assert_same_clusters(meanshift(pts, bw), reference_meanshift(pts, bw))
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_mode_at_a_tie_is_never_covered(self, exact):
+        """A mode m on the segment from a leader L to a sample p, with the
+        bandwidth |mp|: L's margin is |Lm| up to rounding, so only the
+        rounding slack keeps m from taking L's mask, which puts p outside.
+        On a 1/16 grid every squared distance is exact, so only the rounding
+        of the square roots is in play; at an offset of 1e3 off the grid the
+        blocked distances round by ~1e-10 too. Either way m's own row holds a
+        tie and sends the step to the full expression."""
+        rng = np.random.default_rng(7)
+        for _ in range(100):
+            if exact:
+                h = 2.0 ** -4
+                v = rng.integers(-4, 5, 3) * h
+                a, b = int(rng.integers(3, 12)), 1 + int(rng.integers(2))
+                leader = rng.integers(-64, 65, 3) * 1.0
+            else:
+                v = rng.normal(size=3)
+                a, b = rng.uniform(1.0, 3.0), rng.uniform(0.05, 0.3)
+                leader = 1e3 + rng.normal(0, 1, 3)
+            if not v.any():
+                continue
+            m, p = leader + b * v, leader + a * v
+            bw = float(np.linalg.norm(p - m))
+            # far from the three and off the grid: no ties of their own
+            others = leader + 60 + rng.uniform(0, 3, (220, 3))
+            pts = np.vstack([p, others])
+            modes = np.vstack([leader, m, others])
+            assert len(modes) * len(pts) > segmentation._BLOCK
+            kernel = segmentation._FlatKernel(pts, bw * bw)
+            assert kernel._shared_rows(modes) is None
+
+    def test_grid_without_cover_matches(self, monkeypatch):
+        # distinct points of a 0.25 grid lie at least 0.25 apart, and every
+        # leader has a sample at 0.25 or 0.354 from it, so its margin is
+        # below 0.05 with bandwidth 0.3: each leader covers itself alone
+        axis = np.arange(6) * 0.25
+        pts = np.stack(np.meshgrid(axis, axis, axis), -1).reshape(-1, 3)
+        pts = pts[np.random.default_rng(5).permutation(len(pts))]
+        assert len(pts) ** 2 > segmentation._BLOCK
+        kernel = segmentation._FlatKernel(pts, 0.3 * 0.3)
+        rows, row_of = kernel._shared_rows(pts)
+        # one row per mode
+        np.testing.assert_array_equal(np.sort(row_of), np.arange(len(pts)))
+        count = _RowCount(monkeypatch)
+        assert_same_clusters(meanshift(pts, 0.3), reference_meanshift(pts, 0.3))
+        assert count.built == count.modes
 
 
 def reference_merge_walk(modes, bandwidth):
