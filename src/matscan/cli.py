@@ -130,9 +130,9 @@ def _check_range(path, name, values, lo, hi) -> None:
 def cmd_simulate(cfg: PipelineConfig) -> int:
     scene = _make_scene(cfg)
     scan = _scan_config(cfg)
-    ir, rgb = simulate_scan(scene, scan)
     os.makedirs(cfg.out_dir, exist_ok=True)
     paths = _paths(cfg.out_dir)
+    ir, rgb = simulate_scan(scene, scan)
     io.write_scene(paths["scene"], scene)
     io.write_materials(paths["materials"], scene.materials)
     io.write_trajectory(paths["trajectory"], scan.trajectory)

@@ -192,23 +192,16 @@ class _FlatKernel:
 
     def rows(self, modes):
         """(rows, row_of): neighbour masks and, per mode, the row holding
-        its mask, which is that of exact arithmetic; or, when a value lies
-        in the rounding band, each mode's own mask from the full distance
-        expression. Steps with more than one buffer of entries try
-        `_shared_rows` first."""
-        if len(modes) * len(self.pts) > _BLOCK:
-            shared = self._shared_rows(modes)
-            if shared is not None:
-                return shared
-        within = np.empty((len(modes), len(self.pts)), dtype=bool)
-        if not self.mask(modes, within):
-            within = _exact_neighbours(modes, self.pts, self.pts_sq, self.bw2)
-        return within, np.arange(len(modes))
+        its mask, which is that of exact arithmetic; or, as soon as a built
+        row has a value in the rounding band, each mode's own mask from the
+        full distance expression.
 
-    def _shared_rows(self, modes):
-        """Build rows for a few leader modes, let each leader's row stand
-        for the modes it covers, and build rows only for the rest; None as
-        soon as a built row has a value in the rounding band.
+        While the modes no leader covers yet times the samples exceed one
+        `_BLOCK` buffer, a round builds rows for a few leader modes spread
+        over them, lets each leader's row stand for the modes it covers, and
+        stops when it covers fewer modes besides its leaders than it has
+        leaders. The modes left get rows of their own; in a step below one
+        buffer that is every mode.
 
         The blocked values d^2 of a leader row are each within `band` of the
         true squared distance, so every sample's true one is at least
@@ -225,26 +218,20 @@ class _FlatKernel:
         what either distance expression would give it. The subtraction, the
         square roots and the leader distance (a sum of squared differences,
         within 6u relative) are rounded toward a smaller margin and a larger
-        distance.
-        Leaders are spread over the modes no leader covers yet; rounds stop
-        when a round covers fewer modes besides its leaders than it has
-        leaders."""
+        distance. A bandwidth within a few bands of zero leaves no margin
+        worth certifying, so there no leader is picked."""
         n = len(self.pts)
         band = self.band(np.einsum("ij,ij->i", modes, modes))
-        # a bandwidth this close to the rounding of the distances leaves no
-        # margin worth certifying
-        if self.bw2 <= 4 * band:
-            return None
         outer = np.sqrt(self.bw2 + band) * (1 + 8 * _UNIT_ROUNDOFF)
         row_of = np.empty(len(modes), dtype=np.intp)
         built, start = [], 0
         free = np.arange(len(modes))
-        while len(free) * n > _BLOCK:
+        while len(free) * n > _BLOCK and self.bw2 > 4 * band:
             lead = free[::max(1, len(free) // _LEADERS)][:_LEADERS]
             within = np.empty((len(lead), n), dtype=bool)
             gap = np.empty(len(lead))
             if not self.mask(modes[lead], within, gap):
-                return None
+                return self._exact(modes)
             margin = np.sqrt(self.bw2 + gap * (1 - 2 * _UNIT_ROUNDOFF) - band)
             margin = margin * (1 - 8 * _UNIT_ROUNDOFF) - outer
             reach2 = np.square(np.maximum(margin, 0.0))
@@ -265,9 +252,16 @@ class _FlatKernel:
                 break
         within = np.empty((len(free), n), dtype=bool)
         if not self.mask(modes[free], within):
-            return None
+            return self._exact(modes)
         row_of[free] = start + np.arange(len(free))
-        return np.concatenate(built + [within]), row_of
+        if built:
+            within = np.concatenate(built + [within])
+        return within, row_of
+
+    def _exact(self, modes):
+        """Each mode's own mask from the full distance expression."""
+        return (_exact_neighbours(modes, self.pts, self.pts_sq, self.bw2),
+                np.arange(len(modes)))
 
 
 def _merge_modes(modes, bandwidth):

@@ -1,6 +1,8 @@
 """Meanshift, Gaussian statistics, the 3-sigma gate, group propagation and
 label diffusion."""
 
+from unittest import mock
+
 import numpy as np
 import oracles
 import pytest
@@ -289,6 +291,13 @@ class _RowCount:
         monkeypatch.setattr(kernel, "mask", counted_mask)
 
 
+def _fallback_spy():
+    """Patches `_exact_neighbours` with a mock that records its calls and
+    returns what it returns."""
+    return mock.patch.object(segmentation, "_exact_neighbours",
+                             wraps=segmentation._exact_neighbours)
+
+
 class TestBlockedNeighbours:
     """`_FlatKernel.mask` builds masks in L2-sized blocks, and a step falls
     back to the full distance expression when a value is in the rounding
@@ -388,14 +397,14 @@ class TestSharedRows:
         modes = pts
         for _ in range(2):
             full = segmentation._exact_neighbours(modes, pts, kernel.pts_sq, bw2)
-            shared = kernel._shared_rows(modes)
-            if shared is None:
+            with _fallback_spy() as fallback:
+                rows, row_of = kernel.rows(modes)
+            np.testing.assert_array_equal(rows[row_of], full)
+            if fallback.called:
                 # only a value near bw2 may send the step to the fallback
                 diff2 = ((modes[:, None, :] - pts[None, :, :]) ** 2).sum(-1)
                 assert np.abs(diff2 - bw2).min() <= 2 * _band(modes, pts)
                 break
-            rows, row_of = shared
-            np.testing.assert_array_equal(rows[row_of], full)
             modes = (full @ pts) / full.sum(1)[:, None]
         assert_same_clusters(meanshift(pts, bw), reference_meanshift(pts, bw))
 
@@ -429,7 +438,9 @@ class TestSharedRows:
             modes = np.vstack([leader, m, others])
             assert len(modes) * len(pts) > segmentation._BLOCK
             kernel = segmentation._FlatKernel(pts, bw * bw)
-            assert kernel._shared_rows(modes) is None
+            with _fallback_spy() as fallback:
+                kernel.rows(modes)
+            assert fallback.called
 
     def test_grid_without_cover_matches(self, monkeypatch):
         # distinct points of a 0.25 grid lie at least 0.25 apart, and every
@@ -440,7 +451,9 @@ class TestSharedRows:
         pts = pts[np.random.default_rng(5).permutation(len(pts))]
         assert len(pts) ** 2 > segmentation._BLOCK
         kernel = segmentation._FlatKernel(pts, 0.3 * 0.3)
-        rows, row_of = kernel._shared_rows(pts)
+        with _fallback_spy() as fallback:
+            rows, row_of = kernel.rows(pts)
+        assert not fallback.called
         # one row per mode
         np.testing.assert_array_equal(np.sort(row_of), np.arange(len(pts)))
         count = _RowCount(monkeypatch)
