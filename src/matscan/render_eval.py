@@ -197,9 +197,13 @@ def table_rmse(table: BrdfTable, material) -> float:
 
 
 def write_ppm(path, image: np.ndarray, gamma: float = 1.0 / 2.2) -> None:
-    """Binary PPM (P6, maxval 255); gamma applied at write time."""
-    img = np.clip(np.asarray(image, dtype=float), 0.0, 1.0) ** gamma
-    data = (img * 255.0 + 0.5).astype(np.uint8)
+    """Binary PPM (P6, maxval 255); values are clipped to [0, 1] and raised
+    to `gamma` (> 0) at write time. A value at or below 0 writes 0, so only
+    the lit values of a mostly black frame pay for the power."""
+    img = np.asarray(image, dtype=float)
+    data = np.zeros(img.shape, dtype=np.uint8)
+    lit = img > 0
+    data[lit] = (np.minimum(img[lit], 1.0) ** gamma * 255.0 + 0.5).astype(np.uint8)
     h, w = data.shape[:2]
     with open(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode())

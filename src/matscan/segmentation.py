@@ -3,19 +3,21 @@
 A global 45x48 table collects, per cell, the per-vertex mean rgb samples of
 all (subsampled) vertices. Segmentation reads one column set of it: the
 cells with at least MIN_CELL_SAMPLES samples, in flat order, their vertex
-ids and samples concatenated, so that every cell's count of group members
-is one gather and one `np.add.reduceat`. Cells are clustered independently
-by flat-kernel meanshift, whose neighbour masks are those of exact arithmetic
-(or, near a tie, of the full distance expression); in a large step, modes
-within a leader mode's certified margin take the leader's mask instead of
-building their own. The most separable cell seeds two material groups
-which are then grown cell by cell, ranked by a separability score of
-refitted Gaussians and gated by a 3-sigma Mahalanobis rule. Vertices that
-never pass the gate stay unclassified. The multi-material variant repeats
-the process one material per round, seeding from the most separable
-cluster, with no material count supplied by the user. Labels then diffuse
-to the other vertices within a radius. Every threshold is a module
-constant.
+ids and samples concatenated. One flat-kernel meanshift call clusters every
+cell of it, each cell on its own, in one step loop; its neighbour masks are
+those of exact arithmetic (or, near a tie, of the full distance
+expression), and in a large step, modes within a leader mode's certified
+margin take the leader's mask instead of building their own. The most
+separable cell seeds two material groups which are then grown cell by
+cell, ranked by a separability score of refitted Gaussians and gated by a
+3-sigma Mahalanobis rule. Each group keeps per-cell moments of its samples,
+updated from the rows of the vertices the gate adds; they score every cell
+at once, and only the cells within a certified bound of the best are
+refitted to pick the winner. Vertices that never pass the gate stay
+unclassified. The multi-material variant repeats the process one material
+per round, seeding from the most separable cluster, with no material count
+supplied by the user. Labels then diffuse to the other vertices within a
+radius. Every threshold is a module constant.
 """
 
 from __future__ import annotations
@@ -64,7 +66,9 @@ class GlobalCellTable:
     samples in ascending flat order (`flats`), their vertex ids and samples
     concatenated (`vids`, `samples`) with cell k at rows
     `offsets[k]:offsets[k + 1]`, and `mask_size`, the length of a vertex
-    mask that holds every sampled and candidate vertex id."""
+    mask that holds every sampled and candidate vertex id. Propagation also
+    reads the rows of each vertex (`rows_of`), and per cell its mean sample
+    (`centres`) and largest sample norm (`magnitudes`)."""
 
     def __init__(self, cells: dict, sampled_ids: np.ndarray):
         # flat cell index -> (vertex_ids (m,), samples (m,3))
@@ -78,6 +82,16 @@ class GlobalCellTable:
         self.offsets = np.cumsum([0] + [len(v) for v, _ in parts])
         self.mask_size = int(max(self.sampled_ids.max(initial=0),
                                  self.vids.max(initial=0))) + 1
+        sizes = np.diff(self.offsets)
+        # vertex v's rows are _by_vertex[_starts[v]:_starts[v + 1]]
+        self._by_vertex = np.argsort(self.vids, kind="stable")
+        self._starts = np.concatenate(
+            [[0], np.cumsum(np.bincount(self.vids, minlength=self.mask_size))])
+        self.centres = (np.add.reduceat(self.samples, self.offsets[:-1])
+                        / sizes[:, None])
+        self.magnitudes = np.maximum.reduceat(
+            np.sqrt(np.einsum("ij,ij->i", self.samples, self.samples)),
+            self.offsets[:-1])
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -87,9 +101,13 @@ class GlobalCellTable:
         lo, hi = self.offsets[k], self.offsets[k + 1]
         return self.vids[lo:hi], self.samples[lo:hi]
 
-    def counts(self, mask) -> np.ndarray:
-        """Per candidate cell, how many of its vertices `mask` holds."""
-        return np.add.reduceat(mask[self.vids], self.offsets[:-1], dtype=np.intp)
+    def rows_of(self, ids) -> np.ndarray:
+        """The rows of the vertices `ids`, vertex by vertex."""
+        lo, hi = self._starts[ids], self._starts[ids + 1]
+        n = hi - lo
+        # each vertex's run of positions, shifted from where it lands
+        return self._by_vertex[np.repeat(lo - np.cumsum(n) + n, n)
+                               + np.arange(n.sum())]
 
 
 def build_global_table(records, sample_budget: int, rng_seed: int) -> GlobalCellTable:
@@ -134,21 +152,27 @@ def _exact_neighbours(modes, pts, pts_sq, bw2):
     return within
 
 
-class _FlatKernel:
-    """The samples of one meanshift call, its squared bandwidth, and what
-    every step's neighbour search reuses: the samples' squared norms, their
-    transposed copy and the distance buffers."""
+def _buffers(n):
+    """A distance buffer and a mask buffer that hold the row blocks of a
+    `_FlatKernel` on up to n samples: a block of rows has at most
+    max(`_BLOCK`, n) entries."""
+    size = max(_BLOCK, n)
+    return np.empty(size), np.empty(size, dtype=bool)
 
-    def __init__(self, pts, bw2):
+
+class _FlatKernel:
+    """The samples of one meanshift cell, its squared bandwidth, and what
+    every step's neighbour search reuses: the samples' squared norms and the
+    distance buffers, which the kernels of one call share."""
+
+    def __init__(self, pts, bw2, buffers=None):
         n = len(pts)
         self.pts, self.bw2 = pts, bw2
         self.pts_sq = np.einsum("ij,ij->i", pts, pts)
         self.pts_sq_max = self.pts_sq.max()
-        self.pts_t = np.ascontiguousarray(pts.T)
         # a step never has more modes than samples
         self.block = min(n, max(1, _BLOCK // n))
-        self.buf = np.empty(self.block * n)
-        self.wide = np.empty(self.block * n, dtype=bool)
+        self.buf, self.wide = _buffers(n) if buffers is None else buffers
 
     def band(self, m_sq):
         """64u(max|m|^2 + max|p|^2): above the rounding error of either
@@ -174,7 +198,7 @@ class _FlatKernel:
             hi = min(lo + self.block, len(modes))
             d2 = self.buf[:(hi - lo) * n].reshape(hi - lo, n)
             # scaling by -2 is exact, so this is -2 (m @ p) bit for bit
-            np.matmul(-2.0 * modes[lo:hi], self.pts_t, out=d2)
+            np.matmul(-2.0 * modes[lo:hi], self.pts.T, out=d2)
             d2 += m_sq[lo:hi, None]
             d2 += self.pts_sq
             within = out[lo:hi]
@@ -292,15 +316,18 @@ def _merge_modes(modes, bandwidth):
     return modes[heads]
 
 
-def meanshift(samples, bandwidth: float):
-    """Flat-kernel meanshift. Every sample is iterated to its mode (mean of
-    samples within the bandwidth) until the shift drops below 1e-4*bandwidth
-    or MAX_ITER steps have run; modes within bandwidth/2 are merged and
-    samples assigned to the nearest merged mode. Returns cluster index
-    arrays, largest first.
+def meanshift(samples, bandwidth, offsets=None):
+    """Flat-kernel meanshift of each cell k, the rows
+    `offsets[k]:offsets[k + 1]` of `samples` at `bandwidth[k]`; without
+    `offsets`, of one cell of all samples at one bandwidth. Every sample is
+    iterated to its mode (mean of the cell's samples within the bandwidth)
+    until the shift drops below 1e-4*bandwidth or MAX_ITER steps have run;
+    modes within bandwidth/2 are merged and samples assigned to the nearest
+    merged mode. Returns per cell its cluster index arrays (into the cell's
+    rows), largest first; without `offsets`, that one cell's list.
 
-    Each step finds the neighbour mask of every moving mode with
-    `_FlatKernel.rows`: squared distances built in place in L2-sized row
+    Each step finds the neighbour mask of every moving mode of a cell with
+    its `_FlatKernel.rows`: squared distances built in place in L2-sized row
     blocks, with a rounding band around bw^2 inside which the step is
     recomputed with the full distance expression, so the masks are those of
     exact arithmetic or of the full expression. When the moving modes times
@@ -313,38 +340,62 @@ def meanshift(samples, bandwidth: float):
     same path from then on, so they are iterated once: `owner` maps each
     sample to its row of distinct iterates. Merging and assignment also run
     over those rows. The clusters are the same as when every sample is
-    iterated on its own."""
+    iterated on its own.
+
+    The cells share one array of iterates, in cell order, and one pair of
+    distance buffers. Per cell, a step makes only the calls whose bits the
+    clusters depend on: the neighbour rows, the distinct sets, their means
+    and the shifts. The shift test, the merging of rows and the `owner`
+    remap run once per step over all cells."""
     pts = np.asarray(samples, dtype=float).reshape(-1, 3)
-    n = len(pts)
-    if n == 0:
-        return []
-    if bandwidth <= 0:
+    one = offsets is None
+    offsets = np.asarray([0, len(pts)] if one else offsets, dtype=np.intp)
+    sizes = np.diff(offsets)
+    bws = np.broadcast_to(np.asarray(bandwidth, dtype=float), sizes.shape)
+    if np.any(bws <= 0):
         raise ValueError("bandwidth must be positive")
+    buffers = _buffers(sizes.max(initial=0))
+    kernels = [_FlatKernel(pts[lo:hi], bw * bw, buffers) if hi > lo else None
+               for lo, hi, bw in zip(offsets[:-1], offsets[1:], bws)]
     modes = pts.copy()
-    owner = np.arange(n)
-    tol = 1e-4 * bandwidth
-    kernel = _FlatKernel(pts, bandwidth * bandwidth)
-    active = np.ones(n, dtype=bool)
+    bounds = offsets.copy()  # cell k's rows of modes: bounds[k]:bounds[k + 1]
+    owner = np.arange(len(pts))
+    tol = 1e-4 * bws
+    tol2 = tol * tol
+    active = np.ones(len(pts), dtype=bool)
     for _ in range(MAX_ITER):
         idx = np.nonzero(active)[0]
         if len(idx) == 0:
             break
-        rows, row_of = kernel.rows(modes[idx])
-        packed = np.packbits(rows, axis=1)
-        sets = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-        _, first, row_set = np.unique(sets, return_index=True,
-                                      return_inverse=True)
-        members = rows[first]
-        set_id = row_set[row_of]
-        means = (members @ pts) / np.count_nonzero(members, axis=1)[:, None]
-        new = means[set_id]
-        shift2 = ((new - modes[idx]) ** 2).sum(-1)
-        modes[idx] = new
-        active[idx] = shift2 >= tol * tol
+        # the moving rows of cell k are idx[cut[k]:cut[k + 1]]
+        cut = np.searchsorted(idx, bounds)
+        shift2 = np.empty(len(idx))
+        # distinct neighbour sets, numbered over all cells in cell order
+        set_id = np.empty(len(idx), dtype=np.intp)
+        n_sets = 0
+        for k in np.flatnonzero(cut[1:] > cut[:-1]).tolist():
+            lo, hi = cut[k], cut[k + 1]
+            cur = modes[idx[lo:hi]]
+            rows, row_of = kernels[k].rows(cur)
+            packed = np.packbits(rows, axis=1)
+            sets = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+            _, first, row_set = np.unique(sets, return_index=True,
+                                          return_inverse=True)
+            members = rows[first]
+            means = ((members @ kernels[k].pts)
+                     / np.count_nonzero(members, axis=1)[:, None])
+            set_of = row_set[row_of]
+            new = means[set_of]
+            shift2[lo:hi] = ((new - cur) ** 2).sum(-1)
+            modes[idx[lo:hi]] = new
+            set_id[lo:hi] = n_sets + set_of
+            n_sets += len(first)
+        active[idx] = shift2 >= np.repeat(tol2, np.diff(cut))
         # moving rows with one neighbour set now share a mode, but one may
         # have stopped there and another not, so the active flag is part of
         # the key. Each group keeps its first row, so rows stay in the order
-        # of their first sample; rows that did not move are kept as they are
+        # of their first sample, and in cell order; rows that did not move
+        # are kept as they are
         _, head, group = np.unique(set_id * 2 + active[idx],
                                    return_index=True, return_inverse=True)
         gone = np.zeros(len(modes), dtype=bool)
@@ -354,17 +405,25 @@ def meanshift(samples, bandwidth: float):
         row = np.arange(len(modes))
         row[idx] = idx[head][group]
         owner = np.searchsorted(keep, row)[owner]
+        bounds = np.searchsorted(keep, bounds)
         modes, active = modes[keep], active[keep]
 
-    # rows are in order of their first sample, so this keeps the centers of
-    # a walk over all samples: a repeated mode never adds one
-    centers = _merge_modes(modes, bandwidth)
-    d2c = ((modes[:, None, :] - centers[None, :, :]) ** 2).sum(-1)
-    assign = np.argmin(d2c, axis=1)[owner]
-    clusters = [np.nonzero(assign == k)[0] for k in range(len(centers))]
-    clusters = [c for c in clusters if len(c) > 0]
-    clusters.sort(key=lambda c: (-len(c), int(c[0])))
-    return clusters
+    out = []
+    for k, bw in enumerate(bws):
+        r0, r1 = bounds[k], bounds[k + 1]
+        if r1 == r0:
+            out.append([])
+            continue
+        # rows are in order of their first sample, so this keeps the centers
+        # of a walk over all samples: a repeated mode never adds one
+        centers = _merge_modes(modes[r0:r1], bw)
+        d2c = ((modes[r0:r1, None, :] - centers[None, :, :]) ** 2).sum(-1)
+        assign = np.argmin(d2c, axis=1)[owner[offsets[k]:offsets[k + 1]] - r0]
+        clusters = [np.nonzero(assign == j)[0] for j in range(len(centers))]
+        clusters = [c for c in clusters if len(c) > 0]
+        clusters.sort(key=lambda c: (-len(c), int(c[0])))
+        out.append(clusters)
+    return out[0] if one else out
 
 
 def fit_gaussian(samples, members=None) -> GaussianCluster:
@@ -441,20 +500,20 @@ def assign_3sigma_many(samples, g1: GaussianCluster, g2: GaussianCluster):
 def initial_clusters(table: GlobalCellTable) -> dict:
     """Candidate cell index k (into `table.flats`) -> surviving Gaussian
     clusters, largest first; clusters below 5% of the cell or below
-    MIN_CLUSTER_SIZE are discarded."""
-    out = {}
+    MIN_CLUSTER_SIZE are discarded. One `meanshift` call clusters every
+    candidate cell, each at its own bandwidth."""
+    bandwidths = []
     for k in range(len(table.flats)):
-        vids, vals = table.cell(k)
-        bw = default_bandwidth(vals)
+        vals = table.cell(k)[1]
         floor = 1e-6 * float(np.linalg.norm(vals, axis=1).mean())
-        bw = max(bw, floor, 1e-12)
-        clusters = meanshift(vals, bw)
-        keep = []
-        for c in clusters:
-            if len(c) < MIN_CLUSTER_SIZE or len(c) < DISCARD_FRACTION * len(vids):
-                continue
-            g = fit_gaussian(vals[c], vids[c])
-            keep.append(g)
+        bandwidths.append(max(default_bandwidth(vals), floor, 1e-12))
+    out = {}
+    per_cell = meanshift(table.samples, bandwidths, table.offsets)
+    for k, clusters in enumerate(per_cell):
+        vids, vals = table.cell(k)
+        keep = [fit_gaussian(vals[c], vids[c]) for c in clusters
+                if len(c) >= MIN_CLUSTER_SIZE
+                and len(c) >= DISCARD_FRACTION * len(vids)]
         if keep:
             out[k] = keep
     return out
@@ -477,51 +536,164 @@ def _seed(table: GlobalCellTable, k: int, g1, g2, assignable):
     return mat1_mask, mat2_mask
 
 
-def _propagate_two(table, consumed, mat1_mask, mat2_mask, assignable,
+# the entries of a symmetric 3x3 matrix kept as a row: xx, xy, xz, yy, yz, zz
+_ROW, _COL = [0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]
+_DIAG = [0, 3, 5]
+
+
+class _Group:
+    """A growing group: its vertex mask and, per candidate cell, the count
+    and the moments of its members' samples taken about the cell's mean
+    sample: their sum (columns 0-2) and the sum of their outer products
+    (columns 3-8, in `_ROW`, `_COL` order). `add` updates them from the
+    table rows of the added vertices alone."""
+
+    def __init__(self, table: GlobalCellTable, mask):
+        self.table, self.mask = table, mask
+        self.count = np.zeros(len(table.flats), dtype=np.intp)
+        self.moments = np.zeros((len(table.flats), 9))
+        self._add_rows(np.flatnonzero(mask[table.vids]))
+
+    def add(self, ids):
+        """Add the vertices `ids`, none of which the group holds yet."""
+        self.mask[ids] = True
+        self._add_rows(self.table.rows_of(ids))
+
+    def _add_rows(self, rows):
+        cell = np.searchsorted(self.table.offsets, rows, side="right") - 1
+        x = self.table.samples[rows] - self.table.centres[cell]
+        terms = np.concatenate([x, x[:, _ROW] * x[:, _COL]], axis=1)
+        k = len(self.count)
+        self.count += np.bincount(cell, minlength=k)
+        # one bincount over (cell, column) bins
+        self.moments += np.bincount((9 * cell[:, None] + np.arange(9)).ravel(),
+                                    terms.ravel(), minlength=9 * k).reshape(k, 9)
+
+
+def _cholesky_solve3(a, d):
+    """(y, q): y = A^-1 d and q = d^T A^-1 d = |L^-1 d|^2 for symmetric 3x3
+    matrices A given by their `_ROW`, `_COL` entries along the last axis of
+    `a`, by Cholesky A = L L^T and two triangular solves, all at once; NaN
+    where A is not SPD."""
+    a, d = np.moveaxis(a, -1, 0), np.moveaxis(d, -1, 0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        l11 = np.sqrt(a[0])
+        l21, l31 = a[1] / l11, a[2] / l11
+        l22 = np.sqrt(a[3] - l21 * l21)
+        l32 = (a[4] - l31 * l21) / l22
+        l33 = np.sqrt(a[5] - l31 * l31 - l32 * l32)
+        z1 = d[0] / l11
+        z2 = (d[1] - l21 * z1) / l22
+        z3 = (d[2] - l31 * z1 - l32 * z2) / l33
+        y3 = z3 / l33
+        y2 = (z2 - l32 * y3) / l22
+        y1 = (z1 - l21 * y2 - l31 * y3) / l11
+    return np.stack([y1, y2, y3], axis=-1), z1 * z1 + z2 * z2 + z3 * z3
+
+
+def _moment_scores(grp1: _Group, grp2: _Group, ks):
+    """Per candidate cell of `ks`: the separability score of the two groups'
+    regularized Gaussians as their moments give them, and a bound on its
+    distance from `separability_score` of the `fit_gaussian`s of the same
+    samples; score 0 and bound inf where the moments certify none.
+
+    Both compute s = sqrt(q_A) + sqrt(q_B), q_A = d^T A^-1 d (d the
+    difference of the means, A and B the regularized covariances), with
+    rounding. Errors dd in d and dA in A move q_A by 2 dd.y - y^T dA y
+    (y = A^-1 d) to first order, and sqrt(q_A) by at most that over
+    sqrt(q_A), or by its square root. With N members, T the trace of their
+    mean outer product about the cell's mean sample and M the cell's largest
+    sample norm (u = 2^-53), the errors of the two paths add up to at most:
+    - (4N + 20) u T + 3 (N u M)^2 in the covariance, in 2-norm: the rounding
+      of each sum of outer products, by Cauchy-Schwarz; T carries the
+      moments' cancellation;
+    - that, 2u times the regularization and 24u trace(A) in A: each
+      Cholesky solve is exact for an A off by ~10u trace(A);
+    - (2N + 6) u (sqrt(3) M + sqrt(T)) in each mean.
+    A cell is certified only where four times the error in A is below the
+    regularization eps trace/3, a floor under A's eigenvalues: then the
+    second-order terms stay within a third of the first-order ones, and both
+    paths take the regularized branch, not the tr <= 0 one. The bound is
+    twice the first-order one, with |y| widened by the second-order terms.
+    Both groups are computed at once, along a first axis of two."""
+    u = _UNIT_ROUNDOFF
+    mag = grp1.table.magnitudes[ks]
+    n = np.stack([grp1.count[ks], grp2.count[ks]]).astype(float)
+    moments = np.stack([grp1.moments[ks], grp2.moments[ks]]) / n[..., None]
+    mean, second = moments[..., :3], moments[..., 3:]  # about the cell's mean
+    cov = second - mean[..., _ROW] * mean[..., _COL]
+    rho = COV_REG_EPS * (cov[..., _DIAG].sum(-1) / 3.0)
+    cov[..., _DIAG] += rho[..., None]
+    spread = second[..., _DIAG].sum(-1)
+    err_reg = ((1 + COV_REG_EPS) * (u * (4 * n + 20) * spread
+                                    + 3 * (n * u * mag) ** 2)
+               + 2 * u * rho + 24 * u * cov[..., _DIAG].sum(-1))
+    err_mean = u * (2 * n + 6) * (np.sqrt(3) * mag + np.sqrt(spread))
+    d = mean[1] - mean[0]
+    d_norm = np.sqrt((d * d).sum(-1))
+    err_d = err_mean.sum(0) + 2 * u * d_norm
+    with np.errstate(invalid="ignore", divide="ignore"):
+        y, q = _cholesky_solve3(cov, d)
+        reach = 4 / 3 * np.sqrt((y * y).sum(-1)) + 2 * err_d / rho
+        dq = 2 * (2 * err_d * reach + 4 / 3 * err_reg * reach ** 2
+                  + 2 * err_d ** 2 / rho + 8 * u * d_norm * reach + 3 * u * q)
+        root = np.sqrt(q)
+        score = root.sum(0)
+        bound = ((np.minimum(dq / root, np.sqrt(dq)) + 4 * u * root).sum(0)
+                 + 2 * u * score)
+    sure = ((4 * err_reg < rho).all(0) & np.isfinite(score)
+            & np.isfinite(bound))
+    return np.where(sure, score, 0.0), np.where(sure, bound, np.inf)
+
+
+def _propagate_two(table, consumed, grp1: _Group, grp2: _Group, assignable,
                    require_half2):
     """Grow two groups cell by cell: repeatedly pick the unconsumed cell with
     the highest propagation score and gate its still-unassigned, assignable
     vertices by the 3-sigma rule. A cell scores only when it holds at least
     half of the first group and MIN_FIT_SAMPLES of each (and, with
     require_half2, half of the second); its score is the separability of
-    Gaussians refitted to the in-cell members of each group. Masks and
-    `consumed` (one flag per candidate cell) are updated in place; returns
-    cells consumed."""
+    Gaussians refitted to the in-cell members of each group, and the first
+    cell of the highest score wins.
+
+    Every qualifying cell is scored at once from the groups' per-cell
+    moments (`_moment_scores`). Only a cell whose moment score is within its
+    bound of the best certified lower bound can win, so only those are
+    refitted by `fit_gaussian` and scored by `separability_score`, in
+    ascending order, to pick the winner and give the gate its Gaussians.
+    Groups, their moments and `consumed` (one flag per candidate cell) are
+    updated in place; returns cells consumed."""
     grown = 0
-    fits = {}  # candidate -> (c1, c2, score, g1, g2) of its last fit
     for _ in range(N_CELLS):
-        n1 = int(mat1_mask.sum())
-        n2 = int(mat2_mask.sum())
+        n1 = int(grp1.mask.sum())
+        n2 = int(grp2.mask.sum())
         if n1 == 0 or n2 == 0:
             break
-        c1 = table.counts(mat1_mask)
-        c2 = table.counts(mat2_mask)
+        c1, c2 = grp1.count, grp2.count
         ok = (~consumed & (2 * c1 >= n1) & (c1 >= MIN_FIT_SAMPLES)
               & (c2 >= MIN_FIT_SAMPLES))
         if require_half2:
             ok &= 2 * c2 >= n2
+        ks = np.flatnonzero(ok)
+        score, bound = _moment_scores(grp1, grp2, ks)
+        floor = np.max(score - bound, initial=-np.inf)
         best, best_score = None, 0.0
-        for k in np.nonzero(ok)[0].tolist():
-            # the masks only grow, so equal counts mean equal in-cell members
-            # and an unchanged fit
-            if fits.get(k, (-1, -1))[:2] != (c1[k], c2[k]):
-                cv, cs = table.cell(k)
-                in1 = mat1_mask[cv]
-                in2 = mat2_mask[cv]
-                g1 = fit_gaussian(cs[in1], cv[in1])
-                g2 = fit_gaussian(cs[in2], cv[in2])
-                fits[k] = (c1[k], c2[k], separability_score(g1, g2), g1, g2)
-            if fits[k][2] > best_score:
-                best, best_score = k, fits[k][2]
+        for k in ks[score + bound >= floor].tolist():
+            cv, cs = table.cell(k)
+            in1, in2 = grp1.mask[cv], grp2.mask[cv]
+            g1 = fit_gaussian(cs[in1], cv[in1])
+            g2 = fit_gaussian(cs[in2], cv[in2])
+            exact = separability_score(g1, g2)
+            if exact > best_score:
+                best, best_score, pair = k, exact, (g1, g2)
         if best is None:
             break
-        g1, g2 = fits[best][3:]
         cv, cs = table.cell(best)
-        fresh = ~(mat1_mask[cv] | mat2_mask[cv]) & assignable[cv]
+        fresh = ~(grp1.mask[cv] | grp2.mask[cv]) & assignable[cv]
         if fresh.any():
-            codes = assign_3sigma_many(cs[fresh], g1, g2)
-            mat1_mask[cv[fresh][codes == 1]] = True
-            mat2_mask[cv[fresh][codes == 2]] = True
+            codes = assign_3sigma_many(cs[fresh], *pair)
+            grp1.add(cv[fresh][codes == 1])
+            grp2.add(cv[fresh][codes == 2])
         consumed[best] = True
         grown += 1
     return grown
@@ -557,36 +729,38 @@ def two_material_segmentation(table: GlobalCellTable):
     diagnostics["seed_cell"] = divmod(int(table.flats[best_cell]), N_D)
 
     everything = np.ones(table.mask_size, dtype=bool)
-    mat1_mask, mat2_mask = _seed(table, best_cell, *best_pair, everything)
+    grp1, grp2 = (_Group(table, m)
+                  for m in _seed(table, best_cell, *best_pair, everything))
     diagnostics["cells_consumed"] = _propagate_two(
-        table, np.arange(len(table.flats)) == best_cell, mat1_mask, mat2_mask,
+        table, np.arange(len(table.flats)) == best_cell, grp1, grp2,
         assignable=everything, require_half2=True)
 
-    mat1, mat2 = _ids(mat1_mask), _ids(mat2_mask)
+    mat1, mat2 = _ids(grp1.mask), _ids(grp2.mask)
     groups = [g for g in (mat1, mat2) if g]
     return MaterialGroups(groups, sampled - mat1 - mat2), diagnostics
 
 
-def _absorb_single(table, consumed, new_mask, blocked):
+def _absorb_single(table, consumed, grp: _Group, blocked):
     """Grow a group through cells that have no reference population to fit a
     second Gaussian (cells dominated by one material). Any unconsumed cell
     holding at least half of the group gates its remaining unblocked vertices
     against the group's own in-cell Gaussian; samples beyond the 3-sigma
     distance stay out, so ambiguous vertices remain unclassified. The cell
-    holding the most group members goes first."""
+    holding the most group members goes first; the counts are the group's
+    per-cell moment counts."""
     while True:
-        c1 = table.counts(new_mask)
-        c1[consumed | (c1 < MIN_FIT_SAMPLES) | (2 * c1 < int(new_mask.sum()))] = 0
+        c1 = np.where(consumed | (grp.count < MIN_FIT_SAMPLES)
+                      | (2 * grp.count < int(grp.mask.sum())), 0, grp.count)
         if not c1.any():
             return
         k = int(np.argmax(c1))
         cv, cs = table.cell(k)
-        in1 = new_mask[cv]
+        in1 = grp.mask[cv]
         g1 = fit_gaussian(cs[in1], cv[in1])
         fresh = ~in1 & ~blocked[cv]
         if fresh.any():
             md = mahalanobis_many(cs[fresh], g1.mean, g1.covariance)
-            new_mask[cv[fresh][md < SIGMA_GATE]] = True
+            grp.add(cv[fresh][md < SIGMA_GATE])
         consumed[k] = True
 
 
@@ -640,9 +814,10 @@ def multi_material_segmentation(table: GlobalCellTable):
             continue
 
         consumed = np.arange(len(table.flats)) == k
-        _propagate_two(table, consumed, new_mask, ref_mask,
-                       assignable=~classified, require_half2=False)
-        _absorb_single(table, consumed, new_mask, classified | ref_mask)
+        new, ref = _Group(table, new_mask), _Group(table, ref_mask)
+        _propagate_two(table, consumed, new, ref, assignable=~classified,
+                       require_half2=False)
+        _absorb_single(table, consumed, new, classified | ref_mask)
 
         new_mask &= ~classified
         if new_mask.sum() < MIN_CLUSTER_SIZE:

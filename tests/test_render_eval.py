@@ -231,3 +231,19 @@ class TestPpm:
         write_ppm(path, img)  # default gamma 1/2.2
         back = read_ppm(path)
         assert back[0, 0, 0] == pytest.approx(0.25 ** (1 / 2.2), abs=0.01)
+
+    @pytest.mark.parametrize("gamma", [1.0 / 2.2, 1.0, 2.0])
+    def test_bytes_equal_clip_then_power_of_every_value(self, tmp_path, gamma):
+        """A mostly black frame with exact 0s and 1s, values in between, and
+        values out of range on both sides."""
+        rng = np.random.default_rng(3)
+        img = np.zeros((52, 69, 3))
+        lit = rng.random(img.shape) < 0.1
+        img[lit] = rng.uniform(-0.5, 1.5, lit.sum())
+        img[0, :6, 0] = [0.0, -0.0, 1.0, -1e300, np.inf, -np.inf]
+        img[1, :4, 1] = [1.0 + 2**-52, 1.0 - 2**-53, 5e-324, 1e-300]
+        path = tmp_path / "frame.ppm"
+        write_ppm(path, img, gamma)
+        old = (np.clip(img, 0.0, 1.0) ** gamma * 255.0 + 0.5).astype(np.uint8)
+        assert path.read_bytes() == b"P6\n69 52\n255\n" + old.tobytes()
+

@@ -67,10 +67,18 @@ def reference_meanshift(samples, bandwidth: float, max_iter: int = 100):
     return clusters
 
 
-def reference_propagate_two(table, consumed, mat1_mask, mat2_mask, assignable,
+def reference_meanshift_cells(samples, bandwidths, offsets):
+    """`reference_meanshift` of each cell of a column set on its own."""
+    return [reference_meanshift(samples[lo:hi], bw)
+            for lo, hi, bw in zip(offsets[:-1], offsets[1:], bandwidths)]
+
+
+def reference_propagate_two(table, consumed, grp1, grp2, assignable,
                             require_half2):
     """`_propagate_two` that counts and refits every unconsumed candidate
-    cell at every step, one cell at a time, from the table's dict of cells."""
+    cell at every step, one cell at a time, from the table's dict of cells
+    and the groups' masks alone."""
+    mat1_mask, mat2_mask = grp1.mask, grp2.mask
     grown = 0
     for _ in range(N_CELLS):
         n1 = int(mat1_mask.sum())
@@ -107,10 +115,12 @@ def reference_propagate_two(table, consumed, mat1_mask, mat2_mask, assignable,
     return grown
 
 
-def reference_absorb_single(table, consumed, new_mask, blocked,
+def reference_absorb_single(table, consumed, grp, blocked,
                             min_fit=MIN_FIT_SAMPLES):
     """`_absorb_single` that counts every unconsumed candidate cell at every
-    step, one cell at a time, from the table's dict of cells."""
+    step, one cell at a time, from the table's dict of cells and the group's
+    mask alone."""
+    new_mask = grp.mask
     while True:
         n1 = int(new_mask.sum())
         best = (0, None)
@@ -138,7 +148,7 @@ def reference_absorb_single(table, consumed, new_mask, blocked,
 def reference_groups(segment, table):
     """`segment(table)` run on the reference twins."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(segmentation, "meanshift", reference_meanshift)
+        mp.setattr(segmentation, "meanshift", reference_meanshift_cells)
         mp.setattr(segmentation, "_propagate_two", reference_propagate_two)
         mp.setattr(segmentation, "_absorb_single", reference_absorb_single)
         return segment(table)
@@ -461,6 +471,46 @@ class TestSharedRows:
         assert count.built == count.modes
 
 
+class TestBatchedMeanshift:
+    """One `meanshift` call clusters every cell of a column set, each as the
+    per-sample reference clusters that cell alone."""
+
+    def test_one_call_equals_reference_per_cell(self):
+        rng = np.random.default_rng(31)
+        cells = []
+        for n in (20, 37, 181, 182, 400, 1400):
+            k = int(rng.integers(1, 4))
+            centers = rng.uniform(0, 1, (k, 3))
+            cells.append(centers[rng.integers(0, k, n)]
+                         + rng.normal(0, 0.05, (n, 3)))
+        bandwidths = [default_bandwidth(c) for c in cells]
+        # on a 0.25 grid the bandwidth 0.25 ties with neighbouring points
+        cells.append(rng.integers(0, 8, (150, 3)) * 0.25)
+        bandwidths.append(0.25)
+        cells.append(np.tile([0.3, 0.6, 0.2], (60, 1)))  # all identical
+        bandwidths.append(0.1)
+        cells.insert(3, np.zeros((0, 3)))  # a cell of no samples
+        bandwidths.insert(3, 0.5)
+        offsets = np.cumsum([0] + [len(c) for c in cells])
+        with _fallback_spy() as fallback:
+            got = meanshift(np.vstack(cells), bandwidths, offsets)
+        assert fallback.called  # the tie cell took the full expression
+        assert len(got) == len(cells)
+        for clusters, pts, bw in zip(got, cells, bandwidths):
+            assert_same_clusters(clusters, reference_meanshift(pts, bw))
+            assert_same_clusters(clusters, meanshift(pts, bw))
+
+    def test_initial_clusters_make_one_call(self, noisy_two_sphere):
+        table = noisy_two_sphere["table"]
+        with mock.patch.object(segmentation, "meanshift",
+                               wraps=segmentation.meanshift) as spy:
+            clusters = initial_clusters(table)
+        assert spy.call_count == 1
+        samples, bandwidths, offsets = spy.call_args.args
+        assert samples is table.samples and offsets is table.offsets
+        assert len(bandwidths) == len(table.flats) and clusters
+
+
 def reference_merge_walk(modes, bandwidth):
     """The mode-merge walk of `reference_meanshift` on its own."""
     centers = []
@@ -776,6 +826,168 @@ class TestPropagationOracle:
             assert groups.groups == reference_groups(segment, table)[0].groups
 
 
+def _moment_cells(rng, kinds, n1, n2, n_other, scale):
+    """Cells that each hold every vertex: ids [0, n1) are the first group,
+    [n1, n1 + n2) the second and the rest neither. Each group's samples in a
+    cell are of the kind named for it there: isotropic noise, noise along
+    the colour with a 1e-6 isotropic part (nearly rank 1, as colour
+    covariances are), isotropic noise resampled with repeats, or one value
+    repeated (zero variance)."""
+    cells = {}
+    for flat, (kind1, kind2) in enumerate(kinds):
+        parts = []
+        for kind, n in ((kind1, n1), (kind2, n2), ("iso", n_other)):
+            colour = rng.uniform(0.05, 1.0, 3) * scale
+            sigma = rng.choice([1e-4, 1e-2, 0.1]) * scale
+            if kind == "rank1":
+                x = (colour + rng.normal(0, sigma, (n, 1)) * colour
+                     / np.linalg.norm(colour)
+                     + rng.normal(0, 1e-6 * sigma, (n, 3)))
+            elif kind == "zero":
+                x = np.tile(colour, (n, 1))
+            else:
+                x = colour + rng.normal(0, sigma, (n, 3))
+                if kind == "duplicates":
+                    x = x[rng.integers(0, n, n)]
+            parts.append(x)
+        cells[flat * N_D] = (np.arange(n1 + n2 + n_other), np.vstack(parts))
+    return cells
+
+
+_KINDS = st.sampled_from(["iso", "rank1", "duplicates", "zero"])
+
+
+class TestMomentScores:
+    """The per-cell moment score of two groups stays within its certified
+    bound of `separability_score` of their `fit_gaussian`s, and a cell it
+    cannot certify gets an infinite bound."""
+
+    @given(st.integers(0, 2**32 - 1),
+           st.lists(st.tuples(_KINDS, _KINDS), min_size=1, max_size=4),
+           st.sampled_from([MIN_FIT_SAMPLES, 11, 57, 400]),
+           st.sampled_from([MIN_FIT_SAMPLES, 23, 300]),
+           st.integers(0, 40), st.sampled_from([1.0, 1e-3, 1e3]),
+           st.integers(0, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_score_within_bound(self, seed, kinds, n1, n2, n_other, scale,
+                                batches):
+        rng = np.random.default_rng(seed)
+        table = GlobalCellTable(_moment_cells(rng, kinds, n1, n2, n_other, scale),
+                                np.arange(n1 + n2 + n_other))
+        groups = []
+        for ids in (np.arange(n1), np.arange(n1, n1 + n2)):
+            # the moments of a group built in several additions
+            ids = rng.permutation(ids)
+            parts = np.array_split(ids, batches + 1)
+            mask = np.zeros(table.mask_size, dtype=bool)
+            mask[parts[0]] = True
+            grp = segmentation._Group(table, mask)
+            for part in parts[1:]:
+                grp.add(part)
+            groups.append(grp)
+        ks = np.arange(len(table.flats))
+        score, bound = segmentation._moment_scores(*groups, ks)
+        for k in ks:
+            cv, cs = table.cell(k)
+            fits = []
+            for grp in groups:
+                inside = grp.mask[cv]
+                assert grp.count[k] == inside.sum()
+                fits.append(fit_gaussian(cs[inside]))
+            exact = separability_score(*fits)
+            if "zero" in kinds[k]:
+                assert bound[k] == np.inf
+            if np.isfinite(bound[k]):
+                assert abs(score[k] - exact) <= bound[k]
+            else:
+                assert score[k] == 0.0
+
+    def test_scan_scores_within_bound(self, noisy_two_sphere, monkeypatch):
+        """Every moment score a propagation of the scan makes, against a
+        refit of the same cell."""
+        checked = []
+        moment_scores = segmentation._moment_scores
+
+        def checked_scores(grp1, grp2, ks):
+            score, bound = moment_scores(grp1, grp2, ks)
+            table = grp1.table
+            for k, s, b in zip(ks.tolist(), score, bound):
+                cv, cs = table.cell(k)
+                in1, in2 = grp1.mask[cv], grp2.mask[cv]
+                exact = separability_score(fit_gaussian(cs[in1]),
+                                           fit_gaussian(cs[in2]))
+                assert abs(s - exact) <= b
+                checked.append(np.isfinite(b))
+            return score, bound
+
+        monkeypatch.setattr(segmentation, "_moment_scores", checked_scores)
+        for segment in (two_material_segmentation, multi_material_segmentation):
+            segment(noisy_two_sphere["table"])
+        assert len(checked) > 100 and all(checked)
+
+
+def _pick_table(cell_extras):
+    """Cells of two groups of 20 vertices (ids 0-19 near one colour, 20-39
+    near another) with the same samples in every cell, and per cell its own
+    extra vertices, none in either group."""
+    rng = np.random.default_rng(41)
+    members = np.vstack([rng.normal([0.8, 0.2, 0.2], 0.02, (20, 3)),
+                         rng.normal([0.2, 0.2, 0.8], 0.02, (20, 3))])
+    extra = rng.normal([0.8, 0.2, 0.2], 0.02, (10, 3))
+    cells = {}
+    for flat, ids in enumerate(cell_extras):
+        ids = np.asarray(ids, dtype=int)
+        cells[flat] = (np.concatenate([np.arange(40), 40 + ids]),
+                       np.vstack([members, extra[ids]]))
+    table = GlobalCellTable(cells, np.arange(50))
+    masks = [np.zeros(table.mask_size, dtype=bool) for _ in range(2)]
+    masks[0][:20] = masks[1][20:40] = True
+    return table, masks
+
+
+class TestPropagationPick:
+    """Of the cells of the highest refitted score the first wins, and a cell
+    whose score is not above zero never does."""
+
+    @pytest.mark.parametrize("propagate", [segmentation._propagate_two,
+                                           reference_propagate_two])
+    def test_first_of_equal_scores_wins(self, propagate, monkeypatch):
+        # both cells score the same; the first has one fresh vertex, the
+        # second two, so the first gate call tells which cell won
+        table, masks = _pick_table([[0], [1, 2]])
+        gated = []
+        gate = segmentation.assign_3sigma_many
+
+        def counted_gate(xs, g1, g2):
+            gated.append(len(xs))
+            return gate(xs, g1, g2)
+
+        # the gate as both propagations look it up
+        monkeypatch.setattr(segmentation, "assign_3sigma_many", counted_gate)
+        monkeypatch.setitem(globals(), "assign_3sigma_many", counted_gate)
+        groups = [segmentation._Group(table, m) for m in masks]
+        everything = np.ones(table.mask_size, dtype=bool)
+        consumed = np.zeros(2, dtype=bool)
+        propagate(table, consumed, *groups, everything, require_half2=True)
+        assert gated[0] == 1 and consumed.all()
+
+    @pytest.mark.parametrize("propagate", [segmentation._propagate_two,
+                                           reference_propagate_two])
+    def test_zero_score_never_wins(self, propagate):
+        # the second group's samples are the first's, in the same order, so
+        # their means are equal bit for bit and the score is exactly 0
+        table, masks = _pick_table([[0]])
+        samples = table.cells[0][1]
+        samples[20:40] = samples[:20]
+        table = GlobalCellTable(table.cells, table.sampled_ids)
+        groups = [segmentation._Group(table, m) for m in masks]
+        consumed = np.zeros(1, dtype=bool)
+        everything = np.ones(table.mask_size, dtype=bool)
+        assert propagate(table, consumed, *groups, everything, True) == 0
+        assert not consumed.any()
+        assert groups[0].mask.sum() == groups[1].mask.sum() == 20
+
+
 class TestInitialClusters:
     def test_small_cells_skipped(self):
         rng = np.random.default_rng(16)
@@ -804,6 +1016,15 @@ class TestGlobalCellTable:
         for k, flat in enumerate(table.flats):
             for got, expected in zip(table.cell(k), table.cells[flat]):
                 np.testing.assert_array_equal(got, expected)
+
+    def test_rows_of_lists_each_vertex_rows(self, noisy_two_sphere):
+        table = noisy_two_sphere["table"]
+        ids = np.random.default_rng(24).choice(table.mask_size, 50, replace=False)
+        rows = table.rows_of(ids)
+        np.testing.assert_array_equal(np.sort(rows),
+                                      np.flatnonzero(np.isin(table.vids, ids)))
+        per_vertex = np.bincount(table.vids, minlength=table.mask_size)[ids]
+        np.testing.assert_array_equal(table.vids[rows], np.repeat(ids, per_vertex))
 
     def test_shuffled_cells_give_same_columns_and_groups(self, noisy_two_sphere):
         table = noisy_two_sphere["table"]
