@@ -190,13 +190,16 @@ def cmd_segment(cfg: PipelineConfig) -> int:
 
 
 def _merged_tables(records, labels):
-    """Per group 0..k-1 of `labels`, the merged tables of its records, or
-    None for a group without records."""
-    tables = [[] for _ in range(labels.max() + 1)]
-    for rec in records:
-        if labels[rec.vertex_id] >= 0:
-            tables[labels[rec.vertex_id]].append(rec.table)
-    return [brdf_table.merge(t) if t else None for t in tables]
+    """Per group 0..k-1 of `labels`, the merged table of its records' cell
+    rows, or None for a group without records."""
+    cell_label = labels[records.cell_vid]
+    merged = []
+    for g in range(labels.max() + 1):
+        rows = cell_label == g
+        table = brdf_table.BrdfTable(records.flat[rows], records.means[rows],
+                                     records.counts[rows])
+        merged.append(brdf_table.merge([table]) if rows.any() else None)
+    return merged
 
 
 def cmd_render(cfg: PipelineConfig) -> int:

@@ -71,13 +71,14 @@ class PipelineConfig:
                      "diffusion_radius_m"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be > 0")
-        for name in ("normal_jitter_deg", "pose_translation_jitter_m",
-                     "pose_rotation_jitter_deg", "intensity_multiplicative_sigma"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
-        for name in ("outlier_fraction", "dropout_fraction"):
-            if not 0 <= getattr(self, name) <= 1:
-                raise ConfigError(f"{name} must be in [0, 1]")
+        # a wider angle sigma is no more random, and at sigma 10 the gain
+        # exp(sigma z) overflows only for a draw z > 70
+        for name, hi in (("normal_jitter_deg", 180), ("pose_rotation_jitter_deg", 180),
+                         ("pose_translation_jitter_m", math.inf),
+                         ("intensity_multiplicative_sigma", 10),
+                         ("outlier_fraction", 1), ("dropout_fraction", 1)):
+            if not 0 <= getattr(self, name) <= hi:
+                raise ConfigError(f"{name} must be in [0, {hi}]")
         return self
 
 

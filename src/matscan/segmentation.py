@@ -16,13 +16,14 @@ at once, and only the cells within a certified bound of the best are
 refitted to pick the winner. Vertices that never pass the gate stay
 unclassified. The multi-material variant repeats the process one material
 per round, seeding from the most separable cluster, with no material count
-supplied by the user. Labels then diffuse to the other vertices within a
-radius. Every threshold is a module constant.
+supplied by the user. Every Gaussian solve is one 3x3 Cholesky routine on
+Python floats or arrays. Labels then diffuse to the other vertices within a
+radius, by a scipy KD tree. Every threshold is a module constant.
 """
 
 from __future__ import annotations
 
-import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -442,48 +443,62 @@ def fit_gaussian(samples, members=None) -> GaussianCluster:
     return GaussianCluster(mean, cov, np.asarray(members, dtype=int))
 
 
-@functools.cache
-def _lapack():
-    """scipy's LAPACK wrappers, imported on the first factorisation: loading
-    scipy.linalg takes ~0.3 s, which only `segment` should pay."""
-    from scipy.linalg import lapack
-    return lapack
+# the entries of a symmetric 3x3 matrix kept as a row: xx, xy, xz, yy, yz, zz
+_ROW, _COL = [0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]
+_DIAG = [0, 3, 5]
 
 
-def _cholesky(covariance) -> np.ndarray:
-    """Lower Cholesky factor by LAPACK `dpotrf` (upper triangle left as
-    given), called directly: the bits of the scipy and numpy wrappers without
-    their argument checks. np.linalg.LinAlgError unless SPD."""
-    chol, info = _lapack().dpotrf(np.asarray(covariance, dtype=float), lower=1,
-                                  clean=0)
-    if info != 0:
-        raise np.linalg.LinAlgError(
-            f"covariance is not positive definite (LAPACK info {info})")
-    return chol
+def _cholesky_solve3(a, d, sqrt=np.sqrt):
+    """(l, z): the entries of the lower Cholesky factor L of the symmetric
+    3x3 matrix A given by its six `_ROW`, `_COL` entries `a`, in that order,
+    and z = L^-1 d, so that d^T A^-1 d = |z|^2. Entries are Python floats or
+    arrays of any shape; each step is one IEEE-rounded operation, so every
+    form gives the same bits. `sqrt` takes the pivots: np.sqrt gives NaN
+    where A is not SPD, `_pivot_sqrt` raises."""
+    a11, a21, a31, a22, a32, a33 = a
+    l11 = sqrt(a11)
+    l21, l31 = a21 / l11, a31 / l11
+    l22 = sqrt(a22 - l21 * l21)
+    l32 = (a32 - l31 * l21) / l22
+    l33 = sqrt(a33 - l31 * l31 - l32 * l32)
+    z1 = d[0] / l11
+    z2 = (d[1] - l21 * z1) / l22
+    z3 = (d[2] - l31 * z1 - l32 * z2) / l33
+    return (l11, l21, l31, l22, l32, l33), (z1, z2, z3)
 
 
-def mahalanobis(x, mean, covariance) -> float:
-    """sqrt((x-mu)^T S^-1 (x-mu)); covariance must be SPD, else
-    np.linalg.LinAlgError. Solved by LAPACK `dpotrs` on the `_cholesky`
-    factor, as `scipy.linalg.cho_solve` does."""
-    diff = np.asarray(x, dtype=float) - np.asarray(mean, dtype=float)
-    solved, _ = _lapack().dpotrs(_cholesky(covariance), diff, lower=1)
-    return float(np.sqrt(diff @ solved))
+def _pivot_sqrt(x: float) -> float:
+    if not x > 0:
+        raise np.linalg.LinAlgError("covariance is not positive definite")
+    return math.sqrt(x)
+
+
+def _whiten(covariance, d):
+    """z = L^-1 d by `_cholesky_solve3`, L factored in Python floats from the
+    lower triangle of `covariance`; np.linalg.LinAlgError unless it is SPD."""
+    (a11, _, _), (a21, a22, _), (a31, a32, a33) = np.asarray(
+        covariance, dtype=float).tolist()
+    return _cholesky_solve3((a11, a21, a31, a22, a32, a33), d, _pivot_sqrt)[1]
 
 
 def mahalanobis_many(xs, mean, covariance) -> np.ndarray:
-    """`mahalanobis` per row of xs as |L^-1 (x-mu)|: L^T solved transposed as
-    an upper triangle by LAPACK `dtrtrs`, the call scipy's triangular solver
-    makes for a C-ordered lower L, so its bits."""
+    """sqrt((x-mu)^T S^-1 (x-mu)) per row of xs, as |L^-1 (x-mu)|;
+    np.linalg.LinAlgError unless the covariance is SPD."""
     diff = np.asarray(xs, dtype=float).reshape(-1, 3) - np.asarray(mean, dtype=float)
-    y, _ = _lapack().dtrtrs(_cholesky(covariance).T, diff.T, lower=0, trans=1)
-    return np.sqrt((y * y).sum(axis=0))
+    z1, z2, z3 = _whiten(covariance, diff.T)
+    return np.sqrt(z1 * z1 + z2 * z2 + z3 * z3)
 
 
 def separability_score(g1: GaussianCluster, g2: GaussianCluster) -> float:
-    """Sum of cross Mahalanobis distances between the two Gaussians' means."""
-    return (mahalanobis(g2.mean, g1.mean, g1.covariance)
-            + mahalanobis(g1.mean, g2.mean, g2.covariance))
+    """Sum of cross Mahalanobis distances between the two Gaussians' means,
+    in Python floats: bit for bit the two one-row `mahalanobis_many`
+    distances summed (negating the difference of the means negates z)."""
+    d = (g2.mean - g1.mean).tolist()
+    total = 0.0
+    for g in (g1, g2):
+        z1, z2, z3 = _whiten(g.covariance, d)
+        total += math.sqrt(z1 * z1 + z2 * z2 + z3 * z3)
+    return total
 
 
 def assign_3sigma_many(samples, g1: GaussianCluster, g2: GaussianCluster):
@@ -536,11 +551,6 @@ def _seed(table: GlobalCellTable, k: int, g1, g2, assignable):
     return mat1_mask, mat2_mask
 
 
-# the entries of a symmetric 3x3 matrix kept as a row: xx, xy, xz, yy, yz, zz
-_ROW, _COL = [0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]
-_DIAG = [0, 3, 5]
-
-
 class _Group:
     """A growing group: its vertex mask and, per candidate cell, the count
     and the moments of its members' samples taken about the cell's mean
@@ -568,27 +578,6 @@ class _Group:
         # one bincount over (cell, column) bins
         self.moments += np.bincount((9 * cell[:, None] + np.arange(9)).ravel(),
                                     terms.ravel(), minlength=9 * k).reshape(k, 9)
-
-
-def _cholesky_solve3(a, d):
-    """(y, q): y = A^-1 d and q = d^T A^-1 d = |L^-1 d|^2 for symmetric 3x3
-    matrices A given by their `_ROW`, `_COL` entries along the last axis of
-    `a`, by Cholesky A = L L^T and two triangular solves, all at once; NaN
-    where A is not SPD."""
-    a, d = np.moveaxis(a, -1, 0), np.moveaxis(d, -1, 0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        l11 = np.sqrt(a[0])
-        l21, l31 = a[1] / l11, a[2] / l11
-        l22 = np.sqrt(a[3] - l21 * l21)
-        l32 = (a[4] - l31 * l21) / l22
-        l33 = np.sqrt(a[5] - l31 * l31 - l32 * l32)
-        z1 = d[0] / l11
-        z2 = (d[1] - l21 * z1) / l22
-        z3 = (d[2] - l31 * z1 - l32 * z2) / l33
-        y3 = z3 / l33
-        y2 = (z2 - l32 * y3) / l22
-        y1 = (z1 - l21 * y2 - l31 * y3) / l11
-    return np.stack([y1, y2, y3], axis=-1), z1 * z1 + z2 * z2 + z3 * z3
 
 
 def _moment_scores(grp1: _Group, grp2: _Group, ks):
@@ -633,8 +622,14 @@ def _moment_scores(grp1: _Group, grp2: _Group, ks):
     d_norm = np.sqrt((d * d).sum(-1))
     err_d = err_mean.sum(0) + 2 * u * d_norm
     with np.errstate(invalid="ignore", divide="ignore"):
-        y, q = _cholesky_solve3(cov, d)
-        reach = 4 / 3 * np.sqrt((y * y).sum(-1)) + 2 * err_d / rho
+        (l11, l21, l31, l22, l32, l33), (z1, z2, z3) = _cholesky_solve3(
+            np.moveaxis(cov, -1, 0), np.moveaxis(d, -1, 0))
+        q = z1 * z1 + z2 * z2 + z3 * z3
+        # y = A^-1 d = L^-T z
+        y3 = z3 / l33
+        y2 = (z2 - l32 * y3) / l22
+        y1 = (z1 - l21 * y2 - l31 * y3) / l11
+        reach = 4 / 3 * np.sqrt(y1 * y1 + y2 * y2 + y3 * y3) + 2 * err_d / rho
         dq = 2 * (2 * err_d * reach + 4 / 3 * err_reg * reach ** 2
                   + 2 * err_d ** 2 / rho + 8 * u * d_norm * reach + 3 * u * q)
         root = np.sqrt(q)

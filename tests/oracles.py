@@ -10,15 +10,19 @@
 - the per-vertex record path, one `BrdfTable.from_cells` per vertex and a
   global cell table over a list of records, which tests check
   `estimation.VertexRecords` and `segmentation.build_global_table` against;
-- batched Mahalanobis distances through numpy's Cholesky factor and scipy's
-  triangular solve, and label diffusion one target vertex at a time, which
-  tests check `segmentation.mahalanobis_many` and
+- the Mahalanobis distance of one point in Python floats, which tests check
+  `segmentation.mahalanobis_many` and `segmentation.separability_score`
+  against bit for bit, and the batched one through numpy's Cholesky factor
+  and scipy's triangular solve, a value reference;
+- label diffusion one target vertex at a time, which tests check
   `segmentation.diffuse_labels` against.
 
 It also holds the scalar and inverse helpers only tests use: one-angle
 table lookup, single-point projection and unprojection, pose composition,
 the angle between two attitudes and a PPM reader.
 """
+
+import math
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -323,6 +327,34 @@ def build_global_table(records: list, sample_budget: int,
     cells = {int(flat[rows[0]]): (vids[rows], vals[rows])
              for rows in group_rows(flat)}
     return GlobalCellTable(cells, sampled)
+
+
+def mahalanobis(x, mean, covariance) -> float:
+    """Mahalanobis distance of one point in Python floats: the Cholesky
+    factor L of the covariance's lower triangle row by row, L z = x - mu by
+    forward substitution, and |z| by `math.sqrt`. np.linalg.LinAlgError at
+    a pivot that is not positive."""
+    a = np.asarray(covariance, dtype=float).tolist()
+    d = (np.asarray(x, dtype=float) - np.asarray(mean, dtype=float)).tolist()
+    chol = [[0.0] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(i + 1):
+            s = a[i][j]
+            for k in range(j):
+                s -= chol[i][k] * chol[j][k]
+            if i > j:
+                chol[i][j] = s / chol[j][j]
+            elif s > 0:
+                chol[i][i] = math.sqrt(s)
+            else:
+                raise np.linalg.LinAlgError("covariance is not positive definite")
+    z = []
+    for i in range(3):
+        s = d[i]
+        for k in range(i):
+            s -= chol[i][k] * z[k]
+        z.append(s / chol[i][i])
+    return math.sqrt(z[0] * z[0] + z[1] * z[1] + z[2] * z[2])
 
 
 def mahalanobis_many(xs, mean, covariance) -> np.ndarray:

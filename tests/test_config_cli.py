@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from matscan import cli, estimation, io
+from matscan import brdf_table, cli, estimation, io
 from matscan.config import (ConfigError, PipelineConfig, load_config,
                             parse_config, serialize_config)
 from matscan.scenes import BUILTIN_SCENES
@@ -71,6 +71,8 @@ NEGATIVE = st.floats(max_value=-math.ulp(0.0)) | NON_FINITE
 WORD = st.text("abcdefghijklmnopqrstuvwxyz-", max_size=12)
 SIZE = st.integers(1, 10**9)
 CAMERA_CENTER = {"cx": "width", "cy": "height"}
+# the widest angle jitter and multiplicative intensity sigma that validate
+MAX_JITTER_DEG, MAX_INTENSITY_SIGMA = 180.0, 10.0
 
 # every field but cx and cy -> strategy of its in-range values
 IN_RANGE = {
@@ -87,10 +89,10 @@ IN_RANGE = {
     "width": st.integers(1, 10**5),
     "height": st.integers(1, 10**5),
     "saturation_level": POSITIVE,
-    "normal_jitter_deg": NON_NEGATIVE,
+    "normal_jitter_deg": st.floats(0.0, MAX_JITTER_DEG),
     "pose_translation_jitter_m": NON_NEGATIVE,
-    "pose_rotation_jitter_deg": NON_NEGATIVE,
-    "intensity_multiplicative_sigma": NON_NEGATIVE,
+    "pose_rotation_jitter_deg": st.floats(0.0, MAX_JITTER_DEG),
+    "intensity_multiplicative_sigma": st.floats(0.0, MAX_INTENSITY_SIGMA),
     "outlier_fraction": st.floats(0.0, 1.0),
     "dropout_fraction": st.floats(0.0, 1.0),
     "sample_budget": SIZE,
@@ -136,9 +138,10 @@ def out_of_range(cfg):
     for name in ("duration_s", "trajectory_radius_m", "fx", "fy",
                  "saturation_level", "diffusion_radius_m"):
         bad[name] = NOT_POSITIVE
-    for name in ("normal_jitter_deg", "pose_translation_jitter_m",
-                 "pose_rotation_jitter_deg", "intensity_multiplicative_sigma"):
-        bad[name] = NEGATIVE
+    bad["pose_translation_jitter_m"] = NEGATIVE
+    for name in ("normal_jitter_deg", "pose_rotation_jitter_deg"):
+        bad[name] = outside(0.0, MAX_JITTER_DEG)
+    bad["intensity_multiplicative_sigma"] = outside(0.0, MAX_INTENSITY_SIGMA)
     for center, size in CAMERA_CENTER.items():
         edge = float(getattr(cfg, size))
         bad[center] = (NOT_POSITIVE | st.just(edge)
@@ -279,6 +282,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
         assert not os.path.exists(tmp_path / "out")
+
+    @pytest.mark.parametrize("command, line", [
+        # exp(sigma z) overflows, and 0 times it is NaN on unlit rows
+        ("simulate", "intensity_multiplicative_sigma = 800"),
+        # the angle draws overflow to +-inf, whose cos and sin are NaN
+        ("pipeline", "normal_jitter_deg = 1e308"),
+        ("pipeline", "pose_rotation_jitter_deg = 1e308"),
+    ])
+    def test_noise_that_overflows_exits_2(self, tmp_path, capsys, command, line):
+        out = tmp_path / "out"
+        path = tmp_path / "noise.cfg"
+        path.write_text(f"n_vertices = 200\nn_ir_frames = 40\nout_dir = {out}\n"
+                        f"{line}\n")
+        assert cli.main([command, "--config", str(path)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert not os.path.exists(out)
 
     @pytest.mark.parametrize("command", ["simulate", "pipeline"])
     @pytest.mark.parametrize("radius", [1e-12, 1e-10])
@@ -539,18 +559,46 @@ print(json.dumps(loaded))
 
 def test_only_segment_loads_scipy(tmp_path):
     """scipy loads neither with the program nor in simulate, estimate, render
-    or evaluate; segment loads scipy.linalg when it fits its Gaussians."""
-    cfg, path = small_config(tmp_path, n_vertices=300)
-    # render and evaluate read the labels of a segment run
-    assert cli.main(["pipeline", "--config", path]) == cli.EXIT_OK
+    or evaluate. segment loads none either on a scan where every vertex has a
+    record in the sample budget; it loads scipy.spatial, for the KD tree of
+    label diffusion, only when some vertex needs a diffused label."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
-    proc = subprocess.run([sys.executable, "-c", SCIPY_FOOTPRINT, path], env=env,
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert loaded["import"] == []
-    assert loaded["stages"] == []
-    assert "scipy.linalg" in loaded["segment"]
+    for budget, diffused in ((300, False), (150, True)):
+        (tmp_path / str(budget)).mkdir()
+        cfg, path = small_config(tmp_path / str(budget), n_vertices=300,
+                                 n_ir_frames=60, rng_seed=6, sample_budget=budget)
+        # render and evaluate read the labels of a segment run
+        assert cli.main(["pipeline", "--config", path]) == cli.EXIT_OK
+        records = io.read_records(os.path.join(cfg.out_dir, "records.npz"))
+        assert len(records) == 300
+        proc = subprocess.run([sys.executable, "-c", SCIPY_FOOTPRINT, path],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert loaded["import"] == []
+        assert loaded["stages"] == []
+        if diffused:
+            assert "scipy.spatial" in loaded["segment"]
+        else:
+            assert loaded["segment"] == []
+
+
+def test_merged_tables_equal_per_record_merges(noisy_two_sphere):
+    """The group tables merged from record columns equal a merge of each
+    group's per-vertex tables, bit for bit, with unclassified vertices and a
+    group without records."""
+    records = noisy_two_sphere["records"]
+    n = int(records.vertex_id.max()) + 2
+    labels = np.random.default_rng(3).integers(-1, 3, n)
+    labels[-1] = 3  # a vertex without a record
+    merged = cli._merged_tables(records, labels)
+    assert merged[3] is None
+    for g in range(3):
+        tables = [rec.table for rec in records if labels[rec.vertex_id] == g]
+        want = brdf_table.merge(tables)
+        for name in ("flat", "means", "counts"):
+            np.testing.assert_array_equal(getattr(merged[g], name),
+                                          getattr(want, name))
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,7 @@
 """Meanshift, Gaussian statistics, the 3-sigma gate, group propagation and
 label diffusion."""
 
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -17,7 +18,7 @@ from matscan.segmentation import (MIN_CELL_SAMPLES, MIN_FIT_SAMPLES, SIGMA_GATE,
                                   assign_3sigma_many,
                                   build_global_table, default_bandwidth,
                                   diffuse_labels, fit_gaussian, initial_clusters,
-                                  mahalanobis, mahalanobis_many, meanshift,
+                                  mahalanobis_many, meanshift,
                                   multi_material_segmentation, separability_score,
                                   two_material_segmentation)
 
@@ -581,7 +582,7 @@ class TestGaussian:
 
     def test_degenerate_samples_still_invertible(self):
         g = fit_gaussian(np.tile([0.5, 0.5, 0.5], (10, 1)))
-        assert mahalanobis([0.5, 0.5, 0.5], g.mean, g.covariance) < 1e-6
+        assert mahalanobis_many([[0.5, 0.5, 0.5]], g.mean, g.covariance)[0] < 1e-6
 
     def test_mahalanobis_matches_scipy(self):
         from scipy.spatial.distance import mahalanobis as scipy_md
@@ -590,29 +591,45 @@ class TestGaussian:
         g = fit_gaussian(s)
         x = np.array([0.3, -0.7, 1.1])
         expected = scipy_md(x, g.mean, np.linalg.inv(g.covariance))
-        assert mahalanobis(x, g.mean, g.covariance) == pytest.approx(
+        assert mahalanobis_many(x[None], g.mean, g.covariance)[0] == pytest.approx(
             expected, rel=1e-9)
 
-    def test_mahalanobis_bitwise_equals_cho_solve(self):
+    def test_one_row_bitwise_equals_float_oracle(self):
+        """Random SPD covariances over many scales and conditionings; scipy's
+        `cho_solve` as a value reference."""
         from scipy.linalg import cho_factor, cho_solve
         rng = np.random.default_rng(21)
         for _ in range(500):
             a = rng.normal(size=(3, 3)) * rng.uniform(1e-3, 10)
             cov = a @ a.T + rng.uniform(1e-9, 1) * np.eye(3)
             x, mean = rng.normal(size=3), rng.normal(size=3)
+            got = mahalanobis_many(x[None], mean, cov)[0]
+            assert got == oracles.mahalanobis(x, mean, cov)
             diff = x - mean
-            expected = float(np.sqrt(diff @ cho_solve(cho_factor(cov, lower=True),
-                                                      diff)))
-            assert mahalanobis(x, mean, cov) == expected
+            assert got == pytest.approx(
+                np.sqrt(diff @ cho_solve(cho_factor(cov, lower=True), diff)),
+                rel=1e-10)
 
-    @pytest.mark.parametrize("cov", [np.diag([1.0, -1.0, 1.0]), np.zeros((3, 3))])
+    @pytest.mark.parametrize("cov", [np.diag([1.0, -1.0, 1.0]), np.zeros((3, 3)),
+                                     np.diag([1.0, 1.0, 0.0]),
+                                     np.array([[1.0, 2, 0], [2, 1, 0], [0, 0, 1]])])
     def test_mahalanobis_rejects_non_spd(self, cov):
-        with pytest.raises(np.linalg.LinAlgError):
-            mahalanobis(np.ones(3), np.zeros(3), cov)
+        """Zero and indefinite covariances raise from both functions, before
+        any arithmetic can warn."""
+        bad = segmentation.GaussianCluster(np.zeros(3), cov, np.zeros(0, int))
+        good = segmentation.GaussianCluster(np.ones(3), np.eye(3), np.zeros(0, int))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError):
+                mahalanobis_many(np.ones((4, 3)), np.zeros(3), cov)
+            for pair in ((bad, good), (good, bad)):
+                with pytest.raises(np.linalg.LinAlgError):
+                    separability_score(*pair)
 
-    def test_many_bitwise_equals_numpy_cholesky_and_solve_triangular(self):
+    def test_many_bitwise_equals_float_oracle(self):
         """Random SPD covariances over many scales and conditionings, and
-        fitted ones, with 1-40 rows each."""
+        fitted ones, with 1-40 rows each, against the one-row oracle; numpy's
+        Cholesky factor and scipy's triangular solve as a value reference."""
         rng = np.random.default_rng(22)
         for i in range(5000):
             m = int(rng.integers(1, 41))
@@ -623,8 +640,11 @@ class TestGaussian:
                 a = rng.normal(size=(3, 3)) * rng.uniform(1e-3, 10)
                 cov = a @ a.T + rng.uniform(1e-9, 1) * np.eye(3)
             xs, mean = rng.normal(size=(m, 3)), rng.normal(size=3)
-            np.testing.assert_array_equal(mahalanobis_many(xs, mean, cov),
-                                          oracles.mahalanobis_many(xs, mean, cov))
+            got = mahalanobis_many(xs, mean, cov)
+            np.testing.assert_array_equal(
+                got, [oracles.mahalanobis(x, mean, cov) for x in xs])
+            np.testing.assert_allclose(
+                got, oracles.mahalanobis_many(xs, mean, cov), rtol=1e-10)
 
     @pytest.mark.parametrize("cov", [np.diag([1.0, -1.0, 1.0]), np.zeros((3, 3))])
     def test_many_rejects_non_spd(self, cov):
@@ -639,7 +659,7 @@ class TestGaussian:
         many = mahalanobis_many(xs, g.mean, g.covariance)
         for i in range(40):
             assert many[i] == pytest.approx(
-                mahalanobis(xs[i], g.mean, g.covariance), rel=1e-9)
+                mahalanobis_many(xs[i:i + 1], g.mean, g.covariance)[0], rel=1e-9)
 
     @given(st.floats(0.1, 5.0), st.floats(-3.0, 3.0), st.integers(0, 1000))
     @settings(max_examples=30)
@@ -649,8 +669,8 @@ class TestGaussian:
         x = rng.normal(size=3)
         g = fit_gaussian(s)
         g2 = fit_gaussian(s * scale + shift)
-        assert mahalanobis(x * scale + shift, g2.mean, g2.covariance) == \
-            pytest.approx(mahalanobis(x, g.mean, g.covariance), rel=1e-4)
+        assert mahalanobis_many([x * scale + shift], g2.mean, g2.covariance) == \
+            pytest.approx(mahalanobis_many([x], g.mean, g.covariance), rel=1e-4)
 
     def test_chi2_three_sigma_mass(self):
         rng = np.random.default_rng(8)
@@ -676,6 +696,31 @@ class TestSeparability:
         g1 = fit_gaussian(rng.normal(0, 1, (200, 3)))
         g2 = fit_gaussian(rng.normal(2, 0.5, (200, 3)))
         assert separability_score(g1, g2) == separability_score(g2, g1)
+
+    def test_equals_sum_of_one_row_distances_bitwise(self):
+        """Random and fitted Gaussians: the score is the two one-row
+        `mahalanobis_many` distances summed, and their float oracles too."""
+        rng = np.random.default_rng(23)
+        for i in range(2000):
+            pair = []
+            for _ in range(2):
+                if i % 2:
+                    g = fit_gaussian(rng.normal(rng.normal(size=3),
+                                                rng.uniform(1e-4, 1), (20, 3))
+                                     * rng.uniform(0.1, 10, 3))
+                else:
+                    a = rng.normal(size=(3, 3)) * rng.uniform(1e-3, 10)
+                    g = segmentation.GaussianCluster(
+                        rng.normal(size=3),
+                        a @ a.T + rng.uniform(1e-9, 1) * np.eye(3),
+                        np.zeros(0, int))
+                pair.append(g)
+            g1, g2 = pair
+            score = separability_score(g1, g2)
+            assert score == (mahalanobis_many([g2.mean], g1.mean, g1.covariance)[0]
+                             + mahalanobis_many([g1.mean], g2.mean, g2.covariance)[0])
+            assert score == (oracles.mahalanobis(g2.mean, g1.mean, g1.covariance)
+                             + oracles.mahalanobis(g1.mean, g2.mean, g2.covariance))
 
 
 class TestAssign:
