@@ -2,15 +2,19 @@
 
 Subcommands: simulate | estimate | segment | render | evaluate | pipeline.
 `simulate` writes the IR and RGB observations as uncompressed npz
-(`ir_observations.npz`, `rgb_observations.npz`) and the scene, materials,
-trajectory and config as text; `estimate` writes `records.npz` and
-`colors.txt`, `segment` `labels.txt`, `render` `material_*.brdf` and PPM
-images, `evaluate` `report.txt`.
+(`ir_observations.npz`, frame-major: rows of one frame contiguous, each
+frame's time and LED stored once with its row offsets;
+`rgb_observations.npz`) and the scene, materials, trajectory and config as
+text; `estimate` writes `records.npz` and `colors.txt`, `segment`
+`labels.txt`, `render` `material_*.brdf` and PPM images, `evaluate`
+`report.txt`.
 Exit codes: 0 success, 2 config error, 3 missing, corrupt or empty input
-(an artifact `io` cannot read; observations or records of a vertex the
-scene lacks, an LED the rig lacks or a time outside the trajectory; labels
-not one per scene vertex; a `records.npz` with no records: every
-observation was rejected or its vertex has no color), 4 numeric failure.
+(an artifact `io` cannot read, such as IR frame offsets that do not rise
+from 0 to the row count or frame times that do not strictly increase;
+observations or records of a vertex the scene lacks, a frame LED the rig
+lacks or a frame time outside the trajectory; labels not one per scene
+vertex; a `records.npz` with no records: every observation was rejected or
+its vertex has no color), 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -157,7 +161,7 @@ def cmd_estimate(cfg: PipelineConfig) -> int:
     rgb = io.read_rgb_observations(paths["rgb"])
     rig = make_default_rig()
     _check_range(paths["ir"], "vertex_id", ir.vertex_id, 0, len(scene) - 1)
-    _check_range(paths["ir"], "led_index", ir.led_index, 0, len(rig) - 1)
+    _check_range(paths["ir"], "frame_led", ir.frame_led, 0, len(rig) - 1)
     _check_range(paths["ir"], "frame_time", ir.frame_time,
                  trajectory[0].timestamp, trajectory[-1].timestamp)
     _check_range(paths["rgb"], "vertex_id", rgb.vertex_id, 0, len(scene) - 1)

@@ -7,6 +7,7 @@ from dataclasses import dataclass, fields
 
 from .geometry import PinholeCamera
 from .scenes import BUILTIN_SCENES
+from .simulator import NOISE_BOUNDS
 
 
 class ConfigError(ValueError):
@@ -71,12 +72,7 @@ class PipelineConfig:
                      "diffusion_radius_m"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be > 0")
-        # a wider angle sigma is no more random, and at sigma 10 the gain
-        # exp(sigma z) overflows only for a draw z > 70
-        for name, hi in (("normal_jitter_deg", 180), ("pose_rotation_jitter_deg", 180),
-                         ("pose_translation_jitter_m", math.inf),
-                         ("intensity_multiplicative_sigma", 10),
-                         ("outlier_fraction", 1), ("dropout_fraction", 1)):
+        for name, hi in NOISE_BOUNDS.items():
             if not 0 <= getattr(self, name) <= hi:
                 raise ConfigError(f"{name} must be in [0, {hi}]")
         return self

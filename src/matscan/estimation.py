@@ -3,8 +3,9 @@ formation model to scalar reflectance samples, and their accumulation into
 per-vertex tables held as one column set (`VertexRecords`).
 
 Colors are one grouped median over every vertex at once. The inversion runs
-on chunks of whole frames, as `simulator.frames` groups the observation
-rows, with each row's camera and LED position taken from its frame."""
+on chunks of whole frames, as `simulator.frames` slices the observation
+rows, with each row's camera and LED taken from its frame, and keeps only
+each accepted row's cell key and reflectance sample."""
 
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from . import brdf_table
 from .brdf_table import N_CELLS, N_D, BrdfTable
 from .geometry import LedRig, PinholeCamera, half_diff_angle_arrays
 from .simulator import (IrObservations, RgbObservations, frame_geometry, frames,
-                        shading, vignette)
+                        join_columns, shading, vignette)
 
 GRAZING_DEG = 60.0
 COS_GRAZING = np.cos(np.deg2rad(GRAZING_DEG))
@@ -107,22 +108,21 @@ def estimate_colors(rgb_obs: RgbObservations, saturation_level: float) -> dict:
 
 
 def invert_observation_arrays(ir: IrObservations, scene, trajectory, rig: LedRig,
-                              camera: PinholeCamera, saturation_level: float):
+                              camera: PinholeCamera, saturation_level: float,
+                              colored: np.ndarray):
     """Vectorized inversion of a whole observation set, in chunks of whole
-    frames (`simulator.frames`).
+    frames (`simulator.frames`), that keeps only the rows records use.
 
-    Returns (accepted mask, theta_h, theta_d, f, rejection counts dict).
-    Angle/f entries are only meaningful where accepted."""
-    n = len(ir)
-    th = np.zeros(n)
-    td = np.zeros(n)
-    f = np.zeros(n)
-    reason = np.full(n, ACCEPTED, dtype=np.int8)
-
-    for rows, cam, led_world in frames(ir, trajectory, rig):
+    Returns (key, f, counts). `key` and `f` hold, in row order, each
+    accepted row of a vertex with a color (`colored`, a bool per scene
+    vertex): its cell key vertex_id * N_CELLS + flat cell and its reflectance
+    sample. `counts` holds the rows of each rejection reason, the accepted
+    ones, and the accepted ones skipped for lack of a color."""
+    tally = np.zeros(ACCEPTED + 1, dtype=np.int64)
+    parts = []
+    for rows, cam, led_world, brightness in frames(ir, trajectory, rig):
         vids = ir.vertex_id[rows]
         nrm = scene.normals[vids]
-        leds = ir.led_index[rows]
         d, l, ndotl, wo, ndotv = frame_geometry(cam, led_world,
                                                 scene.positions[vids], nrm)
         vig = vignette((ir.pixel[rows, 0], ir.pixel[rows, 1]), camera)
@@ -132,50 +132,42 @@ def invert_observation_arrays(ir: IrObservations, scene, trajectory, rig: LedRig
         rej = np.select([inten >= saturation_level, inten <= 0.0,
                          ndotl < COS_GRAZING, ndotv < COS_GRAZING,
                          vig < VIGNETTE_FLOOR], list(range(ACCEPTED)), ACCEPTED)
-        ok = rej == ACCEPTED
-        if ok.any():
-            a, b = half_diff_angle_arrays(nrm[ok], l[ok], wo[ok])
-            th[rows[ok]] = a
-            td[rows[ok]] = b
-            f[rows[ok]] = inten[ok] / shading(vig[ok], 1.0, ndotl[ok],
-                                              rig.brightness[leds[ok]], d[ok])
-        reason[rows] = rej
+        tally += np.bincount(rej, minlength=ACCEPTED + 1)
+        use = (rej == ACCEPTED) & colored[vids]
+        if use.any():
+            th, td = half_diff_angle_arrays(nrm[use], l[use], wo[use])
+            hb, db = brdf_table.bin_arrays(th, td)
+            parts.append((vids[use].astype(np.int64) * N_CELLS + hb * N_D + db,
+                          inten[use] / shading(vig[use], 1.0, ndotl[use],
+                                               brightness[use], d[use])))
 
-    accepted = reason == ACCEPTED
-    tally = np.bincount(reason, minlength=ACCEPTED + 1)
+    key, f = join_columns(parts) if parts else (np.zeros(0, np.int64), np.zeros(0))
     counts = {r.value: int(tally[code]) for code, r in enumerate(Rejection)}
     counts["accepted"] = int(tally[ACCEPTED])
-    return accepted, th, td, f, counts
+    counts["skipped_no_color"] = counts["accepted"] - len(key)
+    return key, f, counts
 
 
 def accumulate_vertex_tables(ir: IrObservations, scene, trajectory, rig: LedRig,
                              colors: dict, camera: PinholeCamera,
                              saturation_level: float):
     """The reflectance records (unit color + sparse table) of every vertex
-    that has a color estimate and at least one accepted inversion.
+    that has a color estimate and at least one accepted inversion. The
+    working set beyond the observations scales with the accepted rows.
 
     Returns (VertexRecords, summary dict of acceptance/rejection counts)."""
-    accepted, th, td, f, counts = invert_observation_arrays(
-        ir, scene, trajectory, rig, camera, saturation_level)
-
-    vids = ir.vertex_id[accepted]
-    color_known = np.zeros(len(scene), dtype=bool)
-    color_known[list(colors.keys())] = True
-    has_color = color_known[vids]
-    counts["skipped_no_color"] = int(len(vids) - has_color.sum())
-    vids = vids[has_color]
-    hb, db = brdf_table.bin_arrays(th[accepted][has_color], td[accepted][has_color])
-    fs = f[accepted][has_color]
-
     color_arr = np.zeros((len(scene), 3))
     color_arr[list(colors)] = np.reshape(list(colors.values()), (-1, 3))
-    samples = color_arr[vids] * fs[:, None]
+    colored = np.zeros(len(scene), dtype=bool)
+    colored[list(colors)] = True
+    key, f, counts = invert_observation_arrays(
+        ir, scene, trajectory, rig, camera, saturation_level, colored)
 
     # sorted by (vertex, flat cell): the row order of VertexRecords
-    key = vids.astype(np.int64) * N_CELLS + hb * N_D + db
     uniq, inverse = np.unique(key, return_inverse=True)
-    # per cell, its samples summed in row order
-    sums = np.stack([np.bincount(inverse, weights=samples[:, c],
+    vids = key // N_CELLS
+    # per cell, its samples (color times f) summed in row order
+    sums = np.stack([np.bincount(inverse, weights=color_arr[vids, c] * f,
                                  minlength=len(uniq)) for c in range(3)], axis=1)
     cnt = np.bincount(inverse, minlength=len(uniq))
     cell_vid, flat = np.divmod(uniq, N_CELLS)

@@ -1,6 +1,8 @@
 """Artifact I/O for the pipeline stages: the IR and RGB observations and the
 reflectance record columns as uncompressed npz (one array per field, under
-its name and with its dtype), everything else as text."""
+its name and with its dtype), everything else as text. The IR observations
+keep their frame-major layout: per-row arrays plus per-frame time, LED and
+row offsets."""
 
 from __future__ import annotations
 
@@ -123,20 +125,27 @@ def read_trajectory(path):
             for row in data]
 
 
-# observation fields with more than one value per row, and integer fields
+# observation fields with more than one value per row, integer fields, and
+# per-frame fields with their count beyond the frame count
 _WIDTH = {"pixel": (2,), "rgb": (3,)}
-_INTEGER = ("vertex_id", "led_index")
+_INTEGER = ("vertex_id", "frame_led", "frame_offsets")
+_PER_FRAME = {"frame_time": 0, "frame_led": 0, "frame_offsets": 1}
 
 
 def _read_fields(path, cls):
     """A `cls` of the npz arrays under its field names, checked for one row
-    count, the widths in `_WIDTH`, integer ids and finite values."""
+    count and one frame count, the widths in `_WIDTH`, integer ids and
+    finite values; `cls` checks the rest of its layout."""
     with open(path, "rb") as fh:
         data = np.load(fh)
         arrays = {f.name: data[f.name] for f in dataclasses.fields(cls)}
-    rows = arrays["vertex_id"].shape[:1] or (-1,)  # 0-d fits no shape
+
+    def count(name):  # a 0-d array fits no shape
+        return arrays[name].shape[0] if arrays[name].ndim else -1
     for name, a in arrays.items():
-        shape, ints = rows + _WIDTH.get(name, ()), name in _INTEGER
+        n = (count("frame_time") + _PER_FRAME[name] if name in _PER_FRAME
+             else count("vertex_id"))
+        shape, ints = (n,) + _WIDTH.get(name, ()), name in _INTEGER
         if (a.shape != shape or a.dtype.kind not in ("iu" if ints else "iuf")
                 or not np.isfinite(a).all()):
             raise ValueError(f"{name} of shape {a.shape} and dtype {a.dtype} is "

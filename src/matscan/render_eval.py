@@ -76,10 +76,10 @@ def rerender_intensities(ir: IrObservations, scene, labels: np.ndarray,
     """Model intensity for every observation row, using the estimated
     per-material completed tables (Lambertian fallback for label -1)."""
     out = np.zeros(len(ir))
-    for rows, cam, led_world in frames(ir, trajectory, rig):
-        out[rows] = _rerender_rows(cam, led_world, rig.brightness[ir.led_index[rows]],
-                                   ir.vertex_id[rows], ir.pixel[rows], scene,
-                                   labels, material_tables, camera)
+    for rows, cam, led_world, brightness in frames(ir, trajectory, rig):
+        out[rows] = _rerender_rows(cam, led_world, brightness, ir.vertex_id[rows],
+                                   ir.pixel[rows], scene, labels,
+                                   material_tables, camera)
     return out
 
 
@@ -88,7 +88,8 @@ def rerender_ir_frame(scene, labels, material_tables, trajectory, frame_time: fl
                       exposure: float = 1.0) -> np.ndarray:
     """Point-splat IR frame: per visible vertex the image formation model with
     the estimated reflectance, written to the nearest pixel (max blend).
-    Returns (height, width, 3) grayscale in [0, 1]."""
+    Returns (height, width, 3) grayscale in [0, 1], a read-only view that
+    repeats one gray channel three times."""
     pose = interpolate_trajectory(trajectory, frame_time)
     pixels, valid = project_points(camera, pose, scene.positions)
     idx = np.nonzero(valid)[0]
@@ -103,7 +104,7 @@ def rerender_ir_frame(scene, labels, material_tables, trajectory, frame_time: fl
         px = np.clip(pixels[idx, 0].astype(int), 0, camera.width - 1)
         py = np.clip(pixels[idx, 1].astype(int), 0, camera.height - 1)
         np.maximum.at(gray, (py, px), vals)
-    return np.repeat(np.clip(gray, 0.0, 1.0)[:, :, None], 3, axis=2)
+    return np.broadcast_to(np.clip(gray, 0.0, 1.0)[:, :, None], (*gray.shape, 3))
 
 
 @dataclass

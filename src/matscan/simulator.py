@@ -9,13 +9,18 @@ intensity noise, outliers, dropout, saturation clipping).
 one place its geometry is: the simulator, the inversion in `estimation` and
 the re-render in `render_eval` all call both. None of them loops over
 frames: they take whole frames in chunks of up to `_CHUNK_ROWS` rows
-(frames x vertices in `simulate_scan`, observation rows as `frames` groups
+(frames x vertices in `simulate_scan`, observation rows as `frames` slices
 them elsewhere) and broadcast each frame's camera and LED position over its
 rows.
+
+IR observations are frame-major (`IrObservations`): the rows of one frame
+are contiguous, and each frame's time and LED are stored once, so `frames`
+slices rows by the frame offsets instead of sorting them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,27 +110,34 @@ def _chunks(sizes):
 
 
 def frames(ir, trajectory, rig: LedRig):
-    """Chunks of whole frames (distinct frame times) of `ir`, in time order:
-    the chunk's row indices, ascending within each frame, and per row its
-    frame's camera position and the world position of its LED (n,3). Both
-    are computed once per frame, so a row's values do not depend on the
-    other rows of its frame."""
-    order = np.argsort(ir.frame_time, kind="stable")
-    times = ir.frame_time[order]
-    bounds = np.append(np.flatnonzero(np.diff(times, prepend=np.nan) != 0),
-                       len(times))
-    sizes = np.diff(bounds)
-    for first, stop in _chunks(sizes):
-        rot, cam = pose_arrays([interpolate_trajectory(trajectory, float(times[i]))
-                                for i in bounds[first:stop]])
+    """Chunks of whole frames of `ir` that hold rows, in frame order: the
+    chunk's rows (a slice), and per row its frame's camera position and the
+    world position (n,3) and brightness of its LED. Each is computed once per
+    frame, so a row's values do not depend on the other rows of its frame."""
+    sizes = np.diff(ir.frame_offsets)
+    nonempty = np.flatnonzero(sizes)
+    for first, stop in _chunks(sizes[nonempty]):
+        fis = nonempty[first:stop]
+        rot, cam = pose_arrays([interpolate_trajectory(trajectory, float(t))
+                                for t in ir.frame_time[fis]])
         # every LED of every frame (k, L, 3), by the matrix product that
         # `Pose.transform` of an (n,3) array uses, whatever the rows per frame
         led_world = np.matmul(rig.positions, rot.swapaxes(1, 2)) + cam[:, None]
-        rows = order[bounds[first]:bounds[stop]]
-        counts = sizes[first:stop]
-        led = np.repeat(np.arange(stop - first) * len(rig), counts) + ir.led_index[rows]
-        yield (rows, np.repeat(cam, counts, axis=0),
-               led_world.reshape(-1, 3).take(led, axis=0))
+        leds = ir.frame_led[fis]
+        counts = sizes[fis]
+        yield (slice(ir.frame_offsets[fis[0]], ir.frame_offsets[fis[-1] + 1]),
+               np.repeat(cam, counts, axis=0),
+               np.repeat(led_world[np.arange(len(fis)), leds], counts, axis=0),
+               np.repeat(rig.brightness[leds], counts))
+
+
+# upper bounds of the noise fields, whose lower bound is 0: a wider angle
+# sigma is no more random, and at sigma 10 the gain exp(sigma z) overflows
+# only for a draw z > 70
+NOISE_BOUNDS = {"normal_jitter_deg": 180, "pose_translation_jitter_m": math.inf,
+                "pose_rotation_jitter_deg": 180,
+                "intensity_multiplicative_sigma": 10, "outlier_fraction": 1,
+                "dropout_fraction": 1}
 
 
 @dataclass(frozen=True)
@@ -139,12 +151,9 @@ class NoiseConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if (self.normal_jitter_deg < 0 or self.pose_translation_jitter_m < 0
-                or self.pose_rotation_jitter_deg < 0
-                or self.intensity_multiplicative_sigma < 0
-                or not 0 <= self.outlier_fraction <= 1
-                or not 0 <= self.dropout_fraction <= 1):
-            raise ValueError("noise parameters out of range")
+        for name, hi in NOISE_BOUNDS.items():
+            if not 0 <= getattr(self, name) <= hi:
+                raise ValueError(f"{name} must be in [0, {hi}]")
 
 
 @dataclass
@@ -169,13 +178,29 @@ class ScanConfig:
 
 @dataclass
 class IrObservations:
-    """Columnar per-vertex IR samples; rows align across fields."""
+    """Columnar per-vertex IR samples, frame-major. Per row (rows align
+    across these fields): its vertex, intensity and pixel. Per frame, stored
+    once: its time, strictly increasing, and its lit LED. Frame j holds the
+    rows frame_offsets[j]:frame_offsets[j + 1]; a frame may hold none."""
 
-    vertex_id: np.ndarray  # (n,) int
-    frame_time: np.ndarray  # (n,) s
-    led_index: np.ndarray  # (n,) int
+    vertex_id: np.ndarray  # (n,) int32
     intensity: np.ndarray  # (n,)
     pixel: np.ndarray  # (n, 2)
+    frame_time: np.ndarray  # (k,) s
+    frame_led: np.ndarray  # (k,) int
+    frame_offsets: np.ndarray  # (k + 1,) int
+
+    def __post_init__(self):
+        off = self.frame_offsets
+        if not len(off) == len(self.frame_time) + 1 == len(self.frame_led) + 1:
+            raise ValueError("need one frame_time and frame_led per frame and "
+                             "one more frame_offsets")
+        if (off[0] != 0 or off[-1] != len(self.vertex_id)
+                or np.any(off[1:] < off[:-1])):
+            raise ValueError(f"frame_offsets do not rise from 0 to the "
+                             f"{len(self.vertex_id)} rows")
+        if np.any(np.diff(self.frame_time) <= 0):
+            raise ValueError("frame_time is not strictly increasing")
 
     def __len__(self) -> int:
         return len(self.vertex_id)
@@ -249,7 +274,7 @@ def _corrupt(rng, values, noise: NoiseConfig, saturation_level: float):
     return np.ones(n, dtype=bool)
 
 
-def _join_columns(parts: list) -> list:
+def join_columns(parts: list) -> list:
     """Each column of `parts`, a list of equal-length tuples of arrays,
     concatenated. `parts` is emptied and each column's pieces are freed once
     joined, so the peak is the pieces plus one joined column, not plus all."""
@@ -335,7 +360,8 @@ def simulate_scan(scene, config: ScanConfig):
                 rgb_keep.append(_corrupt(rng, next(rgb_frames), noise, sat))
 
         keep = np.concatenate(ir_keep)
-        ir_parts.append((idx[keep], first + fr[keep], inten[keep], pix[keep]))
+        ir_parts.append((idx[keep].astype(np.int32), inten[keep], pix[keep],
+                         np.bincount(fr[keep], minlength=len(fis))))
 
         if rgb_keep:
             keep = np.concatenate(rgb_keep)
@@ -345,14 +371,13 @@ def simulate_scan(scene, config: ScanConfig):
             ang = np.rad2deg(np.arccos(np.clip(true_wo_cos, -1.0, 1.0)))
             rgb_parts.append((idx[r][keep], rgbs[keep], ang[keep]))
 
-    if ir_parts:
-        vid, frame, inten, pix = _join_columns(ir_parts)
-        ir = IrObservations(vid, times[frame], frame % len(rig), inten, pix)
-    else:
-        ir = IrObservations(np.zeros(0, int), np.zeros(0), np.zeros(0, int),
-                            np.zeros(0), np.zeros((0, 2)))
+    vid, inten, pix, per_frame = (join_columns(ir_parts) if ir_parts else
+                                  (np.zeros(0, np.int32), np.zeros(0),
+                                   np.zeros((0, 2)), np.zeros(0, np.int64)))
+    ir = IrObservations(vid, inten, pix, times, np.arange(len(times)) % len(rig),
+                        np.concatenate(([0], np.cumsum(per_frame))))
     if rgb_parts:
-        rgb = RgbObservations(*_join_columns(rgb_parts))
+        rgb = RgbObservations(*join_columns(rgb_parts))
     else:
         rgb = RgbObservations(np.zeros(0, int), np.zeros((0, 3)), np.zeros(0))
     return ir, rgb

@@ -3,10 +3,13 @@
 - the image formation model, one observation at a time, which tests check
   `simulator.simulate_scan` and `estimation.invert_observation_arrays`
   against;
-- the scan and its inversion one frame at a time, and color estimation one
-  vertex at a time, which tests check the chunked `simulate_scan` and
+- the scan and its inversion one frame at a time, the inversion with a
+  full-length value per observation row, and color estimation one vertex
+  at a time, which tests check the chunked `simulate_scan` and
   `invert_observation_arrays` and the grouped `estimate_colors` against bit
   for bit;
+- the records accumulated from those per-row arrays, which tests check
+  `estimation.accumulate_vertex_tables` against bit for bit;
 - the per-vertex record path, one `BrdfTable.from_cells` per vertex and a
   global cell table over a list of records, which tests check
   `estimation.VertexRecords` and `segmentation.build_global_table` against;
@@ -19,7 +22,8 @@
 
 It also holds the scalar and inverse helpers only tests use: one-angle
 table lookup, single-point projection and unprojection, pose composition,
-the angle between two attitudes and a PPM reader.
+the angle between two attitudes, a PPM reader, and the frame of each IR
+observation row and a subset of the rows as a frame-major set.
 """
 
 import math
@@ -28,10 +32,11 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.spatial import cKDTree
 
-from matscan.brdf_table import BrdfTable, group_rows, lookup_arrays
+from matscan.brdf_table import (N_CELLS, N_D, BrdfTable, bin_arrays, group_rows,
+                                lookup_arrays)
 from matscan.estimation import (ACCEPTED, COS_GRAZING, GRAZING_DEG,
                                 MIN_COLOR_SAMPLES, VIGNETTE_FLOOR, Rejection,
-                                VertexReflectanceRecord)
+                                VertexRecords, VertexReflectanceRecord)
 from matscan.geometry import (HalfDiffAngles, PinholeCamera, Pose, Quaternion,
                               half_diff_angles, interpolate_trajectory)
 from matscan.segmentation import GlobalCellTable
@@ -155,6 +160,7 @@ def simulate_scan(scene, config):
     n_led = len(config.rig)
     frame_seeds = np.random.SeedSequence(noise.rng_seed).spawn(len(times))
     ir_parts, rgb_parts = [], []
+    frame_rows = np.zeros(len(times), dtype=np.int64)
     mat_ids = scene.material_ids
     for fi, (t, seed) in enumerate(zip(times, frame_seeds)):
         rng = np.random.default_rng(seed)
@@ -193,8 +199,8 @@ def simulate_scan(scene, config):
         if noise.dropout_fraction > 0:
             keep = rng.random(len(idx)) >= noise.dropout_fraction
         inten = np.minimum(inten, config.saturation_level)
-        ir_parts.append((idx[keep], np.full(keep.sum(), t), led, inten[keep],
-                         pixels[idx[keep]]))
+        ir_parts.append((idx[keep], inten[keep], pixels[idx[keep]]))
+        frame_rows[fi] = keep.sum()
 
         if fi % config.rgb_frame_stride == 0:
             rgbs = np.zeros((len(idx), 3))
@@ -217,16 +223,13 @@ def simulate_scan(scene, config):
                 keep_rgb = rng.random(len(idx)) >= noise.dropout_fraction
             rgb_parts.append((idx[keep_rgb], rgbs[keep_rgb], ang[keep_rgb]))
 
-    if ir_parts:
-        ir = IrObservations(
-            vertex_id=np.concatenate([p[0] for p in ir_parts]),
-            frame_time=np.concatenate([p[1] for p in ir_parts]),
-            led_index=np.concatenate([np.full(len(p[0]), p[2]) for p in ir_parts]),
-            intensity=np.concatenate([p[3] for p in ir_parts]),
-            pixel=np.vstack([p[4] for p in ir_parts]))
-    else:
-        ir = IrObservations(np.zeros(0, int), np.zeros(0), np.zeros(0, int),
-                            np.zeros(0), np.zeros((0, 2)))
+    ir = IrObservations(
+        vertex_id=np.concatenate([p[0] for p in ir_parts]
+                                 + [np.zeros(0, int)]).astype(np.int32),
+        intensity=np.concatenate([p[1] for p in ir_parts] + [np.zeros(0)]),
+        pixel=np.vstack([p[2] for p in ir_parts] + [np.zeros((0, 2))]),
+        frame_time=times, frame_led=np.arange(len(times)) % n_led,
+        frame_offsets=np.concatenate(([0], np.cumsum(frame_rows))))
     if rgb_parts:
         rgb = RgbObservations(
             vertex_id=np.concatenate([p[0] for p in rgb_parts]),
@@ -237,18 +240,36 @@ def simulate_scan(scene, config):
     return ir, rgb
 
 
+def row_frames(ir) -> np.ndarray:
+    """The frame index of each row of frame-major IR observations."""
+    return np.repeat(np.arange(len(ir.frame_time)), np.diff(ir.frame_offsets))
+
+
+def ir_subset(ir, rows):
+    """The IR observations of `rows` (ascending row indices), every frame
+    kept, as a frame-major set."""
+    rows = np.asarray(rows, dtype=np.int64)
+    return IrObservations(ir.vertex_id[rows], ir.intensity[rows], ir.pixel[rows],
+                          ir.frame_time, ir.frame_led,
+                          np.searchsorted(rows, ir.frame_offsets))
+
+
 def invert_observation_arrays(ir, scene, trajectory, rig, camera,
                               saturation_level: float):
-    """The inversion one frame at a time; returns what
-    `estimation.invert_observation_arrays` returns."""
+    """The inversion one frame at a time, a value per observation row:
+    (accepted mask, theta_h, theta_d, f, rejection counts dict). Angle and
+    f entries are only meaningful where accepted."""
     n = len(ir)
     th, td, f = np.zeros(n), np.zeros(n), np.zeros(n)
     reason = np.full(n, ACCEPTED, dtype=np.int8)
-    for rows in group_rows(ir.frame_time):
-        pose = interpolate_trajectory(trajectory, float(ir.frame_time[rows[0]]))
+    for j, t in enumerate(ir.frame_time):
+        rows = np.arange(ir.frame_offsets[j], ir.frame_offsets[j + 1])
+        if len(rows) == 0:
+            continue
+        pose = interpolate_trajectory(trajectory, float(t))
         vids = ir.vertex_id[rows]
         nrm = scene.normals[vids]
-        leds = ir.led_index[rows]
+        leds = np.full(len(rows), ir.frame_led[j])
         d, l, ndotl, wo, ndotv = _frame_geometry(
             pose, pose.transform(rig.positions[leds]), scene.positions[vids], nrm)
         vig = vignette((ir.pixel[rows, 0], ir.pixel[rows, 1]), camera)
@@ -268,6 +289,49 @@ def invert_observation_arrays(ir, scene, trajectory, rig, camera,
     counts = {r.value: int(tally[code]) for code, r in enumerate(Rejection)}
     counts["accepted"] = int(tally[ACCEPTED])
     return reason == ACCEPTED, th, td, f, counts
+
+
+def accepted_samples(ir, scene, trajectory, rig, camera, saturation_level: float,
+                     colored):
+    """What `estimation.invert_observation_arrays` returns, from the per-row
+    arrays: the cell key and f of each accepted row of a `colored` vertex,
+    in row order, and the counts."""
+    accepted, th, td, f, counts = invert_observation_arrays(
+        ir, scene, trajectory, rig, camera, saturation_level)
+    use = accepted & colored[ir.vertex_id]
+    counts["skipped_no_color"] = int(accepted.sum() - use.sum())
+    hb, db = bin_arrays(th[use], td[use])
+    return (ir.vertex_id[use].astype(np.int64) * N_CELLS + hb * N_D + db, f[use],
+            counts)
+
+
+def accumulate_vertex_tables(ir, scene, trajectory, rig, colors: dict, camera,
+                             saturation_level: float):
+    """The records of `estimation.accumulate_vertex_tables` from the per-row
+    inversion: masked copies of the full-length arrays, then one grouping
+    of every kept row."""
+    accepted, th, td, f, counts = invert_observation_arrays(
+        ir, scene, trajectory, rig, camera, saturation_level)
+    vids = ir.vertex_id[accepted]
+    color_known = np.zeros(len(scene), dtype=bool)
+    color_known[list(colors.keys())] = True
+    has_color = color_known[vids]
+    counts["skipped_no_color"] = int(len(vids) - has_color.sum())
+    vids = vids[has_color]
+    hb, db = bin_arrays(th[accepted][has_color], td[accepted][has_color])
+    fs = f[accepted][has_color]
+    color_arr = np.zeros((len(scene), 3))
+    color_arr[list(colors)] = np.reshape(list(colors.values()), (-1, 3))
+    samples = color_arr[vids] * fs[:, None]
+    key = vids.astype(np.int64) * N_CELLS + hb * N_D + db
+    uniq, inverse = np.unique(key, return_inverse=True)
+    sums = np.stack([np.bincount(inverse, weights=samples[:, c],
+                                 minlength=len(uniq)) for c in range(3)], axis=1)
+    cnt = np.bincount(inverse, minlength=len(uniq))
+    cell_vid, flat = np.divmod(uniq, N_CELLS)
+    vertex_id = np.unique(cell_vid)
+    return VertexRecords(vertex_id, color_arr[vertex_id], cell_vid, flat,
+                         sums / cnt[:, None], cnt), counts
 
 
 def estimate_vertex_color(rgb_samples, omega_out_deg, saturation_level: float):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+import oracles
 from matscan import brdf_table, estimation, render_eval, scenes, segmentation
 from matscan.brdf_table import N_D, N_H, bin_angles, cell_center
 from matscan.geometry import (HalfDiffAngles, Quaternion, half_diff_angles)
@@ -81,17 +82,24 @@ def test_criterion_1_forward_inverse_round_trip():
                      trajectory=traj, noise=NoiseConfig(rng_seed=3),
                      n_ir_frames=100)
     ir, _ = simulate_scan(scene, cfg)
-    accepted, th, td, f, counts = estimation.invert_observation_arrays(
-        ir, scene, traj, cfg.rig, cfg.camera, cfg.saturation_level)
+    key, f, counts = estimation.invert_observation_arrays(
+        ir, scene, traj, cfg.rig, cfg.camera, cfg.saturation_level,
+        np.ones(len(scene), dtype=bool))
     elapsed = time.time() - t0
-    n = int(accepted.sum())
-    truth = np.zeros(len(ir))
+    # the angles of the accepted rows, from the row-major oracle
+    accepted, th, td, _, _ = oracles.invert_observation_arrays(
+        ir, scene, traj, cfg.rig, cfg.camera, cfg.saturation_level)
+    n = len(f)
+    mat_ids = scene.material_ids[ir.vertex_id[accepted]]
+    truth = np.zeros(n)
     for m, mat in enumerate(scene.materials):
-        sel = accepted & (scene.material_ids[ir.vertex_id] == m)
-        truth[sel] = eval_ground_truth_brdf(mat, th[sel], td[sel])
-    rel = np.abs(f[accepted] - truth[accepted]) / truth[accepted]
+        sel = mat_ids == m
+        truth[sel] = eval_ground_truth_brdf(mat, th[accepted][sel],
+                                            td[accepted][sel])
+    rel = np.abs(f - truth) / truth
     max_rel = float(rel.max())
-    ok = n >= 10_000 and max_rel < 1e-9 and elapsed < 5.0
+    ok = (n == accepted.sum() >= 10_000 and max_rel < 1e-9 and elapsed < 5.0
+          and np.array_equal(key // brdf_table.N_CELLS, ir.vertex_id[accepted]))
     _report(1, "noiseless forward/inverse round trip", ok,
             f"{n} samples, max rel err {max_rel:.2e}, {elapsed:.1f}s")
 
@@ -213,7 +221,7 @@ def test_criterion_8_noiseless_rerender():
         tables.append(brdf_table.complete(merged))
     model = render_eval.rerender_intensities(
         run["ir"], scene, labels, tables, run["trajectory"], cfg.rig, cfg.camera)
-    accepted, *_ = estimation.invert_observation_arrays(
+    accepted, *_ = oracles.invert_observation_arrays(
         run["ir"], scene, run["trajectory"], cfg.rig, cfg.camera,
         cfg.saturation_level)
     sel = accepted & (labels[run["ir"].vertex_id] >= 0)

@@ -645,7 +645,7 @@ class TestCorruptObservationsExit3:
         ("ir_observations.npz", _resave("pixel", lambda v: v[:, :1])),
         ("rgb_observations.npz", _resave("rgb", lambda v: v[:, :2])),
         ("ir_observations.npz", _resave("vertex_id", lambda v: v + 0.25)),
-        ("ir_observations.npz", _resave("led_index",
+        ("ir_observations.npz", _resave("frame_led",
                                         lambda v: v.astype(float))),
         ("ir_observations.npz", _resave("vertex_id",
                                         lambda v: np.where(v == v[0], 99999, v))),
@@ -653,8 +653,19 @@ class TestCorruptObservationsExit3:
                                         lambda v: np.where(v == v[0], -1, v))),
         ("rgb_observations.npz", _resave("vertex_id",
                                          lambda v: np.where(v == v[0], 200, v))),
-        ("ir_observations.npz", _resave("led_index", lambda v: v + 100)),
+        # a frame LED the rig lacks, frame times outside the trajectory
+        ("ir_observations.npz", _resave("frame_led", lambda v: v + 100)),
+        ("ir_observations.npz", _resave("frame_led", lambda v: v - 1)),
         ("ir_observations.npz", _resave("frame_time", lambda v: v + 1e3)),
+        ("ir_observations.npz", _resave("frame_time", lambda v: v - 1e3)),
+        # frame offsets that do not start at 0, that decrease or that do not
+        # end at the row count; frame times that do not strictly increase
+        ("ir_observations.npz", _resave("frame_offsets", lambda v: v + 1)),
+        ("ir_observations.npz", _resave(
+            "frame_offsets", lambda v: np.where(np.arange(len(v)) == 5, v[7], v))),
+        ("ir_observations.npz", _resave("frame_offsets",
+                                        lambda v: np.minimum(v, v[-1] - 1))),
+        ("ir_observations.npz", _resave("frame_time", lambda v: v[::-1])),
         ("ir_observations.npz", _resave("intensity", lambda v: v * np.nan)),
         ("scene.txt", _truncate),
         ("materials.txt", _truncate),

@@ -1,7 +1,9 @@
 """Color estimation, image-formation inversion, per-vertex accumulation and
 the columnar records."""
 
+import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 from matscan import brdf_table, cli, estimation, segmentation
-from matscan.brdf_table import N_CELLS, cell_indices, sorted_cells
+from matscan.brdf_table import N_CELLS, N_D, cell_indices, sorted_cells
 from matscan.estimation import (GRAZING_DEG, MIN_COLOR_SAMPLES, Rejection,
                                 VertexRecords, invert_observation_arrays)
 from matscan.geometry import Pose, Quaternion, look_at
@@ -115,54 +117,64 @@ class TestInversion:
         assert out is Rejection.VIGNETTE_FLOOR
 
     def test_array_inversion_matches_scalar(self, noiseless_two_sphere):
+        """One-row observation sets: the row's cell key and f, or its
+        rejection, as the scalar inversion gives them; and the angles of the
+        per-row oracle that the kernel tests hold the keys to."""
         run = noiseless_two_sphere
         ir, scene, cfg = run["ir"], run["scene"], run["config"]
-        accepted, th, td, f, counts = invert_observation_arrays(
+        colored = np.ones(len(scene), dtype=bool)
+        _, th, td, _, _ = oracles.invert_observation_arrays(
             ir, scene, run["trajectory"], cfg.rig, cfg.camera,
             cfg.saturation_level)
-        assert counts["accepted"] == int(accepted.sum())
         from matscan.geometry import interpolate_trajectory
+        frame = oracles.row_frames(ir)
         rng = np.random.default_rng(1)
         rows = rng.choice(len(ir), size=64, replace=False)
         for r in rows:
             pose = interpolate_trajectory(run["trajectory"],
-                                          float(ir.frame_time[r]))
+                                          float(ir.frame_time[frame[r]]))
             vid = int(ir.vertex_id[r])
-            led = int(ir.led_index[r])
+            led = int(ir.frame_led[frame[r]])
             out = invert_image_formation(
                 float(ir.intensity[r]), (ir.pixel[r, 0], ir.pixel[r, 1]),
                 scene.positions[vid], scene.normals[vid], pose,
                 pose.transform(cfg.rig.positions[led]),
                 float(cfg.rig.brightness[led]), cfg.camera,
                 cfg.saturation_level)
+            key, f, counts = invert_observation_arrays(
+                oracles.ir_subset(ir, [r]), scene, run["trajectory"], cfg.rig,
+                cfg.camera, cfg.saturation_level, colored)
             if isinstance(out, Rejection):
-                assert not accepted[r]
+                assert len(key) == 0 and counts[out.value] == 1
             else:
-                assert accepted[r]
+                hb, db = brdf_table.bin_arrays(np.array([out[0].theta_h]),
+                                               np.array([out[0].theta_d]))
+                assert key.tolist() == [vid * N_CELLS + hb[0] * N_D + db[0]]
+                assert f[0] == pytest.approx(out[1], rel=1e-12)
+                assert counts["accepted"] == 1
                 assert th[r] == pytest.approx(out[0].theta_h, abs=1e-9)
                 assert td[r] == pytest.approx(out[0].theta_d, abs=1e-9)
-                assert f[r] == pytest.approx(out[1], rel=1e-12)
 
     def test_array_rejection_reasons_match_scalar(self, noisy_two_sphere):
         """Every row gets the reason of the scalar inversion. A saturation
         level at the intensity median and far off-axis pixels on some rows
         make every reason occur."""
         from matscan.geometry import interpolate_trajectory
-        from matscan.simulator import IrObservations
         run = noisy_two_sphere
         ir, scene, cfg = run["ir"], run["scene"], run["config"]
         cam, rig = cfg.camera, cfg.rig
+        colored = np.ones(len(scene), dtype=bool)
         sat = float(np.median(ir.intensity))
         pixel = ir.pixel.copy()
         pixel[::50] = (cam.cx + 5 * cam.fx, cam.cy)
-        ir = IrObservations(ir.vertex_id, ir.frame_time, ir.led_index,
-                            ir.intensity, pixel)
+        ir = dataclasses.replace(ir, pixel=pixel)
+        frame = oracles.row_frames(ir)
         rng = np.random.default_rng(2)
         by_reason = {}
         for r in rng.permutation(len(ir))[:4000]:
             pose = interpolate_trajectory(run["trajectory"],
-                                          float(ir.frame_time[r]))
-            vid, led = int(ir.vertex_id[r]), int(ir.led_index[r])
+                                          float(ir.frame_time[frame[r]]))
+            vid, led = int(ir.vertex_id[r]), int(ir.frame_led[frame[r]])
             out = invert_image_formation(
                 float(ir.intensity[r]), (pixel[r, 0], pixel[r, 1]),
                 scene.positions[vid], scene.normals[vid], pose,
@@ -173,20 +185,17 @@ class TestInversion:
         assert set(by_reason) == {r.value for r in Rejection} | {"accepted"}
         for reason, rows in by_reason.items():
             for r in rows[:15]:
-                one = IrObservations(ir.vertex_id[r:r + 1], ir.frame_time[r:r + 1],
-                                     ir.led_index[r:r + 1], ir.intensity[r:r + 1],
-                                     pixel[r:r + 1])
-                accepted, _, _, _, counts = invert_observation_arrays(
-                    one, scene, run["trajectory"], rig, cam, sat)
+                key, _, counts = invert_observation_arrays(
+                    oracles.ir_subset(ir, [r]), scene, run["trajectory"], rig,
+                    cam, sat, colored)
                 assert counts[reason] == 1 and sum(counts.values()) == 1
-                assert accepted[0] == (reason == "accepted")
-        rows = np.concatenate([np.array(v) for v in by_reason.values()])
-        subset = IrObservations(ir.vertex_id[rows], ir.frame_time[rows],
-                                ir.led_index[rows], ir.intensity[rows],
-                                pixel[rows])
-        counts = invert_observation_arrays(subset, scene, run["trajectory"],
-                                           rig, cam, sat)[4]
-        assert counts == {k: len(v) for k, v in by_reason.items()}
+                assert len(key) == (reason == "accepted")
+        rows = np.sort(np.concatenate([np.array(v) for v in by_reason.values()]))
+        counts = invert_observation_arrays(oracles.ir_subset(ir, rows), scene,
+                                           run["trajectory"], rig, cam, sat,
+                                           colored)[2]
+        assert counts == {"skipped_no_color": 0,
+                          **{k: len(v) for k, v in by_reason.items()}}
 
 
 class TestAccumulation:
@@ -216,6 +225,26 @@ class TestAccumulation:
         counts = noisy_two_sphere["rejection_counts"]
         total = sum(v for v in counts.values())
         assert total == len(noisy_two_sphere["ir"])
+
+    def test_traced_peak_scales_with_accepted_rows(self, noisy_two_sphere):
+        """Beyond the observations, `accumulate_vertex_tables` holds what
+        the accepted rows need and one chunk of rows, no full-length per-row
+        array. A saturation level at the 30% quantile of the intensities
+        leaves about one row in twelve accepted, so three floats per
+        observation row would alone exceed the bound."""
+        run = noisy_two_sphere
+        ir, scene, cfg = run["ir"], run["scene"], run["config"]
+        sat = float(np.quantile(ir.intensity, 0.3))
+        tracemalloc.start()
+        try:
+            _, counts = estimation.accumulate_vertex_tables(
+                ir, scene, run["trajectory"], cfg.rig, run["colors"],
+                cfg.camera, sat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < counts["accepted"] < len(ir) / 10
+        assert peak < 200 * counts["accepted"]
 
 
 def _assert_tables_equal(a, b):

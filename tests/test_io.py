@@ -112,6 +112,13 @@ class TestTrajectoryIO:
                                        rtol=1e-15)
 
 
+def _decrease_at(arrays, j, dtype):
+    """Frame j's offset set past frame j + 1's, as `dtype`."""
+    off = arrays["frame_offsets"].astype(dtype)
+    off[j] = off[j + 2]
+    arrays["frame_offsets"] = off
+
+
 def _observation_files(tmp_path, run):
     paths = {"ir": tmp_path / "ir.npz", "rgb": tmp_path / "rgb.npz"}
     io.write_ir_observations(paths["ir"], run["ir"])
@@ -136,11 +143,16 @@ class TestObservationIO:
             np.testing.assert_array_equal(b, a)
 
     def test_empty_round_trip(self, tmp_path):
-        ir = IrObservations(np.zeros(0, int), np.zeros(0), np.zeros(0, int),
-                            np.zeros(0), np.zeros((0, 2)))
-        io.write_ir_observations(tmp_path / "ir.npz", ir)
-        back = io.read_ir_observations(tmp_path / "ir.npz")
-        assert len(back) == 0 and back.pixel.shape == (0, 2)
+        """No frames, and two frames that hold no row."""
+        for n_frames in (0, 2):
+            ir = IrObservations(np.zeros(0, np.int32), np.zeros(0),
+                                np.zeros((0, 2)), np.arange(n_frames) + 0.5,
+                                np.arange(n_frames),
+                                np.zeros(n_frames + 1, dtype=np.int64))
+            io.write_ir_observations(tmp_path / "ir.npz", ir)
+            back = io.read_ir_observations(tmp_path / "ir.npz")
+            assert len(back) == 0 and back.pixel.shape == (0, 2)
+            np.testing.assert_array_equal(back.frame_offsets, ir.frame_offsets)
 
     @pytest.mark.parametrize("as_str", [False, True])
     def test_written_at_exactly_the_given_path(self, tmp_path,
@@ -159,7 +171,8 @@ class TestObservationIO:
         assert not isinstance(info.value, CorruptInputError)
 
     @pytest.mark.parametrize("kind, corrupt", [
-        ("ir", lambda a: a.pop("led_index")),
+        ("ir", lambda a: a.pop("frame_led")),
+        ("ir", lambda a: a.pop("frame_offsets")),
         ("rgb", lambda a: a.pop("omega_out_angle")),
         ("ir", lambda a: a.__setitem__("intensity", a["intensity"][1:])),
         ("rgb", lambda a: a.__setitem__("vertex_id", a["vertex_id"][:-1])),
@@ -167,8 +180,24 @@ class TestObservationIO:
         ("ir", lambda a: a.__setitem__("pixel", a["pixel"].ravel())),
         ("rgb", lambda a: a.__setitem__("rgb", a["rgb"][:, :2])),
         ("ir", lambda a: a.__setitem__("vertex_id", a["vertex_id"] + 0.5)),
-        ("ir", lambda a: a.__setitem__("led_index",
-                                       a["led_index"].astype(float))),
+        ("ir", lambda a: a.__setitem__("frame_led",
+                                       a["frame_led"].astype(float))),
+        ("ir", lambda a: a.__setitem__("frame_offsets",
+                                       a["frame_offsets"].astype(float))),
+        ("ir", lambda a: a.__setitem__("frame_time", a["frame_time"][1:])),
+        ("ir", lambda a: a.__setitem__("frame_offsets", a["frame_offsets"][1:])),
+        ("ir", lambda a: a.__setitem__("frame_led", a["frame_led"][:, None])),
+        # offsets that do not start at 0, that decrease, or that do not end
+        # at the row count
+        ("ir", lambda a: a["frame_offsets"].__setitem__(0, 1)),
+        ("ir", lambda a: _decrease_at(a, 5, np.int64)),
+        ("ir", lambda a: _decrease_at(a, 5, np.uint64)),  # no negative diff
+        ("ir", lambda a: a["frame_offsets"].__setitem__(-1, len(a["pixel"]) - 1)),
+        ("ir", lambda a: a["frame_offsets"].__setitem__(-1, len(a["pixel"]) + 1)),
+        # frame times that repeat or decrease
+        ("ir", lambda a: a["frame_time"].__setitem__(3, a["frame_time"][2])),
+        ("ir", lambda a: a.__setitem__("frame_time", a["frame_time"][::-1])),
+        ("ir", lambda a: a["frame_time"].__setitem__(0, np.nan)),
         ("rgb", lambda a: a.__setitem__("vertex_id",
                                         a["vertex_id"].astype(str))),
         ("ir", lambda a: a.__setitem__("intensity", a["intensity"].astype(str))),

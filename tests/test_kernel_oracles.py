@@ -1,6 +1,7 @@
 """The chunked scan and inversion kernels and the grouped color estimate
-against their one-frame-at-a-time and one-vertex-at-a-time oracles: equal
-bit for bit, with equal dtypes, for every chunk size."""
+against their one-frame-at-a-time and one-vertex-at-a-time oracles, and the
+records kept from accepted rows against the row-major oracle: equal bit for
+bit, with equal dtypes, for every chunk size."""
 
 import numpy as np
 import pytest
@@ -8,10 +9,11 @@ import pytest
 import oracles
 from matscan import estimation, scenes, simulator
 from matscan.geometry import TimedPose, look_at
-from matscan.simulator import (IrObservations, NoiseConfig, RgbObservations,
-                               ScanConfig, default_camera, make_default_rig)
+from matscan.simulator import (NoiseConfig, RgbObservations, ScanConfig,
+                               default_camera, make_default_rig)
 
-IR_FIELDS = ("vertex_id", "frame_time", "led_index", "intensity", "pixel")
+IR_FIELDS = ("vertex_id", "intensity", "pixel", "frame_time", "frame_led",
+             "frame_offsets")
 RGB_FIELDS = ("vertex_id", "rgb", "omega_out_angle")
 DEMO = dict(normal_jitter_deg=2.0, intensity_multiplicative_sigma=0.03,
             outlier_fraction=0.01)
@@ -57,17 +59,34 @@ def check_against_oracles(scene, cfg):
     assert_fields_equal(ir, ir_ref, IR_FIELDS)
     assert_fields_equal(rgb, rgb_ref, RGB_FIELDS)
 
-    args = (ir, scene, cfg.trajectory, cfg.rig, cfg.camera, cfg.saturation_level)
+    # every other vertex has a color
+    args = (ir, scene, cfg.trajectory, cfg.rig, cfg.camera, cfg.saturation_level,
+            np.arange(len(scene)) % 2 == 0)
     got = estimation.invert_observation_arrays(*args)
-    expected = oracles.invert_observation_arrays(*args)
-    for a, b in zip(got[:4], expected[:4]):
+    expected = oracles.accepted_samples(*args)
+    for a, b in zip(got[:2], expected[:2]):
         assert a.dtype == b.dtype
         assert np.array_equal(a, b)
-    assert got[4] == expected[4]
+    assert got[2] == expected[2]
 
     assert_colors_equal(estimation.estimate_colors(rgb, cfg.saturation_level),
                         oracles.estimate_colors(rgb, cfg.saturation_level))
     return ir, rgb
+
+
+def check_records(ir, scene, cfg, colors):
+    """The records and counts of `ir` equal the row-major oracle's, every
+    column's bits and dtype; returns them."""
+    args = (ir, scene, cfg.trajectory, cfg.rig, colors, cfg.camera,
+            cfg.saturation_level)
+    records, counts = estimation.accumulate_vertex_tables(*args)
+    expected, expected_counts = oracles.accumulate_vertex_tables(*args)
+    for name, a in vars(expected).items():
+        b = getattr(records, name)
+        assert b.dtype == a.dtype and b.shape == a.shape, name
+        assert b.tobytes() == a.tobytes(), name
+    assert counts == expected_counts
+    return records, counts
 
 
 @pytest.mark.parametrize("noise", [{}, DEMO, POSE], ids=["noiseless", "demo", "pose"])
@@ -102,7 +121,7 @@ def test_frames_that_see_no_vertex(chunk_rows):
                   tp.timestamp) for tp in arc[6:]]
     scene = scenes.make_scene("two-sphere", N_VERTICES, 9)
     ir, _ = check_against_oracles(scene, scan_config(POSE, trajectory=trajectory))
-    assert 0 < len(np.unique(ir.frame_time)) < N_FRAMES
+    assert 0 < np.count_nonzero(np.diff(ir.frame_offsets)) < N_FRAMES
 
 
 def test_a_row_inverts_alone_as_within_its_frame():
@@ -111,13 +130,49 @@ def test_a_row_inverts_alone_as_within_its_frame():
     scene = scenes.make_scene("two-sphere", N_VERTICES, 2)
     cfg = scan_config(DEMO)
     ir, _ = simulator.simulate_scan(scene, cfg)
-    args = (scene, cfg.trajectory, cfg.rig, cfg.camera, cfg.saturation_level)
-    full = estimation.invert_observation_arrays(ir, *args)
+    args = (scene, cfg.trajectory, cfg.rig, cfg.camera, cfg.saturation_level,
+            np.ones(len(scene), dtype=bool))
+    key, f, counts = estimation.invert_observation_arrays(ir, *args)
+    # the position of each accepted row among the accepted ones
+    accepted = oracles.invert_observation_arrays(ir, *args[:-1])[0]
+    position = np.cumsum(accepted) - 1
     for r in np.random.default_rng(0).choice(len(ir), 40, replace=False):
-        one = IrObservations(*(getattr(ir, k)[r:r + 1] for k in IR_FIELDS))
-        alone = estimation.invert_observation_arrays(one, *args)
-        for a, b in zip(alone[:4], full[:4]):
-            assert np.array_equal(a, b[r:r + 1])
+        alone = estimation.invert_observation_arrays(
+            oracles.ir_subset(ir, [r]), *args)
+        expected = slice(position[r], position[r] + 1) if accepted[r] else slice(0)
+        assert np.array_equal(alone[0], key[expected])
+        assert np.array_equal(alone[1], f[expected])
+    assert counts["accepted"] == len(key) == accepted.sum()
+
+
+@pytest.mark.parametrize("scene_name", ["two-sphere", "four-material-room"])
+def test_records_equal_row_major_oracle(scene_name, chunk_rows):
+    """Records kept from accepted rows chunk by chunk equal those grouped
+    from full-length per-row arrays."""
+    scene = scenes.make_scene(scene_name, N_VERTICES, 5)
+    cfg = scan_config(DEMO)
+    ir, rgb = simulator.simulate_scan(scene, cfg)
+    colors = estimation.estimate_colors(rgb, cfg.saturation_level)
+    del colors[min(colors)]  # a vertex with rows but no color
+    check_records(ir, scene, cfg, colors)
+
+
+@pytest.mark.parametrize("case", ["empty", "all-saturated"])
+def test_records_of_a_scan_without_accepted_rows(case, chunk_rows):
+    """No rows (every one dropped), or every lit row clipped at a saturation
+    level below any intensity; every vertex is given a color."""
+    scene = scenes.make_scene("two-sphere", N_VERTICES, 5)
+    cfg = scan_config(dict(DEMO, dropout_fraction=1.0) if case == "empty" else {})
+    if case == "all-saturated":
+        cfg.saturation_level = 1e-9
+    ir, _ = simulator.simulate_scan(scene, cfg)
+    colors = {v: np.array([0.0, 0.6, 0.8]) for v in range(len(scene))}
+    records, counts = check_records(ir, scene, cfg, colors)
+    assert len(records) == 0 and counts["accepted"] == 0
+    assert (len(ir) == 0) == (case == "empty")
+    lit = len(ir) - counts["shadowed"]
+    assert counts["saturated"] == (0 if case == "empty" else lit)
+
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 
-from matscan import scenes
-from matscan.geometry import look_at
-from matscan.simulator import (GroundTruthMaterial, NoiseConfig, ScanConfig,
-                               default_camera, eval_ground_truth_brdf,
+from matscan import scenes, simulator
+from matscan.geometry import interpolate_trajectory, look_at
+from matscan.simulator import (NOISE_BOUNDS, GroundTruthMaterial, NoiseConfig,
+                               ScanConfig, default_camera, eval_ground_truth_brdf,
                                ir_frame_times, make_default_rig, simulate_scan,
                                vignette)
 
 from conftest import make_scan_config
-from oracles import render_ir_intensity
+from oracles import ir_subset, render_ir_intensity, row_frames
 
 
 class TestMaterialModel:
@@ -40,6 +40,22 @@ class TestMaterialModel:
         with pytest.raises(ValueError):
             GroundTruthMaterial(np.array([0.5, 0, 0]), -0.1, 1.0,
                                 np.array([1.0, 0, 0]))
+
+
+class TestNoiseConfig:
+    @pytest.mark.parametrize("name, hi", sorted(NOISE_BOUNDS.items()))
+    def test_bounds(self, name, hi):
+        NoiseConfig(**{name: 0.0})
+        NoiseConfig(**{name: hi})
+        for bad in (-1e-9, hi * (1 + 1e-9) if hi < np.inf else np.nan):
+            with pytest.raises(ValueError, match=name):
+                NoiseConfig(**{name: bad})
+
+    def test_gain_sigma_that_overflows_is_rejected(self):
+        """The library call raises where the CLI exits 2, before a scan
+        overflows in exp."""
+        with pytest.raises(ValueError, match="intensity_multiplicative_sigma"):
+            NoiseConfig(intensity_multiplicative_sigma=800)
 
 
 class TestVignette:
@@ -141,14 +157,14 @@ class TestScan:
         ir = run["ir"]
         scene = run["scene"]
         cfg = run["config"]
-        from matscan.geometry import interpolate_trajectory
+        frame = row_frames(ir)
         rng = np.random.default_rng(0)
         rows = rng.choice(len(ir), size=64, replace=False)
         for r in rows:
             pose = interpolate_trajectory(run["trajectory"],
-                                          float(ir.frame_time[r]))
+                                          float(ir.frame_time[frame[r]]))
             vid = int(ir.vertex_id[r])
-            led = int(ir.led_index[r])
+            led = int(ir.frame_led[frame[r]])
             vig = float(vignette((ir.pixel[r, 0], ir.pixel[r, 1]), cfg.camera))
             ref = render_ir_intensity(
                 scene.positions[vid], scene.normals[vid],
@@ -177,9 +193,43 @@ class TestScan:
 
     def test_leds_cycle(self, noiseless_two_sphere):
         ir = noiseless_two_sphere["ir"]
-        times = np.unique(ir.frame_time)
-        leds = [int(ir.led_index[ir.frame_time == t][0]) for t in times[:12]]
-        assert leds == [i % 10 for i in range(12)]
+        assert ir.frame_led.tolist() == [i % 10 for i in range(80)]
+
+    def test_frame_major_layout(self, noiseless_two_sphere):
+        """Every IR frame time once, in order, and each frame's rows
+        contiguous, vertex ids ascending within it, stored as int32."""
+        run = noiseless_two_sphere
+        ir = run["ir"]
+        np.testing.assert_array_equal(ir.frame_time, ir_frame_times(run["config"]))
+        assert ir.vertex_id.dtype == np.int32
+        for j in range(len(ir.frame_time)):
+            vids = ir.vertex_id[ir.frame_offsets[j]:ir.frame_offsets[j + 1]]
+            assert np.all(np.diff(vids) > 0)
+
+    def test_frames_slice_rows_by_frame(self, noiseless_two_sphere, monkeypatch):
+        """`frames` yields the rows of the frames that hold any, in order and
+        in chunks, with that frame's camera, LED position and brightness on
+        each row. Two frames in three hold no row here."""
+        monkeypatch.setattr(simulator, "_CHUNK_ROWS", 500)
+        run = noiseless_two_sphere
+        cfg, full = run["config"], run["ir"]
+        ir = ir_subset(full, np.flatnonzero(row_frames(full) % 3 == 0))
+        frame = row_frames(ir)
+        stop = 0
+        for rows, cam, led_world, brightness in simulator.frames(
+                ir, run["trajectory"], cfg.rig):
+            assert rows.start == stop and rows.stop > stop
+            stop = rows.stop
+            for r, fi in zip(range(rows.start, rows.stop), frame[rows]):
+                pose = interpolate_trajectory(run["trajectory"],
+                                              float(ir.frame_time[fi]))
+                led = ir.frame_led[fi]
+                i = r - rows.start
+                np.testing.assert_array_equal(cam[i], pose.translation)
+                np.testing.assert_array_equal(
+                    led_world[i], pose.transform(cfg.rig.positions)[led])
+                assert brightness[i] == cfg.rig.brightness[led]
+        assert stop == len(ir)
 
     def test_empty_scene_rejected(self):
         traj = scenes.arc_trajectory(10, 4.0)
