@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import HalfDiffAngles
-
 N_H = 45
 N_D = 48
 H_WIDTH = 90.0 / N_H  # 2.0 degrees
@@ -28,13 +26,6 @@ D_WIDTH = 90.0 / N_D  # 1.875 degrees
 N_CELLS = N_H * N_D
 
 SERIAL_HEADER = f"brdftable v1 {N_H} {N_D}"
-
-
-def bin_angles(angles: HalfDiffAngles) -> tuple[int, int]:
-    """Map an angle pair to its (h_bin, d_bin) cell index."""
-    h = min(int(angles.theta_h / H_WIDTH), N_H - 1)
-    d = min(int(angles.theta_d / D_WIDTH), N_D - 1)
-    return h, d
 
 
 def bin_arrays(theta_h: np.ndarray, theta_d: np.ndarray):
@@ -52,16 +43,6 @@ def cell_center(h_bin, d_bin):
 def cell_indices(flat) -> np.ndarray:
     """(k, 2) (h_bin, d_bin) pairs of flat cell indices."""
     return np.stack(np.divmod(np.asarray(flat), N_D), axis=1)
-
-
-def group_rows(keys) -> list:
-    """Row indices of each distinct key, groups in ascending key order and
-    rows ascending within a group (a stable sort)."""
-    keys = np.asarray(keys)
-    if len(keys) == 0:
-        return []
-    order = np.argsort(keys, kind="stable")
-    return np.split(order, np.nonzero(np.diff(keys[order]))[0] + 1)
 
 
 def integer_rows(a, name: str) -> np.ndarray:

@@ -20,6 +20,7 @@ its vertex has no color), 4 numeric failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -50,15 +51,8 @@ def _scan_config(cfg: PipelineConfig) -> ScanConfig:
         # a radius too small for the arc to leave its look-at target
         raise ConfigError(f"trajectory_radius_m = {cfg.trajectory_radius_m} "
                           f"gives no camera pose: {exc}") from exc
-    noise = NoiseConfig(
-        normal_jitter_deg=cfg.normal_jitter_deg,
-        pose_translation_jitter_m=cfg.pose_translation_jitter_m,
-        pose_rotation_jitter_deg=cfg.pose_rotation_jitter_deg,
-        intensity_multiplicative_sigma=cfg.intensity_multiplicative_sigma,
-        outlier_fraction=cfg.outlier_fraction,
-        dropout_fraction=cfg.dropout_fraction,
-        rng_seed=cfg.rng_seed,
-    )
+    noise = NoiseConfig(**{f.name: getattr(cfg, f.name)
+                           for f in dataclasses.fields(NoiseConfig)})
     return ScanConfig(camera=camera, rig=make_default_rig(), trajectory=trajectory,
                       noise=noise, saturation_level=cfg.saturation_level,
                       n_ir_frames=cfg.n_ir_frames,
@@ -66,16 +60,10 @@ def _scan_config(cfg: PipelineConfig) -> ScanConfig:
 
 
 def _make_scene(cfg: PipelineConfig):
-    names_by_scene = {
-        "two-sphere": ["red_glossy", "blue_matte"],
-        "four-material-room": ["gray_wall", "green_floor", "brown_board",
-                               "red_glossy"],
-        "corner-board": ["gray_wall", "brown_board", "red_glossy"],
-    }
-    materials = None
+    scene = scenes.make_scene(cfg.scene, cfg.n_vertices, cfg.rng_seed)
     if cfg.lambertian_materials:
-        materials = scenes.lambertian_materials(names_by_scene[cfg.scene])
-    return scenes.make_scene(cfg.scene, cfg.n_vertices, cfg.rng_seed, materials)
+        scene.materials = scenes.lambertian_materials(scene.materials)
+    return scene
 
 
 def _paths(out_dir):
@@ -229,6 +217,7 @@ def cmd_render(cfg: PipelineConfig) -> int:
 
     t0 = float(frame_times(trajectory, cfg.n_ir_frames)[0])
     usable = [t for t in completed if t is not None]
+    written = f"render: {len(usable)} material spheres"
     if usable:
         # a group lacking a table renders with the first usable one
         render_tables = [t if t is not None else usable[0] for t in completed]
@@ -236,8 +225,8 @@ def cmd_render(cfg: PipelineConfig) -> int:
             scene, labels, render_tables, trajectory, t0, 0, make_default_rig(),
             camera, exposure=2.0)
         render_eval.write_ppm(os.path.join(cfg.out_dir, "rerender.ppm"), frame)
-    print(f"render: {sum(t is not None for t in completed)} material spheres "
-          "+ scene re-render")
+        written += " + scene re-render"
+    print(written)
     return EXIT_OK
 
 

@@ -257,35 +257,6 @@ class LedRig:
         return len(self.brightness)
 
 
-@dataclass(frozen=True)
-class HalfDiffAngles:
-    """Isotropic half/difference angle pair, degrees in [0, 90]."""
-
-    theta_h: float
-    theta_d: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.theta_h <= 90.0 and 0.0 <= self.theta_d <= 90.0):
-            raise ValueError("angles out of [0, 90] range")
-
-
-def half_diff_angles(normal, omega_in, omega_out) -> HalfDiffAngles:
-    """Rusinkiewicz-style reduction: theta_h between normal and half vector,
-    theta_d between half vector and omega_in. Azimuths are discarded."""
-    n = np.asarray(normal, dtype=float)
-    wi = np.asarray(omega_in, dtype=float)
-    wo = np.asarray(omega_out, dtype=float)
-    if wi @ n <= 0 or wo @ n <= 0:
-        raise ValueError("back-facing direction")
-    s = wi + wo
-    if np.linalg.norm(s) < 1e-9:
-        raise ValueError("half vector undefined for opposite directions")
-    h = s / np.linalg.norm(s)
-    th = np.rad2deg(np.arccos(np.clip(n @ h, -1.0, 1.0)))
-    td = np.rad2deg(np.arccos(np.clip(h @ wi, -1.0, 1.0)))
-    return HalfDiffAngles(float(np.clip(th, 0.0, 90.0)), float(np.clip(td, 0.0, 90.0)))
-
-
 def norm_rows(v):
     """Euclidean norms over the last axis of (..., 3) vectors, elementwise:
     the squares summed in the order `np.linalg.norm(v, axis=-1)` sums them,

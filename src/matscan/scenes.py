@@ -97,12 +97,11 @@ def default_materials(names):
     return [palette[n] for n in names]
 
 
-def lambertian_materials(names):
-    """Lambertian variants (no lobe) of the palette, same colors."""
-    mats = default_materials(names)
+def lambertian_materials(materials):
+    """Lambertian variants (no lobe) of `materials`, same colors."""
     return [GroundTruthMaterial(diffuse_albedo=m.diffuse_albedo,
                                 specular_strength=0.0, lobe_exponent=1.0,
-                                color=m.color) for m in mats]
+                                color=m.color) for m in materials]
 
 
 def two_sphere_scene(n_vertices: int, seed: int, materials=None) -> Scene:

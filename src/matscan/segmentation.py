@@ -1,9 +1,10 @@
 """Material segmentation by propagation over the global cell table.
 
-A global 45x48 table collects, per cell, the per-vertex mean rgb samples of
-all (subsampled) vertices. Segmentation reads one column set of it: the
-cells with at least MIN_CELL_SAMPLES samples, in flat order, their vertex
-ids and samples concatenated. One flat-kernel meanshift call clusters every
+The global 45x48 table is one stable sort, by flat cell, of the record rows
+of the (subsampled) vertices: per cell, their per-vertex mean rgb samples
+in vertex order. Segmentation reads one column set of it: the cells with at
+least MIN_CELL_SAMPLES samples, in flat order, their vertex ids and samples
+concatenated. One flat-kernel meanshift call clusters every
 cell of it, each cell on its own, in one step loop; its neighbour masks are
 those of exact arithmetic (or, near a tie, of the full distance
 expression), and in a large step, modes within a leader mode's certified
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .brdf_table import N_CELLS, N_D, group_rows
+from .brdf_table import N_CELLS, N_D
 
 COV_REG_EPS = 1e-6
 MIN_CLUSTER_SIZE = 10
@@ -62,28 +63,33 @@ class MaterialGroups:
 
 
 class GlobalCellTable:
-    """Per-cell arrays of (vertex id, per-vertex mean rgb sample), and the
-    column set segmentation reads: the cells with at least MIN_CELL_SAMPLES
-    samples in ascending flat order (`flats`), their vertex ids and samples
-    concatenated (`vids`, `samples`) with cell k at rows
-    `offsets[k]:offsets[k + 1]`, and `mask_size`, the length of a vertex
-    mask that holds every sampled and candidate vertex id. Propagation also
-    reads the rows of each vertex (`rows_of`), and per cell its mean sample
-    (`centres`) and largest sample norm (`magnitudes`)."""
+    """The column set segmentation reads, from parallel cell rows (flat
+    cell, vertex id, per-vertex mean rgb sample) in any cell order: one
+    stable sort by flat cell, so each cell keeps its rows in the order they
+    were given, and only the cells with at least MIN_CELL_SAMPLES samples
+    kept. Those cells come in ascending flat order (`flats`), their vertex
+    ids and samples concatenated (`vids`, `samples`) with cell k at rows
+    `offsets[k]:offsets[k + 1]`; `mask_size` is the length of a vertex mask
+    that holds every sampled and candidate vertex id. Propagation also reads
+    the rows of each vertex (`rows_of`), and per cell its mean sample
+    (`centres`) and largest sample norm (`magnitudes`). `len` counts every
+    measured cell, small ones included."""
 
-    def __init__(self, cells: dict, sampled_ids: np.ndarray):
-        # flat cell index -> (vertex_ids (m,), samples (m,3))
-        self.cells = cells
+    def __init__(self, flat, vids, samples, sampled_ids):
+        flat = np.asarray(flat, dtype=int)
+        order = np.argsort(flat, kind="stable")
+        cells, counts = np.unique(flat[order], return_counts=True)
+        large = counts >= MIN_CELL_SAMPLES
+        rows = order[np.repeat(large, counts)]
+        self._n_cells = len(cells)
         self.sampled_ids = np.asarray(sampled_ids, dtype=int)
-        self.flats = np.array([f for f in sorted(cells)
-                               if len(cells[f][0]) >= MIN_CELL_SAMPLES], dtype=int)
-        parts = [cells[f] for f in self.flats.tolist()]
-        self.vids = np.concatenate([np.zeros(0, dtype=int)] + [v for v, _ in parts])
-        self.samples = np.concatenate([np.zeros((0, 3))] + [s for _, s in parts])
-        self.offsets = np.cumsum([0] + [len(v) for v, _ in parts])
+        self.flats = cells[large]
+        self.vids = np.asarray(vids, dtype=int)[rows]
+        self.samples = np.asarray(samples, dtype=float).reshape(-1, 3)[rows]
+        sizes = counts[large]
+        self.offsets = np.concatenate([[0], np.cumsum(sizes)])
         self.mask_size = int(max(self.sampled_ids.max(initial=0),
                                  self.vids.max(initial=0))) + 1
-        sizes = np.diff(self.offsets)
         # vertex v's rows are _by_vertex[_starts[v]:_starts[v + 1]]
         self._by_vertex = np.argsort(self.vids, kind="stable")
         self._starts = np.concatenate(
@@ -95,7 +101,7 @@ class GlobalCellTable:
             self.offsets[:-1])
 
     def __len__(self) -> int:
-        return len(self.cells)
+        return self._n_cells
 
     def cell(self, k: int):
         """(vertex ids, samples) of candidate cell k."""
@@ -113,7 +119,8 @@ class GlobalCellTable:
 
 def build_global_table(records, sample_budget: int, rng_seed: int) -> GlobalCellTable:
     """Subsample up to `sample_budget` vertices of the records (seeded,
-    without replacement) and scatter their measured cell means into the table."""
+    without replacement) and put the rows of their measured cells into the
+    table."""
     if not records:
         raise ValueError("no reflectance records")
     if sample_budget < 1:
@@ -123,13 +130,10 @@ def build_global_table(records, sample_budget: int, rng_seed: int) -> GlobalCell
     take = min(sample_budget, n)
     sampled = records.vertex_id[np.sort(rng.choice(n, size=take, replace=False))]
     picked = np.isin(records.cell_vid, sampled) & (records.counts > 0)
-    flat, vals = records.flat[picked], records.means[picked]
-    vids = records.cell_vid[picked]
-    # stable: rows come in vertex order, so each cell keeps its samples in
+    # rows come in vertex order, so each cell keeps its samples in
     # chosen-vertex order, which the meanshift mode merge depends on
-    cells = {int(flat[rows[0]]): (vids[rows], vals[rows])
-             for rows in group_rows(flat)}
-    return GlobalCellTable(cells, sampled)
+    return GlobalCellTable(records.flat[picked], records.cell_vid[picked],
+                           records.means[picked], sampled)
 
 
 def default_bandwidth(samples) -> float:
@@ -317,15 +321,14 @@ def _merge_modes(modes, bandwidth):
     return modes[heads]
 
 
-def meanshift(samples, bandwidth, offsets=None):
+def meanshift(samples, bandwidth, offsets):
     """Flat-kernel meanshift of each cell k, the rows
-    `offsets[k]:offsets[k + 1]` of `samples` at `bandwidth[k]`; without
-    `offsets`, of one cell of all samples at one bandwidth. Every sample is
-    iterated to its mode (mean of the cell's samples within the bandwidth)
-    until the shift drops below 1e-4*bandwidth or MAX_ITER steps have run;
-    modes within bandwidth/2 are merged and samples assigned to the nearest
-    merged mode. Returns per cell its cluster index arrays (into the cell's
-    rows), largest first; without `offsets`, that one cell's list.
+    `offsets[k]:offsets[k + 1]` of `samples` at `bandwidth[k]`. Every sample
+    is iterated to its mode (mean of the cell's samples within the
+    bandwidth) until the shift drops below 1e-4*bandwidth or MAX_ITER steps
+    have run; modes within bandwidth/2 are merged and samples assigned to
+    the nearest merged mode. Returns per cell its cluster index arrays (into
+    the cell's rows), largest first.
 
     Each step finds the neighbour mask of every moving mode of a cell with
     its `_FlatKernel.rows`: squared distances built in place in L2-sized row
@@ -349,8 +352,7 @@ def meanshift(samples, bandwidth, offsets=None):
     and the shifts. The shift test, the merging of rows and the `owner`
     remap run once per step over all cells."""
     pts = np.asarray(samples, dtype=float).reshape(-1, 3)
-    one = offsets is None
-    offsets = np.asarray([0, len(pts)] if one else offsets, dtype=np.intp)
+    offsets = np.asarray(offsets, dtype=np.intp)
     sizes = np.diff(offsets)
     bws = np.broadcast_to(np.asarray(bandwidth, dtype=float), sizes.shape)
     if np.any(bws <= 0):
@@ -424,7 +426,7 @@ def meanshift(samples, bandwidth, offsets=None):
         clusters = [c for c in clusters if len(c) > 0]
         clusters.sort(key=lambda c: (-len(c), int(c[0])))
         out.append(clusters)
-    return out[0] if one else out
+    return out
 
 
 def fit_gaussian(samples, members=None) -> GaussianCluster:

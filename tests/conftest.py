@@ -1,6 +1,7 @@
 """Shared fixtures: one small noisy scan reused across test modules."""
 
 import numpy as np
+import oracles
 import pytest
 
 from matscan import estimation, scenes, segmentation
@@ -33,6 +34,8 @@ def noisy_two_sphere():
         "scene": scene, "trajectory": traj, "config": cfg,
         "ir": ir, "rgb": rgb, "colors": colors, "records": records,
         "rejection_counts": counts, "table": table,
+        # every measured cell of the table, small ones too, as a dict
+        "cells": oracles.record_cells(records, table.sampled_ids),
     }
 
 

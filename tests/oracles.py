@@ -11,8 +11,9 @@
 - the records accumulated from those per-row arrays, which tests check
   `estimation.accumulate_vertex_tables` against bit for bit;
 - the per-vertex record path, one `BrdfTable.from_cells` per vertex and a
-  global cell table over a list of records, which tests check
-  `estimation.VertexRecords` and `segmentation.build_global_table` against;
+  global cell table over a list of records, grouped into a dict of cells,
+  which tests check `estimation.VertexRecords` and
+  `segmentation.build_global_table` against;
 - the Mahalanobis distance of one point in Python floats, which tests check
   `segmentation.mahalanobis_many` and `segmentation.separability_score`
   against bit for bit, and the batched one through numpy's Cholesky factor
@@ -20,30 +21,80 @@
 - label diffusion one target vertex at a time, which tests check
   `segmentation.diffuse_labels` against.
 
-It also holds the scalar and inverse helpers only tests use: one-angle
-table lookup, single-point projection and unprojection, pose composition,
-the angle between two attitudes, a PPM reader, and the frame of each IR
+It also holds the scalar and inverse helpers only tests use: the
+half/difference angles of one direction pair and the cell of one angle
+pair, one-angle table lookup, single-point projection and unprojection, pose
+composition, the angle between two attitudes, a PPM reader, the rows of
+each distinct key, the rows of a dict of cells, the frame of each IR
 observation row and a subset of the rows as a frame-major set.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.spatial import cKDTree
 
-from matscan.brdf_table import (N_CELLS, N_D, BrdfTable, bin_arrays, group_rows,
-                                lookup_arrays)
+from matscan.brdf_table import (D_WIDTH, H_WIDTH, N_CELLS, N_D, N_H, BrdfTable,
+                                bin_arrays, lookup_arrays)
 from matscan.estimation import (ACCEPTED, COS_GRAZING, GRAZING_DEG,
                                 MIN_COLOR_SAMPLES, VIGNETTE_FLOOR, Rejection,
                                 VertexRecords, VertexReflectanceRecord)
-from matscan.geometry import (HalfDiffAngles, PinholeCamera, Pose, Quaternion,
-                              half_diff_angles, interpolate_trajectory)
+from matscan.geometry import (PinholeCamera, Pose, Quaternion,
+                              interpolate_trajectory)
 from matscan.segmentation import GlobalCellTable
 from matscan.simulator import (GroundTruthMaterial, IrObservations,
                                RgbObservations, _jitter_pose,
                                eval_ground_truth_brdf, ir_frame_times, shading,
                                vignette)
+
+
+@dataclass(frozen=True)
+class HalfDiffAngles:
+    """Isotropic half/difference angle pair, degrees in [0, 90]."""
+
+    theta_h: float
+    theta_d: float
+
+    def __post_init__(self):
+        if not (0.0 <= self.theta_h <= 90.0 and 0.0 <= self.theta_d <= 90.0):
+            raise ValueError("angles out of [0, 90] range")
+
+
+def half_diff_angles(normal, omega_in, omega_out) -> HalfDiffAngles:
+    """Rusinkiewicz-style reduction of one direction pair: theta_h between
+    normal and half vector, theta_d between half vector and omega_in.
+    Azimuths are discarded."""
+    n = np.asarray(normal, dtype=float)
+    wi = np.asarray(omega_in, dtype=float)
+    wo = np.asarray(omega_out, dtype=float)
+    if wi @ n <= 0 or wo @ n <= 0:
+        raise ValueError("back-facing direction")
+    s = wi + wo
+    if np.linalg.norm(s) < 1e-9:
+        raise ValueError("half vector undefined for opposite directions")
+    h = s / np.linalg.norm(s)
+    th = np.rad2deg(np.arccos(np.clip(n @ h, -1.0, 1.0)))
+    td = np.rad2deg(np.arccos(np.clip(h @ wi, -1.0, 1.0)))
+    return HalfDiffAngles(float(np.clip(th, 0.0, 90.0)), float(np.clip(td, 0.0, 90.0)))
+
+
+def bin_angles(angles: HalfDiffAngles) -> tuple[int, int]:
+    """Map one angle pair to its (h_bin, d_bin) cell index."""
+    h = min(int(angles.theta_h / H_WIDTH), N_H - 1)
+    d = min(int(angles.theta_d / D_WIDTH), N_D - 1)
+    return h, d
+
+
+def group_rows(keys) -> list:
+    """Row indices of each distinct key, groups in ascending key order and
+    rows ascending within a group (a stable sort)."""
+    keys = np.asarray(keys)
+    if len(keys) == 0:
+        return []
+    order = np.argsort(keys, kind="stable")
+    return np.split(order, np.nonzero(np.diff(keys[order]))[0] + 1)
 
 
 def render_ir_intensity(vertex_pos, vertex_normal, material: GroundTruthMaterial,
@@ -372,25 +423,52 @@ def vertex_records(cell_vid, cells, means, counts, colors) -> list:
     return records
 
 
+def record_cells(records, sampled_ids) -> dict:
+    """{flat cell: (vertex ids (m,), samples (m, 3))} of the measured cells
+    of the records of the vertices `sampled_ids`, table after table: cells
+    in ascending flat order, each with its rows in `sampled_ids` order."""
+    by_vertex = {r.vertex_id: r.table for r in records}
+    tables = [BrdfTable(), *(by_vertex[int(v)] for v in sampled_ids)]
+    flat = np.concatenate([t.flat for t in tables])
+    vals = np.concatenate([t.means for t in tables])
+    counts = np.concatenate([t.counts for t in tables])
+    vids = np.repeat(np.asarray(sampled_ids, dtype=int),
+                     [len(t) for t in tables[1:]])
+    measured = counts > 0
+    flat, vals, vids = flat[measured], vals[measured], vids[measured]
+    return {int(flat[rows[0]]): (vids[rows], vals[rows])
+            for rows in group_rows(flat)}
+
+
+def cell_rows(cells: dict):
+    """(flat, vertex ids, samples): the parallel rows of a {flat cell:
+    (vertex ids, samples)} dict, cell after cell in the dict's order."""
+    vids = [v for v, _ in cells.values()]
+    samples = [s for _, s in cells.values()]
+    return (np.repeat(np.array(list(cells), dtype=int), [len(v) for v in vids]),
+            np.concatenate([np.zeros(0, dtype=int), *vids]),
+            np.concatenate([np.zeros((0, 3)), *samples]))
+
+
 def build_global_table(records: list, sample_budget: int,
                        rng_seed: int) -> GlobalCellTable:
     """Subsample up to `sample_budget` of a list of per-vertex records
-    (seeded, without replacement) and scatter their measured cell means into
-    the table, table after table."""
+    (seeded, without replacement) and build the table from the dict of their
+    measured cells."""
     rng = np.random.default_rng(rng_seed)
     n = len(records)
     chosen = np.sort(rng.choice(n, size=min(sample_budget, n), replace=False))
     sampled = np.array([records[i].vertex_id for i in chosen])
-    tables = [BrdfTable(), *(records[i].table for i in chosen)]
-    flat = np.concatenate([t.flat for t in tables])
-    vals = np.concatenate([t.means for t in tables])
-    counts = np.concatenate([t.counts for t in tables])
-    vids = np.repeat(sampled, [len(t) for t in tables[1:]])
-    measured = counts > 0
-    flat, vals, vids = flat[measured], vals[measured], vids[measured]
-    cells = {int(flat[rows[0]]): (vids[rows], vals[rows])
-             for rows in group_rows(flat)}
-    return GlobalCellTable(cells, sampled)
+    return GlobalCellTable(*cell_rows(record_cells(records, sampled)), sampled)
+
+
+def assert_same_cell_table(got: GlobalCellTable, expected: GlobalCellTable):
+    """The two global cell tables count the same measured cells and hold the
+    same columns, bit for bit."""
+    assert len(got) == len(expected)
+    for name in ("sampled_ids", "flats", "vids", "samples", "offsets",
+                 "mask_size"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(expected, name))
 
 
 def mahalanobis(x, mean, covariance) -> float:

@@ -14,12 +14,13 @@ from scipy.stats import chi2
 
 import oracles
 from matscan import brdf_table, estimation, render_eval, scenes, segmentation
-from matscan.brdf_table import N_D, N_H, bin_angles, cell_center
-from matscan.geometry import (HalfDiffAngles, Quaternion, half_diff_angles)
+from matscan.brdf_table import N_D, N_H, cell_center
+from matscan.geometry import Quaternion
 from matscan.segmentation import GaussianCluster, GlobalCellTable
 from matscan.simulator import (NoiseConfig, ScanConfig, default_camera,
                                eval_ground_truth_brdf, make_default_rig,
                                simulate_scan)
+from oracles import HalfDiffAngles, bin_angles, half_diff_angles
 
 NOISE = dict(normal_jitter_deg=2.0, intensity_multiplicative_sigma=0.03,
              outlier_fraction=0.01)
@@ -209,7 +210,8 @@ def test_criterion_7_angle_machinery():
 
 
 def test_criterion_8_noiseless_rerender():
-    mats = scenes.lambertian_materials(["red_glossy", "blue_matte"])
+    mats = scenes.lambertian_materials(
+        scenes.default_materials(["red_glossy", "blue_matte"]))
     run = run_pipeline("two-sphere", 3000, 150, 5, "two", materials=mats)
     scene, cfg = run["scene"], run["config"]
     labels = segmentation.diffuse_labels(run["groups"], scene.positions,
@@ -238,13 +240,14 @@ def test_criterion_9_ambiguous_vertices_stay_unclassified(two_sphere_noisy):
     injected = np.arange(size, size + 20)
     rng = np.random.default_rng(4)
     cells = {}
-    for flat, (vids, vals) in table.cells.items():
+    for flat, (vids, vals) in oracles.record_cells(
+            two_sphere_noisy["records"], table.sampled_ids).items():
         # colors far from both material rays: ambiguous outliers
         fake = np.tile([3.0, 3.0, 3.0], (len(injected), 1)) \
             + rng.normal(0, 0.005, (len(injected), 3))
         cells[flat] = (np.concatenate([vids, injected]), np.vstack([vals, fake]))
     poisoned = GlobalCellTable(
-        cells, np.concatenate([table.sampled_ids, injected]))
+        *oracles.cell_rows(cells), np.concatenate([table.sampled_ids, injected]))
     groups, _ = segmentation.two_material_segmentation(poisoned)
     leaked = set(injected.tolist()) & groups.classified
     ok = not leaked and set(injected.tolist()) <= groups.unclassified

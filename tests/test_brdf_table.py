@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 
 from matscan import brdf_table
 from matscan.brdf_table import (D_WIDTH, H_WIDTH, N_CELLS, N_D, N_H,
-                                SERIAL_HEADER, BrdfTable, bin_angles, bin_arrays,
+                                SERIAL_HEADER, BrdfTable, bin_arrays,
                                 cell_center, complete, dense_values, from_text,
-                                group_rows, lookup_arrays, merge, to_text)
-from matscan.geometry import HalfDiffAngles
-from oracles import lookup
+                                lookup_arrays, merge, to_text)
+from oracles import HalfDiffAngles, bin_angles, group_rows, lookup
 
 
 class TestBinning:

@@ -413,6 +413,22 @@ class TestCli:
             assert cli.main([stage, "--config", path]) == cli.EXIT_OK, stage
         assert io.read_labels(paths["labels"]).max() == 0
 
+    @pytest.mark.parametrize("mode", ["two", "multi"])
+    def test_scan_without_candidate_cell_renders_nothing(self, tmp_path, capsys,
+                                                         mode):
+        """30 vertices and 20 frames: no cell of the global table holds
+        enough samples to seed a group, so every vertex stays unclassified
+        and render writes no sphere and no re-render, and says so."""
+        cfg, path = small_config(tmp_path, n_vertices=30, n_ir_frames=20,
+                                 segmentation_mode=mode)
+        assert cli.main(["pipeline", "--config", path]) == cli.EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        assert [ln for ln in out if ln.startswith("segment:")][0].startswith(
+            "segment: 0 groups with counts [], ")
+        assert "render: 0 material spheres" in out
+        assert not [f for f in os.listdir(cfg.out_dir) if f.endswith(".ppm")]
+        assert (io.read_labels(os.path.join(cfg.out_dir, "labels.txt")) < 0).all()
+
     def test_camera_changed_after_simulate_exits_2(self, tmp_path, capsys):
         cfg, path = small_config(tmp_path)
         assert cli.main(["simulate", "--config", path]) == cli.EXIT_OK

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matscan.geometry import (HalfDiffAngles, LedRig, PinholeCamera, Pose,
-                              Quaternion, TimedPose, half_diff_angle_arrays,
-                              half_diff_angles, interpolate_pose,
-                              interpolate_trajectory, look_at, project_points,
-                              slerp)
-from oracles import angle_to, compose, project, unproject
+from matscan.geometry import (LedRig, PinholeCamera, Pose, Quaternion,
+                              TimedPose, half_diff_angle_arrays,
+                              interpolate_pose, interpolate_trajectory, look_at,
+                              project_points, slerp)
+from oracles import (HalfDiffAngles, angle_to, compose, half_diff_angles,
+                     project, unproject)
 
 finite = st.floats(-1.0, 1.0).filter(lambda x: abs(x) > 1e-3)
 quats = st.builds(Quaternion, finite, finite, finite, finite)

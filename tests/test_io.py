@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+import oracles
 from matscan import io, scenes, segmentation
 from matscan.brdf_table import N_CELLS, BrdfTable, cell_indices
 from matscan.estimation import VertexReflectanceRecord, VertexRecords
@@ -364,12 +365,7 @@ class TestRecordsIO:
         path = tmp_path / "records.npz"
         io.write_records(path, run["records"])
         table = segmentation.build_global_table(io.read_records(path), 100000, 11)
-        expected = run["table"]
-        np.testing.assert_array_equal(table.sampled_ids, expected.sampled_ids)
-        assert list(table.cells) == list(expected.cells)
-        for flat, (vids, vals) in expected.cells.items():
-            np.testing.assert_array_equal(table.cells[flat][0], vids)
-            np.testing.assert_array_equal(table.cells[flat][1], vals)
+        oracles.assert_same_cell_table(table, run["table"])
 
 
 class TestLabelsIO:

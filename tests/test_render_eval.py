@@ -192,7 +192,8 @@ class TestRerender:
     def test_frame_is_splat_of_simulated_intensities(self):
         # noiseless lambertian scan, exact tables: the re-rendered frame is
         # the max-splat of the simulated intensities of that frame
-        materials = scenes.lambertian_materials(["red_glossy", "blue_matte"])
+        materials = scenes.lambertian_materials(
+            scenes.default_materials(["red_glossy", "blue_matte"]))
         scene = scenes.two_sphere_scene(800, 5, materials)
         traj = scenes.arc_trajectory(50, 10.0)
         cfg = make_scan_config(traj, NoiseConfig(rng_seed=5), 80)

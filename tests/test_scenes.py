@@ -35,10 +35,11 @@ class TestSceneRegistry:
 
     def test_lambertian_variant_keeps_colors(self):
         ref = scenes.default_materials(["red_glossy", "blue_matte"])
-        flat = scenes.lambertian_materials(["red_glossy", "blue_matte"])
+        flat = scenes.lambertian_materials(ref)
         for a, b in zip(ref, flat):
-            np.testing.assert_allclose(a.color, b.color)
-            assert b.specular_strength == 0.0
+            np.testing.assert_array_equal(a.color, b.color)
+            np.testing.assert_array_equal(a.diffuse_albedo, b.diffuse_albedo)
+            assert b.specular_strength == 0.0 and b.lobe_exponent == 1.0
 
 
 class TestArcTrajectory:

@@ -68,6 +68,11 @@ def reference_meanshift(samples, bandwidth: float, max_iter: int = 100):
     return clusters
 
 
+def one_cell(pts, bandwidth):
+    """`meanshift` of one cell of all of `pts`."""
+    return meanshift(pts, [bandwidth], [0, len(pts)])[0]
+
+
 def reference_meanshift_cells(samples, bandwidths, offsets):
     """`reference_meanshift` of each cell of a column set on its own."""
     return [reference_meanshift(samples[lo:hi], bw)
@@ -77,8 +82,8 @@ def reference_meanshift_cells(samples, bandwidths, offsets):
 def reference_propagate_two(table, consumed, grp1, grp2, assignable,
                             require_half2):
     """`_propagate_two` that counts and refits every unconsumed candidate
-    cell at every step, one cell at a time, from the table's dict of cells
-    and the groups' masks alone."""
+    cell at every step, one cell at a time, from the table's cells and the
+    groups' masks alone."""
     mat1_mask, mat2_mask = grp1.mask, grp2.mask
     grown = 0
     for _ in range(N_CELLS):
@@ -87,10 +92,10 @@ def reference_propagate_two(table, consumed, grp1, grp2, assignable,
         if n1 == 0 or n2 == 0:
             break
         best = (0.0, None, None, None)
-        for k, flat in enumerate(table.flats):
+        for k in range(len(table.flats)):
             if consumed[k]:
                 continue
-            cv, cs = table.cells[flat]
+            cv, cs = table.cell(k)
             in1, in2 = mat1_mask[cv], mat2_mask[cv]
             c1, c2 = int(in1.sum()), int(in2.sum())
             if 2 * c1 < n1 or c1 < MIN_FIT_SAMPLES or c2 < MIN_FIT_SAMPLES:
@@ -105,7 +110,7 @@ def reference_propagate_two(table, consumed, grp1, grp2, assignable,
         if best[1] is None:
             break
         _, k, g1, g2 = best
-        cv, cs = table.cells[table.flats[k]]
+        cv, cs = table.cell(k)
         fresh = ~(mat1_mask[cv] | mat2_mask[cv]) & assignable[cv]
         if fresh.any():
             codes = assign_3sigma_many(cs[fresh], g1, g2)
@@ -119,16 +124,16 @@ def reference_propagate_two(table, consumed, grp1, grp2, assignable,
 def reference_absorb_single(table, consumed, grp, blocked,
                             min_fit=MIN_FIT_SAMPLES):
     """`_absorb_single` that counts every unconsumed candidate cell at every
-    step, one cell at a time, from the table's dict of cells and the group's
-    mask alone."""
+    step, one cell at a time, from the table's cells and the group's mask
+    alone."""
     new_mask = grp.mask
     while True:
         n1 = int(new_mask.sum())
         best = (0, None)
-        for k, flat in enumerate(table.flats):
+        for k in range(len(table.flats)):
             if consumed[k]:
                 continue
-            c1 = int(new_mask[table.cells[flat][0]].sum())
+            c1 = int(new_mask[table.cell(k)[0]].sum())
             if c1 < min_fit or 2 * c1 < n1:
                 continue
             if c1 > best[0]:
@@ -136,7 +141,7 @@ def reference_absorb_single(table, consumed, grp, blocked,
         if best[1] is None:
             return
         k = best[1]
-        cv, cs = table.cells[table.flats[k]]
+        cv, cs = table.cell(k)
         in1 = new_mask[cv]
         g1 = fit_gaussian(cs[in1], cv[in1])
         fresh = ~in1 & ~blocked[cv]
@@ -183,7 +188,7 @@ class TestMeanshift:
     def test_two_well_separated_blobs(self):
         rng = np.random.default_rng(1)
         pts = two_blobs(rng)
-        clusters = meanshift(pts, 0.3)
+        clusters = one_cell(pts, 0.3)
         assert len(clusters) == 2
         sizes = sorted(len(c) for c in clusters)
         assert sizes == [200, 200]
@@ -194,20 +199,20 @@ class TestMeanshift:
     def test_single_blob_single_cluster(self):
         rng = np.random.default_rng(2)
         pts = rng.normal(0, 0.01, (300, 3))
-        clusters = meanshift(pts, 0.5)
+        clusters = one_cell(pts, 0.5)
         assert len(clusters) == 1
         assert len(clusters[0]) == 300
 
     def test_every_sample_assigned_once(self):
         rng = np.random.default_rng(3)
         pts = two_blobs(rng, n=120)
-        clusters = meanshift(pts, 0.3)
+        clusters = one_cell(pts, 0.3)
         all_idx = np.sort(np.concatenate(clusters))
         np.testing.assert_array_equal(all_idx, np.arange(len(pts)))
 
     def test_bandwidth_validation(self):
         with pytest.raises(ValueError):
-            meanshift(np.zeros((5, 3)), 0.0)
+            meanshift(np.zeros((5, 3)), [0.0], [0, 5])
 
     @pytest.mark.parametrize("pts, bw", [
         ([[0.2, 0.3, 0.4]], 0.1),
@@ -219,7 +224,7 @@ class TestMeanshift:
         ([[0.1, 0.1, 0.1]] * 3, 1.0),
     ])
     def test_small_inputs_match_reference(self, pts, bw):
-        assert_same_clusters(meanshift(pts, bw), reference_meanshift(pts, bw))
+        assert_same_clusters(one_cell(pts, bw), reference_meanshift(pts, bw))
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 80), st.integers(1, 4),
            st.sampled_from([0.0, 0.01, 0.1]), st.booleans(), st.booleans(),
@@ -237,7 +242,7 @@ class TestMeanshift:
         if pairwise_bw and n >= 2:
             i, j = rng.choice(n, 2, replace=False)
             bw = float(np.linalg.norm(pts[i] - pts[j])) or bw
-        assert_same_clusters(meanshift(pts, bw), reference_meanshift(pts, bw))
+        assert_same_clusters(one_cell(pts, bw), reference_meanshift(pts, bw))
 
     def test_stopped_and_moving_samples_on_one_mode(self):
         # samples 0 and 1 share every neighbour, so both move to the same
@@ -247,23 +252,23 @@ class TestMeanshift:
         xs = [0.0, -0.05] + [-1.0] * 10 + [0.94] * 10 + [0.65115]
         pts = np.zeros((len(xs), 3))
         pts[:, 0] = xs
-        clusters = meanshift(pts, 1.0)
+        clusters = one_cell(pts, 1.0)
         assert_same_clusters(clusters, reference_meanshift(pts, 1.0))
         assert [0] in [c.tolist() for c in clusters]
 
     def test_scan_cells_match_reference(self, noisy_two_sphere):
-        for vids, vals in noisy_two_sphere["table"].cells.values():
+        for vids, vals in noisy_two_sphere["cells"].values():
             if len(vids) < 2:
                 continue
             bw = default_bandwidth(vals)
-            assert_same_clusters(meanshift(vals, bw),
+            assert_same_clusters(one_cell(vals, bw),
                                  reference_meanshift(vals, bw))
 
     def test_largest_cluster_first(self):
         rng = np.random.default_rng(4)
         a = rng.normal([0, 0, 0], 0.01, (50, 3))
         b = rng.normal([2, 0, 0], 0.01, (150, 3))
-        clusters = meanshift(np.vstack([a, b]), 0.3)
+        clusters = one_cell(np.vstack([a, b]), 0.3)
         assert len(clusters[0]) >= len(clusters[-1])
 
 
@@ -323,7 +328,7 @@ class TestBlockedNeighbours:
         exact = segmentation._exact_neighbours
         monkeypatch.setattr(segmentation, "_exact_neighbours",
                             lambda *a: calls.append(1) or exact(*a))
-        assert_same_clusters(meanshift(pts, 0.25), reference_meanshift(pts, 0.25))
+        assert_same_clusters(one_cell(pts, 0.25), reference_meanshift(pts, 0.25))
         assert calls
 
     def test_scan_cells_on_blocked_path_alone(self, noisy_two_sphere,
@@ -331,11 +336,11 @@ class TestBlockedNeighbours:
         monkeypatch.setattr(segmentation, "_exact_neighbours", _no_fallback)
         count = _RowCount(monkeypatch)
         sizes = []
-        for vids, vals in noisy_two_sphere["table"].cells.values():
+        for vids, vals in noisy_two_sphere["cells"].values():
             if len(vids) < 2:
                 continue
             bw = default_bandwidth(vals)
-            assert_same_clusters(meanshift(vals, bw),
+            assert_same_clusters(one_cell(vals, bw),
                                  reference_meanshift(vals, bw))
             sizes.append(len(vids))
         # cells large enough to take several blocks per step, whose steps
@@ -375,7 +380,7 @@ class TestBlockedNeighbours:
         pts = np.random.default_rng(n).uniform(0, 1, (n, 3))
         if duplicate:
             pts = pts[[0] * n]
-        assert_same_clusters(meanshift(pts, bw), reference_meanshift(pts, bw))
+        assert_same_clusters(one_cell(pts, bw), reference_meanshift(pts, bw))
 
 
 class TestSharedRows:
@@ -417,7 +422,7 @@ class TestSharedRows:
                 assert np.abs(diff2 - bw2).min() <= 2 * _band(modes, pts)
                 break
             modes = (full @ pts) / full.sum(1)[:, None]
-        assert_same_clusters(meanshift(pts, bw), reference_meanshift(pts, bw))
+        assert_same_clusters(one_cell(pts, bw), reference_meanshift(pts, bw))
 
     @pytest.mark.parametrize("exact", [True, False])
     def test_mode_at_a_tie_is_never_covered(self, exact):
@@ -468,7 +473,7 @@ class TestSharedRows:
         # one row per mode
         np.testing.assert_array_equal(np.sort(row_of), np.arange(len(pts)))
         count = _RowCount(monkeypatch)
-        assert_same_clusters(meanshift(pts, 0.3), reference_meanshift(pts, 0.3))
+        assert_same_clusters(one_cell(pts, 0.3), reference_meanshift(pts, 0.3))
         assert count.built == count.modes
 
 
@@ -499,7 +504,7 @@ class TestBatchedMeanshift:
         assert len(got) == len(cells)
         for clusters, pts, bw in zip(got, cells, bandwidths):
             assert_same_clusters(clusters, reference_meanshift(pts, bw))
-            assert_same_clusters(clusters, meanshift(pts, bw))
+            assert_same_clusters(clusters, one_cell(pts, bw))
 
     def test_initial_clusters_make_one_call(self, noisy_two_sphere):
         table = noisy_two_sphere["table"]
@@ -766,7 +771,7 @@ def synthetic_table(rng, material_colors, verts_per_mat=120, cells=12,
                             + rng.normal(0, noise, 3))
         table_cells[cell * N_D + cell] = (np.array(vids, dtype=int),
                                           np.array(vals))
-    return GlobalCellTable(table_cells, np.arange(n)), gt
+    return GlobalCellTable(*oracles.cell_rows(table_cells), np.arange(n)), gt
 
 
 class TestTwoMaterial:
@@ -783,7 +788,7 @@ class TestTwoMaterial:
         assert len(groups.classified) > 0.9 * len(gt)
 
     def test_empty_table(self):
-        table = GlobalCellTable({}, np.zeros(0, int))
+        table = GlobalCellTable(*oracles.cell_rows({}), np.zeros(0, int))
         groups, _ = two_material_segmentation(table)
         assert groups.groups == [] or all(len(g) == 0 for g in groups.groups)
 
@@ -819,12 +824,13 @@ class TestMultiMaterial:
         n = len(gt)
         extra = np.arange(n, n + 5)
         cells = {}
-        for flat, (vids, vals) in table.cells.items():
+        for k, flat in enumerate(table.flats.tolist()):
+            vids, vals = table.cell(k)
             out_vals = np.tile([5.0, 5.0, 5.0], (5, 1)) + rng.normal(0, 0.01, (5, 3))
             cells[flat] = (np.concatenate([vids, extra]),
                            np.vstack([vals, out_vals]))
         groups, _ = multi_material_segmentation(
-            GlobalCellTable(cells, np.arange(n + 5)))
+            GlobalCellTable(*oracles.cell_rows(cells), np.arange(n + 5)))
         classified = groups.classified
         # the 5 outliers form a sub-minimum cluster: never assigned
         assert not (set(extra.tolist()) & classified)
@@ -917,8 +923,9 @@ class TestMomentScores:
     def test_score_within_bound(self, seed, kinds, n1, n2, n_other, scale,
                                 batches):
         rng = np.random.default_rng(seed)
-        table = GlobalCellTable(_moment_cells(rng, kinds, n1, n2, n_other, scale),
-                                np.arange(n1 + n2 + n_other))
+        table = GlobalCellTable(
+            *oracles.cell_rows(_moment_cells(rng, kinds, n1, n2, n_other, scale)),
+            np.arange(n1 + n2 + n_other))
         groups = []
         for ids in (np.arange(n1), np.arange(n1, n1 + n2)):
             # the moments of a group built in several additions
@@ -984,7 +991,7 @@ def _pick_table(cell_extras):
         ids = np.asarray(ids, dtype=int)
         cells[flat] = (np.concatenate([np.arange(40), 40 + ids]),
                        np.vstack([members, extra[ids]]))
-    table = GlobalCellTable(cells, np.arange(50))
+    table = GlobalCellTable(*oracles.cell_rows(cells), np.arange(50))
     masks = [np.zeros(table.mask_size, dtype=bool) for _ in range(2)]
     masks[0][:20] = masks[1][20:40] = True
     return table, masks
@@ -1022,9 +1029,10 @@ class TestPropagationPick:
         # the second group's samples are the first's, in the same order, so
         # their means are equal bit for bit and the score is exactly 0
         table, masks = _pick_table([[0]])
-        samples = table.cells[0][1]
+        samples = table.samples.copy()
         samples[20:40] = samples[:20]
-        table = GlobalCellTable(table.cells, table.sampled_ids)
+        table = GlobalCellTable(np.zeros(len(samples), dtype=int), table.vids,
+                                samples, table.sampled_ids)
         groups = [segmentation._Group(table, m) for m in masks]
         consumed = np.zeros(1, dtype=bool)
         everything = np.ones(table.mask_size, dtype=bool)
@@ -1037,7 +1045,7 @@ class TestInitialClusters:
     def test_small_cells_skipped(self):
         rng = np.random.default_rng(16)
         cells = {0: (np.arange(5), rng.normal(size=(5, 3)))}
-        table = GlobalCellTable(cells, np.arange(5))
+        table = GlobalCellTable(*oracles.cell_rows(cells), np.arange(5))
         assert initial_clusters(table) == {}
 
     def test_small_clusters_discarded(self):
@@ -1045,7 +1053,7 @@ class TestInitialClusters:
         main = rng.normal([0.5, 0.5, 0.5], 0.01, (100, 3))
         stray = rng.normal([5.0, 5.0, 5.0], 0.01, (3, 3))
         cells = {0: (np.arange(103), np.vstack([main, stray]))}
-        table = GlobalCellTable(cells, np.arange(103))
+        table = GlobalCellTable(*oracles.cell_rows(cells), np.arange(103))
         clusters = initial_clusters(table)
         assert len(clusters[0]) == 1
         assert len(clusters[0][0].members) == 100
@@ -1053,13 +1061,13 @@ class TestInitialClusters:
 
 class TestGlobalCellTable:
     def test_columns_hold_the_large_cells_in_flat_order(self, noisy_two_sphere):
-        table = noisy_two_sphere["table"]
-        large = [f for f, (vids, _) in table.cells.items()
+        table, cells = noisy_two_sphere["table"], noisy_two_sphere["cells"]
+        large = [f for f, (vids, _) in cells.items()
                  if len(vids) >= MIN_CELL_SAMPLES]
-        assert 0 < len(large) < len(table)
+        assert 0 < len(large) < len(table) == len(cells)
         np.testing.assert_array_equal(table.flats, sorted(large))
-        for k, flat in enumerate(table.flats):
-            for got, expected in zip(table.cell(k), table.cells[flat]):
+        for k, flat in enumerate(table.flats.tolist()):
+            for got, expected in zip(table.cell(k), cells[flat]):
                 np.testing.assert_array_equal(got, expected)
 
     def test_rows_of_lists_each_vertex_rows(self, noisy_two_sphere):
@@ -1072,15 +1080,13 @@ class TestGlobalCellTable:
         np.testing.assert_array_equal(table.vids[rows], np.repeat(ids, per_vertex))
 
     def test_shuffled_cells_give_same_columns_and_groups(self, noisy_two_sphere):
-        table = noisy_two_sphere["table"]
-        flats = list(table.cells)
+        table, cells = noisy_two_sphere["table"], noisy_two_sphere["cells"]
+        flats = list(cells)
         np.random.default_rng(23).shuffle(flats)
-        shuffled = GlobalCellTable({f: table.cells[f] for f in flats},
-                                   table.sampled_ids)
-        assert list(shuffled.cells) != list(table.cells)
-        for name in ("flats", "vids", "samples", "offsets", "mask_size"):
-            np.testing.assert_array_equal(getattr(shuffled, name),
-                                          getattr(table, name))
+        flat, vids, samples = oracles.cell_rows({f: cells[f] for f in flats})
+        assert np.any(np.diff(flat) < 0)
+        shuffled = GlobalCellTable(flat, vids, samples, table.sampled_ids)
+        oracles.assert_same_cell_table(shuffled, table)
         for segment in (two_material_segmentation, multi_material_segmentation):
             groups, diag = segment(shuffled)
             expected, expected_diag = segment(table)
@@ -1088,23 +1094,48 @@ class TestGlobalCellTable:
             assert groups.unclassified == expected.unclassified
             assert diag == expected_diag
 
+    def test_small_cells_are_counted_but_hold_no_candidate(self):
+        """Measured cells, none with MIN_CELL_SAMPLES samples: neither mode
+        finds a cell to seed from."""
+        rng = np.random.default_rng(25)
+        n = MIN_CELL_SAMPLES - 1
+        cells = {flat: (np.arange(n), rng.uniform(0, 1, (n, 3)))
+                 for flat in (700, 3, 50)}
+        table = GlobalCellTable(*oracles.cell_rows(cells), np.arange(n))
+        assert len(table) == 3
+        assert len(table.flats) == len(table.vids) == len(table.samples) == 0
+        np.testing.assert_array_equal(table.offsets, [0])
+        groups, diag = two_material_segmentation(table)
+        assert groups.groups == [] and groups.unclassified == set(range(n))
+        assert diag == {"seed_cell": None, "cells_consumed": 0,
+                        "initial_cells": 0, "reason": "no separable initial cell"}
+        groups, diag = multi_material_segmentation(table)
+        assert groups.groups == [] and groups.unclassified == set(range(n))
+        assert diag == {"rounds": 0, "seeds": []}
+
+    def test_empty_table(self):
+        table = GlobalCellTable(*oracles.cell_rows({}), np.zeros(0, int))
+        assert len(table) == len(table.flats) == 0
+        groups, diag = multi_material_segmentation(table)
+        assert groups.groups == [] and groups.unclassified == set()
+        assert diag == {"rounds": 0}
+
 
 class TestBuildGlobalTable:
     def test_budget_limits_vertices(self, noisy_two_sphere):
         records = noisy_two_sphere["records"]
-        small = build_global_table(records, 500, 3)
+        # with a floor of one sample the columns hold every measured cell
+        with mock.patch.object(segmentation, "MIN_CELL_SAMPLES", 1):
+            small = build_global_table(records, 500, 3)
         assert len(small.sampled_ids) == 500
-        in_cells = set()
-        for vids, _ in small.cells.values():
-            in_cells.update(int(v) for v in vids)
-        assert in_cells <= set(int(v) for v in small.sampled_ids)
+        assert len(small.flats) == len(small)
+        assert set(small.vids.tolist()) <= set(small.sampled_ids.tolist())
 
     def test_deterministic(self, noisy_two_sphere):
         records = noisy_two_sphere["records"]
         a = build_global_table(records, 2000, 4)
         b = build_global_table(records, 2000, 4)
-        np.testing.assert_array_equal(a.sampled_ids, b.sampled_ids)
-        assert sorted(a.cells) == sorted(b.cells)
+        oracles.assert_same_cell_table(a, b)
 
 
 class TestDiffuseLabels:
