@@ -181,19 +181,6 @@ def cmd_segment(cfg: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def _merged_tables(records, labels):
-    """Per group 0..k-1 of `labels`, the merged table of its records' cell
-    rows, or None for a group without records."""
-    cell_label = labels[records.cell_vid]
-    merged = []
-    for g in range(labels.max() + 1):
-        rows = cell_label == g
-        table = brdf_table.BrdfTable(records.flat[rows], records.means[rows],
-                                     records.counts[rows])
-        merged.append(brdf_table.merge([table]) if rows.any() else None)
-    return merged
-
-
 def cmd_render(cfg: PipelineConfig) -> int:
     paths = _paths(cfg.out_dir)
     camera = _scanned_camera(cfg)
@@ -201,15 +188,14 @@ def cmd_render(cfg: PipelineConfig) -> int:
     records = _read_records(paths["records"], scene)
     labels = _read_labels(paths["labels"], scene)
     trajectory = io.read_trajectory(paths["trajectory"])
-    merged = _merged_tables(records, labels)
-    completed = []
+    merged = brdf_table.merge_groups(labels[records.cell_vid], records.flat,
+                                     records.means, records.counts, labels.max() + 1)
+    completed = [brdf_table.complete(t) if t.measured_count >= 2 else None
+                 for t in merged]
     light = np.array([0.3, 0.3, 1.0])
-    for g, table in enumerate(merged):
-        if table is None or table.measured_count < 2:
-            completed.append(None)
+    for g, full in enumerate(completed):
+        if full is None:
             continue
-        full = brdf_table.complete(table)
-        completed.append(full)
         with open(os.path.join(cfg.out_dir, f"material_{g}.brdf"), "w") as fh:
             fh.write(brdf_table.to_text(full))
         img = render_eval.render_material_sphere(full, light)
@@ -239,10 +225,9 @@ def cmd_evaluate(cfg: PipelineConfig) -> int:
     groups = segmentation.MaterialGroups(
         [set(vids[labels[vids] == g].tolist()) for g in range(labels.max() + 1)],
         set(vids[labels[vids] < 0].tolist()))
-    merged = _merged_tables(records, labels)
-    merged = [t if t is not None else brdf_table.BrdfTable() for t in merged]
-    report = render_eval.evaluate(groups, scene.material_ids, merged,
-                                  scene.materials)
+    merged = brdf_table.merge_groups(labels[records.cell_vid], records.flat,
+                                     records.means, records.counts, labels.max() + 1)
+    report = render_eval.evaluate(groups, scene.material_ids, merged, scene.materials)
     with open(paths["report"], "w") as fh:
         fh.write(report.to_text())
     print("evaluate:\n" + report.to_text().rstrip())

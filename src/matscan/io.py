@@ -118,9 +118,14 @@ def write_trajectory(path, trajectory) -> None:
 
 @_reader
 def read_trajectory(path):
+    """At least two poses, every value finite, timestamps strictly rising."""
     data = np.loadtxt(path, comments="#").reshape(-1, 8)
     if len(data) < 2:
         raise ValueError("a trajectory needs at least two poses")
+    if not np.isfinite(data).all():
+        raise ValueError("a value is not finite")
+    if np.any(np.diff(data[:, 0]) <= 0):
+        raise ValueError("timestamps do not strictly increase")
     return [TimedPose(Pose(Quaternion(*row[1:5]), row[5:8]), float(row[0]))
             for row in data]
 

@@ -170,14 +170,14 @@ class _FlatKernel:
     every step's neighbour search reuses: the samples' squared norms and the
     distance buffers, which the kernels of one call share."""
 
-    def __init__(self, pts, bw2, buffers=None):
+    def __init__(self, pts, bw2, buffers):
         n = len(pts)
         self.pts, self.bw2 = pts, bw2
         self.pts_sq = np.einsum("ij,ij->i", pts, pts)
         self.pts_sq_max = self.pts_sq.max()
         # a step never has more modes than samples
         self.block = min(n, max(1, _BLOCK // n))
-        self.buf, self.wide = _buffers(n) if buffers is None else buffers
+        self.buf, self.wide = buffers
 
     def band(self, m_sq):
         """64u(max|m|^2 + max|p|^2): above the rounding error of either

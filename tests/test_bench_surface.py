@@ -1,19 +1,24 @@
-"""The program surface the benchmark's tracer wraps.
+"""The program surface the benchmark uses.
 
 `perfbench/tracing.py` rebinds named entry points of every matscan module and
-the `BrdfTable.from_cells` classmethod. A refactor that drops or renames one
-of them breaks the traced benchmark run; this test makes it fail here too.
+the `BrdfTable.from_cells` classmethod, and `perfbench/workloads.py` calls the
+library functions the way the CLI stages do. A refactor that drops or renames
+one of them breaks the benchmark run; these tests make it fail here too.
 """
 
 import importlib
+import json
 import os
 import pkgutil
+import subprocess
 import sys
+
+import pytest
 
 import matscan
 
-PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                         "perfbench")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
 
 
 def test_tracer_installs_and_uninstalls():
@@ -39,3 +44,18 @@ def test_tracer_installs_and_uninstalls():
         tracer.uninstall()
     assert brdf_table.merge is merge
     assert brdf_table.BrdfTable.__dict__["from_cells"] is original
+
+
+@pytest.mark.parametrize("workload", ["cli-two-sphere", "lib-sphere-multi"])
+def test_workload_runs_correct(workload):
+    """One untraced and one traced iteration of the workload at its own size,
+    through `perfbench/run.py`: every stage call completes and every output
+    check passes, so a call the workload makes (`merge`, `BrdfTable()`,
+    iterating the records) that the program no longer supports fails here."""
+    proc = subprocess.run(
+        [sys.executable, os.path.join(PERFBENCH, "run.py"), "--workload", workload,
+         "--seed", "1", "--seconds", "0", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, proc.stderr

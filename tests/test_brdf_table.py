@@ -174,6 +174,38 @@ class TestMerge:
         np.testing.assert_allclose(a.means, b.means, rtol=1e-12, atol=0)
 
 
+def assert_same_table(a: BrdfTable, b: BrdfTable):
+    for name in ("flat", "means", "counts"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype, name
+        np.testing.assert_array_equal(x, y)
+
+
+class TestMergeGroups:
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_one_merge_per_group(self, seed, n_vertices, n_groups):
+        """Bit for bit, with rows of group -1, synthetic rows, a group
+        without rows (the last) and cells that many vertices share."""
+        rng = np.random.default_rng(seed)
+        pool = rng.choice(N_CELLS, 6, replace=False)
+        tables = []
+        for _ in range(n_vertices):
+            k = int(rng.integers(1, len(pool) + 1))
+            tables.append(BrdfTable(np.sort(rng.choice(pool, k, replace=False)),
+                                    rng.uniform(0, 2, (k, 3)),
+                                    rng.integers(0, 4, k)))
+        labels = rng.integers(-1, n_groups, n_vertices)
+        got = brdf_table.merge_groups(
+            np.repeat(labels, [len(t) for t in tables]),
+            *(np.concatenate([getattr(t, name) for t in tables])
+              for name in ("flat", "means", "counts")), n_groups + 1)
+        assert len(got) == n_groups + 1
+        for g, table in enumerate(got):
+            mine = [t for t, label in zip(tables, labels) if label == g]
+            assert_same_table(table, merge(mine) if mine else BrdfTable())
+
+
 class TestCompletion:
     def test_constant_rows_fill_exactly(self):
         val = np.array([0.4, 0.5, 0.6])
@@ -213,6 +245,15 @@ class TestCompletion:
         for (h, d), (mean, count) in cells.items():
             np.testing.assert_allclose(cell(c, h, d)[0], mean, atol=1e-12)
             assert cell(c, h, d)[1] == count
+
+
+    def test_output_is_what_the_checked_constructor_builds(self):
+        rng = np.random.default_rng(8)
+        cells = {(int(rng.integers(0, N_H)), int(rng.integers(0, N_D))):
+                 (rng.uniform(0, 1, 3), int(rng.integers(0, 5))) for _ in range(40)}
+        c = complete(table_of(cells))
+        assert_same_table(c, BrdfTable.from_cells(
+            brdf_table.cell_indices(np.arange(N_CELLS)), c.means, c.counts))
 
 
 def full_table(rng):

@@ -506,10 +506,7 @@ class TestCli:
         cfg, path = small_config(tmp_path, n_vertices=200)
         shutil.copytree(simulated, cfg.out_dir)
         target = cli._paths(cfg.out_dir)[name]
-        with open(target) as fh:
-            header, *rows = fh.readlines()
-        with open(target, "w") as fh:
-            fh.writelines([header, *edit(rows)])
+        _edit_rows(edit)(target)
         capsys.readouterr()
         # every stage that reads the scene rejects it before its other inputs
         self._corrupt_exit_3(capsys, path,
@@ -607,12 +604,13 @@ def test_merged_tables_equal_per_record_merges(noisy_two_sphere):
     n = int(records.vertex_id.max()) + 2
     labels = np.random.default_rng(3).integers(-1, 3, n)
     labels[-1] = 3  # a vertex without a record
-    merged = cli._merged_tables(records, labels)
-    assert merged[3] is None
-    for g in range(3):
+    merged = brdf_table.merge_groups(labels[records.cell_vid], records.flat,
+                                     records.means, records.counts, labels.max() + 1)
+    for g in range(4):
         tables = [rec.table for rec in records if labels[rec.vertex_id] == g]
-        want = brdf_table.merge(tables)
+        want = brdf_table.merge(tables) if tables else brdf_table.BrdfTable()
         for name in ("flat", "means", "counts"):
+            assert getattr(merged[g], name).dtype == getattr(want, name).dtype
             np.testing.assert_array_equal(getattr(merged[g], name),
                                           getattr(want, name))
 
@@ -644,6 +642,25 @@ def _set_field(row, i, value):
     fields = row.split()
     fields[i] = value
     return " ".join(fields) + "\n"
+
+
+def _edit_rows(edit):
+    """Rewrites a text artifact with `edit` applied to its rows after the
+    header line."""
+    def corrupt(path):
+        with open(path) as fh:
+            header, *rows = fh.readlines()
+        with open(path, "w") as fh:
+            fh.writelines([header, *edit(rows)])
+    return corrupt
+
+
+def _swap_times(rows, i, j):
+    """Trajectory rows with the timestamps of poses i and j swapped."""
+    rows = list(rows)
+    ti, tj = rows[i].split()[0], rows[j].split()[0]
+    rows[i], rows[j] = _set_field(rows[i], 0, tj), _set_field(rows[j], 0, ti)
+    return rows
 
 
 def _truncate(path):
@@ -686,6 +703,10 @@ class TestCorruptObservationsExit3:
         ("scene.txt", _truncate),
         ("materials.txt", _truncate),
         ("trajectory.txt", _truncate),
+        # a non-finite pose value; timestamps that do not strictly increase
+        ("trajectory.txt", _edit_rows(
+            lambda rows: rows[:4] + [_set_field(rows[4], 6, "nan")] + rows[5:])),
+        ("trajectory.txt", _edit_rows(lambda rows: _swap_times(rows, 10, 11))),
     ])
     def test_estimate_exits_3_naming_the_file(self, tmp_path, capsys, simulated,
                                               name, corrupt):

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from matscan import brdf_table, cli, estimation, segmentation
+from matscan import brdf_table, estimation, segmentation
 from matscan.brdf_table import N_CELLS, N_D, cell_indices, sorted_cells
 from matscan.estimation import (GRAZING_DEG, MIN_COLOR_SAMPLES, Rejection,
                                 VertexRecords, invert_observation_arrays)
@@ -296,12 +296,12 @@ class TestVertexRecords:
         oracles.assert_same_cell_table(table, oracle)
 
         labels = rng.integers(-1, 3, 40)
-        merged = cli._merged_tables(records, labels)
+        merged = brdf_table.merge_groups(labels[records.cell_vid], records.flat,
+                                         records.means, records.counts,
+                                         labels.max() + 1)
         by_label = [[r.table for r in expected if labels[r.vertex_id] == g]
                     for g in range(len(merged))]
         assert len(merged) == labels.max() + 1
         for got, tables in zip(merged, by_label):
-            if not tables:
-                assert got is None
-            else:
-                _assert_tables_equal(got, brdf_table.merge(tables))
+            _assert_tables_equal(got, brdf_table.merge(tables) if tables
+                                 else brdf_table.BrdfTable())

@@ -365,7 +365,8 @@ class TestBlockedNeighbours:
                     else np.quantile(diff2, q)) or scale
         pts_sq = np.einsum("ij,ij->i", pts, pts)
         within = np.empty((n_modes, n_pts), dtype=bool)
-        if not segmentation._FlatKernel(pts, bw2).mask(modes, within):
+        kernel = segmentation._FlatKernel(pts, bw2, segmentation._buffers(len(pts)))
+        if not kernel.mask(modes, within):
             # only a value near bw2 may send the step to the fallback
             assert np.abs(diff2 - bw2).min() <= 2 * _band(modes, pts)
             return
@@ -409,7 +410,7 @@ class TestSharedRows:
             i, j = rng.choice(n, 2, replace=False)
             bw = float(np.linalg.norm(pts[i] - pts[j])) or bw
         bw2 = bw * bw
-        kernel = segmentation._FlatKernel(pts, bw2)
+        kernel = segmentation._FlatKernel(pts, bw2, segmentation._buffers(len(pts)))
         modes = pts
         for _ in range(2):
             full = segmentation._exact_neighbours(modes, pts, kernel.pts_sq, bw2)
@@ -453,7 +454,8 @@ class TestSharedRows:
             pts = np.vstack([p, others])
             modes = np.vstack([leader, m, others])
             assert len(modes) * len(pts) > segmentation._BLOCK
-            kernel = segmentation._FlatKernel(pts, bw * bw)
+            kernel = segmentation._FlatKernel(pts, bw * bw,
+                                              segmentation._buffers(len(pts)))
             with _fallback_spy() as fallback:
                 kernel.rows(modes)
             assert fallback.called
@@ -466,7 +468,8 @@ class TestSharedRows:
         pts = np.stack(np.meshgrid(axis, axis, axis), -1).reshape(-1, 3)
         pts = pts[np.random.default_rng(5).permutation(len(pts))]
         assert len(pts) ** 2 > segmentation._BLOCK
-        kernel = segmentation._FlatKernel(pts, 0.3 * 0.3)
+        kernel = segmentation._FlatKernel(pts, 0.3 * 0.3,
+                                          segmentation._buffers(len(pts)))
         with _fallback_spy() as fallback:
             rows, row_of = kernel.rows(pts)
         assert not fallback.called
