@@ -13,9 +13,9 @@ A `BrdfTable` is three parallel arrays sorted by flat cell index
 
 The same type holds a sparse per-vertex table (tens of cells) and a complete
 table (all N_CELLS cells), whose `means` reshape to the dense (45, 48, 3) grid.
-`BrdfTable.from_cells` is the gate for tables from outside the program: it
-checks and sorts a caller's or a file's cells. The tables the program derives
-from checked rows (`merge_groups`, `complete`) are built directly.
+`BrdfTable.from_cells` checks and sorts cells in any order: a file's, a
+caller's, and the cells `merge` sums up. `complete` fills a table it was
+given, so it builds its own directly.
 """
 
 from __future__ import annotations
@@ -110,23 +110,6 @@ class BrdfTable:
         return int(np.count_nonzero(self.counts))
 
 
-def merge_groups(group, flat, means, counts, n_groups: int) -> list[BrdfTable]:
-    """Per group 0..n_groups-1, the count-weighted union of the parallel cell
-    rows `flat`, `means` (m,3), `counts` of that `group`, in one keyed pass.
-    Synthetic rows and rows of a group < 0 contribute nothing, a group without
-    rows gets the empty table, and each cell sums its rows in the order given."""
-    measured = (group >= 0) & (counts > 0)
-    means, counts = means[measured], counts[measured]
-    keys, inverse = np.unique(group[measured] * N_CELLS + flat[measured],
-                              return_inverse=True)
-    total = np.bincount(inverse, weights=counts, minlength=len(keys))
-    sums = np.stack([np.bincount(inverse, weights=counts * means[:, c],
-                                 minlength=len(keys)) for c in range(3)], axis=1)
-    cut = np.searchsorted(keys, np.arange(n_groups + 1) * N_CELLS).tolist()
-    return [BrdfTable(keys[a:b] % N_CELLS, sums[a:b] / total[a:b, None], total[a:b])
-            for a, b in zip(cut[:-1], cut[1:])]
-
-
 def merge(tables: list[BrdfTable]) -> BrdfTable:
     """Count-weighted union of measured cells; synthetic cells contribute nothing."""
     if not tables:
@@ -134,8 +117,25 @@ def merge(tables: list[BrdfTable]) -> BrdfTable:
     flat = np.concatenate([t.flat for t in tables])
     means = np.concatenate([t.means for t in tables])
     counts = np.concatenate([t.counts for t in tables])
-    [table] = merge_groups(np.zeros_like(flat), flat, means, counts, 1)
-    return BrdfTable.from_cells(cell_indices(table.flat), table.means, table.counts)
+    measured = counts > 0
+    flat, means, counts = flat[measured], means[measured], counts[measured]
+    cells, inverse = np.unique(flat, return_inverse=True)
+    total = np.bincount(inverse, weights=counts, minlength=len(cells))
+    sums = np.stack([np.bincount(inverse, weights=counts * means[:, c],
+                                 minlength=len(cells)) for c in range(3)], axis=1)
+    return BrdfTable.from_cells(cell_indices(cells), sums / total[:, None],
+                                total.astype(np.int64))
+
+
+def merge_groups(group, flat, means, counts, n_groups: int) -> list[BrdfTable]:
+    """Per group 0..n_groups-1, the `merge` of the parallel cell rows `flat`,
+    `means` (m,3), `counts` of that `group`, split by one stable sort so each
+    group keeps its rows in the order given. Rows of a group < 0 belong to
+    none, and a group without rows gets the empty table."""
+    order = np.argsort(group, kind="stable")
+    cut = np.searchsorted(group[order], np.arange(n_groups + 1)).tolist()
+    return [merge([BrdfTable(flat[rows], means[rows], counts[rows])])
+            for rows in (order[a:b] for a, b in zip(cut[:-1], cut[1:]))]
 
 
 def complete(table: BrdfTable) -> BrdfTable:

@@ -10,6 +10,8 @@
   for bit;
 - the records accumulated from those per-row arrays, which tests check
   `estimation.accumulate_vertex_tables` against bit for bit;
+- the material merge one row at a time, which tests check
+  `brdf_table.merge` and `brdf_table.merge_groups` against bit for bit;
 - the per-vertex record path, one `BrdfTable.from_cells` per vertex and a
   global cell table over a list of records, grouped into a dict of cells,
   which tests check `estimation.VertexRecords` and
@@ -421,6 +423,26 @@ def vertex_records(cell_vid, cells, means, counts, colors) -> list:
         table = BrdfTable.from_cells(cells[rows], means[rows], counts[rows])
         records.append(VertexReflectanceRecord(v, colors[v], table))
     return records
+
+
+def merged_groups(group, flat, means, counts, n_groups: int) -> list:
+    """Per group 0..n_groups-1, the count-weighted union of its measured
+    rows, one row at a time: each cell sums count * mean and count in
+    Python floats, in row order."""
+    sums = [{} for _ in range(n_groups)]
+    for g, cell, mean, n in zip(group.tolist(), flat.tolist(), means.tolist(),
+                                counts.tolist()):
+        if 0 <= g < n_groups and n > 0:
+            acc = sums[g].setdefault(cell, [0.0, 0.0, 0.0, 0.0])
+            for c in range(3):
+                acc[c] += n * mean[c]
+            acc[3] += n
+    return [BrdfTable(np.array(sorted(cells), dtype=np.int64),
+                      [[acc[c] / acc[3] for c in range(3)]
+                       for _, acc in sorted(cells.items())],
+                      np.array([acc[3] for _, acc in sorted(cells.items())],
+                               dtype=np.int64))
+            for cells in sums]
 
 
 def record_cells(records, sampled_ids) -> dict:

@@ -46,6 +46,15 @@ def test_tracer_installs_and_uninstalls():
     assert brdf_table.BrdfTable.__dict__["from_cells"] is original
 
 
+def test_selftest_passes():
+    """The benchmark's self-test at its tiny size: every workload path runs
+    untraced and traced, and the traced runs time every layer it requires
+    (`brdf_table.merge` and `BrdfTable.from_cells` among them)."""
+    proc = subprocess.run([sys.executable, os.path.join(PERFBENCH, "selftest.py")],
+                          cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
 @pytest.mark.parametrize("workload", ["cli-two-sphere", "lib-sphere-multi"])
 def test_workload_runs_correct(workload):
     """One untraced and one traced iteration of the workload at its own size,

@@ -10,6 +10,7 @@ from matscan.brdf_table import (D_WIDTH, H_WIDTH, N_CELLS, N_D, N_H,
                                 SERIAL_HEADER, BrdfTable, bin_arrays,
                                 cell_center, complete, dense_values, from_text,
                                 lookup_arrays, merge, to_text)
+import oracles
 from oracles import HalfDiffAngles, bin_angles, group_rows, lookup
 
 
@@ -184,9 +185,10 @@ def assert_same_table(a: BrdfTable, b: BrdfTable):
 class TestMergeGroups:
     @given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(1, 4))
     @settings(max_examples=60, deadline=None)
-    def test_equals_one_merge_per_group(self, seed, n_vertices, n_groups):
-        """Bit for bit, with rows of group -1, synthetic rows, a group
-        without rows (the last) and cells that many vertices share."""
+    def test_equals_row_order_oracle(self, seed, n_vertices, n_groups):
+        """Bit for bit, dtypes included, with rows of group -1, synthetic
+        rows, a group without rows (the last) and cells that many vertices
+        share; `merge` of each group's tables gives the same tables."""
         rng = np.random.default_rng(seed)
         pool = rng.choice(N_CELLS, 6, replace=False)
         tables = []
@@ -196,14 +198,17 @@ class TestMergeGroups:
                                     rng.uniform(0, 2, (k, 3)),
                                     rng.integers(0, 4, k)))
         labels = rng.integers(-1, n_groups, n_vertices)
-        got = brdf_table.merge_groups(
-            np.repeat(labels, [len(t) for t in tables]),
-            *(np.concatenate([getattr(t, name) for t in tables])
-              for name in ("flat", "means", "counts")), n_groups + 1)
-        assert len(got) == n_groups + 1
-        for g, table in enumerate(got):
+        rows = (np.repeat(labels, [len(t) for t in tables]),
+                *(np.concatenate([getattr(t, name) for t in tables])
+                  for name in ("flat", "means", "counts")), n_groups + 1)
+        got = brdf_table.merge_groups(*rows)
+        want = oracles.merged_groups(*rows)
+        assert len(got) == len(want) == n_groups + 1
+        for g, (table, expected) in enumerate(zip(got, want)):
+            assert_same_table(table, expected)
             mine = [t for t, label in zip(tables, labels) if label == g]
-            assert_same_table(table, merge(mine) if mine else BrdfTable())
+            if mine:
+                assert_same_table(merge(mine), expected)
 
 
 class TestCompletion:
