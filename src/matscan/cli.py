@@ -8,13 +8,14 @@ frame's time and LED stored once with its row offsets;
 text; `estimate` writes `records.npz` and `colors.txt`, `segment`
 `labels.txt`, `render` `material_*.brdf` and PPM images, `evaluate`
 `report.txt`.
-Exit codes: 0 success, 2 config error, 3 missing, corrupt or empty input
-(an artifact `io` cannot read, such as IR frame offsets that do not rise
-from 0 to the row count or frame times that do not strictly increase;
-observations or records of a vertex the scene lacks, a frame LED the rig
-lacks or a frame time outside the trajectory; labels not one per scene
-vertex; a `records.npz` with no records: every observation was rejected or
-its vertex has no color), 4 numeric failure.
+Exit codes: 0 success, 2 config error (also a camera, `saturation_level` or
+`n_ir_frames` that `estimate` or `render` is given other than the scan's), 3
+missing, corrupt or empty input (an artifact `io` cannot read, such as IR
+frame offsets that do not rise from 0 to the row count or frame times that do
+not strictly increase; observations or records of a vertex the scene lacks, a
+frame LED the rig lacks or a frame time outside the trajectory; labels not
+one per scene vertex; a `records.npz` with no records: every observation was
+rejected or its vertex has no color), 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ EXIT_MISSING_INPUT = 3
 EXIT_NUMERIC = 4
 
 CAMERA_FIELDS = ("fx", "fy", "cx", "cy", "width", "height")
+# the scan's fields that stages after `simulate` read from the config again
+SCAN_FIELDS = CAMERA_FIELDS + ("saturation_level", "n_ir_frames")
 
 
 def _scan_config(cfg: PipelineConfig) -> ScanConfig:
@@ -82,14 +85,18 @@ def _paths(out_dir):
 
 
 def _scanned_camera(cfg: PipelineConfig) -> PinholeCamera:
-    """The camera of `cfg`, which must be the one `simulate` scanned with, as
-    recorded in the config.txt it wrote."""
+    """The camera of `cfg`, whose `SCAN_FIELDS` must be those `simulate`
+    scanned with, as recorded in the config.txt it wrote."""
     path = _paths(cfg.out_dir)["config"]
     scanned = io.read_config(path)
-    changed = [f for f in CAMERA_FIELDS if getattr(cfg, f) != getattr(scanned, f)]
-    if changed:
-        raise ConfigError(f"camera ({', '.join(changed)}) differs from the "
-                          f"scan's {path}")
+    changed = [f for f in SCAN_FIELDS if getattr(cfg, f) != getattr(scanned, f)]
+    camera = [f for f in changed if f in CAMERA_FIELDS]
+    names = [f"camera ({', '.join(camera)})"] if camera else []
+    names += changed[len(camera):]
+    if names:
+        raise ConfigError(f"{' and '.join(names)} "
+                          f"{'differs' if len(names) == 1 else 'differ'} from "
+                          f"the scan's {path}")
     return PinholeCamera(cfg.fx, cfg.fy, cfg.cx, cfg.cy, cfg.width, cfg.height)
 
 

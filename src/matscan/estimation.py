@@ -5,7 +5,9 @@ per-vertex tables held as one column set (`VertexRecords`).
 Colors are one grouped median over every vertex at once. The inversion runs
 on chunks of whole frames, as `simulator.frames` slices the observation
 rows, with each row's camera and LED taken from its frame, and keeps only
-each accepted row's cell key and reflectance sample."""
+each accepted row's cell key and reflectance sample, written in place into
+two columns allocated once at a bound. The cell sums come from one stable
+sort of those rows by cell key."""
 
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from . import brdf_table
 from .brdf_table import N_CELLS, N_D, BrdfTable
 from .geometry import LedRig, PinholeCamera, half_diff_angle_arrays
 from .simulator import (IrObservations, RgbObservations, frame_geometry, frames,
-                        join_columns, shading, vignette)
+                        shading, shrink_rows, vignette, write_rows)
 
 GRAZING_DEG = 60.0
 COS_GRAZING = np.cos(np.deg2rad(GRAZING_DEG))
@@ -119,7 +121,14 @@ def invert_observation_arrays(ir: IrObservations, scene, trajectory, rig: LedRig
     sample. `counts` holds the rows of each rejection reason, the accepted
     ones, and the accepted ones skipped for lack of a color."""
     tally = np.zeros(ACCEPTED + 1, dtype=np.int64)
-    parts = []
+    # allocated once, at the rows of a colored vertex that pass the first two
+    # tests (negated as written below, so a NaN intensity passes both here
+    # too): the later tests only reject, so no more rows are kept
+    bound = np.count_nonzero(colored[ir.vertex_id]
+                             & ~(ir.intensity >= saturation_level)
+                             & ~(ir.intensity <= 0.0))
+    key, f = np.empty(bound, np.int64), np.empty(bound)
+    at = 0
     for rows, cam, led_world, brightness in frames(ir, trajectory, rig):
         vids = ir.vertex_id[rows]
         nrm = scene.normals[vids]
@@ -137,11 +146,12 @@ def invert_observation_arrays(ir: IrObservations, scene, trajectory, rig: LedRig
         if use.any():
             th, td = half_diff_angle_arrays(nrm[use], l[use], wo[use])
             hb, db = brdf_table.bin_arrays(th, td)
-            parts.append((vids[use].astype(np.int64) * N_CELLS + hb * N_D + db,
-                          inten[use] / shading(vig[use], 1.0, ndotl[use],
-                                               brightness[use], d[use])))
+            at = write_rows((key, f), at,
+                            vids[use].astype(np.int64) * N_CELLS + hb * N_D + db,
+                            inten[use] / shading(vig[use], 1.0, ndotl[use],
+                                                 brightness[use], d[use]))
 
-    key, f = join_columns(parts) if parts else (np.zeros(0, np.int64), np.zeros(0))
+    key, f = shrink_rows((key, f), at)
     counts = {r.value: int(tally[code]) for code, r in enumerate(Rejection)}
     counts["accepted"] = int(tally[ACCEPTED])
     counts["skipped_no_color"] = counts["accepted"] - len(key)
@@ -163,14 +173,28 @@ def accumulate_vertex_tables(ir: IrObservations, scene, trajectory, rig: LedRig,
     key, f, counts = invert_observation_arrays(
         ir, scene, trajectory, rig, camera, saturation_level, colored)
 
-    # sorted by (vertex, flat cell): the row order of VertexRecords
-    uniq, inverse = np.unique(key, return_inverse=True)
-    vids = key // N_CELLS
-    # per cell, its samples (color times f) summed in row order
-    sums = np.stack([np.bincount(inverse, weights=color_arr[vids, c] * f,
-                                 minlength=len(uniq)) for c in range(3)], axis=1)
-    cnt = np.bincount(inverse, minlength=len(uniq))
-    cell_vid, flat = np.divmod(uniq, N_CELLS)
+    # rows sorted by (vertex, flat cell), the row order of VertexRecords; the
+    # sort is stable, so each cell keeps its rows in row order. Each row
+    # array is freed once the next one no longer needs it.
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    f = f[order]
+    del order
+    starts = np.flatnonzero(np.diff(key, prepend=-1))  # keys are >= 0
+    cell_vid, flat = np.divmod(key[starts], N_CELLS)
+    del key
     vertex_id = np.unique(cell_vid)
-    return VertexRecords(vertex_id, color_arr[vertex_id], cell_vid, flat,
-                         sums / cnt[:, None], cnt), counts
+    cnt = np.diff(starts, append=len(f))
+    cell = np.repeat(np.arange(len(cnt)), cnt)
+    # per cell, its samples (color times f) summed in row order, one channel
+    # at a time in one buffer (`take` copies `out` through a buffer of its
+    # own unless mode is "clip"), then divided by its count
+    means = np.empty((len(cnt), 3))
+    samples = np.empty(len(f))
+    for c in range(3):
+        np.take(color_arr[cell_vid, c], cell, out=samples, mode="clip")
+        samples *= f
+        means[:, c] = np.bincount(cell, samples, len(cnt))
+    means /= cnt[:, None]
+    return VertexRecords(vertex_id, color_arr[vertex_id], cell_vid, flat, means,
+                         cnt), counts

@@ -16,6 +16,11 @@ rows.
 IR observations are frame-major (`IrObservations`): the rows of one frame
 are contiguous, and each frame's time and LED are stored once, so `frames`
 slices rows by the frame offsets instead of sorting them.
+
+Every observation column is allocated once, at its bound, and written in
+place, chunk by chunk (`write_rows`); at the end it is shrunk in place to
+the rows written (`shrink_rows`). No per-chunk piece is kept or joined, so
+the columns are the only full-length arrays a scan holds.
 """
 
 from __future__ import annotations
@@ -32,7 +37,9 @@ from .geometry import (LedRig, PinholeCamera, Pose, Quaternion, TimedPose,
 # rows processed at once: whole frames, up to this many frames x vertices in
 # `simulate_scan` and observation rows in `frames`, or one larger frame
 # alone. A (rows, 3) float64 temporary is then 96 KiB: small enough that the
-# chunk temporaries do not raise the process's peak memory.
+# chunk temporaries do not raise the process's peak memory. Each chunk
+# writes its rows in place into columns allocated at their bound, so
+# nothing of a chunk outlives it.
 _CHUNK_ROWS = 1 << 12
 
 
@@ -176,6 +183,17 @@ class ScanConfig:
             raise ValueError("trajectory timestamps must be strictly increasing")
 
 
+def _check_rows(obs, widths: dict) -> None:
+    """Raise ValueError unless each field of `obs` that `widths` names holds
+    one row per `vertex_id`, of the shape it gives beyond the row."""
+    n = len(obs.vertex_id)
+    for name, width in widths.items():
+        shape = np.shape(getattr(obs, name))
+        if shape != (n,) + width:
+            raise ValueError(f"{name} of shape {shape} is not {(n,) + width}: "
+                             f"one row per vertex_id")
+
+
 @dataclass
 class IrObservations:
     """Columnar per-vertex IR samples, frame-major. Per row (rows align
@@ -191,6 +209,7 @@ class IrObservations:
     frame_offsets: np.ndarray  # (k + 1,) int
 
     def __post_init__(self):
+        _check_rows(self, {"vertex_id": (), "intensity": (), "pixel": (2,)})
         off = self.frame_offsets
         if not len(off) == len(self.frame_time) + 1 == len(self.frame_led) + 1:
             raise ValueError("need one frame_time and frame_led per frame and "
@@ -208,9 +227,14 @@ class IrObservations:
 
 @dataclass
 class RgbObservations:
+    """Columnar per-vertex RGB samples; rows align across the fields."""
+
     vertex_id: np.ndarray  # (n,) int
     rgb: np.ndarray  # (n, 3)
     omega_out_angle: np.ndarray  # (n,) degrees from the surface normal
+
+    def __post_init__(self):
+        _check_rows(self, {"vertex_id": (), "rgb": (3,), "omega_out_angle": ()})
 
     def __len__(self) -> int:
         return len(self.vertex_id)
@@ -274,13 +298,22 @@ def _corrupt(rng, values, noise: NoiseConfig, saturation_level: float):
     return np.ones(n, dtype=bool)
 
 
-def join_columns(parts: list) -> list:
-    """Each column of `parts`, a list of equal-length tuples of arrays,
-    concatenated. `parts` is emptied and each column's pieces are freed once
-    joined, so the peak is the pieces plus one joined column, not plus all."""
-    columns = [list(col) for col in zip(*parts)]
-    parts.clear()
-    return [np.concatenate(columns.pop(0)) for _ in range(len(columns))]
+def write_rows(columns, at, *values):
+    """Write each of `values` into its column of `columns` from row `at`;
+    returns the row after the last one written."""
+    stop = at + len(values[0])
+    for col, v in zip(columns, values):
+        col[at:stop] = v
+    return stop
+
+
+def shrink_rows(columns, rows):
+    """`columns`, arrays that own their data, shrunk in place to their first
+    `rows` rows: a realloc that copies nothing, after which each owns
+    exactly those rows."""
+    for col in columns:
+        col.resize((rows,) + col.shape[1:], refcheck=False)
+    return columns
 
 
 def simulate_scan(scene, config: ScanConfig):
@@ -303,8 +336,15 @@ def simulate_scan(scene, config: ScanConfig):
     frame_seeds = np.random.SeedSequence(noise.rng_seed).spawn(len(times))
     colors = np.array([m.color for m in scene.materials]).reshape(-1, 3)
 
-    ir_parts = []
-    rgb_parts = []
+    # each column allocated once at its bound, every vertex of every frame,
+    # and written in place chunk by chunk
+    rows = len(times) * n
+    rgb_rows = len(range(0, len(times), config.rgb_frame_stride)) * n
+    ir_cols = (np.empty(rows, np.int32), np.empty(rows), np.empty((rows, 2)))
+    rgb_cols = (np.empty(rgb_rows, int), np.empty((rgb_rows, 3)),
+                np.empty(rgb_rows))
+    per_frame = np.zeros(len(times), np.int64)
+    at = rgb_at = 0
     for first, stop in _chunks(np.full(len(times), n)):
         fis = np.arange(first, stop)
         rngs = [np.random.default_rng(frame_seeds[fi]) for fi in fis]
@@ -360,8 +400,8 @@ def simulate_scan(scene, config: ScanConfig):
                 rgb_keep.append(_corrupt(rng, next(rgb_frames), noise, sat))
 
         keep = np.concatenate(ir_keep)
-        ir_parts.append((idx[keep].astype(np.int32), inten[keep], pix[keep],
-                         np.bincount(fr[keep], minlength=len(fis))))
+        at = write_rows(ir_cols, at, idx[keep], inten[keep], pix[keep])
+        per_frame[first:stop] = np.bincount(fr[keep], minlength=len(fis))
 
         if rgb_keep:
             keep = np.concatenate(rgb_keep)
@@ -369,18 +409,13 @@ def simulate_scan(scene, config: ScanConfig):
             # downstream would compute it
             true_wo_cos = np.einsum("ij,ij->i", scene.normals[idx[r]], wo[r])
             ang = np.rad2deg(np.arccos(np.clip(true_wo_cos, -1.0, 1.0)))
-            rgb_parts.append((idx[r][keep], rgbs[keep], ang[keep]))
+            rgb_at = write_rows(rgb_cols, rgb_at, idx[r][keep], rgbs[keep],
+                                ang[keep])
 
-    vid, inten, pix, per_frame = (join_columns(ir_parts) if ir_parts else
-                                  (np.zeros(0, np.int32), np.zeros(0),
-                                   np.zeros((0, 2)), np.zeros(0, np.int64)))
-    ir = IrObservations(vid, inten, pix, times, np.arange(len(times)) % len(rig),
+    ir = IrObservations(*shrink_rows(ir_cols, at), times,
+                        np.arange(len(times)) % len(rig),
                         np.concatenate(([0], np.cumsum(per_frame))))
-    if rgb_parts:
-        rgb = RgbObservations(*join_columns(rgb_parts))
-    else:
-        rgb = RgbObservations(np.zeros(0, int), np.zeros((0, 3)), np.zeros(0))
-    return ir, rgb
+    return ir, RgbObservations(*shrink_rows(rgb_cols, rgb_at))
 
 
 def make_default_rig() -> LedRig:

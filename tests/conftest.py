@@ -50,6 +50,21 @@ def noiseless_two_sphere():
             "ir": ir, "rgb": rgb}
 
 
+@pytest.fixture(scope="session")
+def large_demo_two_sphere():
+    """Two-sphere scan of the in-memory benchmark's size, 2000 vertices x
+    200 IR frames with the demo noise, for the traced-memory tests."""
+    scene = scenes.make_scene("two-sphere", 2000, 7)
+    traj = scenes.arc_trajectory(50, 10.0)
+    noise = NoiseConfig(normal_jitter_deg=2.0,
+                        intensity_multiplicative_sigma=0.03,
+                        outlier_fraction=0.01, rng_seed=7)
+    cfg = make_scan_config(traj, noise, 200)
+    ir, rgb = simulate_scan(scene, cfg)
+    return {"scene": scene, "trajectory": traj, "config": cfg,
+            "ir": ir, "rgb": rgb}
+
+
 def unit_vectors(rng, n):
     v = rng.normal(size=(n, 3))
     return v / np.linalg.norm(v, axis=1, keepdims=True)

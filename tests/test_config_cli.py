@@ -440,6 +440,33 @@ class TestCli:
             assert err.startswith("config error: camera (fx) differs"), err
         assert not os.path.exists(os.path.join(cfg.out_dir, "records.npz"))
 
+    @pytest.mark.parametrize("line, named", [
+        ("fx = 300", "camera (fx) differs"), ("fy = 300", "camera (fy) differs"),
+        ("cx = 300", "camera (cx) differs"), ("cy = 200", "camera (cy) differs"),
+        ("width = 600", "camera (width) differs"),
+        ("height = 500", "camera (height) differs"),
+        # a scan clipped at 8 read as unsaturated up to 9
+        ("saturation_level = 9", "saturation_level differs"),
+        # a re-render at a frame time the scan never had
+        ("n_ir_frames = 80", "n_ir_frames differs"),
+        ("fx = 300\ncy = 200\nn_ir_frames = 80",
+         "camera (fx, cy) and n_ir_frames differ")])
+    def test_scan_field_changed_after_simulate_exits_2(self, tmp_path, capsys,
+                                                       line, named):
+        """Each field of the scan that a later stage reads from the config
+        again must be the one `simulate` scanned with."""
+        cfg, path = small_config(tmp_path, n_ir_frames=40)
+        assert cli.main(["simulate", "--config", path]) == cli.EXIT_OK
+        capsys.readouterr()
+        with open(path, "a") as fh:
+            fh.write(line + "\n")
+        for stage in ("estimate", "render"):
+            assert cli.main([stage, "--config", path]) == cli.EXIT_CONFIG, stage
+            err = capsys.readouterr().err
+            config = os.path.join(cfg.out_dir, "config.txt")
+            assert err == (f"config error: {named} from the scan's {config}\n")
+        assert not os.path.exists(os.path.join(cfg.out_dir, "records.npz"))
+
     def _corrupt_exit_3(self, capsys, path, stages, target, why):
         for stage in stages:
             assert cli.main([stage, "--config", path]) == cli.EXIT_MISSING_INPUT

@@ -247,6 +247,27 @@ class TestAccumulation:
         assert 0 < counts["accepted"] < len(ir) / 10
         assert peak < 200 * counts["accepted"]
 
+    def test_traced_peak_per_accepted_row(self, large_demo_two_sphere):
+        """The kept rows are written in place into two columns allocated
+        once, and grouped by one stable sort of their cell keys: the traced
+        peak stays below 52 B per accepted row."""
+        run = large_demo_two_sphere
+        ir, scene, cfg = run["ir"], run["scene"], run["config"]
+        colors = estimation.estimate_colors(run["rgb"], cfg.saturation_level)
+        args = (scene, run["trajectory"], cfg.rig, colors, cfg.camera,
+                cfg.saturation_level)
+        # untraced first: numpy imports some modules on a function's first call
+        estimation.accumulate_vertex_tables(oracles.ir_subset(ir, range(1000)),
+                                            *args)
+        tracemalloc.start()
+        try:
+            _, counts = estimation.accumulate_vertex_tables(ir, *args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts["accepted"] > len(ir) / 2
+        assert peak < 52 * counts["accepted"]
+
 
 def _assert_tables_equal(a, b):
     for name in ("flat", "means", "counts"):

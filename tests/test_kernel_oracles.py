@@ -51,6 +51,17 @@ def scan_config(noise: dict, stride=3, trajectory=None, seed=3) -> ScanConfig:
                       n_ir_frames=N_FRAMES, rgb_frame_stride=stride)
 
 
+def check_inversion(*args):
+    """`invert_observation_arrays(*args)` equals the oracle's; returns it."""
+    got = estimation.invert_observation_arrays(*args)
+    expected = oracles.accepted_samples(*args)
+    for a, b in zip(got[:2], expected[:2]):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+    assert got[2] == expected[2]
+    return got
+
+
 def check_against_oracles(scene, cfg):
     """Scan, inversion and colors of `scene` under `cfg` equal the oracles';
     returns the scan."""
@@ -60,14 +71,8 @@ def check_against_oracles(scene, cfg):
     assert_fields_equal(rgb, rgb_ref, RGB_FIELDS)
 
     # every other vertex has a color
-    args = (ir, scene, cfg.trajectory, cfg.rig, cfg.camera, cfg.saturation_level,
-            np.arange(len(scene)) % 2 == 0)
-    got = estimation.invert_observation_arrays(*args)
-    expected = oracles.accepted_samples(*args)
-    for a, b in zip(got[:2], expected[:2]):
-        assert a.dtype == b.dtype
-        assert np.array_equal(a, b)
-    assert got[2] == expected[2]
+    check_inversion(ir, scene, cfg.trajectory, cfg.rig, cfg.camera,
+                    cfg.saturation_level, np.arange(len(scene)) % 2 == 0)
 
     assert_colors_equal(estimation.estimate_colors(rgb, cfg.saturation_level),
                         oracles.estimate_colors(rgb, cfg.saturation_level))
@@ -99,11 +104,23 @@ def test_scenes_and_noise(scene_name, noise, chunk_rows):
 
 @pytest.mark.parametrize("dropout", [0.0, 0.5, 1.0])
 def test_dropout(dropout, chunk_rows):
+    """Every row dropped at 1.0: zero-row columns of the same dtypes and row
+    shapes as those of a scan that keeps rows."""
     scene = scenes.make_scene("two-sphere", N_VERTICES, 6)
     ir, rgb = check_against_oracles(
         scene, scan_config(dict(DEMO, dropout_fraction=dropout)))
     assert (len(ir) == 0) == (dropout == 1.0)
     assert (len(rgb) == 0) == (dropout == 1.0)
+    for obs, columns in ((ir, {"vertex_id": ((), np.int32),
+                               "intensity": ((), np.float64),
+                               "pixel": ((2,), np.float64),
+                               "frame_offsets": ((), np.int64)}),
+                         (rgb, {"vertex_id": ((), np.int64),
+                                "rgb": ((3,), np.float64),
+                                "omega_out_angle": ((), np.float64)})):
+        for name, (width, dtype) in columns.items():
+            a = getattr(obs, name)
+            assert a.shape[1:] == width and a.dtype == dtype, name
 
 
 @pytest.mark.parametrize("stride", [1, 4])
@@ -112,16 +129,53 @@ def test_rgb_frame_stride(stride, chunk_rows):
     check_against_oracles(scene, scan_config(DEMO, stride=stride))
 
 
+def scan_looking_away(away):
+    """The scan of `scan_config(POSE)` whose poses `away`, indices into its
+    12-pose arc, look away from the scene; checked against the oracles."""
+    arc = scenes.arc_trajectory(12, 4.0)
+    trajectory = [
+        TimedPose(look_at(tp.pose.translation, 2.0 * tp.pose.translation),
+                  tp.timestamp) if i in away else tp for i, tp in enumerate(arc)]
+    scene = scenes.make_scene("two-sphere", N_VERTICES, 9)
+    ir, _ = check_against_oracles(scene, scan_config(POSE, trajectory=trajectory))
+    return ir
+
+
 def test_frames_that_see_no_vertex(chunk_rows):
     """The last poses look away from the scene, so the frames after them see
     no vertex and produce no rows."""
-    arc = scenes.arc_trajectory(12, 4.0)
-    trajectory = arc[:6] + [
-        TimedPose(look_at(tp.pose.translation, 2.0 * tp.pose.translation),
-                  tp.timestamp) for tp in arc[6:]]
-    scene = scenes.make_scene("two-sphere", N_VERTICES, 9)
-    ir, _ = check_against_oracles(scene, scan_config(POSE, trajectory=trajectory))
+    ir = scan_looking_away(range(6, 12))
     assert 0 < np.count_nonzero(np.diff(ir.frame_offsets)) < N_FRAMES
+
+
+def test_a_chunk_that_keeps_no_row(chunk_rows):
+    """Poses 3 to 9 look away, so frames in the middle of the scan fill a
+    whole chunk that keeps no row, at every chunk size; the chunks after it
+    write their rows where the chunk before it stopped."""
+    ir = scan_looking_away(range(3, 10))
+    rows = [ir.frame_offsets[stop] - ir.frame_offsets[first] for first, stop in
+            simulator._chunks(np.full(N_FRAMES, N_VERTICES))]
+    assert rows[0] > 0 and rows[-1] > 0 and 0 in rows
+
+
+def test_an_inversion_chunk_that_keeps_no_row(chunk_rows):
+    """The frames of one chunk of `simulator.frames` all saturated: it keeps
+    no row, and the rows of the chunks after it land where the rows before
+    it stopped, as in the oracle."""
+    scene = scenes.make_scene("two-sphere", N_VERTICES, 3)
+    cfg = scan_config(DEMO)
+    ir, _ = simulator.simulate_scan(scene, cfg)
+    chunks = list(simulator._chunks(np.diff(ir.frame_offsets)))
+    first, stop = chunks[len(chunks) // 2]
+    intensity = ir.intensity.copy()
+    intensity[ir.frame_offsets[first]:ir.frame_offsets[stop]] = cfg.saturation_level
+    ir = simulator.IrObservations(ir.vertex_id, intensity, ir.pixel, ir.frame_time,
+                                  ir.frame_led, ir.frame_offsets)
+    key, _, counts = check_inversion(ir, scene, cfg.trajectory, cfg.rig,
+                                     cfg.camera, cfg.saturation_level,
+                                     np.ones(len(scene), dtype=bool))
+    chunk = ir.frame_offsets[stop] - ir.frame_offsets[first]
+    assert len(key) > 0 and counts["saturated"] >= chunk > 0
 
 
 def test_a_row_inverts_alone_as_within_its_frame():
@@ -160,7 +214,8 @@ def test_records_equal_row_major_oracle(scene_name, chunk_rows):
 @pytest.mark.parametrize("case", ["empty", "all-saturated"])
 def test_records_of_a_scan_without_accepted_rows(case, chunk_rows):
     """No rows (every one dropped), or every lit row clipped at a saturation
-    level below any intensity; every vertex is given a color."""
+    level below any intensity; every vertex is given a color. The inversion
+    keeps no row: `key` and `f` are empty int64 and float64 columns."""
     scene = scenes.make_scene("two-sphere", N_VERTICES, 5)
     cfg = scan_config(dict(DEMO, dropout_fraction=1.0) if case == "empty" else {})
     if case == "all-saturated":
@@ -169,6 +224,11 @@ def test_records_of_a_scan_without_accepted_rows(case, chunk_rows):
     colors = {v: np.array([0.0, 0.6, 0.8]) for v in range(len(scene))}
     records, counts = check_records(ir, scene, cfg, colors)
     assert len(records) == 0 and counts["accepted"] == 0
+    key, f, _ = estimation.invert_observation_arrays(
+        ir, scene, cfg.trajectory, cfg.rig, cfg.camera, cfg.saturation_level,
+        np.ones(len(scene), dtype=bool))
+    assert key.shape == f.shape == (0,)
+    assert key.dtype == np.int64 and f.dtype == np.float64
     assert (len(ir) == 0) == (case == "empty")
     lit = len(ir) - counts["shadowed"]
     assert counts["saturated"] == (0 if case == "empty" else lit)

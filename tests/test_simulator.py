@@ -1,12 +1,15 @@
 """Forward model: vignette, shading, rig layout and scan corruption."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from matscan import scenes, simulator
 from matscan.geometry import interpolate_trajectory, look_at
-from matscan.simulator import (NOISE_BOUNDS, GroundTruthMaterial, NoiseConfig,
-                               ScanConfig, default_camera, eval_ground_truth_brdf,
+from matscan.simulator import (NOISE_BOUNDS, GroundTruthMaterial, IrObservations,
+                               NoiseConfig, RgbObservations, ScanConfig,
+                               default_camera, eval_ground_truth_brdf,
                                ir_frame_times, make_default_rig, simulate_scan,
                                vignette)
 
@@ -241,3 +244,59 @@ class TestScan:
                                   material_ids=np.zeros(0, int))
         with pytest.raises(ValueError):
             simulate_scan(bad, cfg)
+
+
+class TestObservationRows:
+    """The observation containers hold one row per `vertex_id` in every
+    per-row field."""
+
+    N = 10
+
+    def ir(self, **fields):
+        n = self.N
+        columns = dict(vertex_id=np.zeros(n, np.int32), intensity=np.zeros(n),
+                       pixel=np.zeros((n, 2)), frame_time=np.array([0.5]),
+                       frame_led=np.zeros(1, int), frame_offsets=np.array([0, n]))
+        return IrObservations(**{**columns, **fields})
+
+    def rgb(self, **fields):
+        n = self.N
+        columns = dict(vertex_id=np.zeros(n, int), rgb=np.zeros((n, 3)),
+                       omega_out_angle=np.zeros(n))
+        return RgbObservations(**{**columns, **fields})
+
+    def test_aligned_rows_construct(self):
+        assert len(self.ir()) == len(self.rgb()) == self.N
+
+    @pytest.mark.parametrize("name, shape", [
+        ("intensity", (9,)), ("pixel", (7, 2)), ("pixel", (10, 3)),
+        ("pixel", (10,)), ("vertex_id", (10, 1))])
+    def test_misaligned_ir_rows_rejected(self, name, shape):
+        with pytest.raises(ValueError, match=name):
+            self.ir(**{name: np.zeros(shape, np.int32 if name == "vertex_id"
+                                      else float)})
+
+    @pytest.mark.parametrize("name, shape", [
+        ("rgb", (9, 3)), ("rgb", (10, 2)), ("omega_out_angle", (11,)),
+        ("omega_out_angle", (10, 1)), ("vertex_id", (10, 1))])
+    def test_misaligned_rgb_rows_rejected(self, name, shape):
+        with pytest.raises(ValueError, match=name):
+            self.rgb(**{name: np.zeros(shape)})
+
+
+def test_traced_peak_beyond_the_columns(large_demo_two_sphere):
+    """Each column is allocated once, at every vertex of every frame, and
+    shrunk in place to its rows, so beyond the arrays it returns a scan
+    holds only one chunk's temporaries. Two-sphere keeps nearly every row,
+    so the bound itself costs little here: the traced peak stays below 3 MB
+    over the returned arrays."""
+    run = large_demo_two_sphere
+    tracemalloc.start()
+    try:
+        ir, rgb = simulate_scan(run["scene"], run["config"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    returned = sum(a.nbytes for a in [*vars(ir).values(), *vars(rgb).values()])
+    assert len(ir) > 0.99 * 2000 * 200
+    assert peak - returned < 3e6
