@@ -29,6 +29,8 @@ D_WIDTH = 90.0 / N_D  # 1.875 degrees
 N_CELLS = N_H * N_D
 
 SERIAL_HEADER = f"brdftable v1 {N_H} {N_D}"
+# angle pairs per block of `lookup_arrays`
+LOOKUP_BLOCK = 2**12
 
 
 def bin_arrays(theta_h: np.ndarray, theta_d: np.ndarray):
@@ -179,11 +181,11 @@ def dense_values(table: BrdfTable) -> np.ndarray:
     return table.means.reshape(N_H, N_D, 3)
 
 
-def lookup_arrays(table: BrdfTable, theta_h: np.ndarray, theta_d: np.ndarray):
-    """Bilinear interpolation at cell centers, clamped at the table edges."""
-    arr = dense_values(table)
-    gh = np.clip(np.asarray(theta_h, dtype=float) / H_WIDTH - 0.5, 0.0, N_H - 1.0)
-    gd = np.clip(np.asarray(theta_d, dtype=float) / D_WIDTH - 0.5, 0.0, N_D - 1.0)
+def _bilinear(arr: np.ndarray, theta_h: np.ndarray, theta_d: np.ndarray):
+    """(n, 3) bilinear interpolation in the dense grid `arr` at cell centers,
+    clamped at the grid edges. Its temporaries are freed on return."""
+    gh = np.clip(theta_h / H_WIDTH - 0.5, 0.0, N_H - 1.0)
+    gd = np.clip(theta_d / D_WIDTH - 0.5, 0.0, N_D - 1.0)
     h0 = np.minimum(gh.astype(int), N_H - 2)
     d0 = np.minimum(gd.astype(int), N_D - 2)
     fh = (gh - h0)[:, None]
@@ -194,6 +196,21 @@ def lookup_arrays(table: BrdfTable, theta_h: np.ndarray, theta_d: np.ndarray):
     v11 = arr[h0 + 1, d0 + 1]
     return (v00 * (1 - fh) * (1 - fd) + v10 * fh * (1 - fd)
             + v01 * (1 - fh) * fd + v11 * fh * fd)
+
+
+def lookup_arrays(table: BrdfTable, theta_h: np.ndarray, theta_d: np.ndarray):
+    """(n, 3) bilinear interpolation at cell centers, clamped at the table
+    edges, of n angle pairs. Every step is elementwise, so the pairs are
+    looked up in blocks of `LOOKUP_BLOCK`: the corner values, weights and
+    products are bounded by the block; only the result is (n, 3)."""
+    arr = dense_values(table)
+    theta_h = np.asarray(theta_h, dtype=float)
+    theta_d = np.asarray(theta_d, dtype=float)
+    out = np.empty((len(theta_h), 3))
+    for a in range(0, len(out), LOOKUP_BLOCK):
+        b = a + LOOKUP_BLOCK
+        out[a:b] = _bilinear(arr, theta_h[a:b], theta_d[a:b])
+    return out
 
 
 def to_text(table: BrdfTable) -> str:

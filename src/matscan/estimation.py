@@ -183,7 +183,7 @@ def accumulate_vertex_tables(ir: IrObservations, scene, trajectory, rig: LedRig,
     starts = np.flatnonzero(np.diff(key, prepend=-1))  # keys are >= 0
     cell_vid, flat = np.divmod(key[starts], N_CELLS)
     del key
-    vertex_id = np.unique(cell_vid)
+    vertex_id = cell_vid[np.flatnonzero(np.diff(cell_vid, prepend=-1))]
     cnt = np.diff(starts, append=len(f))
     cell = np.repeat(np.arange(len(cnt)), cnt)
     # per cell, its samples (color times f) summed in row order, one channel

@@ -205,6 +205,14 @@ def write_records(path, records: VertexRecords) -> None:
                  cell_mean=records.means)
 
 
+def _distinct_sorted(a: np.ndarray) -> np.ndarray:
+    """The distinct values of the ascending array `a`: `np.unique(a)` without
+    the `numpy.ma` import it makes."""
+    first = np.ones(len(a), dtype=bool)
+    first[1:] = a[1:] != a[:-1]
+    return a[first]
+
+
 @_reader
 def read_records(path) -> VertexRecords:
     """The records `write_records` wrote, cell rows checked and sorted by
@@ -215,7 +223,7 @@ def read_records(path) -> VertexRecords:
         cell_vid, flat, means, counts = sorted_cells(
             data["cell_vid"], data["cell_h"], data["cell_d"], data["cell_mean"],
             data["cell_count"])
-    if not np.array_equal(np.unique(cell_vid), vertex_id):
+    if not np.array_equal(_distinct_sorted(cell_vid), vertex_id):
         raise ValueError("vertex_id is not the ascending distinct cell_vid")
     if color.shape != (len(vertex_id), 3):
         raise ValueError(f"color of shape {color.shape} for {len(vertex_id)} vertices")
@@ -249,7 +257,7 @@ def read_labels(path) -> np.ndarray:
     ids, labs = data[:, 0], data[:, 1]
     if not np.array_equal(np.sort(ids), np.arange(len(ids))):
         raise ValueError("vertex ids are not 0..n-1, each once")
-    groups = np.unique(labs[labs != -1])
+    groups = _distinct_sorted(np.sort(labs[labs != -1]))
     if not np.array_equal(groups, np.arange(len(groups))):
         raise ValueError("labels are not -1 or the groups 0..k-1, each used")
     labels = np.empty(len(ids), dtype=int)

@@ -14,6 +14,8 @@ from .simulator import (IrObservations, eval_ground_truth_brdf, frame_geometry,
                         frames, shading, vignette)
 
 LAMBERTIAN_FALLBACK = 0.3  # scalar reflectance for unclassified vertices
+# values per row block of `write_ppm`: its lit mask, gamma values and bytes
+PPM_BLOCK = 2**15
 
 
 def scalar_reflectance(rgb: np.ndarray) -> np.ndarray:
@@ -36,9 +38,9 @@ def render_material_sphere(table: BrdfTable, light_direction, resolution: int = 
     n = np.stack([x[inside], y[inside], nz], axis=1)
     ndotl = n @ l
     lit = ndotl > 1e-6
-    wo = np.tile(np.array([0.0, 0.0, 1.0]), (int(lit.sum()), 1))
-    wi = np.tile(l, (int(lit.sum()), 1))
-    th, td = half_diff_angle_arrays(n[lit], wi, wo)
+    rows = (int(lit.sum()), 3)  # light and view directions as read-only views
+    th, td = half_diff_angle_arrays(n[lit], np.broadcast_to(l, rows),
+                                    np.broadcast_to([0.0, 0.0, 1.0], rows))
     vals = lookup_arrays(table, th, td) * ndotl[lit, None]
     shaded = np.zeros((len(n), 3))
     shaded[lit] = vals
@@ -88,8 +90,9 @@ def rerender_ir_frame(scene, labels, material_tables, trajectory, frame_time: fl
                       exposure: float = 1.0) -> np.ndarray:
     """Point-splat IR frame: per visible vertex the image formation model with
     the estimated reflectance, written to the nearest pixel (max blend).
-    Returns (height, width, 3) grayscale in [0, 1], a read-only view that
-    repeats one gray channel three times."""
+    Returns (height, width, 3) grayscale in [0, 1]: a read-only view that
+    repeats one gray channel three times, the one (height, width) frame this
+    allocates, clipped in place."""
     pose = interpolate_trajectory(trajectory, frame_time)
     pixels, valid = project_points(camera, pose, scene.positions)
     idx = np.nonzero(valid)[0]
@@ -104,7 +107,8 @@ def rerender_ir_frame(scene, labels, material_tables, trajectory, frame_time: fl
         px = np.clip(pixels[idx, 0].astype(int), 0, camera.width - 1)
         py = np.clip(pixels[idx, 1].astype(int), 0, camera.height - 1)
         np.maximum.at(gray, (py, px), vals)
-    return np.broadcast_to(np.clip(gray, 0.0, 1.0)[:, :, None], (*gray.shape, 3))
+    np.clip(gray, 0.0, 1.0, out=gray)
+    return np.broadcast_to(gray[:, :, None], (*gray.shape, 3))
 
 
 @dataclass
@@ -133,7 +137,7 @@ def greedy_match(groups: list, gt_labels: np.ndarray) -> dict:
     """Estimated group index -> ground-truth label by repeated maximum
     overlap. Deterministic; ties resolve to the lowest pair."""
     overlaps = {}
-    gt_ids = sorted(set(int(m) for m in np.unique(gt_labels)))
+    gt_ids = np.flatnonzero(np.bincount(gt_labels)).tolist()
     for gi, g in enumerate(groups):
         ids = np.fromiter(g, dtype=int, count=len(g))
         for m in gt_ids:
@@ -197,15 +201,32 @@ def table_rmse(table: BrdfTable, material) -> float:
     return float(np.sqrt(np.mean(err2)))
 
 
+def _ppm_bytes(block: np.ndarray, gamma: float) -> np.ndarray:
+    """uint8 PPM values of an image block: clipped to [0, 1], raised to
+    `gamma`, 0 at or below 0. Its arrays are freed on return, before the
+    next block's are made."""
+    data = np.zeros(block.shape, dtype=np.uint8)
+    lit = block > 0
+    vals = block[lit]  # a copy, changed in place: one float per lit value
+    np.minimum(vals, 1.0, out=vals)
+    vals **= gamma
+    vals *= 255.0
+    vals += 0.5
+    data[lit] = vals.astype(np.uint8)
+    return data
+
+
 def write_ppm(path, image: np.ndarray, gamma: float = 1.0 / 2.2) -> None:
-    """Binary PPM (P6, maxval 255); values are clipped to [0, 1] and raised
-    to `gamma` (> 0) at write time. A value at or below 0 writes 0, so only
-    the lit values of a mostly black frame pay for the power."""
+    """Binary PPM (P6, maxval 255) of an (h, w, 3) image; values are clipped
+    to [0, 1] and raised to `gamma` (> 0) at write time. A value at or below
+    0 writes 0, so only the lit values of a mostly black frame pay for the
+    power. Rows are converted and written in blocks of at most `PPM_BLOCK`
+    values (one row if a row holds more), so the lit mask, the gamma values
+    and the bytes are bounded by the block, not by the image."""
     img = np.asarray(image, dtype=float)
-    data = np.zeros(img.shape, dtype=np.uint8)
-    lit = img > 0
-    data[lit] = (np.minimum(img[lit], 1.0) ** gamma * 255.0 + 0.5).astype(np.uint8)
-    h, w = data.shape[:2]
+    h, w = img.shape[:2]
+    rows = max(1, PPM_BLOCK // max(1, img[:1].size))
     with open(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode())
-        fh.write(data.tobytes())
+        for r in range(0, h, rows):
+            fh.write(_ppm_bytes(img[r:r + rows], gamma))

@@ -21,7 +21,10 @@
   against bit for bit, and the batched one through numpy's Cholesky factor
   and scipy's triangular solve, a value reference;
 - label diffusion one target vertex at a time, which tests check
-  `segmentation.diffuse_labels` against.
+  `segmentation.diffuse_labels` against;
+- table lookup of all angle pairs at once and a PPM converted as one whole
+  image, which tests check the blocked `brdf_table.lookup_arrays` and
+  `render_eval.write_ppm` against bit for bit.
 
 It also holds the scalar and inverse helpers only tests use: the
 half/difference angles of one direction pair and the cell of one angle
@@ -38,8 +41,9 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.spatial import cKDTree
 
+from matscan import brdf_table
 from matscan.brdf_table import (D_WIDTH, H_WIDTH, N_CELLS, N_D, N_H, BrdfTable,
-                                bin_arrays, lookup_arrays)
+                                bin_arrays, dense_values)
 from matscan.estimation import (ACCEPTED, COS_GRAZING, GRAZING_DEG,
                                 MIN_COLOR_SAMPLES, VIGNETTE_FLOOR, Rejection,
                                 VertexRecords, VertexReflectanceRecord)
@@ -565,8 +569,26 @@ def diffuse_labels(groups, positions, sampled_ids, radius: float) -> np.ndarray:
 
 def lookup(table: BrdfTable, angles: HalfDiffAngles) -> np.ndarray:
     """Bilinear interpolation at cell centers, clamped at the table edges."""
-    return lookup_arrays(table, np.array([angles.theta_h]),
-                         np.array([angles.theta_d]))[0]
+    return brdf_table.lookup_arrays(table, np.array([angles.theta_h]),
+                                    np.array([angles.theta_d]))[0]
+
+
+def lookup_arrays(table: BrdfTable, theta_h: np.ndarray, theta_d: np.ndarray):
+    """Bilinear interpolation at cell centers, clamped at the table edges,
+    of all angle pairs at once."""
+    arr = dense_values(table)
+    gh = np.clip(np.asarray(theta_h, dtype=float) / H_WIDTH - 0.5, 0.0, N_H - 1.0)
+    gd = np.clip(np.asarray(theta_d, dtype=float) / D_WIDTH - 0.5, 0.0, N_D - 1.0)
+    h0 = np.minimum(gh.astype(int), N_H - 2)
+    d0 = np.minimum(gd.astype(int), N_D - 2)
+    fh = (gh - h0)[:, None]
+    fd = (gd - d0)[:, None]
+    v00 = arr[h0, d0]
+    v10 = arr[h0 + 1, d0]
+    v01 = arr[h0, d0 + 1]
+    v11 = arr[h0 + 1, d0 + 1]
+    return (v00 * (1 - fh) * (1 - fd) + v10 * fh * (1 - fd)
+            + v01 * (1 - fh) * fd + v11 * fh * fd)
 
 
 def project(camera: PinholeCamera, pose: Pose, point: np.ndarray):
@@ -600,6 +622,19 @@ def angle_to(a: Quaternion, b: Quaternion) -> float:
     """Rotation angle in degrees between the two attitudes."""
     d = min(1.0, abs(float(a.as_array() @ b.as_array())))
     return np.rad2deg(2.0 * np.arccos(d))
+
+
+def write_ppm(path, image: np.ndarray, gamma: float = 1.0 / 2.2) -> None:
+    """Binary PPM (P6, maxval 255), the whole image converted at once:
+    values clipped to [0, 1] and raised to `gamma`, 0 at or below 0."""
+    img = np.asarray(image, dtype=float)
+    data = np.zeros(img.shape, dtype=np.uint8)
+    lit = img > 0
+    data[lit] = (np.minimum(img[lit], 1.0) ** gamma * 255.0 + 0.5).astype(np.uint8)
+    h, w = data.shape[:2]
+    with open(path, "wb") as fh:
+        fh.write(f"P6\n{w} {h}\n255\n".encode())
+        fh.write(data.tobytes())
 
 
 def read_ppm(path) -> np.ndarray:

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matscan import brdf_table
-from matscan.brdf_table import (D_WIDTH, H_WIDTH, N_CELLS, N_D, N_H,
-                                SERIAL_HEADER, BrdfTable, bin_arrays,
+from matscan.brdf_table import (D_WIDTH, H_WIDTH, LOOKUP_BLOCK, N_CELLS, N_D,
+                                N_H, SERIAL_HEADER, BrdfTable, bin_arrays,
                                 cell_center, complete, dense_values, from_text,
                                 lookup_arrays, merge, to_text)
 import oracles
@@ -287,6 +287,24 @@ class TestLookup:
             th, td = cell_center(h, d)
             np.testing.assert_allclose(lookup(t, HalfDiffAngles(th, td)),
                                        cell(t, h, d)[0], atol=1e-12)
+
+    @pytest.mark.parametrize("n", [0, 1, LOOKUP_BLOCK - 1, LOOKUP_BLOCK,
+                                   LOOKUP_BLOCK + 1, 3 * LOOKUP_BLOCK + 7])
+    def test_blocks_equal_unblocked_oracle(self, n):
+        """Angles inside the grid, on its edges and beyond them, at a number
+        of pairs below, at and just past a block and over several blocks."""
+        rng = np.random.default_rng(n)
+        t = full_table(rng)
+        th = rng.uniform(-5.0, 95.0, n)
+        td = rng.uniform(-5.0, 95.0, n)
+        edges = np.array([0.0, 90.0, H_WIDTH / 2, 90.0 - D_WIDTH / 2])
+        k = min(n, len(edges))
+        th[:k], td[:k] = edges[:k], edges[::-1][:k]
+        got = lookup_arrays(t, th, td)
+        expected = oracles.lookup_arrays(t, th, td)
+        assert got.shape == expected.shape == (n, 3)
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
 
     def test_lookup_requires_complete_table(self):
         t = table_of({(0, 0): ([1.0, 1.0, 1.0], 1)})

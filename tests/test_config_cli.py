@@ -578,21 +578,23 @@ class TestCli:
         assert os.path.exists(os.path.join(other, "scene.txt"))
 
 
-# run in a fresh process: the scipy modules loaded by importing the CLI, by
-# the four stages that should not need scipy, and by segment after them
-SCIPY_FOOTPRINT = """
+# run in a fresh process: which scipy modules and whether numpy.ma are
+# loaded by importing the CLI, by the four stages that should not need
+# scipy, and by segment after them
+FOOTPRINT = """
 import json, sys
 from matscan import cli
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+def loaded_modules():
+    return sorted(m for m in sys.modules
+                  if m.split(".")[0] == "scipy" or m == "numpy.ma")
 
-loaded = {"import": scipy_modules()}
+loaded = {"import": loaded_modules()}
 for stage in ("simulate", "estimate", "render", "evaluate"):
     assert cli.main([stage, "--config", sys.argv[1]]) == 0, stage
-loaded["stages"] = scipy_modules()
+loaded["stages"] = loaded_modules()
 assert cli.main(["segment", "--config", sys.argv[1]]) == 0
-loaded["segment"] = scipy_modules()
+loaded["segment"] = loaded_modules()
 print(json.dumps(loaded))
 """
 
@@ -601,7 +603,9 @@ def test_only_segment_loads_scipy(tmp_path):
     """scipy loads neither with the program nor in simulate, estimate, render
     or evaluate. segment loads none either on a scan where every vertex has a
     record in the sample budget; it loads scipy.spatial, for the KD tree of
-    label diffusion, only when some vertex needs a diffused label."""
+    label diffusion, only when some vertex needs a diffused label. No stage
+    loads numpy.ma (which a plain `np.unique` imports) but through that
+    scipy.spatial import, which loads it itself."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
     for budget, diffused in ((300, False), (150, True)):
         (tmp_path / str(budget)).mkdir()
@@ -611,7 +615,7 @@ def test_only_segment_loads_scipy(tmp_path):
         assert cli.main(["pipeline", "--config", path]) == cli.EXIT_OK
         records = io.read_records(os.path.join(cfg.out_dir, "records.npz"))
         assert len(records) == 300
-        proc = subprocess.run([sys.executable, "-c", SCIPY_FOOTPRINT, path],
+        proc = subprocess.run([sys.executable, "-c", FOOTPRINT, path],
                               env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         loaded = json.loads(proc.stdout.splitlines()[-1])

@@ -1,21 +1,27 @@
 """Re-rendering, matching/purity evaluation and PPM output."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from matscan import brdf_table, estimation, render_eval, scenes, segmentation
 from matscan.brdf_table import (N_CELLS, N_D, BrdfTable, cell_center,
                                 cell_indices, complete)
-from matscan.render_eval import (evaluate, greedy_match, render_material_sphere,
-                                 rerender_intensities, rerender_ir_frame,
-                                 scalar_reflectance, table_rmse, write_ppm)
+from matscan.render_eval import (PPM_BLOCK, evaluate, greedy_match,
+                                 render_material_sphere, rerender_intensities,
+                                 rerender_ir_frame, scalar_reflectance,
+                                 table_rmse, write_ppm)
 from matscan.segmentation import MaterialGroups
-from matscan.simulator import (GroundTruthMaterial, NoiseConfig,
+from matscan.simulator import (GroundTruthMaterial, NoiseConfig, default_camera,
                                eval_ground_truth_brdf, ir_frame_times,
-                               simulate_scan)
+                               make_default_rig, simulate_scan)
 
+import oracles
 from conftest import make_scan_config
 from oracles import read_ppm
+
+MB = 2**20
 
 
 def constant_table(value):
@@ -29,6 +35,18 @@ def analytic_table(mat, flat):
     return BrdfTable.from_cells(
         cells, mat.color * eval_ground_truth_brdf(mat, th, td)[:, None],
         np.ones(len(cells), dtype=int))
+
+
+def traced_peak(fn) -> int:
+    """Traced peak bytes of `fn()`, called once untraced first: numpy
+    imports some modules on a function's first call."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestScalarReflectance:
@@ -149,6 +167,13 @@ class TestSphereRender:
         rim = img[32, 2, 0]
         assert c > rim
 
+    def test_traced_peak(self):
+        """The directions are read-only views and the lookup runs in blocks:
+        the sphere of the render stage's size stays below 3 MB traced."""
+        table = constant_table([0.5, 0.4, 0.3])
+        assert traced_peak(lambda: render_material_sphere(
+            table, [0.3, 0.3, 1.0], resolution=128)) < 3.0 * MB
+
 
 class TestRerender:
     def test_noiseless_lambertian_reconstruction(self, noiseless_two_sphere):
@@ -215,6 +240,38 @@ class TestRerender:
         for c in range(3):
             np.testing.assert_allclose(img[:, :, c], expected, rtol=0, atol=1e-12)
 
+    def test_traced_peak_is_the_frame(self):
+        """The frame of the CLI benchmark's scan (two-sphere, 250 vertices)
+        is clipped in place: the traced peak is the one (518, 694) float64
+        frame of 2.74 MB and a little more, below 3 MB."""
+        scene = scenes.make_scene("two-sphere", 250, 5)
+        tables = [analytic_table(m, np.arange(N_CELLS)) for m in scene.materials]
+        traj = scenes.arc_trajectory(50, 10.0)
+        camera, rig = default_camera(), make_default_rig()
+        assert (camera.height, camera.width) == (518, 694)
+
+        def frame():
+            return rerender_ir_frame(scene, scene.material_ids, tables, traj,
+                                     0.0, 0, rig, camera, exposure=2.0)
+
+        assert frame().sum() > 0
+        assert traced_peak(frame) < 3.0 * MB
+
+
+def ppm_test_image(rng, height: int, width: int, gray: bool) -> np.ndarray:
+    """Values at or below 0, in (0, 1], above 1, +inf and NaN; a read-only
+    view of one gray channel repeated three times if `gray`, else a full
+    rgb image."""
+    shape = (height, width) if gray else (height, width, 3)
+    img = rng.uniform(-0.5, 1.5, shape)
+    img[rng.random(shape) < 0.5] = 0.0
+    img[rng.random(shape) < 0.01] = np.inf
+    img[rng.random(shape) < 0.01] = np.nan
+    img[rng.random(shape) < 0.01] = -np.inf
+    if gray:
+        return np.broadcast_to(img[:, :, None], (height, width, 3))
+    return img
+
 
 class TestPpm:
     def test_round_trip(self, tmp_path):
@@ -248,3 +305,35 @@ class TestPpm:
         old = (np.clip(img, 0.0, 1.0) ** gamma * 255.0 + 0.5).astype(np.uint8)
         assert path.read_bytes() == b"P6\n69 52\n255\n" + old.tobytes()
 
+    # rows per block of a 694-pixel row: heights of one row, a block less a
+    # row, one block, a block and a row, and the re-rendered frame's
+    @pytest.mark.parametrize("height", [1, PPM_BLOCK // (3 * 694) - 1,
+                                        PPM_BLOCK // (3 * 694),
+                                        PPM_BLOCK // (3 * 694) + 1, 518])
+    @pytest.mark.parametrize("gray", [True, False])
+    @pytest.mark.parametrize("gamma", [1.0, 1.0 / 2.2])
+    def test_blocks_equal_whole_image_oracle(self, tmp_path, height, gray, gamma):
+        img = ppm_test_image(np.random.default_rng(height), height, 694, gray)
+        before = img.copy()
+        write_ppm(tmp_path / "blocked.ppm", img, gamma)
+        np.testing.assert_array_equal(img, before)  # clipped in a copy only
+        oracles.write_ppm(tmp_path / "whole.ppm", img, gamma)
+        assert (tmp_path / "blocked.ppm").read_bytes() == \
+            (tmp_path / "whole.ppm").read_bytes()
+
+    def test_rows_wider_than_a_block(self, tmp_path):
+        """A row of more than `PPM_BLOCK` values is written as one block."""
+        img = ppm_test_image(np.random.default_rng(1), 3, PPM_BLOCK // 3 + 5, False)
+        write_ppm(tmp_path / "blocked.ppm", img)
+        oracles.write_ppm(tmp_path / "whole.ppm", img)
+        assert (tmp_path / "blocked.ppm").read_bytes() == \
+            (tmp_path / "whole.ppm").read_bytes()
+
+    def test_traced_peak_of_a_frame(self, tmp_path):
+        """A (518, 694) frame lit at every pixel, as the re-render's read-only
+        gray view, is converted and written block by block: the traced peak
+        stays below 0.5 MB, a sixth of the frame's 2.74 MB."""
+        gray = np.random.default_rng(2).uniform(0.01, 1.0, (518, 694))
+        frame = np.broadcast_to(gray[:, :, None], (518, 694, 3))
+        assert traced_peak(lambda: write_ppm(tmp_path / "frame.ppm", frame)) \
+            < 0.5 * MB
