@@ -57,7 +57,7 @@ def integer_rows(a, name: str) -> np.ndarray:
     a = np.asarray(a).reshape(-1)
     if a.dtype.kind not in "iu" and a.size:
         raise ValueError(f"{name} of dtype {a.dtype} is not integer")
-    return a.astype(np.int64)
+    return a.astype(np.int64, copy=False)
 
 
 def sorted_cells(vid, h, d, means, counts):
@@ -78,11 +78,16 @@ def sorted_cells(vid, h, d, means, counts):
     if np.any(counts < 0):
         raise ValueError("cell counts must be nonnegative")
     flat = h * N_D + d
-    order = np.lexsort((flat, vid))
-    vid, flat = vid[order], flat[order]
-    if np.any((vid[1:] == vid[:-1]) & (flat[1:] == flat[:-1])):
-        raise ValueError("cell given more than once")
-    return vid, flat, means[order], counts[order]
+    # rows strictly increasing in (vid, flat), as `write_records` writes
+    # them, are sorted already and hold no cell twice
+    if not np.all((vid[1:] > vid[:-1])
+                  | ((vid[1:] == vid[:-1]) & (flat[1:] > flat[:-1]))):
+        order = np.lexsort((flat, vid))
+        vid, flat = vid[order], flat[order]
+        if np.any((vid[1:] == vid[:-1]) & (flat[1:] == flat[:-1])):
+            raise ValueError("cell given more than once")
+        means, counts = means[order], counts[order]
+    return vid, flat, means, counts
 
 
 class BrdfTable:

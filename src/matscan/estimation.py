@@ -2,12 +2,14 @@
 formation model to scalar reflectance samples, and their accumulation into
 per-vertex tables held as one column set (`VertexRecords`).
 
-Colors are one grouped median over every vertex at once. The inversion runs
-on chunks of whole frames, as `simulator.frames` slices the observation
-rows, with each row's camera and LED taken from its frame, and keeps only
-each accepted row's cell key and reflectance sample, written in place into
-two columns allocated once at a bound. The cell sums come from one stable
-sort of those rows by cell key."""
+Colors are one grouped median over every vertex at once, one sort per
+channel. The inversion runs on chunks of whole frames, as `simulator.frames`
+slices the observation rows, with each row's camera and LED taken from its
+frame, and keeps only each accepted row's cell key and reflectance sample,
+written in place into two columns allocated once at a bound. The distinct
+cell keys come from one sorted copy of the keys, and the cell sums are
+added in row order a chunk of rows at a time, so no sorted copy of the rows
+is made."""
 
 from __future__ import annotations
 
@@ -26,6 +28,8 @@ GRAZING_DEG = 60.0
 COS_GRAZING = np.cos(np.deg2rad(GRAZING_DEG))
 VIGNETTE_FLOOR = 0.05
 MIN_COLOR_SAMPLES = 3
+# accepted rows per chunk of the cell sums
+ROW_CHUNK = 4096
 
 
 class Rejection(enum.Enum):
@@ -82,24 +86,26 @@ def estimate_colors(rgb_obs: RgbObservations, saturation_level: float) -> dict:
     vids = rgb_obs.vertex_id[keep].astype(np.int64)
     rgb = rgb_obs.rgb[keep]
     n = len(vids)
-    by_vertex = []  # per channel, the values sorted by (vertex, value)
-    for c in range(3):
-        # ranks of the channel's values (ties in any order): sorting
-        # vid * n + rank sorts rows by vertex, then by value
-        order = np.argsort(rgb[:, c])
-        rank = np.empty(n, dtype=np.int64)
-        rank[order] = np.arange(n)
-        key = np.sort(vids * n + rank)
-        by_vertex.append(rgb[order[key % n], c])
-    uniq, start, count = np.unique(key // n, return_index=True,
-                                   return_counts=True)
-    enough = count >= MIN_COLOR_SAMPLES
-    uniq, start, count = uniq[enough], start[enough], count[enough]
+    count = np.bincount(vids)
+    start = np.cumsum(count) - count
+    uniq = np.flatnonzero(count >= MIN_COLOR_SAMPLES)
+    start, count = start[uniq], count[uniq]
     hi = start + count // 2
     lo = np.where(count % 2 == 1, hi, hi - 1)
-    # per channel, the middle value of an odd run, or the mean of the middle two
-    med = np.stack([np.where(lo == hi, v[hi], (v[lo] + v[hi]) / 2)
-                    for v in by_vertex], axis=1)
+    med = np.empty((len(uniq), 3))
+    for c in range(3):
+        # the rows by value, then sorted by vertex through the key
+        # vid * n + position in value order, which keeps each vertex's
+        # values ascending; ties in any order
+        order = np.argsort(rgb[:, c])
+        key = vids[order]
+        key *= n
+        key += np.arange(n)
+        key.sort()
+        key %= n
+        v = rgb[order[key], c]
+        # the middle value of an odd run, or the mean of the middle two
+        med[:, c] = np.where(lo == hi, v[hi], (v[lo] + v[hi]) / 2)
     # the BLAS dot product `np.linalg.norm` of one vector computes, on rows
     # as aligned as a fresh (3,) array: some dot kernels sum in an order that
     # depends on the alignment of their input
@@ -173,28 +179,28 @@ def accumulate_vertex_tables(ir: IrObservations, scene, trajectory, rig: LedRig,
     key, f, counts = invert_observation_arrays(
         ir, scene, trajectory, rig, camera, saturation_level, colored)
 
-    # rows sorted by (vertex, flat cell), the row order of VertexRecords; the
-    # sort is stable, so each cell keeps its rows in row order. Each row
-    # array is freed once the next one no longer needs it.
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    f = f[order]
-    del order
-    starts = np.flatnonzero(np.diff(key, prepend=-1))  # keys are >= 0
-    cell_vid, flat = np.divmod(key[starts], N_CELLS)
-    del key
-    vertex_id = cell_vid[np.flatnonzero(np.diff(cell_vid, prepend=-1))]
-    cnt = np.diff(starts, append=len(f))
-    cell = np.repeat(np.arange(len(cnt)), cnt)
-    # per cell, its samples (color times f) summed in row order, one channel
-    # at a time in one buffer (`take` copies `out` through a buffer of its
-    # own unless mode is "clip"), then divided by its count
-    means = np.empty((len(cnt), 3))
-    samples = np.empty(len(f))
-    for c in range(3):
-        np.take(color_arr[cell_vid, c], cell, out=samples, mode="clip")
-        samples *= f
-        means[:, c] = np.bincount(cell, samples, len(cnt))
+    # the distinct cell keys, from a sorted copy of the keys freed at once,
+    # give the row order of VertexRecords: (vertex, flat cell). Each cell's
+    # samples (color times f) are then added in row order, a chunk of rows
+    # at a time (`np.add.at` adds in index order): per cell the sums of one
+    # bincount over the rows sorted stably by key, with no per-row array
+    # beyond the keys and f but the chunk's
+    cells = np.sort(key)
+    first = np.ones(len(cells), dtype=bool)
+    np.not_equal(cells[1:], cells[:-1], out=first[1:])
+    cells = cells[first]
+    cnt = np.diff(np.flatnonzero(first), append=len(first))
+    del first
+    means = np.zeros((len(cnt), 3))
+    for lo in range(0, len(key), ROW_CHUNK):
+        rows = slice(lo, lo + ROW_CHUNK)
+        cell = np.searchsorted(cells, key[rows])
+        vid = key[rows] // N_CELLS
+        for c in range(3):
+            np.add.at(means[:, c], cell, color_arr[vid, c] * f[rows])
     means /= cnt[:, None]
+    del key, f
+    cell_vid, flat = np.divmod(cells, N_CELLS)
+    vertex_id = cell_vid[np.flatnonzero(np.diff(cell_vid, prepend=-1))]
     return VertexRecords(vertex_id, color_arr[vertex_id], cell_vid, flat, means,
                          cnt), counts

@@ -4,17 +4,20 @@ The global 45x48 table is one stable sort, by flat cell, of the record rows
 of the (subsampled) vertices: per cell, their per-vertex mean rgb samples
 in vertex order. Segmentation reads one column set of it: the cells with at
 least MIN_CELL_SAMPLES samples, in flat order, their vertex ids and samples
-concatenated. One flat-kernel meanshift call clusters every
-cell of it, each cell on its own, in one step loop; its neighbour masks are
-those of exact arithmetic (or, near a tie, of the full distance
-expression), and in a large step, modes within a leader mode's certified
-margin take the leader's mask instead of building their own. The most
-separable cell seeds two material groups which are then grown cell by
-cell, ranked by a separability score of refitted Gaussians and gated by a
-3-sigma Mahalanobis rule. Each group keeps per-cell moments of its samples,
-updated from the rows of the vertices the gate adds; they score every cell
-at once, and only the cells within a certified bound of the best are
-refitted to pick the winner. Vertices that never pass the gate stay
+concatenated. One flat-kernel meanshift call clusters every cell of it,
+each cell on its own, in one step loop per block of whole cells of at most
+`_CELL_BLOCK` samples, so its working arrays are bounded by a block, not by
+the scan; its neighbour masks are those of exact arithmetic (or, near a
+tie, of the full distance expression), in row blocks of one L2-sized
+buffer, and in a large step, modes within a leader mode's certified margin
+take the leader's mask instead of building their own. Each distinct
+neighbour set's mean is summed a block of sets at a time through the same
+buffer. The most separable cell seeds two material groups which are then
+grown cell by cell, ranked by a separability score of refitted Gaussians
+and gated by a 3-sigma Mahalanobis rule. Each group keeps per-cell moments
+of its samples, updated from the rows of the vertices the gate adds; they
+score every cell at once, and only the cells within a certified bound of
+the best are refitted to pick the winner. Vertices that never pass the gate stay
 unclassified. The multi-material variant repeats the process one material
 per round, seeding from the most separable cluster, with no material count
 supplied by the user. Every Gaussian solve is one 3x3 Cholesky routine on
@@ -40,6 +43,9 @@ DISCARD_FRACTION = 0.05
 SIGMA_GATE = 3.0
 # float64 entries of the meanshift distance buffer: 256 KiB, an L2-sized block
 _BLOCK = 1 << 15
+# samples of the block of whole cells one meanshift step loop runs over; a
+# larger cell runs alone
+_CELL_BLOCK = 1 << 14
 _UNIT_ROUNDOFF = 2.0 ** -53
 # leader rows per round of a meanshift step that shares neighbour rows
 _LEADERS = 8
@@ -78,9 +84,16 @@ class GlobalCellTable:
     def __init__(self, flat, vids, samples, sampled_ids):
         flat = np.asarray(flat, dtype=int)
         order = np.argsort(flat, kind="stable")
-        cells, counts = np.unique(flat[order], return_counts=True)
+        sorted_flat = flat[order]
+        # each cell's run of sorted rows starts where the flat cell changes
+        first = np.ones(len(flat), dtype=bool)
+        np.not_equal(sorted_flat[1:], sorted_flat[:-1], out=first[1:])
+        cells = sorted_flat[first]
+        counts = np.diff(np.flatnonzero(first), append=len(flat))
+        del sorted_flat, first
         large = counts >= MIN_CELL_SAMPLES
         rows = order[np.repeat(large, counts)]
+        del order
         self._n_cells = len(cells)
         self.sampled_ids = np.asarray(sampled_ids, dtype=int)
         self.flats = cells[large]
@@ -131,9 +144,13 @@ def build_global_table(records, sample_budget: int, rng_seed: int) -> GlobalCell
     sampled = records.vertex_id[np.sort(rng.choice(n, size=take, replace=False))]
     picked = np.isin(records.cell_vid, sampled) & (records.counts > 0)
     # rows come in vertex order, so each cell keeps its samples in
-    # chosen-vertex order, which the meanshift mode merge depends on
-    return GlobalCellTable(records.flat[picked], records.cell_vid[picked],
-                           records.means[picked], sampled)
+    # chosen-vertex order, which the meanshift mode merge depends on. The
+    # table gathers its own rows, so the columns are copied first only when
+    # some row is left out
+    columns = (records.flat, records.cell_vid, records.means)
+    if not picked.all():
+        columns = [c[picked] for c in columns]
+    return GlobalCellTable(*columns, sampled)
 
 
 def default_bandwidth(samples) -> float:
@@ -144,24 +161,38 @@ def default_bandwidth(samples) -> float:
     return 0.5 * float(np.sqrt(np.var(samples, axis=0).sum()))
 
 
+def _row_blocks(n_rows, size):
+    """(lo, hi) blocks of at most `size` >= 2 of n_rows rows, in order. A
+    block holds one row only when there is one: numpy takes a one-row
+    product through gemv, which may sum in another order than gemm, so the
+    last block starts one row early instead."""
+    for lo in range(0, n_rows, size):
+        hi = min(lo + size, n_rows)
+        yield max(0, min(lo, hi - 2)), hi
+
+
 def _exact_neighbours(modes, pts, pts_sq, bw2):
     """The neighbour mask of each mode, from the full distance expression
-    in chunks of 4e6 entries: the tie path of `_FlatKernel.mask`."""
+    in chunks of at most max(`_BLOCK`, 2n) entries: the tie path of
+    `_FlatKernel.mask`. Each entry's product sums three terms; gemm calls
+    of two or more rows gave it the same bits whatever their row count on
+    OpenBLAS 0.3.31's SkylakeX, Haswell and Prescott kernels, and a one-row
+    chunk, which numpy takes through gemv, comes only of one mode
+    (`_row_blocks`)."""
     within = np.empty((len(modes), len(pts)), dtype=bool)
-    chunk = max(1, 4_000_000 // len(pts))
-    for lo in range(0, len(modes), chunk):
-        m = modes[lo:lo + chunk]
+    for lo, hi in _row_blocks(len(modes), max(2, _BLOCK // len(pts))):
+        m = modes[lo:hi]
         d2 = (np.einsum("ij,ij->i", m, m)[:, None] + pts_sq[None, :]
               - 2.0 * (m @ pts.T))
-        within[lo:lo + chunk] = d2 <= bw2
+        within[lo:hi] = d2 <= bw2
     return within
 
 
 def _buffers(n):
     """A distance buffer and a mask buffer that hold the row blocks of a
     `_FlatKernel` on up to n samples: a block of rows has at most
-    max(`_BLOCK`, n) entries."""
-    size = max(_BLOCK, n)
+    max(`_BLOCK`, 2n) entries."""
+    size = max(_BLOCK, 2 * n)
     return np.empty(size), np.empty(size, dtype=bool)
 
 
@@ -287,6 +318,22 @@ class _FlatKernel:
             within = np.concatenate(built + [within])
         return within, row_of
 
+    def set_means(self, rows, first):
+        """The mean of the samples in each row `rows[first]`: the product
+        `rows[first] @ pts` over the count, taken a block of rows at a time
+        through the distance buffer, so no float copy of every row is made.
+        A block may sum in another order than one product of every row
+        does (BLAS picks its kernel by shape), within rounding."""
+        n = len(self.pts)
+        means = np.empty((len(first), 3))
+        for lo, hi in _row_blocks(len(first), max(2, _BLOCK // n)):
+            sets = rows[first[lo:hi]]
+            block = self.buf[:(hi - lo) * n].reshape(hi - lo, n)
+            np.copyto(block, sets)
+            np.matmul(block, self.pts, out=means[lo:hi])
+            means[lo:hi] /= np.count_nonzero(sets, axis=1)[:, None]
+        return means
+
     def _exact(self, modes):
         """Each mode's own mask from the full distance expression."""
         return (_exact_neighbours(modes, self.pts, self.pts_sq, self.bw2),
@@ -339,25 +386,43 @@ def meanshift(samples, bandwidth, offsets):
     leader modes per round and for the modes no leader covers: a mode
     closer to a leader than the leader's certified margin (how far every
     sample is from the bandwidth's edge, less the rounding band) has the
-    leader's mask. Each distinct neighbour set is summed once. Samples that
-    share a neighbour set and are all still moving or all stopped follow the
-    same path from then on, so they are iterated once: `owner` maps each
-    sample to its row of distinct iterates. Merging and assignment also run
-    over those rows. The clusters are the same as when every sample is
-    iterated on its own.
+    leader's mask. Each distinct neighbour set is summed once, a block of
+    sets at a time through the distance buffer (`_FlatKernel.set_means`).
+    Samples that share a neighbour set and are all still moving or all
+    stopped follow the same path from then on, so they are iterated once:
+    `owner` maps each sample to its row of distinct iterates. Merging and
+    assignment also run over those rows. The clusters are the same as when
+    every sample is iterated on its own.
 
-    The cells share one array of iterates, in cell order, and one pair of
-    distance buffers. Per cell, a step makes only the calls whose bits the
-    clusters depend on: the neighbour rows, the distinct sets, their means
-    and the shifts. The shift test, the merging of rows and the `owner`
-    remap run once per step over all cells."""
+    Cells are independent, so the step loop runs over consecutive blocks of
+    whole cells of at most `_CELL_BLOCK` samples (a larger cell alone): the
+    iterates, `owner`, the set numbers and the arrays that collapse them
+    span one block, not every sample, and the cells share one pair of
+    distance buffers."""
     pts = np.asarray(samples, dtype=float).reshape(-1, 3)
     offsets = np.asarray(offsets, dtype=np.intp)
-    sizes = np.diff(offsets)
-    bws = np.broadcast_to(np.asarray(bandwidth, dtype=float), sizes.shape)
+    bws = np.broadcast_to(np.asarray(bandwidth, dtype=float),
+                          (len(offsets) - 1,))
     if np.any(bws <= 0):
         raise ValueError("bandwidth must be positive")
-    buffers = _buffers(sizes.max(initial=0))
+    buffers = _buffers(np.diff(offsets).max(initial=0))
+    out, k = [], 0
+    while k < len(bws):
+        # the cells k:stop, as many as fit in one block, and at least one
+        stop = max(k + 1, int(np.searchsorted(
+            offsets, offsets[k] + _CELL_BLOCK, "right")) - 1)
+        out += _meanshift_cells(pts[offsets[k]:offsets[stop]], bws[k:stop],
+                                offsets[k:stop + 1] - offsets[k], buffers)
+        k = stop
+    return out
+
+
+def _meanshift_cells(pts, bws, offsets, buffers):
+    """`meanshift` of the cells of one block, in one step loop. Per cell, a
+    step makes only the calls whose bits the clusters depend on: the
+    neighbour rows, the distinct sets, their means and the shifts. The shift
+    test, the merging of rows and the `owner` remap run once per step over
+    the block."""
     kernels = [_FlatKernel(pts[lo:hi], bw * bw, buffers) if hi > lo else None
                for lo, hi, bw in zip(offsets[:-1], offsets[1:], bws)]
     modes = pts.copy()
@@ -373,7 +438,7 @@ def meanshift(samples, bandwidth, offsets):
         # the moving rows of cell k are idx[cut[k]:cut[k + 1]]
         cut = np.searchsorted(idx, bounds)
         shift2 = np.empty(len(idx))
-        # distinct neighbour sets, numbered over all cells in cell order
+        # distinct neighbour sets, numbered over the block in cell order
         set_id = np.empty(len(idx), dtype=np.intp)
         n_sets = 0
         for k in np.flatnonzero(cut[1:] > cut[:-1]).tolist():
@@ -384,9 +449,7 @@ def meanshift(samples, bandwidth, offsets):
             sets = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
             _, first, row_set = np.unique(sets, return_index=True,
                                           return_inverse=True)
-            members = rows[first]
-            means = ((members @ kernels[k].pts)
-                     / np.count_nonzero(members, axis=1)[:, None])
+            means = kernels[k].set_means(rows, first)
             set_of = row_set[row_of]
             new = means[set_of]
             shift2[lo:hi] = ((new - cur) ** 2).sum(-1)

@@ -65,6 +65,20 @@ def large_demo_two_sphere():
             "ir": ir, "rgb": rgb}
 
 
+@pytest.fixture(scope="session")
+def large_demo_records(large_demo_two_sphere):
+    """The records and global cell table of `large_demo_two_sphere`, at the
+    default sample budget."""
+    run = large_demo_two_sphere
+    cfg = run["config"]
+    colors = estimation.estimate_colors(run["rgb"], cfg.saturation_level)
+    records, _ = estimation.accumulate_vertex_tables(
+        run["ir"], run["scene"], run["trajectory"], cfg.rig, colors, cfg.camera,
+        cfg.saturation_level)
+    table = segmentation.build_global_table(records, 100000, 7)
+    return {"records": records, "table": table}
+
+
 def unit_vectors(rng, n):
     v = rng.normal(size=(n, 3))
     return v / np.linalg.norm(v, axis=1, keepdims=True)

@@ -56,6 +56,24 @@ class TestVertexColor:
         samples = np.array([[0.1, 0.2, 0.3]] * (MIN_COLOR_SAMPLES - 1))
         assert estimate_vertex_color(samples, np.zeros(len(samples)), 8.0) is None
 
+    def test_traced_peak_per_kept_row(self, large_demo_two_sphere):
+        """One sort key per channel, of vertex and position in value order,
+        and no rank arrays: below 90 B per kept row (115 B at the parent
+        commit)."""
+        rgb = large_demo_two_sphere["rgb"]
+        sat = large_demo_two_sphere["config"].saturation_level
+        kept = np.count_nonzero((rgb.omega_out_angle <= GRAZING_DEG)
+                                & np.all(rgb.rgb < sat, axis=1))
+        assert kept > 100_000
+        estimation.estimate_colors(rgb, sat)
+        tracemalloc.start()
+        try:
+            estimation.estimate_colors(rgb, sat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 90 * kept
+
     def test_estimate_colors_unit_norm(self, noisy_two_sphere):
         colors = noisy_two_sphere["colors"]
         assert len(colors) > 1000
@@ -249,8 +267,9 @@ class TestAccumulation:
 
     def test_traced_peak_per_accepted_row(self, large_demo_two_sphere):
         """The kept rows are written in place into two columns allocated
-        once, and grouped by one stable sort of their cell keys: the traced
-        peak stays below 52 B per accepted row."""
+        once, and summed per cell a chunk of rows at a time, with no sorted
+        copy of the rows: the traced peak stays below 34 B per accepted row
+        (44 B at the parent commit, which sorted the rows by cell key)."""
         run = large_demo_two_sphere
         ir, scene, cfg = run["ir"], run["scene"], run["config"]
         colors = estimation.estimate_colors(run["rgb"], cfg.saturation_level)
@@ -266,7 +285,7 @@ class TestAccumulation:
         finally:
             tracemalloc.stop()
         assert counts["accepted"] > len(ir) / 2
-        assert peak < 52 * counts["accepted"]
+        assert peak < 34 * counts["accepted"]
 
 
 def _assert_tables_equal(a, b):

@@ -1,6 +1,7 @@
 """Meanshift, Gaussian statistics, the 3-sigma gate, group propagation and
 label diffusion."""
 
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -518,6 +519,189 @@ class TestBatchedMeanshift:
         samples, bandwidths, offsets = spy.call_args.args
         assert samples is table.samples and offsets is table.offsets
         assert len(bandwidths) == len(table.flats) and clusters
+
+
+def traced_peak(fn) -> int:
+    """Traced peak bytes of `fn()`, called once untraced first: numpy
+    imports some modules on a function's first call."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _cell_bandwidths(table):
+    return [default_bandwidth(table.cell(k)[1]) for k in range(len(table.flats))]
+
+
+class TestCellBlocks:
+    """`meanshift` runs its step loop over blocks of whole cells of at most
+    `_CELL_BLOCK` samples, a larger cell alone; cells are independent, so no
+    block size changes a cluster."""
+
+    # cell sizes: empty cells after a block's last cell and at a block's
+    # start, and a cell larger than the middle block size
+    SIZES = (25, 0, 181, 400, 0, 60, 1400, 0, 33, 1)
+
+    def _cells(self):
+        rng = np.random.default_rng(43)
+        cells = []
+        for n in self.SIZES:
+            k = int(rng.integers(1, 4))
+            centers = rng.uniform(0, 1, (k, 3))
+            cells.append(centers[rng.integers(0, k, n)]
+                         + rng.normal(0, 0.05, (n, 3)))
+        bandwidths = [default_bandwidth(c) if len(c) > 1 else 0.5 for c in cells]
+        # on a 0.25 grid the bandwidth 0.25 ties with neighbouring points
+        cells.insert(3, rng.integers(0, 8, (150, 3)) * 0.25)
+        bandwidths.insert(3, 0.25)
+        return cells, bandwidths
+
+    @pytest.mark.parametrize("block, calls", [
+        (1, 11),  # every cell alone
+        # 25 + 0 + 181 + 150 + 400 + 0 = 756: the first block ends on an
+        # empty cell; 60 runs alone, since 1400 does not fit beside it;
+        # 1400 is larger than a block; the last block starts with an empty
+        # cell
+        (756, 4),
+        (2250, 1),  # every sample in one block
+        (10 ** 6, 1)])
+    def test_blocks_equal_one_block_and_reference(self, monkeypatch, block,
+                                                  calls):
+        cells, bandwidths = self._cells()
+        pts = np.vstack(cells)
+        offsets = np.cumsum([0] + [len(c) for c in cells])
+        assert offsets[-1] == 2250
+        unblocked = meanshift(pts, bandwidths, offsets)
+        monkeypatch.setattr(segmentation, "_CELL_BLOCK", block)
+        with mock.patch.object(segmentation, "_meanshift_cells",
+                               wraps=segmentation._meanshift_cells) as spy:
+            got = meanshift(pts, bandwidths, offsets)
+        assert spy.call_count == calls
+        for call in spy.call_args_list:
+            cell_offsets = call.args[2]
+            assert cell_offsets[-1] <= block or len(cell_offsets) == 2
+        assert len(got) == len(cells)
+        for clusters, expected, c, bw in zip(got, unblocked, cells, bandwidths):
+            assert_same_clusters(clusters, expected)
+            assert_same_clusters(clusters, reference_meanshift(c, bw))
+
+    def test_scan_cells_equal_reference(self, noisy_two_sphere, monkeypatch):
+        table = noisy_two_sphere["table"]
+        bandwidths = _cell_bandwidths(table)
+        # several blocks of a few cells each
+        monkeypatch.setattr(segmentation, "_CELL_BLOCK",
+                            int(np.diff(table.offsets).max()))
+        got = meanshift(table.samples, bandwidths, table.offsets)
+        for k, (clusters, bw) in enumerate(zip(got, bandwidths)):
+            assert_same_clusters(clusters,
+                                 reference_meanshift(table.cell(k)[1], bw))
+
+    def test_no_cells(self):
+        assert meanshift(np.zeros((0, 3)), [], [0]) == []
+
+    def test_traced_peak_on_a_scan_table(self, large_demo_records):
+        """The iterates and set arrays span a block, and each set's sum
+        takes a block of rows: 11.2 MB at the parent commit on this table,
+        14.5 MB on one of the same size from seed 21."""
+        table = large_demo_records["table"]
+        assert len(table.samples) > 80_000
+        bandwidths = _cell_bandwidths(table)
+        peak = traced_peak(
+            lambda: meanshift(table.samples, bandwidths, table.offsets))
+        assert peak < 7_000_000
+
+
+class TestSetMeans:
+    """Each distinct neighbour set is summed a block of rows at a time
+    through the distance buffer, not as one float copy of every set."""
+
+    @staticmethod
+    def one_product(kernel, rows, first):
+        members = rows[first]
+        return ((members @ kernel.pts)
+                / np.count_nonzero(members, axis=1)[:, None])
+
+    def test_clusters_of_one_product(self, noisy_two_sphere, monkeypatch):
+        table = noisy_two_sphere["table"]
+        bandwidths = _cell_bandwidths(table)
+        sets = []
+        means = segmentation._FlatKernel.set_means
+
+        def spy(kernel, rows, first):
+            sets.append(len(first) * len(kernel.pts))
+            return means(kernel, rows, first)
+
+        monkeypatch.setattr(segmentation._FlatKernel, "set_means", spy)
+        got = meanshift(table.samples, bandwidths, table.offsets)
+        # some steps sum more sets than one block holds
+        assert max(sets) > 4 * segmentation._BLOCK
+        monkeypatch.setattr(segmentation._FlatKernel, "set_means",
+                            self.one_product)
+        expected = meanshift(table.samples, bandwidths, table.offsets)
+        for a, b in zip(got, expected):
+            assert_same_clusters(a, b)
+
+    # at 1000 samples a block holds 32 sets, so 65 sets end in a block of
+    # one, which starts a row early; beyond `_BLOCK` samples a block holds 2
+    @pytest.mark.parametrize("n", [1, 2, 5, 1000, segmentation._BLOCK + 3])
+    @pytest.mark.parametrize("n_sets", [1, 2, 3, 65])
+    def test_means_equal_one_product_within_rounding(self, n, n_sets):
+        rng = np.random.default_rng(n * 1000 + n_sets)
+        pts = rng.uniform(0.1, 1.0, (n, 3))
+        kernel = segmentation._FlatKernel(pts, 0.1, segmentation._buffers(n))
+        rows = rng.random((n_sets + 5, n)) < 0.5
+        rows[:, 0] = True  # no empty set
+        first = np.sort(rng.choice(len(rows), n_sets, replace=False))
+        got = kernel.set_means(rows, first)
+        expected = self.one_product(kernel, rows, first)
+        # a block and one product may sum in two orders: n terms each
+        np.testing.assert_allclose(got, expected, rtol=4 * n * 2.0 ** -53)
+        if n_sets * n <= segmentation._BLOCK:
+            np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 2, 3, 7, 8, 9])
+    @pytest.mark.parametrize("size", [2, 3, 4])
+    def test_row_blocks(self, n_rows, size):
+        blocks = list(segmentation._row_blocks(n_rows, size))
+        covered = np.zeros(n_rows, dtype=int)
+        for lo, hi in blocks:
+            assert 0 < hi - lo <= size
+            assert hi - lo > 1 or n_rows == 1
+            covered[lo:hi] += 1
+        assert np.all(covered >= 1)
+        # in order, and only the last block may start early
+        assert [hi for _, hi in blocks] == sorted({hi for _, hi in blocks})
+
+
+class TestTracedPeaks:
+    """The transient memory of the tie path and of the global table is
+    bounded by a block or by the table, not by the scan."""
+
+    def test_exact_neighbours(self, large_demo_records):
+        """Chunks of at most `_BLOCK` entries besides the (n, n) mask: 34.6
+        MB at the parent commit on a 1426-sample cell."""
+        table = large_demo_records["table"]
+        k = int(np.argmax(np.diff(table.offsets)))
+        pts = table.cell(k)[1]
+        n = len(pts)
+        assert n > 1000
+        pts_sq = np.einsum("ij,ij->i", pts, pts)
+        bw2 = default_bandwidth(pts) ** 2
+        peak = traced_peak(
+            lambda: segmentation._exact_neighbours(pts, pts, pts_sq, bw2))
+        assert peak < n * n + 2_000_000
+
+    def test_build_global_table(self, large_demo_records):
+        """Cells grouped by the run starts of the sorted flats, and every
+        record row picked, so the columns are gathered once: 10.7 MB at the
+        parent commit."""
+        records = large_demo_records["records"]
+        peak = traced_peak(lambda: build_global_table(records, 100000, 7))
+        assert peak < 7_500_000
 
 
 def reference_merge_walk(modes, bandwidth):
