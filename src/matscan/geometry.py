@@ -2,7 +2,11 @@
 and half/difference-angle computation.
 
 Angles are stored in degrees throughout; trigonometry goes through radians
-internally. All functions are pure.
+internally. All functions are pure. Poses of many frames are arrays:
+`trajectory_poses` interpolates a trajectory at every frame time at once,
+`project_points` projects from every pose at once and `look_at_poses` aims
+every camera at once, each with the bits of the one-pose path (`Pose`,
+`look_at`): small dot products and norms stay one BLAS call per pose.
 """
 
 from __future__ import annotations
@@ -14,12 +18,46 @@ import numpy as np
 UNIT_TOL = 1e-9
 
 
+def _norms(v) -> np.ndarray:
+    """The norm of each row of `v` (k, d) as `np.linalg.norm` of that row
+    gives it: one BLAS `dot` per row, which may sum in another order than a
+    ufunc does, on a fresh copy of the row, since OpenBLAS's Prescott `ddot`
+    sums a 3-vector that is not 16-byte aligned in another order too."""
+    return np.sqrt([r.dot(r) for r in map(np.array, v)])
+
+
 def _unit(v: np.ndarray) -> np.ndarray:
+    """`v` (d,) or each row of `v` (k, d) over its norm."""
     v = np.asarray(v, dtype=float)
-    n = np.linalg.norm(v)
-    if n < 1e-12:
+    n = _norms(v.reshape(-1, v.shape[-1]))
+    if np.any(n < 1e-12):
         raise ValueError("cannot normalize near-zero vector")
-    return v / n
+    return v / n.reshape(v.shape[:-1] + (1,))
+
+
+def _rotation_matrices(q) -> np.ndarray:
+    """The rotation matrix (..., 3, 3) of each unit quaternion (..., 4)."""
+    w, x, y, z = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
+    return np.stack(
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+         2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+         2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+        axis=-1).reshape(np.shape(w) + (3, 3))
+
+
+def _matrix_quaternions(m) -> np.ndarray:
+    """The unit quaternion (k, 4), w >= 0, of each rotation matrix of m (k,
+    3, 3): the eigenvector of the largest eigenvalue of the symmetric 4x4
+    matrix K of Bar-Itzhack (2000), every K in one stacked eigh, which gives
+    each matrix the bits of its own call."""
+    (a, b, c), (d, e, f), (g, h, i) = np.moveaxis(np.asarray(m, dtype=float), 0, -1)
+    k = np.zeros((len(a), 4, 4))  # its lower triangle, which eigh reads
+    k[:, [0, 1, 1, 2, 2, 2, 3, 3, 3, 3], [0, 0, 1, 0, 1, 2, 0, 1, 2, 3]] = np.stack(
+        [a - e - i, b + d, e - a - i, c + g, f + h, i - a - e, h - f, c - g,
+         d - b, a + e + i], axis=1) / 3.0
+    vals, vecs = np.linalg.eigh(k)
+    q = vecs[np.arange(len(a)), :, np.argmax(vals, axis=1)][:, [3, 0, 1, 2]]
+    return np.where(q[:, :1] < 0, -q, q)
 
 
 @dataclass(frozen=True)
@@ -54,34 +92,13 @@ class Quaternion:
 
     @staticmethod
     def from_matrix(m: np.ndarray) -> "Quaternion":
-        m = np.asarray(m, dtype=float)
-        k = np.array(
-            [
-                [m[0, 0] - m[1, 1] - m[2, 2], 0, 0, 0],
-                [m[0, 1] + m[1, 0], m[1, 1] - m[0, 0] - m[2, 2], 0, 0],
-                [m[0, 2] + m[2, 0], m[1, 2] + m[2, 1], m[2, 2] - m[0, 0] - m[1, 1], 0],
-                [m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1],
-                 m[0, 0] + m[1, 1] + m[2, 2]],
-            ]
-        ) / 3.0
-        vals, vecs = np.linalg.eigh(k)
-        q = vecs[[3, 0, 1, 2], np.argmax(vals)]
-        if q[0] < 0:
-            q = -q
-        return Quaternion(*q)
+        return Quaternion(*_matrix_quaternions(np.asarray(m)[None])[0])
 
     def as_array(self) -> np.ndarray:
         return np.array([self.w, self.x, self.y, self.z])
 
     def to_matrix(self) -> np.ndarray:
-        w, x, y, z = self.w, self.x, self.y, self.z
-        return np.array(
-            [
-                [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-                [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-                [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-            ]
-        )
+        return _rotation_matrices(self.as_array())
 
     def conjugate(self) -> "Quaternion":
         return Quaternion(self.w, -self.x, -self.y, -self.z)
@@ -98,24 +115,6 @@ class Quaternion:
 
     def rotate(self, v: np.ndarray) -> np.ndarray:
         return self.to_matrix() @ np.asarray(v, dtype=float)
-
-
-def slerp(q0: Quaternion, q1: Quaternion, u: float) -> Quaternion:
-    """Shortest-path spherical interpolation between unit quaternions."""
-    a = q0.as_array()
-    b = q1.as_array()
-    d = float(a @ b)
-    if d < 0.0:
-        b = -b
-        d = -d
-    if d > 1.0 - 1e-6:
-        # nearly parallel: normalized lerp is numerically safer
-        out = (1.0 - u) * a + u * b
-        return Quaternion(*(out / np.linalg.norm(out)))
-    theta = np.arccos(min(1.0, d))
-    s = np.sin(theta)
-    out = np.sin((1.0 - u) * theta) / s * a + np.sin(u * theta) / s * b
-    return Quaternion(*(out / np.linalg.norm(out)))
 
 
 @dataclass(frozen=True)
@@ -157,28 +156,52 @@ class TimedPose:
     timestamp: float
 
 
-def interpolate_pose(p0: TimedPose, p1: TimedPose, t: float) -> Pose:
-    """Pose at time t: slerp rotation, linear translation."""
-    if p1.timestamp <= p0.timestamp:
+def _trajectory_quaternions(trajectory: list[TimedPose], times):
+    """Unit quaternions (k, 4) and translations (k, 3) of the trajectory at
+    each of k times: from the two bracketing poses, slerp the rotation (a
+    normalized lerp when nearly parallel) and lerp the translation, every
+    time at once."""
+    stamps = np.array([tp.timestamp for tp in trajectory], dtype=float)
+    if len(stamps) < 2:
+        raise ValueError("trajectory needs at least two poses")
+    t = np.asarray(times, dtype=float).reshape(-1)
+    if not np.all((stamps[0] <= t) & (t <= stamps[-1])):
+        raise ValueError("a time is outside the trajectory time range")
+    hi = np.clip(np.searchsorted(stamps, t, side="right"), 1, len(stamps) - 1)
+    lo = hi - 1
+    if np.any(stamps[hi] <= stamps[lo]):
         raise ValueError("zero or negative length time interval")
-    if not (p0.timestamp <= t <= p1.timestamp):
-        raise ValueError(f"t={t} outside [{p0.timestamp}, {p1.timestamp}]")
-    u = (t - p0.timestamp) / (p1.timestamp - p0.timestamp)
-    rot = slerp(p0.pose.rotation, p1.pose.rotation, u)
-    trans = (1.0 - u) * p0.pose.translation + u * p1.pose.translation
-    return Pose(rot, trans)
+    u = (t - stamps[lo]) / (stamps[hi] - stamps[lo])
+    quats = np.array([tp.pose.rotation.as_array() for tp in trajectory])
+    trans = np.array([tp.pose.translation for tp in trajectory])
+    # one BLAS dot per segment, as a scalar slerp takes it
+    dots = np.array([a @ b for a, b in zip(quats[:-1], quats[1:])])[lo]
+    a, b = quats[lo], quats[hi]
+    b[dots < 0] *= -1.0  # the shortest path
+    d = np.abs(dots)
+    w0, w1 = 1.0 - u, u.copy()
+    arc = ~(d > 1.0 - 1e-6)
+    theta = np.arccos(np.minimum(1.0, d[arc]))
+    s = np.sin(theta)
+    w0[arc] = np.sin((1.0 - u[arc]) * theta) / s
+    w1[arc] = np.sin(u[arc] * theta) / s
+    q = w0[:, None] * a + w1[:, None] * b
+    # now a few ulps from unit norm, so `Quaternion` stores each row as is
+    q /= _norms(q)[:, None]
+    return q, (1.0 - u)[:, None] * trans[lo] + u[:, None] * trans[hi]
+
+
+def trajectory_poses(trajectory: list[TimedPose], times):
+    """Rotation matrices (k, 3, 3) and translations (k, 3) of the
+    trajectory at each of k times, in [first, last timestamp]."""
+    q, trans = _trajectory_quaternions(trajectory, times)
+    return _rotation_matrices(q), trans
 
 
 def interpolate_trajectory(trajectory: list[TimedPose], t: float) -> Pose:
-    """Pose at time t from the two bracketing trajectory entries."""
-    times = [tp.timestamp for tp in trajectory]
-    if len(trajectory) < 2:
-        raise ValueError("trajectory needs at least two poses")
-    if not (times[0] <= t <= times[-1]):
-        raise ValueError(f"t={t} outside trajectory time range")
-    hi = int(np.searchsorted(times, t, side="right"))
-    hi = min(max(hi, 1), len(times) - 1)
-    return interpolate_pose(trajectory[hi - 1], trajectory[hi], t)
+    """Pose at time t, as `trajectory_poses` gives it."""
+    q, trans = _trajectory_quaternions(trajectory, [t])
+    return Pose(Quaternion(*q[0]), trans[0])
 
 
 @dataclass(frozen=True)
@@ -203,12 +226,15 @@ def pose_arrays(poses):
             np.stack([p.translation for p in poses]))
 
 
-def project_points(camera: PinholeCamera, pose, points: np.ndarray):
-    """Vectorized projection of world points (n,3) seen from `pose`, or from
-    each pose of a list of k. Returns (pixels (n,2), valid mask (n,)), or
-    (k,n,2) and (k,n) for a list."""
-    rot, trans = pose_arrays([p.inverse() for p in
-                              ([pose] if isinstance(pose, Pose) else pose)])
+def project_points(camera: PinholeCamera, rotations, translations,
+                   points: np.ndarray):
+    """Vectorized projection of world points (n,3) seen from k camera poses,
+    camera-to-world rotation matrices (k,3,3) and translations (k,3).
+    Returns pixels (k,n,2) and the valid mask (k,n)."""
+    # each pose's inverse as `Pose.inverse` gives it: the transposed
+    # rotation, and its matrix-vector product with the translation
+    rot = np.ascontiguousarray(np.swapaxes(rotations, 1, 2))
+    trans = -np.matmul(rot, np.asarray(translations)[:, :, None])[..., 0]
     # the rows `Pose.transform` gives, one pose at a time
     pc = np.matmul(points, rot.swapaxes(1, 2)) + trans[:, None]
     z = pc[..., 2]
@@ -217,21 +243,28 @@ def project_points(camera: PinholeCamera, pose, points: np.ndarray):
     px = camera.fx * pc[..., 0] / zsafe + camera.cx
     py = camera.fy * pc[..., 1] / zsafe + camera.cy
     valid = in_front & (px >= 0) & (px < camera.width) & (py >= 0) & (py < camera.height)
-    pixels = np.stack([px, py], axis=-1)
-    return (pixels[0], valid[0]) if isinstance(pose, Pose) else (pixels, valid)
+    return np.stack([px, py], axis=-1), valid
+
+
+def look_at_poses(positions, target, up=(0.0, 1.0, 0.0)) -> list[Pose]:
+    """Camera-to-world poses, one per row of `positions` (k,3), with +z
+    looking from it toward target: array cross products and one stacked
+    eigh."""
+    positions = np.asarray(positions, dtype=float).reshape(-1, 3)
+    fwd = _unit(np.asarray(target, dtype=float) - positions)
+    right = np.cross(fwd, _unit(up))
+    n = _norms(right)
+    if np.any(n < 1e-9):
+        raise ValueError("up direction parallel to viewing direction")
+    right /= n[:, None]
+    down = np.cross(fwd, right)
+    quats = _matrix_quaternions(np.stack([right, down, fwd], axis=2))
+    return [Pose(Quaternion(*q), p) for q, p in zip(quats, positions)]
 
 
 def look_at(position, target, up=(0.0, 1.0, 0.0)) -> Pose:
     """Camera-to-world pose with +z looking from position toward target."""
-    position = np.asarray(position, dtype=float)
-    fwd = _unit(np.asarray(target, dtype=float) - position)
-    right = np.cross(fwd, _unit(up))
-    if np.linalg.norm(right) < 1e-9:
-        raise ValueError("up direction parallel to viewing direction")
-    right = _unit(right)
-    down = np.cross(fwd, right)
-    r = np.stack([right, down, fwd], axis=1)
-    return Pose(Quaternion.from_matrix(r), position)
+    return look_at_poses(position, target, up)[0]
 
 
 @dataclass(frozen=True)

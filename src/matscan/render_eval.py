@@ -9,7 +9,7 @@ import numpy as np
 
 from .brdf_table import BrdfTable, cell_center, cell_indices, lookup_arrays
 from .geometry import (LedRig, PinholeCamera, half_diff_angle_arrays,
-                       interpolate_trajectory, project_points)
+                       project_points, trajectory_poses)
 from .simulator import (IrObservations, eval_ground_truth_brdf, frame_geometry,
                         frames, shading, vignette)
 
@@ -93,14 +93,16 @@ def rerender_ir_frame(scene, labels, material_tables, trajectory, frame_time: fl
     Returns (height, width, 3) grayscale in [0, 1]: a read-only view that
     repeats one gray channel three times, the one (height, width) frame this
     allocates, clipped in place."""
-    pose = interpolate_trajectory(trajectory, frame_time)
-    pixels, valid = project_points(camera, pose, scene.positions)
+    rot, cam = trajectory_poses(trajectory, [frame_time])
+    pixels, valid = project_points(camera, rot, cam, scene.positions)
+    pixels, valid, rot, cam = pixels[0], valid[0], rot[0], cam[0]
     idx = np.nonzero(valid)[0]
     gray = np.zeros((camera.height, camera.width))
     if len(idx):
-        # the LED's row of the whole rig's, as `simulator.frames` computes it
-        led_world = pose.transform(rig.positions)[led_index]
-        vals = _rerender_rows(pose.translation, led_world,
+        # the LED's row of the whole rig's, by the product `Pose.transform`
+        # of an (n,3) array takes, as `simulator.frames` computes it
+        led_world = (rig.positions @ rot.T + cam)[led_index]
+        vals = _rerender_rows(cam, led_world,
                               np.full(len(idx), rig.brightness[led_index]), idx,
                               pixels[idx], scene, labels, material_tables,
                               camera) * exposure

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import TimedPose, look_at
+from .geometry import TimedPose, look_at_poses
 from .simulator import GroundTruthMaterial
 
 
@@ -179,12 +179,9 @@ def arc_trajectory(n_poses: int, duration: float, radius: float = 0.95,
     with a gentle vertical bob. Timestamps strictly increasing."""
     if n_poses < 2:
         raise ValueError("trajectory needs at least two poses")
-    out = []
-    for i in range(n_poses):
-        u = i / (n_poses - 1)
-        phi = np.deg2rad((u - 0.5) * sweep_deg)
-        pos = np.array([radius * np.sin(phi),
-                        bob * np.sin(2.0 * np.pi * u),
-                        target[2] - radius * np.cos(phi)])
-        out.append(TimedPose(look_at(pos, target), u * duration))
-    return out
+    u = np.arange(n_poses) / (n_poses - 1)
+    phi = np.deg2rad((u - 0.5) * sweep_deg)
+    pos = np.stack([radius * np.sin(phi), bob * np.sin(2.0 * np.pi * u),
+                    target[2] - radius * np.cos(phi)], axis=1)
+    return [TimedPose(pose, float(t))
+            for pose, t in zip(look_at_poses(pos, target), u * duration)]

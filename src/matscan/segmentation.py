@@ -8,11 +8,13 @@ concatenated. One flat-kernel meanshift call clusters every cell of it,
 each cell on its own, in one step loop per block of whole cells of at most
 `_CELL_BLOCK` samples, so its working arrays are bounded by a block, not by
 the scan; its neighbour masks are those of exact arithmetic (or, near a
-tie, of the full distance expression), in row blocks of one L2-sized
-buffer, and in a large step, modes within a leader mode's certified margin
-take the leader's mask instead of building their own. Each distinct
-neighbour set's mean is summed a block of sets at a time through the same
-buffer. The most separable cell seeds two material groups which are then
+tie, of the full distance expression). The small cell-steps of a block run
+together in ragged passes, each mode against its own cell's samples; a
+large one runs alone in row blocks of one L2-sized buffer, where modes
+within a leader mode's certified margin take the leader's mask and each
+distinct neighbour set's mean is summed a block of sets at a time. The
+merge walk and the assignment run over every cell of a block at once,
+and so do the bandwidths. The most separable cell seeds two material groups which are then
 grown cell by cell, ranked by a separability score of refitted Gaussians
 and gated by a 3-sigma Mahalanobis rule. Each group keeps per-cell moments
 of its samples, updated from the rows of the vertices the gate adds; they
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -49,6 +52,20 @@ _CELL_BLOCK = 1 << 14
 _UNIT_ROUNDOFF = 2.0 ** -53
 # leader rows per round of a meanshift step that shares neighbour rows
 _LEADERS = 8
+# moving modes x samples of a cell's step at most this many run in ragged
+# passes with other cells' steps: there an entry costs ~30 ns against ~2 ns
+# on a BLAS path, which pays ~0.1 ms of calls per cell and step
+_RAGGED = 1 << 12
+# entries after which a new ragged pass starts at the next cell; a pass's
+# arrays take ~60 B an entry
+_PASS = 1 << 13
+
+
+def _starts(x) -> np.ndarray:
+    """Whether each element of x begins a run of equal neighbours."""
+    first = np.ones(len(x), dtype=bool)
+    np.not_equal(x[1:], x[:-1], out=first[1:])
+    return first
 
 
 @dataclass
@@ -86,8 +103,7 @@ class GlobalCellTable:
         order = np.argsort(flat, kind="stable")
         sorted_flat = flat[order]
         # each cell's run of sorted rows starts where the flat cell changes
-        first = np.ones(len(flat), dtype=bool)
-        np.not_equal(sorted_flat[1:], sorted_flat[:-1], out=first[1:])
+        first = _starts(sorted_flat)
         cells = sorted_flat[first]
         counts = np.diff(np.flatnonzero(first), append=len(flat))
         del sorted_flat, first
@@ -171,20 +187,26 @@ def _row_blocks(n_rows, size):
         yield max(0, min(lo, hi - 2)), hi
 
 
-def _exact_neighbours(modes, pts, pts_sq, bw2):
-    """The neighbour mask of each mode, from the full distance expression
-    in chunks of at most max(`_BLOCK`, 2n) entries: the tie path of
-    `_FlatKernel.mask`. Each entry's product sums three terms; gemm calls
-    of two or more rows gave it the same bits whatever their row count on
-    OpenBLAS 0.3.31's SkylakeX, Haswell and Prescott kernels, and a one-row
-    chunk, which numpy takes through gemv, comes only of one mode
-    (`_row_blocks`)."""
+def _sq_norms(v):
+    """|v|^2 of each row of v (..., 3) by elementwise ufuncs: the bits of a
+    row's value do not depend on where the row sits."""
+    return v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1] + v[..., 2] * v[..., 2]
+
+
+def _exact_neighbours(modes, pts, bw2):
+    """The neighbour mask of each mode from the full distance expression
+    |m|^2 + |p|^2 - 2 m.p, in chunks of at most max(`_BLOCK`, n) entries:
+    the tie path of a meanshift step. Every term is elementwise, so an entry
+    depends on its mode and sample alone; a gemm's may depend on the row's
+    position (OpenBLAS's SkylakeX kernel gave 129 identical rows of a K=3
+    product 3 distinct product rows)."""
     within = np.empty((len(modes), len(pts)), dtype=bool)
-    for lo, hi in _row_blocks(len(modes), max(2, _BLOCK // len(pts))):
-        m = modes[lo:hi]
-        d2 = (np.einsum("ij,ij->i", m, m)[:, None] + pts_sq[None, :]
-              - 2.0 * (m @ pts.T))
-        within[lo:hi] = d2 <= bw2
+    m_sq, p_sq = _sq_norms(modes), _sq_norms(pts)
+    rows = max(1, _BLOCK // max(1, len(pts)))
+    for lo in range(0, len(modes), rows):
+        m = modes[lo:lo + rows, None, :]
+        dot = m[..., 0] * pts[:, 0] + m[..., 1] * pts[:, 1] + m[..., 2] * pts[:, 2]
+        within[lo:lo + rows] = m_sq[lo:lo + rows, None] + p_sq - 2.0 * dot <= bw2
     return within
 
 
@@ -336,36 +358,47 @@ class _FlatKernel:
 
     def _exact(self, modes):
         """Each mode's own mask from the full distance expression."""
-        return (_exact_neighbours(modes, self.pts, self.pts_sq, self.bw2),
-                np.arange(len(modes)))
+        return _exact_neighbours(modes, self.pts, self.bw2), np.arange(len(modes))
+
+    def step(self, modes):
+        """(means, set_of): each mode's neighbour-set mean, and the set's
+        number among the distinct sets of its `rows`, each summed once."""
+        rows, row_of = self.rows(modes)
+        packed = np.packbits(rows, axis=1)
+        sets = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+        _, first, row_set = np.unique(sets, return_index=True,
+                                      return_inverse=True)
+        set_of = row_set[row_of]
+        return self.set_means(rows, first)[set_of], set_of
 
 
-def _merge_modes(modes, bandwidth):
-    """The centers of a walk over `modes` that makes each mode a center
-    unless `np.linalg.norm(mode - c) < bandwidth / 2` for a center `c` found
-    before it.
-
-    Each new center takes one row of squared distances to the later modes.
-    That sum of squares and the norm's `dot` round differently, each within
-    a few u of the same exact sum, so a squared distance decides only
-    outside the band 64u(bandwidth/2)^2 around (bandwidth/2)^2; inside it
-    the walk's own expression decides."""
-    half = bandwidth / 2
+def _merge_modes(modes, cell, bws):
+    """Whether each row of `modes` is a center of the walk over the rows of
+    its cell k (`cell`, contiguous), which makes each row a center unless
+    `np.linalg.norm(mode - c) < bws[k] / 2` for a center `c` before it. A
+    round makes the first open row of every cell a center and closes the
+    open rows near it. Its squared distances and the norm's `dot` round
+    differently, within a few u of one exact sum, so a squared distance
+    decides only outside the band 64u(bws[k]/2)^2 around (bws[k]/2)^2."""
+    half = bws / 2
     h2 = half * half
     band = 64 * _UNIT_ROUNDOFF * h2
-    merged = np.zeros(len(modes), dtype=bool)
-    heads = []
-    for i in range(len(modes)):
-        if merged[i]:
-            continue
-        heads.append(i)
-        c = modes[i]
-        d2 = ((modes[i + 1:] - c) ** 2).sum(-1)
-        close = d2 < h2 - band
-        for j in np.nonzero((d2 < h2 + band) & ~close)[0]:
-            close[j] = np.linalg.norm(modes[i + 1 + j] - c) < half
-        merged[i + 1:] |= close
-    return modes[heads]
+    head = np.zeros(len(modes), dtype=bool)
+    unseen = np.ones(len(modes), dtype=bool)
+    while unseen.any():
+        rows = np.flatnonzero(unseen)
+        first = _starts(cell[rows])
+        head[rows[first]] = True
+        # each later row against the center of its cell
+        rest, c = rows[~first], rows[first][np.cumsum(first)[~first] - 1]
+        k = cell[rest]
+        d2 = ((modes[rest] - modes[c]) ** 2).sum(-1)
+        close = d2 < (h2 - band)[k]
+        for j in np.flatnonzero((d2 < (h2 + band)[k]) & ~close).tolist():
+            close[j] = np.linalg.norm(modes[rest[j]] - modes[c[j]]) < half[k[j]]
+        unseen[rows[first]] = False
+        unseen[rest[close]] = False
+    return head
 
 
 def meanshift(samples, bandwidth, offsets):
@@ -377,28 +410,27 @@ def meanshift(samples, bandwidth, offsets):
     the nearest merged mode. Returns per cell its cluster index arrays (into
     the cell's rows), largest first.
 
-    Each step finds the neighbour mask of every moving mode of a cell with
-    its `_FlatKernel.rows`: squared distances built in place in L2-sized row
-    blocks, with a rounding band around bw^2 inside which the step is
-    recomputed with the full distance expression, so the masks are those of
-    exact arithmetic or of the full expression. When the moving modes times
-    the samples exceed one `_BLOCK` buffer, rows are built only for a few
-    leader modes per round and for the modes no leader covers: a mode
-    closer to a leader than the leader's certified margin (how far every
-    sample is from the bandwidth's edge, less the rounding band) has the
-    leader's mask. Each distinct neighbour set is summed once, a block of
-    sets at a time through the distance buffer (`_FlatKernel.set_means`).
-    Samples that share a neighbour set and are all still moving or all
+    A step's neighbour masks are those of exact arithmetic, or, where a
+    squared distance lies in a rounding band around bw^2, those of the full
+    distance expression for every moving mode of that cell
+    (`_exact_neighbours`). Cell-steps of at most `_RAGGED` moving modes x
+    samples run together in ragged passes (`_ragged_means`). A larger one
+    runs alone (`_FlatKernel.step`): squared distances in L2-sized row
+    blocks and, beyond one `_BLOCK` buffer, rows only for a few leader modes
+    per round and the modes no leader covers, since a mode closer to a
+    leader than the leader's certified margin has the leader's mask; each
+    distinct neighbour set is summed once.
+
+    Rows that reach one mode in one cell and are all still moving or all
     stopped follow the same path from then on, so they are iterated once:
     `owner` maps each sample to its row of distinct iterates. Merging and
-    assignment also run over those rows. The clusters are the same as when
-    every sample is iterated on its own.
+    assignment also run over those rows, every cell at once. The clusters
+    are the same as when every sample is iterated on its own.
 
     Cells are independent, so the step loop runs over consecutive blocks of
     whole cells of at most `_CELL_BLOCK` samples (a larger cell alone): the
-    iterates, `owner`, the set numbers and the arrays that collapse them
-    span one block, not every sample, and the cells share one pair of
-    distance buffers."""
+    iterates, `owner` and the arrays that collapse them span one block, and
+    the cells share one pair of distance buffers."""
     pts = np.asarray(samples, dtype=float).reshape(-1, 3)
     offsets = np.asarray(offsets, dtype=np.intp)
     bws = np.broadcast_to(np.asarray(bandwidth, dtype=float),
@@ -406,64 +438,122 @@ def meanshift(samples, bandwidth, offsets):
     if np.any(bws <= 0):
         raise ValueError("bandwidth must be positive")
     buffers = _buffers(np.diff(offsets).max(initial=0))
-    out, k = [], 0
-    while k < len(bws):
-        # the cells k:stop, as many as fit in one block, and at least one
-        stop = max(k + 1, int(np.searchsorted(
-            offsets, offsets[k] + _CELL_BLOCK, "right")) - 1)
+    out = []
+    for k, stop in _cell_blocks(offsets):
         out += _meanshift_cells(pts[offsets[k]:offsets[stop]], bws[k:stop],
                                 offsets[k:stop + 1] - offsets[k], buffers)
-        k = stop
     return out
 
 
+def _cell_blocks(offsets):
+    """(k, stop) of each run of consecutive cells k:stop, as many as fit in
+    `_CELL_BLOCK` samples, and at least one."""
+    k = 0
+    while k < len(offsets) - 1:
+        stop = max(k + 1, int(np.searchsorted(
+            offsets, offsets[k] + _CELL_BLOCK, "right")) - 1)
+        yield k, stop
+        k = stop
+
+
+def _ragged_means(pts, offsets, modes, cells, bw2, peak):
+    """The mean of each mode's neighbour set, each mode against its own
+    cell's samples (`pts`, a row per coordinate; `cells` ascending) in one
+    ragged pass. A sum of squared differences is within 10u(|m|^2 + |p|^2)
+    of the exact d^2, so outside the band 64u(|m|^2 + `peak`) around bw^2
+    (`peak` the cell's largest |p|^2) d^2 <= bw^2 is the exact mask; a cell
+    with a value in its band takes `_exact_neighbours` instead. A mode's
+    sums run over its cell's samples, zero outside its set."""
+    n = np.diff(offsets)[cells]
+    ends = np.cumsum(n)
+    starts = ends - n
+    samp = np.arange(ends[-1]) + np.repeat(offsets[cells] - starts, n)
+    coords = [p[samp] for p in pts]
+    d2 = np.zeros(len(samp))
+    for c, m in zip(coords, modes.T):
+        t = c - np.repeat(m, n)
+        t *= t
+        d2 += t
+    band = 64 * _UNIT_ROUNDOFF * (_sq_norms(modes) + peak[cells])
+    within = d2 <= np.repeat(bw2[cells] - band, n)
+    tie = d2 <= np.repeat(bw2[cells] + band, n)
+    tie ^= within
+    for k in sorted(set(cells[np.add.reduceat(tie, starts) > 0].tolist())):
+        a, b = np.searchsorted(cells, [k, k + 1])
+        within[starts[a]:ends[b - 1]] = _exact_neighbours(
+            modes[a:b], pts[:, offsets[k]:offsets[k + 1]].T, bw2[k]).ravel()
+    sums = [np.add.reduceat(c * within, starts) for c in coords]
+    return (np.stack(sums, axis=1)
+            / np.add.reduceat(within, starts, dtype=np.intp)[:, None])
+
+
 def _meanshift_cells(pts, bws, offsets, buffers):
-    """`meanshift` of the cells of one block, in one step loop. Per cell, a
-    step makes only the calls whose bits the clusters depend on: the
-    neighbour rows, the distinct sets, their means and the shifts. The shift
-    test, the merging of rows and the `owner` remap run once per step over
+    """`meanshift` of the cells of one block, in one step loop. A step takes
+    the cells with more than `_RAGGED` moving modes x samples one at a time,
+    and the others in ragged passes of whole cells, a pass from every
+    `_PASS` entries. The shift test, the merging of rows, the `owner`
+    remap, the merge walk and the assignment run once per step or call over
     the block."""
-    kernels = [_FlatKernel(pts[lo:hi], bw * bw, buffers) if hi > lo else None
-               for lo, hi, bw in zip(offsets[:-1], offsets[1:], bws)]
-    modes = pts.copy()
-    bounds = offsets.copy()  # cell k's rows of modes: bounds[k]:bounds[k + 1]
-    owner = np.arange(len(pts))
+    sizes = np.diff(offsets)
+    if len(pts) == 0:
+        return [[] for _ in bws]
+    bw2 = bws * bws
     tol = 1e-4 * bws
     tol2 = tol * tol
+    # a cell of at most sqrt(`_RAGGED`) samples never takes a step alone
+    kernels = {k: _FlatKernel(pts[offsets[k]:offsets[k + 1]], bw2[k], buffers)
+               for k in np.flatnonzero(sizes * sizes > _RAGGED).tolist()}
+    peak = np.zeros(len(bws))  # each cell's largest |p|^2
+    peak[sizes > 0] = np.maximum.reduceat(_sq_norms(pts), offsets[:-1][sizes > 0])
+    modes = pts.copy()
+    columns = np.ascontiguousarray(pts.T)
+    cell = np.repeat(np.arange(len(bws)), sizes)  # the cell of each row
+    owner = np.arange(len(pts))
     active = np.ones(len(pts), dtype=bool)
     for _ in range(MAX_ITER):
-        idx = np.nonzero(active)[0]
+        idx = np.flatnonzero(active)
         if len(idx) == 0:
             break
-        # the moving rows of cell k are idx[cut[k]:cut[k + 1]]
-        cut = np.searchsorted(idx, bounds)
-        shift2 = np.empty(len(idx))
-        # distinct neighbour sets, numbered over the block in cell order
+        cells = cell[idx]
+        moving = np.bincount(cells, minlength=len(bws))
+        large = moving * sizes > _RAGGED
+        new = np.empty((len(idx), 3))
+        # rows of one number reach one mode, numbered over the block in cell
+        # order: distinct neighbour sets, or in a ragged pass distinct means
         set_id = np.empty(len(idx), dtype=np.intp)
         n_sets = 0
-        for k in np.flatnonzero(cut[1:] > cut[:-1]).tolist():
-            lo, hi = cut[k], cut[k + 1]
-            cur = modes[idx[lo:hi]]
-            rows, row_of = kernels[k].rows(cur)
-            packed = np.packbits(rows, axis=1)
-            sets = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-            _, first, row_set = np.unique(sets, return_index=True,
-                                          return_inverse=True)
-            means = kernels[k].set_means(rows, first)
-            set_of = row_set[row_of]
-            new = means[set_of]
-            shift2[lo:hi] = ((new - cur) ** 2).sum(-1)
-            modes[idx[lo:hi]] = new
-            set_id[lo:hi] = n_sets + set_of
-            n_sets += len(first)
-        active[idx] = shift2 >= np.repeat(tol2, np.diff(cut))
-        # moving rows with one neighbour set now share a mode, but one may
-        # have stopped there and another not, so the active flag is part of
-        # the key. Each group keeps its first row, so rows stay in the order
-        # of their first sample, and in cell order; rows that did not move
-        # are kept as they are
-        _, head, group = np.unique(set_id * 2 + active[idx],
-                                   return_index=True, return_inverse=True)
+        for k in np.flatnonzero(large).tolist():
+            rows = slice(*np.searchsorted(cells, [k, k + 1]))
+            new[rows], ids = kernels[k].step(modes[idx[rows]])
+            set_id[rows] = n_sets + ids
+            n_sets += int(ids.max()) + 1
+        # passes of whole small cells, a new one at the first cell that
+        # starts `_PASS` entries or more after the pass
+        small = np.flatnonzero(~large[cells])
+        n = sizes[cells[small]]
+        at = np.maximum.accumulate(np.where(_starts(cells[small]), np.cumsum(n) - n, 0))
+        for rows in np.split(small, np.flatnonzero(_starts(at // _PASS))[1:]):
+            if len(rows):
+                new[rows] = _ragged_means(columns, offsets, modes[idx[rows]],
+                                          cells[rows], bw2, peak)
+                _, ids = np.unique(np.column_stack([cells[rows], new[rows]]),
+                                   axis=0, return_inverse=True)
+                set_id[rows] = n_sets + ids.ravel()
+                n_sets += int(ids.max()) + 1
+        shift2 = ((new - modes[idx]) ** 2).sum(-1)
+        modes[idx] = new
+        active[idx] = shift2 >= tol2[cells]
+        # moving rows with one number now share a mode, but one may have
+        # stopped there and another not, so the active flag is part of the
+        # key. Each group keeps its first row (a stable sort), so rows stay in
+        # the order of their first sample, and in cell order; rows that did
+        # not move are kept as they are
+        key = set_id * 2 + active[idx]
+        order = np.argsort(key, kind="stable")
+        start = _starts(key[order])
+        head = order[start]
+        group = np.empty(len(idx), dtype=np.intp)
+        group[order] = np.cumsum(start) - 1
         gone = np.zeros(len(modes), dtype=bool)
         gone[idx] = True
         gone[idx[head]] = False
@@ -471,25 +561,37 @@ def _meanshift_cells(pts, bws, offsets, buffers):
         row = np.arange(len(modes))
         row[idx] = idx[head][group]
         owner = np.searchsorted(keep, row)[owner]
-        bounds = np.searchsorted(keep, bounds)
-        modes, active = modes[keep], active[keep]
+        modes, active, cell = modes[keep], active[keep], cell[keep]
+    return _assign(modes, cell, owner, bws, offsets)
 
-    out = []
-    for k, bw in enumerate(bws):
-        r0, r1 = bounds[k], bounds[k + 1]
-        if r1 == r0:
-            out.append([])
-            continue
-        # rows are in order of their first sample, so this keeps the centers
-        # of a walk over all samples: a repeated mode never adds one
-        centers = _merge_modes(modes[r0:r1], bw)
-        d2c = ((modes[r0:r1, None, :] - centers[None, :, :]) ** 2).sum(-1)
-        assign = np.argmin(d2c, axis=1)[owner[offsets[k]:offsets[k + 1]] - r0]
-        clusters = [np.nonzero(assign == j)[0] for j in range(len(centers))]
-        clusters = [c for c in clusters if len(c) > 0]
-        clusters.sort(key=lambda c: (-len(c), int(c[0])))
-        out.append(clusters)
-    return out
+
+def _assign(modes, cell, owner, bws, offsets):
+    """Per cell, its clusters largest first (ties to the first sample): the
+    walk's centers over the rows of `modes`, which come in the order of
+    their first sample, so a repeated mode adds none; each row goes to its
+    cell's nearest center (the first of equal squared distance) and each
+    sample to its row's (`owner`). Every cell at once."""
+    heads = np.flatnonzero(_merge_modes(modes, cell, bws))
+    # row r against its cell's centers heads[lo[r]:lo[r] + n[r]]
+    lo = np.searchsorted(cell[heads], cell)
+    n = np.searchsorted(cell[heads], cell, "right") - lo
+    ends = np.cumsum(n)
+    rep = np.repeat(np.arange(len(modes)), n)
+    centre = heads[np.arange(ends[-1]) + np.repeat(lo - (ends - n), n)]
+    d2 = ((modes[rep] - modes[centre]) ** 2).sum(-1)
+    hit = np.flatnonzero(d2 == np.minimum.reduceat(d2, ends - n)[rep])
+    label = centre[hit[_starts(rep[hit])]][owner]
+    # samples grouped by center, in sample order within each
+    order = np.argsort(label, kind="stable")
+    start = np.flatnonzero(_starts(label[order]))
+    size = np.diff(start, append=len(order))
+    sample_cell = np.repeat(np.arange(len(bws)), np.diff(offsets))
+    first_sample = order[start]
+    gcell = sample_cell[first_sample]
+    clusters = np.split(order - offsets[sample_cell[order]], start[1:])
+    rank = np.lexsort((first_sample, -size, gcell)).tolist()
+    at = np.cumsum(np.bincount(gcell, minlength=len(bws))).tolist()
+    return [[clusters[i] for i in rank[a:b]] for a, b in zip([0] + at, at)]
 
 
 def fit_gaussian(samples, members=None) -> GaussianCluster:
@@ -577,18 +679,38 @@ def assign_3sigma_many(samples, g1: GaussianCluster, g2: GaussianCluster):
     return out
 
 
+def _bandwidths(table: GlobalCellTable) -> np.ndarray:
+    """Per candidate cell, the largest of its `default_bandwidth`, 1e-6
+    times its mean sample norm and 1e-12, a block of cells at a time
+    (`_cell_blocks`): a `bincount` sums each channel in sample order, as
+    `np.var` does; `np.mean` of the norms sums otherwise, so it runs only
+    for a cell whose floor may win."""
+    out = []
+    for k, stop in _cell_blocks(table.offsets):
+        pts = table.samples[table.offsets[k]:table.offsets[stop]]
+        sizes = np.diff(table.offsets[k:stop + 1])
+        cell = np.repeat(np.arange(len(sizes)), sizes)
+
+        def cell_means(values):
+            return np.bincount(cell, values, minlength=len(sizes)) / sizes
+
+        x = pts.T - np.stack([cell_means(c) for c in pts.T])[:, cell]
+        var = np.stack([cell_means(c * c) for c in x], axis=1)
+        bw = 0.5 * np.sqrt(var.sum(axis=1))
+        floor = 1e-6 * cell_means(np.sqrt(_sq_norms(pts)))
+        for j in np.flatnonzero(floor * (1 + 1e-9) >= bw).tolist():
+            floor[j] = 1e-6 * float(np.linalg.norm(table.cell(k + j)[1], axis=1).mean())
+        out.append(np.maximum(np.maximum(bw, floor), 1e-12))
+    return np.concatenate(out) if out else np.zeros(0)
+
+
 def initial_clusters(table: GlobalCellTable) -> dict:
     """Candidate cell index k (into `table.flats`) -> surviving Gaussian
     clusters, largest first; clusters below 5% of the cell or below
     MIN_CLUSTER_SIZE are discarded. One `meanshift` call clusters every
     candidate cell, each at its own bandwidth."""
-    bandwidths = []
-    for k in range(len(table.flats)):
-        vals = table.cell(k)[1]
-        floor = 1e-6 * float(np.linalg.norm(vals, axis=1).mean())
-        bandwidths.append(max(default_bandwidth(vals), floor, 1e-12))
     out = {}
-    per_cell = meanshift(table.samples, bandwidths, table.offsets)
+    per_cell = meanshift(table.samples, _bandwidths(table), table.offsets)
     for k, clusters in enumerate(per_cell):
         vids, vals = table.cell(k)
         keep = [fit_gaussian(vals[c], vids[c]) for c in clusters
@@ -636,13 +758,12 @@ class _Group:
 
     def _add_rows(self, rows):
         cell = np.searchsorted(self.table.offsets, rows, side="right") - 1
-        x = self.table.samples[rows] - self.table.centres[cell]
-        terms = np.concatenate([x, x[:, _ROW] * x[:, _COL]], axis=1)
+        x = (self.table.samples[rows] - self.table.centres[cell]).T
         k = len(self.count)
         self.count += np.bincount(cell, minlength=k)
-        # one bincount over (cell, column) bins
-        self.moments += np.bincount((9 * cell[:, None] + np.arange(9)).ravel(),
-                                    terms.ravel(), minlength=9 * k).reshape(k, 9)
+        # one bincount per moment column, over the rows in order
+        for j, term in enumerate(chain(x, (x[a] * x[b] for a, b in zip(_ROW, _COL)))):
+            self.moments[:, j] += np.bincount(cell, term, minlength=k)
 
 
 def _moment_scores(grp1: _Group, grp2: _Group, ks):

@@ -32,7 +32,8 @@ import numpy as np
 
 from .geometry import (LedRig, PinholeCamera, Pose, Quaternion, TimedPose,
                        half_diff_angle_arrays, interpolate_trajectory,
-                       norm_rows, pose_arrays, project_points)
+                       norm_rows, pose_arrays, project_points,
+                       trajectory_poses)
 
 # rows processed at once: whole frames, up to this many frames x vertices in
 # `simulate_scan` and observation rows in `frames`, or one larger frame
@@ -123,10 +124,10 @@ def frames(ir, trajectory, rig: LedRig):
     frame, so a row's values do not depend on the other rows of its frame."""
     sizes = np.diff(ir.frame_offsets)
     nonempty = np.flatnonzero(sizes)
+    rots, cams = trajectory_poses(trajectory, ir.frame_time[nonempty])
     for first, stop in _chunks(sizes[nonempty]):
         fis = nonempty[first:stop]
-        rot, cam = pose_arrays([interpolate_trajectory(trajectory, float(t))
-                                for t in ir.frame_time[fis]])
+        rot, cam = rots[first:stop], cams[first:stop]
         # every LED of every frame (k, L, 3), by the matrix product that
         # `Pose.transform` of an (n,3) array uses, whatever the rows per frame
         led_world = np.matmul(rig.positions, rot.swapaxes(1, 2)) + cam[:, None]
@@ -345,21 +346,26 @@ def simulate_scan(scene, config: ScanConfig):
                 np.empty(rgb_rows))
     per_frame = np.zeros(len(times), np.int64)
     at = rgb_at = 0
+    # a jittered pose is drawn frame by frame from its unjittered one
+    jitter = noise.pose_translation_jitter_m > 0 or noise.pose_rotation_jitter_deg > 0
+    rots, cams = trajectory_poses(config.trajectory, times)
     for first, stop in _chunks(np.full(len(times), n)):
         fis = np.arange(first, stop)
         rngs = [np.random.default_rng(frame_seeds[fi]) for fi in fis]
         poses, raw, ang = [], [], []
         for rng, t in zip(rngs, times[first:stop]):
-            poses.append(_jitter_pose(
-                rng, interpolate_trajectory(config.trajectory, t), noise))
+            if jitter:
+                poses.append(_jitter_pose(
+                    rng, interpolate_trajectory(config.trajectory, t), noise))
             if noise.normal_jitter_deg > 0:
                 raw.append(rng.normal(size=(n, 3)))
                 ang.append(rng.normal(0.0, noise.normal_jitter_deg, n))
         normals = scene.normals
         if raw:
             normals = _jitter_directions(normals, np.stack(raw), np.stack(ang))
-        pixels, in_view = project_points(config.camera, poses, scene.positions)
-        rot, cam = pose_arrays(poses)
+        rot, cam = (pose_arrays(poses) if jitter else
+                    (rots[first:stop], cams[first:stop]))
+        pixels, in_view = project_points(config.camera, rot, cam, scene.positions)
         leds = fis % len(rig)
         # each frame's LED by the matrix-vector product that `Pose.transform`
         # of one point uses; the matrix product of `frames` may round the

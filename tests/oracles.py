@@ -24,7 +24,11 @@
   `segmentation.diffuse_labels` against;
 - table lookup of all angle pairs at once and a PPM converted as one whole
   image, which tests check the blocked `brdf_table.lookup_arrays` and
-  `render_eval.write_ppm` against bit for bit.
+  `render_eval.write_ppm` against bit for bit;
+- poses one at a time as `Pose` objects: slerp and timestamp interpolation,
+  `look_at` and the arc trajectory, and projection through `Pose.inverse`,
+  which tests check `geometry.trajectory_poses`, `geometry.look_at_poses`,
+  `scenes.arc_trajectory` and `geometry.project_points` against bit for bit.
 
 It also holds the scalar and inverse helpers only tests use: the
 half/difference angles of one direction pair and the cell of one angle
@@ -47,8 +51,8 @@ from matscan.brdf_table import (D_WIDTH, H_WIDTH, N_CELLS, N_D, N_H, BrdfTable,
 from matscan.estimation import (ACCEPTED, COS_GRAZING, GRAZING_DEG,
                                 MIN_COLOR_SAMPLES, VIGNETTE_FLOOR, Rejection,
                                 VertexRecords, VertexReflectanceRecord)
-from matscan.geometry import (PinholeCamera, Pose, Quaternion,
-                              interpolate_trajectory)
+from matscan.geometry import (PinholeCamera, Pose, Quaternion, TimedPose,
+                              pose_arrays)
 from matscan.segmentation import GlobalCellTable
 from matscan.simulator import (GroundTruthMaterial, IrObservations,
                                RgbObservations, _jitter_pose,
@@ -647,3 +651,121 @@ def read_ppm(path) -> np.ndarray:
         fh.readline()  # maxval
         data = np.frombuffer(fh.read(w * h * 3), dtype=np.uint8)
     return data.reshape(h, w, 3).astype(float) / 255.0
+
+
+def slerp(q0: Quaternion, q1: Quaternion, u: float) -> Quaternion:
+    """Shortest-path spherical interpolation between unit quaternions."""
+    a = q0.as_array()
+    b = q1.as_array()
+    d = float(a @ b)
+    if d < 0.0:
+        b = -b
+        d = -d
+    if d > 1.0 - 1e-6:
+        # nearly parallel: normalized lerp is numerically safer
+        out = (1.0 - u) * a + u * b
+        return Quaternion(*(out / np.linalg.norm(out)))
+    theta = np.arccos(min(1.0, d))
+    s = np.sin(theta)
+    out = np.sin((1.0 - u) * theta) / s * a + np.sin(u * theta) / s * b
+    return Quaternion(*(out / np.linalg.norm(out)))
+
+
+def interpolate_pose(p0: TimedPose, p1: TimedPose, t: float) -> Pose:
+    """Pose at time t: slerp rotation, linear translation."""
+    if p1.timestamp <= p0.timestamp:
+        raise ValueError("zero or negative length time interval")
+    if not (p0.timestamp <= t <= p1.timestamp):
+        raise ValueError(f"t={t} outside [{p0.timestamp}, {p1.timestamp}]")
+    u = (t - p0.timestamp) / (p1.timestamp - p0.timestamp)
+    rot = slerp(p0.pose.rotation, p1.pose.rotation, u)
+    trans = (1.0 - u) * p0.pose.translation + u * p1.pose.translation
+    return Pose(rot, trans)
+
+
+def interpolate_trajectory(trajectory: list, t: float) -> Pose:
+    """Pose at time t from the two bracketing trajectory entries."""
+    times = [tp.timestamp for tp in trajectory]
+    if len(trajectory) < 2:
+        raise ValueError("trajectory needs at least two poses")
+    if not (times[0] <= t <= times[-1]):
+        raise ValueError(f"t={t} outside trajectory time range")
+    hi = int(np.searchsorted(times, t, side="right"))
+    hi = min(max(hi, 1), len(times) - 1)
+    return interpolate_pose(trajectory[hi - 1], trajectory[hi], t)
+
+
+def trajectory_poses(trajectory: list, times):
+    """Rotation matrices and translations of `interpolate_trajectory` at
+    each time, one pose at a time."""
+    return pose_arrays([interpolate_trajectory(trajectory, float(t))
+                        for t in times])
+
+
+def _unit(v):
+    v = np.asarray(v, dtype=float)
+    n = np.linalg.norm(v)
+    if n < 1e-12:
+        raise ValueError("cannot normalize near-zero vector")
+    return v / n
+
+
+def quaternion_from_matrix(m) -> Quaternion:
+    """The unit quaternion of a rotation matrix, by its own eigh."""
+    m = np.asarray(m, dtype=float)
+    k = np.array(
+        [
+            [m[0, 0] - m[1, 1] - m[2, 2], 0, 0, 0],
+            [m[0, 1] + m[1, 0], m[1, 1] - m[0, 0] - m[2, 2], 0, 0],
+            [m[0, 2] + m[2, 0], m[1, 2] + m[2, 1], m[2, 2] - m[0, 0] - m[1, 1], 0],
+            [m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1],
+             m[0, 0] + m[1, 1] + m[2, 2]],
+        ]
+    ) / 3.0
+    vals, vecs = np.linalg.eigh(k)
+    q = vecs[[3, 0, 1, 2], np.argmax(vals)]
+    if q[0] < 0:
+        q = -q
+    return Quaternion(*q)
+
+
+def look_at(position, target, up=(0.0, 1.0, 0.0)) -> Pose:
+    """Camera-to-world pose with +z looking from position toward target."""
+    position = np.asarray(position, dtype=float)
+    fwd = _unit(np.asarray(target, dtype=float) - position)
+    right = np.cross(fwd, _unit(up))
+    if np.linalg.norm(right) < 1e-9:
+        raise ValueError("up direction parallel to viewing direction")
+    right = _unit(right)
+    down = np.cross(fwd, right)
+    r = np.stack([right, down, fwd], axis=1)
+    return Pose(quaternion_from_matrix(r), position)
+
+
+def arc_trajectory(n_poses: int, duration: float, radius: float = 0.95,
+                   sweep_deg: float = 50.0, target=(0.0, 0.0, 0.15),
+                   bob: float = 0.12) -> list:
+    """`scenes.arc_trajectory` one pose at a time."""
+    out = []
+    for i in range(n_poses):
+        u = i / (n_poses - 1)
+        phi = np.deg2rad((u - 0.5) * sweep_deg)
+        pos = np.array([radius * np.sin(phi),
+                        bob * np.sin(2.0 * np.pi * u),
+                        target[2] - radius * np.cos(phi)])
+        out.append(TimedPose(look_at(pos, target), u * duration))
+    return out
+
+
+def project_points(camera: PinholeCamera, poses, points):
+    """`geometry.project_points` from a list of k `Pose`s, each inverted by
+    `Pose.inverse`."""
+    rot, trans = pose_arrays([p.inverse() for p in poses])
+    pc = np.matmul(points, rot.swapaxes(1, 2)) + trans[:, None]
+    z = pc[..., 2]
+    in_front = z > 1e-6
+    zsafe = np.where(in_front, z, 1.0)
+    px = camera.fx * pc[..., 0] / zsafe + camera.cx
+    py = camera.fy * pc[..., 1] / zsafe + camera.cy
+    valid = in_front & (px >= 0) & (px < camera.width) & (py >= 0) & (py < camera.height)
+    return np.stack([px, py], axis=-1), valid

@@ -145,7 +145,7 @@ class TestInversion:
         _, th, td, _, _ = oracles.invert_observation_arrays(
             ir, scene, run["trajectory"], cfg.rig, cfg.camera,
             cfg.saturation_level)
-        from matscan.geometry import interpolate_trajectory
+        from oracles import interpolate_trajectory
         frame = oracles.row_frames(ir)
         rng = np.random.default_rng(1)
         rows = rng.choice(len(ir), size=64, replace=False)
@@ -178,7 +178,7 @@ class TestInversion:
         """Every row gets the reason of the scalar inversion. A saturation
         level at the intensity median and far off-axis pixels on some rows
         make every reason occur."""
-        from matscan.geometry import interpolate_trajectory
+        from oracles import interpolate_trajectory
         run = noisy_two_sphere
         ir, scene, cfg = run["ir"], run["scene"], run["config"]
         cam, rig = cfg.camera, cfg.rig

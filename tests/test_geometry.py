@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matscan.geometry import (LedRig, PinholeCamera, Pose, Quaternion,
+import oracles
+from matscan import geometry, io, scenes
+from matscan.geometry import (UNIT_TOL, LedRig, PinholeCamera, Pose, Quaternion,
                               TimedPose, half_diff_angle_arrays,
-                              interpolate_pose, interpolate_trajectory, look_at,
-                              project_points, slerp)
+                              interpolate_trajectory, look_at, look_at_poses,
+                              project_points, trajectory_poses)
 from oracles import (HalfDiffAngles, angle_to, compose, half_diff_angles,
-                     project, unproject)
+                     interpolate_pose, project, slerp, unproject)
 
 finite = st.floats(-1.0, 1.0).filter(lambda x: abs(x) > 1e-3)
 quats = st.builds(Quaternion, finite, finite, finite, finite)
@@ -152,7 +154,9 @@ class TestCamera:
         pose = look_at([0.0, 0.1, -0.9], [0, 0, 0.1])
         rng = np.random.default_rng(8)
         pts = rng.uniform(-0.2, 0.2, size=(50, 3))
-        pix, valid = project_points(cam, pose, pts)
+        pix, valid = project_points(cam, pose.rotation.to_matrix()[None],
+                                    pose.translation[None], pts)
+        pix, valid = pix[0], valid[0]
         for i in range(len(pts)):
             single = project(cam, pose, pts[i])
             if single is None:
@@ -166,6 +170,107 @@ class TestCamera:
         # camera +z should point from position toward target
         fwd = pose.rotate([0.0, 0.0, 1.0])
         np.testing.assert_allclose(fwd, [0, 0, 1], atol=1e-12)
+
+
+def random_trajectory(rng, n, parallel=False):
+    """n poses at rising random times; with `parallel` the attitudes are
+    within ~1e-7 of one another (the normalized-lerp branch of slerp), and
+    random signs make quaternion dots negative either way."""
+    q = rng.normal(size=(n, 4))
+    if parallel:
+        q = q[:1] + rng.normal(0, 1e-7, (n, 4))
+    q *= rng.choice([-1.0, 1.0], (n, 1))
+    times = np.cumsum(rng.uniform(0.01, 2.0, n)) - 1.0
+    return [TimedPose(Pose(Quaternion(*r), rng.normal(size=3)), float(t))
+            for r, t in zip(q, times)]
+
+
+class TestTrajectoryArrays:
+    """Poses at every frame time at once equal the per-pose `Pose` path of
+    `oracles`, bit for bit."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_interpolation_equals_per_pose(self, seed, n, parallel):
+        rng = np.random.default_rng(seed)
+        traj = random_trajectory(rng, n, parallel)
+        stamps = [tp.timestamp for tp in traj]
+        # inside, at every timestamp, and at both ends
+        times = np.concatenate([rng.uniform(stamps[0], stamps[-1], 30), stamps])
+        rot, trans = trajectory_poses(traj, times)
+        expected = oracles.trajectory_poses(traj, times)
+        np.testing.assert_array_equal(rot, expected[0])
+        np.testing.assert_array_equal(trans, expected[1])
+        pose = interpolate_trajectory(traj, float(times[0]))
+        want = oracles.interpolate_trajectory(traj, float(times[0]))
+        np.testing.assert_array_equal(pose.rotation.as_array(),
+                                      want.rotation.as_array())
+
+    def test_both_slerp_branches_and_signs_are_taken(self):
+        rng = np.random.default_rng(3)
+        for parallel in (False, True):
+            q = np.array([tp.pose.rotation.as_array()
+                          for tp in random_trajectory(rng, 12, parallel)])
+            dots = np.einsum("ij,ij->i", q[:-1], q[1:])
+            assert np.any(dots < 0) and np.any(dots > 0)
+            assert np.all(np.abs(dots) > 1 - 1e-6) == parallel
+
+    def test_times_outside_the_trajectory_raise(self):
+        traj = random_trajectory(np.random.default_rng(4), 3)
+        for t in (traj[0].timestamp - 1e-9, traj[-1].timestamp + 1e-9):
+            with pytest.raises(ValueError):
+                trajectory_poses(traj, [t])
+
+    @pytest.mark.parametrize("off", [0.0, 1e-12, 0.6 * UNIT_TOL, UNIT_TOL,
+                                     1.5 * UNIT_TOL, 1e-3, 0.5])
+    def test_normalized_rows_need_no_renormalization(self, off):
+        """Rows off unit norm by `off`, on both sides of UNIT_TOL, divided by
+        their norm as the interpolation divides them: `Quaternion`, which
+        divides a row off by more than UNIT_TOL, keeps each as it is."""
+        rng = np.random.default_rng(5)
+        q = rng.normal(size=(200, 4))
+        q /= np.linalg.norm(q, axis=1, keepdims=True)
+        q *= 1 + off * rng.choice([-1.0, 1.0], (200, 1))
+        q /= geometry._norms(q)[:, None]
+        np.testing.assert_array_equal(
+            np.array([Quaternion(*r).as_array() for r in q]), q)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
+    @settings(max_examples=30, deadline=None)
+    def test_projection_equals_per_pose(self, seed, k):
+        rng = np.random.default_rng(seed)
+        cam = PinholeCamera(570.0, 570.0, 347.0, 259.0, 694, 518)
+        traj = random_trajectory(rng, 4)
+        times = rng.uniform(traj[0].timestamp, traj[-1].timestamp, k)
+        rot, trans = trajectory_poses(traj, times)
+        pts = rng.normal(0, 2, (40, 3))
+        poses = [oracles.interpolate_trajectory(traj, float(t)) for t in times]
+        for got, want in zip(project_points(cam, rot, trans, pts),
+                             oracles.project_points(cam, poses, pts)):
+            np.testing.assert_array_equal(got, want)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 20))
+    @settings(max_examples=30, deadline=None)
+    def test_look_at_poses_equal_per_pose(self, seed, k):
+        rng = np.random.default_rng(seed)
+        positions = rng.normal(0, 1, (k, 3))
+        target = rng.normal(0, 0.2, 3)
+        for got, p in zip(look_at_poses(positions, target), positions):
+            want = oracles.look_at(p, target)
+            np.testing.assert_array_equal(got.rotation.as_array(),
+                                          want.rotation.as_array())
+            np.testing.assert_array_equal(got.translation, want.translation)
+        with pytest.raises(ValueError):
+            look_at_poses(np.vstack([positions, target]), target)
+        with pytest.raises(ValueError):
+            look_at([0.0, 0.0, 0.0], [0.0, 2.0, 0.0])
+
+    @pytest.mark.parametrize("n, duration", [(2, 1.0), (12, 4.0), (50, 10.0),
+                                             (97, 7.5)])
+    def test_arc_trajectory_file_equals_per_pose(self, tmp_path, n, duration):
+        io.write_trajectory(tmp_path / "a.txt", scenes.arc_trajectory(n, duration))
+        io.write_trajectory(tmp_path / "b.txt", oracles.arc_trajectory(n, duration))
+        assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
 
 
 class TestLedRig:

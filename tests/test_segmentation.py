@@ -1,6 +1,7 @@
 """Meanshift, Gaussian statistics, the 3-sigma gate, group propagation and
 label diffusion."""
 
+import math
 import tracemalloc
 import warnings
 from unittest import mock
@@ -39,7 +40,8 @@ def reference_meanshift(samples, bandwidth: float, max_iter: int = 100):
     bw2 = bandwidth * bandwidth
     active = np.ones(n, dtype=bool)
     chunk = max(1, int(4_000_000 // max(n, 1)))
-    pts_sq = np.einsum("ij,ij->i", pts, pts)
+    p0, p1, p2 = pts.T
+    pts_sq = p0 * p0 + p1 * p1 + p2 * p2
     for _ in range(max_iter):
         idx = np.nonzero(active)[0]
         if len(idx) == 0:
@@ -47,8 +49,11 @@ def reference_meanshift(samples, bandwidth: float, max_iter: int = 100):
         for lo in range(0, len(idx), chunk):
             sel = idx[lo:lo + chunk]
             m = modes[sel]
-            d2 = (np.einsum("ij,ij->i", m, m)[:, None] + pts_sq[None, :]
-                  - 2.0 * (m @ pts.T))
+            # every term elementwise, so a tie goes one way for a mode
+            # wherever it sits (a gemm may sum m.p by the row's position)
+            m0, m1, m2 = (c[:, None] for c in m.T)
+            d2 = ((m0 * m0 + m1 * m1 + m2 * m2) + pts_sq[None, :]
+                  - 2.0 * (m0 * p0 + m1 * p1 + m2 * p2))
             within = d2 <= bw2
             new = (within @ pts) / within.sum(1)[:, None]
             shift2 = ((new - m) ** 2).sum(-1)
@@ -364,7 +369,6 @@ class TestBlockedNeighbours:
         diff2 = ((modes[:, None, :] - pts[None, :, :]) ** 2).sum(-1)
         bw2 = float(diff2.flat[rng.integers(diff2.size)] if pairwise
                     else np.quantile(diff2, q)) or scale
-        pts_sq = np.einsum("ij,ij->i", pts, pts)
         within = np.empty((n_modes, n_pts), dtype=bool)
         kernel = segmentation._FlatKernel(pts, bw2, segmentation._buffers(len(pts)))
         if not kernel.mask(modes, within):
@@ -372,7 +376,7 @@ class TestBlockedNeighbours:
             assert np.abs(diff2 - bw2).min() <= 2 * _band(modes, pts)
             return
         np.testing.assert_array_equal(
-            within, segmentation._exact_neighbours(modes, pts, pts_sq, bw2))
+            within, segmentation._exact_neighbours(modes, pts, bw2))
         np.testing.assert_array_equal(within, diff2 <= bw2)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -394,6 +398,12 @@ class TestSharedRows:
            st.sampled_from([1e-3, 1.0, 1e3]), st.sampled_from([0.0, 0.01, 0.1]),
            st.booleans(), st.booleans(), st.floats(0.05, 1.0))
     @settings(max_examples=40, deadline=None)
+    # 129 identical rows whose products with the samples, by OpenBLAS's
+    # SkylakeX dgemm, came in 3 distinct bit patterns: a tie the full
+    # expression took by the row's position gave clusters 250/127/3, not
+    # the reference's 248/127/5
+    @example(seed=4294967295, n=380, k=3, scale=1e-3, spread=0.0,
+             duplicate=True, pairwise_bw=True, bw=1.0)
     def test_shared_sets_equal_full_mask(self, seed, n, k, scale, spread,
                                          duplicate, pairwise_bw, bw):
         """Blobs at three scales, optionally resampled with repeats (exact
@@ -414,7 +424,7 @@ class TestSharedRows:
         kernel = segmentation._FlatKernel(pts, bw2, segmentation._buffers(len(pts)))
         modes = pts
         for _ in range(2):
-            full = segmentation._exact_neighbours(modes, pts, kernel.pts_sq, bw2)
+            full = segmentation._exact_neighbours(modes, pts, bw2)
             with _fallback_spy() as fallback:
                 rows, row_of = kernel.rows(modes)
             np.testing.assert_array_equal(rows[row_of], full)
@@ -519,6 +529,173 @@ class TestBatchedMeanshift:
         samples, bandwidths, offsets = spy.call_args.args
         assert samples is table.samples and offsets is table.offsets
         assert len(bandwidths) == len(table.flats) and clusters
+
+
+def _blob_cells(rng, sizes, ties):
+    """Cells of blobs of `sizes` samples (resampled with repeats, so with
+    exact duplicates), each at its own bandwidth; with `ties` a cell on a
+    0.25 grid at bandwidth 0.25, where squared distances tie exactly."""
+    cells, bws = [], []
+    for n in sizes:
+        centers = rng.uniform(0, 1, (int(rng.integers(1, 4)), 3))
+        pts = centers[rng.integers(0, len(centers), n)] + rng.normal(0, 0.05, (n, 3))
+        cells.append(pts[rng.integers(0, n, n)] if n and rng.random() < 0.3 else pts)
+        bws.append(float(rng.uniform(0.05, 0.5)))
+    if ties:
+        cells.insert(len(cells) // 2, rng.integers(0, 6, (60, 3)) * 0.25)
+        bws.insert(len(bws) // 2, 0.25)
+    return cells, bws
+
+
+class _PathCount:
+    """Counts the cell-steps `_FlatKernel.step` takes, and keeps per ragged
+    pass the entries of each of its cells."""
+
+    def __init__(self, monkeypatch):
+        self.kernel, self.passes = 0, []
+        step, ragged = segmentation._FlatKernel.step, segmentation._ragged_means
+
+        def counted_step(kernel_self, modes):
+            self.kernel += 1
+            return step(kernel_self, modes)
+
+        def counted_ragged(pts, offsets, modes, cells, *args):
+            self.passes.append(np.bincount(cells)[np.unique(cells)]
+                               * np.diff(offsets)[np.unique(cells)])
+            return ragged(pts, offsets, modes, cells, *args)
+
+        monkeypatch.setattr(segmentation._FlatKernel, "step", counted_step)
+        monkeypatch.setattr(segmentation, "_ragged_means", counted_ragged)
+
+
+class TestRaggedSteps:
+    """Cell-steps of at most `_RAGGED` moving modes x samples run together in
+    ragged passes, the others alone on the BLAS path; no threshold changes a
+    cluster."""
+
+    # 0: every step alone; 3000: in one step, cells of up to 54 samples go
+    # ragged and larger ones alone; inf: every step ragged
+    @pytest.mark.parametrize("threshold", [0, 3000, math.inf])
+    def test_clusters_equal_reference(self, monkeypatch, threshold):
+        rng = np.random.default_rng(47)
+        cells, bws = _blob_cells(rng, (0, 1, 2, 25, 0, 54, 181, 400, 3), ties=True)
+        offsets = np.cumsum([0] + [len(c) for c in cells])
+        monkeypatch.setattr(segmentation, "_RAGGED", threshold)
+        count = _PathCount(monkeypatch)
+        with _fallback_spy() as fallback:
+            got = meanshift(np.vstack(cells), bws, offsets)
+        assert fallback.called  # the tie cell took the full expression
+        assert (count.kernel > 0) == (threshold < math.inf)
+        assert (len(count.passes) > 0) == (threshold > 0)
+        for clusters, pts, bw in zip(got, cells, bws):
+            assert_same_clusters(clusters, reference_meanshift(pts, bw))
+
+    @given(st.integers(0, 2**32 - 1), st.lists(st.integers(0, 70), max_size=12),
+           st.booleans(), st.sampled_from([0, 500, 4096, math.inf]))
+    @settings(max_examples=40, deadline=None)
+    def test_random_cells_equal_reference(self, seed, sizes, ties, threshold):
+        rng = np.random.default_rng(seed)
+        cells, bws = _blob_cells(rng, sizes, ties)
+        offsets = np.cumsum([0] + [len(c) for c in cells])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(segmentation, "_RAGGED", threshold)
+            got = meanshift(np.vstack(cells + [np.zeros((0, 3))]), bws, offsets)
+        for clusters, pts, bw in zip(got, cells, bws):
+            assert_same_clusters(clusters, reference_meanshift(pts, bw))
+
+    def test_scan_cells_take_several_passes(self, noisy_two_sphere, monkeypatch):
+        """At the largest threshold every step of the scan's cells is ragged,
+        in passes of whole cells that start within `_PASS` entries of the
+        pass's start."""
+        table = noisy_two_sphere["table"]
+        bandwidths = _cell_bandwidths(table)
+        monkeypatch.setattr(segmentation, "_RAGGED", math.inf)
+        count = _PathCount(monkeypatch)
+        got = meanshift(table.samples, bandwidths, table.offsets)
+        assert count.kernel == 0
+        assert max(len(p) for p in count.passes) > 1
+        assert all(p.sum() - p[-1] < segmentation._PASS for p in count.passes)
+        assert max(p.sum() for p in count.passes) > segmentation._PASS
+        for k, (clusters, bw) in enumerate(zip(got, bandwidths)):
+            assert_same_clusters(clusters,
+                                 reference_meanshift(table.cell(k)[1], bw))
+
+
+def reference_assign(modes, cell, owner, bws, offsets):
+    """The clusters of `_assign`, one cell at a time: the walk's centers
+    over the cell's rows, each row's nearest center and each sample's."""
+    out = []
+    for k, bw in enumerate(bws):
+        rows = np.flatnonzero(cell == k)
+        if len(rows) == 0:
+            out.append([])
+            continue
+        centers = reference_merge_walk(modes[rows], bw)
+        d2c = ((modes[rows, None, :] - centers[None, :, :]) ** 2).sum(-1)
+        assign = np.argmin(d2c, axis=1)[owner[offsets[k]:offsets[k + 1]] - rows[0]]
+        clusters = [np.nonzero(assign == j)[0] for j in range(len(centers))]
+        clusters = [c for c in clusters if len(c) > 0]
+        clusters.sort(key=lambda c: (-len(c), int(c[0])))
+        out.append(clusters)
+    return out
+
+
+class TestTail:
+    """The merge walk and the assignment of every cell at once, and the
+    bandwidths of every cell at once, equal the per-cell loop bit for bit."""
+
+    @given(st.integers(0, 2**32 - 1), st.lists(st.integers(0, 30), max_size=8),
+           st.sampled_from([1e-3, 0.37, 1e3]))
+    @settings(max_examples=60, deadline=None)
+    def test_assign_equals_per_cell(self, seed, sizes, bw):
+        """Per cell, rows of near ties or of blobs (some repeated) and
+        samples mapped onto them, rows in the order of their first sample."""
+        rng = np.random.default_rng(seed)
+        bws = bw * rng.uniform(0.5, 2.0, len(sizes))
+        modes, owner, cell, offsets = [], [], [], [0]
+        for k, (n, b) in enumerate(zip(sizes, bws)):
+            rows = (_near_ties(rng, n, b) if n and rng.random() < 0.5 else
+                    rng.uniform(0, 3 * b, (n, 3))[rng.integers(0, max(n, 1), n)])
+            # each row owns its first sample and maybe later ones
+            own = np.concatenate([np.arange(n), rng.integers(0, max(n, 1),
+                                                             int(rng.integers(0, 20)) * (n > 0))])
+            own.sort()
+            owner.append(len(cell) + own)
+            modes.append(rows)
+            cell += [k] * n
+            offsets.append(offsets[-1] + len(own))
+        modes = np.vstack(modes) if modes else np.zeros((0, 3))
+        owner = np.concatenate(owner) if owner else np.zeros(0, dtype=int)
+        cell = np.array(cell, dtype=int)
+        offsets = np.array(offsets)
+        if len(owner) == 0:
+            return
+        got = segmentation._assign(modes, cell, owner, bws, offsets)
+        expected = reference_assign(modes, cell, owner, bws, offsets)
+        assert len(got) == len(expected)
+        for a, b in zip(got, expected):
+            assert_same_clusters(a, b)
+
+    def test_bandwidths_equal_per_cell(self, noisy_two_sphere):
+        """The scan's cells, and cells where the floor of 1e-6 times the mean
+        sample norm wins: identical samples, and spreads at the floor."""
+        rng = np.random.default_rng(9)
+        table = noisy_two_sphere["table"]
+        cells = {k: table.cell(k) for k in range(len(table.flats))}
+        base = rng.uniform(0.2, 1.0, 3)
+        for j, spread in enumerate([0.0, 1e-9, 2e-7, 1e-6, 1e-3]):
+            vals = base + rng.normal(0, spread, (30, 3))
+            cells[N_CELLS - 1 - j] = (np.arange(30) + 100_000 + 30 * j, vals)
+        table = GlobalCellTable(*oracles.cell_rows(cells), np.arange(100_200))
+        expected = []
+        for k in range(len(table.flats)):
+            vals = table.cell(k)[1]
+            floor = 1e-6 * float(np.linalg.norm(vals, axis=1).mean())
+            expected.append(max(default_bandwidth(vals), floor, 1e-12))
+        got = segmentation._bandwidths(table)
+        np.testing.assert_array_equal(got, expected)
+        assert np.sum(got[-5:] > [default_bandwidth(table.cell(k)[1])
+                                  for k in range(len(got) - 5, len(got))]) >= 2
 
 
 def traced_peak(fn) -> int:
@@ -678,8 +855,8 @@ class TestSetMeans:
 
 
 class TestTracedPeaks:
-    """The transient memory of the tie path and of the global table is
-    bounded by a block or by the table, not by the scan."""
+    """The transient memory of the tie path, of the bandwidths and of the
+    global table is bounded by a block or by the table, not by the scan."""
 
     def test_exact_neighbours(self, large_demo_records):
         """Chunks of at most `_BLOCK` entries besides the (n, n) mask: 34.6
@@ -689,11 +866,16 @@ class TestTracedPeaks:
         pts = table.cell(k)[1]
         n = len(pts)
         assert n > 1000
-        pts_sq = np.einsum("ij,ij->i", pts, pts)
         bw2 = default_bandwidth(pts) ** 2
         peak = traced_peak(
-            lambda: segmentation._exact_neighbours(pts, pts, pts_sq, bw2))
+            lambda: segmentation._exact_neighbours(pts, pts, bw2))
         assert peak < n * n + 2_000_000
+
+    def test_bandwidths(self, large_demo_records):
+        """A block of cells at a time: 5.3 MB over every cell at once on
+        this table's 93,899 samples."""
+        table = large_demo_records["table"]
+        assert traced_peak(lambda: segmentation._bandwidths(table)) < 1_500_000
 
     def test_build_global_table(self, large_demo_records):
         """Cells grouped by the run starts of the sorted flats, and every
@@ -724,9 +906,16 @@ def _near_ties(rng, n, bandwidth):
     return modes
 
 
+def merge_one_cell(modes, bandwidth):
+    """The centers `_merge_modes` finds among modes of one cell."""
+    return modes[segmentation._merge_modes(modes, np.zeros(len(modes), dtype=int),
+                                           np.array([bandwidth]))]
+
+
 class TestMergeModes:
-    """`_merge_modes` decides by one row of squared distances per center,
-    and by the walk's scalar norm within a rounding band of (bandwidth/2)^2."""
+    """`_merge_modes` decides by one squared distance per open row and
+    round, and by the walk's scalar norm within a rounding band of
+    (bandwidth/2)^2; every cell walks at once."""
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 120), st.integers(1, 5),
            st.sampled_from([1e-3, 0.37, 1.0, 1e3]), st.booleans())
@@ -738,7 +927,7 @@ class TestMergeModes:
         else:
             blobs = rng.uniform(0, 3 * bw, (k, 3))
             modes = blobs[rng.integers(0, k, n)] + rng.normal(0, bw / 4, (n, 3))
-        np.testing.assert_array_equal(segmentation._merge_modes(modes, bw),
+        np.testing.assert_array_equal(merge_one_cell(modes, bw),
                                       reference_merge_walk(modes, bw))
 
     def test_norm_decides_only_near_ties(self, monkeypatch):
@@ -758,9 +947,27 @@ class TestMergeModes:
                             lambda x: calls.append(1) or scalar_norm(x))
         for modes, want in zip((ties, blobs), expected):
             calls.clear()
-            np.testing.assert_array_equal(
-                segmentation._merge_modes(modes, 0.37), want)
+            np.testing.assert_array_equal(merge_one_cell(modes, 0.37), want)
             assert (len(calls) > 0) == (modes is ties)
+
+
+    @given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 40), max_size=8),
+           st.sampled_from([1e-3, 0.37, 1e3]))
+    @settings(max_examples=40, deadline=None)
+    def test_cells_walk_at_once(self, seed, sizes, bw):
+        """Cells of near ties and of blobs, each at its own bandwidth: one
+        call gives each cell the centers of its own walk."""
+        rng = np.random.default_rng(seed)
+        bws = bw * rng.uniform(0.5, 2.0, len(sizes))
+        cells = [_near_ties(rng, n, b) if rng.random() < 0.5 else
+                 rng.uniform(0, 3 * b, (n, 3)) for n, b in zip(sizes, bws)]
+        modes = np.vstack(cells) if cells else np.zeros((0, 3))
+        head = segmentation._merge_modes(
+            modes, np.repeat(np.arange(len(sizes)), sizes), bws)
+        at = np.cumsum([0] + sizes)
+        for c, b, lo, hi in zip(cells, bws, at[:-1], at[1:]):
+            np.testing.assert_array_equal(modes[lo:hi][head[lo:hi]],
+                                          reference_merge_walk(c, b))
 
 
 class TestGaussian:
@@ -1093,6 +1300,35 @@ def _moment_cells(rng, kinds, n1, n2, n_other, scale):
 
 
 _KINDS = st.sampled_from(["iso", "rank1", "duplicates", "zero"])
+
+
+class TestGroupMoments:
+    """A group sums its nine moment columns one `bincount` each, over its
+    rows in order: per bin the bits of one bincount over (cell, column)
+    bins, without (rows x 9) float and key arrays."""
+
+    def test_moments_equal_one_keyed_bincount(self, noisy_two_sphere):
+        table = noisy_two_sphere["table"]
+        mask = np.random.default_rng(12).random(table.mask_size) < 0.5
+        grp = segmentation._Group(table, mask)
+        rows = np.flatnonzero(mask[table.vids])
+        cell = np.searchsorted(table.offsets, rows, side="right") - 1
+        x = table.samples[rows] - table.centres[cell]
+        terms = np.concatenate(
+            [x, x[:, segmentation._ROW] * x[:, segmentation._COL]], axis=1)
+        k = len(table.flats)
+        expected = np.bincount((9 * cell[:, None] + np.arange(9)).ravel(),
+                               terms.ravel(), minlength=9 * k).reshape(k, 9)
+        np.testing.assert_array_equal(grp.moments, expected)
+        np.testing.assert_array_equal(grp.count, np.bincount(cell, minlength=k))
+
+    def test_traced_peak_of_adding_rows(self, large_demo_records):
+        """56 B per row on every row of a scan table: 17.4 MB for its 93,899
+        rows when the nine columns were summed as one (rows x 9) array."""
+        table = large_demo_records["table"]
+        rows = np.arange(len(table.vids))
+        grp = segmentation._Group(table, np.zeros(table.mask_size, dtype=bool))
+        assert traced_peak(lambda: grp._add_rows(rows)) < 64 * len(rows) + 100_000
 
 
 class TestMomentScores:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from matscan import scenes, simulator
-from matscan.geometry import interpolate_trajectory, look_at
+from matscan.geometry import look_at
 from matscan.simulator import (NOISE_BOUNDS, GroundTruthMaterial, IrObservations,
                                NoiseConfig, RgbObservations, ScanConfig,
                                default_camera, eval_ground_truth_brdf,
@@ -14,7 +14,8 @@ from matscan.simulator import (NOISE_BOUNDS, GroundTruthMaterial, IrObservations
                                vignette)
 
 from conftest import make_scan_config
-from oracles import ir_subset, render_ir_intensity, row_frames
+from oracles import (interpolate_trajectory, ir_subset, render_ir_intensity,
+                     row_frames)
 
 
 class TestMaterialModel:
