@@ -2,11 +2,8 @@
 and half/difference-angle computation.
 
 Angles are stored in degrees throughout; trigonometry goes through radians
-internally. All functions are pure. Poses of many frames are arrays:
-`trajectory_poses` interpolates a trajectory at every frame time at once,
-`project_points` projects from every pose at once and `look_at_poses` aims
-every camera at once, each with the bits of the one-pose path (`Pose`,
-`look_at`): small dot products and norms stay one BLAS call per pose.
+internally. All functions are pure. Poses of many frames are arrays, each
+with the bits of the one-pose path: small dots and norms stay one BLAS call.
 """
 
 from __future__ import annotations
@@ -19,15 +16,12 @@ UNIT_TOL = 1e-9
 
 
 def _norms(v) -> np.ndarray:
-    """The norm of each row of `v` (k, d) as `np.linalg.norm` of that row
-    gives it: one BLAS `dot` per row, which may sum in another order than a
-    ufunc does, on a fresh copy of the row, since OpenBLAS's Prescott `ddot`
-    sums a 3-vector that is not 16-byte aligned in another order too."""
+    """`np.linalg.norm` of each row of `v` (k, d): a BLAS `dot` of a fresh
+    copy, as a ufunc or an unaligned row may sum in another order."""
     return np.sqrt([r.dot(r) for r in map(np.array, v)])
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
-    """`v` (d,) or each row of `v` (k, d) over its norm."""
     v = np.asarray(v, dtype=float)
     n = _norms(v.reshape(-1, v.shape[-1]))
     if np.any(n < 1e-12):
@@ -35,7 +29,7 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / n.reshape(v.shape[:-1] + (1,))
 
 
-def _rotation_matrices(q) -> np.ndarray:
+def rotation_matrices(q) -> np.ndarray:
     """The rotation matrix (..., 3, 3) of each unit quaternion (..., 4)."""
     w, x, y, z = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
     return np.stack(
@@ -46,10 +40,9 @@ def _rotation_matrices(q) -> np.ndarray:
 
 
 def _matrix_quaternions(m) -> np.ndarray:
-    """The unit quaternion (k, 4), w >= 0, of each rotation matrix of m (k,
-    3, 3): the eigenvector of the largest eigenvalue of the symmetric 4x4
-    matrix K of Bar-Itzhack (2000), every K in one stacked eigh, which gives
-    each matrix the bits of its own call."""
+    """The unit quaternion (k, 4), w >= 0, of each rotation matrix (k, 3, 3):
+    the top eigenvector of the 4x4 K of Bar-Itzhack (2000), every K in one
+    stacked eigh, which gives each the bits of its own call."""
     (a, b, c), (d, e, f), (g, h, i) = np.moveaxis(np.asarray(m, dtype=float), 0, -1)
     k = np.zeros((len(a), 4, 4))  # its lower triangle, which eigh reads
     k[:, [0, 1, 1, 2, 2, 2, 3, 3, 3, 3], [0, 0, 1, 0, 1, 2, 0, 1, 2, 3]] = np.stack(
@@ -98,7 +91,7 @@ class Quaternion:
         return np.array([self.w, self.x, self.y, self.z])
 
     def to_matrix(self) -> np.ndarray:
-        return _rotation_matrices(self.as_array())
+        return rotation_matrices(self.as_array())
 
     def conjugate(self) -> "Quaternion":
         return Quaternion(self.w, -self.x, -self.y, -self.z)
@@ -156,11 +149,10 @@ class TimedPose:
     timestamp: float
 
 
-def _trajectory_quaternions(trajectory: list[TimedPose], times):
+def trajectory_quaternions(trajectory: list[TimedPose], times):
     """Unit quaternions (k, 4) and translations (k, 3) of the trajectory at
-    each of k times: from the two bracketing poses, slerp the rotation (a
-    normalized lerp when nearly parallel) and lerp the translation, every
-    time at once."""
+    k times: slerp (a normalized lerp when nearly parallel) and lerp between
+    the two bracketing poses."""
     stamps = np.array([tp.timestamp for tp in trajectory], dtype=float)
     if len(stamps) < 2:
         raise ValueError("trajectory needs at least two poses")
@@ -174,8 +166,9 @@ def _trajectory_quaternions(trajectory: list[TimedPose], times):
     u = (t - stamps[lo]) / (stamps[hi] - stamps[lo])
     quats = np.array([tp.pose.rotation.as_array() for tp in trajectory])
     trans = np.array([tp.pose.translation for tp in trajectory])
-    # one BLAS dot per segment, as a scalar slerp takes it
-    dots = np.array([a @ b for a, b in zip(quats[:-1], quats[1:])])[lo]
+    # one BLAS dot per segment a time falls in, as a scalar slerp takes it
+    seg, at = np.unique(lo, return_inverse=True)
+    dots = np.array([quats[i] @ quats[i + 1] for i in seg.tolist()])[at]
     a, b = quats[lo], quats[hi]
     b[dots < 0] *= -1.0  # the shortest path
     d = np.abs(dots)
@@ -194,13 +187,13 @@ def _trajectory_quaternions(trajectory: list[TimedPose], times):
 def trajectory_poses(trajectory: list[TimedPose], times):
     """Rotation matrices (k, 3, 3) and translations (k, 3) of the
     trajectory at each of k times, in [first, last timestamp]."""
-    q, trans = _trajectory_quaternions(trajectory, times)
-    return _rotation_matrices(q), trans
+    q, trans = trajectory_quaternions(trajectory, times)
+    return rotation_matrices(q), trans
 
 
 def interpolate_trajectory(trajectory: list[TimedPose], t: float) -> Pose:
-    """Pose at time t, as `trajectory_poses` gives it."""
-    q, trans = _trajectory_quaternions(trajectory, [t])
+    """Pose at time t."""
+    q, trans = trajectory_quaternions(trajectory, [t])
     return Pose(Quaternion(*q[0]), trans[0])
 
 
@@ -218,12 +211,6 @@ class PinholeCamera:
             raise ValueError("focal lengths must be positive")
         if not (0 < self.cx < self.width and 0 < self.cy < self.height):
             raise ValueError("principal point must lie inside the image")
-
-
-def pose_arrays(poses):
-    """Rotation matrices (k,3,3) and translations (k,3) of k poses."""
-    return (np.stack([p.rotation.to_matrix() for p in poses]),
-            np.stack([p.translation for p in poses]))
 
 
 def project_points(camera: PinholeCamera, rotations, translations,
@@ -260,11 +247,6 @@ def look_at_poses(positions, target, up=(0.0, 1.0, 0.0)) -> list[Pose]:
     down = np.cross(fwd, right)
     quats = _matrix_quaternions(np.stack([right, down, fwd], axis=2))
     return [Pose(Quaternion(*q), p) for q, p in zip(quats, positions)]
-
-
-def look_at(position, target, up=(0.0, 1.0, 0.0)) -> Pose:
-    """Camera-to-world pose with +z looking from position toward target."""
-    return look_at_poses(position, target, up)[0]
 
 
 @dataclass(frozen=True)

@@ -99,8 +99,7 @@ def rerender_ir_frame(scene, labels, material_tables, trajectory, frame_time: fl
     idx = np.nonzero(valid)[0]
     gray = np.zeros((camera.height, camera.width))
     if len(idx):
-        # the LED's row of the whole rig's, by the product `Pose.transform`
-        # of an (n,3) array takes, as `simulator.frames` computes it
+        # the LED's row of the whole rig's, as `simulator.frames` computes it
         led_world = (rig.positions @ rot.T + cam)[led_index]
         vals = _rerender_rows(cam, led_world,
                               np.full(len(idx), rig.brightness[led_index]), idx,

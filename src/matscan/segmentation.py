@@ -8,14 +8,11 @@ concatenated. One flat-kernel meanshift call clusters every cell of it,
 each cell on its own, in one step loop per block of whole cells of at most
 `_CELL_BLOCK` samples, so its working arrays are bounded by a block, not by
 the scan; its neighbour masks are those of exact arithmetic (or, near a
-tie, of the full distance expression). The small cell-steps of a block run
-together in ragged passes, each mode against its own cell's samples; a
-large one runs alone in row blocks of one L2-sized buffer, where modes
-within a leader mode's certified margin take the leader's mask and each
-distinct neighbour set's mean is summed a block of sets at a time. The
-merge walk and the assignment run over every cell of a block at once,
-and so do the bandwidths. The most separable cell seeds two material groups which are then
-grown cell by cell, ranked by a separability score of refitted Gaussians
+tie, of the full distance expression). Small cell-steps run together in
+ragged passes; a large one runs alone, in row blocks of one L2-sized
+buffer. The merge walk, the assignment and the bandwidths run over every
+cell of a block at once. The most separable cell seeds two material groups
+which are then grown cell by cell, ranked by a separability score of refitted Gaussians
 and gated by a 3-sigma Mahalanobis rule. Each group keeps per-cell moments
 of its samples, updated from the rows of the vertices the gate adds; they
 score every cell at once, and only the cells within a certified bound of
@@ -52,12 +49,10 @@ _CELL_BLOCK = 1 << 14
 _UNIT_ROUNDOFF = 2.0 ** -53
 # leader rows per round of a meanshift step that shares neighbour rows
 _LEADERS = 8
-# moving modes x samples of a cell's step at most this many run in ragged
-# passes with other cells' steps: there an entry costs ~30 ns against ~2 ns
-# on a BLAS path, which pays ~0.1 ms of calls per cell and step
+# cell-steps of at most this many moving modes x samples run in ragged
+# passes (~30 ns an entry; a BLAS step pays ~0.1 ms of calls)
 _RAGGED = 1 << 12
-# entries after which a new ragged pass starts at the next cell; a pass's
-# arrays take ~60 B an entry
+# entries after which a new ragged pass starts, at ~60 B an entry
 _PASS = 1 << 13
 
 
@@ -195,11 +190,9 @@ def _sq_norms(v):
 
 def _exact_neighbours(modes, pts, bw2):
     """The neighbour mask of each mode from the full distance expression
-    |m|^2 + |p|^2 - 2 m.p, in chunks of at most max(`_BLOCK`, n) entries:
-    the tie path of a meanshift step. Every term is elementwise, so an entry
-    depends on its mode and sample alone; a gemm's may depend on the row's
-    position (OpenBLAS's SkylakeX kernel gave 129 identical rows of a K=3
-    product 3 distinct product rows)."""
+    |m|^2 + |p|^2 - 2 m.p, the tie path of a meanshift step, elementwise so
+    that an entry depends on its mode and sample alone, not, as a gemm's
+    may, on the mode's row position."""
     within = np.empty((len(modes), len(pts)), dtype=bool)
     m_sq, p_sq = _sq_norms(modes), _sq_norms(pts)
     rows = max(1, _BLOCK // max(1, len(pts)))
@@ -414,12 +407,9 @@ def meanshift(samples, bandwidth, offsets):
     squared distance lies in a rounding band around bw^2, those of the full
     distance expression for every moving mode of that cell
     (`_exact_neighbours`). Cell-steps of at most `_RAGGED` moving modes x
-    samples run together in ragged passes (`_ragged_means`). A larger one
-    runs alone (`_FlatKernel.step`): squared distances in L2-sized row
-    blocks and, beyond one `_BLOCK` buffer, rows only for a few leader modes
-    per round and the modes no leader covers, since a mode closer to a
-    leader than the leader's certified margin has the leader's mask; each
-    distinct neighbour set is summed once.
+    samples run together in ragged passes (`_ragged_means`); a larger one
+    runs alone (`_FlatKernel.step`), where beyond one `_BLOCK` buffer a mode
+    within a leader mode's certified margin takes the leader's mask.
 
     Rows that reach one mode in one cell and are all still moving or all
     stopped follow the same path from then on, so they are iterated once:
@@ -457,13 +447,11 @@ def _cell_blocks(offsets):
 
 
 def _ragged_means(pts, offsets, modes, cells, bw2, peak):
-    """The mean of each mode's neighbour set, each mode against its own
-    cell's samples (`pts`, a row per coordinate; `cells` ascending) in one
-    ragged pass. A sum of squared differences is within 10u(|m|^2 + |p|^2)
-    of the exact d^2, so outside the band 64u(|m|^2 + `peak`) around bw^2
-    (`peak` the cell's largest |p|^2) d^2 <= bw^2 is the exact mask; a cell
-    with a value in its band takes `_exact_neighbours` instead. A mode's
-    sums run over its cell's samples, zero outside its set."""
+    """The mean of each mode's neighbour set among its own cell's samples
+    (`pts`, a row per coordinate; `cells` ascending), in one ragged pass. A
+    sum of squared differences is within 10u(|m|^2 + |p|^2) of the exact
+    d^2, so outside the band 64u(|m|^2 + `peak`) around bw^2 it gives the
+    exact mask; a cell with a value in its band takes `_exact_neighbours`."""
     n = np.diff(offsets)[cells]
     ends = np.cumsum(n)
     starts = ends - n
@@ -488,12 +476,9 @@ def _ragged_means(pts, offsets, modes, cells, bw2, peak):
 
 
 def _meanshift_cells(pts, bws, offsets, buffers):
-    """`meanshift` of the cells of one block, in one step loop. A step takes
-    the cells with more than `_RAGGED` moving modes x samples one at a time,
-    and the others in ragged passes of whole cells, a pass from every
-    `_PASS` entries. The shift test, the merging of rows, the `owner`
-    remap, the merge walk and the assignment run once per step or call over
-    the block."""
+    """`meanshift` of the cells of one block, in one step loop: large
+    cell-steps one at a time, the others in ragged passes. The shift test,
+    the merging of rows and the `owner` remap run once per step."""
     sizes = np.diff(offsets)
     if len(pts) == 0:
         return [[] for _ in bws]
@@ -566,11 +551,9 @@ def _meanshift_cells(pts, bws, offsets, buffers):
 
 
 def _assign(modes, cell, owner, bws, offsets):
-    """Per cell, its clusters largest first (ties to the first sample): the
-    walk's centers over the rows of `modes`, which come in the order of
-    their first sample, so a repeated mode adds none; each row goes to its
-    cell's nearest center (the first of equal squared distance) and each
-    sample to its row's (`owner`). Every cell at once."""
+    """Per cell, its clusters largest first (ties to the first sample): each
+    row goes to its cell's nearest center of the walk (the first of equal
+    squared distance), each sample to its row's (`owner`)."""
     heads = np.flatnonzero(_merge_modes(modes, cell, bws))
     # row r against its cell's centers heads[lo[r]:lo[r] + n[r]]
     lo = np.searchsorted(cell[heads], cell)
@@ -681,10 +664,9 @@ def assign_3sigma_many(samples, g1: GaussianCluster, g2: GaussianCluster):
 
 def _bandwidths(table: GlobalCellTable) -> np.ndarray:
     """Per candidate cell, the largest of its `default_bandwidth`, 1e-6
-    times its mean sample norm and 1e-12, a block of cells at a time
-    (`_cell_blocks`): a `bincount` sums each channel in sample order, as
-    `np.var` does; `np.mean` of the norms sums otherwise, so it runs only
-    for a cell whose floor may win."""
+    times its mean sample norm and 1e-12, a block of cells at a time. A
+    `bincount` sums in sample order, as `np.var` does; `np.mean` does not,
+    so it runs only for a cell whose floor may win."""
     out = []
     for k, stop in _cell_blocks(table.offsets):
         pts = table.samples[table.offsets[k]:table.offsets[stop]]

@@ -31,9 +31,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (LedRig, PinholeCamera, Pose, Quaternion, TimedPose,
-                       half_diff_angle_arrays, interpolate_trajectory,
-                       norm_rows, pose_arrays, project_points,
-                       trajectory_poses)
+                       half_diff_angle_arrays, norm_rows, project_points,
+                       rotation_matrices, trajectory_poses,
+                       trajectory_quaternions)
 
 # rows processed at once: whole frames, up to this many frames x vertices in
 # `simulate_scan` and observation rows in `frames`, or one larger frame
@@ -267,8 +267,6 @@ def _jitter_directions(dirs, raw, ang_deg):
 
 
 def _jitter_pose(rng, pose: Pose, noise: NoiseConfig) -> Pose:
-    if noise.pose_translation_jitter_m == 0 and noise.pose_rotation_jitter_deg == 0:
-        return pose
     t = pose.translation + rng.normal(0.0, noise.pose_translation_jitter_m, 3)
     rot = pose.rotation
     if noise.pose_rotation_jitter_deg > 0:
@@ -346,25 +344,25 @@ def simulate_scan(scene, config: ScanConfig):
                 np.empty(rgb_rows))
     per_frame = np.zeros(len(times), np.int64)
     at = rgb_at = 0
-    # a jittered pose is drawn frame by frame from its unjittered one
+    # every frame's pose; a jittered one replaces its rows, frame by frame
+    q, cams = trajectory_quaternions(config.trajectory, times)
+    rots = rotation_matrices(q)
     jitter = noise.pose_translation_jitter_m > 0 or noise.pose_rotation_jitter_deg > 0
-    rots, cams = trajectory_poses(config.trajectory, times)
     for first, stop in _chunks(np.full(len(times), n)):
         fis = np.arange(first, stop)
         rngs = [np.random.default_rng(frame_seeds[fi]) for fi in fis]
-        poses, raw, ang = [], [], []
-        for rng, t in zip(rngs, times[first:stop]):
+        raw, ang = [], []
+        for fi, rng in zip(fis.tolist(), rngs):
             if jitter:
-                poses.append(_jitter_pose(
-                    rng, interpolate_trajectory(config.trajectory, t), noise))
+                pose = _jitter_pose(rng, Pose(Quaternion(*q[fi]), cams[fi]), noise)
+                rots[fi], cams[fi] = pose.rotation.to_matrix(), pose.translation
             if noise.normal_jitter_deg > 0:
                 raw.append(rng.normal(size=(n, 3)))
                 ang.append(rng.normal(0.0, noise.normal_jitter_deg, n))
         normals = scene.normals
         if raw:
             normals = _jitter_directions(normals, np.stack(raw), np.stack(ang))
-        rot, cam = (pose_arrays(poses) if jitter else
-                    (rots[first:stop], cams[first:stop]))
+        rot, cam = rots[first:stop], cams[first:stop]
         pixels, in_view = project_points(config.camera, rot, cam, scene.positions)
         leds = fis % len(rig)
         # each frame's LED by the matrix-vector product that `Pose.transform`

@@ -33,8 +33,8 @@
 It also holds the scalar and inverse helpers only tests use: the
 half/difference angles of one direction pair and the cell of one angle
 pair, one-angle table lookup, single-point projection and unprojection, pose
-composition, the angle between two attitudes, a PPM reader, the rows of
-each distinct key, the rows of a dict of cells, the frame of each IR
+composition, the angle between two attitudes, the matrices of a list of
+poses, a PPM reader, the rows of each distinct key, the rows of a dict of cells, the frame of each IR
 observation row and a subset of the rows as a frame-major set.
 """
 
@@ -51,8 +51,7 @@ from matscan.brdf_table import (D_WIDTH, H_WIDTH, N_CELLS, N_D, N_H, BrdfTable,
 from matscan.estimation import (ACCEPTED, COS_GRAZING, GRAZING_DEG,
                                 MIN_COLOR_SAMPLES, VIGNETTE_FLOOR, Rejection,
                                 VertexRecords, VertexReflectanceRecord)
-from matscan.geometry import (PinholeCamera, Pose, Quaternion, TimedPose,
-                              pose_arrays)
+from matscan.geometry import PinholeCamera, Pose, Quaternion, TimedPose
 from matscan.segmentation import GlobalCellTable
 from matscan.simulator import (GroundTruthMaterial, IrObservations,
                                RgbObservations, _jitter_pose,
@@ -226,8 +225,9 @@ def simulate_scan(scene, config):
     for fi, (t, seed) in enumerate(zip(times, frame_seeds)):
         rng = np.random.default_rng(seed)
         led = fi % n_led
-        pose = _jitter_pose(rng, interpolate_trajectory(config.trajectory, t),
-                            noise)
+        pose = interpolate_trajectory(config.trajectory, t)
+        if noise.pose_translation_jitter_m > 0 or noise.pose_rotation_jitter_deg > 0:
+            pose = _jitter_pose(rng, pose, noise)
         pixels, in_view = _project_points(cam, pose, scene.positions)
         normals = _jitter_directions(rng, scene.normals, noise.normal_jitter_deg)
         view = np.nonzero(in_view)[0]
@@ -693,6 +693,12 @@ def interpolate_trajectory(trajectory: list, t: float) -> Pose:
     hi = int(np.searchsorted(times, t, side="right"))
     hi = min(max(hi, 1), len(times) - 1)
     return interpolate_pose(trajectory[hi - 1], trajectory[hi], t)
+
+
+def pose_arrays(poses):
+    """Rotation matrices (k,3,3) and translations (k,3) of k poses."""
+    return (np.stack([p.rotation.to_matrix() for p in poses]),
+            np.stack([p.translation for p in poses]))
 
 
 def trajectory_poses(trajectory: list, times):

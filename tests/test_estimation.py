@@ -16,11 +16,11 @@ from matscan import brdf_table, estimation, segmentation
 from matscan.brdf_table import N_CELLS, N_D, cell_indices, sorted_cells
 from matscan.estimation import (GRAZING_DEG, MIN_COLOR_SAMPLES, Rejection,
                                 VertexRecords, invert_observation_arrays)
-from matscan.geometry import Pose, Quaternion, look_at
+from matscan.geometry import Pose, Quaternion
 from matscan.simulator import (GroundTruthMaterial, RgbObservations,
                                default_camera, vignette)
 
-from oracles import invert_image_formation, render_ir_intensity
+from oracles import invert_image_formation, look_at, render_ir_intensity
 
 
 def estimate_vertex_color(samples, ang, saturation_level):

@@ -9,10 +9,10 @@ import oracles
 from matscan import geometry, io, scenes
 from matscan.geometry import (UNIT_TOL, LedRig, PinholeCamera, Pose, Quaternion,
                               TimedPose, half_diff_angle_arrays,
-                              interpolate_trajectory, look_at, look_at_poses,
+                              interpolate_trajectory, look_at_poses,
                               project_points, trajectory_poses)
 from oracles import (HalfDiffAngles, angle_to, compose, half_diff_angles,
-                     interpolate_pose, project, slerp, unproject)
+                     look_at, project, unproject)
 
 finite = st.floats(-1.0, 1.0).filter(lambda x: abs(x) > 1e-3)
 quats = st.builds(Quaternion, finite, finite, finite, finite)
@@ -56,6 +56,16 @@ class TestQuaternion:
         assert angle_to(q, q) == pytest.approx(0.0, abs=1e-5)
         r = q * q.conjugate()
         np.testing.assert_allclose(r.to_matrix(), np.eye(3), atol=1e-12)
+
+
+def slerp(a: Quaternion, b: Quaternion, u: float) -> Quaternion:
+    """The attitude `trajectory_poses` interpolates at time u between a at
+    time 0 and b at time 1."""
+    traj = [TimedPose(Pose(a, np.zeros(3)), 0.0), TimedPose(Pose(b, np.zeros(3)), 1.0)]
+    q, _ = geometry.trajectory_quaternions(traj, [u])
+    np.testing.assert_array_equal(trajectory_poses(traj, [u])[0][0],
+                                  Quaternion(*q[0]).to_matrix())
+    return Quaternion(*q[0])
 
 
 class TestSlerp:
@@ -119,8 +129,9 @@ class TestPose:
     def test_interpolation_blends_translation(self):
         p0 = TimedPose(Pose(Quaternion.identity(), np.zeros(3)), 0.0)
         p1 = TimedPose(Pose(Quaternion.identity(), np.array([2.0, 0, 0])), 2.0)
-        pose = interpolate_pose(p0, p1, 0.5)
-        np.testing.assert_allclose(pose.translation, [0.5, 0, 0])
+        rot, trans = trajectory_poses([p0, p1], [0.5, 2.0])
+        np.testing.assert_allclose(trans, [[0.5, 0, 0], [2.0, 0, 0]])
+        np.testing.assert_array_equal(rot, np.broadcast_to(np.eye(3), (2, 3, 3)))
 
     def test_trajectory_brackets_and_rejects_outside(self):
         traj = [TimedPose(Pose(Quaternion.identity(),
@@ -263,7 +274,7 @@ class TestTrajectoryArrays:
         with pytest.raises(ValueError):
             look_at_poses(np.vstack([positions, target]), target)
         with pytest.raises(ValueError):
-            look_at([0.0, 0.0, 0.0], [0.0, 2.0, 0.0])
+            look_at_poses([[0.0, 0.0, 0.0]], [0.0, 2.0, 0.0])
 
     @pytest.mark.parametrize("n, duration", [(2, 1.0), (12, 4.0), (50, 10.0),
                                              (97, 7.5)])

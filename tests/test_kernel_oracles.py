@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 from matscan import estimation, scenes, simulator
-from matscan.geometry import TimedPose, look_at
+from matscan.geometry import TimedPose
 from matscan.simulator import (NoiseConfig, RgbObservations, ScanConfig,
                                default_camera, make_default_rig)
 
@@ -134,7 +134,7 @@ def scan_looking_away(away):
     12-pose arc, look away from the scene; checked against the oracles."""
     arc = scenes.arc_trajectory(12, 4.0)
     trajectory = [
-        TimedPose(look_at(tp.pose.translation, 2.0 * tp.pose.translation),
+        TimedPose(oracles.look_at(tp.pose.translation, 2.0 * tp.pose.translation),
                   tp.timestamp) if i in away else tp for i, tp in enumerate(arc)]
     scene = scenes.make_scene("two-sphere", N_VERTICES, 9)
     ir, _ = check_against_oracles(scene, scan_config(POSE, trajectory=trajectory))

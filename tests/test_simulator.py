@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from matscan import scenes, simulator
-from matscan.geometry import look_at
 from matscan.simulator import (NOISE_BOUNDS, GroundTruthMaterial, IrObservations,
                                NoiseConfig, RgbObservations, ScanConfig,
                                default_camera, eval_ground_truth_brdf,
@@ -14,8 +13,8 @@ from matscan.simulator import (NOISE_BOUNDS, GroundTruthMaterial, IrObservations
                                vignette)
 
 from conftest import make_scan_config
-from oracles import (interpolate_trajectory, ir_subset, render_ir_intensity,
-                     row_frames)
+from oracles import (interpolate_trajectory, ir_subset, look_at,
+                     render_ir_intensity, row_frames)
 
 
 class TestMaterialModel:
