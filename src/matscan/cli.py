@@ -158,7 +158,7 @@ def cmd_estimate(cfg: PipelineConfig) -> int:
     _check_range(paths["ir"], "vertex_id", ir.vertex_id, 0, len(scene) - 1)
     _check_range(paths["ir"], "frame_led", ir.frame_led, 0, len(rig) - 1)
     _check_range(paths["ir"], "frame_time", ir.frame_time,
-                 trajectory[0].timestamp, trajectory[-1].timestamp)
+                 trajectory.times[0], trajectory.times[-1])
     _check_range(paths["rgb"], "vertex_id", rgb.vertex_id, 0, len(scene) - 1)
     colors = estimation.estimate_colors(rgb, cfg.saturation_level)
     records, counts = estimation.accumulate_vertex_tables(

@@ -1,5 +1,5 @@
-"""Rigid poses, timestamp interpolation, pinhole projection, LED rig geometry
-and half/difference-angle computation.
+"""The camera trajectory and its interpolation, pinhole projection, LED rig
+geometry and half/difference-angle computation.
 
 Angles are stored in degrees throughout; trigonometry goes through radians
 internally. All functions are pure. Poses of many frames are arrays, each
@@ -8,7 +8,7 @@ with the bits of the one-pose path: small dots and norms stay one BLAS call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,6 +53,18 @@ def _matrix_quaternions(m) -> np.ndarray:
     return np.where(q[:, :1] < 0, -q, q)
 
 
+def _unit_quaternions(q) -> np.ndarray:
+    """Quaternions (..., 4) as `Quaternion` stores them: each divided by its
+    norm, sqrt(w*w + x*x + y*y + z*z), where that is off 1 by more than
+    `UNIT_TOL`, and kept as it is elsewhere. A zero quaternion raises."""
+    q = np.asarray(q, dtype=float)
+    w, x, y, z = np.moveaxis(q, -1, 0)
+    n = np.sqrt(w * w + x * x + y * y + z * z)
+    if np.any(n < 1e-12):
+        raise ValueError("zero quaternion")
+    return np.where((np.abs(n - 1.0) > UNIT_TOL)[..., None], q / n[..., None], q)
+
+
 @dataclass(frozen=True)
 class Quaternion:
     """Unit quaternion, scalar-first convention."""
@@ -63,18 +75,9 @@ class Quaternion:
     z: float
 
     def __post_init__(self):
-        n = np.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2)
-        if n < 1e-12:
-            raise ValueError("zero quaternion")
-        if abs(n - 1.0) > UNIT_TOL:
-            object.__setattr__(self, "w", self.w / n)
-            object.__setattr__(self, "x", self.x / n)
-            object.__setattr__(self, "y", self.y / n)
-            object.__setattr__(self, "z", self.z / n)
-
-    @staticmethod
-    def identity() -> "Quaternion":
-        return Quaternion(1.0, 0.0, 0.0, 0.0)
+        q = _unit_quaternions([self.w, self.x, self.y, self.z])
+        for name, value in zip("wxyz", q):
+            object.__setattr__(self, name, value)
 
     @staticmethod
     def from_axis_angle(axis, angle_deg: float) -> "Quaternion":
@@ -83,18 +86,11 @@ class Quaternion:
         s = np.sin(half)
         return Quaternion(np.cos(half), s * axis[0], s * axis[1], s * axis[2])
 
-    @staticmethod
-    def from_matrix(m: np.ndarray) -> "Quaternion":
-        return Quaternion(*_matrix_quaternions(np.asarray(m)[None])[0])
-
     def as_array(self) -> np.ndarray:
         return np.array([self.w, self.x, self.y, self.z])
 
     def to_matrix(self) -> np.ndarray:
         return rotation_matrices(self.as_array())
-
-    def conjugate(self) -> "Quaternion":
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
 
     def __mul__(self, other: "Quaternion") -> "Quaternion":
         w1, x1, y1, z1 = self.w, self.x, self.y, self.z
@@ -111,61 +107,53 @@ class Quaternion:
 
 
 @dataclass(frozen=True)
-class Pose:
-    """Rigid transform, local frame -> world frame."""
+class Trajectory:
+    """A timed camera track of k >= 2 poses: strictly rising times (k,), and
+    per time the camera-to-world rotation as a unit quaternion (k, 4), scalar
+    first, and the camera position (k, 3). Every value is finite, and each
+    quaternion is stored as `Quaternion` stores it. The arrays are read-only,
+    C-ordered copies of those given."""
 
-    rotation: Quaternion
-    translation: np.ndarray
+    times: np.ndarray
+    quaternions: np.ndarray
+    translations: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "translation",
-                           np.asarray(self.translation, dtype=float).reshape(3))
+        # C-ordered copies: a BLAS dot of two rows sums in an order that may
+        # depend on their layout
+        t, q, p = (np.array(a, dtype=float, order="C") for a in
+                   (self.times, self.quaternions, self.translations))
+        if t.ndim != 1 or q.shape != (len(t), 4) or p.shape != (len(t), 3):
+            raise ValueError(f"times {t.shape}, quaternions {q.shape} and "
+                             f"translations {p.shape} are not (k,), (k, 4), (k, 3)")
+        if len(t) < 2:
+            raise ValueError("a trajectory needs at least two poses")
+        if not (np.isfinite(t).all() and np.isfinite(q).all()
+                and np.isfinite(p).all()):
+            raise ValueError("a trajectory value is not finite")
+        if np.any(t[1:] <= t[:-1]):
+            raise ValueError("trajectory times do not strictly increase")
+        for name, a in (("times", t), ("quaternions", _unit_quaternions(q)),
+                        ("translations", p)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
-    @staticmethod
-    def identity() -> "Pose":
-        return Pose(Quaternion.identity(), np.zeros(3))
-
-    def transform(self, p: np.ndarray) -> np.ndarray:
-        """Apply to points, shape (3,) or (n, 3)."""
-        p = np.asarray(p, dtype=float)
-        r = self.rotation.to_matrix()
-        if p.ndim == 1:
-            return r @ p + self.translation
-        return p @ r.T + self.translation
-
-    def rotate(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        r = self.rotation.to_matrix()
-        return r @ v if v.ndim == 1 else v @ r.T
-
-    def inverse(self) -> "Pose":
-        rinv = self.rotation.conjugate()
-        return Pose(rinv, -rinv.rotate(self.translation))
+    def __len__(self) -> int:
+        return len(self.times)
 
 
-@dataclass(frozen=True)
-class TimedPose:
-    pose: Pose
-    timestamp: float
-
-
-def trajectory_quaternions(trajectory: list[TimedPose], times):
+def trajectory_quaternions(trajectory: Trajectory, times):
     """Unit quaternions (k, 4) and translations (k, 3) of the trajectory at
     k times: slerp (a normalized lerp when nearly parallel) and lerp between
     the two bracketing poses."""
-    stamps = np.array([tp.timestamp for tp in trajectory], dtype=float)
-    if len(stamps) < 2:
-        raise ValueError("trajectory needs at least two poses")
+    stamps = trajectory.times
     t = np.asarray(times, dtype=float).reshape(-1)
     if not np.all((stamps[0] <= t) & (t <= stamps[-1])):
         raise ValueError("a time is outside the trajectory time range")
     hi = np.clip(np.searchsorted(stamps, t, side="right"), 1, len(stamps) - 1)
     lo = hi - 1
-    if np.any(stamps[hi] <= stamps[lo]):
-        raise ValueError("zero or negative length time interval")
     u = (t - stamps[lo]) / (stamps[hi] - stamps[lo])
-    quats = np.array([tp.pose.rotation.as_array() for tp in trajectory])
-    trans = np.array([tp.pose.translation for tp in trajectory])
+    quats, trans = trajectory.quaternions, trajectory.translations
     # one BLAS dot per segment a time falls in, as a scalar slerp takes it
     seg, at = np.unique(lo, return_inverse=True)
     dots = np.array([quats[i] @ quats[i + 1] for i in seg.tolist()])[at]
@@ -184,17 +172,19 @@ def trajectory_quaternions(trajectory: list[TimedPose], times):
     return q, (1.0 - u)[:, None] * trans[lo] + u[:, None] * trans[hi]
 
 
-def trajectory_poses(trajectory: list[TimedPose], times):
+def trajectory_poses(trajectory: Trajectory, times):
     """Rotation matrices (k, 3, 3) and translations (k, 3) of the
-    trajectory at each of k times, in [first, last timestamp]."""
+    trajectory at each of k times, in [first, last time]."""
     q, trans = trajectory_quaternions(trajectory, times)
     return rotation_matrices(q), trans
 
 
-def interpolate_trajectory(trajectory: list[TimedPose], t: float) -> Pose:
-    """Pose at time t."""
-    q, trans = trajectory_quaternions(trajectory, [t])
-    return Pose(Quaternion(*q[0]), trans[0])
+def interpolate_trajectory(trajectory: Trajectory, t: float):
+    """Rotation matrix (3, 3) and translation (3,) at time t. No stage calls
+    it: it stays for the benchmark tracer (`perfbench/tracing.py`), which
+    binds it by name."""
+    rot, trans = trajectory_poses(trajectory, [t])
+    return rot[0], trans[0]
 
 
 @dataclass(frozen=True)
@@ -218,11 +208,11 @@ def project_points(camera: PinholeCamera, rotations, translations,
     """Vectorized projection of world points (n,3) seen from k camera poses,
     camera-to-world rotation matrices (k,3,3) and translations (k,3).
     Returns pixels (k,n,2) and the valid mask (k,n)."""
-    # each pose's inverse as `Pose.inverse` gives it: the transposed
-    # rotation, and its matrix-vector product with the translation
+    # each pose's inverse: the transposed rotation, and its matrix-vector
+    # product with the translation
     rot = np.ascontiguousarray(np.swapaxes(rotations, 1, 2))
     trans = -np.matmul(rot, np.asarray(translations)[:, :, None])[..., 0]
-    # the rows `Pose.transform` gives, one pose at a time
+    # the rows one pose's matrix product gives, one pose at a time
     pc = np.matmul(points, rot.swapaxes(1, 2)) + trans[:, None]
     z = pc[..., 2]
     in_front = z > 1e-6
@@ -233,10 +223,10 @@ def project_points(camera: PinholeCamera, rotations, translations,
     return np.stack([px, py], axis=-1), valid
 
 
-def look_at_poses(positions, target, up=(0.0, 1.0, 0.0)) -> list[Pose]:
-    """Camera-to-world poses, one per row of `positions` (k,3), with +z
-    looking from it toward target: array cross products and one stacked
-    eigh."""
+def look_at_poses(positions, target, up=(0.0, 1.0, 0.0)):
+    """Camera-to-world unit quaternions (k, 4) and positions (k, 3), one per
+    row of `positions` (k, 3), with +z looking from it toward target: array
+    cross products and one stacked eigh."""
     positions = np.asarray(positions, dtype=float).reshape(-1, 3)
     fwd = _unit(np.asarray(target, dtype=float) - positions)
     right = np.cross(fwd, _unit(up))
@@ -245,8 +235,7 @@ def look_at_poses(positions, target, up=(0.0, 1.0, 0.0)) -> list[Pose]:
         raise ValueError("up direction parallel to viewing direction")
     right /= n[:, None]
     down = np.cross(fwd, right)
-    quats = _matrix_quaternions(np.stack([right, down, fwd], axis=2))
-    return [Pose(Quaternion(*q), p) for q, p in zip(quats, positions)]
+    return _matrix_quaternions(np.stack([right, down, fwd], axis=2)), positions
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import numpy as np
 from .brdf_table import cell_indices, integer_rows, sorted_cells
 from .config import load_config
 from .estimation import VertexRecords
-from .geometry import UNIT_TOL, Pose, Quaternion, TimedPose
+from .geometry import UNIT_TOL, Trajectory
 from .simulator import GroundTruthMaterial, IrObservations, RgbObservations
 
 
@@ -106,28 +106,17 @@ def read_materials(path):
             for row in data]
 
 
-def write_trajectory(path, trajectory) -> None:
-    with open(path, "w") as fh:
-        fh.write("# t qw qx qy qz tx ty tz\n")
-        for tp in trajectory:
-            q = tp.pose.rotation
-            t = tp.pose.translation
-            fh.write(f"{tp.timestamp:.17g} {q.w:.17g} {q.x:.17g} {q.y:.17g} "
-                     f"{q.z:.17g} {t[0]:.17g} {t[1]:.17g} {t[2]:.17g}\n")
+def write_trajectory(path, trajectory: Trajectory) -> None:
+    np.savetxt(path, np.column_stack([trajectory.times, trajectory.quaternions,
+                                      trajectory.translations]),
+               fmt="%.17g", header="t qw qx qy qz tx ty tz")
 
 
 @_reader
-def read_trajectory(path):
-    """At least two poses, every value finite, timestamps strictly rising."""
+def read_trajectory(path) -> Trajectory:
+    """The trajectory `write_trajectory` wrote, checked by `Trajectory`."""
     data = np.loadtxt(path, comments="#").reshape(-1, 8)
-    if len(data) < 2:
-        raise ValueError("a trajectory needs at least two poses")
-    if not np.isfinite(data).all():
-        raise ValueError("a value is not finite")
-    if np.any(np.diff(data[:, 0]) <= 0):
-        raise ValueError("timestamps do not strictly increase")
-    return [TimedPose(Pose(Quaternion(*row[1:5]), row[5:8]), float(row[0]))
-            for row in data]
+    return Trajectory(data[:, 0], data[:, 1:5], data[:, 5:8])
 
 
 # observation fields with more than one value per row, integer fields, and

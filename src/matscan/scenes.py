@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import TimedPose, look_at_poses
+from .geometry import Trajectory, look_at_poses
 from .simulator import GroundTruthMaterial
 
 
@@ -174,14 +174,11 @@ def make_scene(name: str, n_vertices: int, seed: int, materials=None) -> Scene:
 
 def arc_trajectory(n_poses: int, duration: float, radius: float = 0.95,
                    sweep_deg: float = 50.0, target=(0.0, 0.0, 0.15),
-                   bob: float = 0.12) -> list[TimedPose]:
+                   bob: float = 0.12) -> Trajectory:
     """Hand-held style sweep: camera on an arc at -z looking at the scene,
-    with a gentle vertical bob. Timestamps strictly increasing."""
-    if n_poses < 2:
-        raise ValueError("trajectory needs at least two poses")
-    u = np.arange(n_poses) / (n_poses - 1)
+    with a gentle vertical bob, over [0, duration]."""
+    u = np.arange(n_poses) / max(n_poses - 1, 1)
     phi = np.deg2rad((u - 0.5) * sweep_deg)
     pos = np.stack([radius * np.sin(phi), bob * np.sin(2.0 * np.pi * u),
                     target[2] - radius * np.cos(phi)], axis=1)
-    return [TimedPose(pose, float(t))
-            for pose, t in zip(look_at_poses(pos, target), u * duration)]
+    return Trajectory(u * duration, *look_at_poses(pos, target))

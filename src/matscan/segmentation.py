@@ -164,14 +164,6 @@ def build_global_table(records, sample_budget: int, rng_seed: int) -> GlobalCell
     return GlobalCellTable(*columns, sampled)
 
 
-def default_bandwidth(samples) -> float:
-    """Half the root of summed per-channel population variances."""
-    samples = np.asarray(samples, dtype=float).reshape(-1, 3)
-    if len(samples) < 2:
-        raise ValueError("bandwidth needs at least 2 samples")
-    return 0.5 * float(np.sqrt(np.var(samples, axis=0).sum()))
-
-
 def _row_blocks(n_rows, size):
     """(lo, hi) blocks of at most `size` >= 2 of n_rows rows, in order. A
     block holds one row only when there is one: numpy takes a one-row
@@ -663,8 +655,10 @@ def assign_3sigma_many(samples, g1: GaussianCluster, g2: GaussianCluster):
 
 
 def _bandwidths(table: GlobalCellTable) -> np.ndarray:
-    """Per candidate cell, the largest of its `default_bandwidth`, 1e-6
-    times its mean sample norm and 1e-12, a block of cells at a time. A
+    """Per candidate cell, the largest of its bandwidth (half the root of its
+    summed per-channel population variances; `oracles.default_bandwidth` in
+    the tests is the one-cell reference), 1e-6 times its mean sample norm and
+    1e-12, a block of cells at a time. A
     `bincount` sums in sample order, as `np.var` does; `np.mean` does not,
     so it runs only for a cell whose floor may win."""
     out = []

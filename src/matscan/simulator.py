@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (LedRig, PinholeCamera, Pose, Quaternion, TimedPose,
+from .geometry import (LedRig, PinholeCamera, Quaternion, Trajectory,
                        half_diff_angle_arrays, norm_rows, project_points,
                        rotation_matrices, trajectory_poses,
                        trajectory_quaternions)
@@ -128,8 +128,8 @@ def frames(ir, trajectory, rig: LedRig):
     for first, stop in _chunks(sizes[nonempty]):
         fis = nonempty[first:stop]
         rot, cam = rots[first:stop], cams[first:stop]
-        # every LED of every frame (k, L, 3), by the matrix product that
-        # `Pose.transform` of an (n,3) array uses, whatever the rows per frame
+        # every LED of every frame (k, L, 3), by one matrix product of the
+        # rig's positions per frame, whatever the rows per frame
         led_world = np.matmul(rig.positions, rot.swapaxes(1, 2)) + cam[:, None]
         leds = ir.frame_led[fis]
         counts = sizes[fis]
@@ -168,20 +168,15 @@ class NoiseConfig:
 class ScanConfig:
     camera: PinholeCamera
     rig: LedRig
-    trajectory: list[TimedPose]
+    trajectory: Trajectory
     noise: NoiseConfig = field(default_factory=NoiseConfig)
     saturation_level: float = 8.0
     n_ir_frames: int = 200
     rgb_frame_stride: int = 3
 
     def __post_init__(self):
-        if len(self.trajectory) < 2:
-            raise ValueError("trajectory must contain at least two poses")
         if self.saturation_level <= 0:
             raise ValueError("saturation level must be positive")
-        times = [tp.timestamp for tp in self.trajectory]
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError("trajectory timestamps must be strictly increasing")
 
 
 def _check_rows(obs, widths: dict) -> None:
@@ -241,11 +236,10 @@ class RgbObservations:
         return len(self.vertex_id)
 
 
-def frame_times(trajectory: list[TimedPose], n_frames: int) -> np.ndarray:
+def frame_times(trajectory: Trajectory, n_frames: int) -> np.ndarray:
     """`n_frames` IR frame timestamps, strictly inside the trajectory's time
     span so the pose interpolation path is always exercised."""
-    t0 = trajectory[0].timestamp
-    t1 = trajectory[-1].timestamp
+    t0, t1 = trajectory.times[0], trajectory.times[-1]
     return t0 + (np.arange(n_frames) + 0.5) / n_frames * (t1 - t0)
 
 
@@ -266,15 +260,17 @@ def _jitter_directions(dirs, raw, ang_deg):
     return out / norm_rows(out)[..., None]
 
 
-def _jitter_pose(rng, pose: Pose, noise: NoiseConfig) -> Pose:
-    t = pose.translation + rng.normal(0.0, noise.pose_translation_jitter_m, 3)
-    rot = pose.rotation
+def _jitter_pose(rng, quaternion, translation, noise: NoiseConfig):
+    """A frame's pose, its unit quaternion (4,) and translation (3,),
+    jittered by its draws: the rotation matrix (3, 3) and translation (3,)."""
+    t = translation + rng.normal(0.0, noise.pose_translation_jitter_m, 3)
+    rot = Quaternion(*quaternion)
     if noise.pose_rotation_jitter_deg > 0:
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
         ang = rng.normal(0.0, noise.pose_rotation_jitter_deg)
         rot = rot * Quaternion.from_axis_angle(axis, ang)
-    return Pose(rot, t)
+    return rot.to_matrix(), t
 
 
 def _corrupt(rng, values, noise: NoiseConfig, saturation_level: float):
@@ -354,8 +350,7 @@ def simulate_scan(scene, config: ScanConfig):
         raw, ang = [], []
         for fi, rng in zip(fis.tolist(), rngs):
             if jitter:
-                pose = _jitter_pose(rng, Pose(Quaternion(*q[fi]), cams[fi]), noise)
-                rots[fi], cams[fi] = pose.rotation.to_matrix(), pose.translation
+                rots[fi], cams[fi] = _jitter_pose(rng, q[fi], cams[fi], noise)
             if noise.normal_jitter_deg > 0:
                 raw.append(rng.normal(size=(n, 3)))
                 ang.append(rng.normal(0.0, noise.normal_jitter_deg, n))
@@ -365,9 +360,8 @@ def simulate_scan(scene, config: ScanConfig):
         rot, cam = rots[first:stop], cams[first:stop]
         pixels, in_view = project_points(config.camera, rot, cam, scene.positions)
         leds = fis % len(rig)
-        # each frame's LED by the matrix-vector product that `Pose.transform`
-        # of one point uses; the matrix product of `frames` may round the
-        # last bit differently
+        # each frame's LED by a matrix-vector product; the matrix product of
+        # `frames` may round the last bit differently
         led_world = np.matmul(rot, rig.positions[leds, :, None])[..., 0] + cam
         d, l, ndotl, wo, ndotv = frame_geometry(
             cam[:, None], led_world[:, None], scene.positions, normals)

@@ -25,16 +25,20 @@
 - table lookup of all angle pairs at once and a PPM converted as one whole
   image, which tests check the blocked `brdf_table.lookup_arrays` and
   `render_eval.write_ppm` against bit for bit;
-- poses one at a time as `Pose` objects: slerp and timestamp interpolation,
-  `look_at` and the arc trajectory, and projection through `Pose.inverse`,
-  which tests check `geometry.trajectory_poses`, `geometry.look_at_poses`,
-  `scenes.arc_trajectory` and `geometry.project_points` against bit for bit.
+- poses one at a time as `Pose` and `TimedPose` objects: slerp and
+  timestamp interpolation, `look_at`, the arc trajectory and its file, pose
+  jitter, and projection through `Pose.inverse`, which tests check
+  `geometry.trajectory_poses`, `geometry.look_at_poses`,
+  `scenes.arc_trajectory`, `io.write_trajectory`, the jittered scan and
+  `geometry.project_points` against bit for bit;
+- the bandwidth of one cell, which tests check `segmentation._bandwidths`
+  against.
 
 It also holds the scalar and inverse helpers only tests use: the
 half/difference angles of one direction pair and the cell of one angle
 pair, one-angle table lookup, single-point projection and unprojection, pose
 composition, the angle between two attitudes, the matrices of a list of
-poses, a PPM reader, the rows of each distinct key, the rows of a dict of cells, the frame of each IR
+poses, the `TimedPose`s of a `geometry.Trajectory`, a PPM reader, the rows of each distinct key, the rows of a dict of cells, the frame of each IR
 observation row and a subset of the rows as a frame-major set.
 """
 
@@ -51,12 +55,85 @@ from matscan.brdf_table import (D_WIDTH, H_WIDTH, N_CELLS, N_D, N_H, BrdfTable,
 from matscan.estimation import (ACCEPTED, COS_GRAZING, GRAZING_DEG,
                                 MIN_COLOR_SAMPLES, VIGNETTE_FLOOR, Rejection,
                                 VertexRecords, VertexReflectanceRecord)
-from matscan.geometry import PinholeCamera, Pose, Quaternion, TimedPose
+from matscan.geometry import PinholeCamera, Quaternion, Trajectory
 from matscan.segmentation import GlobalCellTable
 from matscan.simulator import (GroundTruthMaterial, IrObservations,
-                               RgbObservations, _jitter_pose,
-                               eval_ground_truth_brdf, ir_frame_times, shading,
-                               vignette)
+                               RgbObservations, eval_ground_truth_brdf,
+                               ir_frame_times, shading, vignette)
+
+
+@dataclass(frozen=True)
+class Pose:
+    """Rigid transform, local frame -> world frame."""
+
+    rotation: Quaternion
+    translation: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "translation",
+                           np.asarray(self.translation, dtype=float).reshape(3))
+
+    def transform(self, p: np.ndarray) -> np.ndarray:
+        """Apply to points, shape (3,) or (n, 3)."""
+        p = np.asarray(p, dtype=float)
+        r = self.rotation.to_matrix()
+        if p.ndim == 1:
+            return r @ p + self.translation
+        return p @ r.T + self.translation
+
+    def rotate(self, v: np.ndarray) -> np.ndarray:
+        v = np.asarray(v, dtype=float)
+        r = self.rotation.to_matrix()
+        return r @ v if v.ndim == 1 else v @ r.T
+
+    def inverse(self) -> "Pose":
+        r = self.rotation
+        rinv = Quaternion(r.w, -r.x, -r.y, -r.z)
+        return Pose(rinv, -rinv.rotate(self.translation))
+
+
+@dataclass(frozen=True)
+class TimedPose:
+    pose: Pose
+    timestamp: float
+
+
+def timed_poses(trajectory: Trajectory) -> list:
+    """The poses of a `geometry.Trajectory`, one `TimedPose` per row."""
+    return [TimedPose(Pose(Quaternion(*q), p), float(t)) for t, q, p in
+            zip(trajectory.times, trajectory.quaternions, trajectory.translations)]
+
+
+def write_trajectory(path, poses: list) -> None:
+    """`io.write_trajectory` of a list of `TimedPose`s, one line per pose."""
+    with open(path, "w") as fh:
+        fh.write("# t qw qx qy qz tx ty tz\n")
+        for tp in poses:
+            q = tp.pose.rotation
+            t = tp.pose.translation
+            fh.write(f"{tp.timestamp:.17g} {q.w:.17g} {q.x:.17g} {q.y:.17g} "
+                     f"{q.z:.17g} {t[0]:.17g} {t[1]:.17g} {t[2]:.17g}\n")
+
+
+def jitter_pose(rng, pose: Pose, noise) -> Pose:
+    """`simulator._jitter_pose` of one `Pose`: the frame's draws in order."""
+    t = pose.translation + rng.normal(0.0, noise.pose_translation_jitter_m, 3)
+    rot = pose.rotation
+    if noise.pose_rotation_jitter_deg > 0:
+        axis = rng.normal(size=3)
+        axis /= np.linalg.norm(axis)
+        ang = rng.normal(0.0, noise.pose_rotation_jitter_deg)
+        rot = rot * Quaternion.from_axis_angle(axis, ang)
+    return Pose(rot, t)
+
+
+def default_bandwidth(samples) -> float:
+    """The meanshift bandwidth of one cell's samples (n, 3), n >= 2: half the
+    root of the summed per-channel population variances."""
+    samples = np.asarray(samples, dtype=float).reshape(-1, 3)
+    if len(samples) < 2:
+        raise ValueError("bandwidth needs at least 2 samples")
+    return 0.5 * float(np.sqrt(np.var(samples, axis=0).sum()))
 
 
 @dataclass(frozen=True)
@@ -222,12 +299,13 @@ def simulate_scan(scene, config):
     ir_parts, rgb_parts = [], []
     frame_rows = np.zeros(len(times), dtype=np.int64)
     mat_ids = scene.material_ids
+    poses = timed_poses(config.trajectory)
     for fi, (t, seed) in enumerate(zip(times, frame_seeds)):
         rng = np.random.default_rng(seed)
         led = fi % n_led
-        pose = interpolate_trajectory(config.trajectory, t)
+        pose = interpolate_trajectory(poses, t)
         if noise.pose_translation_jitter_m > 0 or noise.pose_rotation_jitter_deg > 0:
-            pose = _jitter_pose(rng, pose, noise)
+            pose = jitter_pose(rng, pose, noise)
         pixels, in_view = _project_points(cam, pose, scene.positions)
         normals = _jitter_directions(rng, scene.normals, noise.normal_jitter_deg)
         view = np.nonzero(in_view)[0]
@@ -323,11 +401,12 @@ def invert_observation_arrays(ir, scene, trajectory, rig, camera,
     n = len(ir)
     th, td, f = np.zeros(n), np.zeros(n), np.zeros(n)
     reason = np.full(n, ACCEPTED, dtype=np.int8)
+    poses = timed_poses(trajectory)
     for j, t in enumerate(ir.frame_time):
         rows = np.arange(ir.frame_offsets[j], ir.frame_offsets[j + 1])
         if len(rows) == 0:
             continue
-        pose = interpolate_trajectory(trajectory, float(t))
+        pose = interpolate_trajectory(poses, float(t))
         vids = ir.vertex_id[rows]
         nrm = scene.normals[vids]
         leds = np.full(len(rows), ir.frame_led[j])

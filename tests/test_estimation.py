@@ -16,7 +16,6 @@ from matscan import brdf_table, estimation, segmentation
 from matscan.brdf_table import N_CELLS, N_D, cell_indices, sorted_cells
 from matscan.estimation import (GRAZING_DEG, MIN_COLOR_SAMPLES, Rejection,
                                 VertexRecords, invert_observation_arrays)
-from matscan.geometry import Pose, Quaternion
 from matscan.simulator import (GroundTruthMaterial, RgbObservations,
                                default_camera, vignette)
 
@@ -145,13 +144,12 @@ class TestInversion:
         _, th, td, _, _ = oracles.invert_observation_arrays(
             ir, scene, run["trajectory"], cfg.rig, cfg.camera,
             cfg.saturation_level)
-        from oracles import interpolate_trajectory
+        poses = oracles.timed_poses(run["trajectory"])
         frame = oracles.row_frames(ir)
         rng = np.random.default_rng(1)
         rows = rng.choice(len(ir), size=64, replace=False)
         for r in rows:
-            pose = interpolate_trajectory(run["trajectory"],
-                                          float(ir.frame_time[frame[r]]))
+            pose = oracles.interpolate_trajectory(poses, float(ir.frame_time[frame[r]]))
             vid = int(ir.vertex_id[r])
             led = int(ir.frame_led[frame[r]])
             out = invert_image_formation(
@@ -178,8 +176,8 @@ class TestInversion:
         """Every row gets the reason of the scalar inversion. A saturation
         level at the intensity median and far off-axis pixels on some rows
         make every reason occur."""
-        from oracles import interpolate_trajectory
         run = noisy_two_sphere
+        poses = oracles.timed_poses(run["trajectory"])
         ir, scene, cfg = run["ir"], run["scene"], run["config"]
         cam, rig = cfg.camera, cfg.rig
         colored = np.ones(len(scene), dtype=bool)
@@ -191,8 +189,7 @@ class TestInversion:
         rng = np.random.default_rng(2)
         by_reason = {}
         for r in rng.permutation(len(ir))[:4000]:
-            pose = interpolate_trajectory(run["trajectory"],
-                                          float(ir.frame_time[frame[r]]))
+            pose = oracles.interpolate_trajectory(poses, float(ir.frame_time[frame[r]]))
             vid, led = int(ir.vertex_id[r]), int(ir.frame_led[frame[r]])
             out = invert_image_formation(
                 float(ir.intensity[r]), (pixel[r, 0], pixel[r, 1]),

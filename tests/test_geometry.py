@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 import oracles
 from matscan import geometry, io, scenes
-from matscan.geometry import (UNIT_TOL, LedRig, PinholeCamera, Pose, Quaternion,
-                              TimedPose, half_diff_angle_arrays,
+from matscan.geometry import (UNIT_TOL, LedRig, PinholeCamera, Quaternion,
+                              Trajectory, half_diff_angle_arrays,
                               interpolate_trajectory, look_at_poses,
-                              project_points, trajectory_poses)
-from oracles import (HalfDiffAngles, angle_to, compose, half_diff_angles,
+                              project_points, rotation_matrices,
+                              trajectory_poses)
+from oracles import (HalfDiffAngles, Pose, angle_to, compose, half_diff_angles,
                      look_at, project, unproject)
 
 finite = st.floats(-1.0, 1.0).filter(lambda x: abs(x) > 1e-3)
@@ -41,7 +42,7 @@ class TestQuaternion:
         rng = np.random.default_rng(0)
         for _ in range(50):
             q = Quaternion.from_axis_angle(rand_unit(rng), rng.uniform(-180, 180))
-            q2 = Quaternion.from_matrix(q.to_matrix())
+            q2 = Quaternion(*geometry._matrix_quaternions(q.to_matrix()[None])[0])
             # q and -q encode the same rotation; arccos limits precision
             assert angle_to(q, q2) < 1e-5
 
@@ -54,14 +55,14 @@ class TestQuaternion:
     def test_conjugate_inverts(self):
         q = Quaternion.from_axis_angle([1, 2, 2], 40.0)
         assert angle_to(q, q) == pytest.approx(0.0, abs=1e-5)
-        r = q * q.conjugate()
+        r = q * Quaternion(q.w, -q.x, -q.y, -q.z)
         np.testing.assert_allclose(r.to_matrix(), np.eye(3), atol=1e-12)
 
 
 def slerp(a: Quaternion, b: Quaternion, u: float) -> Quaternion:
     """The attitude `trajectory_poses` interpolates at time u between a at
     time 0 and b at time 1."""
-    traj = [TimedPose(Pose(a, np.zeros(3)), 0.0), TimedPose(Pose(b, np.zeros(3)), 1.0)]
+    traj = Trajectory([0.0, 1.0], [a.as_array(), b.as_array()], np.zeros((2, 3)))
     q, _ = geometry.trajectory_quaternions(traj, [u])
     np.testing.assert_array_equal(trajectory_poses(traj, [u])[0][0],
                                   Quaternion(*q[0]).to_matrix())
@@ -127,20 +128,17 @@ class TestPose:
                                    p1.transform(p2.transform(x)), atol=1e-12)
 
     def test_interpolation_blends_translation(self):
-        p0 = TimedPose(Pose(Quaternion.identity(), np.zeros(3)), 0.0)
-        p1 = TimedPose(Pose(Quaternion.identity(), np.array([2.0, 0, 0])), 2.0)
-        rot, trans = trajectory_poses([p0, p1], [0.5, 2.0])
+        traj = Trajectory([0.0, 2.0], [[1.0, 0, 0, 0]] * 2, [[0.0, 0, 0], [2.0, 0, 0]])
+        rot, trans = trajectory_poses(traj, [0.5, 2.0])
         np.testing.assert_allclose(trans, [[0.5, 0, 0], [2.0, 0, 0]])
         np.testing.assert_array_equal(rot, np.broadcast_to(np.eye(3), (2, 3, 3)))
 
     def test_trajectory_brackets_and_rejects_outside(self):
-        traj = [TimedPose(Pose(Quaternion.identity(),
-                               np.array([float(t), 0, 0])), float(t))
-                for t in range(4)]
-        np.testing.assert_allclose(interpolate_trajectory(traj, 1.25).translation,
+        t = np.arange(4.0)
+        traj = Trajectory(t, [[1.0, 0, 0, 0]] * 4, np.outer(t, [1.0, 0, 0]))
+        np.testing.assert_allclose(interpolate_trajectory(traj, 1.25)[1],
                                    [1.25, 0, 0])
-        np.testing.assert_allclose(interpolate_trajectory(traj, 0.0).translation,
-                                   [0, 0, 0])
+        np.testing.assert_allclose(interpolate_trajectory(traj, 0.0)[1], [0, 0, 0])
         with pytest.raises(ValueError):
             interpolate_trajectory(traj, -1.0)
         with pytest.raises(ValueError):
@@ -154,7 +152,7 @@ class TestCamera:
 
     def test_project_unproject_round_trip(self):
         cam = PinholeCamera(570.0, 570.0, 347.0, 259.0, 694, 518)
-        pose = Pose.identity()
+        pose = Pose(Quaternion(1.0, 0.0, 0.0, 0.0), np.zeros(3))
         p = np.array([0.05, -0.02, 0.6])
         pix = project(cam, pose, p)
         assert pix is not None
@@ -177,9 +175,9 @@ class TestCamera:
                 np.testing.assert_allclose(pix[i], single, atol=1e-9)
 
     def test_look_at_faces_target(self):
-        pose = look_at([0.0, 0.0, -1.0], [0.0, 0.0, 0.5])
+        q, _ = look_at_poses([[0.0, 0.0, -1.0]], [0.0, 0.0, 0.5])
         # camera +z should point from position toward target
-        fwd = pose.rotate([0.0, 0.0, 1.0])
+        fwd = rotation_matrices(q[0]) @ [0.0, 0.0, 1.0]
         np.testing.assert_allclose(fwd, [0, 0, 1], atol=1e-12)
 
 
@@ -192,8 +190,94 @@ def random_trajectory(rng, n, parallel=False):
         q = q[:1] + rng.normal(0, 1e-7, (n, 4))
     q *= rng.choice([-1.0, 1.0], (n, 1))
     times = np.cumsum(rng.uniform(0.01, 2.0, n)) - 1.0
-    return [TimedPose(Pose(Quaternion(*r), rng.normal(size=3)), float(t))
-            for r, t in zip(q, times)]
+    return Trajectory(times, q, rng.normal(size=(n, 3)))
+
+
+class TestTrajectory:
+    """The contract of the one trajectory type: every check a trajectory
+    gets, and `Quaternion`'s renormalization of each row."""
+
+    def test_valid_trajectory_is_stored_read_only(self):
+        times = np.array([0.0, 1.0])
+        traj = Trajectory(times, [[1.0, 0, 0, 0], [0, 1.0, 0, 0]], np.zeros((2, 3)))
+        assert len(traj) == 2
+        times[0] = -1.0  # a copy was kept
+        assert traj.times[0] == 0.0
+        for a in (traj.times, traj.quaternions, traj.translations):
+            assert not a.flags.writeable and a.flags.c_contiguous
+            assert a.dtype == np.float64
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_fewer_than_two_poses_raise(self, k):
+        with pytest.raises(ValueError, match="at least two poses"):
+            Trajectory(np.arange(k, dtype=float), np.tile([1.0, 0, 0, 0], (k, 1)),
+                       np.zeros((k, 3)))
+
+    @pytest.mark.parametrize("field", ["times", "quaternions", "translations"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_raises(self, field, bad):
+        arrays = dict(times=[0.0, 1.0, 2.0], quaternions=np.tile([1.0, 0, 0, 0], (3, 1)),
+                      translations=np.zeros((3, 3)))
+        a = np.array(arrays[field], dtype=float)
+        a.reshape(-1)[-1] = bad
+        arrays[field] = a
+        with pytest.raises(ValueError, match="not finite"):
+            Trajectory(**arrays)
+
+    @pytest.mark.parametrize("times", [[0.0, 0.0, 1.0], [0.0, 1.0, 1.0],
+                                       [0.0, 2.0, 1.0], [1.0, 0.0, -1.0]])
+    def test_equal_or_falling_times_raise(self, times):
+        with pytest.raises(ValueError, match="strictly increase"):
+            Trajectory(times, np.tile([1.0, 0, 0, 0], (3, 1)), np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("shapes", [((3, 1), (3, 4), (3, 3)), ((3,), (3, 3), (3, 3)),
+                                        ((3,), (3, 4), (3, 4)), ((3,), (2, 4), (3, 3)),
+                                        ((3,), (3, 4), (4, 3)), ((3,), (12,), (3, 3))])
+    def test_wrong_shape_raises(self, shapes):
+        t, q, p = shapes
+        with pytest.raises(ValueError, match="are not"):
+            Trajectory(np.arange(3.0).reshape(t), np.ones(q), np.zeros(p))
+
+    @pytest.mark.parametrize("zero", [[0.0, 0, 0, 0], [1e-13, 0, 0, 0]])
+    def test_zero_quaternion_raises(self, zero):
+        with pytest.raises(ValueError, match="zero quaternion"):
+            Trajectory([0.0, 1.0], [[1.0, 0, 0, 0], zero], np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="zero quaternion"):
+            Quaternion(*zero)
+
+    @pytest.mark.parametrize("off", [0.0, 1e-12, 0.6 * UNIT_TOL, UNIT_TOL,
+                                     1.5 * UNIT_TOL, 1e-6, 1e-3, 0.5, 7.0])
+    def test_rows_are_renormalized_as_quaternion_does(self, off):
+        """Rows off unit norm by `off`, on both sides of UNIT_TOL: each row
+        stored equals `Quaternion(*row)`, bit for bit, and rows within
+        UNIT_TOL are kept as they are."""
+        rng = np.random.default_rng(6)
+        q = rng.normal(size=(300, 4))
+        q /= np.linalg.norm(q, axis=1, keepdims=True)
+        q *= 1 + off * rng.choice([-1.0, 1.0], (300, 1))
+        traj = Trajectory(np.arange(300.0), q, np.zeros((300, 3)))
+        np.testing.assert_array_equal(
+            traj.quaternions, np.array([Quaternion(*r).as_array() for r in q]))
+        off_unit = np.abs(np.linalg.norm(q, axis=1) - 1.0)
+        kept = off_unit < 0.5 * UNIT_TOL
+        np.testing.assert_array_equal(traj.quaternions[kept], q[kept])
+        renormalized = np.linalg.norm(traj.quaternions[off_unit > 2 * UNIT_TOL], axis=1)
+        assert np.all(np.abs(renormalized - 1.0) < 1e-12)
+
+    def test_layout_of_the_input_does_not_change_the_poses(self):
+        """A Fortran-ordered or strided quaternion array gives the poses of
+        the C-ordered one, bit for bit: the per-segment BLAS dots read rows
+        of a C-ordered copy."""
+        rng = np.random.default_rng(7)
+        traj = random_trajectory(rng, 9)
+        times = rng.uniform(traj.times[0], traj.times[-1], 40)
+        want = trajectory_poses(traj, times)
+        wide = np.zeros((9, 8))
+        wide[:, ::2] = traj.quaternions
+        for q in (np.asfortranarray(traj.quaternions), wide[:, ::2]):
+            got = trajectory_poses(Trajectory(traj.times, q, traj.translations), times)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
 
 
 class TestTrajectoryArrays:
@@ -205,30 +289,30 @@ class TestTrajectoryArrays:
     def test_interpolation_equals_per_pose(self, seed, n, parallel):
         rng = np.random.default_rng(seed)
         traj = random_trajectory(rng, n, parallel)
-        stamps = [tp.timestamp for tp in traj]
+        stamps = traj.times
         # inside, at every timestamp, and at both ends
         times = np.concatenate([rng.uniform(stamps[0], stamps[-1], 30), stamps])
         rot, trans = trajectory_poses(traj, times)
-        expected = oracles.trajectory_poses(traj, times)
+        poses = oracles.timed_poses(traj)
+        expected = oracles.trajectory_poses(poses, times)
         np.testing.assert_array_equal(rot, expected[0])
         np.testing.assert_array_equal(trans, expected[1])
-        pose = interpolate_trajectory(traj, float(times[0]))
-        want = oracles.interpolate_trajectory(traj, float(times[0]))
-        np.testing.assert_array_equal(pose.rotation.as_array(),
-                                      want.rotation.as_array())
+        rot, trans = interpolate_trajectory(traj, float(times[0]))
+        want = oracles.interpolate_trajectory(poses, float(times[0]))
+        np.testing.assert_array_equal(rot, want.rotation.to_matrix())
+        np.testing.assert_array_equal(trans, want.translation)
 
     def test_both_slerp_branches_and_signs_are_taken(self):
         rng = np.random.default_rng(3)
         for parallel in (False, True):
-            q = np.array([tp.pose.rotation.as_array()
-                          for tp in random_trajectory(rng, 12, parallel)])
+            q = random_trajectory(rng, 12, parallel).quaternions
             dots = np.einsum("ij,ij->i", q[:-1], q[1:])
             assert np.any(dots < 0) and np.any(dots > 0)
             assert np.all(np.abs(dots) > 1 - 1e-6) == parallel
 
     def test_times_outside_the_trajectory_raise(self):
         traj = random_trajectory(np.random.default_rng(4), 3)
-        for t in (traj[0].timestamp - 1e-9, traj[-1].timestamp + 1e-9):
+        for t in (traj.times[0] - 1e-9, traj.times[-1] + 1e-9):
             with pytest.raises(ValueError):
                 trajectory_poses(traj, [t])
 
@@ -252,10 +336,11 @@ class TestTrajectoryArrays:
         rng = np.random.default_rng(seed)
         cam = PinholeCamera(570.0, 570.0, 347.0, 259.0, 694, 518)
         traj = random_trajectory(rng, 4)
-        times = rng.uniform(traj[0].timestamp, traj[-1].timestamp, k)
+        times = rng.uniform(traj.times[0], traj.times[-1], k)
         rot, trans = trajectory_poses(traj, times)
         pts = rng.normal(0, 2, (40, 3))
-        poses = [oracles.interpolate_trajectory(traj, float(t)) for t in times]
+        poses = [oracles.interpolate_trajectory(oracles.timed_poses(traj), float(t))
+                 for t in times]
         for got, want in zip(project_points(cam, rot, trans, pts),
                              oracles.project_points(cam, poses, pts)):
             np.testing.assert_array_equal(got, want)
@@ -266,11 +351,10 @@ class TestTrajectoryArrays:
         rng = np.random.default_rng(seed)
         positions = rng.normal(0, 1, (k, 3))
         target = rng.normal(0, 0.2, 3)
-        for got, p in zip(look_at_poses(positions, target), positions):
+        for q, got, p in zip(*look_at_poses(positions, target), positions):
             want = oracles.look_at(p, target)
-            np.testing.assert_array_equal(got.rotation.as_array(),
-                                          want.rotation.as_array())
-            np.testing.assert_array_equal(got.translation, want.translation)
+            np.testing.assert_array_equal(q, want.rotation.as_array())
+            np.testing.assert_array_equal(got, want.translation)
         with pytest.raises(ValueError):
             look_at_poses(np.vstack([positions, target]), target)
         with pytest.raises(ValueError):
@@ -279,8 +363,10 @@ class TestTrajectoryArrays:
     @pytest.mark.parametrize("n, duration", [(2, 1.0), (12, 4.0), (50, 10.0),
                                              (97, 7.5)])
     def test_arc_trajectory_file_equals_per_pose(self, tmp_path, n, duration):
+        """`trajectory.txt` of the arc equals the file the per-pose arc and
+        writer give, byte for byte."""
         io.write_trajectory(tmp_path / "a.txt", scenes.arc_trajectory(n, duration))
-        io.write_trajectory(tmp_path / "b.txt", oracles.arc_trajectory(n, duration))
+        oracles.write_trajectory(tmp_path / "b.txt", oracles.arc_trajectory(n, duration))
         assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
 
 

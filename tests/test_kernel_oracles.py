@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 from matscan import estimation, scenes, simulator
-from matscan.geometry import TimedPose
+from matscan.geometry import Trajectory
 from matscan.simulator import (NoiseConfig, RgbObservations, ScanConfig,
                                default_camera, make_default_rig)
 
@@ -46,7 +46,8 @@ def assert_colors_equal(got: dict, expected: dict):
 
 def scan_config(noise: dict, stride=3, trajectory=None, seed=3) -> ScanConfig:
     return ScanConfig(camera=default_camera(), rig=make_default_rig(),
-                      trajectory=trajectory or scenes.arc_trajectory(12, 4.0),
+                      trajectory=(scenes.arc_trajectory(12, 4.0) if trajectory is None
+                                  else trajectory),
                       noise=NoiseConfig(rng_seed=seed, **noise),
                       n_ir_frames=N_FRAMES, rgb_frame_stride=stride)
 
@@ -133,9 +134,11 @@ def scan_looking_away(away):
     """The scan of `scan_config(POSE)` whose poses `away`, indices into its
     12-pose arc, look away from the scene; checked against the oracles."""
     arc = scenes.arc_trajectory(12, 4.0)
-    trajectory = [
-        TimedPose(oracles.look_at(tp.pose.translation, 2.0 * tp.pose.translation),
-                  tp.timestamp) if i in away else tp for i, tp in enumerate(arc)]
+    q = arc.quaternions.copy()
+    for i in away:
+        p = arc.translations[i]
+        q[i] = oracles.look_at(p, 2.0 * p).rotation.as_array()
+    trajectory = Trajectory(arc.times, q, arc.translations)
     scene = scenes.make_scene("two-sphere", N_VERTICES, 9)
     ir, _ = check_against_oracles(scene, scan_config(POSE, trajectory=trajectory))
     return ir

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from matscan import scenes
+from matscan.geometry import rotation_matrices
 from matscan.scenes import BUILTIN_SCENES, arc_trajectory, make_scene
 
 
@@ -46,15 +47,19 @@ class TestArcTrajectory:
     def test_timestamps_and_count(self):
         traj = arc_trajectory(20, 8.0)
         assert len(traj) == 20
-        assert traj[0].timestamp == 0.0
-        assert traj[-1].timestamp == pytest.approx(8.0)
-        ts = [tp.timestamp for tp in traj]
-        assert all(b > a for a, b in zip(ts, ts[1:]))
+        assert traj.times[0] == 0.0
+        assert traj.times[-1] == pytest.approx(8.0)
+        assert np.all(np.diff(traj.times) > 0)
+
+    @pytest.mark.parametrize("n", [-1, 0, 1])
+    def test_fewer_than_two_poses_raise(self, n):
+        with pytest.raises(ValueError, match="at least two poses"):
+            arc_trajectory(n, 8.0)
 
     def test_poses_look_toward_scene(self):
         traj = arc_trajectory(10, 5.0, target=(0.0, 0.0, 0.15))
-        for tp in traj:
-            fwd = tp.pose.rotate([0.0, 0.0, 1.0])
-            to_target = np.array([0.0, 0.0, 0.15]) - tp.pose.translation
+        for rot, pos in zip(rotation_matrices(traj.quaternions), traj.translations):
+            fwd = rot @ [0.0, 0.0, 1.0]
+            to_target = np.array([0.0, 0.0, 0.15]) - pos
             to_target /= np.linalg.norm(to_target)
             assert fwd @ to_target > 0.99

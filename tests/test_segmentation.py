@@ -17,12 +17,12 @@ from matscan import segmentation
 from matscan.brdf_table import N_CELLS, N_D
 from matscan.segmentation import (MIN_CELL_SAMPLES, MIN_FIT_SAMPLES, SIGMA_GATE,
                                   GlobalCellTable, MaterialGroups,
-                                  assign_3sigma_many,
-                                  build_global_table, default_bandwidth,
+                                  assign_3sigma_many, build_global_table,
                                   diffuse_labels, fit_gaussian, initial_clusters,
                                   mahalanobis_many, meanshift,
                                   multi_material_segmentation, separability_score,
                                   two_material_segmentation)
+from oracles import default_bandwidth
 
 
 def reference_meanshift(samples, bandwidth: float, max_iter: int = 100):
