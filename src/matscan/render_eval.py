@@ -11,7 +11,7 @@ from .brdf_table import BrdfTable, cell_center, cell_indices, lookup_arrays
 from .geometry import (LedRig, PinholeCamera, half_diff_angle_arrays,
                        project_points, trajectory_poses)
 from .simulator import (IrObservations, eval_ground_truth_brdf, frame_geometry,
-                        frames, shading, vignette)
+                        frames, led_world_positions, shading, vignette)
 
 LAMBERTIAN_FALLBACK = 0.3  # scalar reflectance for unclassified vertices
 # values per row block of `write_ppm`: its lit mask, gamma values and bytes
@@ -95,12 +95,11 @@ def rerender_ir_frame(scene, labels, material_tables, trajectory, frame_time: fl
     allocates, clipped in place."""
     rot, cam = trajectory_poses(trajectory, [frame_time])
     pixels, valid = project_points(camera, rot, cam, scene.positions)
-    pixels, valid, rot, cam = pixels[0], valid[0], rot[0], cam[0]
+    led_world = led_world_positions(rot, cam, rig.positions[[led_index]])[0]
+    pixels, valid, cam = pixels[0], valid[0], cam[0]
     idx = np.nonzero(valid)[0]
     gray = np.zeros((camera.height, camera.width))
     if len(idx):
-        # the LED's row of the whole rig's, as `simulator.frames` computes it
-        led_world = (rig.positions @ rot.T + cam)[led_index]
         vals = _rerender_rows(cam, led_world,
                               np.full(len(idx), rig.brightness[led_index]), idx,
                               pixels[idx], scene, labels, material_tables,

@@ -98,6 +98,14 @@ def frame_geometry(camera_position, led_world, positions, normals):
     return d, l, ndotl, wo, ndotv
 
 
+def led_world_positions(rotations, cameras, leds):
+    """World positions (k, 3) of one LED per frame, from its position in the
+    camera frame (k, 3) and its frame's camera-to-world rotation (k, 3, 3)
+    and camera position (k, 3): a matrix-vector product per frame, so no
+    frame's value depends on the others."""
+    return np.matmul(rotations, leds[..., None])[..., 0] + cameras
+
+
 def shading(vig, f, ndotl, brightness, d):
     """The image formation model, vig * f * (n.l) * L / d^2. The inversion
     divides by it with f = 1."""
@@ -125,18 +133,15 @@ def frames(ir, trajectory, rig: LedRig):
     sizes = np.diff(ir.frame_offsets)
     nonempty = np.flatnonzero(sizes)
     rots, cams = trajectory_poses(trajectory, ir.frame_time[nonempty])
+    leds = ir.frame_led[nonempty]
+    led_world = led_world_positions(rots, cams, rig.positions[leds])
     for first, stop in _chunks(sizes[nonempty]):
         fis = nonempty[first:stop]
-        rot, cam = rots[first:stop], cams[first:stop]
-        # every LED of every frame (k, L, 3), by one matrix product of the
-        # rig's positions per frame, whatever the rows per frame
-        led_world = np.matmul(rig.positions, rot.swapaxes(1, 2)) + cam[:, None]
-        leds = ir.frame_led[fis]
         counts = sizes[fis]
         yield (slice(ir.frame_offsets[fis[0]], ir.frame_offsets[fis[-1] + 1]),
-               np.repeat(cam, counts, axis=0),
-               np.repeat(led_world[np.arange(len(fis)), leds], counts, axis=0),
-               np.repeat(rig.brightness[leds], counts))
+               np.repeat(cams[first:stop], counts, axis=0),
+               np.repeat(led_world[first:stop], counts, axis=0),
+               np.repeat(rig.brightness[leds[first:stop]], counts))
 
 
 # upper bounds of the noise fields, whose lower bound is 0: a wider angle
@@ -360,9 +365,7 @@ def simulate_scan(scene, config: ScanConfig):
         rot, cam = rots[first:stop], cams[first:stop]
         pixels, in_view = project_points(config.camera, rot, cam, scene.positions)
         leds = fis % len(rig)
-        # each frame's LED by a matrix-vector product; the matrix product of
-        # `frames` may round the last bit differently
-        led_world = np.matmul(rot, rig.positions[leds, :, None])[..., 0] + cam
+        led_world = led_world_positions(rot, cam, rig.positions[leds])
         d, l, ndotl, wo, ndotv = frame_geometry(
             cam[:, None], led_world[:, None], scene.positions, normals)
         # visible rows, frame by frame, vertex ids ascending within a frame

@@ -411,7 +411,8 @@ def invert_observation_arrays(ir, scene, trajectory, rig, camera,
         nrm = scene.normals[vids]
         leds = np.full(len(rows), ir.frame_led[j])
         d, l, ndotl, wo, ndotv = _frame_geometry(
-            pose, pose.transform(rig.positions[leds]), scene.positions[vids], nrm)
+            pose, pose.transform(rig.positions[ir.frame_led[j]]),
+            scene.positions[vids], nrm)
         vig = vignette((ir.pixel[rows, 0], ir.pixel[rows, 1]), camera)
         inten = ir.intensity[rows]
         rej = np.select([inten >= saturation_level, inten <= 0.0,

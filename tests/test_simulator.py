@@ -230,7 +230,7 @@ class TestScan:
                 i = r - rows.start
                 np.testing.assert_array_equal(cam[i], pose.translation)
                 np.testing.assert_array_equal(
-                    led_world[i], pose.transform(cfg.rig.positions)[led])
+                    led_world[i], pose.transform(cfg.rig.positions[led]))
                 assert brightness[i] == cfg.rig.brightness[led]
         assert stop == len(ir)
 
@@ -244,6 +244,52 @@ class TestScan:
                                   material_ids=np.zeros(0, int))
         with pytest.raises(ValueError):
             simulate_scan(bad, cfg)
+
+
+class TestLedPositions:
+    """`led_world_positions` is the one formula of a frame's LED position:
+    the scan, the inversion's frames and the re-render light each frame from
+    the same point, bit for bit."""
+
+    @pytest.mark.parametrize("scan_rows, frame_rows", [(1, 1), (1000, 500),
+                                                       (1 << 12, 1 << 12)])
+    def test_frames_and_rerender_get_the_scans_led(self, monkeypatch, scan_rows,
+                                                   frame_rows):
+        """Whatever the chunks of either, and with frames that hold no row
+        in between, `frames` gives each row and `rerender_ir_frame` each
+        frame the LED position `simulate_scan` lit that frame from."""
+        from matscan import render_eval
+        scene = scenes.make_scene("two-sphere", 300, 4)
+        cfg = make_scan_config(scenes.arc_trajectory(50, 10.0),
+                               NoiseConfig(normal_jitter_deg=2.0, rng_seed=4), 200)
+        geometry = simulator.frame_geometry
+        lit = []
+
+        def spy(cam, led_world, positions, normals):
+            lit.append(np.broadcast_to(led_world, np.shape(cam)[:-1] + (3,)))
+            return geometry(cam, led_world, positions, normals)
+
+        monkeypatch.setattr(simulator, "_CHUNK_ROWS", scan_rows)
+        monkeypatch.setattr(simulator, "frame_geometry", spy)
+        ir, _ = simulator.simulate_scan(scene, cfg)
+        scan_led = np.concatenate(lit).reshape(-1, 3)
+        assert len(scan_led) == len(ir.frame_time)
+        monkeypatch.setattr(simulator, "frame_geometry", geometry)
+        monkeypatch.setattr(simulator, "_CHUNK_ROWS", frame_rows)
+
+        ir = ir_subset(ir, np.flatnonzero(row_frames(ir) % 3 != 1))
+        frame = row_frames(ir)
+        for rows, _, led_world, _ in simulator.frames(ir, cfg.trajectory, cfg.rig):
+            np.testing.assert_array_equal(led_world, scan_led[frame[rows]])
+
+        lit.clear()
+        monkeypatch.setattr(render_eval, "frame_geometry", spy)
+        labels = np.full(len(scene), -1)
+        for j in (0, 1, 57, 199):
+            render_eval.rerender_ir_frame(scene, labels, [], cfg.trajectory,
+                                          ir.frame_time[j], ir.frame_led[j],
+                                          cfg.rig, cfg.camera)
+            np.testing.assert_array_equal(lit.pop().reshape(3), scan_led[j])
 
 
 class TestObservationRows:
