@@ -5,13 +5,14 @@ Per-vertex point-light shading: I = vig(x) * vis * f(theta_h, theta_d)
 frame, and configurable corruption (normal/pose jitter, multiplicative
 intensity noise, outliers, dropout, saturation clipping).
 
-`shading` is the one place the model is written, and `frame_geometry` the
-one place its geometry is: the simulator, the inversion in `estimation` and
-the re-render in `render_eval` all call both. None of them loops over
-frames: they take whole frames in chunks of up to `_CHUNK_ROWS` rows
-(frames x vertices in `simulate_scan`, observation rows as `frames` slices
-them elsewhere) and broadcast each frame's camera and LED position over its
-rows.
+`shading` is the one place the model is written, `frame_geometry` the one
+place its geometry is, and `led_world_positions` the one place a frame's LED
+position is: the simulator, the inversion in `estimation` and the re-render
+in `render_eval` all call the three. Each frame's pose comes from the
+scan's `geometry.Trajectory`. None of them loops over frames: they take
+whole frames in chunks of up to `_CHUNK_ROWS` rows (frames x vertices in
+`simulate_scan`, observation rows as `frames` slices them elsewhere) and
+broadcast each frame's camera and LED position over its rows.
 
 IR observations are frame-major (`IrObservations`): the rows of one frame
 are contiguous, and each frame's time and LED are stored once, so `frames`
