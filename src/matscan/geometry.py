@@ -138,9 +138,6 @@ class Trajectory:
             a.flags.writeable = False
             object.__setattr__(self, name, a)
 
-    def __len__(self) -> int:
-        return len(self.times)
-
 
 def trajectory_quaternions(trajectory: Trajectory, times):
     """Unit quaternions (k, 4) and translations (k, 3) of the trajectory at

@@ -656,11 +656,11 @@ def assign_3sigma_many(samples, g1: GaussianCluster, g2: GaussianCluster):
 
 def _bandwidths(table: GlobalCellTable) -> np.ndarray:
     """Per candidate cell, the largest of its bandwidth (half the root of its
-    summed per-channel population variances; `oracles.default_bandwidth` in
-    the tests is the one-cell reference), 1e-6 times its mean sample norm and
-    1e-12, a block of cells at a time. A
-    `bincount` sums in sample order, as `np.var` does; `np.mean` does not,
-    so it runs only for a cell whose floor may win."""
+    summed per-channel population variances; `default_bandwidth` in
+    tests/oracles.py is the one-cell reference), 1e-6 times its mean sample
+    norm and 1e-12, a block of cells at a time. A `bincount` sums in sample
+    order, as `np.var` does; `np.mean` does not, so it runs only for a cell
+    whose floor may win."""
     out = []
     for k, stop in _cell_blocks(table.offsets):
         pts = table.samples[table.offsets[k]:table.offsets[stop]]

@@ -200,7 +200,7 @@ class TestTrajectory:
     def test_valid_trajectory_is_stored_read_only(self):
         times = np.array([0.0, 1.0])
         traj = Trajectory(times, [[1.0, 0, 0, 0], [0, 1.0, 0, 0]], np.zeros((2, 3)))
-        assert len(traj) == 2
+        assert len(traj.times) == 2
         times[0] = -1.0  # a copy was kept
         assert traj.times[0] == 0.0
         for a in (traj.times, traj.quaternions, traj.translations):

@@ -46,7 +46,7 @@ class TestSceneRegistry:
 class TestArcTrajectory:
     def test_timestamps_and_count(self):
         traj = arc_trajectory(20, 8.0)
-        assert len(traj) == 20
+        assert len(traj.times) == 20
         assert traj.times[0] == 0.0
         assert traj.times[-1] == pytest.approx(8.0)
         assert np.all(np.diff(traj.times) > 0)
