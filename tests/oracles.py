@@ -38,7 +38,8 @@ It also holds the scalar and inverse helpers only tests use: the
 half/difference angles of one direction pair and the cell of one angle
 pair, one-angle table lookup, single-point projection and unprojection, pose
 composition, the angle between two attitudes, the matrices of a list of
-poses, the `TimedPose`s of a `geometry.Trajectory`, a PPM reader, the rows of each distinct key, the rows of a dict of cells, the frame of each IR
+poses, the `TimedPose`s of a `geometry.Trajectory`, a PPM reader, the rows
+of each distinct key, the rows of a dict of cells, the frame of each IR
 observation row and a subset of the rows as a frame-major set.
 """
 
