@@ -4,24 +4,21 @@ The global 45x48 table is one stable sort, by flat cell, of the record rows
 of the (subsampled) vertices: per cell, their per-vertex mean rgb samples
 in vertex order. Segmentation reads one column set of it: the cells with at
 least MIN_CELL_SAMPLES samples, in flat order, their vertex ids and samples
-concatenated. One flat-kernel meanshift call clusters every cell of it,
-each cell on its own, in one step loop per block of whole cells of at most
-`_CELL_BLOCK` samples, so its working arrays are bounded by a block, not by
-the scan; its neighbour masks are those of exact arithmetic (or, near a
-tie, of the full distance expression). Small cell-steps run together in
-ragged passes; a large one runs alone, in row blocks of one L2-sized
-buffer. The merge walk, the assignment and the bandwidths run over every
-cell of a block at once. The most separable cell seeds two material groups
-which are then grown cell by cell, ranked by a separability score of refitted Gaussians
+concatenated. One flat-kernel meanshift call clusters each cell of it on
+the cell's own integer lattice, where every sum and comparison is exact, in
+one step loop per block of whole cells, small cell-steps together in ragged
+passes. The most separable cell seeds two material groups which are then
+grown cell by cell, ranked by a separability score of refitted Gaussians
 and gated by a 3-sigma Mahalanobis rule. Each group keeps per-cell moments
 of its samples, updated from the rows of the vertices the gate adds; they
 score every cell at once, and only the cells within a certified bound of
-the best are refitted to pick the winner. Vertices that never pass the gate stay
-unclassified. The multi-material variant repeats the process one material
-per round, seeding from the most separable cluster, with no material count
-supplied by the user. Every Gaussian solve is one 3x3 Cholesky routine on
-Python floats or arrays. Labels then diffuse to the other vertices within a
-radius, by a scipy KD tree. Every threshold is a module constant.
+the best are refitted to pick the winner. Vertices that never pass the gate
+stay unclassified. The multi-material variant repeats the process one
+material per round, seeding from the most separable cluster, with no
+material count supplied by the user. Every Gaussian solve is one 3x3
+Cholesky routine on Python floats or arrays. Labels then diffuse to the
+other vertices within a radius, by a scipy KD tree. Every threshold is a
+module constant.
 """
 
 from __future__ import annotations
@@ -46,8 +43,9 @@ _BLOCK = 1 << 15
 # samples of the block of whole cells one meanshift step loop runs over; a
 # larger cell runs alone
 _CELL_BLOCK = 1 << 14
-_UNIT_ROUNDOFF = 2.0 ** -53
-# leader rows per round of a meanshift step that shares neighbour rows
+# steps of a cell's lattice along its widest coordinate
+_LATTICE = 1 << 12
+# leader modes per round of a meanshift step whose modes share neighbour sets
 _LEADERS = 8
 # cell-steps of at most this many moving modes x samples run in ragged
 # passes (~30 ns an entry; a BLAS step pays ~0.1 ms of calls)
@@ -164,210 +162,104 @@ def build_global_table(records, sample_budget: int, rng_seed: int) -> GlobalCell
     return GlobalCellTable(*columns, sampled)
 
 
-def _row_blocks(n_rows, size):
-    """(lo, hi) blocks of at most `size` >= 2 of n_rows rows, in order. A
-    block holds one row only when there is one: numpy takes a one-row
-    product through gemv, which may sum in another order than gemm, so the
-    last block starts one row early instead."""
-    for lo in range(0, n_rows, size):
-        hi = min(lo + size, n_rows)
-        yield max(0, min(lo, hi - 2)), hi
-
-
 def _sq_norms(v):
     """|v|^2 of each row of v (..., 3) by elementwise ufuncs: the bits of a
     row's value do not depend on where the row sits."""
     return v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1] + v[..., 2] * v[..., 2]
 
 
-def _exact_neighbours(modes, pts, bw2):
-    """The neighbour mask of each mode from the full distance expression
-    |m|^2 + |p|^2 - 2 m.p, the tie path of a meanshift step, elementwise so
-    that an entry depends on its mode and sample alone, not, as a gemm's
-    may, on the mode's row position."""
-    within = np.empty((len(modes), len(pts)), dtype=bool)
-    m_sq, p_sq = _sq_norms(modes), _sq_norms(pts)
-    rows = max(1, _BLOCK // max(1, len(pts)))
-    for lo in range(0, len(modes), rows):
-        m = modes[lo:lo + rows, None, :]
-        dot = m[..., 0] * pts[:, 0] + m[..., 1] * pts[:, 1] + m[..., 2] * pts[:, 2]
-        within[lo:lo + rows] = m_sq[lo:lo + rows, None] + p_sq - 2.0 * dot <= bw2
-    return within
-
-
-def _buffers(n):
-    """A distance buffer and a mask buffer that hold the row blocks of a
-    `_FlatKernel` on up to n samples: a block of rows has at most
-    max(`_BLOCK`, 2n) entries."""
-    size = max(_BLOCK, 2 * n)
-    return np.empty(size), np.empty(size, dtype=bool)
+def _lattice(pts, offsets, cell, bws):
+    """(q, bw2, half2): each row of `pts` on its cell's integer lattice (cell
+    k holds rows `offsets[k]:offsets[k + 1]`, row r is in `cell[r]`),
+    q = rint((s - lo) / h), lo the cell's per-coordinate minimum and h its
+    largest coordinate span / `_LATTICE` (at least the smallest normal
+    float); and per cell, in lattice units, T = floor(min(bw/h, 2^13)^2) and
+    min(bw/2h, 2^13)^2. No squared lattice distance exceeds 3 * 2^24 <
+    2^26, so the caps change no comparison."""
+    sizes = np.diff(offsets)
+    full = sizes > 0
+    lo = np.zeros((len(sizes), 3))
+    h = np.ones(len(sizes))
+    lo[full] = np.minimum.reduceat(pts, offsets[:-1][full])
+    span = (np.maximum.reduceat(pts, offsets[:-1][full]) - lo[full]).max(1)
+    h[full] = np.maximum(span / _LATTICE, np.finfo(float).tiny)
+    cap = 2.0 ** 13 * h
+    bw, half = np.minimum(bws, cap) / h, np.minimum(bws / 2, cap) / h
+    return np.rint((pts - lo[cell]) / h[cell, None]), np.floor(bw * bw), half * half
 
 
 class _FlatKernel:
-    """The samples of one meanshift cell, its squared bandwidth, and what
-    every step's neighbour search reuses: the samples' squared norms and the
-    distance buffers, which the kernels of one call share."""
+    """The lattice samples of one meanshift cell and its squared bandwidth
+    T, with the samples' squared norms less T, the samples with a column of
+    ones, and the distance buffer the kernels of one call share."""
 
-    def __init__(self, pts, bw2, buffers):
-        n = len(pts)
-        self.pts, self.bw2 = pts, bw2
-        self.pts_sq = np.einsum("ij,ij->i", pts, pts)
-        self.pts_sq_max = self.pts_sq.max()
-        # a step never has more modes than samples
-        self.block = min(n, max(1, _BLOCK // n))
-        self.buf, self.wide = buffers
+    def __init__(self, pts, bw2, buf):
+        self.pts, self.bw2, self.buf = pts, bw2, buf
+        self.ones = np.column_stack([pts, np.ones(len(pts))])
+        self.pts_sq = _sq_norms(pts) - bw2
 
-    def band(self, m_sq):
-        """64u(max|m|^2 + max|p|^2): above the rounding error of either
-        squared distance expression, whatever order BLAS sums in."""
-        return 64 * _UNIT_ROUNDOFF * (m_sq.max(initial=0.0) + self.pts_sq_max)
-
-    def mask(self, modes, out, gap=None) -> bool:
-        """Write to `out` the (r, n) mask of the samples within the
-        bandwidth of each mode, unless a squared distance lies in the band
-        around bw^2: then return False.
-
-        Squared distances are built in place, a block of rows at a time, in
-        one buffer of at most `_BLOCK` floats that stays in L2. Each of this
-        expression and the full one of `_exact_neighbours` is off the true
-        squared distance by at most ~10u(|m|^2 + |p|^2) (u = 2^-53, first
-        order). So when no value lies within the band of bw^2, both give the
-        mask of exact arithmetic. With `gap`, also write per row the smallest
-        |d^2 - bw^2| over the samples."""
+    def sums(self, modes, gap=None):
+        """Per mode, the sum and count (a row of four) of the samples q with
+        |m - q|^2 <= T. Squared distances are built in place, a block of
+        rows at a time, in one buffer of at most `_BLOCK` floats that stays
+        in L2, which then takes the block's mask for its product with the
+        samples. With `gap`, also write per mode min |d^2 - T|."""
         n = len(self.pts)
-        m_sq = np.einsum("ij,ij->i", modes, modes)
-        band = self.band(m_sq)
-        for lo in range(0, len(modes), self.block):
-            hi = min(lo + self.block, len(modes))
-            d2 = self.buf[:(hi - lo) * n].reshape(hi - lo, n)
-            # scaling by -2 is exact, so this is -2 (m @ p) bit for bit
-            np.matmul(-2.0 * modes[lo:hi], self.pts.T, out=d2)
-            d2 += m_sq[lo:hi, None]
+        rows = max(1, _BLOCK // n)
+        out = np.empty((len(modes), 4))
+        for lo in range(0, len(modes), rows):
+            m = modes[lo:lo + rows]
+            d2 = self.buf[:len(m) * n].reshape(len(m), n)
+            np.matmul(-2.0 * m, self.pts.T, out=d2)
+            d2 += _sq_norms(m)[:, None]
             d2 += self.pts_sq
-            within = out[lo:hi]
-            # no value in (bw2 - band, bw2 + band] <=> both masks hold as many
-            np.less_equal(d2, self.bw2 - band, out=within)
-            wide = self.wide[:d2.size].reshape(d2.shape)
-            np.less_equal(d2, self.bw2 + band, out=wide)
-            if np.count_nonzero(wide) != np.count_nonzero(within):
-                return False
+            within = d2 <= 0
             if gap is not None:
-                d2 -= self.bw2
-                np.abs(d2, out=d2)
-                np.min(d2, axis=1, out=gap[lo:hi])
-        return True
+                np.min(np.abs(d2, out=d2), axis=1, out=gap[lo:lo + rows])
+            np.copyto(d2, within)
+            np.matmul(d2, self.ones, out=out[lo:lo + rows])
+        return out
 
-    def rows(self, modes):
-        """(rows, row_of): neighbour masks and, per mode, the row holding
-        its mask, which is that of exact arithmetic; or, as soon as a built
-        row has a value in the rounding band, each mode's own mask from the
-        full distance expression.
+    def step(self, modes):
+        """(new, source): each mode's next lattice mode rint(S / c), from the
+        sum S and count c of the neighbour set of mode `source`, itself or a
+        leader's.
 
         While the modes no leader covers yet times the samples exceed one
-        `_BLOCK` buffer, a round builds rows for a few leader modes spread
-        over them, lets each leader's row stand for the modes it covers, and
-        stops when it covers fewer modes besides its leaders than it has
-        leaders. The modes left get rows of their own; in a step below one
-        buffer that is every mode.
-
-        The blocked values d^2 of a leader row are each within `band` of the
-        true squared distance, so every sample's true one is at least
-        g - band from bw^2, g = min |d^2 - bw^2|. Its distance is then, in
-        exact arithmetic, at least
-
-            margin = sqrt(bw^2 + g - band) - sqrt(bw^2 + band)
-
-        beyond sqrt(bw^2 + band) or within sqrt(bw^2 - band) (the outer gap
-        is the smaller, since sqrt is concave). By the triangle inequality, a
-        mode whose true distance to the leader is below the margin has every
-        sample on the leader's side of the bandwidth and more than `band` in
-        squared distance from its edge: its mask is the leader's, and also
-        what either distance expression would give it. The subtraction, the
-        square roots and the leader distance (a sum of squared differences,
-        within 6u relative) are rounded toward a smaller margin and a larger
-        distance. A bandwidth within a few bands of zero leaves no margin
-        worth certifying, so there no leader is picked."""
+        `_BLOCK` buffer, a round sums the sets of a few leader modes spread
+        over them, lets each leader stand for the modes it covers, and stops
+        when it covers fewer modes besides its leaders than it has leaders.
+        The modes left take their own sets. A leader's gap g puts every
+        sample within sqrt(T - g) or beyond sqrt(T + g) of it, so by the
+        triangle inequality a mode at squared distance e2 from it has its
+        mask when (sqrt(T - g) + e)^2 <= T and (sqrt(T + g) - e)^2 > T: both
+        hold when e2 < g and 4 e2 T < (g - e2)^2, a test exact in int64."""
         n = len(self.pts)
-        band = self.band(np.einsum("ij,ij->i", modes, modes))
-        outer = np.sqrt(self.bw2 + band) * (1 + 8 * _UNIT_ROUNDOFF)
-        row_of = np.empty(len(modes), dtype=np.intp)
-        built, start = [], 0
-        free = np.arange(len(modes))
-        while len(free) * n > _BLOCK and self.bw2 > 4 * band:
+        sums = np.empty((len(modes), 4))
+        source, free = np.arange(len(modes)), np.arange(len(modes))
+        while len(free) * n > _BLOCK:
             lead = free[::max(1, len(free) // _LEADERS)][:_LEADERS]
-            within = np.empty((len(lead), n), dtype=bool)
             gap = np.empty(len(lead))
-            if not self.mask(modes[lead], within, gap):
-                return self._exact(modes)
-            margin = np.sqrt(self.bw2 + gap * (1 - 2 * _UNIT_ROUNDOFF) - band)
-            margin = margin * (1 - 8 * _UNIT_ROUNDOFF) - outer
-            reach2 = np.square(np.maximum(margin, 0.0))
-            m, c = modes[free], modes[lead]
-            dist2 = np.square(m[:, None, 0] - c[None, :, 0])
-            dist2 += np.square(m[:, None, 1] - c[None, :, 1])
-            dist2 += np.square(m[:, None, 2] - c[None, :, 2])
-            covered = dist2 * (1 + 16 * _UNIT_ROUNDOFF) < reach2
+            sums[lead] = self.sums(modes[lead], gap)
+            g = gap.astype(np.int64)
+            e2 = _sq_norms(modes[free, None] - modes[lead]).astype(np.int64)
+            covered = (e2 < g) & (4 * int(self.bw2) * e2 < (g - e2) ** 2)
             hit = covered.any(1)
-            row_of[free[hit]] = start + covered[hit].argmax(1)
-            # a leader with no margin still owns its row
-            row_of[lead] = start + np.arange(len(lead))
+            source[free[hit]] = lead[covered[hit].argmax(1)]
+            source[lead] = lead
             hit[np.searchsorted(free, lead)] = True
-            built.append(within)
-            start += len(lead)
             free = free[~hit]
             if np.count_nonzero(hit) < 2 * len(lead):
                 break
-        within = np.empty((len(free), n), dtype=bool)
-        if not self.mask(modes[free], within):
-            return self._exact(modes)
-        row_of[free] = start + np.arange(len(free))
-        if built:
-            within = np.concatenate(built + [within])
-        return within, row_of
-
-    def set_means(self, rows, first):
-        """The mean of the samples in each row `rows[first]`: the product
-        `rows[first] @ pts` over the count, taken a block of rows at a time
-        through the distance buffer, so no float copy of every row is made.
-        A block may sum in another order than one product of every row
-        does (BLAS picks its kernel by shape), within rounding."""
-        n = len(self.pts)
-        means = np.empty((len(first), 3))
-        for lo, hi in _row_blocks(len(first), max(2, _BLOCK // n)):
-            sets = rows[first[lo:hi]]
-            block = self.buf[:(hi - lo) * n].reshape(hi - lo, n)
-            np.copyto(block, sets)
-            np.matmul(block, self.pts, out=means[lo:hi])
-            means[lo:hi] /= np.count_nonzero(sets, axis=1)[:, None]
-        return means
-
-    def _exact(self, modes):
-        """Each mode's own mask from the full distance expression."""
-        return _exact_neighbours(modes, self.pts, self.bw2), np.arange(len(modes))
-
-    def step(self, modes):
-        """(means, set_of): each mode's neighbour-set mean, and the set's
-        number among the distinct sets of its `rows`, each summed once."""
-        rows, row_of = self.rows(modes)
-        packed = np.packbits(rows, axis=1)
-        sets = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-        _, first, row_set = np.unique(sets, return_index=True,
-                                      return_inverse=True)
-        set_of = row_set[row_of]
-        return self.set_means(rows, first)[set_of], set_of
+        sums[free] = self.sums(modes[free])
+        return np.rint(sums[source, :3] / sums[source, 3:]), source
 
 
-def _merge_modes(modes, cell, bws):
+def _merge_modes(modes, cell, half2):
     """Whether each row of `modes` is a center of the walk over the rows of
-    its cell k (`cell`, contiguous), which makes each row a center unless
-    `np.linalg.norm(mode - c) < bws[k] / 2` for a center `c` before it. A
-    round makes the first open row of every cell a center and closes the
-    open rows near it. Its squared distances and the norm's `dot` round
-    differently, within a few u of one exact sum, so a squared distance
-    decides only outside the band 64u(bws[k]/2)^2 around (bws[k]/2)^2."""
-    half = bws / 2
-    h2 = half * half
-    band = 64 * _UNIT_ROUNDOFF * h2
+    its cell k (`cell`, contiguous): a row is one unless its squared
+    distance to a center before it is below `half2[k]`. A round makes the
+    first open row of every cell a center and closes the open rows near it."""
     head = np.zeros(len(modes), dtype=bool)
     unseen = np.ones(len(modes), dtype=bool)
     while unseen.any():
@@ -376,11 +268,7 @@ def _merge_modes(modes, cell, bws):
         head[rows[first]] = True
         # each later row against the center of its cell
         rest, c = rows[~first], rows[first][np.cumsum(first)[~first] - 1]
-        k = cell[rest]
-        d2 = ((modes[rest] - modes[c]) ** 2).sum(-1)
-        close = d2 < (h2 - band)[k]
-        for j in np.flatnonzero((d2 < (h2 + band)[k]) & ~close).tolist():
-            close[j] = np.linalg.norm(modes[rest[j]] - modes[c[j]]) < half[k[j]]
+        close = _sq_norms(modes[rest] - modes[c]) < half2[cell[rest]]
         unseen[rows[first]] = False
         unseen[rest[close]] = False
     return head
@@ -388,42 +276,33 @@ def _merge_modes(modes, cell, bws):
 
 def meanshift(samples, bandwidth, offsets):
     """Flat-kernel meanshift of each cell k, the rows
-    `offsets[k]:offsets[k + 1]` of `samples` at `bandwidth[k]`. Every sample
-    is iterated to its mode (mean of the cell's samples within the
-    bandwidth) until the shift drops below 1e-4*bandwidth or MAX_ITER steps
-    have run; modes within bandwidth/2 are merged and samples assigned to
-    the nearest merged mode. Returns per cell its cluster index arrays (into
-    the cell's rows), largest first.
+    `offsets[k]:offsets[k + 1]` of `samples` at `bandwidth[k]`, on the
+    cell's integer lattice (`_lattice`). Each sample is iterated to its
+    mode: a step takes a mode m to rint(S / c), S and c the sum and count of
+    the samples q with |m - q|^2 <= T, until the mode stays or MAX_ITER
+    steps have run. A walk merges each mode into an earlier center within
+    half the bandwidth (`_merge_modes`), and each sample goes to its mode's
+    nearest center. Returns per cell its cluster index arrays (into the
+    cell's rows), largest first. Every value compared is an integer below
+    2^53, so exact in any order of summation.
 
-    A step's neighbour masks are those of exact arithmetic, or, where a
-    squared distance lies in a rounding band around bw^2, those of the full
-    distance expression for every moving mode of that cell
-    (`_exact_neighbours`). Cell-steps of at most `_RAGGED` moving modes x
-    samples run together in ragged passes (`_ragged_means`); a larger one
-    runs alone (`_FlatKernel.step`), where beyond one `_BLOCK` buffer a mode
-    within a leader mode's certified margin takes the leader's mask.
-
-    Rows that reach one mode in one cell and are all still moving or all
-    stopped follow the same path from then on, so they are iterated once:
-    `owner` maps each sample to its row of distinct iterates. Merging and
-    assignment also run over those rows, every cell at once. The clusters
-    are the same as when every sample is iterated on its own.
-
-    Cells are independent, so the step loop runs over consecutive blocks of
-    whole cells of at most `_CELL_BLOCK` samples (a larger cell alone): the
-    iterates, `owner` and the arrays that collapse them span one block, and
-    the cells share one pair of distance buffers."""
+    Cell-steps of at most `_RAGGED` moving modes x samples run together in
+    ragged passes (`_ragged_means`), a larger one alone
+    (`_FlatKernel.step`). Rows that reach one lattice point of one cell are
+    iterated once from then on: `owner` maps each sample to its row. The
+    step loop runs over blocks of whole cells of at most `_CELL_BLOCK`
+    samples (a larger cell alone), so its arrays span one block."""
     pts = np.asarray(samples, dtype=float).reshape(-1, 3)
     offsets = np.asarray(offsets, dtype=np.intp)
     bws = np.broadcast_to(np.asarray(bandwidth, dtype=float),
                           (len(offsets) - 1,))
-    if np.any(bws <= 0):
-        raise ValueError("bandwidth must be positive")
-    buffers = _buffers(np.diff(offsets).max(initial=0))
+    if not np.all(np.isfinite(bws) & (bws > 0)):
+        raise ValueError("bandwidth must be finite and positive")
+    buf = np.empty(max(_BLOCK, np.diff(offsets).max(initial=0)))
     out = []
     for k, stop in _cell_blocks(offsets):
         out += _meanshift_cells(pts[offsets[k]:offsets[stop]], bws[k:stop],
-                                offsets[k:stop + 1] - offsets[k], buffers)
+                                offsets[k:stop + 1] - offsets[k], buf)
     return out
 
 
@@ -438,55 +317,37 @@ def _cell_blocks(offsets):
         k = stop
 
 
-def _ragged_means(pts, offsets, modes, cells, bw2, peak):
-    """The mean of each mode's neighbour set among its own cell's samples
-    (`pts`, a row per coordinate; `cells` ascending), in one ragged pass. A
-    sum of squared differences is within 10u(|m|^2 + |p|^2) of the exact
-    d^2, so outside the band 64u(|m|^2 + `peak`) around bw^2 it gives the
-    exact mask; a cell with a value in its band takes `_exact_neighbours`."""
+def _ragged_means(pts, offsets, modes, cells, bw2):
+    """The next lattice mode of each mode among its own cell's samples
+    (`pts`, a row per coordinate; `cells` ascending), in one ragged pass:
+    squared distances as sums of squared differences, each mode's set
+    summed over its run of samples."""
     n = np.diff(offsets)[cells]
     ends = np.cumsum(n)
     starts = ends - n
-    samp = np.arange(ends[-1]) + np.repeat(offsets[cells] - starts, n)
-    coords = [p[samp] for p in pts]
-    d2 = np.zeros(len(samp))
-    for c, m in zip(coords, modes.T):
-        t = c - np.repeat(m, n)
-        t *= t
-        d2 += t
-    band = 64 * _UNIT_ROUNDOFF * (_sq_norms(modes) + peak[cells])
-    within = d2 <= np.repeat(bw2[cells] - band, n)
-    tie = d2 <= np.repeat(bw2[cells] + band, n)
-    tie ^= within
-    for k in sorted(set(cells[np.add.reduceat(tie, starts) > 0].tolist())):
-        a, b = np.searchsorted(cells, [k, k + 1])
-        within[starts[a]:ends[b - 1]] = _exact_neighbours(
-            modes[a:b], pts[:, offsets[k]:offsets[k + 1]].T, bw2[k]).ravel()
-    sums = [np.add.reduceat(c * within, starts) for c in coords]
-    return (np.stack(sums, axis=1)
-            / np.add.reduceat(within, starts, dtype=np.intp)[:, None])
+    x = pts.take(np.arange(ends[-1]) + np.repeat(offsets[cells] - starts, n), axis=1)
+    d2 = _sq_norms((x - np.repeat(modes.T, n, axis=1)).T)
+    within = d2 <= np.repeat(bw2[cells], n)
+    return np.rint(np.add.reduceat(x * within, starts, axis=1).T
+                   / np.add.reduceat(within, starts, dtype=np.intp)[:, None])
 
 
-def _meanshift_cells(pts, bws, offsets, buffers):
+def _meanshift_cells(pts, bws, offsets, buf):
     """`meanshift` of the cells of one block, in one step loop: large
-    cell-steps one at a time, the others in ragged passes. The shift test,
+    cell-steps one at a time, the others in ragged passes. The stop test,
     the merging of rows and the `owner` remap run once per step."""
     sizes = np.diff(offsets)
     if len(pts) == 0:
         return [[] for _ in bws]
-    bw2 = bws * bws
-    tol = 1e-4 * bws
-    tol2 = tol * tol
-    # a cell of at most sqrt(`_RAGGED`) samples never takes a step alone
-    kernels = {k: _FlatKernel(pts[offsets[k]:offsets[k + 1]], bw2[k], buffers)
-               for k in np.flatnonzero(sizes * sizes > _RAGGED).tolist()}
-    peak = np.zeros(len(bws))  # each cell's largest |p|^2
-    peak[sizes > 0] = np.maximum.reduceat(_sq_norms(pts), offsets[:-1][sizes > 0])
-    modes = pts.copy()
-    columns = np.ascontiguousarray(pts.T)
     cell = np.repeat(np.arange(len(bws)), sizes)  # the cell of each row
-    owner = np.arange(len(pts))
-    active = np.ones(len(pts), dtype=bool)
+    q, bw2, half2 = _lattice(pts, offsets, cell, bws)
+    # a cell of at most sqrt(`_RAGGED`) samples never takes a step alone
+    kernels = {k: _FlatKernel(q[offsets[k]:offsets[k + 1]], bw2[k], buf)
+               for k in np.flatnonzero(sizes * sizes > _RAGGED).tolist()}
+    modes = q.copy()
+    columns = np.ascontiguousarray(q.T)
+    owner = np.arange(len(q))
+    active = np.ones(len(q), dtype=bool)
     for _ in range(MAX_ITER):
         idx = np.flatnonzero(active)
         if len(idx) == 0:
@@ -495,15 +356,9 @@ def _meanshift_cells(pts, bws, offsets, buffers):
         moving = np.bincount(cells, minlength=len(bws))
         large = moving * sizes > _RAGGED
         new = np.empty((len(idx), 3))
-        # rows of one number reach one mode, numbered over the block in cell
-        # order: distinct neighbour sets, or in a ragged pass distinct means
-        set_id = np.empty(len(idx), dtype=np.intp)
-        n_sets = 0
         for k in np.flatnonzero(large).tolist():
             rows = slice(*np.searchsorted(cells, [k, k + 1]))
-            new[rows], ids = kernels[k].step(modes[idx[rows]])
-            set_id[rows] = n_sets + ids
-            n_sets += int(ids.max()) + 1
+            new[rows] = kernels[k].step(modes[idx[rows]])[0]
         # passes of whole small cells, a new one at the first cell that
         # starts `_PASS` entries or more after the pass
         small = np.flatnonzero(~large[cells])
@@ -512,60 +367,50 @@ def _meanshift_cells(pts, bws, offsets, buffers):
         for rows in np.split(small, np.flatnonzero(_starts(at // _PASS))[1:]):
             if len(rows):
                 new[rows] = _ragged_means(columns, offsets, modes[idx[rows]],
-                                          cells[rows], bw2, peak)
-                _, ids = np.unique(np.column_stack([cells[rows], new[rows]]),
-                                   axis=0, return_inverse=True)
-                set_id[rows] = n_sets + ids.ravel()
-                n_sets += int(ids.max()) + 1
-        shift2 = ((new - modes[idx]) ** 2).sum(-1)
+                                          cells[rows], bw2)
+        active[idx] = (new != modes[idx]).any(1)
         modes[idx] = new
-        active[idx] = shift2 >= tol2[cells]
-        # moving rows with one number now share a mode, but one may have
-        # stopped there and another not, so the active flag is part of the
-        # key. Each group keeps its first row (a stable sort), so rows stay in
-        # the order of their first sample, and in cell order; rows that did
-        # not move are kept as they are
-        key = set_id * 2 + active[idx]
-        order = np.argsort(key, kind="stable")
-        start = _starts(key[order])
+        # moving rows on one point of one cell share their path, also when
+        # one stopped there; each keeps its first row (a stable sort), so
+        # rows stay in the order of their first sample. A key is below 2^37
+        key = (new[:, 0] * (_LATTICE + 1) + new[:, 1]) * (_LATTICE + 1) + new[:, 2]
+        order = np.lexsort((key, cells))
+        start = _starts(key[order]) | _starts(cells[order])
         head = order[start]
         group = np.empty(len(idx), dtype=np.intp)
         group[order] = np.cumsum(start) - 1
-        gone = np.zeros(len(modes), dtype=bool)
-        gone[idx] = True
-        gone[idx[head]] = False
-        keep = np.flatnonzero(~gone)
         row = np.arange(len(modes))
         row[idx] = idx[head][group]
+        keep = np.flatnonzero(row == np.arange(len(modes)))
         owner = np.searchsorted(keep, row)[owner]
         modes, active, cell = modes[keep], active[keep], cell[keep]
-    return _assign(modes, cell, owner, bws, offsets)
+    return _assign(modes, cell, owner, half2, offsets)
 
 
-def _assign(modes, cell, owner, bws, offsets):
+def _assign(modes, cell, owner, half2, offsets):
     """Per cell, its clusters largest first (ties to the first sample): each
     row goes to its cell's nearest center of the walk (the first of equal
     squared distance), each sample to its row's (`owner`)."""
-    heads = np.flatnonzero(_merge_modes(modes, cell, bws))
+    heads = np.flatnonzero(_merge_modes(modes, cell, half2))
     # row r against its cell's centers heads[lo[r]:lo[r] + n[r]]
     lo = np.searchsorted(cell[heads], cell)
     n = np.searchsorted(cell[heads], cell, "right") - lo
     ends = np.cumsum(n)
     rep = np.repeat(np.arange(len(modes)), n)
     centre = heads[np.arange(ends[-1]) + np.repeat(lo - (ends - n), n)]
-    d2 = ((modes[rep] - modes[centre]) ** 2).sum(-1)
+    d2 = _sq_norms(modes[rep] - modes[centre])
     hit = np.flatnonzero(d2 == np.minimum.reduceat(d2, ends - n)[rep])
     label = centre[hit[_starts(rep[hit])]][owner]
     # samples grouped by center, in sample order within each
     order = np.argsort(label, kind="stable")
     start = np.flatnonzero(_starts(label[order]))
     size = np.diff(start, append=len(order))
-    sample_cell = np.repeat(np.arange(len(bws)), np.diff(offsets))
+    sample_cell = np.repeat(np.arange(len(half2)), np.diff(offsets))
     first_sample = order[start]
     gcell = sample_cell[first_sample]
     clusters = np.split(order - offsets[sample_cell[order]], start[1:])
     rank = np.lexsort((first_sample, -size, gcell)).tolist()
-    at = np.cumsum(np.bincount(gcell, minlength=len(bws))).tolist()
+    at = np.cumsum(np.bincount(gcell, minlength=len(half2))).tolist()
     return [[clusters[i] for i in rank[a:b]] for a, b in zip([0] + at, at)]
 
 
@@ -767,7 +612,7 @@ def _moment_scores(grp1: _Group, grp2: _Group, ks):
     paths take the regularized branch, not the tr <= 0 one. The bound is
     twice the first-order one, with |y| widened by the second-order terms.
     Both groups are computed at once, along a first axis of two."""
-    u = _UNIT_ROUNDOFF
+    u = 2.0 ** -53
     mag = grp1.table.magnitudes[ks]
     n = np.stack([grp1.count[ks], grp2.count[ks]]).astype(float)
     moments = np.stack([grp1.moments[ks], grp2.moments[ks]]) / n[..., None]

@@ -11,12 +11,13 @@ import oracles
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 from scipy.stats import chi2
 
 from matscan import segmentation
 from matscan.brdf_table import N_CELLS, N_D
-from matscan.segmentation import (MIN_CELL_SAMPLES, MIN_FIT_SAMPLES, SIGMA_GATE,
-                                  GlobalCellTable, MaterialGroups,
+from matscan.segmentation import (MAX_ITER, MIN_CELL_SAMPLES, MIN_FIT_SAMPLES,
+                                  SIGMA_GATE, GlobalCellTable, MaterialGroups,
                                   assign_3sigma_many, build_global_table,
                                   diffuse_labels, fit_gaussian, initial_clusters,
                                   mahalanobis_many, meanshift,
@@ -25,53 +26,67 @@ from matscan.segmentation import (MIN_CELL_SAMPLES, MIN_FIT_SAMPLES, SIGMA_GATE,
 from oracles import default_bandwidth
 
 
-def reference_meanshift(samples, bandwidth: float, max_iter: int = 100):
-    """Per-sample flat-kernel meanshift: every sample is iterated on its own
-    row, and modes are merged in a walk over all samples. The oracle for
-    `meanshift`, which iterates samples sharing a mode once."""
-    pts = np.asarray(samples, dtype=float).reshape(-1, 3)
-    n = len(pts)
-    if n == 0:
-        return []
-    if bandwidth <= 0:
-        raise ValueError("bandwidth must be positive")
-    modes = pts.copy()
-    tol = 1e-4 * bandwidth
-    bw2 = bandwidth * bandwidth
-    active = np.ones(n, dtype=bool)
-    chunk = max(1, int(4_000_000 // max(n, 1)))
-    p0, p1, p2 = pts.T
-    pts_sq = p0 * p0 + p1 * p1 + p2 * p2
-    for _ in range(max_iter):
-        idx = np.nonzero(active)[0]
-        if len(idx) == 0:
-            break
-        for lo in range(0, len(idx), chunk):
-            sel = idx[lo:lo + chunk]
-            m = modes[sel]
-            # every term elementwise, so a tie goes one way for a mode
-            # wherever it sits (a gemm may sum m.p by the row's position)
-            m0, m1, m2 = (c[:, None] for c in m.T)
-            d2 = ((m0 * m0 + m1 * m1 + m2 * m2) + pts_sq[None, :]
-                  - 2.0 * (m0 * p0 + m1 * p1 + m2 * p2))
-            within = d2 <= bw2
-            new = (within @ pts) / within.sum(1)[:, None]
-            shift2 = ((new - m) ** 2).sum(-1)
-            modes[sel] = new
-            active[sel] = shift2 >= tol * tol
+def lattice(pts, bandwidth):
+    """(q, T, half2): one cell's samples on its integer lattice, and its
+    squared bandwidth and squared half bandwidth in lattice units, as
+    `meanshift` defines them, for one cell."""
+    lo = pts.min(axis=0)
+    h = max(float((pts.max(axis=0) - lo).max()) / 4096, np.finfo(float).tiny)
+    bw = min(bandwidth, 2.0 ** 13 * h) / h
+    half = min(bandwidth / 2, 2.0 ** 13 * h) / h
+    return np.rint((pts - lo) / h), math.floor(bw * bw), half * half
 
+
+def reference_merge_walk(modes, half2):
+    """The centers of the mode-merge walk: each mode in turn, unless its
+    squared distance to a center before it is below `half2`."""
     centers = []
-    for i in range(n):
-        m = modes[i]
-        if not any(np.linalg.norm(m - c) < bandwidth / 2 for c in centers):
+    for m in modes:
+        if not any(((m - c) ** 2).sum() < half2 for c in centers):
             centers.append(m.copy())
-    centers = np.array(centers)
+    return np.array(centers)
+
+
+def reference_clusters(modes, half2):
+    """Clusters of samples by their modes: each mode goes to the nearest
+    center of the walk (the first of equal distance), largest first, ties
+    to the first sample."""
+    centers = reference_merge_walk(modes, half2)
     d2c = ((modes[:, None, :] - centers[None, :, :]) ** 2).sum(-1)
     assign = np.argmin(d2c, axis=1)
     clusters = [np.nonzero(assign == k)[0] for k in range(len(centers))]
     clusters = [c for c in clusters if len(c) > 0]
     clusters.sort(key=lambda c: (-len(c), int(c[0])))
     return clusters
+
+
+def reference_meanshift(samples, bandwidth: float, max_iter: int = MAX_ITER):
+    """Per-sample flat-kernel meanshift on the cell's lattice: every sample
+    is iterated on its own row, m -> rint(mean of the q with |m - q|^2 <=
+    T), until it does not move, and modes are merged in a walk over all
+    samples. The oracle for `meanshift`, which iterates samples sharing a
+    mode once."""
+    pts = np.asarray(samples, dtype=float).reshape(-1, 3)
+    n = len(pts)
+    if n == 0:
+        return []
+    if not (math.isfinite(bandwidth) and bandwidth > 0):
+        raise ValueError("bandwidth must be finite and positive")
+    q, bw2, half2 = lattice(pts, bandwidth)
+    modes = q.copy()
+    active = np.ones(n, dtype=bool)
+    chunk = max(1, 1_000_000 // n)
+    for _ in range(max_iter):
+        idx = np.flatnonzero(active)
+        for lo in range(0, len(idx), chunk):
+            sel = idx[lo:lo + chunk]
+            m = modes[sel]
+            # sums of squared differences of integers, each exact
+            within = cdist(m, q, "sqeuclidean") <= bw2
+            new = np.rint((within @ q) / within.sum(1)[:, None])
+            active[sel] = (new != m).any(1)
+            modes[sel] = new
+    return reference_clusters(modes, half2)
 
 
 def one_cell(pts, bandwidth):
@@ -216,9 +231,12 @@ class TestMeanshift:
         all_idx = np.sort(np.concatenate(clusters))
         np.testing.assert_array_equal(all_idx, np.arange(len(pts)))
 
-    def test_bandwidth_validation(self):
-        with pytest.raises(ValueError):
-            meanshift(np.zeros((5, 3)), [0.0], [0, 5])
+    # a comparison with NaN is False, so a test of `bw <= 0` alone lets
+    # NaN through, and inf too
+    @pytest.mark.parametrize("bw", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_bandwidth_validation(self, bw):
+        with pytest.raises(ValueError, match="finite and positive"):
+            meanshift(np.zeros((5, 3)), [0.5, bw], [0, 5, 10])
 
     @pytest.mark.parametrize("pts, bw", [
         ([[0.2, 0.3, 0.4]], 0.1),
@@ -250,17 +268,16 @@ class TestMeanshift:
             bw = float(np.linalg.norm(pts[i] - pts[j])) or bw
         assert_same_clusters(one_cell(pts, bw), reference_meanshift(pts, bw))
 
-    def test_stopped_and_moving_samples_on_one_mode(self):
-        # samples 0 and 1 share every neighbour, so both move to the same
-        # mode x, ~5e-5 right of sample 0: sample 0 stops there, sample 1
-        # (0.05 away) keeps moving. The points at -1 drop out of x's window,
-        # so sample 1 runs on to the positive points and a cluster apart
+    def test_samples_on_one_lattice_point_share_a_path(self):
+        # samples 0 and 1 share every neighbour, so their first step takes
+        # both to one lattice point, after which they are one row of
+        # iterates; the points at -1 and at 0.94 form clusters apart
         xs = [0.0, -0.05] + [-1.0] * 10 + [0.94] * 10 + [0.65115]
         pts = np.zeros((len(xs), 3))
         pts[:, 0] = xs
         clusters = one_cell(pts, 1.0)
         assert_same_clusters(clusters, reference_meanshift(pts, 1.0))
-        assert [0] in [c.tolist() for c in clusters]
+        assert [0, 1] in [c.tolist() for c in clusters]
 
     def test_scan_cells_match_reference(self, noisy_two_sphere):
         for vids, vals in noisy_two_sphere["cells"].values():
@@ -278,18 +295,101 @@ class TestMeanshift:
         assert len(clusters[0]) >= len(clusters[-1])
 
 
-class _Fallback(Exception):
-    pass
+def _cell(rng, n, kind):
+    """(samples, bandwidth) of a cell of n samples: blobs at a bandwidth of
+    their spread; `repeats`, the same resampled with repeats (exact
+    duplicates); `identical`, one point n times (span 0); or `fine`, blobs
+    at a bandwidth below one lattice step, so T = 0."""
+    if kind == "identical":
+        return np.tile(rng.uniform(0, 1, 3), (n, 1)), float(rng.uniform(0.01, 1))
+    centers = rng.uniform(0, 1, (int(rng.integers(1, 4)), 3))
+    pts = centers[rng.integers(0, len(centers), n)] + rng.normal(0, 0.05, (n, 3))
+    if kind == "repeats":
+        pts = pts[rng.integers(0, n, n)]
+    if kind == "fine":
+        return pts, float((pts.max(0) - pts.min(0)).max()) / 4096 / 3
+    return pts, default_bandwidth(pts) if n > 1 else 0.5
 
 
-def _no_fallback(*args):
-    raise _Fallback
+def _kernel(q, bw2):
+    return segmentation._FlatKernel(q, bw2, np.empty(max(segmentation._BLOCK, len(q))))
 
 
-def _band(modes, pts):
-    """The rounding band of squared distances between modes and samples."""
-    return 64 * 2.0**-53 * (np.einsum("ij,ij->i", modes, modes).max()
-                            + np.einsum("ij,ij->i", pts, pts).max())
+def _full_mask(modes, q, bw2):
+    return ((modes[:, None, :] - q[None, :, :]) ** 2).sum(-1) <= bw2
+
+
+class TestLattice:
+    """Each cell's samples on its integer lattice: `meanshift` gives the
+    clusters of the per-sample lattice loop, cell by cell, on every path."""
+
+    KINDS = ["blobs", "repeats", "identical", "fine"]
+
+    @given(st.integers(0, 2**32 - 1),
+           st.lists(st.tuples(st.integers(20, 1400), st.sampled_from(KINDS)),
+                    min_size=1, max_size=4),
+           st.sampled_from([1, 600, 1 << 14]))
+    @settings(max_examples=15, deadline=None)
+    @example(seed=0, cells=[(20, "identical"), (400, "fine"), (300, "repeats")],
+             block=600)
+    @example(seed=1, cells=[(1400, "blobs"), (33, "blobs")], block=1)
+    def test_equals_reference_cell_by_cell(self, seed, cells, block):
+        """Cells of 20 samples, which only take ragged passes, up to 1,400,
+        whose first steps take leader rounds; `_CELL_BLOCK` from one cell a
+        block up to every cell in one."""
+        rng = np.random.default_rng(seed)
+        cells = [_cell(rng, n, kind) for n, kind in cells]
+        offsets = np.cumsum([0] + [len(c) for c, _ in cells])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(segmentation, "_CELL_BLOCK", block)
+            got = meanshift(np.vstack([c for c, _ in cells]),
+                            [bw for _, bw in cells], offsets)
+        for clusters, (pts, bw) in zip(got, cells):
+            assert_same_clusters(clusters, reference_meanshift(pts, bw))
+
+    def test_lattice_of_each_cell(self, noisy_two_sphere):
+        """The lattice of a block of cells equals each cell's own, and every
+        coordinate is an integer in [0, 2^12]."""
+        table = noisy_two_sphere["table"]
+        rng = np.random.default_rng(3)
+        cells = [table.cell(k)[1] for k in range(len(table.flats))]
+        cells += [_cell(rng, 30, kind)[0] for kind in self.KINDS]
+        bws = np.array([default_bandwidth(c) for c in cells])
+        bws[-1] = 1e-9
+        offsets = np.cumsum([0] + [len(c) for c in cells])
+        cell = np.repeat(np.arange(len(cells)), np.diff(offsets))
+        q, bw2, half2 = segmentation._lattice(np.vstack(cells), offsets, cell, bws)
+        for k, (pts, bw) in enumerate(zip(cells, bws)):
+            cq, cbw2, chalf2 = lattice(pts, bw)
+            np.testing.assert_array_equal(q[offsets[k]:offsets[k + 1]], cq)
+            assert (bw2[k], half2[k]) == (cbw2, chalf2)
+        assert q.min() == 0 and q.max() == 4096
+        np.testing.assert_array_equal(q, np.floor(q))
+        assert bw2[-1] == 0
+
+    # beyond `_BLOCK` samples a block holds one row
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 300),
+           st.sampled_from([1, 2, 5, 300, segmentation._BLOCK + 3]),
+           st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_set_sums_and_gaps_are_exact(self, seed, n_modes, n_pts, pairwise):
+        """Several blocks per call when n_modes * n_pts > `_BLOCK`; with
+        `pairwise`, T is the squared distance of a mode and a sample, a
+        tie. Sums and counts equal one product of the whole mask."""
+        rng = np.random.default_rng(seed)
+        if n_pts > 300:  # the test holds every squared distance
+            n_modes = min(n_modes, 4)
+        q = rng.integers(0, 4097, (n_pts, 3)).astype(float)
+        modes = np.vstack([q[:n_modes], rng.integers(0, 4097, (n_modes, 3))])[:n_modes]
+        d2 = ((modes[:, None, :] - q[None, :, :]) ** 2).sum(-1)
+        bw2 = float(d2.flat[rng.integers(d2.size)] if pairwise
+                    else rng.integers(0, 3 * 4096 ** 2))
+        gap = np.empty(n_modes)
+        got = _kernel(q, bw2).sums(modes, gap)
+        within = d2 <= bw2
+        np.testing.assert_array_equal(got[:, :3], within @ q)
+        np.testing.assert_array_equal(got[:, 3], within.sum(1))
+        np.testing.assert_array_equal(gap, np.abs(d2 - bw2).min(1))
 
 
 class _RowCount:
@@ -299,47 +399,50 @@ class _RowCount:
     def __init__(self, monkeypatch):
         self.modes = self.built = 0
         kernel = segmentation._FlatKernel
-        rows, mask = kernel.rows, kernel.mask
+        step, sums = kernel.step, kernel.sums
 
-        def counted_rows(kernel_self, modes):
+        def counted_step(kernel_self, modes):
             self.modes += len(modes)
-            return rows(kernel_self, modes)
+            return step(kernel_self, modes)
 
-        def counted_mask(kernel_self, modes, *args):
+        def counted_sums(kernel_self, modes, *args):
             self.built += len(modes)
-            return mask(kernel_self, modes, *args)
+            return sums(kernel_self, modes, *args)
 
-        monkeypatch.setattr(kernel, "rows", counted_rows)
-        monkeypatch.setattr(kernel, "mask", counted_mask)
-
-
-def _fallback_spy():
-    """Patches `_exact_neighbours` with a mock that records its calls and
-    returns what it returns."""
-    return mock.patch.object(segmentation, "_exact_neighbours",
-                             wraps=segmentation._exact_neighbours)
+        monkeypatch.setattr(kernel, "step", counted_step)
+        monkeypatch.setattr(kernel, "sums", counted_sums)
 
 
-class TestBlockedNeighbours:
-    """`_FlatKernel.mask` builds masks in L2-sized blocks, and a step falls
-    back to the full distance expression when a value is in the rounding
-    band of bw^2."""
+class TestSharedRows:
+    """Steps with more than one buffer of entries sum the neighbour sets of
+    leader modes and of the modes no leader's integer gap covers; the others
+    take their leader's set, which is exactly their own."""
 
-    def test_constructed_tie_takes_fallback(self, monkeypatch):
-        # coordinates on a 0.25 grid make every squared distance exact, so
-        # the bandwidth 0.25 ties with the distance of neighbouring points
-        rng = np.random.default_rng(20)
-        pts = rng.integers(0, 8, (150, 3)) * 0.25
-        calls = []
-        exact = segmentation._exact_neighbours
-        monkeypatch.setattr(segmentation, "_exact_neighbours",
-                            lambda *a: calls.append(1) or exact(*a))
-        assert_same_clusters(one_cell(pts, 0.25), reference_meanshift(pts, 0.25))
-        assert calls
+    @given(st.integers(0, 2**32 - 1), st.integers(182, 600),
+           st.sampled_from(["blobs", "repeats", "identical"]),
+           st.booleans(), st.floats(0.05, 1.0))
+    @settings(max_examples=40, deadline=None)
+    def test_covered_modes_have_the_leader_mask(self, seed, n, kind, pairwise,
+                                                scale):
+        """At a free bandwidth or, with `pairwise`, at T equal to the squared
+        distance of two samples, a tie; the modes are the samples, as at the
+        first step, and then the modes after one step."""
+        rng = np.random.default_rng(seed)
+        pts, bw = _cell(rng, n, kind)
+        q, bw2, _ = lattice(pts, bw * scale)
+        if pairwise:
+            i, j = rng.choice(n, 2, replace=False)
+            bw2 = float(((q[i] - q[j]) ** 2).sum())
+        kernel = _kernel(q, bw2)
+        modes = q
+        for _ in range(2):
+            full = _full_mask(modes, q, bw2)
+            new, source = kernel.step(modes)
+            np.testing.assert_array_equal(full[source], full)
+            modes = np.rint((full @ q) / full.sum(1)[:, None])
+            np.testing.assert_array_equal(new, modes)
 
-    def test_scan_cells_on_blocked_path_alone(self, noisy_two_sphere,
-                                              monkeypatch):
-        monkeypatch.setattr(segmentation, "_exact_neighbours", _no_fallback)
+    def test_scan_cells_share_rows(self, noisy_two_sphere, monkeypatch):
         count = _RowCount(monkeypatch)
         sizes = []
         for vids, vals in noisy_two_sphere["cells"].values():
@@ -350,34 +453,24 @@ class TestBlockedNeighbours:
                                  reference_meanshift(vals, bw))
             sizes.append(len(vids))
         # cells large enough to take several blocks per step, whose steps
-        # build rows for fewer modes than move
+        # sum the sets of fewer modes than move
         assert max(sizes) > 2 * segmentation._BLOCK ** 0.5
         assert 0 < count.built < count.modes
 
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.integers(1, 300),
-           st.sampled_from([1e-3, 1.0, 1e3]), st.floats(0.0, 1.0),
-           st.booleans())
-    @settings(max_examples=60, deadline=None)
-    def test_blocked_mask_equals_full_mask_outside_band(
-            self, seed, n_modes, n_pts, scale, q, pairwise):
-        """Several blocks per call when n_modes * n_pts > `_BLOCK`; with
-        `pairwise` the bandwidth is a sample distance, which mostly ties."""
-        rng = np.random.default_rng(seed)
-        pts = rng.normal(0, scale, (n_pts, 3))
-        # the samples themselves, as at the first step, then other points
-        modes = np.vstack([pts, rng.normal(0, scale, (n_modes, 3))])[:n_modes]
-        diff2 = ((modes[:, None, :] - pts[None, :, :]) ** 2).sum(-1)
-        bw2 = float(diff2.flat[rng.integers(diff2.size)] if pairwise
-                    else np.quantile(diff2, q)) or scale
-        within = np.empty((n_modes, n_pts), dtype=bool)
-        kernel = segmentation._FlatKernel(pts, bw2, segmentation._buffers(len(pts)))
-        if not kernel.mask(modes, within):
-            # only a value near bw2 may send the step to the fallback
-            assert np.abs(diff2 - bw2).min() <= 2 * _band(modes, pts)
-            return
-        np.testing.assert_array_equal(
-            within, segmentation._exact_neighbours(modes, pts, bw2))
-        np.testing.assert_array_equal(within, diff2 <= bw2)
+    def test_grid_without_cover_matches(self, monkeypatch):
+        # distinct points of a 0.25 grid lie at least 0.25 apart, and every
+        # leader has a sample at 0.25 or 0.354 from it, so with bandwidth
+        # 0.3 its gap covers no other grid point: each leader covers itself
+        axis = np.arange(6) * 0.25
+        pts = np.stack(np.meshgrid(axis, axis, axis), -1).reshape(-1, 3)
+        pts = pts[np.random.default_rng(5).permutation(len(pts))]
+        assert len(pts) ** 2 > segmentation._BLOCK
+        q, bw2, _ = lattice(pts, 0.3)
+        _, source = _kernel(q, bw2).step(q)
+        np.testing.assert_array_equal(source, np.arange(len(pts)))
+        count = _RowCount(monkeypatch)
+        assert_same_clusters(one_cell(pts, 0.3), reference_meanshift(pts, 0.3))
+        assert count.built == count.modes
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("duplicate", [False, True])
@@ -387,108 +480,6 @@ class TestBlockedNeighbours:
         if duplicate:
             pts = pts[[0] * n]
         assert_same_clusters(one_cell(pts, bw), reference_meanshift(pts, bw))
-
-
-class TestSharedRows:
-    """Steps with more than one buffer of entries build rows for leader modes
-    and for the modes no leader's certified margin covers; the others take
-    their leader's neighbour set."""
-
-    @given(st.integers(0, 2**32 - 1), st.integers(182, 400), st.integers(1, 4),
-           st.sampled_from([1e-3, 1.0, 1e3]), st.sampled_from([0.0, 0.01, 0.1]),
-           st.booleans(), st.booleans(), st.floats(0.05, 1.0))
-    @settings(max_examples=40, deadline=None)
-    # 129 identical rows whose products with the samples, by OpenBLAS's
-    # SkylakeX dgemm, came in 3 distinct bit patterns: a tie the full
-    # expression took by the row's position gave clusters 250/127/3, not
-    # the reference's 248/127/5
-    @example(seed=4294967295, n=380, k=3, scale=1e-3, spread=0.0,
-             duplicate=True, pairwise_bw=True, bw=1.0)
-    def test_shared_sets_equal_full_mask(self, seed, n, k, scale, spread,
-                                         duplicate, pairwise_bw, bw):
-        """Blobs at three scales, optionally resampled with repeats (exact
-        duplicates), with a free bandwidth or one equal to a pairwise sample
-        distance; the modes are the samples, as at the first step, and then
-        the modes after one step."""
-        rng = np.random.default_rng(seed)
-        centers = rng.uniform(0, 1, (k, 3))
-        pts = centers[rng.integers(0, k, n)] + rng.normal(0, spread, (n, 3))
-        if duplicate:
-            pts = pts[rng.integers(0, n, n)]
-        pts = scale * (pts + 1.0)
-        bw *= scale
-        if pairwise_bw:
-            i, j = rng.choice(n, 2, replace=False)
-            bw = float(np.linalg.norm(pts[i] - pts[j])) or bw
-        bw2 = bw * bw
-        kernel = segmentation._FlatKernel(pts, bw2, segmentation._buffers(len(pts)))
-        modes = pts
-        for _ in range(2):
-            full = segmentation._exact_neighbours(modes, pts, bw2)
-            with _fallback_spy() as fallback:
-                rows, row_of = kernel.rows(modes)
-            np.testing.assert_array_equal(rows[row_of], full)
-            if fallback.called:
-                # only a value near bw2 may send the step to the fallback
-                diff2 = ((modes[:, None, :] - pts[None, :, :]) ** 2).sum(-1)
-                assert np.abs(diff2 - bw2).min() <= 2 * _band(modes, pts)
-                break
-            modes = (full @ pts) / full.sum(1)[:, None]
-        assert_same_clusters(one_cell(pts, bw), reference_meanshift(pts, bw))
-
-    @pytest.mark.parametrize("exact", [True, False])
-    def test_mode_at_a_tie_is_never_covered(self, exact):
-        """A mode m on the segment from a leader L to a sample p, with the
-        bandwidth |mp|: L's margin is |Lm| up to rounding, so only the
-        rounding slack keeps m from taking L's mask, which puts p outside.
-        On a 1/16 grid every squared distance is exact, so only the rounding
-        of the square roots is in play; at an offset of 1e3 off the grid the
-        blocked distances round by ~1e-10 too. Either way m's own row holds a
-        tie and sends the step to the full expression."""
-        rng = np.random.default_rng(7)
-        for _ in range(100):
-            if exact:
-                h = 2.0 ** -4
-                v = rng.integers(-4, 5, 3) * h
-                a, b = int(rng.integers(3, 12)), 1 + int(rng.integers(2))
-                leader = rng.integers(-64, 65, 3) * 1.0
-            else:
-                v = rng.normal(size=3)
-                a, b = rng.uniform(1.0, 3.0), rng.uniform(0.05, 0.3)
-                leader = 1e3 + rng.normal(0, 1, 3)
-            if not v.any():
-                continue
-            m, p = leader + b * v, leader + a * v
-            bw = float(np.linalg.norm(p - m))
-            # far from the three and off the grid: no ties of their own
-            others = leader + 60 + rng.uniform(0, 3, (220, 3))
-            pts = np.vstack([p, others])
-            modes = np.vstack([leader, m, others])
-            assert len(modes) * len(pts) > segmentation._BLOCK
-            kernel = segmentation._FlatKernel(pts, bw * bw,
-                                              segmentation._buffers(len(pts)))
-            with _fallback_spy() as fallback:
-                kernel.rows(modes)
-            assert fallback.called
-
-    def test_grid_without_cover_matches(self, monkeypatch):
-        # distinct points of a 0.25 grid lie at least 0.25 apart, and every
-        # leader has a sample at 0.25 or 0.354 from it, so its margin is
-        # below 0.05 with bandwidth 0.3: each leader covers itself alone
-        axis = np.arange(6) * 0.25
-        pts = np.stack(np.meshgrid(axis, axis, axis), -1).reshape(-1, 3)
-        pts = pts[np.random.default_rng(5).permutation(len(pts))]
-        assert len(pts) ** 2 > segmentation._BLOCK
-        kernel = segmentation._FlatKernel(pts, 0.3 * 0.3,
-                                          segmentation._buffers(len(pts)))
-        with _fallback_spy() as fallback:
-            rows, row_of = kernel.rows(pts)
-        assert not fallback.called
-        # one row per mode
-        np.testing.assert_array_equal(np.sort(row_of), np.arange(len(pts)))
-        count = _RowCount(monkeypatch)
-        assert_same_clusters(one_cell(pts, 0.3), reference_meanshift(pts, 0.3))
-        assert count.built == count.modes
 
 
 class TestBatchedMeanshift:
@@ -504,7 +495,7 @@ class TestBatchedMeanshift:
             cells.append(centers[rng.integers(0, k, n)]
                          + rng.normal(0, 0.05, (n, 3)))
         bandwidths = [default_bandwidth(c) for c in cells]
-        # on a 0.25 grid the bandwidth 0.25 ties with neighbouring points
+        # on a 0.25 grid the bandwidth 0.25 is the distance of neighbours
         cells.append(rng.integers(0, 8, (150, 3)) * 0.25)
         bandwidths.append(0.25)
         cells.append(np.tile([0.3, 0.6, 0.2], (60, 1)))  # all identical
@@ -512,9 +503,7 @@ class TestBatchedMeanshift:
         cells.insert(3, np.zeros((0, 3)))  # a cell of no samples
         bandwidths.insert(3, 0.5)
         offsets = np.cumsum([0] + [len(c) for c in cells])
-        with _fallback_spy() as fallback:
-            got = meanshift(np.vstack(cells), bandwidths, offsets)
-        assert fallback.called  # the tie cell took the full expression
+        got = meanshift(np.vstack(cells), bandwidths, offsets)
         assert len(got) == len(cells)
         for clusters, pts, bw in zip(got, cells, bandwidths):
             assert_same_clusters(clusters, reference_meanshift(pts, bw))
@@ -534,7 +523,7 @@ class TestBatchedMeanshift:
 def _blob_cells(rng, sizes, ties):
     """Cells of blobs of `sizes` samples (resampled with repeats, so with
     exact duplicates), each at its own bandwidth; with `ties` a cell on a
-    0.25 grid at bandwidth 0.25, where squared distances tie exactly."""
+    0.25 grid at bandwidth 0.25, the distance of neighbouring points."""
     cells, bws = [], []
     for n in sizes:
         centers = rng.uniform(0, 1, (int(rng.integers(1, 4)), 3))
@@ -582,9 +571,7 @@ class TestRaggedSteps:
         offsets = np.cumsum([0] + [len(c) for c in cells])
         monkeypatch.setattr(segmentation, "_RAGGED", threshold)
         count = _PathCount(monkeypatch)
-        with _fallback_spy() as fallback:
-            got = meanshift(np.vstack(cells), bws, offsets)
-        assert fallback.called  # the tie cell took the full expression
+        got = meanshift(np.vstack(cells), bws, offsets)
         assert (count.kernel > 0) == (threshold < math.inf)
         assert (len(count.passes) > 0) == (threshold > 0)
         for clusters, pts, bw in zip(got, cells, bws):
@@ -621,22 +608,31 @@ class TestRaggedSteps:
                                  reference_meanshift(table.cell(k)[1], bw))
 
 
-def reference_assign(modes, cell, owner, bws, offsets):
+def _lattice_modes(rng, n, half2):
+    """(modes, half2): n lattice modes in blobs of about the merge radius,
+    some repeated, and the walk's squared half bandwidth: `half2` or, at
+    random, the squared distance of two of the modes, which ties."""
+    blobs = rng.integers(0, 4097, (int(rng.integers(1, 4)), 3))
+    r = int(np.sqrt(half2)) + 1
+    modes = blobs[rng.integers(0, len(blobs), n)] + rng.integers(-r, r + 1, (n, 3))
+    modes = modes[rng.integers(0, n, n)].astype(float)
+    if n and rng.random() < 0.5:
+        i, j = rng.integers(0, n, 2)
+        half2 = float(((modes[i] - modes[j]) ** 2).sum())
+    return modes, half2
+
+
+def reference_assign(modes, cell, owner, half2, offsets):
     """The clusters of `_assign`, one cell at a time: the walk's centers
     over the cell's rows, each row's nearest center and each sample's."""
     out = []
-    for k, bw in enumerate(bws):
+    for k, h2 in enumerate(half2):
         rows = np.flatnonzero(cell == k)
         if len(rows) == 0:
             out.append([])
             continue
-        centers = reference_merge_walk(modes[rows], bw)
-        d2c = ((modes[rows, None, :] - centers[None, :, :]) ** 2).sum(-1)
-        assign = np.argmin(d2c, axis=1)[owner[offsets[k]:offsets[k + 1]] - rows[0]]
-        clusters = [np.nonzero(assign == j)[0] for j in range(len(centers))]
-        clusters = [c for c in clusters if len(c) > 0]
-        clusters.sort(key=lambda c: (-len(c), int(c[0])))
-        out.append(clusters)
+        sample_rows = owner[offsets[k]:offsets[k + 1]] - rows[0]
+        out.append(reference_clusters(modes[rows][sample_rows], h2))
     return out
 
 
@@ -645,33 +641,34 @@ class TestTail:
     bandwidths of every cell at once, equal the per-cell loop bit for bit."""
 
     @given(st.integers(0, 2**32 - 1), st.lists(st.integers(0, 30), max_size=8),
-           st.sampled_from([1e-3, 0.37, 1e3]))
+           st.sampled_from([0.0, 1.0, 2.0, 9.0, 37.5, 1e4]))
     @settings(max_examples=60, deadline=None)
-    def test_assign_equals_per_cell(self, seed, sizes, bw):
-        """Per cell, rows of near ties or of blobs (some repeated) and
-        samples mapped onto them, rows in the order of their first sample."""
+    def test_assign_equals_per_cell(self, seed, sizes, h2):
+        """Per cell, rows of lattice modes, with some pair at exactly the
+        merge distance, and samples mapped onto them, rows in the order of
+        their first sample."""
         rng = np.random.default_rng(seed)
-        bws = bw * rng.uniform(0.5, 2.0, len(sizes))
-        modes, owner, cell, offsets = [], [], [], [0]
-        for k, (n, b) in enumerate(zip(sizes, bws)):
-            rows = (_near_ties(rng, n, b) if n and rng.random() < 0.5 else
-                    rng.uniform(0, 3 * b, (n, 3))[rng.integers(0, max(n, 1), n)])
+        modes, half2, owner, cell, offsets = [], [], [], [], [0]
+        for k, n in enumerate(sizes):
             # each row owns its first sample and maybe later ones
             own = np.concatenate([np.arange(n), rng.integers(0, max(n, 1),
                                                              int(rng.integers(0, 20)) * (n > 0))])
             own.sort()
             owner.append(len(cell) + own)
+            rows, b = _lattice_modes(rng, n, h2 * int(rng.integers(1, 3)))
             modes.append(rows)
+            half2.append(b)
             cell += [k] * n
             offsets.append(offsets[-1] + len(own))
+        half2 = np.array(half2)
         modes = np.vstack(modes) if modes else np.zeros((0, 3))
         owner = np.concatenate(owner) if owner else np.zeros(0, dtype=int)
         cell = np.array(cell, dtype=int)
         offsets = np.array(offsets)
         if len(owner) == 0:
             return
-        got = segmentation._assign(modes, cell, owner, bws, offsets)
-        expected = reference_assign(modes, cell, owner, bws, offsets)
+        got = segmentation._assign(modes, cell, owner, half2, offsets)
+        expected = reference_assign(modes, cell, owner, half2, offsets)
         assert len(got) == len(expected)
         for a, b in zip(got, expected):
             assert_same_clusters(a, b)
@@ -792,84 +789,9 @@ class TestCellBlocks:
         assert peak < 7_000_000
 
 
-class TestSetMeans:
-    """Each distinct neighbour set is summed a block of rows at a time
-    through the distance buffer, not as one float copy of every set."""
-
-    @staticmethod
-    def one_product(kernel, rows, first):
-        members = rows[first]
-        return ((members @ kernel.pts)
-                / np.count_nonzero(members, axis=1)[:, None])
-
-    def test_clusters_of_one_product(self, noisy_two_sphere, monkeypatch):
-        table = noisy_two_sphere["table"]
-        bandwidths = _cell_bandwidths(table)
-        sets = []
-        means = segmentation._FlatKernel.set_means
-
-        def spy(kernel, rows, first):
-            sets.append(len(first) * len(kernel.pts))
-            return means(kernel, rows, first)
-
-        monkeypatch.setattr(segmentation._FlatKernel, "set_means", spy)
-        got = meanshift(table.samples, bandwidths, table.offsets)
-        # some steps sum more sets than one block holds
-        assert max(sets) > 4 * segmentation._BLOCK
-        monkeypatch.setattr(segmentation._FlatKernel, "set_means",
-                            self.one_product)
-        expected = meanshift(table.samples, bandwidths, table.offsets)
-        for a, b in zip(got, expected):
-            assert_same_clusters(a, b)
-
-    # at 1000 samples a block holds 32 sets, so 65 sets end in a block of
-    # one, which starts a row early; beyond `_BLOCK` samples a block holds 2
-    @pytest.mark.parametrize("n", [1, 2, 5, 1000, segmentation._BLOCK + 3])
-    @pytest.mark.parametrize("n_sets", [1, 2, 3, 65])
-    def test_means_equal_one_product_within_rounding(self, n, n_sets):
-        rng = np.random.default_rng(n * 1000 + n_sets)
-        pts = rng.uniform(0.1, 1.0, (n, 3))
-        kernel = segmentation._FlatKernel(pts, 0.1, segmentation._buffers(n))
-        rows = rng.random((n_sets + 5, n)) < 0.5
-        rows[:, 0] = True  # no empty set
-        first = np.sort(rng.choice(len(rows), n_sets, replace=False))
-        got = kernel.set_means(rows, first)
-        expected = self.one_product(kernel, rows, first)
-        # a block and one product may sum in two orders: n terms each
-        np.testing.assert_allclose(got, expected, rtol=4 * n * 2.0 ** -53)
-        if n_sets * n <= segmentation._BLOCK:
-            np.testing.assert_array_equal(got, expected)
-
-    @pytest.mark.parametrize("n_rows", [0, 1, 2, 3, 7, 8, 9])
-    @pytest.mark.parametrize("size", [2, 3, 4])
-    def test_row_blocks(self, n_rows, size):
-        blocks = list(segmentation._row_blocks(n_rows, size))
-        covered = np.zeros(n_rows, dtype=int)
-        for lo, hi in blocks:
-            assert 0 < hi - lo <= size
-            assert hi - lo > 1 or n_rows == 1
-            covered[lo:hi] += 1
-        assert np.all(covered >= 1)
-        # in order, and only the last block may start early
-        assert [hi for _, hi in blocks] == sorted({hi for _, hi in blocks})
-
-
 class TestTracedPeaks:
-    """The transient memory of the tie path, of the bandwidths and of the
-    global table is bounded by a block or by the table, not by the scan."""
-
-    def test_exact_neighbours(self, large_demo_records):
-        """Chunks of at most `_BLOCK` entries besides the (n, n) mask: 34.6
-        MB at the parent commit on a 1426-sample cell."""
-        table = large_demo_records["table"]
-        k = int(np.argmax(np.diff(table.offsets)))
-        pts = table.cell(k)[1]
-        n = len(pts)
-        assert n > 1000
-        bw2 = default_bandwidth(pts) ** 2
-        peak = traced_peak(
-            lambda: segmentation._exact_neighbours(pts, pts, bw2))
-        assert peak < n * n + 2_000_000
+    """The transient memory of the bandwidths and of the global table is
+    bounded by a block or by the table, not by the scan."""
 
     def test_bandwidths(self, large_demo_records):
         """A block of cells at a time: 5.3 MB over every cell at once on
@@ -886,86 +808,38 @@ class TestTracedPeaks:
         assert peak < 7_500_000
 
 
-def reference_merge_walk(modes, bandwidth):
-    """The mode-merge walk of `reference_meanshift` on its own."""
-    centers = []
-    for m in modes:
-        if not any(np.linalg.norm(m - c) < bandwidth / 2 for c in centers):
-            centers.append(m.copy())
-    return np.array(centers)
-
-
-def _near_ties(rng, n, bandwidth):
-    """Modes at bandwidth/2 +- a few ulps from the first, in random
-    directions: each squared distance to it lies in the rounding band."""
-    d = rng.normal(0, 1, (n, 3))
-    d /= np.linalg.norm(d, axis=1, keepdims=True)
-    ulps = 1 + rng.integers(-4, 5, (n, 1)) * 2.0**-52
-    modes = rng.normal(0, bandwidth, 3) + d * (bandwidth / 2) * ulps
-    modes[0] -= d[0] * (bandwidth / 2) * ulps[0]
-    return modes
-
-
-def merge_one_cell(modes, bandwidth):
+def merge_one_cell(modes, half2):
     """The centers `_merge_modes` finds among modes of one cell."""
     return modes[segmentation._merge_modes(modes, np.zeros(len(modes), dtype=int),
-                                           np.array([bandwidth]))]
+                                           np.array([half2]))]
 
 
 class TestMergeModes:
-    """`_merge_modes` decides by one squared distance per open row and
-    round, and by the walk's scalar norm within a rounding band of
-    (bandwidth/2)^2; every cell walks at once."""
+    """`_merge_modes` decides by one exact squared distance per open row and
+    round; every cell walks at once."""
 
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 120), st.integers(1, 5),
-           st.sampled_from([1e-3, 0.37, 1.0, 1e3]), st.booleans())
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 120),
+           st.sampled_from([0.0, 1.0, 9.0, 37.5, 1e4]))
     @settings(max_examples=80, deadline=None)
-    def test_matches_scalar_walk(self, seed, n, k, bw, ties):
-        rng = np.random.default_rng(seed)
-        if ties:
-            modes = _near_ties(rng, n, bw)
-        else:
-            blobs = rng.uniform(0, 3 * bw, (k, 3))
-            modes = blobs[rng.integers(0, k, n)] + rng.normal(0, bw / 4, (n, 3))
-        np.testing.assert_array_equal(merge_one_cell(modes, bw),
-                                      reference_merge_walk(modes, bw))
-
-    def test_norm_decides_only_near_ties(self, monkeypatch):
-        rng = np.random.default_rng(3)
-        ties = _near_ties(rng, 400, 0.37)
-        blobs = rng.uniform(0, 3, (4, 3))[rng.integers(0, 4, 400)]
-        blobs += rng.normal(0, 0.05, (400, 3))
-        expected = [reference_merge_walk(m, 0.37) for m in (ties, blobs)]
-        # squared distances alone would decide some of the ties otherwise
-        half = 0.37 / 2
-        d2 = ((ties[1:] - ties[0]) ** 2).sum(-1)
-        norm = np.array([np.linalg.norm(m - ties[0]) for m in ties[1:]])
-        assert np.any((d2 < half * half) != (norm < half))
-        calls = []
-        scalar_norm = np.linalg.norm
-        monkeypatch.setattr(np.linalg, "norm",
-                            lambda x: calls.append(1) or scalar_norm(x))
-        for modes, want in zip((ties, blobs), expected):
-            calls.clear()
-            np.testing.assert_array_equal(merge_one_cell(modes, 0.37), want)
-            assert (len(calls) > 0) == (modes is ties)
-
+    def test_matches_scalar_walk(self, seed, n, h2):
+        modes, half2 = _lattice_modes(np.random.default_rng(seed), n, h2)
+        np.testing.assert_array_equal(merge_one_cell(modes, half2),
+                                      reference_merge_walk(modes, half2))
 
     @given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 40), max_size=8),
-           st.sampled_from([1e-3, 0.37, 1e3]))
+           st.sampled_from([1.0, 37.5, 1e4]))
     @settings(max_examples=40, deadline=None)
-    def test_cells_walk_at_once(self, seed, sizes, bw):
-        """Cells of near ties and of blobs, each at its own bandwidth: one
-        call gives each cell the centers of its own walk."""
+    def test_cells_walk_at_once(self, seed, sizes, h2):
+        """Cells of blobs, each at its own half bandwidth, some of which tie:
+        one call gives each cell the centers of its own walk."""
         rng = np.random.default_rng(seed)
-        bws = bw * rng.uniform(0.5, 2.0, len(sizes))
-        cells = [_near_ties(rng, n, b) if rng.random() < 0.5 else
-                 rng.uniform(0, 3 * b, (n, 3)) for n, b in zip(sizes, bws)]
+        cells, half2 = zip(*[_lattice_modes(rng, n, h2 * rng.uniform(0.5, 2.0))
+                             for n in sizes]) if sizes else ((), ())
         modes = np.vstack(cells) if cells else np.zeros((0, 3))
         head = segmentation._merge_modes(
-            modes, np.repeat(np.arange(len(sizes)), sizes), bws)
+            modes, np.repeat(np.arange(len(sizes)), sizes), np.array(half2))
         at = np.cumsum([0] + sizes)
-        for c, b, lo, hi in zip(cells, bws, at[:-1], at[1:]):
+        for c, b, lo, hi in zip(cells, half2, at[:-1], at[1:]):
             np.testing.assert_array_equal(modes[lo:hi][head[lo:hi]],
                                           reference_merge_walk(c, b))
 
