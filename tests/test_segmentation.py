@@ -367,21 +367,20 @@ class TestLattice:
         np.testing.assert_array_equal(q, np.floor(q))
         assert bw2[-1] == 0
 
-    # beyond `_BLOCK` samples a block holds one row
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 300),
-           st.sampled_from([1, 2, 5, 300, segmentation._BLOCK + 3]),
-           st.booleans())
-    @settings(max_examples=60, deadline=None)
-    def test_set_sums_and_gaps_are_exact(self, seed, n_modes, n_pts, pairwise):
+    # at 1000 samples a block holds 32 rows, so 65 modes end in a block of
+    # one; beyond `_BLOCK` samples a block holds one row
+    @pytest.mark.parametrize("n_pts", [1, 2, 5, 1000, segmentation._BLOCK + 3])
+    @pytest.mark.parametrize("n_modes", [1, 2, 3, 65])
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=4, deadline=None)
+    def test_set_sums_and_gaps_are_exact(self, n_modes, n_pts, seed, pairwise):
         """Several blocks per call when n_modes * n_pts > `_BLOCK`; with
         `pairwise`, T is the squared distance of a mode and a sample, a
         tie. Sums and counts equal one product of the whole mask."""
         rng = np.random.default_rng(seed)
-        if n_pts > 300:  # the test holds every squared distance
-            n_modes = min(n_modes, 4)
         q = rng.integers(0, 4097, (n_pts, 3)).astype(float)
         modes = np.vstack([q[:n_modes], rng.integers(0, 4097, (n_modes, 3))])[:n_modes]
-        d2 = ((modes[:, None, :] - q[None, :, :]) ** 2).sum(-1)
+        d2 = cdist(modes, q, "sqeuclidean")  # exact on integers
         bw2 = float(d2.flat[rng.integers(d2.size)] if pairwise
                     else rng.integers(0, 3 * 4096 ** 2))
         gap = np.empty(n_modes)
@@ -390,6 +389,49 @@ class TestLattice:
         np.testing.assert_array_equal(got[:, :3], within @ q)
         np.testing.assert_array_equal(got[:, 3], within.sum(1))
         np.testing.assert_array_equal(gap, np.abs(d2 - bw2).min(1))
+
+    @pytest.mark.parametrize("n_modes", [0, 1, 2, 3, 7, 8, 9])
+    @pytest.mark.parametrize("rows", [2, 3, 4])
+    def test_blocks_of_rows_fit_the_buffer(self, monkeypatch, n_modes, rows):
+        """With `_BLOCK` at `rows` rows of samples and a buffer of exactly
+        `_BLOCK` floats, a block of more rows would not fit: every block
+        fits, the last may be short, and none is left out."""
+        n = 11
+        monkeypatch.setattr(segmentation, "_BLOCK", rows * n)
+        rng = np.random.default_rng(n_modes * 10 + rows)
+        q = rng.integers(0, 4097, (n, 3)).astype(float)
+        modes = q[rng.integers(0, n, n_modes)] + rng.integers(-9, 10, (n_modes, 3))
+        d2 = cdist(modes, q, "sqeuclidean") if n_modes else np.empty((0, n))
+        bw2 = float(np.sort(d2, axis=None)[d2.size // 2]) if n_modes else 0.0
+        within = d2 <= bw2
+        assert 0 < within.sum() < within.size or n_modes == 0
+        gap = np.full(n_modes, -1.0)
+        got = segmentation._FlatKernel(q, bw2, np.empty(rows * n)).sums(modes, gap)
+        np.testing.assert_array_equal(got, np.column_stack([within @ q,
+                                                            within.sum(1)]))
+        np.testing.assert_array_equal(gap, np.abs(d2 - bw2).min(1, initial=np.inf))
+
+    @pytest.mark.parametrize("path", ["kernel", "ragged"])
+    def test_sample_at_the_bandwidth_is_a_neighbour(self, path):
+        """A sample at squared lattice distance exactly T from a mode is in
+        its set, on the BLAS path and in a ragged pass alike; one a lattice
+        step further out is not."""
+        mode = np.array([[100.0, 200.0, 300.0]])
+        q = mode + np.array([[0, 0, 0], [3, 4, 0], [0, 0, -5], [3, 4, 1],
+                             [6, 0, 0], [-1, -1, -1]])
+        bw2 = 25.0
+        within = cdist(mode, q, "sqeuclidean")[0] <= bw2
+        assert within.tolist() == [True, True, True, False, False, True]
+        expected = np.rint((within @ q) / within.sum())[None]
+        if path == "kernel":
+            sums = _kernel(q, bw2).sums(mode)
+            np.testing.assert_array_equal(sums, [[*(within @ q), 4]])
+            got = np.rint(sums[:, :3] / sums[:, 3:])
+        else:
+            got = segmentation._ragged_means(
+                np.ascontiguousarray(q.T), np.array([0, len(q)]), mode,
+                np.array([0]), np.array([bw2]))
+        np.testing.assert_array_equal(got, expected)
 
 
 class _RowCount:
@@ -471,6 +513,30 @@ class TestSharedRows:
         count = _RowCount(monkeypatch)
         assert_same_clusters(one_cell(pts, 0.3), reference_meanshift(pts, 0.3))
         assert count.built == count.modes
+
+    @pytest.mark.parametrize("on_leader", [False, True])
+    def test_leader_at_a_tie_covers_only_itself(self, on_leader):
+        """Every leader has a sample at squared distance exactly T (gap 0),
+        so no other mode takes its set, not even one on its own lattice
+        point (`on_leader`): the round covers only the leaders, and every
+        mode sums its own set, the tie sample in it."""
+        rng = np.random.default_rng(11)
+        n = 200
+        modes = rng.integers(0, 4097, (n, 3)).astype(float)
+        lead = np.arange(n)[::n // segmentation._LEADERS][:segmentation._LEADERS]
+        if on_leader:
+            modes[lead + 1] = modes[lead]
+        q = np.vstack([modes, modes[lead] + [3.0, 4.0, 0.0]])
+        assert len(modes) * len(q) > segmentation._BLOCK
+        kernel = _kernel(q, 25.0)
+        gap = np.empty(len(lead))
+        kernel.sums(modes[lead], gap)
+        assert not gap.any()
+        new, source = kernel.step(modes)
+        np.testing.assert_array_equal(source, np.arange(n))
+        full = _full_mask(modes, q, 25.0)
+        assert full[lead, n:].any(1).all()
+        np.testing.assert_array_equal(new, np.rint((full @ q) / full.sum(1)[:, None]))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("duplicate", [False, True])
