@@ -17,6 +17,27 @@ from matscan import cli
 from matscan.config import PipelineConfig, serialize_config
 
 
+def demo_config(scene, vertices, frames, mode, seed, out_dir,
+                noiseless=False, lambertian=False):
+    """Write the demo's config for one scan to `out_dir`/demo.cfg and return
+    its path: demo noise unless `noiseless`, flat materials if `lambertian`."""
+    cfg = PipelineConfig(
+        scene=scene, n_vertices=vertices, n_ir_frames=frames,
+        segmentation_mode=mode, out_dir=out_dir, rng_seed=seed,
+        lambertian_materials=int(lambertian))
+    if not noiseless:
+        cfg.normal_jitter_deg = 2.0
+        cfg.intensity_multiplicative_sigma = 0.03
+        cfg.outlier_fraction = 0.01
+    cfg.validate()
+
+    os.makedirs(out_dir, exist_ok=True)
+    cfg_path = os.path.join(out_dir, "demo.cfg")
+    with open(cfg_path, "w") as fh:
+        fh.write(serialize_config(cfg))
+    return cfg_path
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--scene", default="two-sphere",
@@ -32,20 +53,8 @@ def main():
                     help="flat (lobe-free) material variants")
     args = ap.parse_args()
 
-    cfg = PipelineConfig(
-        scene=args.scene, n_vertices=args.vertices, n_ir_frames=args.frames,
-        segmentation_mode=args.mode, out_dir=args.out, rng_seed=args.seed,
-        lambertian_materials=int(args.lambertian))
-    if not args.noiseless:
-        cfg.normal_jitter_deg = 2.0
-        cfg.intensity_multiplicative_sigma = 0.03
-        cfg.outlier_fraction = 0.01
-    cfg.validate()
-
-    os.makedirs(args.out, exist_ok=True)
-    cfg_path = os.path.join(args.out, "demo.cfg")
-    with open(cfg_path, "w") as fh:
-        fh.write(serialize_config(cfg))
+    cfg_path = demo_config(args.scene, args.vertices, args.frames, args.mode,
+                           args.seed, args.out, args.noiseless, args.lambertian)
     rc = cli.main(["pipeline", "--config", cfg_path])
     if rc == 0:
         print(f"\nartifacts in {args.out}/ (report.txt, labels.txt, "

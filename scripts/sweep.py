@@ -8,7 +8,9 @@ from `random.Random(seed stream)`, so the same arguments give the same JSON,
 whatever PYTHONHASHSEED is.
 
     python3 scripts/sweep.py --scene corner-board --vertices 300 \\
-        --frames 1000 --seeds 20 [--seed-stream 20261020] [--mode multi]
+        --frames 1000 --seeds 20 [--seed-stream 20261020]
+
+Each run is the demo scan of scripts/run_demo.py, in `multi` mode.
 """
 
 import argparse
@@ -25,25 +27,17 @@ import tempfile
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from matscan import cli
-from matscan.config import PipelineConfig, serialize_config
+from run_demo import demo_config
 
 PURITY_FLOOR = 0.95
 CLASSIFIED_FLOOR = 0.85
-# the demo noise mix of scripts/run_demo.py
-DEMO_NOISE = dict(normal_jitter_deg=2.0, intensity_multiplicative_sigma=0.03,
-                  outlier_fraction=0.01)
 
 
 def run_seed(args, seed: int, out_dir: str) -> dict:
     """One pipeline run: its exit code, labels digest, report fields and the
     diagnostics `segment` prints after its last ';'."""
-    cfg = PipelineConfig(scene=args.scene, n_vertices=args.vertices,
-                         n_ir_frames=args.frames, segmentation_mode=args.mode,
-                         out_dir=out_dir, rng_seed=seed, **DEMO_NOISE).validate()
-    path = os.path.join(out_dir, "sweep.cfg")
-    os.makedirs(out_dir, exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(serialize_config(cfg))
+    path = demo_config(args.scene, args.vertices, args.frames, "multi",
+                       seed, out_dir)
     printed = io.StringIO()
     with contextlib.redirect_stdout(printed):
         rc = cli.main(["pipeline", "--config", path])
@@ -73,7 +67,6 @@ def main():
     ap.add_argument("--seeds", type=int, required=True, help="seeds to run")
     ap.add_argument("--seed-stream", type=int, default=20261020,
                     help="seed of the generator the run seeds are drawn from")
-    ap.add_argument("--mode", default="multi", choices=["two", "multi"])
     args = ap.parse_args()
     stream = random.Random(args.seed_stream)
     seeds = [stream.randrange(2 ** 31) for _ in range(args.seeds)]
@@ -87,7 +80,7 @@ def main():
                 failing.append(run)
     print(json.dumps({
         "scene": args.scene, "vertices": args.vertices, "frames": args.frames,
-        "mode": args.mode, "seed_stream": args.seed_stream, "seeds": seeds,
+        "seed_stream": args.seed_stream, "seeds": seeds,
         "labels_sha256": digests, "failing": failing}, indent=1))
     return 0
 

@@ -221,9 +221,8 @@ class _FlatKernel:
         return out
 
     def step(self, modes):
-        """(new, source): each mode's next lattice mode rint(S / c), from the
-        sum S and count c of the neighbour set of mode `source`, itself or a
-        leader's.
+        """Each mode's next lattice mode rint(S / c), from the sum S and
+        count c of its neighbour set or of a leader's with the same mask.
 
         While the modes no leader covers yet times the samples exceed one
         `_BLOCK` buffer, a round sums the sets of a few leader modes spread
@@ -252,7 +251,7 @@ class _FlatKernel:
             if np.count_nonzero(hit) < 2 * len(lead):
                 break
         sums[free] = self.sums(modes[free])
-        return np.rint(sums[source, :3] / sums[source, 3:]), source
+        return np.rint(sums[source, :3] / sums[source, 3:])
 
 
 def _merge_modes(modes, cell, half2):
@@ -358,7 +357,7 @@ def _meanshift_cells(pts, bws, offsets, buf):
         new = np.empty((len(idx), 3))
         for k in np.flatnonzero(large).tolist():
             rows = slice(*np.searchsorted(cells, [k, k + 1]))
-            new[rows] = kernels[k].step(modes[idx[rows]])[0]
+            new[rows] = kernels[k].step(modes[idx[rows]])
         # passes of whole small cells, a new one at the first cell that
         # starts `_PASS` entries or more after the pass
         small = np.flatnonzero(~large[cells])

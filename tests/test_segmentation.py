@@ -455,6 +455,23 @@ class _RowCount:
         monkeypatch.setattr(kernel, "sums", counted_sums)
 
 
+def _source_modes(kernel, modes):
+    """Each mode's step with every set sum S replaced by c times the mode it
+    was summed for: the mode whose neighbour set each mode took."""
+    sums = kernel.sums
+
+    def tagged(ms, *args):
+        out = sums(ms, *args)
+        out[:, :3] = ms * out[:, 3:]
+        return out
+
+    kernel.sums = tagged
+    try:
+        return kernel.step(modes)
+    finally:
+        del kernel.sums
+
+
 class TestSharedRows:
     """Steps with more than one buffer of entries sum the neighbour sets of
     leader modes and of the modes no leader's integer gap covers; the others
@@ -479,8 +496,9 @@ class TestSharedRows:
         modes = q
         for _ in range(2):
             full = _full_mask(modes, q, bw2)
-            new, source = kernel.step(modes)
-            np.testing.assert_array_equal(full[source], full)
+            source = _source_modes(kernel, modes)
+            np.testing.assert_array_equal(_full_mask(source, q, bw2), full)
+            new = kernel.step(modes)
             modes = np.rint((full @ q) / full.sum(1)[:, None])
             np.testing.assert_array_equal(new, modes)
 
@@ -507,15 +525,12 @@ class TestSharedRows:
         pts = np.stack(np.meshgrid(axis, axis, axis), -1).reshape(-1, 3)
         pts = pts[np.random.default_rng(5).permutation(len(pts))]
         assert len(pts) ** 2 > segmentation._BLOCK
-        q, bw2, _ = lattice(pts, 0.3)
-        _, source = _kernel(q, bw2).step(q)
-        np.testing.assert_array_equal(source, np.arange(len(pts)))
         count = _RowCount(monkeypatch)
         assert_same_clusters(one_cell(pts, 0.3), reference_meanshift(pts, 0.3))
         assert count.built == count.modes
 
     @pytest.mark.parametrize("on_leader", [False, True])
-    def test_leader_at_a_tie_covers_only_itself(self, on_leader):
+    def test_leader_at_a_tie_covers_only_itself(self, on_leader, monkeypatch):
         """Every leader has a sample at squared distance exactly T (gap 0),
         so no other mode takes its set, not even one on its own lattice
         point (`on_leader`): the round covers only the leaders, and every
@@ -532,8 +547,9 @@ class TestSharedRows:
         gap = np.empty(len(lead))
         kernel.sums(modes[lead], gap)
         assert not gap.any()
-        new, source = kernel.step(modes)
-        np.testing.assert_array_equal(source, np.arange(n))
+        count = _RowCount(monkeypatch)
+        new = kernel.step(modes)
+        assert count.built == count.modes == n
         full = _full_mask(modes, q, 25.0)
         assert full[lead, n:].any(1).all()
         np.testing.assert_array_equal(new, np.rint((full @ q) / full.sum(1)[:, None]))
