@@ -166,7 +166,7 @@ def cmd_estimate(cfg: PipelineConfig) -> int:
     io.write_colors(paths["colors"], colors)
     io.write_records(paths["records"], records)
     print("estimate: " + " ".join(f"{k}={v}" for k, v in sorted(counts.items())))
-    print(f"estimate: {len(records)} vertex records, {len(colors)} colors")
+    print(f"estimate: {len(records)} vertex records, {len(colors[0])} colors")
     return EXIT_OK
 
 
@@ -279,7 +279,10 @@ def main(argv=None) -> int:
             cfg.out_dir = args.out
         if args.seed is not None:
             cfg.rng_seed = args.seed
-        return COMMANDS[args.command](cfg.validate())
+        # a numpy overflow, invalid value or division by zero ends the
+        # command in EXIT_NUMERIC, not in a silent inf or NaN
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return COMMANDS[args.command](cfg.validate())
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -77,10 +77,11 @@ class VertexRecords:
                 self.flat[a:b], self.means[a:b], self.counts[a:b]))
 
 
-def estimate_colors(rgb_obs: RgbObservations, saturation_level: float) -> dict:
-    """Vertex id -> unit color for every vertex with at least
-    `MIN_COLOR_SAMPLES` usable samples (unsaturated, not grazing): their
-    per-channel median, normalized to unit Euclidean norm."""
+def estimate_colors(rgb_obs: RgbObservations, saturation_level: float):
+    """(vertex_id, color): the ascending ids (k,) of the vertices with at
+    least `MIN_COLOR_SAMPLES` usable samples (unsaturated, not grazing)
+    whose per-channel median has a norm of at least 1e-12, and their unit
+    colors (k,3): that median, normalized to unit Euclidean norm."""
     keep = ((rgb_obs.omega_out_angle <= GRAZING_DEG)
             & np.all(rgb_obs.rgb < saturation_level, axis=1))
     vids = rgb_obs.vertex_id[keep].astype(np.int64)
@@ -112,7 +113,7 @@ def estimate_colors(rgb_obs: RgbObservations, saturation_level: float) -> dict:
     med = np.pad(med, ((0, 0), (0, 1)))[:, :3]
     norm = np.sqrt(np.matmul(med[:, None, :], med[:, :, None])[:, 0, 0])
     ok = norm >= 1e-12
-    return dict(zip(uniq[ok].tolist(), med[ok] / norm[ok, None]))
+    return uniq[ok], med[ok] / norm[ok, None]
 
 
 def invert_observation_arrays(ir: IrObservations, scene, trajectory, rig: LedRig,
@@ -165,17 +166,19 @@ def invert_observation_arrays(ir: IrObservations, scene, trajectory, rig: LedRig
 
 
 def accumulate_vertex_tables(ir: IrObservations, scene, trajectory, rig: LedRig,
-                             colors: dict, camera: PinholeCamera,
+                             colors, camera: PinholeCamera,
                              saturation_level: float):
     """The reflectance records (unit color + sparse table) of every vertex
-    that has a color estimate and at least one accepted inversion. The
-    working set beyond the observations scales with the accepted rows.
+    that has a color estimate and at least one accepted inversion; `colors`
+    is the (vertex_id, color) pair `estimate_colors` returns. The working
+    set beyond the observations scales with the accepted rows.
 
     Returns (VertexRecords, summary dict of acceptance/rejection counts)."""
+    ids, unit = colors
     color_arr = np.zeros((len(scene), 3))
-    color_arr[list(colors)] = np.reshape(list(colors.values()), (-1, 3))
+    color_arr[ids] = unit
     colored = np.zeros(len(scene), dtype=bool)
-    colored[list(colors)] = True
+    colored[ids] = True
     key, f, counts = invert_observation_arrays(
         ir, scene, trajectory, rig, camera, saturation_level, colored)
 

@@ -47,13 +47,12 @@ def _reader(read):
 
 
 def write_scene(path, scene) -> None:
-    with open(path, "w") as fh:
-        fh.write("# vertex_id x y z nx ny nz material_id\n")
-        for i in range(len(scene)):
-            p = scene.positions[i]
-            n = scene.normals[i]
-            fh.write(f"{i} {p[0]:.17g} {p[1]:.17g} {p[2]:.17g} "
-                     f"{n[0]:.17g} {n[1]:.17g} {n[2]:.17g} {scene.material_ids[i]}\n")
+    """`vertex_id x y z nx ny nz material_id` per vertex, reals to 17
+    significant digits."""
+    np.savetxt(path, np.column_stack([np.arange(len(scene)), scene.positions,
+                                      scene.normals, scene.material_ids]),
+               fmt="%d" + " %.17g" * 6 + " %d",
+               header="vertex_id x y z nx ny nz material_id")
 
 
 def _id_rows(path, width, name):
@@ -84,14 +83,13 @@ def read_scene(path, materials):
 
 
 def write_materials(path, materials) -> None:
-    with open(path, "w") as fh:
-        fh.write("# material_id albedo_r albedo_g albedo_b strength exponent "
-                 "color_r color_g color_b\n")
-        for i, m in enumerate(materials):
-            a, c = m.diffuse_albedo, m.color
-            fh.write(f"{i} {a[0]:.17g} {a[1]:.17g} {a[2]:.17g} "
-                     f"{m.specular_strength:.17g} {m.lobe_exponent:.17g} "
-                     f"{c[0]:.17g} {c[1]:.17g} {c[2]:.17g}\n")
+    """`material_id`, diffuse albedo, specular strength, lobe exponent and
+    color per material, reals to 17 significant digits."""
+    rows = [[i, *m.diffuse_albedo, m.specular_strength, m.lobe_exponent, *m.color]
+            for i, m in enumerate(materials)]
+    np.savetxt(path, np.reshape(rows, (-1, 9)), fmt="%d" + " %.17g" * 8,
+               header="material_id albedo_r albedo_g albedo_b strength exponent "
+                      "color_r color_g color_b")
 
 
 @_reader
@@ -168,19 +166,20 @@ def read_rgb_observations(path) -> RgbObservations:
     return _read_fields(path, RgbObservations)
 
 
-def write_colors(path, colors: dict) -> None:
-    """Per-vertex unit colors: `vertex_id r g b` (Euclidean normalization)."""
-    with open(path, "w") as fh:
-        fh.write("# vertex_id r g b (unit euclidean norm)\n")
-        for v in sorted(colors):
-            c = colors[v]
-            fh.write(f"{v} {c[0]:.17g} {c[1]:.17g} {c[2]:.17g}\n")
+def write_colors(path, colors) -> None:
+    """`vertex_id r g b` per row of the (vertex_id, color) pair
+    `estimation.estimate_colors` returns, in its order (ids ascending),
+    the unit colors to 17 significant digits. Ids pass through float64,
+    exact below 2^53 as every array index is."""
+    np.savetxt(path, np.column_stack(colors), fmt="%d %.17g %.17g %.17g",
+               header="vertex_id r g b (unit euclidean norm)")
 
 
 @_reader
-def read_colors(path) -> dict:
+def read_colors(path):
+    """The (vertex_id, color) pair `write_colors` wrote."""
     data = np.loadtxt(path, comments="#").reshape(-1, 4)
-    return {int(row[0]): row[1:4] for row in data}
+    return data[:, 0].astype(np.int64), data[:, 1:4]
 
 
 def write_records(path, records: VertexRecords) -> None:

@@ -3,7 +3,8 @@ evaluation against ground truth."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -133,24 +134,36 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
+def _overlaps(groups: list, gt_labels: np.ndarray) -> np.ndarray:
+    """(groups x labels) counts of each group's vertices of each
+    ground-truth label, labels 0..max(gt_labels); a negative label raises
+    ValueError (in `np.bincount`)."""
+    sizes = [len(g) for g in groups]
+    ids = np.fromiter(itertools.chain.from_iterable(groups), dtype=np.intp,
+                      count=sum(sizes))
+    n_labels = len(np.bincount(gt_labels))
+    key = np.repeat(np.arange(len(groups)), sizes) * n_labels + gt_labels[ids]
+    return np.bincount(key, minlength=len(groups) * n_labels).reshape(
+        len(groups), n_labels)
+
+
+def _match(overlaps: np.ndarray) -> dict:
+    """Group -> label by repeated maximum overlap: pairs by falling overlap,
+    then group, then label, each taken unless its group or label is."""
+    group, label = np.nonzero(overlaps)
+    matched, used = {}, set()
+    for i in np.lexsort((label, group, -overlaps[group, label])).tolist():
+        g, m = int(group[i]), int(label[i])
+        if g not in matched and m not in used:
+            matched[g] = m
+            used.add(m)
+    return matched
+
+
 def greedy_match(groups: list, gt_labels: np.ndarray) -> dict:
     """Estimated group index -> ground-truth label by repeated maximum
     overlap. Deterministic; ties resolve to the lowest pair."""
-    overlaps = {}
-    gt_ids = np.flatnonzero(np.bincount(gt_labels)).tolist()
-    for gi, g in enumerate(groups):
-        ids = np.fromiter(g, dtype=int, count=len(g))
-        for m in gt_ids:
-            overlaps[(gi, m)] = int(np.sum(gt_labels[ids] == m))
-    matched = {}
-    used_gt = set()
-    order = sorted(overlaps.items(), key=lambda kv: (-kv[1], kv[0]))
-    for (gi, m), ov in order:
-        if gi in matched or m in used_gt or ov == 0:
-            continue
-        matched[gi] = m
-        used_gt.add(m)
-    return matched
+    return _match(_overlaps(groups, np.asarray(gt_labels, dtype=int)))
 
 
 def evaluate(groups_obj, gt_labels: np.ndarray, estimated_tables: list,
@@ -158,34 +171,21 @@ def evaluate(groups_obj, gt_labels: np.ndarray, estimated_tables: list,
     """Greedy-matched purity, classified fraction and per-material RMSE of
     measured table cells against the ground-truth reflectance."""
     groups = groups_obj.groups
-    gt_labels = np.asarray(gt_labels, dtype=int)
-    sampled_total = sum(len(g) for g in groups) + len(groups_obj.unclassified)
-    classified_total = sum(len(g) for g in groups)
-    matched = greedy_match(groups, gt_labels)
-
-    if classified_total == 0:
-        purity = 1.0
-        vacuous = True
-    else:
-        vacuous = False
-        correct = 0
-        for gi, g in enumerate(groups):
-            if gi not in matched:
-                continue
-            ids = np.fromiter(g, dtype=int, count=len(g))
-            correct += int(np.sum(gt_labels[ids] == matched[gi]))
-        purity = correct / classified_total
-
+    overlaps = _overlaps(groups, np.asarray(gt_labels, dtype=int))
+    matched = _match(overlaps)
+    group_counts = [len(g) for g in groups]
+    classified_total = sum(group_counts)
+    sampled_total = classified_total + len(groups_obj.unclassified)
+    correct = sum(int(overlaps[g, m]) for g, m in matched.items())
     rmses = [table_rmse(table, truth_materials[matched[gi]]) if gi in matched
              else float("nan") for gi, table in enumerate(estimated_tables)]
-
     return EvalReport(
-        group_counts=[len(g) for g in groups],
-        purity=purity,
+        group_counts=group_counts,
+        purity=correct / classified_total if classified_total else 1.0,
         classified_fraction=classified_total / sampled_total if sampled_total else 0.0,
         brdf_rmse_per_material=rmses,
         matched_labels=matched,
-        purity_vacuous=vacuous,
+        purity_vacuous=classified_total == 0,
     )
 
 

@@ -1,7 +1,9 @@
 """Built-in synthetic scenes and trajectories.
 
 Scenes are point-based: vertices with outward normals generated facing the
-trajectory, so visibility reduces to front-facing + in-frustum tests.
+trajectory, so visibility reduces to front-facing + in-frustum tests. Each
+built-in scene is a row of `BUILTIN_SCENES`, its patches (spherical caps and
+rectangles) with their materials, and `make_scene` draws any of them.
 """
 
 from __future__ import annotations
@@ -55,14 +57,16 @@ def _cap_directions(rng, axis, cap_deg, n):
     return local @ basis.T
 
 
-def _sphere_patch(rng, center, radius, facing, cap_deg, n, material_id):
+def _sphere_patch(rng, n, center, radius, facing, cap_deg):
+    """n points of a spherical cap within cap_deg of `facing`, and their
+    outward normals."""
     dirs = _cap_directions(rng, facing, cap_deg, n)
-    pos = np.asarray(center) + radius * dirs
-    mids = np.full(n, material_id)
-    return pos, dirs, mids
+    return np.asarray(center) + radius * dirs, dirs
 
 
-def _plane_patch(rng, center, normal, u_axis, half_u, half_v, n, material_id):
+def _plane_patch(rng, n, center, normal, u_axis, half_u, half_v):
+    """n points of a rectangle of half sides half_u (along `u_axis` made
+    orthogonal to `normal`) and half_v, and its normal n times."""
     normal = np.asarray(normal, dtype=float)
     normal = normal / np.linalg.norm(normal)
     u = np.asarray(u_axis, dtype=float)
@@ -72,7 +76,7 @@ def _plane_patch(rng, center, normal, u_axis, half_u, half_v, n, material_id):
     a = rng.uniform(-half_u, half_u, n)
     b = rng.uniform(-half_v, half_v, n)
     pos = np.asarray(center) + a[:, None] * u + b[:, None] * v
-    return pos, np.tile(normal, (n, 1)), np.full(n, material_id)
+    return pos, np.tile(normal, (n, 1))
 
 
 def default_materials(names):
@@ -104,72 +108,52 @@ def lambertian_materials(materials):
                                 color=m.color) for m in materials]
 
 
-def two_sphere_scene(n_vertices: int, seed: int, materials=None) -> Scene:
-    """Two spheres of different materials facing the -z viewing region."""
-    rng = np.random.default_rng(seed)
-    if materials is None:
-        materials = default_materials(["red_glossy", "blue_matte"])
-    n0 = n_vertices // 2
-    n1 = n_vertices - n0
-    facing = np.array([0.0, 0.0, -1.0])
-    p0, nrm0, m0 = _sphere_patch(rng, (-0.22, 0.0, 0.10), 0.15, facing, 50.0, n0, 0)
-    p1, nrm1, m1 = _sphere_patch(rng, (0.22, 0.0, 0.10), 0.15, facing, 50.0, n1, 1)
-    return Scene(np.vstack([p0, p1]), _unit_rows(np.vstack([nrm0, nrm1])),
-                 np.concatenate([m0, m1]), list(materials))
+_FACING = (0.0, 0.0, -1.0)
+_X = (1.0, 0.0, 0.0)
 
-
-def four_material_room_scene(n_vertices: int, seed: int, materials=None) -> Scene:
-    """Shallow room corner: back wall, tilted floor, board, glossy ball."""
-    rng = np.random.default_rng(seed)
-    if materials is None:
-        materials = default_materials(
-            ["gray_wall", "green_floor", "brown_board", "red_glossy"])
-    n = n_vertices // 4
-    last = n_vertices - 3 * n
-    wall = _plane_patch(rng, (0.0, 0.08, 0.45), (0.0, 0.0, -1.0), (1.0, 0.0, 0.0),
-                        0.35, 0.20, n, 0)
-    floor = _plane_patch(rng, (0.0, -0.25, 0.22), (0.0, 0.85, -0.53), (1.0, 0.0, 0.0),
-                         0.32, 0.14, n, 1)
-    board = _plane_patch(rng, (0.18, -0.05, 0.30), (0.0, 0.0, -1.0), (1.0, 0.0, 0.0),
-                         0.13, 0.10, n, 2)
-    ball = _sphere_patch(rng, (-0.17, -0.02, 0.22), 0.12, (0.0, 0.0, -1.0),
-                         50.0, last, 3)
-    parts = [wall, floor, board, ball]
-    return Scene(np.vstack([p[0] for p in parts]),
-                 _unit_rows(np.vstack([p[1] for p in parts])),
-                 np.concatenate([p[2] for p in parts]), list(materials))
-
-
-def corner_board_scene(n_vertices: int, seed: int, materials=None) -> Scene:
-    """Wall + board + ball corner, three materials."""
-    rng = np.random.default_rng(seed)
-    if materials is None:
-        materials = default_materials(["gray_wall", "brown_board", "red_glossy"])
-    n = n_vertices // 3
-    last = n_vertices - 2 * n
-    wall = _plane_patch(rng, (0.0, 0.05, 0.45), (0.0, 0.0, -1.0), (1.0, 0.0, 0.0),
-                        0.35, 0.22, n, 0)
-    board = _plane_patch(rng, (0.10, -0.22, 0.25), (0.0, 0.80, -0.60), (1.0, 0.0, 0.0),
-                         0.25, 0.12, n, 1)
-    ball = _sphere_patch(rng, (-0.12, -0.05, 0.20), 0.13, (0.0, 0.0, -1.0),
-                         50.0, last, 2)
-    parts = [wall, board, ball]
-    return Scene(np.vstack([p[0] for p in parts]),
-                 _unit_rows(np.vstack([p[1] for p in parts])),
-                 np.concatenate([p[2] for p in parts]), list(materials))
-
-
+# per scene, its patches in drawing order: (default material, patch
+# function, the function's arguments after the rng and vertex count)
 BUILTIN_SCENES = {
-    "two-sphere": two_sphere_scene,
-    "four-material-room": four_material_room_scene,
-    "corner-board": corner_board_scene,
+    # two spheres of different materials facing the -z viewing region
+    "two-sphere": [
+        ("red_glossy", _sphere_patch, ((-0.22, 0.0, 0.10), 0.15, _FACING, 50.0)),
+        ("blue_matte", _sphere_patch, ((0.22, 0.0, 0.10), 0.15, _FACING, 50.0)),
+    ],
+    # shallow room corner: back wall, tilted floor, board, glossy ball
+    "four-material-room": [
+        ("gray_wall", _plane_patch, ((0.0, 0.08, 0.45), _FACING, _X, 0.35, 0.20)),
+        ("green_floor", _plane_patch,
+         ((0.0, -0.25, 0.22), (0.0, 0.85, -0.53), _X, 0.32, 0.14)),
+        ("brown_board", _plane_patch, ((0.18, -0.05, 0.30), _FACING, _X, 0.13, 0.10)),
+        ("red_glossy", _sphere_patch, ((-0.17, -0.02, 0.22), 0.12, _FACING, 50.0)),
+    ],
+    # wall + board + ball corner
+    "corner-board": [
+        ("gray_wall", _plane_patch, ((0.0, 0.05, 0.45), _FACING, _X, 0.35, 0.22)),
+        ("brown_board", _plane_patch,
+         ((0.10, -0.22, 0.25), (0.0, 0.80, -0.60), _X, 0.25, 0.12)),
+        ("red_glossy", _sphere_patch, ((-0.12, -0.05, 0.20), 0.13, _FACING, 50.0)),
+    ],
 }
 
 
 def make_scene(name: str, n_vertices: int, seed: int, materials=None) -> Scene:
+    """The scene `name` of `BUILTIN_SCENES`: its k patches drawn in order
+    from one rng of `seed`, n_vertices // k vertices each and the rest on
+    the last, patch i of material i (of `materials`, or else the table's
+    defaults)."""
     if name not in BUILTIN_SCENES:
         raise ValueError(f"unknown scene '{name}', have {sorted(BUILTIN_SCENES)}")
-    return BUILTIN_SCENES[name](n_vertices, seed, materials)
+    patches = BUILTIN_SCENES[name]
+    rng = np.random.default_rng(seed)
+    k = len(patches)
+    sizes = [n_vertices // k] * (k - 1) + [n_vertices - (k - 1) * (n_vertices // k)]
+    pos, nrm = zip(*(draw(rng, n, *args)
+                     for (_, draw, args), n in zip(patches, sizes)))
+    if materials is None:
+        materials = default_materials([m for m, _, _ in patches])
+    return Scene(np.vstack(pos), _unit_rows(np.vstack(nrm)),
+                 np.repeat(np.arange(k), sizes), list(materials))
 
 
 def arc_trajectory(n_poses: int, duration: float, radius: float = 0.95,

@@ -25,6 +25,12 @@
 - table lookup of all angle pairs at once and a PPM converted as one whole
   image, which tests check the blocked `brdf_table.lookup_arrays` and
   `render_eval.write_ppm` against bit for bit;
+- the scene, materials and colors artifacts written one row at a time,
+  which tests check the `np.savetxt` writers of `io` against byte for
+  byte;
+- greedy matching one (group, label) pair at a time and purity one group
+  at a time, which tests check `render_eval.greedy_match` and
+  `render_eval.evaluate`'s overlap matrix against;
 - poses one at a time as `Pose` and `TimedPose` objects: slerp and
   timestamp interpolation, `look_at`, the arc trajectory and its file, pose
   jitter, and projection through `Pose.inverse`, which tests check
@@ -114,6 +120,39 @@ def write_trajectory(path, poses: list) -> None:
             t = tp.pose.translation
             fh.write(f"{tp.timestamp:.17g} {q.w:.17g} {q.x:.17g} {q.y:.17g} "
                      f"{q.z:.17g} {t[0]:.17g} {t[1]:.17g} {t[2]:.17g}\n")
+
+
+def write_scene(path, scene) -> None:
+    """`io.write_scene` one vertex at a time."""
+    with open(path, "w") as fh:
+        fh.write("# vertex_id x y z nx ny nz material_id\n")
+        for i in range(len(scene)):
+            p = scene.positions[i]
+            n = scene.normals[i]
+            fh.write(f"{i} {p[0]:.17g} {p[1]:.17g} {p[2]:.17g} "
+                     f"{n[0]:.17g} {n[1]:.17g} {n[2]:.17g} {scene.material_ids[i]}\n")
+
+
+def write_materials(path, materials) -> None:
+    """`io.write_materials` one material at a time."""
+    with open(path, "w") as fh:
+        fh.write("# material_id albedo_r albedo_g albedo_b strength exponent "
+                 "color_r color_g color_b\n")
+        for i, m in enumerate(materials):
+            a, c = m.diffuse_albedo, m.color
+            fh.write(f"{i} {a[0]:.17g} {a[1]:.17g} {a[2]:.17g} "
+                     f"{m.specular_strength:.17g} {m.lobe_exponent:.17g} "
+                     f"{c[0]:.17g} {c[1]:.17g} {c[2]:.17g}\n")
+
+
+def write_colors(path, colors: dict) -> None:
+    """`io.write_colors` of a dict vertex id -> unit color, one vertex at a
+    time in ascending id order."""
+    with open(path, "w") as fh:
+        fh.write("# vertex_id r g b (unit euclidean norm)\n")
+        for v in sorted(colors):
+            c = colors[v]
+            fh.write(f"{v} {c[0]:.17g} {c[1]:.17g} {c[2]:.17g}\n")
 
 
 def jitter_pose(rng, pose: Pose, noise) -> Pose:
@@ -447,7 +486,7 @@ def accepted_samples(ir, scene, trajectory, rig, camera, saturation_level: float
             counts)
 
 
-def accumulate_vertex_tables(ir, scene, trajectory, rig, colors: dict, camera,
+def accumulate_vertex_tables(ir, scene, trajectory, rig, colors, camera,
                              saturation_level: float):
     """The records of `estimation.accumulate_vertex_tables` from the per-row
     inversion: masked copies of the full-length arrays, then one grouping
@@ -456,14 +495,14 @@ def accumulate_vertex_tables(ir, scene, trajectory, rig, colors: dict, camera,
         ir, scene, trajectory, rig, camera, saturation_level)
     vids = ir.vertex_id[accepted]
     color_known = np.zeros(len(scene), dtype=bool)
-    color_known[list(colors.keys())] = True
+    color_known[colors[0]] = True
     has_color = color_known[vids]
     counts["skipped_no_color"] = int(len(vids) - has_color.sum())
     vids = vids[has_color]
     hb, db = bin_arrays(th[accepted][has_color], td[accepted][has_color])
     fs = f[accepted][has_color]
     color_arr = np.zeros((len(scene), 3))
-    color_arr[list(colors)] = np.reshape(list(colors.values()), (-1, 3))
+    color_arr[colors[0]] = colors[1]
     samples = color_arr[vids] * fs[:, None]
     key = vids.astype(np.int64) * N_CELLS + hb * N_D + db
     uniq, inverse = np.unique(key, return_inverse=True)
@@ -491,15 +530,17 @@ def estimate_vertex_color(rgb_samples, omega_out_deg, saturation_level: float):
     return med / norm
 
 
-def estimate_colors(rgb_obs, saturation_level: float) -> dict:
-    """Vertex id -> unit color, one vertex at a time."""
-    colors = {}
+def estimate_colors(rgb_obs, saturation_level: float):
+    """The (vertex_id, color) pair of `estimation.estimate_colors`, one
+    vertex at a time."""
+    ids, colors = [], []
     for rows in group_rows(rgb_obs.vertex_id):
         c = estimate_vertex_color(rgb_obs.rgb[rows], rgb_obs.omega_out_angle[rows],
                                   saturation_level)
         if c is not None:
-            colors[int(rgb_obs.vertex_id[rows[0]])] = c
-    return colors
+            ids.append(rgb_obs.vertex_id[rows[0]])
+            colors.append(c)
+    return np.array(ids, dtype=np.intp), np.reshape(colors, (-1, 3))
 
 
 def vertex_records(cell_vid, cells, means, counts, colors) -> list:
@@ -650,6 +691,41 @@ def diffuse_labels(groups, positions, sampled_ids, radius: float) -> np.ndarray:
             pick = min(pick, classified_ids[idx[row, 1]])
         labels[t] = labels[pick]
     return labels
+
+
+def greedy_match(groups: list, gt_labels: np.ndarray) -> dict:
+    """`render_eval.greedy_match` one (group, label) pair at a time: the
+    overlap of each pair, pairs sorted by falling overlap, then group, then
+    label, each taken unless its group or label is or its overlap is 0."""
+    overlaps = {}
+    gt_ids = np.flatnonzero(np.bincount(gt_labels)).tolist()
+    for gi, g in enumerate(groups):
+        ids = np.fromiter(g, dtype=int, count=len(g))
+        for m in gt_ids:
+            overlaps[(gi, m)] = int(np.sum(gt_labels[ids] == m))
+    matched = {}
+    used_gt = set()
+    order = sorted(overlaps.items(), key=lambda kv: (-kv[1], kv[0]))
+    for (gi, m), ov in order:
+        if gi in matched or m in used_gt or ov == 0:
+            continue
+        matched[gi] = m
+        used_gt.add(m)
+    return matched
+
+
+def purity(groups: list, gt_labels: np.ndarray, matched: dict) -> float:
+    """The share of the grouped vertices whose ground-truth label is their
+    group's match, one group at a time; 1.0 with no grouped vertex."""
+    classified = sum(len(g) for g in groups)
+    if classified == 0:
+        return 1.0
+    correct = 0
+    for gi, g in enumerate(groups):
+        if gi in matched:
+            ids = np.fromiter(g, dtype=int, count=len(g))
+            correct += int(np.sum(gt_labels[ids] == matched[gi]))
+    return correct / classified
 
 
 def lookup(table: BrdfTable, angles: HalfDiffAngles) -> np.ndarray:

@@ -752,6 +752,22 @@ class TestCorruptObservationsExit3:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not os.path.exists(os.path.join(cfg.out_dir, "records.npz"))
 
+    def test_huge_translation_exits_4_without_traceback(self, tmp_path, capsys,
+                                                        simulated):
+        # finite, so the trajectory reads, but the squared distances of the
+        # frames next to that pose overflow: a numeric failure, not inf
+        cfg, path = small_config(tmp_path, n_vertices=200)
+        shutil.copytree(simulated, cfg.out_dir)
+        _edit_rows(lambda rows: rows[:4] + [_set_field(rows[4], 5, "1e300")]
+                   + rows[5:])(os.path.join(cfg.out_dir, "trajectory.txt"))
+        capsys.readouterr()
+        assert cli.main(["estimate", "--config", path]) == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: overflow"), err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        for name in ("colors.txt", "records.npz"):
+            assert not os.path.exists(os.path.join(cfg.out_dir, name))
+
     def test_uncorrupted_copy_estimates(self, tmp_path, simulated):
         cfg, path = small_config(tmp_path, n_vertices=200)
         shutil.copytree(simulated, cfg.out_dir)

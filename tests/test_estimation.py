@@ -26,7 +26,8 @@ def estimate_vertex_color(samples, ang, saturation_level):
     """The color `estimate_colors` gives one vertex's samples, or None."""
     obs = RgbObservations(np.zeros(len(samples), dtype=int),
                           np.asarray(samples, dtype=float), np.asarray(ang))
-    return estimation.estimate_colors(obs, saturation_level).get(0)
+    ids, colors = estimation.estimate_colors(obs, saturation_level)
+    return colors[0] if len(ids) else None
 
 
 class TestVertexColor:
@@ -74,9 +75,10 @@ class TestVertexColor:
         assert peak < 90 * kept
 
     def test_estimate_colors_unit_norm(self, noisy_two_sphere):
-        colors = noisy_two_sphere["colors"]
-        assert len(colors) > 1000
-        for c in list(colors.values())[:100]:
+        ids, colors = noisy_two_sphere["colors"]
+        assert len(ids) == len(colors) > 1000
+        assert np.all(np.diff(ids) > 0)
+        for c in colors[:100]:
             assert np.linalg.norm(c) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -218,7 +220,7 @@ class TestAccumulation:
     def test_records_only_for_colored_vertices(self, noisy_two_sphere):
         run = noisy_two_sphere
         record_ids = {r.vertex_id for r in run["records"]}
-        assert record_ids <= set(run["colors"].keys())
+        assert record_ids <= set(run["colors"][0].tolist())
 
     def test_samples_are_color_times_reflectance(self, noiseless_two_sphere):
         run = noiseless_two_sphere
@@ -228,8 +230,9 @@ class TestAccumulation:
             ir, scene, run["trajectory"], cfg.rig, colors, cfg.camera,
             cfg.saturation_level)
         assert len(records) > 0
+        ids, unit = colors
         for rec in itertools.islice(records, 50):
-            color = colors[rec.vertex_id]
+            color = unit[np.searchsorted(ids, rec.vertex_id)]
             assert np.all(rec.table.counts > 0)
             # noiseless: every sample is the unit color scaled by f
             means = rec.table.means

@@ -2,6 +2,7 @@
 
 import os
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -256,12 +257,64 @@ class TestTextReadersFailureContract:
 
 class TestColorsIO:
     def test_round_trip(self, tmp_path):
-        colors = {3: np.array([0.6, 0.8, 0.0]), 9: np.array([1.0, 0.0, 0.0])}
+        colors = (np.array([3, 9]), np.array([[0.6, 0.8, 0.0], [1.0, 0.0, 0.0]]))
         path = tmp_path / "colors.txt"
         io.write_colors(path, colors)
-        back = io.read_colors(path)
-        assert set(back) == {3, 9}
-        np.testing.assert_allclose(back[3], colors[3], rtol=1e-15)
+        ids, back = io.read_colors(path)
+        assert ids.dtype == np.int64
+        np.testing.assert_array_equal(ids, [3, 9])
+        np.testing.assert_array_equal(back, colors[1])
+
+
+# reals whose text forms differ most: signed zeros, the smallest subnormal
+# and a larger one, the largest finite value, huge and tiny normals, values
+# without a short decimal form, and the non-finite ones
+AWKWARD = np.array([0.0, -0.0, 5e-324, -5e-324, 1.5e-310, 1.7976931348623157e308,
+                    1e300, -1e300, 1e-300, 0.1, 1 / 3, -2.5, 1e16, 2.0**53 + 2,
+                    np.nan, np.inf, -np.inf])
+
+
+def awkward_reals(rng, shape) -> np.ndarray:
+    """Random reals of every magnitude, about a third from `AWKWARD`."""
+    vals = rng.uniform(-1, 1, shape) * 10.0 ** rng.integers(-300, 300, shape)
+    pick = rng.random(shape) < 0.3
+    vals[pick] = rng.choice(AWKWARD, int(pick.sum()))
+    return vals
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 37])
+@pytest.mark.parametrize("seed", range(4))
+class TestWritersEqualRowOracles:
+    """The `np.savetxt` writers write the bytes of the row-at-a-time ones
+    (`oracles`), ids above 2^31 included."""
+
+    def test_scene(self, tmp_path, seed, n):
+        rng = np.random.default_rng(seed)
+        scene = scenes.Scene(awkward_reals(rng, (n, 3)), awkward_reals(rng, (n, 3)),
+                             rng.integers(0, 2**40, n), [])
+        io.write_scene(tmp_path / "new", scene)
+        oracles.write_scene(tmp_path / "old", scene)
+        assert (tmp_path / "new").read_bytes() == (tmp_path / "old").read_bytes()
+
+    def test_materials(self, tmp_path, seed, n):
+        rng = np.random.default_rng(seed)
+        # a Python float strength (as the palette's) and a numpy exponent
+        materials = [SimpleNamespace(diffuse_albedo=v[:3],
+                                     specular_strength=float(v[3]),
+                                     lobe_exponent=v[4], color=v[5:])
+                     for v in awkward_reals(rng, (n, 8))]
+        io.write_materials(tmp_path / "new", materials)
+        oracles.write_materials(tmp_path / "old", materials)
+        assert (tmp_path / "new").read_bytes() == (tmp_path / "old").read_bytes()
+
+    def test_colors(self, tmp_path, seed, n):
+        rng = np.random.default_rng(seed)
+        ids = np.unique(np.concatenate([[2**31, 2**32 + 1][:n],
+                                        rng.integers(0, 2**40, n)]))[:n]
+        colors = awkward_reals(rng, (n, 3))
+        io.write_colors(tmp_path / "new", (ids, colors))
+        oracles.write_colors(tmp_path / "old", dict(zip(ids.tolist(), colors)))
+        assert (tmp_path / "new").read_bytes() == (tmp_path / "old").read_bytes()
 
 
 def _columns(records: list) -> VertexRecords:

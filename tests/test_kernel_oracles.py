@@ -37,11 +37,11 @@ def assert_fields_equal(got, expected, names):
         assert np.array_equal(a, b), name
 
 
-def assert_colors_equal(got: dict, expected: dict):
-    assert list(got) == list(expected)
-    for v, c in expected.items():
-        assert got[v].dtype == c.dtype
-        assert np.array_equal(got[v], c), v
+def assert_colors_equal(got, expected):
+    """Equal (vertex_id, color) pairs: dtypes, shapes and values."""
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a, b)
 
 
 def scan_config(noise: dict, stride=3, trajectory=None, seed=3) -> ScanConfig:
@@ -209,9 +209,9 @@ def test_records_equal_row_major_oracle(scene_name, chunk_rows):
     scene = scenes.make_scene(scene_name, N_VERTICES, 5)
     cfg = scan_config(DEMO)
     ir, rgb = simulator.simulate_scan(scene, cfg)
-    colors = estimation.estimate_colors(rgb, cfg.saturation_level)
-    del colors[min(colors)]  # a vertex with rows but no color
-    check_records(ir, scene, cfg, colors)
+    ids, unit = estimation.estimate_colors(rgb, cfg.saturation_level)
+    # the first vertex has rows but no color
+    check_records(ir, scene, cfg, (ids[1:], unit[1:]))
 
 
 @pytest.mark.parametrize("case", ["empty", "all-saturated"])
@@ -224,7 +224,7 @@ def test_records_of_a_scan_without_accepted_rows(case, chunk_rows):
     if case == "all-saturated":
         cfg.saturation_level = 1e-9
     ir, _ = simulator.simulate_scan(scene, cfg)
-    colors = {v: np.array([0.0, 0.6, 0.8]) for v in range(len(scene))}
+    colors = (np.arange(len(scene)), np.tile([0.0, 0.6, 0.8], (len(scene), 1)))
     records, counts = check_records(ir, scene, cfg, colors)
     assert len(records) == 0 and counts["accepted"] == 0
     key, f, _ = estimation.invert_observation_arrays(

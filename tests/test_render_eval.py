@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matscan import brdf_table, estimation, render_eval, scenes, segmentation
 from matscan.brdf_table import (N_CELLS, N_D, BrdfTable, cell_center,
@@ -74,6 +76,53 @@ class TestGreedyMatch:
         gt = np.array([0, 0, 1, 1])
         matched = greedy_match([{0, 1}], gt)
         assert matched == {0: 0}
+
+
+@st.composite
+def segmentations(draw):
+    """(groups, unclassified, ground-truth labels) over up to 40 vertices of
+    up to 5 labels: each vertex in one group, unclassified or unsampled, so
+    groups may be empty, labels held by no group and overlaps tied."""
+    n = draw(st.integers(0, 40))
+    gt = np.array(draw(st.lists(st.integers(0, draw(st.integers(0, 4))),
+                                min_size=n, max_size=n)), dtype=int)
+    n_groups = draw(st.integers(0, 6))
+    # -1 unclassified, -2 unsampled
+    slot = np.array(draw(st.lists(st.integers(-2, n_groups - 1), min_size=n,
+                                  max_size=n)), dtype=int)
+    groups = [set(np.flatnonzero(slot == g).tolist()) for g in range(n_groups)]
+    return groups, set(np.flatnonzero(slot == -1).tolist()), gt
+
+
+class TestOverlapMatrix:
+    """`greedy_match` and `evaluate` from one overlap matrix against the
+    per-pair loop and per-group purity of `oracles`."""
+
+    @given(segmentations())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_pair_loop(self, case):
+        groups, unclassified, gt = case
+        matched = oracles.greedy_match(groups, gt)
+        assert greedy_match(groups, gt) == matched
+        rep = evaluate(MaterialGroups(groups, unclassified), gt, [], [])
+        assert rep.matched_labels == matched
+        assert rep.purity == oracles.purity(groups, gt, matched)
+        assert rep.group_counts == [len(g) for g in groups]
+        classified = sum(len(g) for g in groups)
+        assert rep.purity_vacuous == (classified == 0)
+        sampled = classified + len(unclassified)
+        assert rep.classified_fraction == (classified / sampled if sampled else 0.0)
+
+    def test_tied_overlaps_take_the_lowest_pair(self):
+        # every pair overlaps by 1: group 0 takes label 0, group 1 label 1
+        gt = np.array([0, 1, 0, 1])
+        assert greedy_match([{0, 1}, {2, 3}], gt) == {0: 0, 1: 1}
+        # both groups overlap label 0 by 1: the lower group takes it
+        assert greedy_match([{0}, {1}, set()], np.array([0, 0])) == {0: 0}
+
+    def test_negative_label_raises(self):
+        with pytest.raises(ValueError, match="negative"):
+            greedy_match([{0}], np.array([-1, 0]))
 
 
 class TestEvaluate:
@@ -219,7 +268,7 @@ class TestRerender:
         # the max-splat of the simulated intensities of that frame
         materials = scenes.lambertian_materials(
             scenes.default_materials(["red_glossy", "blue_matte"]))
-        scene = scenes.two_sphere_scene(800, 5, materials)
+        scene = scenes.make_scene("two-sphere", 800, 5, materials)
         traj = scenes.arc_trajectory(50, 10.0)
         cfg = make_scan_config(traj, NoiseConfig(rng_seed=5), 80)
         ir, _ = simulate_scan(scene, cfg)

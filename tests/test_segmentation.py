@@ -295,6 +295,26 @@ class TestMeanshift:
         assert len(clusters[0]) >= len(clusters[-1])
 
 
+class TestMaxIter:
+    """Meanshift stops after `MAX_ITER` steps with modes still moving: on
+    samples thinning out along one axis, modes creep a bandwidth at a time,
+    so the cut leaves clusters apart that later steps merge. Cells of 40,
+    300 and 1,400 samples take the ragged, BLAS and leader paths."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("steps", [1, 2, 3, 5])
+    @pytest.mark.parametrize("n", [40, 300, 1400])
+    def test_cut_equals_reference_cut(self, monkeypatch, n, steps, seed):
+        rng = np.random.default_rng(seed)
+        pts = rng.exponential(1.0, (n, 3)) * [1.0, 0.05, 0.05]
+        cut = reference_meanshift(pts, 0.25, max_iter=steps)
+        if steps == 1:
+            full = reference_meanshift(pts, 0.25)
+            assert len(cut) != len(full)
+        monkeypatch.setattr(segmentation, "MAX_ITER", steps)
+        assert_same_clusters(one_cell(pts, 0.25), cut)
+
+
 def _cell(rng, n, kind):
     """(samples, bandwidth) of a cell of n samples: blobs at a bandwidth of
     their spread; `repeats`, the same resampled with repeats (exact
