@@ -20,7 +20,8 @@ import numpy as np
 
 from . import brdf_table
 from .brdf_table import N_CELLS, N_D, BrdfTable
-from .geometry import LedRig, PinholeCamera, half_diff_angle_arrays
+from .geometry import (LedRig, PinholeCamera, half_diff_angle_arrays,
+                       norm_rows)
 from .simulator import (IrObservations, RgbObservations, frame_geometry, frames,
                         shading, shrink_rows, vignette, write_rows)
 
@@ -107,11 +108,7 @@ def estimate_colors(rgb_obs: RgbObservations, saturation_level: float):
         v = rgb[order[key], c]
         # the middle value of an odd run, or the mean of the middle two
         med[:, c] = np.where(lo == hi, v[hi], (v[lo] + v[hi]) / 2)
-    # the BLAS dot product `np.linalg.norm` of one vector computes, on rows
-    # as aligned as a fresh (3,) array: some dot kernels sum in an order that
-    # depends on the alignment of their input
-    med = np.pad(med, ((0, 0), (0, 1)))[:, :3]
-    norm = np.sqrt(np.matmul(med[:, None, :], med[:, :, None])[:, 0, 0])
+    norm = norm_rows(med)
     ok = norm >= 1e-12
     return uniq[ok], med[ok] / norm[ok, None]
 

@@ -2,8 +2,10 @@
 geometry and half/difference-angle computation.
 
 Angles are stored in degrees throughout; trigonometry goes through radians
-internally. All functions are pure. Poses of many frames are arrays, each
-with the bits of the one-pose path: small dots and norms stay one BLAS call.
+internally. All functions are pure. Dot products, norms and 3x3 products of
+3- and 4-vectors are sums written out elementwise in one fixed order
+(`dot_rows`), never a BLAS call, so a value has the same bits alone or in a
+batch of any shape or layout, whatever BLAS kernel numpy loads.
 """
 
 from __future__ import annotations
@@ -15,18 +17,28 @@ import numpy as np
 UNIT_TOL = 1e-9
 
 
-def _norms(v) -> np.ndarray:
-    """`np.linalg.norm` of each row of `v` (k, d): a BLAS `dot` of a fresh
-    copy, as a ufunc or an unaligned row may sum in another order."""
-    return np.sqrt([r.dot(r) for r in map(np.array, v)])
+def dot_rows(a, b):
+    """Dot products over the last axis (3 or 4 entries) of arrays that
+    broadcast: the entries' products summed left to right, elementwise.
+    Matrices m (..., 3, 3) times vectors v (..., 3) are
+    `dot_rows(m, v[..., None, :])`."""
+    out = a[..., 0] * b[..., 0]
+    for j in range(1, a.shape[-1]):
+        out = out + a[..., j] * b[..., j]
+    return out
+
+
+def norm_rows(v):
+    """Euclidean norms over the last axis of (..., 3) or (..., 4) vectors."""
+    return np.sqrt(dot_rows(v, v))
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
-    n = _norms(v.reshape(-1, v.shape[-1]))
+    n = norm_rows(v)
     if np.any(n < 1e-12):
         raise ValueError("cannot normalize near-zero vector")
-    return v / n.reshape(v.shape[:-1] + (1,))
+    return v / np.expand_dims(n, -1)
 
 
 def rotation_matrices(q) -> np.ndarray:
@@ -40,16 +52,18 @@ def rotation_matrices(q) -> np.ndarray:
 
 
 def _matrix_quaternions(m) -> np.ndarray:
-    """The unit quaternion (k, 4), w >= 0, of each rotation matrix (k, 3, 3):
-    the top eigenvector of the 4x4 K of Bar-Itzhack (2000), every K in one
-    stacked eigh, which gives each the bits of its own call."""
+    """The unit quaternion (k, 4), w >= 0, of each rotation matrix (k, 3, 3),
+    in closed form: row r of P = 4 q q^T, built from sums and differences of
+    the entries, is 4 q_r q, so q = P[r] / (2 sqrt(P[r, r])) up to sign; r is
+    the largest diagonal entry, the first of a tie."""
     (a, b, c), (d, e, f), (g, h, i) = np.moveaxis(np.asarray(m, dtype=float), 0, -1)
-    k = np.zeros((len(a), 4, 4))  # its lower triangle, which eigh reads
-    k[:, [0, 1, 1, 2, 2, 2, 3, 3, 3, 3], [0, 0, 1, 0, 1, 2, 0, 1, 2, 3]] = np.stack(
-        [a - e - i, b + d, e - a - i, c + g, f + h, i - a - e, h - f, c - g,
-         d - b, a + e + i], axis=1) / 3.0
-    vals, vecs = np.linalg.eigh(k)
-    q = vecs[np.arange(len(a)), :, np.argmax(vals, axis=1)][:, [3, 0, 1, 2]]
+    p = np.array([[1 + a + e + i, h - f, c - g, d - b],
+                  [h - f, 1 + a - e - i, b + d, c + g],
+                  [c - g, b + d, 1 - a + e - i, f + h],
+                  [d - b, c + g, f + h, 1 - a - e + i]])
+    k = np.arange(len(a))
+    r = np.argmax(p[[0, 1, 2, 3], [0, 1, 2, 3]], axis=0)
+    q = p[r, :, k] / (2.0 * np.sqrt(p[r, r, k]))[:, None]
     return np.where(q[:, :1] < 0, -q, q)
 
 
@@ -58,8 +72,7 @@ def _unit_quaternions(q) -> np.ndarray:
     norm, sqrt(w*w + x*x + y*y + z*z), where that is off 1 by more than
     `UNIT_TOL`, and kept as it is elsewhere. A zero quaternion raises."""
     q = np.asarray(q, dtype=float)
-    w, x, y, z = np.moveaxis(q, -1, 0)
-    n = np.sqrt(w * w + x * x + y * y + z * z)
+    n = norm_rows(q)
     if np.any(n < 1e-12):
         raise ValueError("zero quaternion")
     return np.where((np.abs(n - 1.0) > UNIT_TOL)[..., None], q / n[..., None], q)
@@ -103,7 +116,7 @@ class Quaternion:
         )
 
     def rotate(self, v: np.ndarray) -> np.ndarray:
-        return self.to_matrix() @ np.asarray(v, dtype=float)
+        return dot_rows(self.to_matrix(), np.asarray(v, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -119,8 +132,6 @@ class Trajectory:
     translations: np.ndarray
 
     def __post_init__(self):
-        # C-ordered copies: a BLAS dot of two rows sums in an order that may
-        # depend on their layout
         t, q, p = (np.array(a, dtype=float, order="C") for a in
                    (self.times, self.quaternions, self.translations))
         if t.ndim != 1 or q.shape != (len(t), 4) or p.shape != (len(t), 3):
@@ -151,10 +162,8 @@ def trajectory_quaternions(trajectory: Trajectory, times):
     lo = hi - 1
     u = (t - stamps[lo]) / (stamps[hi] - stamps[lo])
     quats, trans = trajectory.quaternions, trajectory.translations
-    # one BLAS dot per segment a time falls in, as a scalar slerp takes it
-    seg, at = np.unique(lo, return_inverse=True)
-    dots = np.array([quats[i] @ quats[i + 1] for i in seg.tolist()])[at]
     a, b = quats[lo], quats[hi]
+    dots = dot_rows(a, b)
     b[dots < 0] *= -1.0  # the shortest path
     d = np.abs(dots)
     w0, w1 = 1.0 - u, u.copy()
@@ -165,7 +174,7 @@ def trajectory_quaternions(trajectory: Trajectory, times):
     w1[arc] = np.sin(u[arc] * theta) / s
     q = w0[:, None] * a + w1[:, None] * b
     # now a few ulps from unit norm, so `Quaternion` stores each row as is
-    q /= _norms(q)[:, None]
+    q /= norm_rows(q)[:, None]
     return q, (1.0 - u)[:, None] * trans[lo] + u[:, None] * trans[hi]
 
 
@@ -205,12 +214,10 @@ def project_points(camera: PinholeCamera, rotations, translations,
     """Vectorized projection of world points (n,3) seen from k camera poses,
     camera-to-world rotation matrices (k,3,3) and translations (k,3).
     Returns pixels (k,n,2) and the valid mask (k,n)."""
-    # each pose's inverse: the transposed rotation, and its matrix-vector
-    # product with the translation
-    rot = np.ascontiguousarray(np.swapaxes(rotations, 1, 2))
-    trans = -np.matmul(rot, np.asarray(translations)[:, :, None])[..., 0]
-    # the rows one pose's matrix product gives, one pose at a time
-    pc = np.matmul(points, rot.swapaxes(1, 2)) + trans[:, None]
+    # each pose's inverse: the transposed rotation R^T, and -R^T t
+    rot = np.swapaxes(rotations, 1, 2)[:, None]
+    trans = -dot_rows(rot, np.asarray(translations)[:, None, None])
+    pc = dot_rows(rot, points[:, None]) + trans
     z = pc[..., 2]
     in_front = z > 1e-6
     zsafe = np.where(in_front, z, 1.0)
@@ -222,12 +229,11 @@ def project_points(camera: PinholeCamera, rotations, translations,
 
 def look_at_poses(positions, target, up=(0.0, 1.0, 0.0)):
     """Camera-to-world unit quaternions (k, 4) and positions (k, 3), one per
-    row of `positions` (k, 3), with +z looking from it toward target: array
-    cross products and one stacked eigh."""
+    row of `positions` (k, 3), with +z looking from it toward target."""
     positions = np.asarray(positions, dtype=float).reshape(-1, 3)
     fwd = _unit(np.asarray(target, dtype=float) - positions)
     right = np.cross(fwd, _unit(up))
-    n = _norms(right)
+    n = norm_rows(right)
     if np.any(n < 1e-9):
         raise ValueError("up direction parallel to viewing direction")
     right /= n[:, None]
@@ -256,14 +262,6 @@ class LedRig:
 
     def __len__(self) -> int:
         return len(self.brightness)
-
-
-def norm_rows(v):
-    """Euclidean norms over the last axis of (..., 3) vectors, elementwise:
-    the squares summed in the order `np.linalg.norm(v, axis=-1)` sums them,
-    without its per-row reduction loop."""
-    x, y, z = v[..., 0], v[..., 1], v[..., 2]
-    return np.sqrt(x * x + y * y + z * z)
 
 
 def half_diff_angle_arrays(normals, omega_in, omega_out):

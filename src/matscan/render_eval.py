@@ -9,8 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .brdf_table import BrdfTable, cell_center, cell_indices, lookup_arrays
-from .geometry import (LedRig, PinholeCamera, half_diff_angle_arrays,
-                       project_points, trajectory_poses)
+from .geometry import (LedRig, PinholeCamera, dot_rows, half_diff_angle_arrays,
+                       norm_rows, project_points, trajectory_poses)
 from .simulator import (IrObservations, eval_ground_truth_brdf, frame_geometry,
                         frames, led_world_positions, shading, vignette)
 
@@ -22,14 +22,14 @@ PPM_BLOCK = 2**15
 def scalar_reflectance(rgb: np.ndarray) -> np.ndarray:
     """IR-band reflectance from an rgb table value; colors are unit vectors,
     so the Euclidean norm recovers the scalar factor."""
-    return np.linalg.norm(np.asarray(rgb, dtype=float), axis=-1)
+    return norm_rows(np.asarray(rgb, dtype=float))
 
 
 def render_material_sphere(table: BrdfTable, light_direction, resolution: int = 128):
     """Orthographic sphere under a directional light, viewer along +z.
     Returns an (res, res, 3) image in [0, 1], background black."""
     l = np.asarray(light_direction, dtype=float)
-    l = l / np.linalg.norm(l)
+    l = l / norm_rows(l)
     xs = (np.arange(resolution) + 0.5) / resolution * 2.0 - 1.0
     x, y = np.meshgrid(xs, xs, indexing="xy")
     r2 = x * x + y * y
@@ -37,7 +37,7 @@ def render_material_sphere(table: BrdfTable, light_direction, resolution: int = 
     img = np.zeros((resolution, resolution, 3))
     nz = np.sqrt(np.clip(1.0 - r2[inside], 0.0, 1.0))
     n = np.stack([x[inside], y[inside], nz], axis=1)
-    ndotl = n @ l
+    ndotl = dot_rows(n, l)
     lit = ndotl > 1e-6
     rows = (int(lit.sum()), 3)  # light and view directions as read-only views
     th, td = half_diff_angle_arrays(n[lit], np.broadcast_to(l, rows),

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Trajectory, look_at_poses
+from .geometry import Trajectory, dot_rows, look_at_poses, norm_rows
 from .simulator import GroundTruthMaterial
 
 
@@ -35,26 +35,21 @@ class Scene:
         return len(self.material_ids)
 
 
-def _unit_rows(v):
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
 def _cap_directions(rng, axis, cap_deg, n):
     """n random unit vectors within cap_deg of `axis`."""
     axis = np.asarray(axis, dtype=float)
-    axis = axis / np.linalg.norm(axis)
+    axis = axis / norm_rows(axis)
     cos_cap = np.cos(np.deg2rad(cap_deg))
     z = rng.uniform(cos_cap, 1.0, n)
     phi = rng.uniform(0.0, 2 * np.pi, n)
     s = np.sqrt(1.0 - z * z)
-    local = np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=1)
-    # rotate local +z onto axis
+    # local +z rotated onto axis: the local coordinates times x, y and axis
     ref = np.array([1.0, 0.0, 0.0]) if abs(axis[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
     x = np.cross(ref, axis)
-    x /= np.linalg.norm(x)
+    x /= norm_rows(x)
     y = np.cross(axis, x)
-    basis = np.stack([x, y, axis], axis=1)
-    return local @ basis.T
+    return ((s * np.cos(phi))[:, None] * x + (s * np.sin(phi))[:, None] * y
+            + z[:, None] * axis)
 
 
 def _sphere_patch(rng, n, center, radius, facing, cap_deg):
@@ -68,10 +63,10 @@ def _plane_patch(rng, n, center, normal, u_axis, half_u, half_v):
     """n points of a rectangle of half sides half_u (along `u_axis` made
     orthogonal to `normal`) and half_v, and its normal n times."""
     normal = np.asarray(normal, dtype=float)
-    normal = normal / np.linalg.norm(normal)
+    normal = normal / norm_rows(normal)
     u = np.asarray(u_axis, dtype=float)
-    u = u - (u @ normal) * normal
-    u /= np.linalg.norm(u)
+    u = u - dot_rows(u, normal) * normal
+    u /= norm_rows(u)
     v = np.cross(normal, u)
     a = rng.uniform(-half_u, half_u, n)
     b = rng.uniform(-half_v, half_v, n)
@@ -152,7 +147,8 @@ def make_scene(name: str, n_vertices: int, seed: int, materials=None) -> Scene:
                      for (_, draw, args), n in zip(patches, sizes)))
     if materials is None:
         materials = default_materials([m for m, _, _ in patches])
-    return Scene(np.vstack(pos), _unit_rows(np.vstack(nrm)),
+    nrm = np.vstack(nrm)
+    return Scene(np.vstack(pos), nrm / norm_rows(nrm)[:, None],
                  np.repeat(np.arange(k), sizes), list(materials))
 
 

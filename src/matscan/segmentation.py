@@ -210,6 +210,7 @@ class _FlatKernel:
         for lo in range(0, len(modes), rows):
             m = modes[lo:lo + rows]
             d2 = self.buf[:len(m) * n].reshape(len(m), n)
+            # BLAS sums of lattice integers below 2^53: exact in any order
             np.matmul(-2.0 * m, self.pts.T, out=d2)
             d2 += _sq_norms(m)[:, None]
             d2 += self.pts_sq
@@ -418,6 +419,7 @@ def fit_gaussian(samples, members=None) -> GaussianCluster:
     samples = np.asarray(samples, dtype=float).reshape(-1, 3)
     mean = samples.mean(axis=0)
     centered = samples - mean
+    # BLAS: its rounding, in any order, is within `_moment_scores`' bound
     cov = centered.T @ centered / len(samples)
     tr = np.trace(cov)
     if tr <= 0:

@@ -31,9 +31,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (LedRig, PinholeCamera, Quaternion, Trajectory,
-                       half_diff_angle_arrays, norm_rows, project_points,
-                       rotation_matrices, trajectory_poses,
+from .geometry import (UNIT_TOL, LedRig, PinholeCamera, Quaternion, Trajectory,
+                       dot_rows, half_diff_angle_arrays, norm_rows,
+                       project_points, rotation_matrices, trajectory_poses,
                        trajectory_quaternions)
 
 # rows processed at once: whole frames, up to this many frames x vertices in
@@ -63,7 +63,10 @@ class GroundTruthMaterial:
         if self.specular_strength < 0 or self.lobe_exponent < 1:
             raise ValueError("need specular_strength >= 0 and lobe_exponent >= 1")
         object.__setattr__(self, "diffuse_albedo", alb)
-        object.__setattr__(self, "color", col / np.linalg.norm(col))
+        # kept as it is within UNIT_TOL of unit norm, so a material made
+        # from another's color (read back, or Lambertian) keeps its bits
+        n = norm_rows(col)
+        object.__setattr__(self, "color", col if abs(n - 1) <= UNIT_TOL else col / n)
 
 
 def eval_ground_truth_brdf(mat: GroundTruthMaterial, theta_h_deg, theta_d_deg=None):
@@ -102,9 +105,9 @@ def frame_geometry(camera_position, led_world, positions, normals):
 def led_world_positions(rotations, cameras, leds):
     """World positions (k, 3) of one LED per frame, from its position in the
     camera frame (k, 3) and its frame's camera-to-world rotation (k, 3, 3)
-    and camera position (k, 3): a matrix-vector product per frame, so no
-    frame's value depends on the others."""
-    return np.matmul(rotations, leds[..., None])[..., 0] + cameras
+    and camera position (k, 3): the rotated LED plus the camera, elementwise,
+    so no frame's value depends on the others."""
+    return dot_rows(rotations, leds[:, None]) + cameras
 
 
 def shading(vig, f, ndotl, brightness, d):
@@ -272,8 +275,7 @@ def _jitter_pose(rng, quaternion, translation, noise: NoiseConfig):
     t = translation + rng.normal(0.0, noise.pose_translation_jitter_m, 3)
     rot = Quaternion(*quaternion)
     if noise.pose_rotation_jitter_deg > 0:
-        axis = rng.normal(size=3)
-        axis /= np.linalg.norm(axis)
+        axis = rng.normal(size=3)  # made unit by `from_axis_angle`
         ang = rng.normal(0.0, noise.pose_rotation_jitter_deg)
         rot = rot * Quaternion.from_axis_angle(axis, ang)
     return rot.to_matrix(), t

@@ -82,21 +82,20 @@ class Pose:
 
     def transform(self, p: np.ndarray) -> np.ndarray:
         """Apply to points, shape (3,) or (n, 3)."""
-        p = np.asarray(p, dtype=float)
-        r = self.rotation.to_matrix()
-        if p.ndim == 1:
-            return r @ p + self.translation
-        return p @ r.T + self.translation
+        return self.rotate(p) + self.translation
 
     def rotate(self, v: np.ndarray) -> np.ndarray:
+        """Rotate vectors, shape (3,) or (n, 3): each entry of each product
+        the sum of its three terms, left to right."""
         v = np.asarray(v, dtype=float)
         r = self.rotation.to_matrix()
-        return r @ v if v.ndim == 1 else v @ r.T
+        return (r[:, 0] * v[..., 0, None] + r[:, 1] * v[..., 1, None]
+                + r[:, 2] * v[..., 2, None])
 
     def inverse(self) -> "Pose":
         r = self.rotation
-        rinv = Quaternion(r.w, -r.x, -r.y, -r.z)
-        return Pose(rinv, -rinv.rotate(self.translation))
+        rinv = Pose(Quaternion(r.w, -r.x, -r.y, -r.z), np.zeros(3))
+        return Pose(rinv.rotation, -rinv.rotate(self.translation))
 
 
 @dataclass(frozen=True)
@@ -161,7 +160,6 @@ def jitter_pose(rng, pose: Pose, noise) -> Pose:
     rot = pose.rotation
     if noise.pose_rotation_jitter_deg > 0:
         axis = rng.normal(size=3)
-        axis /= np.linalg.norm(axis)
         ang = rng.normal(0.0, noise.pose_rotation_jitter_deg)
         rot = rot * Quaternion.from_axis_angle(axis, ang)
     return Pose(rot, t)
@@ -524,7 +522,7 @@ def estimate_vertex_color(rgb_samples, omega_out_deg, saturation_level: float):
     if keep.sum() < MIN_COLOR_SAMPLES:
         return None
     med = np.median(rgb[keep], axis=0)
-    norm = np.linalg.norm(med)
+    norm = math.sqrt(dot(med, med))
     if norm < 1e-12:
         return None
     return med / norm
@@ -781,7 +779,7 @@ def compose(a: Pose, b: Pose) -> Pose:
 
 def angle_to(a: Quaternion, b: Quaternion) -> float:
     """Rotation angle in degrees between the two attitudes."""
-    d = min(1.0, abs(float(a.as_array() @ b.as_array())))
+    d = min(1.0, abs(dot(a.as_array(), b.as_array())))
     return np.rad2deg(2.0 * np.arccos(d))
 
 
@@ -814,18 +812,18 @@ def slerp(q0: Quaternion, q1: Quaternion, u: float) -> Quaternion:
     """Shortest-path spherical interpolation between unit quaternions."""
     a = q0.as_array()
     b = q1.as_array()
-    d = float(a @ b)
+    d = dot(a, b)
     if d < 0.0:
         b = -b
         d = -d
     if d > 1.0 - 1e-6:
         # nearly parallel: normalized lerp is numerically safer
         out = (1.0 - u) * a + u * b
-        return Quaternion(*(out / np.linalg.norm(out)))
+        return Quaternion(*(out / math.sqrt(dot(out, out))))
     theta = np.arccos(min(1.0, d))
     s = np.sin(theta)
     out = np.sin((1.0 - u) * theta) / s * a + np.sin(u * theta) / s * b
-    return Quaternion(*(out / np.linalg.norm(out)))
+    return Quaternion(*(out / math.sqrt(dot(out, out))))
 
 
 def interpolate_pose(p0: TimedPose, p1: TimedPose, t: float) -> Pose:
@@ -865,30 +863,38 @@ def trajectory_poses(trajectory: list, times):
                         for t in times])
 
 
+def dot(a, b) -> float:
+    """The dot product of two 3- or 4-vectors in Python floats, the products
+    summed left to right."""
+    total = float(a[0]) * float(b[0])
+    for x, y in zip(a[1:], b[1:]):
+        total += float(x) * float(y)
+    return total
+
+
 def _unit(v):
     v = np.asarray(v, dtype=float)
-    n = np.linalg.norm(v)
+    n = math.sqrt(dot(v, v))
     if n < 1e-12:
         raise ValueError("cannot normalize near-zero vector")
     return v / n
 
 
 def quaternion_from_matrix(m) -> Quaternion:
-    """The unit quaternion of a rotation matrix, by its own eigh."""
-    m = np.asarray(m, dtype=float)
-    k = np.array(
-        [
-            [m[0, 0] - m[1, 1] - m[2, 2], 0, 0, 0],
-            [m[0, 1] + m[1, 0], m[1, 1] - m[0, 0] - m[2, 2], 0, 0],
-            [m[0, 2] + m[2, 0], m[1, 2] + m[2, 1], m[2, 2] - m[0, 0] - m[1, 1], 0],
-            [m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1],
-             m[0, 0] + m[1, 1] + m[2, 2]],
-        ]
-    ) / 3.0
-    vals, vecs = np.linalg.eigh(k)
-    q = vecs[[3, 0, 1, 2], np.argmax(vals)]
+    """The unit quaternion, w >= 0, of a rotation matrix by Shepperd's
+    method: from the largest of 4w^2, 4x^2, 4y^2 and 4z^2 (the first of a
+    tie), that component, then the others from the off-diagonal sums."""
+    (a, b, c), (d, e, f), (g, h, i) = np.asarray(m, dtype=float).tolist()
+    squares = [1 + a + e + i, 1 + a - e - i, 1 - a + e - i, 1 - a - e + i]
+    r = squares.index(max(squares))
+    s = 2.0 * math.sqrt(squares[r])  # 4 |q_r|
+    q = [[squares[0], h - f, c - g, d - b],
+         [h - f, squares[1], b + d, c + g],
+         [c - g, b + d, squares[2], f + h],
+         [d - b, c + g, f + h, squares[3]]][r]
+    q = [v / s for v in q]
     if q[0] < 0:
-        q = -q
+        q = [-v for v in q]
     return Quaternion(*q)
 
 
@@ -897,7 +903,7 @@ def look_at(position, target, up=(0.0, 1.0, 0.0)) -> Pose:
     position = np.asarray(position, dtype=float)
     fwd = _unit(np.asarray(target, dtype=float) - position)
     right = np.cross(fwd, _unit(up))
-    if np.linalg.norm(right) < 1e-9:
+    if math.sqrt(dot(right, right)) < 1e-9:
         raise ValueError("up direction parallel to viewing direction")
     right = _unit(right)
     down = np.cross(fwd, right)
@@ -923,8 +929,7 @@ def arc_trajectory(n_poses: int, duration: float, radius: float = 0.95,
 def project_points(camera: PinholeCamera, poses, points):
     """`geometry.project_points` from a list of k `Pose`s, each inverted by
     `Pose.inverse`."""
-    rot, trans = pose_arrays([p.inverse() for p in poses])
-    pc = np.matmul(points, rot.swapaxes(1, 2)) + trans[:, None]
+    pc = np.stack([p.inverse().transform(points) for p in poses])
     z = pc[..., 2]
     in_front = z > 1e-6
     zsafe = np.where(in_front, z, 1.0)

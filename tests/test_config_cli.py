@@ -772,3 +772,108 @@ class TestCorruptObservationsExit3:
         cfg, path = small_config(tmp_path, n_vertices=200)
         shutil.copytree(simulated, cfg.out_dir)
         assert cli.main(["estimate", "--config", path]) == cli.EXIT_OK
+
+
+@pytest.fixture(scope="module")
+def piped(tmp_path_factory):
+    """The out dir of one `pipeline` run, which forms groups and writes
+    `material_0.brdf`; copied by each mutation case."""
+    cfg, path = small_config(tmp_path_factory.mktemp("pipe"))
+    assert cli.main(["pipeline", "--config", path]) == cli.EXIT_OK
+    assert os.path.exists(os.path.join(cfg.out_dir, "material_0.brdf"))
+    return cfg.out_dir
+
+
+# every artifact, the stages that read it (those after its writer, for the
+# two no stage reads) and where its edits go: the (data line, field) of a
+# text artifact or the (array, row) of an npz. Each edit breaks a check of
+# its reader: a material id, an albedo, a middle pose's time, a frame time,
+# a vertex id, an h bin and a label
+ARTIFACT_EDITS = {
+    "scene.txt": (("estimate", "segment", "render", "evaluate"), (3, 7)),
+    "materials.txt": (("estimate", "segment", "render", "evaluate"), (1, 1)),
+    "trajectory.txt": (("estimate", "render"), (4, 0)),
+    "ir_observations.npz": (("estimate",), ("frame_time", 5)),
+    "rgb_observations.npz": (("estimate",), ("vertex_id", 3)),
+    "records.npz": (("segment", "render", "evaluate"), ("cell_h", 3)),
+    "labels.txt": (("render", "evaluate"), (3, 1)),
+    "colors.txt": (("segment",), (3, 1)),
+    "material_0.brdf": (("evaluate",), (3, 3)),
+}
+EDIT_VALUES = {"nan": math.nan, "inf": math.inf, "1e300": 1e300, "negative": -1}
+MUTATIONS = ("truncated", "empty", "byte-flips", *EDIT_VALUES, "dropped-line",
+             "duplicated-line")
+# the mutations that leave a valid run: of artifacts no stage reads, a label
+# of -1 (unclassified), and a trajectory one pose shorter
+VALID_MUTATIONS = ({("colors.txt", m) for m in MUTATIONS}
+                   | {("material_0.brdf", m) for m in MUTATIONS}
+                   | {("labels.txt", "negative"), ("trajectory.txt", "dropped-line")})
+FAILURE_LINES = ("error:", "config error:", "numeric failure:")
+
+
+def _mutate(path, where, mutation):
+    """Applies `mutation` to the artifact at `path`, its edits at `where`."""
+    with open(path, "rb") as fh:
+        data = bytearray(fh.read())
+    if mutation == "truncated":
+        data = data[:len(data) // 2]
+    elif mutation == "empty":
+        data = b""
+    elif mutation == "byte-flips":
+        for at in (len(data) // 4, len(data) // 2, 3 * len(data) // 4):
+            data[at] ^= 0xFF
+    elif path.endswith(".npz"):
+        key, row = where
+        arrays = dict(np.load(path))
+        a = arrays[key]
+        if mutation == "dropped-line":
+            a = np.delete(a, row, axis=0)
+        elif mutation == "duplicated-line":
+            a = np.insert(a, row, a[row], axis=0)
+        else:
+            value = EDIT_VALUES[mutation]
+            a = a.astype(np.result_type(a, np.asarray(value)))
+            a[row] = value
+        arrays[key] = a
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        return
+    else:
+        row, field = where
+        lines = data.decode().splitlines(keepends=True)
+        at = [i for i, line in enumerate(lines) if not line.startswith("#")][row]
+        if mutation == "dropped-line":
+            del lines[at]
+        elif mutation == "duplicated-line":
+            lines.insert(at, lines[at])
+        else:
+            lines[at] = _set_field(lines[at], field, repr(EDIT_VALUES[mutation]))
+        data = "".join(lines).encode()
+    with open(path, "wb") as fh:
+        fh.write(data)
+
+
+# numpy warns of an emptied text artifact before its reader rejects it
+@pytest.mark.filterwarnings("ignore:loadtxt. input contained no data:UserWarning")
+@pytest.mark.parametrize("mutation", MUTATIONS)
+@pytest.mark.parametrize("artifact, stage", [
+    (artifact, stage) for artifact, (stages, _) in ARTIFACT_EDITS.items()
+    for stage in stages])
+def test_mutated_artifact_exits_cleanly(tmp_path, capsys, piped, artifact, stage,
+                                        mutation):
+    """A stage run on a truncated, emptied, byte-flipped or edited artifact
+    exits 2, 3 or 4 with one failure line last on stderr and no traceback,
+    or 0 where the mutation leaves a valid run."""
+    cfg, path = small_config(tmp_path)
+    shutil.copytree(piped, cfg.out_dir)
+    _mutate(os.path.join(cfg.out_dir, artifact), ARTIFACT_EDITS[artifact][1], mutation)
+    capsys.readouterr()
+    rc = cli.main([stage, "--config", path])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    failures = [line for line in err.splitlines() if line.startswith(FAILURE_LINES)]
+    if (artifact, mutation) in VALID_MUTATIONS:
+        assert rc == cli.EXIT_OK and not failures, err
+    else:
+        assert rc in (cli.EXIT_CONFIG, cli.EXIT_MISSING_INPUT, cli.EXIT_NUMERIC), err
+        assert len(failures) == 1 and err.splitlines()[-1] == failures[0], err

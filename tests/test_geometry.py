@@ -266,8 +266,7 @@ class TestTrajectory:
 
     def test_layout_of_the_input_does_not_change_the_poses(self):
         """A Fortran-ordered or strided quaternion array gives the poses of
-        the C-ordered one, bit for bit: the per-segment BLAS dots read rows
-        of a C-ordered copy."""
+        the C-ordered one, bit for bit."""
         rng = np.random.default_rng(7)
         traj = random_trajectory(rng, 9)
         times = rng.uniform(traj.times[0], traj.times[-1], 40)
@@ -326,7 +325,7 @@ class TestTrajectoryArrays:
         q = rng.normal(size=(200, 4))
         q /= np.linalg.norm(q, axis=1, keepdims=True)
         q *= 1 + off * rng.choice([-1.0, 1.0], (200, 1))
-        q /= geometry._norms(q)[:, None]
+        q /= geometry.norm_rows(q)[:, None]
         np.testing.assert_array_equal(
             np.array([Quaternion(*r).as_array() for r in q]), q)
 
