@@ -10,6 +10,13 @@ whatever PYTHONHASHSEED is.
     python3 scripts/sweep.py --scene corner-board --vertices 300 \\
         --frames 1000 --seeds 20 [--seed-stream 20261020]
 
+In place of `--seeds`, a repeated `--seed N` runs exactly the seeds given,
+in that order (a known failing seed, say), and prints the same JSON with a
+`seed_stream` of null:
+
+    python3 scripts/sweep.py --scene corner-board --vertices 300 \\
+        --frames 1000 --seed 1592843935
+
 Each run is the demo scan of scripts/run_demo.py, in `multi` mode.
 """
 
@@ -64,12 +71,23 @@ def main():
                     choices=["two-sphere", "four-material-room", "corner-board"])
     ap.add_argument("--vertices", type=int, required=True)
     ap.add_argument("--frames", type=int, required=True)
-    ap.add_argument("--seeds", type=int, required=True, help="seeds to run")
-    ap.add_argument("--seed-stream", type=int, default=20261020,
-                    help="seed of the generator the run seeds are drawn from")
+    runs = ap.add_mutually_exclusive_group(required=True)
+    runs.add_argument("--seeds", type=int, help="seeds to draw and run")
+    runs.add_argument("--seed", type=int, action="append",
+                      help="a seed to run; repeat for more")
+    ap.add_argument("--seed-stream", type=int,
+                    help="seed of the generator the --seeds are drawn from "
+                         "(default 20261020)")
     args = ap.parse_args()
-    stream = random.Random(args.seed_stream)
-    seeds = [stream.randrange(2 ** 31) for _ in range(args.seeds)]
+    if args.seed is None:
+        if args.seed_stream is None:
+            args.seed_stream = 20261020
+        stream = random.Random(args.seed_stream)
+        seeds = [stream.randrange(2 ** 31) for _ in range(args.seeds)]
+    elif args.seed_stream is not None:
+        ap.error("--seed-stream draws the --seeds; --seed names its seeds")
+    else:
+        seeds = args.seed
     digests, failing = {}, []
     with tempfile.TemporaryDirectory() as tmp:
         for seed in seeds:

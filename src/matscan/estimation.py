@@ -23,7 +23,8 @@ from .brdf_table import N_CELLS, N_D, BrdfTable
 from .geometry import (LedRig, PinholeCamera, half_diff_angle_arrays,
                        norm_rows)
 from .simulator import (IrObservations, RgbObservations, frame_geometry, frames,
-                        shading, shrink_rows, vignette, write_rows)
+                        shading, shrink_rows, vertex_components, vignette,
+                        write_rows)
 
 GRAZING_DEG = 60.0
 COS_GRAZING = np.cos(np.deg2rad(GRAZING_DEG))
@@ -133,11 +134,12 @@ def invert_observation_arrays(ir: IrObservations, scene, trajectory, rig: LedRig
                              & ~(ir.intensity <= 0.0))
     key, f = np.empty(bound, np.int64), np.empty(bound)
     at = 0
+    positions, normals = vertex_components(scene)
     for rows, cam, led_world, brightness in frames(ir, trajectory, rig):
         vids = ir.vertex_id[rows]
-        nrm = scene.normals[vids]
+        nrm = normals.take(vids, axis=1)
         d, l, ndotl, wo, ndotv = frame_geometry(cam, led_world,
-                                                scene.positions[vids], nrm)
+                                                positions.take(vids, axis=1), nrm)
         vig = vignette((ir.pixel[rows, 0], ir.pixel[rows, 1]), camera)
         inten = ir.intensity[rows]
 
@@ -146,14 +148,17 @@ def invert_observation_arrays(ir: IrObservations, scene, trajectory, rig: LedRig
                          ndotl < COS_GRAZING, ndotv < COS_GRAZING,
                          vig < VIGNETTE_FLOOR], list(range(ACCEPTED)), ACCEPTED)
         tally += np.bincount(rej, minlength=ACCEPTED + 1)
-        use = (rej == ACCEPTED) & colored[vids]
-        if use.any():
-            th, td = half_diff_angle_arrays(nrm[use], l[use], wo[use])
+        # the rows kept, gathered once by index
+        use = np.flatnonzero((rej == ACCEPTED) & colored[vids])
+        if len(use):
+            th, td = half_diff_angle_arrays(nrm.take(use, axis=1),
+                                            l.take(use, axis=1), wo.take(use, axis=1))
             hb, db = brdf_table.bin_arrays(th, td)
+            model = shading(vig.take(use), 1.0, ndotl.take(use),
+                            brightness.take(use), d.take(use))
             at = write_rows((key, f), at,
-                            vids[use].astype(np.int64) * N_CELLS + hb * N_D + db,
-                            inten[use] / shading(vig[use], 1.0, ndotl[use],
-                                                 brightness[use], d[use]))
+                            vids.take(use).astype(np.int64) * N_CELLS + hb * N_D + db,
+                            inten.take(use) / model)
 
     key, f = shrink_rows((key, f), at)
     counts = {r.value: int(tally[code]) for code, r in enumerate(Rejection)}

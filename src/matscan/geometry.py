@@ -5,7 +5,10 @@ Angles are stored in degrees throughout; trigonometry goes through radians
 internally. All functions are pure. Dot products, norms and 3x3 products of
 3- and 4-vectors are sums written out elementwise in one fixed order
 (`dot_rows`), never a BLAS call, so a value has the same bits alone or in a
-batch of any shape or layout, whatever BLAS kernel numpy loads.
+batch of any shape or layout, whatever BLAS kernel numpy loads. The
+photometric kernel holds its vectors as component arrays (3, ...); their
+dots and norms (`dot3`, `norm3`) are written out too, never an `einsum`, so
+no SIMD dispatch decides their order.
 """
 
 from __future__ import annotations
@@ -31,6 +34,20 @@ def dot_rows(a, b):
 def norm_rows(v):
     """Euclidean norms over the last axis of (..., 3) or (..., 4) vectors."""
     return np.sqrt(dot_rows(v, v))
+
+
+def dot3(a, b):
+    """Dot products of 3-vectors held as component arrays (3, ...) that
+    broadcast: (a_x b_x + a_z b_z) + a_y b_y, the order in which numpy's
+    AVX-512 `einsum` sums three terms, written out so that no SIMD dispatch
+    changes it. The photometric kernel's one dot."""
+    return (a[0] * b[0] + a[2] * b[2]) + a[1] * b[1]
+
+
+def norm3(v):
+    """Euclidean norms of 3-vectors held as component arrays (3, ...), in
+    `norm_rows`' order."""
+    return np.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -215,14 +232,15 @@ def project_points(camera: PinholeCamera, rotations, translations,
     camera-to-world rotation matrices (k,3,3) and translations (k,3).
     Returns pixels (k,n,2) and the valid mask (k,n)."""
     # each pose's inverse: the transposed rotation R^T, and -R^T t
-    rot = np.swapaxes(rotations, 1, 2)[:, None]
-    trans = -dot_rows(rot, np.asarray(translations)[:, None, None])
-    pc = dot_rows(rot, points[:, None]) + trans
-    z = pc[..., 2]
+    rot = np.swapaxes(rotations, 1, 2)
+    trans = -dot_rows(rot, np.asarray(translations)[:, None])
+    # camera coordinates as component arrays (3, k, n)
+    pc = dot_rows(rot[:, :, None], points) + trans[:, :, None]
+    x, y, z = np.swapaxes(pc, 0, 1)
     in_front = z > 1e-6
     zsafe = np.where(in_front, z, 1.0)
-    px = camera.fx * pc[..., 0] / zsafe + camera.cx
-    py = camera.fy * pc[..., 1] / zsafe + camera.cy
+    px = camera.fx * x / zsafe + camera.cx
+    py = camera.fy * y / zsafe + camera.cy
     valid = in_front & (px >= 0) & (px < camera.width) & (py >= 0) & (py < camera.height)
     return np.stack([px, py], axis=-1), valid
 
@@ -265,10 +283,11 @@ class LedRig:
 
 
 def half_diff_angle_arrays(normals, omega_in, omega_out):
-    """Vectorized half/diff angles in degrees for (n,3) unit direction arrays.
-    Caller guarantees front-facing, non-opposite directions."""
+    """Vectorized half/diff angles in degrees (n,) of unit directions held
+    as component arrays (3, n). Caller guarantees front-facing,
+    non-opposite directions."""
     s = omega_in + omega_out
-    h = s / norm_rows(s)[:, None]
-    ch = np.clip(np.einsum("ij,ij->i", normals, h), -1.0, 1.0)
-    cd = np.clip(np.einsum("ij,ij->i", h, omega_in), -1.0, 1.0)
+    h = s / norm3(s)
+    ch = np.clip(dot3(normals, h), -1.0, 1.0)
+    cd = np.clip(dot3(h, omega_in), -1.0, 1.0)
     return np.rad2deg(np.arccos(ch)), np.rad2deg(np.arccos(cd))

@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import os
+import warnings
 import zipfile
 import zlib
 
@@ -55,10 +56,21 @@ def write_scene(path, scene) -> None:
                header="vertex_id x y z nx ny nz material_id")
 
 
+def _rows(path, width):
+    """The rows (n, width) of a text table, `#` starting a comment; a table
+    without rows raises ValueError here, in place of numpy's warning."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        data = np.loadtxt(path, comments="#")
+    if data.size == 0:
+        raise ValueError("the table has no rows")
+    return data.reshape(-1, width)
+
+
 def _id_rows(path, width, name):
     """The rows of a text table whose first column, `name`, numbers them:
     it must read 0..n-1 in order."""
-    data = np.loadtxt(path, comments="#").reshape(-1, width)
+    data = _rows(path, width)
     if not np.array_equal(data[:, 0], np.arange(len(data))):
         raise ValueError(f"{name} is not 0..n-1 in order")
     return data
@@ -113,7 +125,7 @@ def write_trajectory(path, trajectory: Trajectory) -> None:
 @_reader
 def read_trajectory(path) -> Trajectory:
     """The trajectory `write_trajectory` wrote, checked by `Trajectory`."""
-    data = np.loadtxt(path, comments="#").reshape(-1, 8)
+    data = _rows(path, 8)
     return Trajectory(data[:, 0], data[:, 1:5], data[:, 5:8])
 
 
@@ -241,7 +253,7 @@ def write_labels(path, labels: np.ndarray) -> None:
 def read_labels(path) -> np.ndarray:
     """Label per vertex id. The ids must be 0..n-1, each once; the labels -1
     (unclassified) or a group 0..k-1, every group used."""
-    data = np.loadtxt(path, comments="#").reshape(-1, 2)
+    data = _rows(path, 2)
     ids, labs = data[:, 0], data[:, 1]
     if not np.array_equal(np.sort(ids), np.arange(len(ids))):
         raise ValueError("vertex ids are not 0..n-1, each once")

@@ -12,7 +12,8 @@ from .brdf_table import BrdfTable, cell_center, cell_indices, lookup_arrays
 from .geometry import (LedRig, PinholeCamera, dot_rows, half_diff_angle_arrays,
                        norm_rows, project_points, trajectory_poses)
 from .simulator import (IrObservations, eval_ground_truth_brdf, frame_geometry,
-                        frames, led_world_positions, shading, vignette)
+                        frames, led_world_positions, shading, vertex_components,
+                        vignette)
 
 LAMBERTIAN_FALLBACK = 0.3  # scalar reflectance for unclassified vertices
 # values per row block of `write_ppm`: its lit mask, gamma values and bytes
@@ -36,33 +37,37 @@ def render_material_sphere(table: BrdfTable, light_direction, resolution: int = 
     inside = r2 <= 1.0
     img = np.zeros((resolution, resolution, 3))
     nz = np.sqrt(np.clip(1.0 - r2[inside], 0.0, 1.0))
-    n = np.stack([x[inside], y[inside], nz], axis=1)
-    ndotl = dot_rows(n, l)
+    n = np.stack([x[inside], y[inside], nz])  # component arrays (3, m)
+    ndotl = dot_rows(n.T, l)
     lit = ndotl > 1e-6
-    rows = (int(lit.sum()), 3)  # light and view directions as read-only views
-    th, td = half_diff_angle_arrays(n[lit], np.broadcast_to(l, rows),
-                                    np.broadcast_to([0.0, 0.0, 1.0], rows))
+    # light and view directions as read-only views
+    rows = (3, int(lit.sum()))
+    th, td = half_diff_angle_arrays(n[:, lit], np.broadcast_to(l[:, None], rows),
+                                    np.broadcast_to([[0.0], [0.0], [1.0]], rows))
     vals = lookup_arrays(table, th, td) * ndotl[lit, None]
-    shaded = np.zeros((len(n), 3))
+    shaded = np.zeros((len(nz), 3))
     shaded[lit] = vals
     img[inside] = np.clip(shaded, 0.0, 1.0)
     return img
 
 
-def _rerender_rows(cam, led_world, brightness, vids, pixel, scene, labels,
+def _rerender_rows(cam, led_world, brightness, vids, pixel, vertices, labels,
                    material_tables, camera: PinholeCamera) -> np.ndarray:
     """Model intensity of observation rows: camera and LED world positions
-    (3,) or (n,3), LED brightness, vertex ids and pixels (n,2); 0 where unlit
-    or back-facing."""
-    nrm = scene.normals[vids]
-    d, l, ndotl, wo, ndotv = frame_geometry(cam, led_world, scene.positions[vids],
-                                            nrm)
-    front = (ndotl > 1e-6) & (ndotv > 1e-6)
+    as component arrays (3, 1) or (3, n), LED brightness, vertex ids, pixels
+    (n,2) and the scene's `vertex_components`; 0 where unlit or
+    back-facing."""
+    positions, normals = vertices
+    nrm = normals.take(vids, axis=1)
+    d, l, ndotl, wo, ndotv = frame_geometry(cam, led_world,
+                                            positions.take(vids, axis=1), nrm)
+    front = np.flatnonzero((ndotl > 1e-6) & (ndotv > 1e-6))
     out = np.zeros(len(vids))
-    if not front.any():
+    if not len(front):
         return out
-    th, td = half_diff_angle_arrays(nrm[front], l[front], wo[front])
-    f = np.full(int(front.sum()), LAMBERTIAN_FALLBACK)
+    th, td = half_diff_angle_arrays(nrm.take(front, axis=1), l.take(front, axis=1),
+                                    wo.take(front, axis=1))
+    f = np.full(len(front), LAMBERTIAN_FALLBACK)
     lab = labels[vids[front]]
     for gi, table in enumerate(material_tables):
         sel = lab == gi
@@ -79,9 +84,10 @@ def rerender_intensities(ir: IrObservations, scene, labels: np.ndarray,
     """Model intensity for every observation row, using the estimated
     per-material completed tables (Lambertian fallback for label -1)."""
     out = np.zeros(len(ir))
+    vertices = vertex_components(scene)
     for rows, cam, led_world, brightness in frames(ir, trajectory, rig):
         out[rows] = _rerender_rows(cam, led_world, brightness, ir.vertex_id[rows],
-                                   ir.pixel[rows], scene, labels,
+                                   ir.pixel[rows], vertices, labels,
                                    material_tables, camera)
     return out
 
@@ -101,10 +107,10 @@ def rerender_ir_frame(scene, labels, material_tables, trajectory, frame_time: fl
     idx = np.nonzero(valid)[0]
     gray = np.zeros((camera.height, camera.width))
     if len(idx):
-        vals = _rerender_rows(cam, led_world,
+        vals = _rerender_rows(cam[:, None], led_world[:, None],
                               np.full(len(idx), rig.brightness[led_index]), idx,
-                              pixels[idx], scene, labels, material_tables,
-                              camera) * exposure
+                              pixels[idx], vertex_components(scene), labels,
+                              material_tables, camera) * exposure
         px = np.clip(pixels[idx, 0].astype(int), 0, camera.width - 1)
         py = np.clip(pixels[idx, 1].astype(int), 0, camera.height - 1)
         np.maximum.at(gray, (py, px), vals)

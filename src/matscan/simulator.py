@@ -8,7 +8,10 @@ intensity noise, outliers, dropout, saturation clipping).
 `shading` is the one place the model is written, `frame_geometry` the one
 place its geometry is, and `led_world_positions` the one place a frame's LED
 position is: the simulator, the inversion in `estimation` and the re-render
-in `render_eval` all call the three. Each frame's pose comes from the
+in `render_eval` all call the three. The geometry's vectors are component
+arrays of shape (3, ...), x, y and z each one contiguous array
+(`vertex_components` gives a scene's), and each of its dots is
+`geometry.dot3`, summed in one written order. Each frame's pose comes from the
 scan's `geometry.Trajectory`. None of them loops over frames: they take
 whole frames in chunks of up to `_CHUNK_ROWS` rows (frames x vertices in
 `simulate_scan`, observation rows as `frames` slices them elsewhere) and
@@ -19,9 +22,10 @@ are contiguous, and each frame's time and LED are stored once, so `frames`
 slices rows by the frame offsets instead of sorting them.
 
 Every observation column is allocated once, at its bound, and written in
-place, chunk by chunk (`write_rows`); at the end it is shrunk in place to
-the rows written (`shrink_rows`). No per-chunk piece is kept or joined, so
-the columns are the only full-length arrays a scan holds.
+place, chunk by chunk (`write_rows`), and without dropout a chunk's rows go
+in as they are, with no copy through a keep mask; at the end it is shrunk
+in place to the rows written (`shrink_rows`). No per-chunk piece is kept
+or joined, so the columns are the only full-length arrays a scan holds.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (UNIT_TOL, LedRig, PinholeCamera, Quaternion, Trajectory,
-                       dot_rows, half_diff_angle_arrays, norm_rows,
+                       dot3, dot_rows, half_diff_angle_arrays, norm3, norm_rows,
                        project_points, rotation_matrices, trajectory_poses,
                        trajectory_quaternions)
 
@@ -89,17 +93,22 @@ def vignette(pixel, camera: PinholeCamera):
 
 def frame_geometry(camera_position, led_world, positions, normals):
     """Geometry of vertices (`positions`, `normals`) seen from
-    `camera_position` and lit from `led_world`, world coordinates that
-    broadcast against each other as (..., 3): LED distance d, unit light
-    direction l, n.l, unit view direction wo and n.wo."""
-    to_led = led_world - positions
-    d = norm_rows(to_led)
-    l = to_led / d[..., None]
-    ndotl = np.einsum("...j,...j->...", normals, l)
-    to_cam = camera_position - positions
-    wo = to_cam / norm_rows(to_cam)[..., None]
-    ndotv = np.einsum("...j,...j->...", normals, wo)
-    return d, l, ndotl, wo, ndotv
+    `camera_position` and lit from `led_world`, world coordinates held as
+    component arrays (3, ...) that broadcast against each other: LED
+    distance d, unit light direction l, n.l, unit view direction wo and
+    n.wo, the directions again as component arrays."""
+    l = led_world - positions
+    d = norm3(l)
+    l /= d
+    wo = camera_position - positions
+    wo /= norm3(wo)
+    return d, l, dot3(normals, l), wo, dot3(normals, wo)
+
+
+def vertex_components(scene):
+    """The scene's positions and normals as component arrays (3, n)."""
+    return (np.ascontiguousarray(scene.positions.T),
+            np.ascontiguousarray(scene.normals.T))
 
 
 def led_world_positions(rotations, cameras, leds):
@@ -132,8 +141,9 @@ def _chunks(sizes):
 def frames(ir, trajectory, rig: LedRig):
     """Chunks of whole frames of `ir` that hold rows, in frame order: the
     chunk's rows (a slice), and per row its frame's camera position and the
-    world position (n,3) and brightness of its LED. Each is computed once per
-    frame, so a row's values do not depend on the other rows of its frame."""
+    world position of its LED, as component arrays (3, n), and its LED's
+    brightness. Each is computed once per frame, so a row's values do not
+    depend on the other rows of its frame."""
     sizes = np.diff(ir.frame_offsets)
     nonempty = np.flatnonzero(sizes)
     rots, cams = trajectory_poses(trajectory, ir.frame_time[nonempty])
@@ -143,8 +153,8 @@ def frames(ir, trajectory, rig: LedRig):
         fis = nonempty[first:stop]
         counts = sizes[fis]
         yield (slice(ir.frame_offsets[fis[0]], ir.frame_offsets[fis[-1] + 1]),
-               np.repeat(cams[first:stop], counts, axis=0),
-               np.repeat(led_world[first:stop], counts, axis=0),
+               np.repeat(cams[first:stop].T, counts, axis=1),
+               np.repeat(led_world[first:stop].T, counts, axis=1),
                np.repeat(rig.brightness[leds[first:stop]], counts))
 
 
@@ -258,15 +268,16 @@ def ir_frame_times(config: ScanConfig) -> np.ndarray:
 
 
 def _jitter_directions(dirs, raw, ang_deg):
-    """Rotate each unit row of `dirs` (..., 3) by `ang_deg` about the tangent
-    axis that `raw`, a standard normal draw of the same shape, projects to."""
-    tang = raw - np.einsum("...j,...j->...", raw, dirs)[..., None] * dirs
-    norms = norm_rows(tang)[..., None]
+    """Rotate each unit direction of `dirs`, component arrays (3, ...), by
+    `ang_deg` about the tangent axis that `raw`, a standard normal draw
+    that broadcasts against it, projects to."""
+    tang = raw - dot3(raw, dirs) * dirs
+    norms = norm3(tang)
     norms[norms < 1e-12] = 1.0
     tang /= norms
-    ang = np.deg2rad(ang_deg)[..., None]
+    ang = np.deg2rad(ang_deg)
     out = dirs * np.cos(ang) + tang * np.sin(ang)
-    return out / norm_rows(out)[..., None]
+    return out / norm3(out)
 
 
 def _jitter_pose(rng, quaternion, translation, noise: NoiseConfig):
@@ -284,7 +295,8 @@ def _jitter_pose(rng, quaternion, translation, noise: NoiseConfig):
 def _corrupt(rng, values, noise: NoiseConfig, saturation_level: float):
     """One frame's visible samples, `values` (n,) IR or (n,3) RGB, corrupted
     in place by its draws (gain noise, outlier mask and values, dropout) and
-    clipped at saturation; returns the dropout keep mask."""
+    clipped at saturation; returns the dropout keep mask, None without
+    dropout."""
     n = len(values)
     rgb = values.ndim == 2
     if noise.intensity_multiplicative_sigma > 0:
@@ -298,7 +310,13 @@ def _corrupt(rng, values, noise: NoiseConfig, saturation_level: float):
     np.minimum(values, saturation_level, out=values)
     if noise.dropout_fraction > 0:
         return rng.random(n) >= noise.dropout_fraction
-    return np.ones(n, dtype=bool)
+    return None
+
+
+def _kept(masks):
+    """The rows that the dropout keep masks of a chunk's frames keep: every
+    row, as a slice that copies nothing, without dropout."""
+    return slice(None) if masks[0] is None else np.concatenate(masks)
 
 
 def write_rows(columns, at, *values):
@@ -352,32 +370,37 @@ def simulate_scan(scene, config: ScanConfig):
     q, cams = trajectory_quaternions(config.trajectory, times)
     rots = rotation_matrices(q)
     jitter = noise.pose_translation_jitter_m > 0 or noise.pose_rotation_jitter_deg > 0
+    positions, true_normals = vertex_components(scene)
     for first, stop in _chunks(np.full(len(times), n)):
         fis = np.arange(first, stop)
         rngs = [np.random.default_rng(frame_seeds[fi]) for fi in fis]
-        raw, ang = [], []
-        for fi, rng in zip(fis.tolist(), rngs):
+        # the chunk's normal jitter draws, raw as component arrays (3, k, n)
+        raw, ang = np.empty((3, len(fis), n)), np.empty((len(fis), n))
+        for j, (fi, rng) in enumerate(zip(fis.tolist(), rngs)):
             if jitter:
                 rots[fi], cams[fi] = _jitter_pose(rng, q[fi], cams[fi], noise)
             if noise.normal_jitter_deg > 0:
-                raw.append(rng.normal(size=(n, 3)))
-                ang.append(rng.normal(0.0, noise.normal_jitter_deg, n))
-        normals = scene.normals
-        if raw:
-            normals = _jitter_directions(normals, np.stack(raw), np.stack(ang))
+                raw[:, j] = rng.normal(size=(n, 3)).T
+                ang[j] = rng.normal(0.0, noise.normal_jitter_deg, n)
+        normals = true_normals[:, None]
+        if noise.normal_jitter_deg > 0:
+            normals = _jitter_directions(normals, raw, ang)
         rot, cam = rots[first:stop], cams[first:stop]
-        pixels, in_view = project_points(config.camera, rot, cam, scene.positions)
+        # the (n, 3) view of the component arrays: each column contiguous
+        pixels, in_view = project_points(config.camera, rot, cam, positions.T)
         leds = fis % len(rig)
         led_world = led_world_positions(rot, cam, rig.positions[leds])
         d, l, ndotl, wo, ndotv = frame_geometry(
-            cam[:, None], led_world[:, None], scene.positions, normals)
+            cam.T[:, :, None], led_world.T[:, :, None], positions[:, None], normals)
         # visible rows, frame by frame, vertex ids ascending within a frame
         vis = np.flatnonzero(in_view & (ndotv > 1e-6))
         fr, idx = np.divmod(vis, n)
-        d, l, ndotl, wo, ndotv, pix, nrm = (
-            a.reshape(-1, *a.shape[2:]).take(vis, axis=0) for a in
-            (d, l, ndotl, wo, ndotv, pixels,
-             np.broadcast_to(normals, (len(fis), n, 3))))
+        d, ndotl, ndotv = (a.reshape(-1).take(vis) for a in (d, ndotl, ndotv))
+        pix = pixels.reshape(-1, 2).take(vis, axis=0)
+        # unjittered normals (3, 1, n) are every frame's: taken by vertex
+        normals = normals.reshape(3, -1)
+        nrm = normals.take(vis % normals.shape[1], axis=1)
+        l, wo = (a.reshape(3, -1).take(vis, axis=1) for a in (l, wo))
 
         th, td = half_diff_angle_arrays(nrm, l, wo)
         mat_ids = scene.material_ids[idx]
@@ -392,7 +415,7 @@ def simulate_scan(scene, config: ScanConfig):
 
         visible = np.bincount(fr, minlength=len(fis))
         is_rgb = fis % config.rgb_frame_stride == 0
-        r = is_rgb[fr]
+        r = np.flatnonzero(is_rgb[fr])
         rgbs = colors[mat_ids[r]] * ndotv[r, None]
         # each frame's rows are contiguous, in `inten` and in `rgbs`
         rgb_frames = iter(np.split(rgbs, np.cumsum(visible[is_rgb])[:-1]))
@@ -403,17 +426,18 @@ def simulate_scan(scene, config: ScanConfig):
             if rgb_frame:
                 rgb_keep.append(_corrupt(rng, next(rgb_frames), noise, sat))
 
-        keep = np.concatenate(ir_keep)
+        keep = _kept(ir_keep)
         at = write_rows(ir_cols, at, idx[keep], inten[keep], pix[keep])
         per_frame[first:stop] = np.bincount(fr[keep], minlength=len(fis))
 
         if rgb_keep:
-            keep = np.concatenate(rgb_keep)
+            keep = _kept(rgb_keep)
             # view angle from the true (unjittered) geometry, as an estimator
             # downstream would compute it
-            true_wo_cos = np.einsum("ij,ij->i", scene.normals[idx[r]], wo[r])
+            rgb_idx = idx[r]
+            true_wo_cos = dot3(true_normals.take(rgb_idx, axis=1), wo.take(r, axis=1))
             ang = np.rad2deg(np.arccos(np.clip(true_wo_cos, -1.0, 1.0)))
-            rgb_at = write_rows(rgb_cols, rgb_at, idx[r][keep], rgbs[keep],
+            rgb_at = write_rows(rgb_cols, rgb_at, rgb_idx[keep], rgbs[keep],
                                 ang[keep])
 
     ir = IrObservations(*shrink_rows(ir_cols, at), times,

@@ -3,6 +3,12 @@
 - the image formation model, one observation at a time, which tests check
   `simulator.simulate_scan` and `estimation.invert_observation_arrays`
   against;
+- the photometric kernel one row at a time: a frame's geometry, the
+  half/difference angles and the normal jitter, each 3-term dot in Python
+  floats in `geometry.dot3`'s written order, which tests check the
+  component-array `simulator.frame_geometry`,
+  `geometry.half_diff_angle_arrays` and `simulator._jitter_directions`
+  against bit for bit;
 - the scan and its inversion one frame at a time, the inversion with a
   full-length value per observation row, and color estimation one vertex
   at a time, which tests check the chunked `simulate_scan` and
@@ -281,24 +287,31 @@ def invert_image_formation(intensity: float, pixel, vertex_pos, vertex_normal,
     return angles, f
 
 
+def row_dots(a, b) -> np.ndarray:
+    """The dot product of each pair of rows of (n,3) arrays, one row at a
+    time in Python floats, in the written order of `geometry.dot3`:
+    (a0 b0 + a2 b2) + a1 b1."""
+    return np.array([(a0 * b0 + a2 * b2) + a1 * b1 for (a0, a1, a2), (b0, b1, b2)
+                     in zip(np.asarray(a).tolist(), np.asarray(b).tolist())],
+                    dtype=float)
+
+
 def _frame_geometry(pose: Pose, led_world, positions, normals):
     """Per-row geometry of (n,3) vertices seen from `pose` and lit from
     `led_world` ((3,) or (n,3)): d, l, n.l, wo, n.wo."""
     to_led = led_world - positions
     d = np.linalg.norm(to_led, axis=1)
     l = to_led / d[:, None]
-    ndotl = np.einsum("ij,ij->i", normals, l)
     to_cam = pose.translation - positions
     wo = to_cam / np.linalg.norm(to_cam, axis=1, keepdims=True)
-    ndotv = np.einsum("ij,ij->i", normals, wo)
-    return d, l, ndotl, wo, ndotv
+    return d, l, row_dots(normals, l), wo, row_dots(normals, wo)
 
 
 def _half_diff_angle_arrays(normals, omega_in, omega_out):
     s = omega_in + omega_out
     h = s / np.linalg.norm(s, axis=1, keepdims=True)
-    ch = np.clip(np.einsum("ij,ij->i", normals, h), -1.0, 1.0)
-    cd = np.clip(np.einsum("ij,ij->i", h, omega_in), -1.0, 1.0)
+    ch = np.clip(row_dots(normals, h), -1.0, 1.0)
+    cd = np.clip(row_dots(h, omega_in), -1.0, 1.0)
     return np.rad2deg(np.arccos(ch)), np.rad2deg(np.arccos(cd))
 
 
@@ -318,7 +331,7 @@ def _jitter_directions(rng, dirs, sigma_deg: float):
         return dirs
     n = len(dirs)
     raw = rng.normal(size=(n, 3))
-    tang = raw - np.einsum("ij,ij->i", raw, dirs)[:, None] * dirs
+    tang = raw - row_dots(raw, dirs)[:, None] * dirs
     norms = np.linalg.norm(tang, axis=1, keepdims=True)
     norms[norms < 1e-12] = 1.0
     tang /= norms
@@ -393,7 +406,7 @@ def simulate_scan(scene, config):
                 rgbs[out_mask] = rng.uniform(0.0, config.saturation_level,
                                              (int(out_mask.sum()), 3))
             rgbs = np.minimum(rgbs, config.saturation_level)
-            true_wo_cos = np.einsum("ij,ij->i", scene.normals[idx], wo)
+            true_wo_cos = row_dots(scene.normals[idx], wo)
             ang = np.rad2deg(np.arccos(np.clip(true_wo_cos, -1.0, 1.0)))
             keep_rgb = np.ones(len(idx), dtype=bool)
             if noise.dropout_fraction > 0:

@@ -853,8 +853,6 @@ def _mutate(path, where, mutation):
         fh.write(data)
 
 
-# numpy warns of an emptied text artifact before its reader rejects it
-@pytest.mark.filterwarnings("ignore:loadtxt. input contained no data:UserWarning")
 @pytest.mark.parametrize("mutation", MUTATIONS)
 @pytest.mark.parametrize("artifact, stage", [
     (artifact, stage) for artifact, (stages, _) in ARTIFACT_EDITS.items()
@@ -863,7 +861,8 @@ def test_mutated_artifact_exits_cleanly(tmp_path, capsys, piped, artifact, stage
                                         mutation):
     """A stage run on a truncated, emptied, byte-flipped or edited artifact
     exits 2, 3 or 4 with one failure line last on stderr and no traceback,
-    or 0 where the mutation leaves a valid run."""
+    or 0 where the mutation leaves a valid run. The failure line of an
+    emptied artifact names it."""
     cfg, path = small_config(tmp_path)
     shutil.copytree(piped, cfg.out_dir)
     _mutate(os.path.join(cfg.out_dir, artifact), ARTIFACT_EDITS[artifact][1], mutation)
@@ -877,3 +876,5 @@ def test_mutated_artifact_exits_cleanly(tmp_path, capsys, piped, artifact, stage
     else:
         assert rc in (cli.EXIT_CONFIG, cli.EXIT_MISSING_INPUT, cli.EXIT_NUMERIC), err
         assert len(failures) == 1 and err.splitlines()[-1] == failures[0], err
+        if mutation == "empty":
+            assert os.path.join(cfg.out_dir, artifact) in failures[0], err

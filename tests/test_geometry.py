@@ -430,7 +430,7 @@ class TestHalfDiffAngles:
         pairs = [_front_pair(rng, n) for _ in range(64)]
         wi = np.array([p[0] for p in pairs])
         wo = np.array([p[1] for p in pairs])
-        th, td = half_diff_angle_arrays(np.tile(n, (64, 1)), wi, wo)
+        th, td = half_diff_angle_arrays(np.tile(n, (64, 1)).T, wi.T, wo.T)
         for i in range(64):
             a = half_diff_angles(n, wi[i], wo[i])
             assert th[i] == pytest.approx(a.theta_h, abs=1e-12)

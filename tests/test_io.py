@@ -2,6 +2,7 @@
 
 import os
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -245,6 +246,22 @@ class TestTextReadersFailureContract:
         path.write_text(text)
         with pytest.raises(CorruptInputError, match=name):
             read(path)
+
+    @pytest.mark.parametrize("name, read", [
+        ("scene.txt", lambda p: io.read_scene(p, [])),
+        ("materials.txt", io.read_materials),
+        ("trajectory.txt", io.read_trajectory), ("labels.txt", io.read_labels)])
+    @pytest.mark.parametrize("text", ["", "# header only\n"])
+    def test_table_without_rows_is_corrupt_input(self, tmp_path, name, read, text):
+        """A table without rows is rejected by its own reader, naming its
+        file, without a numpy warning."""
+        path = tmp_path / name
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CorruptInputError,
+                               match=f"{name}: the table has no rows"):
+                read(path)
 
     @pytest.mark.parametrize("read", [
         lambda p: io.read_scene(p, []), io.read_materials, io.read_trajectory,

@@ -228,9 +228,9 @@ class TestScan:
                 pose = interpolate_trajectory(poses, float(ir.frame_time[fi]))
                 led = ir.frame_led[fi]
                 i = r - rows.start
-                np.testing.assert_array_equal(cam[i], pose.translation)
+                np.testing.assert_array_equal(cam[:, i], pose.translation)
                 np.testing.assert_array_equal(
-                    led_world[i], pose.transform(cfg.rig.positions[led]))
+                    led_world[:, i], pose.transform(cfg.rig.positions[led]))
                 assert brightness[i] == cfg.rig.brightness[led]
         assert stop == len(ir)
 
@@ -266,13 +266,15 @@ class TestLedPositions:
         lit = []
 
         def spy(cam, led_world, positions, normals):
-            lit.append(np.broadcast_to(led_world, np.shape(cam)[:-1] + (3,)))
+            # one LED position per frame, component arrays (3, frames, 1)
+            # in the scan and (3, 1) in the re-render
+            lit.append(np.moveaxis(led_world, 0, -1).reshape(-1, 3))
             return geometry(cam, led_world, positions, normals)
 
         monkeypatch.setattr(simulator, "_CHUNK_ROWS", scan_rows)
         monkeypatch.setattr(simulator, "frame_geometry", spy)
         ir, _ = simulator.simulate_scan(scene, cfg)
-        scan_led = np.concatenate(lit).reshape(-1, 3)
+        scan_led = np.concatenate(lit)
         assert len(scan_led) == len(ir.frame_time)
         monkeypatch.setattr(simulator, "frame_geometry", geometry)
         monkeypatch.setattr(simulator, "_CHUNK_ROWS", frame_rows)
@@ -280,7 +282,7 @@ class TestLedPositions:
         ir = ir_subset(ir, np.flatnonzero(row_frames(ir) % 3 != 1))
         frame = row_frames(ir)
         for rows, _, led_world, _ in simulator.frames(ir, cfg.trajectory, cfg.rig):
-            np.testing.assert_array_equal(led_world, scan_led[frame[rows]])
+            np.testing.assert_array_equal(led_world.T, scan_led[frame[rows]])
 
         lit.clear()
         monkeypatch.setattr(render_eval, "frame_geometry", spy)
